@@ -1,5 +1,10 @@
 #include "trace/trace.h"
 
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <utility>
+
 #include "support/check.h"
 
 namespace spt::trace {
@@ -10,6 +15,36 @@ std::size_t TraceView::instrCount() const {
     if (r.kind == RecordKind::kInstr) ++n;
   }
   return n;
+}
+
+TraceBuffer::TraceBuffer(const TraceBuffer& other) : TraceSink(other) {
+  if (other.size_ == 0) return;
+  data_ = static_cast<Record*>(std::malloc(other.size_ * sizeof(Record)));
+  if (data_ == nullptr) throw std::bad_alloc();
+  std::memcpy(data_, other.data_, other.size_ * sizeof(Record));
+  size_ = capacity_ = other.size_;
+}
+
+TraceBuffer::TraceBuffer(TraceBuffer&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      capacity_(std::exchange(other.capacity_, 0)) {}
+
+TraceBuffer& TraceBuffer::operator=(TraceBuffer other) noexcept {
+  std::swap(data_, other.data_);
+  std::swap(size_, other.size_);
+  std::swap(capacity_, other.capacity_);
+  return *this;
+}
+
+TraceBuffer::~TraceBuffer() { std::free(data_); }
+
+void TraceBuffer::grow() {
+  const std::size_t capacity = capacity_ == 0 ? 1024 : 2 * capacity_;
+  void* data = std::realloc(data_, capacity * sizeof(Record));
+  if (data == nullptr) throw std::bad_alloc();
+  data_ = static_cast<Record*>(data);
+  capacity_ = capacity;
 }
 
 std::size_t TraceBuffer::instrCount() const { return view().instrCount(); }

@@ -66,15 +66,30 @@ class TraceView {
 
 /// Stores the full trace in memory; the simulator requires random access
 /// (fork resolution looks ahead to the speculative start-point).
+///
+/// The records live in one malloc'd block grown by std::realloc (Record is
+/// trivially copyable). Once the block is large, glibc keeps it in a
+/// mapping of its own and grows it with mremap, so growth neither copies
+/// the records nor holds the old and new blocks at once.
 class TraceBuffer final : public TraceSink {
  public:
-  void onRecord(const Record& record) override { records_.push_back(record); }
+  TraceBuffer() = default;
+  TraceBuffer(const TraceBuffer& other);
+  /// Leaves `other` empty; the records keep their address.
+  TraceBuffer(TraceBuffer&& other) noexcept;
+  TraceBuffer& operator=(TraceBuffer other) noexcept;
+  ~TraceBuffer() override;
 
-  std::size_t size() const { return records_.size(); }
-  const Record& operator[](std::size_t i) const { return records_[i]; }
-  const std::vector<Record>& records() const { return records_; }
+  void onRecord(const Record& record) override {
+    if (size_ == capacity_) grow();
+    data_[size_++] = record;
+  }
 
-  TraceView view() const { return {records_.data(), records_.size()}; }
+  std::size_t size() const { return size_; }
+  const Record& operator[](std::size_t i) const { return data_[i]; }
+  TraceView records() const { return view(); }
+
+  TraceView view() const { return {data_, size_}; }
   /// Implicit so every TraceView consumer keeps accepting a TraceBuffer.
   operator TraceView() const { return view(); }  // NOLINT
 
@@ -82,7 +97,11 @@ class TraceBuffer final : public TraceSink {
   std::size_t instrCount() const;
 
  private:
-  std::vector<Record> records_;
+  void grow();
+
+  Record* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
 };
 
 /// Stable display name for a loop: "func.label" of its header block.

@@ -2,11 +2,16 @@
 // records, loop markers, fork resolution.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "interp/interpreter.h"
 #include "interp/memory.h"
 #include "interp/program_context.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "support/check.h"
+#include "support/error.h"
 #include "test_programs.h"
 #include "trace/trace.h"
 
@@ -49,6 +54,81 @@ TEST(Memory, HashChangesWithContent) {
   const auto h0 = mem.hash();
   mem.store64(a, 7);
   EXPECT_NE(mem.hash(), h0);
+}
+
+TEST(Memory, UnallocatedWordsReadZero) {
+  Memory mem;
+  mem.alloc(64);
+  // Above brk() but inside size(): never allocated, never written.
+  EXPECT_EQ(mem.load64(mem.brk() + 4096), 0);
+  EXPECT_EQ(mem.load64(mem.size() - 8), 0);
+}
+
+TEST(Memory, LastWordRoundTrips) {
+  Memory mem;
+  const std::uint64_t last = mem.size() - 8;
+  mem.store64(last, -42);
+  EXPECT_EQ(mem.load64(last), -42);
+  EXPECT_EQ(mem.load64(last - 8), 0);
+}
+
+TEST(Memory, BadAccessesAndHeapOverflowThrow) {
+  const support::ScopedCheckThrowMode throwing(true);
+  Memory mem;
+  EXPECT_THROW(mem.load64(0), support::SptInternalError);
+  EXPECT_THROW(mem.store64(0, 1), support::SptInternalError);
+  EXPECT_THROW(mem.load64(12), support::SptInternalError);
+  EXPECT_THROW(mem.store64(mem.size() - 4, 1), support::SptInternalError);
+  EXPECT_THROW(mem.load64(mem.size()), support::SptInternalError);
+  EXPECT_THROW(mem.store64(mem.size(), 1), support::SptInternalError);
+  // addr + 8 wraps to 0 here.
+  EXPECT_THROW(mem.load64(~7ull), support::SptInternalError);
+
+  EXPECT_THROW(mem.alloc(mem.size()), support::SptInternalError);
+  // bytes + 7 wraps to a tiny block here.
+  EXPECT_THROW(mem.alloc(~0ull), support::SptInternalError);
+  mem.alloc(mem.size() - mem.brk());  // exactly fills the heap
+  EXPECT_EQ(mem.brk(), mem.size());
+  EXPECT_THROW(mem.alloc(1), support::SptInternalError);
+}
+
+/// FNV-1a over [0, brk()) one byte at a time: the definition hash() must
+/// reproduce. Word 0 is the null slot and always zero.
+std::uint64_t bytewiseFnv(const Memory& mem) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint64_t addr = 0; addr < mem.brk(); addr += 8) {
+    const std::int64_t word = addr == 0 ? 0 : mem.load64(addr);
+    unsigned char bytes[8];
+    std::memcpy(bytes, &word, 8);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Memory, HashMatchesBytewiseFnvOnSparseContents) {
+  std::mt19937_64 rng(20261016);
+  for (int trial = 0; trial < 50; ++trial) {
+    Memory mem;
+    // Blocks of odd sizes, so the runs of zero words end at brk() values
+    // that are not multiples of any larger block.
+    const int blocks = 1 + static_cast<int>(rng() % 4);
+    for (int b = 0; b < blocks; ++b) mem.alloc(1 + rng() % 3000);
+    for (std::uint64_t addr = 8; addr < mem.brk(); addr += 8) {
+      const std::uint64_t pick = rng() % 8;
+      if (pick == 0) {
+        mem.store64(addr, static_cast<std::int64_t>(rng()));
+      } else if (pick == 1) {
+        // One non-zero byte: a non-zero word that is mostly zero bytes.
+        const std::uint64_t byte = 1 + rng() % 255;
+        const std::uint64_t shift = 8 * (rng() % 8);
+        mem.store64(addr, static_cast<std::int64_t>(byte << shift));
+      }
+    }
+    EXPECT_EQ(mem.hash(), bytewiseFnv(mem)) << "trial " << trial;
+  }
 }
 
 TEST(Interpreter, ArraySumComputesCorrectValue) {

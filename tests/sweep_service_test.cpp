@@ -322,16 +322,19 @@ TEST(SweepService, DeadlineSettlesQueuedCellsAsTimeout) {
   const ServiceHandle h = startService(std::move(opts), "deadline");
   ASSERT_GT(h.pid, 0);
 
+  // One worker round trip per echo cell takes tens of microseconds, so 64
+  // cells could occasionally drain inside 1 ms; 512 cannot.
+  constexpr std::size_t kCells = 512;
   ServiceRequest req;
   req.kind = ServiceRequest::Kind::kEcho;
-  req.echo_cells = 64;
+  req.echo_cells = kCells;
   req.echo_payload = "late";
   req.deadline_seconds = 0.001;  // expires before the queue can drain
   const SubmitOutcome out = submitToService(h.socket_path, req);
   // The request still completes — every cell settles and kDone arrives —
   // but cells that never reached a worker report the deadline as timeout.
   EXPECT_TRUE(out.ok) << out.error;
-  ASSERT_EQ(out.echoes.size(), 64u);
+  ASSERT_EQ(out.echoes.size(), kCells);
   std::size_t timed_out = 0;
   for (const std::string& e : out.echoes) {
     if (e == "error:timeout") ++timed_out;

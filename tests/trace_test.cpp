@@ -2,6 +2,9 @@
 // across calls and recursion, and loop naming.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "test_programs.h"
@@ -31,6 +34,81 @@ TEST(TraceSinks, NullSinkDiscards) {
   NullSink sink;
   Record r;
   sink.onRecord(r);  // must not crash; nothing observable
+}
+
+Record numbered(std::uint32_t i) {
+  Record r;
+  r.sid = i;
+  r.frame = i / 3;
+  r.value = -static_cast<std::int64_t>(i);
+  r.mem_addr = 8ull * i;
+  return r;
+}
+
+/// Record is hole-free (record.h), so equal bytes mean equal records.
+bool sameRecords(TraceView a, TraceView b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Record)) == 0);
+}
+
+TEST(TraceBuffer, GrowthKeepsThePushedSequence) {
+  // 2^18 records (10 MiB): many doublings, and past the size at which the
+  // allocator moves the block into a mapping of its own.
+  constexpr std::uint32_t kCount = 1u << 18;
+  TraceBuffer buf;
+  for (std::uint32_t i = 0; i < kCount; ++i) buf.onRecord(numbered(i));
+  ASSERT_EQ(buf.size(), kCount);
+  std::uint32_t mismatches = 0;
+  for (std::uint32_t i = 0; i < kCount; ++i) {
+    const Record want = numbered(i);
+    mismatches += std::memcmp(&buf[i], &want, sizeof(Record)) != 0;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(TraceBuffer, MoveLeavesSourceEmptyAndKeepsTheRecords) {
+  TraceBuffer a;
+  for (std::uint32_t i = 0; i < 5000; ++i) a.onRecord(numbered(i));
+  const Record* data = a.view().data();
+
+  TraceBuffer b(std::move(a));
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.view().data(), nullptr);
+  EXPECT_EQ(b.size(), 5000u);
+  EXPECT_EQ(b.view().data(), data);
+
+  TraceBuffer c;
+  c.onRecord(numbered(7));
+  c = std::move(b);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.view().data(), data);
+  EXPECT_EQ(c[4999].sid, 4999u);
+
+  // A moved-from buffer is empty and still usable.
+  a.onRecord(numbered(1));
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0].sid, 1u);
+}
+
+TEST(TraceBuffer, CopyComparesEqualRecordForRecord) {
+  TraceBuffer a;
+  for (std::uint32_t i = 0; i < 5000; ++i) a.onRecord(numbered(i));
+  const TraceBuffer b(a);
+  EXPECT_NE(b.view().data(), a.view().data());
+  EXPECT_TRUE(sameRecords(a, b));
+
+  TraceBuffer c;
+  c.onRecord(numbered(99));
+  c = a;
+  EXPECT_TRUE(sameRecords(a, c));
+  c.onRecord(numbered(5000));  // the copy grows on its own
+  EXPECT_EQ(c.size(), 5001u);
+  EXPECT_EQ(a.size(), 5000u);
+
+  const TraceBuffer empty;
+  const TraceBuffer empty_copy(empty);
+  EXPECT_EQ(empty_copy.size(), 0u);
 }
 
 struct TracedModule {
