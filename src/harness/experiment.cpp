@@ -32,16 +32,38 @@ std::uint64_t instrCountOf(trace::TraceView view) {
   return n;
 }
 
+/// Interprets the finalized `module`'s main function into `sink`. A
+/// non-zero `max_records` caps the interpreted instruction count.
+interp::RunResult interpret(const ir::Module& module,
+                            const std::vector<std::int64_t>& args,
+                            std::uint64_t max_records,
+                            trace::TraceSink& sink) {
+  interp::ProgramContext ctx(module);
+  interp::Memory memory;
+  interp::Interpreter interp(ctx, memory, sink);
+  interp::RunLimits limits;
+  if (max_records != 0) limits.max_instrs = max_records;
+  return interp.runMain(args, limits);
+}
+
 }  // namespace
+
+void InterpProfileRunner::prime(const ir::Module& module,
+                                profile::ProfileData profile) {
+  primed_.emplace(module.structuralDigest(), std::move(profile));
+}
 
 profile::ProfileData InterpProfileRunner::run(
     const ir::Module& module,
     const std::unordered_set<ir::StaticId>& value_candidates) {
-  interp::ProgramContext ctx(module);
-  interp::Memory memory;
+  if (primed_ && value_candidates.empty() &&
+      primed_->first == module.structuralDigest()) {
+    profile::ProfileData profile = std::move(primed_->second);
+    primed_.reset();
+    return profile;
+  }
   profile::Profiler profiler(module, value_candidates);
-  interp::Interpreter interp(ctx, memory, profiler);
-  interp.runMain(args_);
+  interpret(module, args_, 0, profiler);
   return profiler.take();
 }
 
@@ -49,12 +71,7 @@ TracedRun traceProgram(ir::Module& module, std::vector<std::int64_t> args,
                        std::uint64_t max_records) {
   if (!module.finalized()) module.finalize();
   TracedRun out;
-  interp::ProgramContext ctx(module);
-  interp::Memory memory;
-  interp::Interpreter interp(ctx, memory, out.trace);
-  interp::RunLimits limits;
-  if (max_records != 0) limits.max_instrs = max_records;
-  out.result = interp.runMain(args, limits);
+  out.result = interpret(module, args, max_records, out.trace);
   return out;
 }
 
@@ -65,29 +82,36 @@ ExperimentResult runSptExperiment(ir::Module module,
                                   compiler::CompilationRemarks* remarks) {
   ExperimentResult result;
 
-  // Baseline: the unmodified module.
+  // Baseline: the unmodified module, interpreted once. The run feeds the
+  // compiler's first profile and the one-core machine at the same time.
   ir::Module baseline = module;
   baseline.finalize();
+  InterpProfileRunner runner(args);
+  {
+    profile::Profiler profiler(baseline);
+    sim::BaselineMachine base_machine(baseline, mconfig);
+    trace::TeeSink tee;
+    tee.add(&profiler);
+    tee.add(&base_machine);
+    result.baseline_run =
+        interpret(baseline, args, mconfig.max_trace_records, tee);
+    result.baseline = base_machine.finish();
+    runner.prime(baseline, profiler.take());
+  }
 
   // SPT: two-pass cost-driven compilation in place.
   compiler::SptCompiler cc(copts);
-  InterpProfileRunner runner(args);
   result.plan = cc.compile(module, runner, remarks);
 
   // Sequential semantics must be preserved by the transformation.
-  TracedRun base_run = traceProgram(baseline, args, mconfig.max_trace_records);
   TracedRun spt_run = traceProgram(module, args, mconfig.max_trace_records);
-  result.baseline_run = base_run.result;
   result.spt_run = spt_run.result;
   SPT_CHECK_MSG(
-      base_run.result.return_value == spt_run.result.return_value,
+      result.baseline_run.return_value == result.spt_run.return_value,
       "SPT transformation changed the program result");
-  SPT_CHECK_MSG(base_run.result.memory_hash == spt_run.result.memory_hash,
+  SPT_CHECK_MSG(result.baseline_run.memory_hash == result.spt_run.memory_hash,
                 "SPT transformation changed the memory image");
 
-  // Simulate.
-  sim::BaselineMachine base_machine(baseline, base_run.trace, mconfig);
-  result.baseline = base_machine.run();
   const trace::LoopIndex index(module, spt_run.trace);
   sim::SptMachine spt_machine(module, spt_run.trace, index, mconfig);
   result.spt = spt_machine.run();
@@ -105,11 +129,6 @@ ExperimentResult runSptExperiment(ir::Module module, TraceCache& cache,
   ir::Module baseline = module;
   baseline.finalize();
 
-  compiler::SptCompiler cc(copts);
-  InterpProfileRunner runner(args);
-  result.plan = cc.compile(module, runner, remarks);
-  if (!module.finalized()) module.finalize();
-
   // Everything beyond the program identity that shapes the trace: run
   // arguments and the trace budget. The SPT key also folds the plan
   // fingerprint — the transformed program *is* the plan, so two option
@@ -120,20 +139,39 @@ ExperimentResult runSptExperiment(ir::Module module, TraceCache& cache,
   }
   salt = foldWord(salt, mconfig.max_trace_records);
 
-  const auto entryFor = [&](const std::string& tag,
-                            ir::Module& m) -> const TraceCache::Entry& {
+  // When `profiler` is set and this call produces the trace, the run
+  // also feeds a Profiler constructed into it.
+  const auto entryFor =
+      [&](const std::string& tag, const ir::Module& m,
+          std::optional<profile::Profiler>* profiler)
+      -> const TraceCache::Entry& {
     return cache.get(
         key_prefix + tag + "-" + hex64(salt),
         [&](trace::TraceFileMeta* meta) {
-          TracedRun run = traceProgram(m, args, mconfig.max_trace_records);
-          meta->word0 = static_cast<std::uint64_t>(run.result.return_value);
-          meta->word1 = run.result.memory_hash;
-          return std::move(run.trace);
+          trace::TraceBuffer trace;
+          trace::TeeSink tee;
+          tee.add(&trace);
+          if (profiler != nullptr) tee.add(&profiler->emplace(m));
+          const interp::RunResult run =
+              interpret(m, args, mconfig.max_trace_records, tee);
+          meta->word0 = static_cast<std::uint64_t>(run.return_value);
+          meta->word1 = run.memory_hash;
+          return trace;
         });
   };
-  const TraceCache::Entry& base_entry = entryFor(".base", baseline);
+
+  // The baseline first: when this call interprets it (a cache miss), the
+  // same run yields the compiler's first profile.
+  InterpProfileRunner runner(args);
+  std::optional<profile::Profiler> profiler;
+  const TraceCache::Entry& base_entry = entryFor(".base", baseline, &profiler);
+  if (profiler) runner.prime(baseline, profiler->take());
+
+  compiler::SptCompiler cc(copts);
+  result.plan = cc.compile(module, runner, remarks);
+  if (!module.finalized()) module.finalize();
   const TraceCache::Entry& spt_entry =
-      entryFor(".spt-" + hex64(result.plan.fingerprint()), module);
+      entryFor(".spt-" + hex64(result.plan.fingerprint()), module, nullptr);
 
   result.baseline_run.return_value =
       static_cast<std::int64_t>(base_entry.meta.word0);

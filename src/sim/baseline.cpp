@@ -1,10 +1,13 @@
 #include "sim/baseline.h"
 
-#include <vector>
-
-#include "sim/loop_tracker.h"
 #include "support/check.h"
 #include "support/error.h"
+
+#if defined(__GNUC__) || defined(__clang__)
+#define SPT_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define SPT_ALWAYS_INLINE
+#endif
 
 namespace spt::sim {
 
@@ -47,34 +50,49 @@ ExecInstr makeExecInstr(const ir::Module& module, const trace::Record& record,
 }
 
 BaselineMachine::BaselineMachine(const ir::Module& module,
+                                 const support::MachineConfig& config)
+    : BaselineMachine(module, trace::TraceView{}, config) {
+  block_.reserve(kBlockRecords);
+}
+
+BaselineMachine::BaselineMachine(const ir::Module& module,
                                  trace::TraceView trace,
                                  const support::MachineConfig& config)
-    : module_(module), trace_(trace), config_(config), decode_(module) {}
-
-MachineResult BaselineMachine::run() {
-  MemorySystem memory(config_);
-  Pipeline pipe(config_, memory);
-  LoopCycleTracker loops(module_);
-
+    : trace_(trace),
+      config_(config),
+      decode_(module),
+      memory_(config),
+      pipe_(config, memory_),
+      loops_(module) {
   // The baseline machine consumed ArchState purely for its call/return
   // plumbing — the callee frame and parameter count on kCall, the caller
   // frame and return destination on kRet — plus the per-record frame
   // check; value and memory reconstruction never influenced baseline
-  // timing. This call-stack tracker keeps exactly that (same check, same
-  // failure behavior) at a push/pop instead of full frame reconstruction.
-  struct FrameEntry {
-    trace::FrameId id = 0;
-    ir::Reg ret_dst;
-  };
-  std::vector<FrameEntry> stack;
-  stack.reserve(64);
-  // Sentinels outside FrameId's 32-bit range: kUnstarted routes the first
-  // record to entry-frame creation; kDead makes any record after the entry
-  // frame returned fail the frame check, as ArchState's empty-stack check
-  // did.
-  constexpr std::uint64_t kUnstarted = ~0ull;
-  constexpr std::uint64_t kDead = ~0ull - 1;
-  std::uint64_t cur_frame = kUnstarted;
+  // timing. The call stack keeps exactly that (same check, same failure
+  // behavior) at a push/pop instead of full frame reconstruction.
+  stack_.reserve(64);
+}
+
+void BaselineMachine::drainBlock() {
+  simulate({block_.data(), block_.size()});
+  block_.clear();
+}
+
+MachineResult BaselineMachine::run() {
+  simulate(trace_);
+  return finish();
+}
+
+void BaselineMachine::simulate(trace::TraceView records) {
+  // Scalars the loop updates per record live in locals, which the
+  // compiler can keep in registers (going through the members is
+  // measurably slower), and are written back once per call.
+  Pipeline& pipe = pipe_;
+  LoopCycleTracker& loops = loops_;
+  std::vector<FrameEntry>& stack = stack_;
+  const DecodeTable& decode = decode_;
+  std::uint64_t cur_frame = cur_frame_;
+  std::uint64_t fallbacks = fallbacks_;
 
   const auto checkFrame = [&](const trace::Record& rec) {
     if (cur_frame == rec.frame) [[likely]] return;
@@ -89,20 +107,24 @@ MachineResult BaselineMachine::run() {
 
   const bool budgeted = config_.max_simulated_records != 0 ||
                         config_.max_simulated_cycles != 0;
-  const std::size_t n = trace_.size();
+  const std::size_t first = consumed_;
+  const std::size_t n = records.size();
   std::size_t i = 0;
   const trace::Record* r = nullptr;
   const DecodedInstr* d = nullptr;
-  std::uint64_t fallbacks = 0;
 
   // Advances to the next kInstr record (handling budget checks and loop
-  // markers in passing) and predecodes it. Returns false at end of trace.
-  const auto fetch = [&]() -> bool {
+  // markers in passing) and predecodes it. Returns false at the end of
+  // `records`. Budgets count records from the start of the whole trace.
+  // Inlined into every dispatch site: left to the compiler it becomes a
+  // call per record, which costs ~8% of replay speed over mapped traces.
+  const auto fetch = [&]() SPT_ALWAYS_INLINE -> bool {
     while (i < n) {
-      if (budgeted && (i & 1023u) == 0) {
+      if (budgeted && ((first + i) & 1023u) == 0) {
+        const std::size_t at = first + i;
         if (config_.max_simulated_records != 0 &&
-            i > config_.max_simulated_records) {
-          throw support::SptBudgetExceeded("simulated trace records", i,
+            at > config_.max_simulated_records) {
+          throw support::SptBudgetExceeded("simulated trace records", at,
                                            config_.max_simulated_records);
         }
         if (config_.max_simulated_cycles != 0 &&
@@ -111,11 +133,11 @@ MachineResult BaselineMachine::run() {
                                            config_.max_simulated_cycles);
         }
       }
-      const trace::Record& rec = trace_[i];
+      const trace::Record& rec = records[i];
       ++i;
       if (rec.kind == trace::RecordKind::kInstr) [[likely]] {
         r = &rec;
-        d = &decode_[rec.sid];
+        d = &decode[rec.sid];
         return true;
       }
       loops.onMarker(rec, pipe.cycle());
@@ -274,21 +296,30 @@ MachineResult BaselineMachine::run() {
   }
 #endif
 
-  pipe.finish();
-  loops.finish(pipe.cycle());
+  cur_frame_ = cur_frame;
+  fallbacks_ = fallbacks;
+  consumed_ = first + n;
+}
+
+MachineResult BaselineMachine::finish() {
+  drainBlock();
+  pipe_.finish();
+  loops_.finish(pipe_.cycle());
 
   MachineResult result;
-  result.cycles = pipe.cycle();
-  result.instrs = pipe.instrsIssued();
-  result.breakdown = pipe.breakdown();
-  result.loops = loops.stats();
-  result.l1d = memory.l1d().stats();
-  result.l2 = memory.l2().stats();
-  result.l3 = memory.l3().stats();
-  result.branch_mispredict_ratio = pipe.predictor().mispredictRatio();
-  result.hotpath.dispatch_fallback = fallbacks;
-  result.hotpath.dispatch_fast = pipe.instrsIssued() - fallbacks;
+  result.cycles = pipe_.cycle();
+  result.instrs = pipe_.instrsIssued();
+  result.breakdown = pipe_.breakdown();
+  result.loops = loops_.stats();
+  result.l1d = memory_.l1d().stats();
+  result.l2 = memory_.l2().stats();
+  result.l3 = memory_.l3().stats();
+  result.branch_mispredict_ratio = pipe_.predictor().mispredictRatio();
+  result.hotpath.dispatch_fallback = fallbacks_;
+  result.hotpath.dispatch_fast = pipe_.instrsIssued() - fallbacks_;
   return result;
 }
 
 }  // namespace spt::sim
+
+#undef SPT_ALWAYS_INLINE

@@ -7,8 +7,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <sstream>
 #include <string>
 
+#include "expect_same.h"
 #include "harness/experiment.h"
 #include "harness/suite.h"
 #include "harness/trace_cache.h"
@@ -17,6 +19,8 @@
 
 namespace spt::harness {
 namespace {
+
+using spt::testing::expectSameMachineResult;
 
 std::string freshDir(const std::string& tag) {
   // TempDir() survives across test-binary runs, so an earlier run's trace
@@ -113,43 +117,28 @@ TEST(TraceCache, DistinctKeysGetDistinctFiles) {
 // ------------------------------------------------------------------------
 // Text-built vs binary-mapped simulation equality.
 
-void expectSameMachineResult(const sim::MachineResult& text,
-                             const sim::MachineResult& mapped) {
-  EXPECT_EQ(text.cycles, mapped.cycles);
-  EXPECT_EQ(text.instrs, mapped.instrs);
-  EXPECT_EQ(text.breakdown.execution, mapped.breakdown.execution);
-  EXPECT_EQ(text.breakdown.pipeline_stall, mapped.breakdown.pipeline_stall);
-  EXPECT_EQ(text.breakdown.dcache_stall, mapped.breakdown.dcache_stall);
-  ASSERT_EQ(text.loops.size(), mapped.loops.size());
-  for (const auto& [name, s] : text.loops) {
-    const auto it = mapped.loops.find(name);
-    ASSERT_NE(it, mapped.loops.end()) << name;
-    EXPECT_EQ(s.cycles, it->second.cycles) << name;
-    EXPECT_EQ(s.episodes, it->second.episodes) << name;
-    EXPECT_EQ(s.iterations, it->second.iterations) << name;
-  }
-  EXPECT_EQ(text.threads.spawned, mapped.threads.spawned);
-  EXPECT_EQ(text.threads.fast_commits, mapped.threads.fast_commits);
-  EXPECT_EQ(text.threads.replays, mapped.threads.replays);
-  EXPECT_EQ(text.threads.squashes, mapped.threads.squashes);
-  EXPECT_EQ(text.threads.committed_instrs, mapped.threads.committed_instrs);
-  EXPECT_EQ(text.l1d.hits, mapped.l1d.hits);
-  EXPECT_EQ(text.l1d.misses, mapped.l1d.misses);
-  EXPECT_EQ(text.l2.hits, mapped.l2.hits);
-  EXPECT_EQ(text.l2.misses, mapped.l2.misses);
-  EXPECT_EQ(text.l3.hits, mapped.l3.hits);
-  EXPECT_EQ(text.l3.misses, mapped.l3.misses);
-  EXPECT_EQ(text.branch_mispredict_ratio, mapped.branch_mispredict_ratio);
+std::string remarksJson(const compiler::CompilationRemarks& remarks) {
+  std::ostringstream os;
+  remarks.writeJson(os);
+  return os.str();
 }
 
 TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   TraceCache cache(freshDir("experiment"));
   const workloads::Workload w = workloads::findWorkload("gzip");
 
-  const ExperimentResult plain = runSptExperiment(w.build(1));
-  const ExperimentResult cached =
-      runSptExperiment(w.build(1), cache, "gzip.x1");
+  // The cache miss profiles through the run that produces the baseline
+  // trace, the hit and the plain path interpret; the compiler sees the
+  // same profiles either way, so remarks (profile counts included) match.
+  compiler::CompilationRemarks plain_remarks;
+  compiler::CompilationRemarks cached_remarks;
+  compiler::CompilationRemarks again_remarks;
+  const ExperimentResult plain =
+      runSptExperiment(w.build(1), {}, {}, {}, &plain_remarks);
+  const ExperimentResult cached = runSptExperiment(
+      w.build(1), cache, "gzip.x1", {}, {}, {}, &cached_remarks);
   EXPECT_EQ(cache.produced(), 2u);  // one baseline trace + one SPT trace
+  EXPECT_EQ(remarksJson(cached_remarks), remarksJson(plain_remarks));
 
   EXPECT_EQ(plain.baseline_run.return_value, cached.baseline_run.return_value);
   EXPECT_EQ(plain.baseline_run.memory_hash, cached.baseline_run.memory_hash);
@@ -164,10 +153,11 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
 
   // A second cached run hits memory for both traces and — the whole point
   // — still reproduces the plain results without any interpretation.
-  const ExperimentResult again =
-      runSptExperiment(w.build(1), cache, "gzip.x1");
+  const ExperimentResult again = runSptExperiment(
+      w.build(1), cache, "gzip.x1", {}, {}, {}, &again_remarks);
   EXPECT_EQ(cache.produced(), 2u);
   EXPECT_EQ(cache.memoryHits(), 2u);
+  EXPECT_EQ(remarksJson(again_remarks), remarksJson(plain_remarks));
   expectSameMachineResult(plain.baseline, again.baseline);
   expectSameMachineResult(plain.spt, again.spt);
 }
