@@ -103,18 +103,19 @@ ExperimentResult runSptExperiment(ir::Module module,
   compiler::SptCompiler cc(copts);
   result.plan = cc.compile(module, runner, remarks);
 
+  // The SPT program, interpreted once straight into the SPT machine.
+  if (!module.finalized()) module.finalize();
+  sim::SptMachine spt_machine(module, mconfig);
+  result.spt_run =
+      interpret(module, args, mconfig.max_trace_records, spt_machine);
+
   // Sequential semantics must be preserved by the transformation.
-  TracedRun spt_run = traceProgram(module, args, mconfig.max_trace_records);
-  result.spt_run = spt_run.result;
   SPT_CHECK_MSG(
       result.baseline_run.return_value == result.spt_run.return_value,
       "SPT transformation changed the program result");
   SPT_CHECK_MSG(result.baseline_run.memory_hash == result.spt_run.memory_hash,
                 "SPT transformation changed the memory image");
-
-  const trace::LoopIndex index(module, spt_run.trace);
-  sim::SptMachine spt_machine(module, spt_run.trace, index, mconfig);
-  result.spt = spt_machine.run();
+  result.spt = spt_machine.finish();
   return result;
 }
 

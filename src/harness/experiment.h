@@ -6,11 +6,11 @@
 // the interpreter, and simulate the baseline on one core and the SPT
 // program on the two-pipeline SPT machine.
 //
-// The baseline program is interpreted once. That run feeds the compiler's
-// first profile (paper Section 4.1) and, without a cache, streams straight
-// into the one-core machine, so no baseline trace is stored. The SPT
-// machine needs random access (fork resolution looks ahead), so the SPT
-// trace is stored, or mapped from the trace cache.
+// Each program is interpreted once. The baseline run feeds the compiler's
+// first profile (paper Section 4.1). Without a cache, each run streams
+// straight into its machine, so no trace is stored: the SPT machine indexes
+// forks as the records arrive and keeps only the window its threads can
+// still read. With a cache, both machines replay mapped v3 traces.
 #pragma once
 
 #include <cstdint>

@@ -1,26 +1,28 @@
 #include "sim/oracle.h"
 
+#include "support/check.h"
 #include "support/error.h"
 
 namespace spt::sim {
 
-Oracle::Oracle(const ir::Module& module, trace::TraceView trace,
-               const DecodeTable& decode, support::OracleMode mode)
-    : trace_(trace), decode_(decode), mode_(mode), ref_(module) {
+Oracle::Oracle(const ir::Module& module, const DecodeTable& decode,
+               support::OracleMode mode)
+    : decode_(decode), mode_(mode), ref_(module) {
   ref_.enableDigest();
 }
 
-void Oracle::advanceTo(std::size_t pos) {
-  for (; ref_pos_ < pos; ++ref_pos_) {
-    const trace::Record& r = trace_[ref_pos_];
-    if (r.kind != trace::RecordKind::kInstr) continue;
-    ref_.apply(r, *decode_[r.sid].instr);
+void Oracle::advance(trace::TraceView records) {
+  for (const trace::Record& r : records) {
+    if (r.kind == trace::RecordKind::kInstr) {
+      ref_.apply(r, *decode_[r.sid].instr);
+    }
   }
+  ref_pos_ += records.size();
 }
 
 void Oracle::checkAt(std::size_t pos, const ArchState& machine_arch,
                      const char* boundary) {
-  advanceTo(pos);
+  SPT_CHECK_MSG(pos == ref_pos_, "oracle reference is not at the check");
   ++checks_run_;
   if (machine_arch.streamDigest() != ref_.streamDigest()) {
     std::string diff = "(digest mode; re-run with the deep oracle to name "

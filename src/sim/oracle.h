@@ -5,8 +5,10 @@
 // boundary is exactly the sequential execution's state. The oracle enforces
 // that contract at runtime: it owns an independent ArchState that replays
 // the trace strictly sequentially, and at every fast-commit, selective-
-// replay, and full-squash boundary (plus end of run) it advances that
-// reference to the machine's commit position and compares.
+// replay, and full-squash boundary (plus end of run) it compares it with
+// the machine's state. The machine feeds the reference the records up to
+// its commit position before each check, and before it drops records it no
+// longer needs, so the oracle works on a streamed trace too.
 //
 //  * kDigest (cheap): both sides fold each applied record into an
 //    incremental FNV digest (O(1) per record); the boundary check is one
@@ -34,13 +36,20 @@ namespace spt::sim {
 
 class Oracle {
  public:
-  /// The trace's backing store must outlive the oracle.
-  Oracle(const ir::Module& module, trace::TraceView trace,
-         const DecodeTable& decode, support::OracleMode mode);
+  Oracle(const ir::Module& module, const DecodeTable& decode,
+         support::OracleMode mode);
+
+  /// Trace position of the sequential reference: the next record it
+  /// applies.
+  std::size_t position() const { return ref_pos_; }
+
+  /// Applies `records`, the trace from position() on, to the reference.
+  /// The caller may drop them afterwards: the oracle keeps no records.
+  void advance(trace::TraceView records);
 
   /// Cross-checks `machine_arch` (whose digest must be enabled) against the
-  /// sequential reference advanced to trace position `pos`. Throws
-  /// support::SptInternalError on divergence.
+  /// sequential reference, which must stand at trace position `pos`.
+  /// Throws support::SptInternalError on divergence.
   void checkAt(std::size_t pos, const ArchState& machine_arch,
                const char* boundary);
 
@@ -54,9 +63,6 @@ class Oracle {
                                         trace::TraceView trace);
 
  private:
-  void advanceTo(std::size_t pos);
-
-  trace::TraceView trace_;
   const DecodeTable& decode_;
   support::OracleMode mode_;
   ArchState ref_;

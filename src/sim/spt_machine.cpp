@@ -79,21 +79,37 @@ void ThreadStats::accumulate(const ThreadStats& other) {
   committed_instrs += other.committed_instrs;
 }
 
+SptMachine::SptMachine(const ir::Module& module,
+                       const support::MachineConfig& config)
+    : SptMachine(module, trace::TraceView{}, nullptr, config) {}
+
 SptMachine::SptMachine(const ir::Module& module, trace::TraceView trace,
                        const trace::LoopIndex& loop_index,
                        const support::MachineConfig& config)
+    : SptMachine(module, trace, &loop_index, config) {}
+
+SptMachine::SptMachine(const ir::Module& module, trace::TraceView trace,
+                       const trace::LoopIndex* loop_index,
+                       const support::MachineConfig& config)
     : module_(module),
-      trace_(trace),
-      loop_index_(loop_index),
       config_(config),
       decode_(module),
       memory_(std::make_unique<MemorySystem>(config)),
       main_pipe_(std::make_unique<Pipeline>(config, *memory_)),
       arch_(module),
-      loop_tracker_(module) {
+      loop_tracker_(module),
+      loop_index_(loop_index),
+      data_(trace.data()),
+      end_(trace.size()) {
   SPT_CHECK_MSG(config.spec_threads >= 1 &&
                     config.spec_threads <= support::kMaxSpecThreads,
                 "spec_threads out of range");
+  if (loop_index_ == nullptr) {
+    loop_index_ = &own_index_.emplace(module);
+    window_.reserve(2 * kBlockRecords);
+  }
+  budgeted_ = config.max_simulated_records != 0 ||
+              config.max_simulated_cycles != 0;
   multiway_ = config.spec_threads > 1;
   spec_pipes_.reserve(config.spec_threads);
   slots_.reserve(config.spec_threads);
@@ -114,7 +130,7 @@ SptMachine::SptMachine(const ir::Module& module, trace::TraceView trace,
     fault_mode_ = true;
   }
   if (config.oracle != support::OracleMode::kOff) {
-    oracle_ = std::make_unique<Oracle>(module, trace, decode_, config.oracle);
+    oracle_ = std::make_unique<Oracle>(module, decode_, config.oracle);
     arch_.enableDigest();
   }
 }
@@ -217,18 +233,27 @@ void SptMachine::specWriteReg(SpecThread& t, trace::FrameId frame,
 }
 
 bool SptMachine::specCanStep(const SpecThread& t) const {
-  return t.active && !t.wrong_path && !t.stalled && t.pos < trace_.size() &&
-         t.pos < t.limit_pos &&
+  return t.active && !t.wrong_path && !t.stalled && t.pos < t.limit_pos &&
          t.srb.size() < config_.speculation_result_buffer_entries &&
          t.pipe->cycle() <= main_pipe_->cycle();
 }
 
-SptMachine::SpecThread* SptMachine::firstSteppable() {
-  for (const std::uint32_t slot : chain_) {
-    SpecThread& t = *slots_[slot];
-    if (specCanStep(t)) return &t;
+bool SptMachine::chainCanGrow(const SpecThread& t) const {
+  // Only the chain tail may extend the chain: its successor would
+  // otherwise speculate an iteration an existing thread already covers.
+  return chain_.size() < config_.spec_threads && chain_.back() == t.slot;
+}
+
+bool SptMachine::forkWaits(const SpecThread* t) const {
+  const std::size_t i = t != nullptr ? t->pos : pos_;
+  const trace::Record& r = rec(i);
+  if (r.kind != trace::RecordKind::kInstr || r.op != ir::Opcode::kSptFork ||
+      loop_index_->resolved(i)) {
+    return false;
   }
-  return nullptr;
+  // A main-thread fork spawns only into an empty chain (otherwise it is
+  // dropped unresolved); a speculative one only when it may chain.
+  return t != nullptr ? multiway_ && chainCanGrow(*t) : chain_.empty();
 }
 
 std::size_t SptMachine::chainIndexOf(const SpecThread& t) const {
@@ -246,20 +271,78 @@ bool SptMachine::seqIsLivePredecessor(std::uint32_t seq) const {
   return false;
 }
 
-MachineResult SptMachine::run() {
-  const bool budgeted = config_.max_simulated_records != 0 ||
-                        config_.max_simulated_cycles != 0;
-  std::uint64_t steps = 0;
-  while (pos_ < trace_.size()) {
-    if (budgeted && (++steps & 1023u) == 0) checkBudgets();
-    if (SpecThread* t = firstSteppable()) {
+void SptMachine::indexNewRecords() {
+  data_ = window_.data();
+  end_ = base_ + window_.size();
+  for (; indexed_ < end_; ++indexed_) own_index_->add(indexed_, rec(indexed_));
+}
+
+void SptMachine::drainBlock() {
+  indexNewRecords();
+  step();
+  // Compacting once the dead prefix passes half the window keeps the copy
+  // cost at most one record moved per record appended.
+  if (pos_ - base_ > window_.size() / 2) compact();
+}
+
+void SptMachine::compact() {
+  if (oracle_) advanceOracle(pos_);
+  window_.erase(window_.begin(),
+                window_.begin() + static_cast<std::ptrdiff_t>(pos_ - base_));
+  base_ = pos_;
+  data_ = window_.data();
+}
+
+void SptMachine::advanceOracle(std::size_t pos) {
+  const std::size_t from = oracle_->position();
+  oracle_->advance({data_ + (from - base_), pos - from});
+}
+
+void SptMachine::checkOracle(std::size_t pos, const char* boundary) {
+  advanceOracle(pos);
+  oracle_->checkAt(pos, arch_, boundary);
+}
+
+void SptMachine::step() {
+  high_water_ = std::max(high_water_, end_ - base_);
+  // Every record a step reads lies in [pos_, end_): pos_ never decreases
+  // and every thread's records lie at or beyond it. Before finish(), a step
+  // that would need a record past end_ (or an unresolved fork start-point)
+  // waits for the next block instead; the state is untouched, so the same
+  // step is chosen when the loop resumes.
+  while (pos_ < end_) {
+    // The first thread in chain order that can step, else the main thread.
+    SpecThread* t = nullptr;
+    for (const std::uint32_t slot : chain_) {
+      SpecThread& c = *slots_[slot];
+      if (!specCanStep(c)) continue;
+      if (c.pos < end_) {
+        t = &c;
+        break;
+      }
+      if (!final_) return;
+    }
+    if (!final_ && forkWaits(t)) return;
+    if (budgeted_ && (++steps_ & 1023u) == 0) checkBudgets();
+    if (t != nullptr) {
       stepSpec(*t);
     } else {
       stepMain();
     }
   }
+}
+
+MachineResult SptMachine::run() { return finish(); }
+
+MachineResult SptMachine::finish() {
+  if (own_index_) {
+    indexNewRecords();
+    own_index_->finish(end_);
+  }
+  final_ = true;
+  step();
   killChain();
-  if (budgeted) checkBudgets();
+  if (budgeted_) checkBudgets();
 
   main_pipe_->finish();
   loop_tracker_.finish(main_pipe_->cycle());
@@ -287,7 +370,7 @@ MachineResult SptMachine::run() {
     result_.faults.benign += injector_->metadataInjected();
   }
   if (oracle_) {
-    oracle_->checkAt(trace_.size(), arch_, "end-of-run");
+    checkOracle(end_, "end-of-run");
     result_.arch_digest = arch_.streamDigest();
     result_.oracle_checks = oracle_->checksRun();
   }
@@ -308,7 +391,7 @@ void SptMachine::checkBudgets() const {
 }
 
 void SptMachine::stepMain() {
-  const trace::Record& r = trace_[pos_];
+  const trace::Record& r = rec(pos_);
 
   if (!chain_.empty()) {
     SpecThread& front = *slots_[chain_.front()];
@@ -353,7 +436,7 @@ void SptMachine::executeFork(const trace::Record& r) {
     return;
   }
 
-  const std::size_t start = loop_index_.startOfFork(pos_);
+  const std::size_t start = loop_index_->startOfFork(pos_);
   ForkSite& site = forkSiteOf(r);
 
   // The chain is empty, so every slot is free; the head always spawns into
@@ -385,7 +468,7 @@ void SptMachine::executeFork(const trace::Record& r) {
   // Loop forks start at a kIterBegin marker (skip it); region forks start
   // directly at the target instruction.
   t.pos =
-      trace_[start].kind == trace::RecordKind::kInstr ? start : start + 1;
+      rec(start).kind == trace::RecordKind::kInstr ? start : start + 1;
   t.fork_frame = arch_.curFrame();
   t.fork_rf = arch_.topRegs();
   if (injector_) {
@@ -409,11 +492,9 @@ void SptMachine::executeFork(const trace::Record& r) {
 
 void SptMachine::chainFork(SpecThread& t, const trace::Record& r) {
   ForkSite& site = forkSiteOf(r);
-  if (chain_.size() >= config_.spec_threads || chain_.back() != t.slot) {
+  if (!chainCanGrow(t)) {
     // Every speculative core is occupied, or a more speculative thread
-    // already owns the chain tail (only the tail may extend the chain:
-    // its successor would otherwise speculate an iteration an existing
-    // thread already covers).
+    // already owns the chain tail.
     ++result_.threads.forks_ignored;
     ++site.stats->forks_ignored;
     return;
@@ -437,7 +518,7 @@ void SptMachine::chainFork(SpecThread& t, const trace::Record& r) {
   ++result_.threads.spawned;
   ++site.stats->spawned;
 
-  const std::size_t start = loop_index_.startOfFork(t.pos);
+  const std::size_t start = loop_index_->startOfFork(t.pos);
   if (start == trace::LoopIndex::kNoStart) {
     // The forker speculates the loop's last iteration: its successor has
     // no trace to replay. The wrong-path thread occupies the tail slot
@@ -451,7 +532,7 @@ void SptMachine::chainFork(SpecThread& t, const trace::Record& r) {
 
   nt.start_pos = start;
   nt.pos =
-      trace_[start].kind == trace::RecordKind::kInstr ? start : start + 1;
+      rec(start).kind == trace::RecordKind::kInstr ? start : start + 1;
   nt.fork_frame = r.frame;
   // The successor's context is the forker's *speculative* view of the
   // forking frame — possibly stale or wrong; the arrival register check
@@ -654,7 +735,7 @@ void SptMachine::executeMainFallback(const DecodedInstr& d,
 }
 
 void SptMachine::stepSpec(SpecThread& t) {
-  const trace::Record& r = trace_[t.pos];
+  const trace::Record& r = rec(t.pos);
   if (r.kind != trace::RecordKind::kInstr) {
     ++t.pos;
     return;
@@ -989,7 +1070,7 @@ std::size_t SptMachine::validateSrbAtArrival(SpecThread& t) {
   std::size_t flagged = 0;
 
   for (SrbEntry& e : t.srb) {
-    const trace::Record& r = trace_[e.record_index];
+    const trace::Record& r = rec(e.record_index);
     const DecodedInstr& d = decode_[r.sid];
     const ir::Instr& instr = *d.instr;
 
@@ -1107,7 +1188,7 @@ std::size_t SptMachine::fastCommit(SpecThread& t) {
   // calls/returns/hallocs re-dispatch through the generic apply().
   std::size_t srb_i = 0;
   for (std::size_t i = t.start_pos; i < t.pos; ++i) {
-    const trace::Record& r = trace_[i];
+    const trace::Record& r = rec(i);
     if (r.kind != trace::RecordKind::kInstr) {
       loop_tracker_.onMarker(r, main_pipe_->cycle());
       continue;
@@ -1178,13 +1259,13 @@ std::size_t SptMachine::fastCommit(SpecThread& t) {
   std::size_t escapes = 0;
   if (fault_mode_) {
     for (const SrbEntry& e : t.srb) {
-      if (entryDiverges(e, trace_[e.record_index])) ++escapes;
+      if (entryDiverges(e, rec(e.record_index))) ++escapes;
     }
   }
 
   pos_ = t.pos;
   t.active = false;
-  if (oracle_) oracle_->checkAt(pos_, arch_, "fast-commit");
+  if (oracle_) checkOracle(pos_, "fast-commit");
   return escapes;
 }
 
@@ -1206,7 +1287,7 @@ void SptMachine::replayCommit(SpecThread& t) {
 
   for (std::size_t rec_i = t.start_pos; rec_i < t.pos && !diverged;
        ++rec_i) {
-    const trace::Record& r = trace_[rec_i];
+    const trace::Record& r = rec(rec_i);
     if (r.kind != trace::RecordKind::kInstr) {
       loop_tracker_.onMarker(r, main_pipe_->cycle());
       continue;
@@ -1331,7 +1412,7 @@ void SptMachine::replayCommit(SpecThread& t) {
 
   pos_ = diverged ? resume_pos : t.pos;
   t.active = false;
-  if (oracle_) oracle_->checkAt(pos_, arch_, "replay");
+  if (oracle_) checkOracle(pos_, "replay");
 }
 
 void SptMachine::fullSquash(SpecThread& t) {
@@ -1364,7 +1445,7 @@ void SptMachine::fullSquash(SpecThread& t) {
 
   pos_ = t.start_pos;  // re-execute the whole speculative span normally
   t.active = false;
-  if (oracle_) oracle_->checkAt(pos_, arch_, "squash");
+  if (oracle_) checkOracle(pos_, "squash");
 }
 
 void SptMachine::killSpec(SpecThread& t) {

@@ -39,9 +39,19 @@
 //
 // spec_threads == 1 reduces exactly to the paper's 2-core machine: the
 // golden-digest tests assert bit-identity with the pre-multiway simulator.
+//
+// No step reads a record behind the main thread's position, and a thread
+// runs at most its SRB's capacity past its start-point, so the machine
+// needs only a window of the trace. It either replays a stored trace
+// (run()) or sits behind the interpreter as a TraceSink (onRecord() then
+// finish()): it then resolves forks with an incremental LoopIndex, steps
+// until the next step needs a record or a fork start-point that has not
+// arrived yet, and drops the records behind the main thread. Both ways take
+// the same steps in the same order, so results are identical.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,17 +69,44 @@
 
 namespace spt::sim {
 
-class SptMachine {
+/// One machine simulates one trace: either run() once, or onRecord() for
+/// every record and then finish() once.
+class SptMachine final : public trace::TraceSink {
  public:
-  /// The trace's backing store (TraceBuffer or trace_io::MappedTrace) must
-  /// outlive the machine; `loop_index` must be built over the same records.
+  /// Streaming: records arrive through onRecord(). The machine indexes the
+  /// forks itself and keeps only the records a thread can still read.
+  SptMachine(const ir::Module& module, const support::MachineConfig& config);
+  /// Replay: run() simulates `trace`, whose backing store (TraceBuffer or
+  /// trace_io::MappedTrace) must outlive the machine; `loop_index` must be
+  /// built over the same records.
   SptMachine(const ir::Module& module, trace::TraceView trace,
              const trace::LoopIndex& loop_index,
              const support::MachineConfig& config);
+  SptMachine(const SptMachine&) = delete;
+  SptMachine& operator=(const SptMachine&) = delete;
 
+  /// Appends the record to the window; every kBlockRecords records the
+  /// machine runs as far as the records seen so far allow.
+  void onRecord(const trace::Record& record) override {
+    window_.push_back(record);
+    if (base_ + window_.size() - indexed_ == kBlockRecords) drainBlock();
+  }
+
+  /// Ends the trace: closes the fork index, runs the machine to the end
+  /// and returns the result.
+  MachineResult finish();
+
+  /// Simulates the whole trace given at construction, then finish().
   MachineResult run();
 
+  /// The most records the machine held at once: the window's peak when
+  /// streaming, the whole trace on replay.
+  std::size_t windowHighWater() const { return high_water_; }
+
  private:
+  /// 4096 records of 40 bytes: 160 KB.
+  static constexpr std::size_t kBlockRecords = 4096;
+
   struct SrbEntry {
     std::size_t record_index = 0;
     std::int64_t emu_value = 0;
@@ -160,11 +197,33 @@ class SptMachine {
     std::uint32_t frame_regs = 0;  // forking function's reg_count
   };
 
+  SptMachine(const ir::Module& module, trace::TraceView trace,
+             const trace::LoopIndex* loop_index,
+             const support::MachineConfig& config);
+
+  /// Record `i` of the trace; only indices in [base_, end_) are held.
+  const trace::Record& rec(std::size_t i) const { return data_[i - base_]; }
+  /// Indexes the records that arrived since the last call.
+  void indexNewRecords();
+  /// Streaming: indexes the block, runs the machine, compacts the window.
+  void drainBlock();
+  /// Drops the records below pos_ (no thread reads them again).
+  void compact();
+  /// The step loop. Runs until the trace is done or, before finish(), until
+  /// the next step needs a record that has not arrived yet.
+  void step();
+  /// True when the next step (thread `t`, or the main thread when null)
+  /// consumes a fork record whose start-point is not yet resolved.
+  bool forkWaits(const SpecThread* t) const;
+  /// True when thread `t` may spawn a successor on a fork record.
+  bool chainCanGrow(const SpecThread& t) const;
+  /// Feeds the oracle's reference the records up to `pos`.
+  void advanceOracle(std::size_t pos);
+  void checkOracle(std::size_t pos, const char* boundary);
   void stepMain();
   void stepSpec(SpecThread& t);
+  /// Every test for stepping thread `t` except that its record exists.
   bool specCanStep(const SpecThread& t) const;
-  /// First thread in chain order that can step this cycle, else nullptr.
-  SpecThread* firstSteppable();
   void executeFork(const trace::Record& record);
   /// A speculative thread consumed a fork record (chained mode): spawn its
   /// successor, or drop the fork when no core is free / the forker is not
@@ -244,8 +303,6 @@ class SptMachine {
   CycleBreakdown specProfileSinceFork(const SpecThread& t) const;
 
   const ir::Module& module_;
-  trace::TraceView trace_;
-  const trace::LoopIndex& loop_index_;
   const support::MachineConfig& config_;
   DecodeTable decode_;
 
@@ -286,6 +343,25 @@ class SptMachine {
   std::uint64_t fork_site_hits_ = 0;
   std::uint64_t fork_site_misses_ = 0;
   MachineResult result_;
+  /// Streaming only: the fork index built as records arrive.
+  std::optional<trace::LoopIndex> own_index_;
+  const trace::LoopIndex* loop_index_;
+  /// Streaming only: records [base_, base_ + window_.size()) of the trace.
+  std::vector<trace::Record> window_;
+  /// Records [base_, end_) are readable at data_ (the window or the
+  /// replayed trace). Indices are absolute trace positions.
+  const trace::Record* data_ = nullptr;
+  std::size_t base_ = 0;
+  std::size_t end_ = 0;
+  /// Records handed to own_index_ so far.
+  std::size_t indexed_ = 0;
+  std::size_t high_water_ = 0;
+  /// Set by finish(): end_ is the end of the trace, so the loop never
+  /// waits for more records.
+  bool final_ = false;
+  bool budgeted_ = false;
+  /// Steps taken; budgets are checked every 1024th.
+  std::uint64_t steps_ = 0;
 };
 
 }  // namespace spt::sim

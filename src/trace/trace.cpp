@@ -49,111 +49,98 @@ void TraceBuffer::grow() {
 
 std::size_t TraceBuffer::instrCount() const { return view().instrCount(); }
 
-namespace {
-
-struct LoopKey {
-  FrameId frame;
-  ir::StaticId header_sid;
-  bool operator==(const LoopKey&) const = default;
-};
-
-struct LoopKeyHash {
-  std::size_t operator()(const LoopKey& k) const {
-    return (static_cast<std::size_t>(k.frame) << 32) ^ k.header_sid;
-  }
-};
-
-}  // namespace
+LoopIndex::LoopIndex(const ir::Module& module) : module_(module) {}
 
 LoopIndex::LoopIndex(const ir::Module& module, TraceView trace)
-    : module_(module) {
-  struct OpenEpisode {
-    std::size_t episode_index;
-    std::vector<std::size_t> pending_forks;
-  };
-  std::unordered_map<LoopKey, OpenEpisode, LoopKeyHash> open;
-  // Region forks awaiting the next execution of their target instruction
-  // in the forking frame.
-  std::unordered_map<LoopKey, std::vector<std::size_t>, LoopKeyHash>
-      pending_regions;
+    : LoopIndex(module) {
+  for (std::size_t i = 0; i < trace.size(); ++i) add(i, trace[i]);
+  finish(trace.size());
+}
 
-  const auto resolvePending = [&](OpenEpisode& ep, std::size_t start) {
-    for (const std::size_t fork : ep.pending_forks) {
-      fork_start_.emplace(fork, start);
+void LoopIndex::resolve(std::vector<std::size_t>& forks, std::size_t start) {
+  for (const std::size_t fork : forks) fork_start_.emplace(fork, start);
+  forks.clear();
+}
+
+void LoopIndex::add(std::size_t i, const Record& r) {
+  switch (r.kind) {
+    case RecordKind::kIterBegin: {
+      const LoopKey key{r.frame, r.sid};
+      auto it = open_.find(key);
+      if (it == open_.end()) {
+        LoopEpisode episode;
+        episode.header_sid = r.sid;
+        episode.frame = r.frame;
+        episode.iter_begins.push_back(i);
+        episodes_.push_back(std::move(episode));
+        open_.emplace(key, OpenEpisode{episodes_.size() - 1, {}});
+      } else {
+        episodes_[it->second.episode_index].iter_begins.push_back(i);
+        resolve(it->second.pending_forks, i);
+      }
+      break;
     }
-    ep.pending_forks.clear();
-  };
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const Record& r = trace[i];
-    switch (r.kind) {
-      case RecordKind::kIterBegin: {
-        const LoopKey key{r.frame, r.sid};
-        auto it = open.find(key);
-        if (it == open.end()) {
-          LoopEpisode episode;
-          episode.header_sid = r.sid;
-          episode.frame = r.frame;
-          episode.iter_begins.push_back(i);
-          episode.exit_index = trace.size();
-          episodes_.push_back(std::move(episode));
-          open.emplace(key, OpenEpisode{episodes_.size() - 1, {}});
-        } else {
-          episodes_[it->second.episode_index].iter_begins.push_back(i);
-          resolvePending(it->second, i);
-        }
-        break;
+    case RecordKind::kLoopExit: {
+      auto it = open_.find(LoopKey{r.frame, r.sid});
+      if (it != open_.end()) {
+        episodes_[it->second.episode_index].exit_index = i;
+        resolve(it->second.pending_forks, kNoStart);
+        open_.erase(it);
       }
-      case RecordKind::kLoopExit: {
-        const LoopKey key{r.frame, r.sid};
-        auto it = open.find(key);
-        if (it != open.end()) {
-          episodes_[it->second.episode_index].exit_index = i;
-          resolvePending(it->second, kNoStart);
-          open.erase(it);
+      break;
+    }
+    case RecordKind::kInstr: {
+      if (!pending_regions_.empty()) {
+        const auto rit = pending_regions_.find(LoopKey{r.frame, r.sid});
+        if (rit != pending_regions_.end()) {
+          resolve(rit->second, i);
+          pending_regions_.erase(rit);
         }
-        break;
-      }
-      case RecordKind::kInstr: {
-        if (!pending_regions.empty()) {
-          const auto rit = pending_regions.find(LoopKey{r.frame, r.sid});
-          if (rit != pending_regions.end()) {
-            for (const std::size_t fork : rit->second) {
-              fork_start_.emplace(fork, i);
+        if (r.op == ir::Opcode::kRet) {
+          // The frame is gone for good: its region forks never start.
+          for (auto it = pending_regions_.begin();
+               it != pending_regions_.end();) {
+            if (it->first.frame == r.frame) {
+              resolve(it->second, kNoStart);
+              it = pending_regions_.erase(it);
+            } else {
+              ++it;
             }
-            pending_regions.erase(rit);
           }
         }
-        if (r.op != ir::Opcode::kSptFork) break;
-        const auto& loc = module.locate(r.sid);
-        const ir::Function& func = module.function(loc.func);
-        const ir::Instr& fork = func.blocks[loc.block].instrs[loc.index];
-        const ir::BlockId target = fork.target0;
-        SPT_CHECK(target < func.blocks.size());
-        const ir::StaticId target_sid =
-            func.blocks[target].instrs.front().static_id;
-        auto it = open.find(LoopKey{r.frame, target_sid});
-        if (it != open.end()) {
-          it->second.pending_forks.push_back(i);
-        } else {
-          // Region fork: wait for the target's next execution.
-          pending_regions[LoopKey{r.frame, target_sid}].push_back(i);
-        }
-        break;
       }
+      if (r.op != ir::Opcode::kSptFork) break;
+      const auto& loc = module_.locate(r.sid);
+      const ir::Function& func = module_.function(loc.func);
+      const ir::Instr& fork = func.blocks[loc.block].instrs[loc.index];
+      const ir::BlockId target = fork.target0;
+      SPT_CHECK(target < func.blocks.size());
+      const ir::StaticId target_sid =
+          func.blocks[target].instrs.front().static_id;
+      auto it = open_.find(LoopKey{r.frame, target_sid});
+      if (it != open_.end()) {
+        it->second.pending_forks.push_back(i);
+      } else {
+        // Region fork: wait for the target's next execution.
+        pending_regions_[LoopKey{r.frame, target_sid}].push_back(i);
+      }
+      break;
     }
   }
+}
 
-  for (auto& [key, ep] : open) {
+void LoopIndex::finish(std::size_t size) {
+  for (auto& [key, ep] : open_) {
     (void)key;
-    resolvePending(ep, kNoStart);
+    episodes_[ep.episode_index].exit_index = size;
+    resolve(ep.pending_forks, kNoStart);
   }
-  for (auto& [key, forks] : pending_regions) {
+  open_.clear();
+  for (auto& [key, forks] : pending_regions_) {
     (void)key;
-    for (const std::size_t fork : forks) {
-      fork_start_.emplace(fork, kNoStart);
-    }
+    resolve(forks, kNoStart);
   }
+  pending_regions_.clear();
 }
 
 std::size_t LoopIndex::startOfFork(std::size_t record_index) const {

@@ -64,8 +64,10 @@ class TraceView {
   std::size_t size_ = 0;
 };
 
-/// Stores the full trace in memory; the simulator requires random access
-/// (fork resolution looks ahead to the speculative start-point).
+/// Stores the full trace in memory, for the consumers that need all of it
+/// at once: trace files, the trace cache, and replays of one trace through
+/// many machines. A single simulation needs no stored trace: both machines
+/// also run as sinks behind the interpreter.
 ///
 /// The records live in one malloc'd block grown by std::realloc (Record is
 /// trivially copyable). Once the block is large, glibc keeps it in a
@@ -116,7 +118,7 @@ struct LoopEpisode {
   std::size_t exit_index = 0;  // index of the kLoopExit marker (or trace end)
 };
 
-/// Index over a TraceBuffer that resolves SPT forks to their speculative
+/// Index over a trace that resolves SPT forks to their speculative
 /// start-points and groups iterations into loop episodes.
 ///
 /// Two fork flavours are resolved:
@@ -126,11 +128,31 @@ struct LoopEpisode {
 ///    target is an ordinary block downstream in the same frame: the
 ///    start-point is the next kInstr record of that block's first
 ///    instruction in the forking frame.
+///
+/// A fork is resolved as soon as its start-point record is added, or when
+/// control can no longer reach it: its loop exits (loop forks) or its frame
+/// returns (region forks; frame ids are never reused). The index is built
+/// either over a whole trace at once or incrementally, record by record,
+/// while the trace streams past; both give the same answers.
 class LoopIndex {
  public:
+  /// Incremental: add() every record in order, then finish().
+  explicit LoopIndex(const ir::Module& module);
+  /// The whole of `trace` added and finished.
   LoopIndex(const ir::Module& module, TraceView trace);
 
   static constexpr std::size_t kNoStart = static_cast<std::size_t>(-1);
+
+  /// Indexes `record`, the trace's record number `i` (0, 1, 2, ...).
+  void add(std::size_t i, const Record& record);
+  /// Ends the trace after `size` records: forks still waiting for their
+  /// start-point resolve to kNoStart, open episodes exit at `size`.
+  void finish(std::size_t size);
+
+  /// True once the fork record at `record_index` has a start-point answer.
+  bool resolved(std::size_t record_index) const {
+    return fork_start_.contains(record_index);
+  }
 
   /// For the fork record at `record_index`: the record index of the
   /// speculative thread's start-point (a kIterBegin marker for loop forks,
@@ -144,9 +166,34 @@ class LoopIndex {
   std::string loopName(ir::StaticId header_sid) const;
 
  private:
+  struct LoopKey {
+    FrameId frame;
+    ir::StaticId header_sid;
+    bool operator==(const LoopKey&) const = default;
+  };
+  struct LoopKeyHash {
+    std::size_t operator()(const LoopKey& k) const {
+      return (static_cast<std::size_t>(k.frame) << 32) ^ k.header_sid;
+    }
+  };
+  struct OpenEpisode {
+    std::size_t episode_index;
+    std::vector<std::size_t> pending_forks;
+  };
+
+  /// Resolves `forks` to `start` and empties the list.
+  void resolve(std::vector<std::size_t>& forks, std::size_t start);
+
   const ir::Module& module_;
   std::unordered_map<std::size_t, std::size_t> fork_start_;
   std::vector<LoopEpisode> episodes_;
+  /// Loops currently executing, with the loop forks awaiting their next
+  /// iteration.
+  std::unordered_map<LoopKey, OpenEpisode, LoopKeyHash> open_;
+  /// Region forks awaiting the next execution of their target instruction
+  /// in the forking frame (key: forking frame, target's static id).
+  std::unordered_map<LoopKey, std::vector<std::size_t>, LoopKeyHash>
+      pending_regions_;
 };
 
 }  // namespace spt::trace

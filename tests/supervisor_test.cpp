@@ -1389,8 +1389,8 @@ TEST(OracleDivergence, ThrowsStructuredReport) {
   }
   ASSERT_GT(instrs, 0u);
 
-  sim::Oracle oracle(module, run.trace, decode,
-                     support::OracleMode::kDigest);
+  sim::Oracle oracle(module, decode, support::OracleMode::kDigest);
+  oracle.advance({run.trace.view().data(), pos});
   sim::ArchState machine(module);
   machine.enableDigest();
   try {
