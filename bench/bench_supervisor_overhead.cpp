@@ -1,24 +1,24 @@
-// Per-cell supervision overhead: fork-per-cell vs the warm worker pool vs
-// the resident sweep service.
+// Per-cell supervision overhead: the warm worker pool vs the resident
+// sweep service.
 //
 // Runs a trivial producer (the cell body is ~free) through the supervisor
-// in both worker models and reports microseconds of supervision overhead
-// per cell — fork + pipe + reap for one-shot workers, request/reply
-// dispatch for pooled ones. This is the cost the pool exists to remove:
-// on small sweep cells the fork and the per-process re-setup dominate
-// wall-clock, and the acceptance bar for the pool is >= 3x lower per-cell
-// overhead on this bench (BENCH_supervisor_overhead.json).
+// and reports microseconds of supervision overhead per cell — the
+// request/reply dispatch to a pooled worker. The serve row measures the
+// same dispatch through `sptc serve`'s socket path instead — one echo
+// request of N cells submitted to a resident service over AF_UNIX — so it
+// prices the extra frame codec + socket hops the service adds on top of
+// the pool it multiplexes.
 //
-// The serve row measures the same dispatch through `sptc serve`'s socket
-// path instead — one echo request of N cells submitted to a resident
-// service over AF_UNIX — so it prices the extra frame codec + socket hops
-// the service adds on top of the pool it multiplexes.
+// The committed BENCH_supervisor_overhead.json is the record of the
+// earlier two-model measurement (fork-per-cell 876 us/cell vs the pool's
+// 15.1 us/cell) that justified making the pool the only worker model; this
+// bench no longer writes that file by default.
 //
 // Flags:
 //   --cells N    cells per timed run (default 256)
 //   --jobs N     workers in flight / pool size (default 4)
 //   --reps N     timed repetitions, fastest wins (default 3)
-//   --json PATH  results document (default: BENCH_supervisor_overhead.json)
+//   --json PATH  results document (default: bench_supervisor_overhead.json)
 //   --no-json    skip the JSON document
 #include <algorithm>
 #include <chrono>
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   std::size_t cells = 256;
   std::size_t jobs = 4;
   int reps = 3;
-  std::string json_path = "BENCH_supervisor_overhead.json";
+  std::string json_path = "bench_supervisor_overhead.json";
   bool write_json = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -155,19 +155,13 @@ int main(int argc, char** argv) {
   spt::harness::SupervisorOptions opts;
   opts.isolate = true;
   opts.jobs = jobs;
-  const spt::harness::Supervisor forked(opts);
-  opts.pool = true;
   const spt::harness::Supervisor pooled(opts);
 
-  // Warm both paths once (page cache, lazy binding) before timing.
-  secondsPerRun(forked, std::min<std::size_t>(cells, 16), 1);
+  // Warm the path once (page cache, lazy binding) before timing.
   secondsPerRun(pooled, std::min<std::size_t>(cells, 16), 1);
 
-  const double fork_s = secondsPerRun(forked, cells, reps);
   const double pool_s = secondsPerRun(pooled, cells, reps);
-  const double fork_us = fork_s / static_cast<double>(cells) * 1e6;
   const double pool_us = pool_s / static_cast<double>(cells) * 1e6;
-  const double speedup = fork_us / pool_us;
 
   // The socket path on top of the same pool: a resident service child,
   // one echo request per timed run.
@@ -199,16 +193,12 @@ int main(int argc, char** argv) {
                         std::to_string(cells) + " trivial cells, " +
                         std::to_string(jobs) + " jobs, best of " +
                         std::to_string(reps) + ")");
-  t.setHeader({"worker model", "total s", "us/cell", "vs fork"});
-  t.addRow({"fork-per-cell", spt::support::fixed(fork_s, 3),
-            spt::support::fixed(fork_us, 1), "1.0x"});
+  t.setHeader({"dispatch path", "total s", "us/cell"});
   t.addRow({"warm pool", spt::support::fixed(pool_s, 3),
-            spt::support::fixed(pool_us, 1),
-            spt::support::fixed(speedup, 1) + "x"});
+            spt::support::fixed(pool_us, 1)});
   if (have_serve) {
     t.addRow({"sweep service", spt::support::fixed(serve_s, 3),
-              spt::support::fixed(serve_us, 1),
-              spt::support::fixed(fork_us / serve_us, 1) + "x"});
+              spt::support::fixed(serve_us, 1)});
   }
   t.print(std::cout);
 
@@ -223,13 +213,8 @@ int main(int argc, char** argv) {
     w.member("cells", static_cast<std::uint64_t>(cells));
     w.member("jobs", static_cast<std::uint64_t>(jobs));
     w.member("reps", static_cast<std::uint64_t>(reps));
-    w.member("fork_per_cell_us", fork_us);
     w.member("warm_pool_us", pool_us);
-    w.member("pool_speedup", speedup);
-    if (have_serve) {
-      w.member("serve_per_cell_us", serve_us);
-      w.member("serve_speedup", fork_us / serve_us);
-    }
+    if (have_serve) w.member("serve_per_cell_us", serve_us);
     w.endObject();
     out << "\n";
     std::cout << "results: " << json_path << "\n";

@@ -46,8 +46,9 @@ struct FaultCampaignOptions {
   std::string checkpoint_path;
   bool resume = false;
   /// Process isolation (supervisor.h): with supervisor.isolate set, phase
-  /// 2 cells run in forked workers (sharing phase 1's traces via
-  /// copy-on-write); crashes/hangs/corrupt replies become non-ok cells.
+  /// 2 cells run in pooled workers forked after phase 1 (sharing its
+  /// traces via copy-on-write); crashes/hangs/corrupt replies become
+  /// non-ok cells.
   SupervisorOptions supervisor;
 };
 

@@ -147,7 +147,7 @@ struct SweepOptions {
   /// (benchmark, config); the last checkpoint line per key wins.
   bool resume = false;
   /// Process isolation (supervisor.h). With supervisor.isolate set, every
-  /// non-resumed cell runs in a forked worker under the watchdog/retry
+  /// non-resumed cell runs in a pooled worker under the watchdog/retry
   /// policy; crashes and hangs become non-ok rows instead of taking the
   /// sweep down. Quarantine semantics are implied in the worker (a cell
   /// exception becomes a non-ok row either way). Checkpoint files written
@@ -186,7 +186,7 @@ std::vector<SweepCase> buildSuiteSweepCases(
 
 /// Worker-side body of one supervised sweep cell: runs the case with
 /// quarantine semantics and returns the encoded reply payload
-/// (cell_codec). Shared by the pooled/forked sweep workers and the sweep
+/// (cell_codec). Shared by the supervised sweep's workers and the sweep
 /// service's spec-mode workers.
 std::string produceSweepCellPayload(const SweepCase& c,
                                     TraceCache* cache = nullptr);

@@ -106,25 +106,35 @@ PerfRow measure(PreparedWorkload& p, const PerfOptions& options) {
   return row;
 }
 
-/// `sptc perf --isolate`: one forked worker per workload, strictly one at
+/// `sptc perf --isolate`: one fresh worker per workload, strictly one at
 /// a time (timing must never contend), each doing its own setup + timed
-/// measurement in a fresh address space. A worker that crashes, hangs, or
-/// garbles its reply surfaces as an SptInternalError naming the workload
-/// instead of killing the bench process.
+/// measurement in a fresh address space. Each workload gets its own
+/// single-cell run, so no worker is reused across workloads. A worker
+/// that crashes, hangs, or garbles its reply surfaces as an
+/// SptInternalError naming the workload instead of killing the bench
+/// process.
 std::vector<PerfRow> runIsolated(const std::vector<std::string>& names,
                                  const PerfOptions& options) {
-  SupervisorOptions sopts = options.supervisor;
-  sopts.jobs = 1;
-  const Supervisor supervisor(sopts);
-  const auto produce = [&](std::size_t k) {
-    PreparedWorkload p = prepare(names[k], options);
-    return encodePerfRow(measure(p, options));
-  };
-  const std::vector<Supervisor::Outcome> outcomes =
-      supervisor.run(names.size(), produce);
   std::vector<PerfRow> rows(names.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const Supervisor::Outcome& oc = outcomes[i];
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    // Workload i is cell 0 of its own run: keep only its chaos directives.
+    SupervisorOptions sopts = options.supervisor;
+    sopts.jobs = 1;
+    sopts.chaos.directives.clear();
+    for (auto d : options.supervisor.chaos.directives) {
+      if (d.cell != i) continue;
+      d.cell = 0;
+      sopts.chaos.directives.push_back(d);
+    }
+    const Supervisor supervisor(sopts);
+    const Supervisor::Outcome oc =
+        supervisor
+            .run(1,
+                 [&](std::size_t) {
+                   PreparedWorkload p = prepare(names[i], options);
+                   return encodePerfRow(measure(p, options));
+                 })
+            .front();
     SPT_CHECK_MSG(oc.status == CellStatus::kOk,
                   ("perf worker for " + names[i] + " failed (" +
                    std::string(toString(oc.status)) + "): " + oc.diagnostic)

@@ -37,14 +37,14 @@ struct PerfOptions {
   support::MachineConfig machine;
   compiler::CompilerOptions copts;
   /// With supervisor.isolate set (`sptc perf --isolate`), each workload's
-  /// setup + timed measurement runs in its own forked worker under the
-  /// execution supervisor, one at a time — a fresh address space per
-  /// measurement (no allocator or cache pollution from earlier
-  /// workloads), and a crashed or hung measurement becomes a reported
-  /// failure instead of taking the bench down. Deterministic row fields
-  /// are identical to the in-process path; host timings differ by the
-  /// fork. Pass-time aggregation is unavailable in this mode (the
-  /// compiles happen in throwaway workers).
+  /// setup + timed measurement runs in a worker process of its own under
+  /// the execution supervisor (one Supervisor::run per workload), one at
+  /// a time — a fresh address space per measurement (no allocator or
+  /// cache pollution from earlier workloads), and a crashed or hung
+  /// measurement becomes a reported failure instead of taking the bench
+  /// down. Deterministic row fields are identical to the in-process path;
+  /// host timings differ. Pass-time aggregation is unavailable in this
+  /// mode (the compiles happen in throwaway workers).
   SupervisorOptions supervisor;
 };
 

@@ -61,22 +61,15 @@ std::string hexDump(const std::string& bytes, std::size_t limit) {
   return out;
 }
 
-/// The highest kind a frame of `version` may carry: v1 knows only the two
-/// one-shot reply kinds; v2 adds request and cell-tagged replies; v3 adds
-/// the spec request.
+/// The highest kind a frame of `version` may carry: v2 knows request and
+/// cell-tagged replies; v3 adds the spec request.
 std::uint8_t maxKindForVersion(std::uint32_t version) {
-  switch (version) {
-    case kSupervisorFrameV1:
-      return kFrameKindWorkerError;
-    case kSupervisorFrameV2:
-      return kFrameKindPooledError;
-    default:
-      return kFrameKindSpecRequest;
-  }
+  return version == kSupervisorFrameV2 ? kFrameKindPooledError
+                                       : kFrameKindSpecRequest;
 }
 
 bool supportedFrameVersion(std::uint32_t version) {
-  return version >= kSupervisorFrameV1 && version <= kSupervisorFrameV3;
+  return version >= kSupervisorFrameV2 && version <= kSupervisorFrameV3;
 }
 
 }  // namespace
@@ -119,12 +112,12 @@ bool decodeSupervisorFrame(const std::string& bytes, std::uint8_t* kind,
   std::memcpy(&version, bytes.data() + 4, sizeof version);
   if (!supportedFrameVersion(version)) {
     return fail("unsupported frame version " + std::to_string(version) +
-                " (expected " + std::to_string(kSupervisorFrameV1) + " to " +
+                " (expected " + std::to_string(kSupervisorFrameV2) + " to " +
                 std::to_string(kSupervisorFrameV3) + ")");
   }
   std::uint8_t k = 0;
   std::memcpy(&k, bytes.data() + 8, sizeof k);
-  if (k > maxKindForVersion(version)) {
+  if (k < kFrameKindRequest || k > maxKindForVersion(version)) {
     return fail("frame kind " + std::to_string(k) +
                 " is not valid in frame version " + std::to_string(version));
   }
@@ -334,8 +327,7 @@ std::string chaosGarbage(std::size_t cell) {
 
 /// Executes a non-kNone chaos action inside a worker. Never returns except
 /// for kHang's pause loop (which also never returns). `partial_frame` is
-/// the valid reply frame whose first half a kPartial worker emits — the
-/// caller builds it in its own protocol version.
+/// the valid reply frame whose first half a kPartial worker emits.
 [[noreturn]] void performChaos(support::ChaosAction action, int fd,
                                std::size_t cell,
                                const std::string& partial_frame) {
@@ -367,48 +359,6 @@ std::string chaosGarbage(std::size_t cell) {
       ::_exit(3);
   }
   ::_exit(3);
-}
-
-/// One-shot worker body. Never returns: replies on `fd` and _exit()s.
-/// _exit (not exit) so the forked copy of the parent's atexit handlers,
-/// static destructors, and stdio buffers never run twice.
-[[noreturn]] void runWorker(int fd, std::size_t cell, std::uint32_t attempt,
-                            const SupervisorOptions& options,
-                            const Supervisor::Producer& produce) {
-  if (options.rlimit_as_bytes != 0) {
-    rlimit rl{};
-    rl.rlim_cur = static_cast<rlim_t>(options.rlimit_as_bytes);
-    rl.rlim_max = static_cast<rlim_t>(options.rlimit_as_bytes);
-    ::setrlimit(RLIMIT_AS, &rl);
-  }
-  if (options.rlimit_cpu_seconds != 0) {
-    rlimit rl{};
-    rl.rlim_cur = static_cast<rlim_t>(options.rlimit_cpu_seconds);
-    rl.rlim_max = static_cast<rlim_t>(options.rlimit_cpu_seconds + 1);
-    ::setrlimit(RLIMIT_CPU, &rl);
-  }
-
-  const support::ChaosAction chaos = options.chaos.actionFor(cell, attempt);
-  if (chaos != support::ChaosAction::kNone) {
-    performChaos(chaos, fd, cell,
-                 encodeSupervisorFrame(kFrameKindPayload,
-                                       "chaos-partial-payload"));
-  }
-
-  std::string frame;
-  try {
-    frame = encodeSupervisorFrame(kFrameKindPayload, produce(cell));
-  } catch (const std::exception& e) {
-    // Last-resort structured report (the producer normally catches cell
-    // exceptions itself): kind-1 frames carry the worker's error text.
-    frame = encodeSupervisorFrame(kFrameKindWorkerError, e.what());
-  } catch (...) {
-    frame = encodeSupervisorFrame(kFrameKindWorkerError,
-                                  "unknown worker exception");
-  }
-  const bool ok = writeAll(fd, frame.data(), frame.size());
-  ::close(fd);
-  ::_exit(ok ? 0 : 1);
 }
 
 /// Re-arms the per-cell CPU window of a pooled worker. RLIMIT_CPU counts
@@ -568,16 +518,6 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
   ::_exit(0);
 }
 
-struct RunningWorker {
-  std::size_t cell = 0;
-  std::uint32_t attempt = 1;
-  pid_t pid = -1;
-  int fd = -1;
-  bool has_deadline = false;
-  Clock::time_point deadline;
-  std::string buf;
-};
-
 struct PendingCell {
   std::size_t cell = 0;
   std::uint32_t attempt = 1;
@@ -622,7 +562,7 @@ constexpr const char* kInterruptedDiagnostic =
     "interrupted by signal before dispatch; finished cells are "
     "checkpointed, re-run with --resume";
 
-/// Scoped SIG_IGN for SIGPIPE: the pooled parent writes request frames to
+/// Scoped SIG_IGN for SIGPIPE: the parent writes request frames to
 /// pipes whose worker may just have died; the write must fail with EPIPE,
 /// not kill the sweep. Restores the previous disposition on scope exit.
 class ScopedIgnoreSigpipe {
@@ -644,275 +584,12 @@ class ScopedIgnoreSigpipe {
 
 bool Supervisor::isolationSupported() { return true; }
 
-std::vector<Supervisor::Outcome> Supervisor::run(
-    std::size_t n, const Producer& produce, const OnSettled& on_settled,
-    PoolStats* stats) const {
-  if (stats != nullptr) *stats = PoolStats{};
-  return options_.pool ? runPooled(n, produce, on_settled, stats)
-                       : runForked(n, produce, on_settled, stats);
-}
-
-std::vector<Supervisor::Outcome> Supervisor::runForked(
-    std::size_t n, const Producer& produce, const OnSettled& on_settled,
-    PoolStats* stats) const {
-  std::vector<Outcome> out(n);
-  std::deque<PendingCell> pending;
-  const Clock::time_point start = Clock::now();
-  for (std::size_t i = 0; i < n; ++i) pending.push_back({i, 1, start});
-  std::vector<RunningWorker> running;
-  std::size_t settled = 0;
-  bool interrupted = false;
-  const auto stopRequested = [&] {
-    return options_.stop != nullptr && *options_.stop != 0;
-  };
-
-  const auto settle = [&](std::size_t cell, Outcome outcome) {
-    out[cell] = std::move(outcome);
-    ++settled;
-    if (on_settled) on_settled(cell, out[cell]);
-  };
-
-  // Reaps one worker (blocking wait4; the fd already saw EOF or the
-  // worker was just SIGKILLed) and either settles or schedules a retry.
-  const auto reap = [&](RunningWorker& w, bool timed_out) {
-    rusage ru{};
-    const int wait_status = reapWorker(w.pid, &ru);
-    ::close(w.fd);
-
-    Outcome oc;
-    oc.worker.attempts = w.attempt;
-    oc.worker.timed_out = timed_out;
-    oc.worker.host_user_seconds = timevalSeconds(ru.ru_utime);
-    oc.worker.host_sys_seconds = timevalSeconds(ru.ru_stime);
-    oc.worker.host_max_rss_kb = maxRssKb(ru);
-
-    const int sig = signalOf(wait_status);
-    if (timed_out) {
-      oc.status = CellStatus::kTimeout;
-      oc.worker.term_signal = sig;
-      std::ostringstream os;
-      os << "worker exceeded the " << options_.cell_timeout_seconds
-         << "s wall-clock deadline on attempt " << w.attempt
-         << "; killed (SIGKILL)";
-      oc.diagnostic = os.str();
-    } else if (sig != 0) {
-      oc.worker.term_signal = sig;
-      if (sig == SIGXCPU) {
-        oc.status = CellStatus::kTimeout;
-        oc.diagnostic = "worker hit RLIMIT_CPU (" +
-                        std::to_string(options_.rlimit_cpu_seconds) +
-                        "s) and died on SIGXCPU";
-      } else {
-        oc.status = CellStatus::kCrashed;
-        const char* name = ::strsignal(sig);
-        oc.diagnostic = "worker killed by signal " + std::to_string(sig) +
-                        (name != nullptr ? std::string(" (") + name + ")"
-                                         : std::string()) +
-                        " after " + std::to_string(w.buf.size()) +
-                        " reply bytes";
-      }
-      if (!w.buf.empty()) oc.worker.partial_reply = hexDump(w.buf, 64);
-    } else {
-      oc.worker.exit_code = WEXITSTATUS(wait_status);
-      std::uint8_t kind = 0;
-      std::string payload;
-      std::string why;
-      if (decodeSupervisorFrame(w.buf, &kind, &payload, &why)) {
-        if (kind == kFrameKindPayload) {
-          oc.status = CellStatus::kOk;
-          oc.payload = std::move(payload);
-        } else {
-          oc.status = CellStatus::kInternalError;
-          oc.diagnostic = "worker error: " + payload;
-        }
-      } else {
-        oc.status = CellStatus::kProtocolError;
-        oc.diagnostic = "worker reply failed frame validation: " + why +
-                        " (exit code " +
-                        std::to_string(oc.worker.exit_code) + ")";
-        oc.worker.partial_reply = hexDump(w.buf, 64);
-      }
-    }
-
-    if (!interrupted && isTransportFailure(oc.status) &&
-        w.attempt <= options_.retries) {
-      const double delay = backoffSeconds(w.cell, w.attempt + 1);
-      pending.push_back(
-          {w.cell, w.attempt + 1, deadlineFrom(Clock::now(), delay)});
-    } else {
-      settle(w.cell, std::move(oc));
-    }
-  };
-
-  const auto spawn = [&](const PendingCell& p) {
-    int fds[2];
-    if (::pipe(fds) < 0) {
-      Outcome oc;
-      oc.status = CellStatus::kCrashed;
-      oc.worker.attempts = p.attempt;
-      oc.diagnostic = std::string("pipe() failed: ") + std::strerror(errno);
-      settle(p.cell, std::move(oc));
-      return;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      Outcome oc;
-      oc.status = CellStatus::kCrashed;
-      oc.worker.attempts = p.attempt;
-      oc.diagnostic = std::string("fork() failed: ") + std::strerror(errno);
-      settle(p.cell, std::move(oc));
-      return;
-    }
-    if (pid == 0) {
-      ::close(fds[0]);
-      // Drop inherited read ends of sibling pipes.
-      for (const RunningWorker& other : running) ::close(other.fd);
-      runWorker(fds[1], p.cell, p.attempt, options_, produce);
-    }
-    if (stats != nullptr) ++stats->workers_spawned;
-    ::close(fds[1]);
-    const int flags = ::fcntl(fds[0], F_GETFL, 0);
-    ::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK);
-    RunningWorker w;
-    w.cell = p.cell;
-    w.attempt = p.attempt;
-    w.pid = pid;
-    w.fd = fds[0];
-    if (options_.cell_timeout_seconds > 0.0) {
-      w.has_deadline = true;
-      w.deadline = deadlineFrom(Clock::now(), options_.cell_timeout_seconds);
-    }
-    running.push_back(std::move(w));
-  };
-
-  while (settled < n) {
-    if (!interrupted && stopRequested()) {
-      // Graceful interrupt: cancel every undispatched cell (settled as
-      // kInternalError, re-run on --resume) and let the in-flight workers
-      // drain normally so their checkpoint lines are complete.
-      interrupted = true;
-      while (!pending.empty()) {
-        const PendingCell p = pending.front();
-        pending.pop_front();
-        Outcome oc;
-        oc.status = CellStatus::kInternalError;
-        oc.diagnostic = kInterruptedDiagnostic;
-        settle(p.cell, std::move(oc));
-      }
-    }
-    Clock::time_point now = Clock::now();
-
-    // Launch every due pending cell into a free worker slot.
-    for (std::size_t i = 0;
-         i < pending.size() && running.size() < options_.jobs;) {
-      if (pending[i].not_before <= now) {
-        const PendingCell p = pending[i];
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-        spawn(p);
-      } else {
-        ++i;
-      }
-    }
-
-    if (running.empty()) {
-      if (pending.empty()) break;  // everything settled via spawn failures
-      // Only backoff waits remain; sleep to the earliest one.
-      Clock::time_point wake = pending.front().not_before;
-      for (const PendingCell& p : pending) wake = std::min(wake, p.not_before);
-      std::this_thread::sleep_until(wake);
-      continue;
-    }
-
-    // Poll timeout: the nearest watchdog deadline or pending spawn time.
-    long long timeout_ms = -1;
-    const auto consider = [&](Clock::time_point t) {
-      const long long ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-              .count();
-      const long long clamped = ms < 0 ? 0 : ms + 1;
-      if (timeout_ms < 0 || clamped < timeout_ms) timeout_ms = clamped;
-    };
-    for (const RunningWorker& w : running) {
-      if (w.has_deadline) consider(w.deadline);
-    }
-    for (const PendingCell& p : pending) consider(p.not_before);
-
-    std::vector<pollfd> fds(running.size());
-    for (std::size_t i = 0; i < running.size(); ++i) {
-      fds[i] = pollfd{running[i].fd, POLLIN, 0};
-    }
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               timeout_ms < 0 ? -1 : static_cast<int>(
-                                         std::min<long long>(timeout_ms,
-                                                             60'000)));
-    if (rc < 0 && errno != EINTR) {
-      // A broken poll loop cannot supervise; fail loudly rather than spin.
-      throw support::SptInternalError(
-          std::string("supervisor poll() failed: ") + std::strerror(errno));
-    }
-
-    // Drain readable pipes; EOF means the worker finished its reply.
-    for (std::size_t i = 0; i < running.size();) {
-      RunningWorker& w = running[i];
-      const short revents = fds[i].revents;
-      bool done = false;
-      if (revents & (POLLIN | POLLHUP | POLLERR)) {
-        char chunk[65536];
-        for (;;) {
-          const ssize_t r = ::read(w.fd, chunk, sizeof chunk);
-          if (r > 0) {
-            w.buf.append(chunk, static_cast<std::size_t>(r));
-            if (w.buf.size() > kMaxPayloadBytes + kFrameHeaderBytes + 8) {
-              ::kill(w.pid, SIGKILL);
-              done = true;  // oversized reply; reap as protocol error
-              break;
-            }
-            continue;
-          }
-          if (r == 0) {
-            done = true;
-            break;
-          }
-          if (errno == EINTR) continue;
-          break;  // EAGAIN: drained for now
-        }
-      }
-      if (done) {
-        RunningWorker finished = std::move(w);
-        running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-        fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(i));
-        reap(finished, /*timed_out=*/false);
-      } else {
-        ++i;
-      }
-    }
-
-    // Watchdog: SIGKILL overdue workers and reap them as timeouts.
-    now = Clock::now();
-    for (std::size_t i = 0; i < running.size();) {
-      if (running[i].has_deadline && running[i].deadline <= now) {
-        RunningWorker overdue = std::move(running[i]);
-        running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-        ::kill(overdue.pid, SIGKILL);
-        reap(overdue, /*timed_out=*/true);
-      } else {
-        ++i;
-      }
-    }
-  }
-  return out;
-}
-
 // ---- WorkerPool: parent-side pool management -----------------------------
 //
-// The containment machinery the original batch-only runPooled loop owned
-// — spawn/respawn, dispatch writes, reply-stream framing, death
-// classification, watchdog — now lives here so the sweep service can
-// drive the same pool from its own event loop. runPooled (below) is a
-// thin retry/aggregation layer on top, which keeps the two paths
+// Spawn/respawn, dispatch writes, reply-stream framing, death
+// classification and the watchdog live here so the sweep service can
+// drive the same pool from its own event loop. Supervisor::run (below) is
+// a thin retry/aggregation layer on top, which keeps the two paths
 // byte-identical by construction.
 
 struct WorkerPool::Impl {
@@ -1050,11 +727,15 @@ struct WorkerPool::Impl {
         }
         if (!w.buf.empty()) oc.worker.partial_reply = hexDump(w.buf, 64);
       } else {
-        // Exited without completing a reply: decode what arrived for the
-        // specific reason ("empty reply", "short reply", ...).
+        // Exited without completing a reply. drainReplies already consumed
+        // every complete frame, so the stream holds nothing or a frame cut
+        // short.
         oc.worker.exit_code = WEXITSTATUS(wait_status);
-        std::string why;
-        decodeSupervisorFrame(w.buf, nullptr, nullptr, &why);
+        const std::string why =
+            w.buf.empty() ? std::string("empty reply (no frame)")
+                          : "short reply: the stream ended " +
+                                std::to_string(w.buf.size()) +
+                                " bytes into a frame";
         oc.status = CellStatus::kProtocolError;
         oc.diagnostic = "worker reply failed frame validation: " + why +
                         " (exit code " +
@@ -1319,12 +1000,15 @@ void WorkerPool::shutdown() {
   impl_->workers.clear();
 }
 
-std::vector<Supervisor::Outcome> Supervisor::runPooled(
+std::vector<Supervisor::Outcome> Supervisor::run(
     std::size_t n, const Producer& produce, const OnSettled& on_settled,
     PoolStats* stats) const {
+  if (stats != nullptr) *stats = PoolStats{};
+  std::vector<Outcome> out(n);
+  // Nothing to run (e.g. a fully resumed sweep): fork no workers at all.
+  if (n == 0) return out;
   ScopedIgnoreSigpipe sigpipe_guard;
 
-  std::vector<Outcome> out(n);
   std::deque<PendingCell> pending;
   const Clock::time_point start = Clock::now();
   for (std::size_t i = 0; i < n; ++i) pending.push_back({i, 1, start});
@@ -1340,8 +1024,7 @@ std::vector<Supervisor::Outcome> Supervisor::runPooled(
     if (on_settled) on_settled(cell, out[cell]);
   };
 
-  // Settles the attempt's outcome or queues the retry — the same policy
-  // as the fork-per-cell path.
+  // Settles the attempt's outcome or queues the retry.
   const auto finishAttempt = [&](std::size_t cell, std::uint32_t attempt,
                                  Outcome oc) {
     if (!interrupted && isTransportFailure(oc.status) &&
@@ -1356,7 +1039,7 @@ std::vector<Supervisor::Outcome> Supervisor::runPooled(
 
   WorkerPool pool(options_, produce);
   pool.setRespawnPolicy([&] { return settled < n && !interrupted; });
-  pool.ensure(std::min(options_.jobs, std::max<std::size_t>(n, 1)));
+  pool.ensure(std::min(options_.jobs, n));
 
   std::vector<WorkerPool::Settled> batch;
   while (settled < n) {

@@ -1,50 +1,42 @@
-// Process-isolated execution supervisor (fork-per-cell and warm-pool
-// worker layers).
+// Process-isolated execution supervisor (warm worker pool).
 //
-// PR 3's hardened sweep quarantines cells that *throw*; this layer
-// contains cells that take the whole process down. Two worker models
-// share one frame protocol and one containment policy:
+// The hardened sweep quarantines cells that *throw*; this layer
+// contains cells that take the whole process down. `jobs` workers are
+// forked once per run and live for the whole sweep. The parent
+// dispatches cell indices to idle workers as SPTW request frames over
+// versioned, length-prefixed, FNV-1a-checksummed pipes (the trace_io v2
+// approach); each worker loops `recv request → produce → reply`,
+// re-arming its per-cell RLIMIT_CPU window before every cell. Keeping
+// workers warm removes the fork + pipeline re-setup cost per cell — the
+// dominant overhead on small cells (bench_supervisor_overhead) — and the
+// same pool is what the `sptc serve` daemon multiplexes.
 //
-//  * **fork-per-cell** (SPTW v1): each cell runs in a freshly forked
-//    worker; the worker serializes its result and writes it to a pipe as
-//    one versioned, length-prefixed, FNV-1a-checksummed frame (the
-//    trace_io v2 approach), then _exit()s.
-//  * **warm pool** (SPTW v2, `SupervisorOptions::pool`): `jobs` workers
-//    are forked once per run and live for the whole sweep. The parent
-//    dispatches cell indices to idle workers as request frames over the
-//    same checksummed pipes; each worker loops `recv request → produce →
-//    reply`, re-arming its per-cell RLIMIT_CPU window before every cell.
-//    This removes the fork + pipeline re-setup cost per cell — the
-//    dominant overhead on small cells (bench_supervisor_overhead) — and
-//    is the substrate for an `sptc serve` daemon.
+// The parent is a single-threaded poll() event loop — fork() never races
+// other threads — that:
 //
-// In both models the parent is a single-threaded poll() event loop —
-// fork() never races other threads — that:
-//
-//  * keeps up to `jobs` workers in flight, placing results by submission
+//  * keeps up to `jobs` workers busy, placing results by submission
 //    index so ordering guarantees match ParallelSweep;
 //  * runs a watchdog enforcing a per-cell **wall-clock** deadline
 //    (complementary to the simulated record/cycle budgets, which cannot
 //    catch a hang in the host code itself) and SIGKILLs overdue workers;
 //  * optionally applies RLIMIT_AS / RLIMIT_CPU to workers, so a runaway
 //    allocation or CPU spin is bounded by the kernel even if the watchdog
-//    is off (pooled workers re-arm RLIMIT_CPU per cell, since the limit
-//    is cumulative over the process);
+//    is off (workers re-arm RLIMIT_CPU per cell, since the limit is
+//    cumulative over the process);
 //  * reaps every dead worker with wait4(), recording exit code,
 //    terminating signal, and rusage; a worker that segfaults, aborts,
 //    OOMs, hangs, or replies with bytes that fail frame validation lands
 //    in CellStatus::kCrashed / kTimeout / kProtocolError with diagnostics
 //    (including a hex dump of a corrupt reply's first bytes) while every
-//    other cell keeps running — under the pool, only the dead worker is
-//    respawned and the rest of the pool keeps draining the queue;
+//    other cell keeps running — only the dead worker is respawned and the
+//    rest of the pool keeps draining the queue;
 //  * retries transport failures (crash/timeout/protocol) up to `retries`
 //    extra attempts with exponential backoff and deterministic seeded
 //    jitter — a pure function of (backoff_seed, cell, attempt), so test
 //    and CI runs are reproducible;
 //  * honors support::ChaosPlan, the deterministic sabotage hook that makes
 //    designated (cell, attempt) pairs crash/hang/garble on demand —
-//    pooled workers consult the plan per dispatched request, so chaos
-//    semantics are identical across both worker models.
+//    workers consult the plan per dispatched request.
 //
 // On platforms without fork() the supervisor reports
 // isolationSupported() == false and callers degrade to the existing
@@ -68,11 +60,10 @@ struct SupervisorOptions {
   /// Master switch consumed by runSweep / runFaultCampaign: false keeps
   /// the historical in-process path.
   bool isolate = false;
-  /// Warm worker pool: fork `jobs` long-lived workers once and dispatch
-  /// cells to them over SPTW v2 request frames instead of forking one
-  /// worker per cell. Containment, retry, chaos, checkpoint, and JSON
-  /// output semantics are identical to fork-per-cell (CI diffs the
-  /// filtered documents byte-for-byte); only host_ timings differ.
+  /// Unread: every supervised run uses the warm worker pool. Nothing in
+  /// src/ or tools/ reads this field; it stays only because
+  /// perfbench/served_grid.cpp still assigns it, and goes away with the
+  /// next change to the benchmark.
   bool pool = false;
   /// Wall-clock deadline per worker *attempt*, enforced by the parent
   /// watchdog (SIGKILL past it). 0 = no deadline.
@@ -89,8 +80,8 @@ struct SupervisorOptions {
   std::uint64_t backoff_seed = 0xb0ff;
   /// Worker resource limits (0 = inherit). RLIMIT_AS bounds address space
   /// (an OOM becomes a contained bad_alloc or crash); RLIMIT_CPU bounds
-  /// CPU seconds per cell (SIGXCPU, reported as kTimeout) — pooled
-  /// workers re-arm it before each cell relative to CPU already spent.
+  /// CPU seconds per cell (SIGXCPU, reported as kTimeout) — workers
+  /// re-arm it before each cell relative to CPU already spent.
   std::uint64_t rlimit_as_bytes = 0;
   std::uint64_t rlimit_cpu_seconds = 0;
   /// Max workers in flight. 0 = support::ThreadPool::defaultWorkerCount().
@@ -120,12 +111,10 @@ class Supervisor {
     std::string payload;
   };
 
-  /// Worker-process accounting for one run. Under fork-per-cell,
-  /// `workers_spawned` counts every fork (one per attempt);
-  /// `workers_respawned` stays zero. Under the pool, `workers_spawned`
-  /// counts the initial pool fill plus respawns and `workers_respawned`
-  /// counts replacements of dead workers — the pooled chaos tests assert
-  /// exactly one respawn per sabotaged worker.
+  /// Worker-process accounting for one run: `workers_spawned` counts the
+  /// initial pool fill plus respawns and `workers_respawned` counts
+  /// replacements of dead workers — the chaos tests assert exactly one
+  /// respawn per sabotaged worker.
   struct PoolStats {
     std::size_t workers_spawned = 0;
     std::size_t workers_respawned = 0;
@@ -133,8 +122,8 @@ class Supervisor {
 
   /// Runs in the *worker* (after fork): produces the cell's serialized
   /// result. Exceptions escaping the producer are caught in the worker and
-  /// reported as a structured kInternalError outcome. Under the pool the
-  /// same worker process calls this for many cells in sequence.
+  /// reported as a structured kInternalError outcome. The same worker
+  /// process calls this for many cells in sequence.
   using Producer = std::function<std::string(std::size_t)>;
 
   /// Runs in the *parent* as each cell settles (after retries), in
@@ -146,8 +135,9 @@ class Supervisor {
   /// True when this platform can fork worker processes.
   static bool isolationSupported();
 
-  /// Runs cells 0..n-1; outcomes land by cell index. Must only be called
-  /// when isolationSupported(). `stats`, when non-null, receives the
+  /// Runs cells 0..n-1 on a pool of min(jobs, n) workers; outcomes land
+  /// by cell index. n == 0 forks nothing. Must only be called when
+  /// isolationSupported(). `stats`, when non-null, receives the
   /// worker-process accounting for this run.
   std::vector<Outcome> run(std::size_t n, const Producer& produce,
                            const OnSettled& on_settled = nullptr,
@@ -161,25 +151,15 @@ class Supervisor {
 
  private:
   SupervisorOptions options_;
-
-#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
-  std::vector<Outcome> runForked(std::size_t n, const Producer& produce,
-                                 const OnSettled& on_settled,
-                                 PoolStats* stats) const;
-  std::vector<Outcome> runPooled(std::size_t n, const Producer& produce,
-                                 const OnSettled& on_settled,
-                                 PoolStats* stats) const;
-#endif
 };
 
-/// Parent-side handle on the warm worker pool, factored out of the
-/// original batch-only runPooled loop so a long-lived event loop — the
-/// `sptc serve` sweep service — can drive dispatch itself. The pool owns
-/// worker processes, pipes, watchdog deadlines, death classification, and
-/// respawn; it deliberately does NOT own retry policy or result
-/// aggregation, which stay with the caller (Supervisor::runPooled is
-/// reimplemented on top, so the batch path and the service share one
-/// containment implementation and the byte-determinism tests cover both).
+/// Parent-side handle on the warm worker pool, driven by Supervisor::run
+/// for batch runs and by a long-lived event loop — the `sptc serve` sweep
+/// service — that dispatches itself. The pool owns worker processes,
+/// pipes, watchdog deadlines, death classification, and respawn; it
+/// deliberately does NOT own retry policy or result aggregation, which
+/// stay with the caller, so the batch path and the service share one
+/// containment implementation and the byte-determinism tests cover both.
 ///
 /// Two dispatch modes share the worker body:
 ///  * **index mode** (SPTW v2 request frames): `Job::id` is a cell index
@@ -195,8 +175,8 @@ class Supervisor {
 ///    request-local cell indices it never sees).
 ///
 /// Only meaningful where Supervisor::isolationSupported(); construction
-/// throws elsewhere. Callers should hold a ScopedIgnoreSigpipe (or ignore
-/// SIGPIPE themselves) around dispatch, as runPooled does.
+/// throws elsewhere. Callers should ignore SIGPIPE around dispatch, as
+/// Supervisor::run does.
 class WorkerPool {
  public:
   struct Job {
@@ -209,8 +189,8 @@ class WorkerPool {
   };
 
   /// One finished attempt — a reply, a death, or a watchdog timeout —
-  /// with the same transport classification runPooled applies. Whether to
-  /// retry is the caller's decision.
+  /// classified as crashed / timeout / protocol error. Whether to retry is
+  /// the caller's decision.
   struct Settled {
     std::uint64_t id = 0;
     std::uint32_t attempt = 1;
@@ -281,30 +261,27 @@ class WorkerPool {
 //   magic "SPTW" | u32 version | u8 kind | u64 length | bytes
 //   | u64 FNV-1a(kind, length, bytes)
 //
-// Version 1 (fork-per-cell, one frame per worker lifetime) carries only
-// reply kinds 0-1. Version 2 (warm pool) adds the request and cell-tagged
-// reply kinds. Version 3 (external dispatch / sweep service) adds the
-// spec-request kind, whose payload carries the work itself instead of a
-// cell index. The decoder accepts all versions and validates the kind
-// against the version, so one-shot v1 workers keep decoding unchanged and
-// a v1/v2 frame can never smuggle a spec request.
+// Version 2 (warm pool) carries the request and cell-tagged reply kinds.
+// Version 3 (external dispatch / sweep service) adds the spec-request
+// kind, whose payload carries the work itself instead of a cell index.
+// The decoder accepts both versions and validates the kind against the
+// version, so a v2 frame can never smuggle a spec request. Version 1 and
+// kinds 0-1 are unassigned and rejected; the kinds keep their numbers so
+// v2/v3 frame bytes stay stable.
 
-inline constexpr std::uint32_t kSupervisorFrameV1 = 1;
 inline constexpr std::uint32_t kSupervisorFrameV2 = 2;
 inline constexpr std::uint32_t kSupervisorFrameV3 = 3;
 
-inline constexpr std::uint8_t kFrameKindPayload = 0;      // worker reply (v1+)
-inline constexpr std::uint8_t kFrameKindWorkerError = 1;  // worker reply (v1+)
 inline constexpr std::uint8_t kFrameKindRequest = 2;      // parent->worker (v2)
 inline constexpr std::uint8_t kFrameKindPooledReply = 3;  // worker reply (v2)
 inline constexpr std::uint8_t kFrameKindPooledError = 4;  // worker reply (v2)
 inline constexpr std::uint8_t kFrameKindSpecRequest = 5;  // parent->worker (v3)
 
-/// Encodes one frame. `kind` must be valid for `version` (v1 carries only
-/// kinds 0-1).
+/// Encodes one frame. `kind` must be valid for `version` (v2 carries
+/// kinds 2-4, v3 adds kind 5).
 std::string encodeSupervisorFrame(std::uint8_t kind,
                                   const std::string& payload,
-                                  std::uint32_t version = kSupervisorFrameV1);
+                                  std::uint32_t version);
 /// Decodes a complete frame of either protocol version; returns false
 /// (with a reason) on a short, corrupt, version-mismatched, or
 /// kind-invalid-for-version reply.
@@ -327,7 +304,7 @@ FrameScan scanSupervisorFrame(const std::string& buf,
 
 /// Request-frame payload: which cell a pooled worker should produce, and
 /// the (1-based) attempt number — the worker needs the attempt to consult
-/// the chaos plan exactly as a one-shot worker would.
+/// the chaos plan, which targets (cell, attempt) pairs.
 std::string encodePoolRequest(std::uint64_t cell, std::uint32_t attempt);
 bool decodePoolRequest(const std::string& payload, std::uint64_t* cell,
                        std::uint32_t* attempt);

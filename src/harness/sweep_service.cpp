@@ -1477,7 +1477,6 @@ struct SweepService::Impl {
     }
     SupervisorOptions sup = options.supervisor;
     sup.isolate = true;
-    sup.pool = true;
     sup.chaos = support::ChaosPlan{};  // chaos arrives per request
     jobs = sup.jobs == 0 ? support::ThreadPool::defaultWorkerCount()
                          : sup.jobs;

@@ -45,7 +45,7 @@
 //
 // Byte-determinism contract: a sweep/campaign submitted through the
 // service produces rows/cells field-for-field identical to
-// `sptc sweep --pool` / `sptc inject --pool` for the same grid (the
+// `sptc sweep --isolate` / `sptc inject --isolate` for the same grid (the
 // filtered JSON documents are byte-identical; only host_ fields and
 // worker diagnostics differ), because workers on both paths run the same
 // cell bodies (produceSweepCellPayload / runFaultCampaignCellStandalone)

@@ -1,6 +1,7 @@
 #include "support/chaos.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 namespace spt::support {
@@ -46,11 +47,11 @@ bool actionFromString(const std::string& s, ChaosAction& out) {
   return true;
 }
 
+/// Decimal digits only: no sign, no whitespace, no overflow.
 bool parseUnsigned(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -90,7 +91,8 @@ std::optional<ChaosPlan> ChaosPlan::parse(const std::string& spec,
     const std::size_t at = action.find('@');
     if (at != std::string::npos) {
       std::uint64_t attempts = 0;
-      if (!parseUnsigned(action.substr(at + 1), attempts) || attempts == 0) {
+      if (!parseUnsigned(action.substr(at + 1), attempts) || attempts == 0 ||
+          attempts > std::numeric_limits<std::uint32_t>::max()) {
         return fail("chaos entry '" + entry +
                     "' has a malformed @ATTEMPTS suffix");
       }

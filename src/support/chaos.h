@@ -10,13 +10,11 @@
 // directive names a cell index and fires on a deterministic set of
 // attempts, never on a clock or a random draw.
 //
-// The plan targets **(cell, attempt)**, not worker processes: a one-shot
-// fork-per-cell worker consults it once at startup, and a warm-pool
+// The plan targets **(cell, attempt)**, not worker processes: a warm-pool
 // worker consults it before each dispatched request using the attempt
 // number carried in the SPTW v2 request frame. Sabotage therefore follows
-// the cell wherever it runs, a pooled worker that executes a sabotaged
-// cell dies (and is respawned) exactly as a one-shot worker would, and
-// both worker models produce the same per-cell outcomes.
+// the cell to whichever worker runs it; a worker that executes a
+// sabotaged cell dies and is respawned, and the other cells keep running.
 //
 // The plan is inert unless a directive matches, and chaos only ever runs
 // inside a forked worker — the in-process (--no-isolate) path refuses it.

@@ -1,8 +1,8 @@
 // Tests for the process-isolation supervisor stack: the chaos plan, the
 // worker frame protocol, the cell payload codec, crash/hang/garbage
-// containment with retry/backoff, supervised sweeps and campaigns, and
-// checkpoint-format compatibility between the supervised and in-process
-// paths.
+// containment with retry/backoff, supervised sweeps, campaigns and perf
+// measurements, and checkpoint-format compatibility between the
+// supervised and in-process paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +18,13 @@
 #include "harness/checkpoint.h"
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
+#include "harness/perf.h"
 #include "harness/suite.h"
 #include "harness/supervisor.h"
 #include "sim/decode.h"
 #include "sim/oracle.h"
 #include "support/chaos.h"
+#include "support/check.h"
 #include "support/error.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
@@ -86,13 +88,35 @@ TEST(ChaosPlan, LastMatchingDirectiveWins) {
 }
 
 TEST(ChaosPlan, RejectsMalformedSpecs) {
-  for (const char* bad : {"1", "1:", ":crash", "1:frobnicate", "x:crash",
-                          "1:crash@0", "1:crash@x"}) {
+  for (const char* bad :
+       {"1", "1:", ":crash", "1:frobnicate", "x:crash", "1:crash@0",
+        "1:crash@x",
+        // Numbers are decimal digits only: no sign, no whitespace, no
+        // overflow, and @ATTEMPTS must fit the 32-bit attempt counter.
+        "-1:crash", " 3:crash", "+3:crash", "3 :crash",
+        "18446744073709551616:crash", "1:crash@4294967296", "1:crash@-1",
+        "1:crash@+2", "1:crash@ 2"}) {
     std::string error;
     EXPECT_FALSE(support::ChaosPlan::parse(bad, &error).has_value())
         << "spec '" << bad << "' should not parse";
     EXPECT_FALSE(error.empty()) << bad;
   }
+  // The largest values still parse and round-trip.
+  const auto widest =
+      support::ChaosPlan::parse("18446744073709551615:crash@4294967295");
+  ASSERT_TRUE(widest.has_value());
+  EXPECT_EQ(widest->directives[0].cell, ~std::size_t{0});
+  EXPECT_EQ(widest->directives[0].until_attempt, ~std::uint32_t{0});
+  EXPECT_TRUE(support::ChaosPlan::parse(widest->toSpec()).has_value());
+  // The client-chaos and service-crash parsers share the number rule.
+  std::string error;
+  EXPECT_FALSE(
+      support::ClientChaosPlan::parse("disconnect@-1", &error).has_value());
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(
+      support::ServiceCrashPlan::parse("flush@1:+7", &error).has_value());
+  EXPECT_FALSE(error.empty());
   // Empty segments (stray/trailing commas) are tolerated, not errors.
   const auto lenient = support::ChaosPlan::parse("1:crash,,2:hang,");
   ASSERT_TRUE(lenient.has_value());
@@ -102,10 +126,12 @@ TEST(ChaosPlan, RejectsMalformedSpecs) {
 // ---- Frame protocol -------------------------------------------------------
 
 TEST(SupervisorFrame, RoundTripsBothKinds) {
-  for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{1}}) {
+  for (const std::uint8_t kind :
+       {kFrameKindPooledReply, kFrameKindPooledError}) {
     for (const std::string& payload : {std::string(), std::string("hello"),
                                        std::string(1000, '\x7f')}) {
-      const std::string frame = encodeSupervisorFrame(kind, payload);
+      const std::string frame =
+          encodeSupervisorFrame(kind, payload, kSupervisorFrameV2);
       std::uint8_t got_kind = 0xff;
       std::string got_payload;
       std::string error;
@@ -119,7 +145,8 @@ TEST(SupervisorFrame, RoundTripsBothKinds) {
 }
 
 TEST(SupervisorFrame, DetectsCorruption) {
-  const std::string frame = encodeSupervisorFrame(0, "checksummed-payload");
+  const std::string frame = encodeSupervisorFrame(
+      kFrameKindPooledReply, "checksummed-payload", kSupervisorFrameV2);
   std::string error;
 
   // Empty and short replies.
@@ -156,8 +183,7 @@ TEST(SupervisorFrame, DetectsCorruption) {
 
 TEST(SupervisorFrame, V2RoundTripsPoolKinds) {
   for (const std::uint8_t kind :
-       {kFrameKindPayload, kFrameKindWorkerError, kFrameKindRequest,
-        kFrameKindPooledReply, kFrameKindPooledError}) {
+       {kFrameKindRequest, kFrameKindPooledReply, kFrameKindPooledError}) {
     const std::string frame =
         encodeSupervisorFrame(kind, "pool-payload", kSupervisorFrameV2);
     std::uint8_t got_kind = 0xff;
@@ -170,41 +196,50 @@ TEST(SupervisorFrame, V2RoundTripsPoolKinds) {
   }
 }
 
-// Version negotiation: the decoder accepts v1-v3 but validates the kind
-// against the version — a one-shot v1 worker can never smuggle a pool
-// frame, a v2 frame can never smuggle a spec request, and a version bump
+// Version negotiation: the decoder accepts v2-v3 but validates the kind
+// against the version — a v2 frame can never smuggle a spec request, the
+// unassigned version 1 and kinds 0-1 are refused, and a version bump
 // beyond v3 is rejected outright.
 TEST(SupervisorFrame, ValidatesKindAgainstVersion) {
   std::string error;
-  // Pool kinds are invalid in a v1 frame.
-  for (const std::uint8_t kind :
-       {kFrameKindRequest, kFrameKindPooledReply, kFrameKindPooledError}) {
-    const std::string frame =
-        encodeSupervisorFrame(kind, "x", kSupervisorFrameV1);
-    EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
-    EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
-        << error;
+  // A version-1 header is an unsupported version, whatever it carries.
+  std::string v1 =
+      encodeSupervisorFrame(kFrameKindPooledReply, "x", kSupervisorFrameV2);
+  v1[4] = 1;
+  EXPECT_FALSE(decodeSupervisorFrame(v1, nullptr, nullptr, &error));
+  EXPECT_NE(error.find("unsupported frame version 1"), std::string::npos)
+      << error;
+  EXPECT_EQ(scanSupervisorFrame(v1, nullptr, &error), FrameScan::kCorrupt);
+  EXPECT_NE(error.find("unsupported frame version 1"), std::string::npos)
+      << error;
+  // Kinds 0-1 are valid in no version.
+  for (const std::uint32_t version : {kSupervisorFrameV2, kSupervisorFrameV3}) {
+    for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{1}}) {
+      const std::string frame = encodeSupervisorFrame(kind, "x", version);
+      EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
+      EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
+          << error;
+    }
   }
   // The spec-request kind is invalid below v3.
-  for (const std::uint32_t version : {kSupervisorFrameV1, kSupervisorFrameV2}) {
-    std::string frame =
-        encodeSupervisorFrame(kFrameKindSpecRequest, "x", kSupervisorFrameV3);
-    std::memcpy(frame.data() + 4, &version, sizeof version);
-    EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
-    EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
-        << error;
-  }
-  // The v1 reply kinds stay decodable in every version.
-  for (const std::uint32_t version :
-       {kSupervisorFrameV1, kSupervisorFrameV2, kSupervisorFrameV3}) {
-    const std::string frame =
-        encodeSupervisorFrame(kFrameKindPayload, "x", version);
-    EXPECT_TRUE(decodeSupervisorFrame(frame, nullptr, nullptr, &error))
+  std::string frame =
+      encodeSupervisorFrame(kFrameKindSpecRequest, "x", kSupervisorFrameV3);
+  const std::uint32_t v2 = kSupervisorFrameV2;
+  std::memcpy(frame.data() + 4, &v2, sizeof v2);
+  EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
+  EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
+      << error;
+  // The v2 kinds stay decodable in v3.
+  for (const std::uint8_t kind :
+       {kFrameKindRequest, kFrameKindPooledReply, kFrameKindPooledError}) {
+    EXPECT_TRUE(decodeSupervisorFrame(
+        encodeSupervisorFrame(kind, "x", kSupervisorFrameV3), nullptr,
+        nullptr, &error))
         << error;
   }
   // Version 4 does not exist yet.
   std::string future =
-      encodeSupervisorFrame(kFrameKindPayload, "x", kSupervisorFrameV2);
+      encodeSupervisorFrame(kFrameKindPooledReply, "x", kSupervisorFrameV2);
   future[4] = 4;
   EXPECT_FALSE(decodeSupervisorFrame(future, nullptr, nullptr, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
@@ -408,6 +443,8 @@ TEST(CellCodec, RejectsCorruptPayloads) {
 
 // ---- Supervisor containment ----------------------------------------------
 
+// The full chaos matrix: every sabotaged worker dies in its own way and
+// lands in its own containment status while the healthy cell completes.
 TEST(Supervisor, ChaosMatrixYieldsExtendedStatuses) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
@@ -420,9 +457,10 @@ TEST(Supervisor, ChaosMatrixYieldsExtendedStatuses) {
       *support::ChaosPlan::parse("1:crash,2:hang,3:garbage,4:partial,5:exit");
   const Supervisor sup(opts);
 
-  const auto outcomes = sup.run(6, [](std::size_t cell) {
-    return "cell-" + std::to_string(cell);
-  });
+  Supervisor::PoolStats stats;
+  const auto outcomes = sup.run(
+      6, [](std::size_t cell) { return "cell-" + std::to_string(cell); },
+      nullptr, &stats);
   ASSERT_EQ(outcomes.size(), 6u);
 
   // Healthy cell: valid frame, payload intact.
@@ -454,12 +492,39 @@ TEST(Supervisor, ChaosMatrixYieldsExtendedStatuses) {
   EXPECT_EQ(outcomes[4].status, CellStatus::kProtocolError);
   EXPECT_NE(outcomes[4].diagnostic.find("short reply"), std::string::npos)
       << outcomes[4].diagnostic;
+  EXPECT_FALSE(outcomes[4].worker.partial_reply.empty());
 
   // Exit without replying: protocol error carrying the exit code.
   EXPECT_EQ(outcomes[5].status, CellStatus::kProtocolError);
   EXPECT_EQ(outcomes[5].worker.exit_code, 3);
   EXPECT_NE(outcomes[5].diagnostic.find("empty reply"), std::string::npos)
       << outcomes[5].diagnostic;
+
+  // Dead workers are replaced one for one while cells remain: the crash
+  // lands while the hang is still in flight, and the last death need not
+  // be replaced.
+  EXPECT_GE(stats.workers_respawned, 1u);
+  EXPECT_LE(stats.workers_respawned, 5u);
+  EXPECT_EQ(stats.workers_spawned, 3u + stats.workers_respawned);
+}
+
+// An empty run (a fully resumed sweep or campaign) forks no worker.
+TEST(Supervisor, EmptyRunForksNoWorker) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  SupervisorOptions opts;
+  opts.isolate = true;
+  opts.jobs = 4;
+  const Supervisor sup(opts);
+  Supervisor::PoolStats stats;
+  stats.workers_spawned = 99;  // run() must reset it
+  const auto outcomes = sup.run(
+      0, [](std::size_t) -> std::string { throw std::logic_error("no cell"); },
+      nullptr, &stats);
+  EXPECT_TRUE(outcomes.empty());
+  EXPECT_EQ(stats.workers_spawned, 0u);
+  EXPECT_EQ(stats.workers_respawned, 0u);
 }
 
 TEST(Supervisor, RetriesTransientFailureThenSucceeds) {
@@ -605,7 +670,6 @@ TEST(SupervisorPool, WorkersAreReusedAcrossCells) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 3;
   const Supervisor sup(opts);
 
@@ -634,7 +698,6 @@ TEST(SupervisorPool, PoolIsCappedAtCellCount) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 8;
   const Supervisor sup(opts);
   Supervisor::PoolStats stats;
@@ -657,7 +720,6 @@ TEST(SupervisorPool, CpuLimitReArmsAcrossCells) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 1;                // one long-lived worker accumulates CPU
   opts.rlimit_cpu_seconds = 1;  // per-cell budget, above one cell's burn
   const Supervisor sup(opts);
@@ -716,7 +778,6 @@ TEST(SupervisorPool, ChaosKillsAndRespawnsExactlyOneWorker) {
   for (const char* action : {"crash", "abort", "garbage", "partial", "exit"}) {
     SupervisorOptions opts;
     opts.isolate = true;
-    opts.pool = true;
     opts.jobs = 2;
     opts.chaos = *support::ChaosPlan::parse(std::string("1:") + action);
     const Supervisor sup(opts);
@@ -743,63 +804,95 @@ TEST(SupervisorPool, ChaosKillsAndRespawnsExactlyOneWorker) {
   }
 }
 
-// The full chaos matrix under the pool produces the same containment
-// statuses and diagnostics fields as fork-per-cell workers.
+// The chaos matrix contains each cell the same way whether every cell gets
+// its own freshly forked worker (jobs == cells, the fork-per-cell shape) or
+// one pooled worker serves the healthy cell and is respawned after every
+// sabotaged one.
 TEST(SupervisorPool, ChaosMatrixMatchesForkedStatuses) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
   }
-  SupervisorOptions opts;
-  opts.isolate = true;
-  opts.pool = true;
-  opts.jobs = 3;
-  opts.cell_timeout_seconds = 2.0;
-  opts.chaos =
-      *support::ChaosPlan::parse("1:crash,2:hang,3:garbage,4:partial,5:exit");
-  const Supervisor sup(opts);
+  constexpr std::size_t kCells = 6;
+  const auto runMatrix = [](std::size_t jobs, Supervisor::PoolStats* stats) {
+    SupervisorOptions opts;
+    opts.isolate = true;
+    opts.jobs = jobs;
+    opts.cell_timeout_seconds = 2.0;
+    opts.chaos = *support::ChaosPlan::parse(
+        "1:crash,2:hang,3:garbage,4:partial,5:exit");
+    const Supervisor sup(opts);
+    return sup.run(
+        kCells, [](std::size_t cell) { return "cell-" + std::to_string(cell); },
+        nullptr, stats);
+  };
 
-  const auto outcomes = sup.run(6, [](std::size_t cell) {
-    return "cell-" + std::to_string(cell);
-  });
-  ASSERT_EQ(outcomes.size(), 6u);
+  Supervisor::PoolStats forked_stats;
+  Supervisor::PoolStats pooled_stats;
+  const auto forked = runMatrix(kCells, &forked_stats);
+  const auto pooled = runMatrix(1, &pooled_stats);
+  ASSERT_EQ(forked.size(), kCells);
+  ASSERT_EQ(pooled.size(), kCells);
 
-  EXPECT_EQ(outcomes[0].status, CellStatus::kOk);
-  EXPECT_EQ(outcomes[0].payload, "cell-0");
-  EXPECT_EQ(outcomes[0].worker.attempts, 1u);
-  EXPECT_EQ(outcomes[0].worker.exit_code, 0);
+  // The initial fill is one worker per cell in the forked shape and a
+  // single worker in the pooled one, which must be replaced after each of
+  // the first four deaths for the next cell to run at all.
+  EXPECT_EQ(forked_stats.workers_spawned,
+            kCells + forked_stats.workers_respawned);
+  EXPECT_EQ(pooled_stats.workers_spawned,
+            1u + pooled_stats.workers_respawned);
+  EXPECT_GE(pooled_stats.workers_respawned, 4u);
+  EXPECT_LE(pooled_stats.workers_respawned, 5u);
 
-  EXPECT_EQ(outcomes[1].status, CellStatus::kCrashed);
-  EXPECT_EQ(outcomes[1].worker.term_signal, SIGSEGV);
+  for (std::size_t i = 0; i < kCells; ++i) {
+    EXPECT_EQ(pooled[i].status, forked[i].status)
+        << "cell " << i << ": " << pooled[i].diagnostic << " vs "
+        << forked[i].diagnostic;
+    EXPECT_EQ(pooled[i].payload, forked[i].payload) << "cell " << i;
+    EXPECT_EQ(pooled[i].worker.attempts, forked[i].worker.attempts)
+        << "cell " << i;
+    EXPECT_EQ(pooled[i].worker.timed_out, forked[i].worker.timed_out)
+        << "cell " << i;
+    EXPECT_EQ(pooled[i].worker.partial_reply.empty(),
+              forked[i].worker.partial_reply.empty())
+        << "cell " << i;
+  }
 
-  EXPECT_EQ(outcomes[2].status, CellStatus::kTimeout);
-  EXPECT_TRUE(outcomes[2].worker.timed_out);
-  EXPECT_EQ(outcomes[2].worker.term_signal, SIGKILL);
-  EXPECT_NE(outcomes[2].diagnostic.find("wall-clock"), std::string::npos)
-      << outcomes[2].diagnostic;
+  // A worker that replied garbage or a torn frame may exit on its own or
+  // be killed first, so only the deaths that define a cell's status are
+  // compared field by field.
+  EXPECT_EQ(pooled[0].worker.exit_code, forked[0].worker.exit_code);
+  EXPECT_EQ(pooled[1].worker.term_signal, forked[1].worker.term_signal);
+  EXPECT_EQ(pooled[2].worker.term_signal, forked[2].worker.term_signal);
+  EXPECT_EQ(pooled[5].worker.exit_code, forked[5].worker.exit_code);
 
-  EXPECT_EQ(outcomes[3].status, CellStatus::kProtocolError);
-  EXPECT_NE(outcomes[3].diagnostic.find("magic"), std::string::npos)
-      << outcomes[3].diagnostic;
-  EXPECT_FALSE(outcomes[3].worker.partial_reply.empty());
-
-  EXPECT_EQ(outcomes[4].status, CellStatus::kProtocolError);
-  EXPECT_FALSE(outcomes[4].worker.partial_reply.empty());
-
-  EXPECT_EQ(outcomes[5].status, CellStatus::kProtocolError);
-  EXPECT_EQ(outcomes[5].worker.exit_code, 3);
-  EXPECT_NE(outcomes[5].diagnostic.find("empty reply"), std::string::npos)
-      << outcomes[5].diagnostic;
+  EXPECT_EQ(pooled[0].status, CellStatus::kOk);
+  EXPECT_EQ(pooled[0].payload, "cell-0");
+  EXPECT_EQ(pooled[1].status, CellStatus::kCrashed);
+  EXPECT_EQ(pooled[1].worker.term_signal, SIGSEGV);
+  EXPECT_EQ(pooled[2].status, CellStatus::kTimeout);
+  EXPECT_EQ(pooled[2].worker.term_signal, SIGKILL);
+  EXPECT_NE(pooled[2].diagnostic.find("wall-clock"), std::string::npos)
+      << pooled[2].diagnostic;
+  EXPECT_EQ(pooled[3].status, CellStatus::kProtocolError);
+  EXPECT_NE(pooled[3].diagnostic.find("magic"), std::string::npos)
+      << pooled[3].diagnostic;
+  EXPECT_EQ(pooled[4].status, CellStatus::kProtocolError);
+  EXPECT_NE(pooled[4].diagnostic.find("short reply"), std::string::npos)
+      << pooled[4].diagnostic;
+  EXPECT_EQ(pooled[5].status, CellStatus::kProtocolError);
+  EXPECT_EQ(pooled[5].worker.exit_code, 3);
+  EXPECT_NE(pooled[5].diagnostic.find("empty reply"), std::string::npos)
+      << pooled[5].diagnostic;
 }
 
-// Chaos targets (cell, attempt) on pooled workers exactly as on one-shot
-// workers: a first-attempt-only crash retries onto a healthy worker.
+// Chaos targets (cell, attempt), not worker processes: a
+// first-attempt-only crash retries onto a healthy respawned worker.
 TEST(SupervisorPool, RetriesTransientFailureOnRespawnedWorker) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 2;
   opts.retries = 2;
   opts.backoff_base_seconds = 0.01;
@@ -823,7 +916,6 @@ TEST(SupervisorPool, WorkerExceptionBecomesStructuredInternalError) {
     GTEST_SKIP() << "no fork on this platform";
   }
   SupervisorOptions opts;
-  opts.pool = true;
   const Supervisor sup(opts);
   Supervisor::PoolStats stats;
   const auto outcomes = sup.run(
@@ -850,7 +942,6 @@ TEST(SupervisorPool, PooledRepliesCarrySelfReportedRusage) {
     GTEST_SKIP() << "no fork on this platform";
   }
   SupervisorOptions opts;
-  opts.pool = true;
   const Supervisor sup(opts);
   const auto outcomes =
       sup.run(2, [](std::size_t c) { return std::to_string(c); });
@@ -1129,7 +1220,8 @@ TEST(SupervisedCampaign, CheckpointResumeReusesOkCells) {
 }
 
 // Strips the host-dependent members — exactly what CI's determinism diff
-// greps away — so pooled and forked JSON can be compared byte-for-byte.
+// greps away — so supervised and in-process JSON can be compared
+// byte-for-byte.
 std::string filterHostDependentLines(const std::string& json) {
   std::istringstream is(json);
   std::ostringstream os;
@@ -1143,87 +1235,51 @@ std::string filterHostDependentLines(const std::string& json) {
   return os.str();
 }
 
-TEST(SupervisorPool, PooledSweepJsonMatchesForkedByteForByte) {
+// ---- Supervised perf measurement ----------------------------------------
+
+// `sptc perf --isolate` runs each workload in a single-cell supervised run
+// of its own, serially: rows come back in workload order, and every
+// deterministic field matches the in-process measurement.
+TEST(SupervisedPerf, IsolatedRowsMatchInProcessInOrder) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
   }
-  std::vector<SweepCase> cases;
-  for (const char* name : {"crafty", "vortex"}) {
-    SweepCase c;
-    c.benchmark = name;
-    c.entry = entryByName(name);
-    cases.push_back(std::move(c));
-  }
+  PerfOptions opts;
+  opts.workloads = {"vortex", "micro.parser_free"};
+  opts.repetitions = 1;
+  const std::vector<PerfRow> in_process = runSimThroughput(opts);
 
-  SweepOptions opts;
   opts.supervisor.isolate = true;
   opts.supervisor.cell_timeout_seconds = 240.0;
+  std::vector<PerfPassRow> passes = {{"stale", 1, 0, 0.0}};
+  const std::vector<PerfRow> isolated = runSimThroughput(opts, &passes);
+  ASSERT_EQ(isolated.size(), 2u);
+  EXPECT_EQ(isolated[0].workload, "vortex");
+  EXPECT_EQ(isolated[1].workload, "micro.parser_free");
+  EXPECT_GT(isolated[1].spt_cycles, 0u);
+  EXPECT_TRUE(passes.empty());  // compiles ran in the workers
+
+  const std::string local_path =
+      ::testing::TempDir() + "/spt_perf_in_process.json";
+  const std::string isolated_path =
+      ::testing::TempDir() + "/spt_perf_isolated.json";
+  ASSERT_TRUE(writeSimThroughputJson(local_path, in_process));
+  ASSERT_TRUE(writeSimThroughputJson(isolated_path, isolated));
+  EXPECT_EQ(filterHostDependentLines(readWholeFile(local_path)),
+            filterHostDependentLines(readWholeFile(isolated_path)));
+
+  // Chaos still targets the workload's index: only workload 1's worker
+  // crashes, and the failure names it.
   opts.supervisor.chaos = *support::ChaosPlan::parse("1:crash");
-  const auto forked = runSweep(ParallelSweep(2), cases, opts);
-
-  opts.supervisor.pool = true;
-  const auto pooled = runSweep(ParallelSweep(2), cases, opts);
-
-  ASSERT_EQ(forked.size(), pooled.size());
-  for (std::size_t i = 0; i < forked.size(); ++i) {
-    EXPECT_EQ(forked[i].status, pooled[i].status) << i;
-    EXPECT_EQ(forked[i].result.baseline.cycles,
-              pooled[i].result.baseline.cycles);
-    EXPECT_EQ(forked[i].result.spt.cycles, pooled[i].result.spt.cycles);
-    EXPECT_EQ(forked[i].worker.attempts, pooled[i].worker.attempts);
-    EXPECT_EQ(forked[i].worker.term_signal, pooled[i].worker.term_signal);
+  const support::ScopedCheckThrowMode throwing(true);
+  try {
+    runSimThroughput(opts);
+    ADD_FAILURE() << "a crashed perf worker must fail the measurement";
+  } catch (const support::SptInternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("micro.parser_free failed (crashed)"),
+              std::string::npos)
+        << e.what();
   }
-
-  const std::string fork_path = ::testing::TempDir() + "/spt_fork_sweep.json";
-  const std::string pool_path = ::testing::TempDir() + "/spt_pool_sweep.json";
-  ASSERT_TRUE(writeSweepJson(fork_path, forked));
-  ASSERT_TRUE(writeSweepJson(pool_path, pooled));
-  EXPECT_EQ(filterHostDependentLines(readWholeFile(fork_path)),
-            filterHostDependentLines(readWholeFile(pool_path)));
-}
-
-TEST(SupervisorPool, PooledCampaignMatchesForked) {
-  if (!Supervisor::isolationSupported()) {
-    GTEST_SKIP() << "no fork on this platform";
-  }
-  FaultCampaignOptions forked_opts;
-  forked_opts.seeds = 1;
-  forked_opts.jobs = 4;
-  forked_opts.supervisor.isolate = true;
-  forked_opts.supervisor.cell_timeout_seconds = 240.0;
-
-  FaultCampaignOptions pooled_opts = forked_opts;
-  pooled_opts.supervisor.pool = true;
-
-  const FaultCampaignResult forked = runFaultCampaign(forked_opts);
-  const FaultCampaignResult pooled = runFaultCampaign(pooled_opts);
-
-  ASSERT_EQ(forked.cells.size(), pooled.cells.size());
-  for (std::size_t i = 0; i < forked.cells.size(); ++i) {
-    const FaultCampaignCell& a = forked.cells[i];
-    const FaultCampaignCell& b = pooled.cells[i];
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    EXPECT_EQ(a.fault_seed, b.fault_seed);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.faults.injected, b.faults.injected);
-    EXPECT_EQ(a.faults.detected_by_net, b.faults.detected_by_net);
-    EXPECT_EQ(a.faults.detected_by_oracle, b.faults.detected_by_oracle);
-    EXPECT_EQ(a.faults.benign, b.faults.benign);
-    EXPECT_EQ(a.faults.escaped, b.faults.escaped);
-    EXPECT_EQ(a.arch_digest, b.arch_digest);
-    EXPECT_EQ(a.sequential_digest, b.sequential_digest);
-    EXPECT_EQ(a.digest_match, b.digest_match);
-    EXPECT_GT(b.worker.attempts, 0u);
-  }
-
-  const std::string fork_path =
-      ::testing::TempDir() + "/spt_fork_campaign.json";
-  const std::string pool_path =
-      ::testing::TempDir() + "/spt_pool_campaign.json";
-  ASSERT_TRUE(writeFaultCampaignJson(fork_path, forked));
-  ASSERT_TRUE(writeFaultCampaignJson(pool_path, pooled));
-  EXPECT_EQ(filterHostDependentLines(readWholeFile(fork_path)),
-            filterHostDependentLines(readWholeFile(pool_path)));
 }
 
 // ---- Checkpoint field escaping -------------------------------------------
@@ -1562,7 +1618,6 @@ TEST(SupervisorPool, SurvivesParentEintrStorm) {
 
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 2;
   opts.cell_timeout_seconds = 60.0;
   const Supervisor sup(opts);
@@ -1591,9 +1646,9 @@ TEST(SupervisorPool, SurvivesParentEintrStorm) {
 // truncated reply) leave the parent writing request frames into pipes
 // with no reader. With SIGPIPE at its default disposition that write
 // kills the whole process; the supervisor must instead settle each
-// sabotaged cell as a contained protocol_error. Exercised on both worker
-// models, with the default disposition explicitly restored around the
-// runs so a latent regression cannot hide behind gtest's own handlers.
+// sabotaged cell as a contained protocol_error. The default disposition
+// is explicitly restored around the run so a latent regression cannot
+// hide behind gtest's own handlers.
 TEST(Supervisor, WritesToDeadWorkersDoNotRaiseSigpipe) {
   if (!Supervisor::isolationSupported()) {
     GTEST_SKIP() << "no fork on this platform";
@@ -1605,26 +1660,22 @@ TEST(Supervisor, WritesToDeadWorkersDoNotRaiseSigpipe) {
   struct sigaction saved;
   ASSERT_EQ(::sigaction(SIGPIPE, &dfl, &saved), 0);
 
-  for (const bool pooled : {false, true}) {
-    SupervisorOptions opts;
-    opts.isolate = true;
-    opts.pool = pooled;
-    opts.jobs = 2;
-    opts.cell_timeout_seconds = 30.0;
-    // Every cell's worker exits instantly without writing a reply; the
-    // parent races its request/ack traffic against the deaths.
-    opts.chaos = *support::ChaosPlan::parse(
-        "0:exit,1:exit,2:exit,3:exit,4:exit,5:exit,6:exit,7:exit");
-    const Supervisor sup(opts);
-    const auto outcomes = sup.run(8, [](std::size_t cell) {
-      return "cell-" + std::to_string(cell);
-    });
-    ASSERT_EQ(outcomes.size(), 8u) << (pooled ? "pooled" : "forked");
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      EXPECT_EQ(outcomes[i].status, CellStatus::kProtocolError)
-          << (pooled ? "pooled" : "forked") << " cell " << i << ": "
-          << outcomes[i].diagnostic;
-    }
+  SupervisorOptions opts;
+  opts.isolate = true;
+  opts.jobs = 2;
+  opts.cell_timeout_seconds = 30.0;
+  // Every cell's worker exits instantly without writing a reply; the
+  // parent races its request/ack traffic against the deaths.
+  opts.chaos = *support::ChaosPlan::parse(
+      "0:exit,1:exit,2:exit,3:exit,4:exit,5:exit,6:exit,7:exit");
+  const Supervisor sup(opts);
+  const auto outcomes = sup.run(8, [](std::size_t cell) {
+    return "cell-" + std::to_string(cell);
+  });
+  ASSERT_EQ(outcomes.size(), 8u);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].status, CellStatus::kProtocolError)
+        << "cell " << i << ": " << outcomes[i].diagnostic;
   }
 
   ASSERT_EQ(::sigaction(SIGPIPE, &saved, nullptr), 0);
@@ -1640,7 +1691,6 @@ TEST(SupervisorPool, MidFramePipeCloseIsContainedPerCell) {
   }
   SupervisorOptions opts;
   opts.isolate = true;
-  opts.pool = true;
   opts.jobs = 2;
   opts.cell_timeout_seconds = 60.0;
   opts.chaos = *support::ChaosPlan::parse("2:partial,5:partial");

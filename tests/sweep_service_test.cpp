@@ -421,10 +421,9 @@ TEST(SweepService, SweepJsonMatchesPooledOneShotByteForByte) {
   support::MachineConfig machine;
   compiler::CompilerOptions copts;
 
-  // Baseline: the exact grid `sptc sweep --pool` runs.
+  // Baseline: the exact grid `sptc sweep --isolate` runs.
   SweepOptions base;
   base.supervisor.isolate = true;
-  base.supervisor.pool = true;
   base.supervisor.cell_timeout_seconds = 240.0;
   base.supervisor.jobs = 2;
   const auto cases = buildSuiteSweepCases(machine, copts, 1, benchmarks);
@@ -693,10 +692,9 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalSweep) {
   if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
   const std::vector<std::string> benchmarks = {"mcf", "gzip"};
 
-  // Uninterrupted baseline: the exact grid `sptc sweep --pool` runs.
+  // Uninterrupted baseline: the exact grid `sptc sweep --isolate` runs.
   SweepOptions base;
   base.supervisor.isolate = true;
-  base.supervisor.pool = true;
   base.supervisor.cell_timeout_seconds = 240.0;
   base.supervisor.jobs = 2;
   const auto cases = buildSuiteSweepCases({}, {}, 1, benchmarks);
@@ -795,14 +793,13 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalSweep) {
 
 TEST(SweepService, KillRestartChaosRecoversByteIdenticalCampaign) {
   if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
-  // Uninterrupted baseline: the exact grid `sptc inject --pool` runs.
+  // Uninterrupted baseline: the exact grid `sptc inject --isolate` runs.
   FaultCampaignOptions fc;
   fc.seeds = 2;
   fc.base_seed = 0xc0ffee;
   fc.period = 16;
   fc.jobs = 2;
   fc.supervisor.isolate = true;
-  fc.supervisor.pool = true;
   fc.supervisor.cell_timeout_seconds = 240.0;
   fc.supervisor.jobs = 2;
   const FaultCampaignResult baseline = [&] {

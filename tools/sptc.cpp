@@ -96,17 +96,13 @@
 //   --max-cycles N     per-cell simulated-cycle budget (0 = unlimited)
 //
 // Process isolation for sweep/inject (docs/ROBUSTNESS.md):
-//   --isolate          run each cell in a forked worker under the
-//                      execution supervisor: a segfault, abort, OOM, hang
-//                      or corrupt reply becomes a non-ok row while the
-//                      rest of the run completes
+//   --isolate          run cells on a warm pool of `--jobs` long-lived
+//                      worker processes under the execution supervisor:
+//                      a segfault, abort, OOM, hang or corrupt reply
+//                      becomes a non-ok row while the rest of the run
+//                      completes
+//   --pool             the same as --isolate
 //   --no-isolate       force the in-process path (the default)
-//   --pool             run supervised cells on a warm pool of `--jobs`
-//                      long-lived workers instead of forking one worker
-//                      per cell (implies --isolate); containment, chaos,
-//                      retries and JSON output are identical, only the
-//                      per-cell fork overhead disappears
-//   --no-pool          force fork-per-cell workers (the default)
 //   --cell-timeout S   per-worker wall-clock deadline in seconds
 //                      (fractional ok; SIGKILL past it; 0 = none)
 //   --retries N        extra attempts for crashed / timed-out / corrupt
@@ -135,9 +131,10 @@
 //   --reps N           timed repetitions per machine, fastest wins
 //                      (default 3)
 //   --isolate          run each workload's setup + timed measurement in
-//                      its own forked worker (serially — measurements
-//                      never overlap): fresh address space per workload,
-//                      and supervisor containment for crashes and hangs.
+//                      its own fresh worker process (serially —
+//                      measurements never overlap): a fresh address space
+//                      per workload, and supervisor containment for
+//                      crashes and hangs.
 //                      --cell-timeout / --retries / --rlimit-* apply; the
 //                      per-pass compile-time table is unavailable
 //
@@ -415,15 +412,10 @@ Options parseOptions(int argc, char** argv, int first,
       o.resume = true;
     } else if (arg == "--quarantine") {
       o.quarantine = true;
-    } else if (arg == "--isolate") {
+    } else if (arg == "--isolate" || arg == "--pool") {
       o.supervisor.isolate = true;
     } else if (arg == "--no-isolate") {
       o.supervisor.isolate = false;
-    } else if (arg == "--pool") {
-      o.supervisor.pool = true;
-      o.supervisor.isolate = true;  // pooled workers are supervised workers
-    } else if (arg == "--no-pool") {
-      o.supervisor.pool = false;
     } else if (arg == "--cell-timeout") {
       o.supervisor.cell_timeout_seconds =
           std::strtod(need_value(i), nullptr);
