@@ -1,6 +1,9 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
+
 #include "ir/verifier.h"
+#include "spt/loop_analysis.h"
 #include "support/check.h"
 
 namespace spt::harness {
@@ -49,17 +52,23 @@ interp::RunResult interpret(const ir::Module& module,
 }  // namespace
 
 void InterpProfileRunner::prime(const ir::Module& module,
-                                profile::ProfileData profile) {
-  primed_.emplace(module.structuralDigest(), std::move(profile));
+                                profile::ProfileData profile,
+                                std::unordered_set<ir::StaticId> tracked) {
+  primed_.emplace(Primed{module.structuralDigest(),
+                         {std::move(profile), std::move(tracked)}});
 }
 
 profile::ProfileData InterpProfileRunner::run(
     const ir::Module& module,
     const std::unordered_set<ir::StaticId>& value_candidates) {
-  if (primed_ && value_candidates.empty() &&
-      primed_->first == module.structuralDigest()) {
-    profile::ProfileData profile = std::move(primed_->second);
+  if (primed_ && primed_->digest == module.structuralDigest() &&
+      std::all_of(value_candidates.begin(), value_candidates.end(),
+                  [&](ir::StaticId sid) {
+                    return primed_->profile.tracked.contains(sid);
+                  })) {
+    profile::ProfileData profile = std::move(primed_->profile.data);
     primed_.reset();
+    profile.projectValues(value_candidates);
     return profile;
   }
   profile::Profiler profiler(module, value_candidates);
@@ -83,20 +92,26 @@ ExperimentResult runSptExperiment(ir::Module module,
   ExperimentResult result;
 
   // Baseline: the unmodified module, interpreted once. The run feeds the
-  // compiler's first profile and the one-core machine at the same time.
+  // compiler's profile, SVP superset included, and the one-core machine at
+  // the same time.
   ir::Module baseline = module;
   baseline.finalize();
   InterpProfileRunner runner(args);
   {
-    profile::Profiler profiler(baseline);
-    sim::BaselineMachine base_machine(baseline, mconfig);
-    trace::TeeSink tee;
-    tee.add(&profiler);
-    tee.add(&base_machine);
-    result.baseline_run =
-        interpret(baseline, args, mconfig.max_trace_records, tee);
-    result.baseline = base_machine.finish();
-    runner.prime(baseline, profiler.take());
+    std::unordered_set<ir::StaticId> superset =
+        compiler::svpSuperset(baseline);
+    profile::Profiler profiler(baseline, superset);
+    {
+      sim::BaselineMachine base_machine(baseline, mconfig);
+      trace::TeeSink tee;
+      tee.add(&profiler);
+      tee.add(&base_machine);
+      result.baseline_run =
+          interpret(baseline, args, mconfig.max_trace_records, tee);
+      result.baseline = base_machine.finish();
+    }
+    // The machine is gone before take() builds the value histograms.
+    runner.prime(baseline, profiler.take(), std::move(superset));
   }
 
   // SPT: two-pass cost-driven compilation in place.
@@ -140,39 +155,49 @@ ExperimentResult runSptExperiment(ir::Module module, TraceCache& cache,
   }
   salt = foldWord(salt, mconfig.max_trace_records);
 
-  // When `profiler` is set and this call produces the trace, the run
-  // also feeds a Profiler constructed into it.
-  const auto entryFor =
-      [&](const std::string& tag, const ir::Module& m,
-          std::optional<profile::Profiler>* profiler)
-      -> const TraceCache::Entry& {
-    return cache.get(
-        key_prefix + tag + "-" + hex64(salt),
-        [&](trace::TraceFileMeta* meta) {
-          trace::TraceBuffer trace;
-          trace::TeeSink tee;
-          tee.add(&trace);
-          if (profiler != nullptr) tee.add(&profiler->emplace(m));
-          const interp::RunResult run =
-              interpret(m, args, mconfig.max_trace_records, tee);
-          meta->word0 = static_cast<std::uint64_t>(run.return_value);
-          meta->word1 = run.memory_hash;
-          return trace;
-        });
+  const auto keyFor = [&](const std::string& tag) {
+    return key_prefix + tag + "-" + hex64(salt);
+  };
+  // Interprets `m` into `sink`, keeping the run's result in the meta words.
+  const auto traceInto = [&](const ir::Module& m, trace::TraceSink& sink,
+                             trace::TraceFileMeta* meta) {
+    const interp::RunResult run =
+        interpret(m, args, mconfig.max_trace_records, sink);
+    meta->word0 = static_cast<std::uint64_t>(run.return_value);
+    meta->word1 = run.memory_hash;
   };
 
-  // The baseline first: when this call interprets it (a cache miss), the
-  // same run yields the compiler's first profile.
+  // The baseline first: the run that produces its trace also profiles the
+  // SVP superset, and the entry keeps that profile to prime the compiler.
+  const TraceCache::Entry& base_entry = cache.getProfiled(
+      keyFor(".base"),
+      [&](trace::TraceFileMeta* meta, profile::TrackedProfile* profile) {
+        profile->tracked = compiler::svpSuperset(baseline);
+        trace::TraceBuffer trace;
+        profile::Profiler profiler(baseline, profile->tracked);
+        trace::TeeSink tee;
+        tee.add(&trace);
+        tee.add(&profiler);
+        traceInto(baseline, tee, meta);
+        profile->data = profiler.take();
+        return trace;
+      });
+  std::optional<profile::TrackedProfile> primed =
+      profile::decodeProfile(base_entry.profile_sidecar);
+  SPT_CHECK_MSG(primed.has_value(), "trace cache: invalid profile sidecar");
   InterpProfileRunner runner(args);
-  std::optional<profile::Profiler> profiler;
-  const TraceCache::Entry& base_entry = entryFor(".base", baseline, &profiler);
-  if (profiler) runner.prime(baseline, profiler->take());
+  runner.prime(baseline, std::move(primed->data), std::move(primed->tracked));
 
   compiler::SptCompiler cc(copts);
   result.plan = cc.compile(module, runner, remarks);
   if (!module.finalized()) module.finalize();
-  const TraceCache::Entry& spt_entry =
-      entryFor(".spt-" + hex64(result.plan.fingerprint()), module, nullptr);
+  const TraceCache::Entry& spt_entry = cache.get(
+      keyFor(".spt-" + hex64(result.plan.fingerprint())),
+      [&](trace::TraceFileMeta* meta) {
+        trace::TraceBuffer trace;
+        traceInto(module, trace, meta);
+        return trace;
+      });
 
   result.baseline_run.return_value =
       static_cast<std::int64_t>(base_entry.meta.word0);

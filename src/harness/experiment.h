@@ -6,11 +6,16 @@
 // the interpreter, and simulate the baseline on one core and the SPT
 // program on the two-pipeline SPT machine.
 //
-// Each program is interpreted once. The baseline run feeds the compiler's
-// first profile (paper Section 4.1). Without a cache, each run streams
-// straight into its machine, so no trace is stored: the SPT machine indexes
-// forks as the records arrive and keeps only the window its threads can
-// still read. With a cache, both machines replay mapped v3 traces.
+// Each program is interpreted at most once. The baseline run value-profiles
+// the module's static SVP superset (compiler::svpSuperset) and so yields
+// every profile the compiler asks of the baseline, the first profile
+// (paper Section 4.1) and the SVP value profile (Section 4.4) alike. Only a
+// module that unrolling changed is profiled again. Without a cache, each
+// run streams straight into its machine, so no trace is stored: the SPT
+// machine indexes forks as the records arrive and keeps only the window its
+// threads can still read. With a cache, both machines replay mapped v3
+// traces, and the baseline trace keeps its run's profile beside it, so a
+// cache hit interprets nothing.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,7 @@
 
 #include "harness/trace_cache.h"
 #include "interp/interpreter.h"
+#include "profile/profile_codec.h"
 #include "profile/profiler.h"
 #include "sim/baseline.h"
 #include "sim/spt_machine.h"
@@ -33,10 +39,13 @@ class InterpProfileRunner final : public compiler::ProfileRunner {
   explicit InterpProfileRunner(std::vector<std::int64_t> args = {})
       : args_(std::move(args)) {}
 
-  /// Answers the first request for `module`'s structure with no value
-  /// candidates from `profile`, which the caller took from a run of
-  /// `module` over the same arguments, instead of interpreting again.
-  void prime(const ir::Module& module, profile::ProfileData profile);
+  /// Answers the first request for `module`'s structure whose value
+  /// candidates lie within `tracked` from `profile`, projected onto them,
+  /// instead of interpreting again. The caller took `profile` from a run of
+  /// `module` over the same arguments that value-profiled `tracked`. A
+  /// request outside `tracked` interprets.
+  void prime(const ir::Module& module, profile::ProfileData profile,
+             std::unordered_set<ir::StaticId> tracked = {});
 
   profile::ProfileData run(
       const ir::Module& module,
@@ -44,8 +53,12 @@ class InterpProfileRunner final : public compiler::ProfileRunner {
 
  private:
   std::vector<std::int64_t> args_;
-  /// (Module::structuralDigest(), profile) from prime(), until used.
-  std::optional<std::pair<std::uint64_t, profile::ProfileData>> primed_;
+  /// The profile from prime(), until used.
+  struct Primed {
+    std::uint64_t digest = 0;  // Module::structuralDigest()
+    profile::TrackedProfile profile;
+  };
+  std::optional<Primed> primed_;
 };
 
 struct TracedRun {
@@ -85,15 +98,17 @@ ExperimentResult runSptExperiment(
 
 /// Shared-trace variant: identical results, but the baseline and SPT
 /// traces come from `cache` as mmap-backed v3 files instead of being
-/// re-interpreted per call. When the baseline trace is produced here, the
-/// same run also yields the compiler's first profile. `key_prefix` must
+/// re-interpreted per call. The baseline entry keeps the profile of the run
+/// that produced it as a sidecar, and that profile primes the compiler
+/// whether this call produced the trace or found it. `key_prefix` must
 /// identify the program and its scale (e.g. "gzip.x2"); the cache key
 /// additionally folds in the run arguments, the trace budget, and — for
 /// the SPT trace — the compilation plan's fingerprint, so distinct
-/// compiler options never collide. On a cache hit no trace is
-/// interpreted: the traced run's
-/// return value and memory hash are recovered from the v3 meta words
-/// (baseline_run/spt_run.dynamic_instrs is recomputed from the trace).
+/// compiler options never collide. On a cache hit nothing is interpreted
+/// (except a module unrolling changed, which the compiler profiles): the
+/// traced run's return value and memory hash are recovered from the v3
+/// meta words (baseline_run/spt_run.dynamic_instrs is recomputed from the
+/// trace).
 /// `cache` must outlive nothing here — machines are torn down before
 /// return — but the usual rule applies to callers holding views.
 ExperimentResult runSptExperiment(

@@ -13,7 +13,10 @@
 //
 // The traced run's return value and memory hash ride in the v3 header's
 // meta words, so cached experiments re-assert baseline-vs-SPT execution
-// equivalence without re-interpreting.
+// equivalence without re-interpreting. An entry got through getProfiled()
+// also keeps the profile of the run that produced it, as a sidecar file
+// (<key>.prof, profile/profile_codec.h) written in the same producer call,
+// so a cached experiment primes its compiler without interpreting either.
 //
 // Concurrency: get() is thread-safe; production is serialized per key
 // (std::call_once). Across *processes* the file itself is the lock-free
@@ -21,7 +24,8 @@
 // it into place, so concurrent producers race benignly (the trace is
 // deterministic, both files are byte-identical, last rename wins) and
 // readers only ever see complete, checksummed files. A file that fails
-// validation (truncated leftover, version skew) is silently re-produced.
+// validation (truncated leftover, version skew) is silently re-produced,
+// and so is a trace whose profile sidecar is missing or fails validation.
 //
 // Lifetime: entries (and the mappings behind their views) live until the
 // cache is destroyed; every machine/LoopIndex built over an entry's view
@@ -36,6 +40,7 @@
 #include <optional>
 #include <string>
 
+#include "profile/profile_codec.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
 
@@ -47,11 +52,18 @@ class TraceCache {
     trace::TraceView view;
     trace::TraceFileMeta meta;  // word0 = return value, word1 = memory hash
     std::string path;           // the backing v3 file
+    /// The producing run's profile as validated sidecar bytes
+    /// (profile::decodeProfile reads them); empty unless got via
+    /// getProfiled(). Kept encoded, which takes less memory than decoded.
+    std::string profile_sidecar;
   };
 
   /// Fills `meta` and returns the freshly produced trace on a miss.
   using Producer =
       std::function<trace::TraceBuffer(trace::TraceFileMeta* meta)>;
+  /// A Producer that also fills `profile` from the same run.
+  using ProfilingProducer = std::function<trace::TraceBuffer(
+      trace::TraceFileMeta* meta, profile::TrackedProfile* profile)>;
 
   /// `dir` is created if missing; trace files land there as <key>.spt3.
   explicit TraceCache(std::string dir);
@@ -60,6 +72,13 @@ class TraceCache {
   /// first use in this process (or adopting a valid file another process
   /// already wrote). The reference is stable for the cache's lifetime.
   const Entry& get(const std::string& key, const Producer& produce);
+
+  /// get() for a trace that keeps its run's profile beside it: the entry's
+  /// `profile_sidecar` is set. A file is adopted only with a valid sidecar;
+  /// otherwise the producer runs and both files are written again. Use one
+  /// of get() and getProfiled() per key.
+  const Entry& getProfiled(const std::string& key,
+                           const ProfilingProducer& produce);
 
   const std::string& dir() const { return dir_; }
 
@@ -76,7 +95,10 @@ class TraceCache {
     Entry entry;
   };
 
-  void populate(Slot& slot, const std::string& key, const Producer& produce);
+  const Entry& getSlot(const std::string& key,
+                       const ProfilingProducer& produce, bool profiled);
+  void populate(Slot& slot, const std::string& key,
+                const ProfilingProducer& produce, bool profiled);
 
   std::string dir_;
   mutable std::mutex mu_;

@@ -1,5 +1,7 @@
 #include "interp/interpreter.h"
 
+#include <atomic>
+
 #include "support/check.h"
 #include "support/error.h"
 
@@ -275,8 +277,17 @@ RunResult Interpreter::run(ir::FuncId entry,
   return result;
 }
 
+namespace {
+std::atomic<std::uint64_t> main_runs{0};
+}  // namespace
+
+std::uint64_t Interpreter::mainRuns() {
+  return main_runs.load(std::memory_order_relaxed);
+}
+
 RunResult Interpreter::runMain(std::span<const std::int64_t> args,
                                const RunLimits& limits) {
+  main_runs.fetch_add(1, std::memory_order_relaxed);
   SPT_CHECK_MSG(ctx_.module().mainFunc() != ir::kInvalidFunc,
                 "module has no main function");
   return run(ctx_.module().mainFunc(), args, limits);

@@ -37,6 +37,10 @@ class Interpreter {
   RunResult runMain(std::span<const std::int64_t> args = {},
                     const RunLimits& limits = {});
 
+  /// How many runMain calls this process has made, over all threads: the
+  /// number of whole-program interpretations.
+  static std::uint64_t mainRuns();
+
  private:
   struct ActiveLoop {
     analysis::LoopId loop;

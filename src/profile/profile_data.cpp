@@ -48,4 +48,10 @@ const LoopStats* ProfileData::loopStats(ir::StaticId loop_header) const {
   return it == loops.end() ? nullptr : &it->second;
 }
 
+void ProfileData::projectValues(const std::unordered_set<ir::StaticId>& sids) {
+  std::erase_if(values, [&](const auto& entry) {
+    return !sids.contains(entry.first);
+  });
+}
+
 }  // namespace spt::profile

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "ir/instr.h"
@@ -109,6 +110,11 @@ class ProfileData {
                     ir::StaticId load_sid) const;
 
   const LoopStats* loopStats(ir::StaticId loop_header) const;
+
+  /// Keeps only the value stats of `sids`: projects a run that
+  /// value-profiled a superset onto `sids`, which is exact because each
+  /// sid's stats are collected independently.
+  void projectValues(const std::unordered_set<ir::StaticId>& sids);
 };
 
 }  // namespace spt::profile

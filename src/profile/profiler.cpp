@@ -5,8 +5,17 @@
 namespace spt::profile {
 
 Profiler::Profiler(const ir::Module& module,
-                   std::unordered_set<ir::StaticId> value_candidates)
-    : module_(module), value_candidates_(std::move(value_candidates)) {}
+                   const std::unordered_set<ir::StaticId>& value_candidates)
+    : module_(module) {
+  if (value_candidates.empty()) return;
+  // A sid outside the module never appears in its records.
+  slot_of_.assign(module.staticInstrCount(), kNoSlot);
+  for (const ir::StaticId sid : value_candidates) {
+    if (sid >= slot_of_.size()) continue;
+    slot_of_[sid] = static_cast<std::uint32_t>(value_slots_.size());
+    value_slots_.emplace_back().sid = sid;
+  }
+}
 
 void Profiler::closeTopLoop() {
   SPT_CHECK(!open_.empty());
@@ -184,19 +193,17 @@ void Profiler::onRecord(const trace::Record& record) {
       break;
   }
 
-  if (!value_candidates_.empty() && value_candidates_.contains(record.sid)) {
-    ValueTracker& tracker = value_state_[record.sid];
-    if (tracker.has_prev) {
-      ValueStats& stats = data_.values[record.sid];
-      ++stats.samples;
+  if (record.sid < slot_of_.size() && slot_of_[record.sid] != kNoSlot) {
+    ValueSlot& slot = value_slots_[slot_of_[record.sid]];
+    if (slot.has_prev) {
+      ++slot.samples;
       // Wrapping subtraction: deltas between far-apart values wrap
       // instead of overflowing.
-      ++stats.delta_counts[static_cast<std::int64_t>(
-          static_cast<std::uint64_t>(record.value) -
-          static_cast<std::uint64_t>(tracker.prev))];
+      ++slot.deltas[static_cast<std::uint64_t>(record.value) -
+                    static_cast<std::uint64_t>(slot.prev)];
     }
-    tracker.has_prev = true;
-    tracker.prev = record.value;
+    slot.has_prev = true;
+    slot.prev = record.value;
   }
 }
 
@@ -207,6 +214,16 @@ ProfileData Profiler::take() {
   }
   trackers_.clear();
   while (!open_.empty()) closeTopLoop();
+  for (ValueSlot& slot : value_slots_) {
+    if (slot.samples == 0) continue;
+    ValueStats& stats = data_.values[slot.sid];
+    stats.samples = slot.samples;
+    slot.deltas.forEach([&](std::uint64_t delta, std::uint64_t count) {
+      stats.delta_counts.emplace(static_cast<std::int64_t>(delta), count);
+    });
+    // Free each flat table as soon as it is converted.
+    slot.deltas = sim::FlatMap64<std::uint64_t>();
+  }
   return std::move(data_);
 }
 

@@ -1,17 +1,20 @@
 // Streaming profiler: a TraceSink that builds ProfileData in one pass.
 //
-// Collected in a single sequential profiling run (the paper's dependence
-// profiling + edge profiling), plus an optional second run restricted to
-// value-profiling candidate instructions (the paper's SVP instrumentation,
-// Section 4.4).
+// Collected in a single sequential profiling run: the paper's dependence
+// and edge profiling, plus value profiling of a given set of def sids (the
+// paper's SVP instrumentation, Section 4.4). Each sid's value stats are
+// kept independently, so a run over a superset of sids, projected onto a
+// subset, equals a run over that subset.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "ir/module.h"
 #include "profile/profile_data.h"
+#include "sim/flat_map.h"
 #include "trace/trace.h"
 
 namespace spt::profile {
@@ -21,11 +24,10 @@ class Profiler final : public trace::TraceSink {
   /// `module` provides static operand information for dependent-slice
   /// tracking (the paper's "misspeculation computation amount").
   /// `value_candidates`: def sids whose value pattern should be profiled
-  /// (empty set = no value profiling; the driver runs a second profiling
-  /// pass once candidates are known).
+  /// (empty set = no value profiling).
   explicit Profiler(
       const ir::Module& module,
-      std::unordered_set<ir::StaticId> value_candidates = {});
+      const std::unordered_set<ir::StaticId>& value_candidates = {});
 
   void onRecord(const trace::Record& record) override;
 
@@ -45,9 +47,15 @@ class Profiler final : public trace::TraceSink {
         last_store;
   };
 
-  struct ValueTracker {
+  /// Value state of one profiled sid. The delta histogram is a flat
+  /// table keyed by the delta's bits until take() turns it into
+  /// ValueStats::delta_counts.
+  struct ValueSlot {
+    ir::StaticId sid = ir::kInvalidStaticId;
     bool has_prev = false;
     std::int64_t prev = 0;
+    std::uint64_t samples = 0;
+    sim::FlatMap64<std::uint64_t> deltas;
   };
 
   /// Tracks the *dependent* slice downstream of a violated load inside a
@@ -83,8 +91,11 @@ class Profiler final : public trace::TraceSink {
   std::vector<OpenLoop> open_;  // innermost last; spans frames
   std::vector<OpenCall> open_calls_;
   std::vector<DepTracker> trackers_;
-  std::unordered_set<ir::StaticId> value_candidates_;
-  std::unordered_map<ir::StaticId, ValueTracker> value_state_;
+  /// sid -> index into value_slots_ (kNoSlot when not profiled); empty
+  /// when no sid is.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<ValueSlot> value_slots_;
 };
 
 }  // namespace spt::profile

@@ -6,8 +6,8 @@
 // rejected — restarts compilation from the pristine module with those
 // loops on an unroll deny-list, since preprocessing must not degrade loops
 // that end up untransformed. Profiling runs are memoized across both
-// attempts through a ProfileCache, so the restart's initial profile is a
-// cache hit rather than a second interpreter run.
+// attempts through a ProfileCache, one run per module structure, so the
+// restart's profiles are cache hits rather than more interpreter runs.
 #pragma once
 
 #include <unordered_set>

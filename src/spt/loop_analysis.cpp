@@ -4,6 +4,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "spt/analysis_manager.h"
 #include "support/check.h"
 
 namespace spt::compiler {
@@ -163,22 +164,16 @@ class Analyzer {
   }
 
   void buildRegisterDeps(LoopAnalysis& out) {
-    for (const auto& [reg_index, def_stmts] : all_defs_) {
-      const ir::Reg r{reg_index};
-      if (!defuse_.isLiveIn(shape_.header, r)) continue;
-      // r is loop-carried. Every body def is a violation-candidate source;
-      // header defs are satisfied by position.
-      for (const std::size_t d : def_stmts) {
-        if (out.stmts[d].in_header) continue;
-        CarriedDep dep;
-        dep.kind = DepKind::kRegister;
-        dep.source_stmt = d;
-        dep.reg = r;
-        dep.probability = clamp01(out.stmts[d].reach);
-        const auto it = upward_exposed_.find(reg_index);
-        if (it != upward_exposed_.end()) dep.consumers = it->second;
-        out.deps.push_back(std::move(dep));
-      }
+    for (const CarriedRegDef& def :
+         carriedRegisterDefs(func_, defuse_, shape_)) {
+      CarriedDep dep;
+      dep.kind = DepKind::kRegister;
+      dep.source_stmt = def.stmt;
+      dep.reg = def.reg;
+      dep.probability = clamp01(out.stmts[def.stmt].reach);
+      const auto it = upward_exposed_.find(def.reg.index);
+      if (it != upward_exposed_.end()) dep.consumers = it->second;
+      out.deps.push_back(std::move(dep));
     }
   }
 
@@ -471,6 +466,50 @@ class Analyzer {
 };
 
 }  // namespace
+
+std::vector<CarriedRegDef> carriedRegisterDefs(const ir::Function& func,
+                                               const analysis::DefUse& defuse,
+                                               const LoopShape& shape) {
+  // Every def of each register, in statement order; the map is built and
+  // walked exactly as the Analyzer's def table, so the order is the same.
+  std::unordered_map<std::uint32_t, std::vector<std::size_t>> defs;
+  for (std::size_t i = 0; i < shape.stmts.size(); ++i) {
+    const ir::Instr& instr = stmtInstr(func, shape.stmts[i]);
+    if (instr.dst.valid() && ir::producesValue(instr.op)) {
+      defs[instr.dst.index].push_back(i);
+    }
+  }
+  std::vector<CarriedRegDef> out;
+  for (const auto& [reg_index, def_stmts] : defs) {
+    const ir::Reg r{reg_index};
+    if (!defuse.isLiveIn(shape.header, r)) continue;
+    // r is loop-carried. Every body def is a violation-candidate source;
+    // header defs are satisfied by position.
+    for (const std::size_t d : def_stmts) {
+      if (d >= shape.header_stmt_count) out.push_back({r, d});
+    }
+  }
+  return out;
+}
+
+std::unordered_set<ir::StaticId> svpSuperset(const ir::Module& module) {
+  AnalysisManager analyses(module);
+  std::unordered_set<ir::StaticId> out;
+  for (ir::FuncId f = 0; f < module.functionCount(); ++f) {
+    const ir::Function& func = module.function(f);
+    const analysis::LoopForest& forest = analyses.loopForest(f);
+    for (analysis::LoopId l = 0; l < forest.loopCount(); ++l) {
+      const LoopShape shape =
+          recognizeLoop(module, func, analyses.cfg(f), forest, l);
+      if (!shape.transformable) continue;
+      for (const CarriedRegDef& def :
+           carriedRegisterDefs(func, analyses.defUse(f), shape)) {
+        out.insert(stmtInstr(func, shape.stmts[def.stmt]).static_id);
+      }
+    }
+  }
+  return out;
+}
 
 LoopAnalysis analyzeLoop(const ir::Module& module, const ir::Function& func,
                          const analysis::Cfg& cfg,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/defuse.h"
@@ -80,6 +81,26 @@ struct LoopAnalysis {
   double avg_body_size = 0.0;
   double coverage = 0.0;  // of total program instructions
 };
+
+/// A register-carried dependence source: a body statement (not in the
+/// header) that defines a register live into the loop header.
+struct CarriedRegDef {
+  ir::Reg reg;
+  std::size_t stmt = 0;  // index into LoopShape::stmts
+};
+
+/// The register-carried dependence sources of `shape`, in the order
+/// analyzeLoop lists its kRegister deps. Static: needs no profile.
+std::vector<CarriedRegDef> carriedRegisterDefs(const ir::Function& func,
+                                               const analysis::DefUse& defuse,
+                                               const LoopShape& shape);
+
+/// The SVP superset of the finalized `module`: the def sids of
+/// carriedRegisterDefs over every loop recognizeLoop calls transformable.
+/// Static, so one profiling run can value-profile it before any candidate
+/// is known; the value candidates loop-candidate-selection collects are
+/// always a subset.
+std::unordered_set<ir::StaticId> svpSuperset(const ir::Module& module);
 
 /// Analyzes one recognized loop. `shape.transformable` must be true.
 LoopAnalysis analyzeLoop(const ir::Module& module, const ir::Function& func,

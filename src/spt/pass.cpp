@@ -7,6 +7,17 @@
 
 namespace spt::compiler {
 
+profile::ProfileData PassContext::profileRun(
+    const std::unordered_set<ir::StaticId>& value_candidates) {
+  // svpSuperset analyzes the module with its own AnalysisManager, so the
+  // pipeline's analysis cache counters stay those of the passes.
+  std::unordered_set<ir::StaticId> tracked = svpSuperset(module);
+  tracked.insert(value_candidates.begin(), value_candidates.end());
+  profile::ProfileData profile = profiles.run(module, tracked, runner);
+  profile.projectValues(value_candidates);
+  return profile;
+}
+
 PassRemark& PassManager::statFor(std::string_view name) {
   for (PassRemark& s : stats_) {
     if (s.name == name) return s;

@@ -6,7 +6,7 @@
 //
 //   unroll-preprocess        profile; unroll small hot bodies; re-profile
 //   loop-candidate-selection shape + profile filters, SVP candidate sids
-//   value-profiling          instrumented SVP profiling run (Section 4.4)
+//   value-profiling          SVP value profile of the candidates (4.4)
 //   partition-search         optimal hoist/leave/SVP partition per candidate
 //   good-loop-selection      cost-driven pass-2 selection
 //   region-speculation       Section 6 extension (off by default)
@@ -69,11 +69,12 @@ struct PassContext {
   ProfileCache& profiles;
   PipelineState& state;
 
-  /// Cache-memoized profiling run of the current module.
+  /// The current module's profile with value stats for
+  /// `value_candidates` only. The run behind it value-profiles the
+  /// module's whole SVP superset (svpSuperset), so every request for one
+  /// module structure is served by one cache-memoized run.
   profile::ProfileData profileRun(
-      const std::unordered_set<ir::StaticId>& value_candidates) {
-    return profiles.run(module, value_candidates, runner);
-  }
+      const std::unordered_set<ir::StaticId>& value_candidates);
 };
 
 class Pass {

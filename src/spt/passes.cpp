@@ -166,7 +166,8 @@ class LoopCandidateSelectionPass : public Pass {
 };
 
 /// SVP value-profiling pass (the paper's instrumented profiling run,
-/// Section 4.4).
+/// Section 4.4): projects the module's one profiling run, which tracked
+/// the SVP superset, onto the value candidates.
 class ValueProfilingPass : public Pass {
  public:
   std::string_view name() const override { return "value-profiling"; }

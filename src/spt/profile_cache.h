@@ -1,12 +1,12 @@
 // Memoizes ProfileRunner invocations across pipeline attempts.
 //
-// A profiling run is a pure function of (module structure, SVP candidate
-// set): the interpreter is deterministic and the candidate set only adds
-// value instrumentation. The deny-unroll restart re-compiles the pristine
-// module, whose initial profile is byte-for-byte the one already taken at
-// the start of the first attempt — the cache turns that re-profile into a
-// lookup. Keys are (Module::structuralDigest(), sorted candidate sids), so
-// finalize() churn never causes spurious misses.
+// A profiling run is a pure function of (module structure, value-profiled
+// sid set): the interpreter is deterministic and the sid set only adds
+// value instrumentation. The pipeline requests each module's SVP superset
+// (PassContext::profileRun), so every request for one module structure,
+// the deny-unroll restart's included, is served by one run. Keys are
+// (Module::structuralDigest(), sorted sids), so finalize() churn never
+// causes spurious misses.
 #pragma once
 
 #include <cstdint>

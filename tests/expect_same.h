@@ -1,10 +1,11 @@
-// Field-by-field equality checks for simulation results, shared by the
-// tests that pin two paths to identical output.
+// Field-by-field equality checks for simulation results and profiles,
+// shared by the tests that pin two paths to identical output.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include "interp/interpreter.h"
+#include "profile/profile_data.h"
 #include "sim/result.h"
 
 namespace spt::testing {
@@ -75,6 +76,48 @@ inline void expectSameRun(const interp::RunResult& a,
   EXPECT_EQ(a.return_value, b.return_value);
   EXPECT_EQ(a.dynamic_instrs, b.dynamic_instrs);
   EXPECT_EQ(a.memory_hash, b.memory_hash);
+}
+
+/// Every field of ProfileData.
+inline void expectSameProfile(const profile::ProfileData& a,
+                              const profile::ProfileData& b) {
+  EXPECT_EQ(a.total_instrs, b.total_instrs);
+  ASSERT_EQ(a.branches.size(), b.branches.size());
+  for (const auto& [sid, stats] : a.branches) {
+    ASSERT_TRUE(b.branches.contains(sid)) << sid;
+    EXPECT_EQ(stats.taken, b.branches.at(sid).taken) << sid;
+    EXPECT_EQ(stats.not_taken, b.branches.at(sid).not_taken) << sid;
+  }
+  ASSERT_EQ(a.loops.size(), b.loops.size());
+  for (const auto& [sid, stats] : a.loops) {
+    ASSERT_TRUE(b.loops.contains(sid)) << sid;
+    EXPECT_EQ(stats.episodes, b.loops.at(sid).episodes) << sid;
+    EXPECT_EQ(stats.iterations, b.loops.at(sid).iterations) << sid;
+    EXPECT_EQ(stats.dyn_instrs, b.loops.at(sid).dyn_instrs) << sid;
+  }
+  ASSERT_EQ(a.mem_deps.size(), b.mem_deps.size());
+  for (const auto& [header, deps] : a.mem_deps) {
+    ASSERT_TRUE(b.mem_deps.contains(header)) << header;
+    const profile::MemDepCounts& other = b.mem_deps.at(header);
+    ASSERT_EQ(deps.size(), other.size()) << header;
+    for (const auto& [pair, stat] : deps) {
+      ASSERT_TRUE(other.contains(pair)) << header;
+      EXPECT_EQ(stat.count, other.at(pair).count) << header;
+      EXPECT_EQ(stat.tail_instrs, other.at(pair).tail_instrs) << header;
+    }
+  }
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (const auto& [sid, stats] : a.values) {
+    ASSERT_TRUE(b.values.contains(sid)) << sid;
+    EXPECT_EQ(stats.samples, b.values.at(sid).samples) << sid;
+    EXPECT_EQ(stats.delta_counts, b.values.at(sid).delta_counts) << sid;
+  }
+  ASSERT_EQ(a.calls.size(), b.calls.size());
+  for (const auto& [sid, stats] : a.calls) {
+    ASSERT_TRUE(b.calls.contains(sid)) << sid;
+    EXPECT_EQ(stats.calls, b.calls.at(sid).calls) << sid;
+    EXPECT_EQ(stats.total_instrs, b.calls.at(sid).total_instrs) << sid;
+  }
 }
 
 }  // namespace spt::testing

@@ -1,10 +1,13 @@
 // One pass over the baseline program: the experiment interprets the
 // unmodified module once and streams that run into both the compiler's
-// first profile and the one-core BaselineMachine. These tests pin that the
+// profile and the one-core BaselineMachine. These tests pin that the
 // stream changes nothing: a streamed machine equals a replay of the stored
 // trace field by field, the streamed profile equals a standalone profiling
 // run, the experiment equals the plain composition of the layers, and the
-// budget diagnostics keep their exact text.
+// budget diagnostics keep their exact text. They also pin one profile per
+// program: the run value-profiles the static SVP superset, every candidate
+// set lies within it and projects exactly, and a cell interprets each
+// program at most once, a trace-cache hit none.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +21,8 @@
 #include "harness/trace_cache.h"
 #include "interp/interpreter.h"
 #include "random_programs.h"
+#include "spt/loop_analysis.h"
+#include "spt/pass.h"
 #include "support/error.h"
 #include "workloads/workloads.h"
 
@@ -25,48 +30,8 @@ namespace spt::harness {
 namespace {
 
 using spt::testing::expectSameMachineResult;
+using spt::testing::expectSameProfile;
 using spt::testing::expectSameRun;
-
-void expectSameProfile(const profile::ProfileData& a,
-                       const profile::ProfileData& b) {
-  EXPECT_EQ(a.total_instrs, b.total_instrs);
-  ASSERT_EQ(a.branches.size(), b.branches.size());
-  for (const auto& [sid, stats] : a.branches) {
-    ASSERT_TRUE(b.branches.contains(sid)) << sid;
-    EXPECT_EQ(stats.taken, b.branches.at(sid).taken) << sid;
-    EXPECT_EQ(stats.not_taken, b.branches.at(sid).not_taken) << sid;
-  }
-  ASSERT_EQ(a.loops.size(), b.loops.size());
-  for (const auto& [sid, stats] : a.loops) {
-    ASSERT_TRUE(b.loops.contains(sid)) << sid;
-    EXPECT_EQ(stats.episodes, b.loops.at(sid).episodes) << sid;
-    EXPECT_EQ(stats.iterations, b.loops.at(sid).iterations) << sid;
-    EXPECT_EQ(stats.dyn_instrs, b.loops.at(sid).dyn_instrs) << sid;
-  }
-  ASSERT_EQ(a.mem_deps.size(), b.mem_deps.size());
-  for (const auto& [header, deps] : a.mem_deps) {
-    ASSERT_TRUE(b.mem_deps.contains(header)) << header;
-    const profile::MemDepCounts& other = b.mem_deps.at(header);
-    ASSERT_EQ(deps.size(), other.size()) << header;
-    for (const auto& [pair, stat] : deps) {
-      ASSERT_TRUE(other.contains(pair)) << header;
-      EXPECT_EQ(stat.count, other.at(pair).count) << header;
-      EXPECT_EQ(stat.tail_instrs, other.at(pair).tail_instrs) << header;
-    }
-  }
-  ASSERT_EQ(a.values.size(), b.values.size());
-  for (const auto& [sid, stats] : a.values) {
-    ASSERT_TRUE(b.values.contains(sid)) << sid;
-    EXPECT_EQ(stats.samples, b.values.at(sid).samples) << sid;
-    EXPECT_EQ(stats.delta_counts, b.values.at(sid).delta_counts) << sid;
-  }
-  ASSERT_EQ(a.calls.size(), b.calls.size());
-  for (const auto& [sid, stats] : a.calls) {
-    ASSERT_TRUE(b.calls.contains(sid)) << sid;
-    EXPECT_EQ(stats.calls, b.calls.at(sid).calls) << sid;
-    EXPECT_EQ(stats.total_instrs, b.calls.at(sid).total_instrs) << sid;
-  }
-}
 
 std::string remarksJson(const compiler::CompilationRemarks& remarks) {
   std::ostringstream os;
@@ -156,13 +121,18 @@ std::vector<std::string> streamedWorkloads() {
   return names;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Workloads, StreamedBaseline, ::testing::ValuesIn(streamedWorkloads()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      std::replace(name.begin(), name.end(), '.', '_');
-      return name;
-    });
+/// A workload name as a test or file name: dots become underscores.
+std::string safeName(std::string name) {
+  std::replace(name.begin(), name.end(), '.', '_');
+  return name;
+}
+
+std::string paramName(const ::testing::TestParamInfo<std::string>& info) {
+  return safeName(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, StreamedBaseline,
+                         ::testing::ValuesIn(streamedWorkloads()), paramName);
 
 TEST(StreamedBaseline, BudgetDiagnosticsDoNotDependOnBlocks) {
   // A budget check lands on a record index inside a later block; both
@@ -211,6 +181,179 @@ TEST(InterpProfileRunner, PrimedProfileAnswersOnlyTheFirstPlainRequest) {
   runner.prime(other, sentinel);
   EXPECT_EQ(runner.run(module, {}).total_instrs, fresh.total_instrs);
 }
+
+TEST(InterpProfileRunner, PrimedSupersetAnswersOneRequestWithinIt) {
+  ir::Module module = workloads::findWorkload("micro.svp_stride").build(1);
+  module.finalize();
+  const std::unordered_set<ir::StaticId> superset =
+      compiler::svpSuperset(module);
+  ASSERT_FALSE(superset.empty());
+  const ir::StaticId inside = *superset.begin();
+  ir::StaticId outside = 0;
+  while (superset.contains(outside)) ++outside;
+
+  InterpProfileRunner runner;
+  runner.prime(module, runner.run(module, superset), superset);
+  // A request outside the tracked sids interprets and keeps the profile.
+  std::uint64_t before = interp::Interpreter::mainRuns();
+  expectSameProfile(runner.run(module, {inside, outside}),
+                    InterpProfileRunner().run(module, {inside, outside}));
+  EXPECT_EQ(interp::Interpreter::mainRuns() - before, 2u);
+  // A request within them is the projection, and interprets nothing.
+  before = interp::Interpreter::mainRuns();
+  const profile::ProfileData projected = runner.run(module, {inside});
+  EXPECT_EQ(interp::Interpreter::mainRuns() - before, 0u);
+  expectSameProfile(projected, InterpProfileRunner().run(module, {inside}));
+  before = interp::Interpreter::mainRuns();
+  runner.run(module, {inside});
+  EXPECT_EQ(interp::Interpreter::mainRuns() - before, 1u);
+}
+
+// ------------------------------------------ one profile per program
+
+/// Records every module it is asked to profile, with the request.
+class RecordingRunner final : public compiler::ProfileRunner {
+ public:
+  struct Call {
+    ir::Module module;
+    std::unordered_set<ir::StaticId> request;
+  };
+
+  profile::ProfileData run(
+      const ir::Module& module,
+      const std::unordered_set<ir::StaticId>& request) override {
+    calls.push_back({module, request});
+    return inner.run(module, request);
+  }
+
+  std::vector<Call> calls;
+  InterpProfileRunner inner;
+};
+
+/// Runs the pipeline attempts SptCompiler::compile runs, deny-unroll
+/// restart included, and checks every module the pipeline profiles: its
+/// value candidates lie in its SVP superset, the profile partition search
+/// read equals a dedicated run over exactly those candidates (none with
+/// SVP off), and the runner was asked once per module structure, for its
+/// superset. Returns the number of attempts.
+int checkOneProfilePerModule(ir::Module module,
+                             const compiler::CompilerOptions& options = {}) {
+  module.finalize();
+  const ir::Module pristine = module;
+  compiler::PassManager pm;
+  compiler::buildSptPipeline(pm);
+  compiler::ProfileCache cache;
+  RecordingRunner runner;
+  std::unordered_set<std::string> deny;
+  int attempts = 0;
+  while (attempts < 2) {
+    ++attempts;
+    module = pristine;
+    compiler::AnalysisManager analyses(module);
+    compiler::PipelineState state;
+    state.deny_unroll = &deny;
+    compiler::PassContext ctx{module, runner, options, analyses, cache, state};
+    pm.run(ctx);
+
+    // Candidate selection analyzed the pristine module, or the one
+    // unrolling made, which the runner profiled last.
+    const ir::Module& analyzed = state.unroll_factors.empty()
+                                     ? pristine
+                                     : runner.calls.back().module;
+    const std::unordered_set<ir::StaticId> superset =
+        compiler::svpSuperset(analyzed);
+    for (const ir::StaticId sid : state.value_candidates) {
+      EXPECT_TRUE(superset.contains(sid)) << sid;
+    }
+    const std::unordered_set<ir::StaticId> profiled =
+        options.enable_svp ? state.value_candidates
+                           : std::unordered_set<ir::StaticId>{};
+    expectSameProfile(state.profile,
+                      InterpProfileRunner().run(analyzed, profiled));
+
+    for (const compiler::LoopPlanEntry& entry : state.plan.loops) {
+      if (entry.unroll_factor > 1 && !entry.transformed) {
+        deny.insert(entry.name);
+      }
+    }
+    if (deny.empty()) break;
+  }
+  std::unordered_set<std::uint64_t> digests;
+  for (const RecordingRunner::Call& call : runner.calls) {
+    EXPECT_EQ(call.request, compiler::svpSuperset(call.module));
+    EXPECT_TRUE(digests.insert(call.module.structuralDigest()).second);
+  }
+  return attempts;
+}
+
+/// The ten suite workloads plus both microkernels.
+std::vector<std::string> profiledWorkloads() {
+  std::vector<std::string> names = streamedWorkloads();
+  names.push_back("micro.svp_stride");
+  return names;
+}
+
+class OneProfilePerProgram : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OneProfilePerProgram, CandidatesLieInTheSupersetAndProjectExactly) {
+  const int attempts =
+      checkOneProfilePerModule(workloads::findWorkload(GetParam()).build(1));
+  // gap is the suite's one workload that unrolls and then restarts.
+  EXPECT_EQ(attempts, GetParam() == "gap" ? 2 : 1);
+  compiler::CompilerOptions no_svp;
+  no_svp.enable_svp = false;
+  checkOneProfilePerModule(workloads::findWorkload(GetParam()).build(1),
+                           no_svp);
+}
+
+TEST_P(OneProfilePerProgram, ColdCellInterpretsEachProgramOnceAndAHitNone) {
+  const workloads::Workload w = workloads::findWorkload(GetParam());
+  // Programs a cell interprets beyond the baseline and the SPT program:
+  // the module unrolling made, for gap.
+  const std::uint64_t unrolled = GetParam() == "gap" ? 1 : 0;
+  compiler::CompilationRemarks remarks;
+  const auto runsOf = [](const auto& cell) {
+    const std::uint64_t before = interp::Interpreter::mainRuns();
+    cell();
+    return interp::Interpreter::mainRuns() - before;
+  };
+  EXPECT_EQ(runsOf([&] { runSptExperiment(w.build(1), {}, {}, {}, &remarks); }),
+            2 + unrolled);
+  EXPECT_EQ(remarks.profile_runs, 1 + unrolled);
+
+  const std::string dir = freshDir("runs_" + safeName(GetParam()));
+  const std::string key = w.name + ".x1";
+  {
+    TraceCache cache(dir);
+    EXPECT_EQ(runsOf([&] { runSptExperiment(w.build(1), cache, key); }),
+              2 + unrolled)
+        << "cold";
+    EXPECT_EQ(runsOf([&] { runSptExperiment(w.build(1), cache, key); }),
+              unrolled)
+        << "memory hit";
+    EXPECT_EQ(cache.produced(), 2u);
+  }
+  TraceCache cache(dir);
+  EXPECT_EQ(runsOf([&] { runSptExperiment(w.build(1), cache, key); }),
+            unrolled)
+      << "file hit";
+  EXPECT_EQ(cache.produced(), 0u);
+  EXPECT_EQ(cache.fileReuses(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, OneProfilePerProgram,
+                         ::testing::ValuesIn(profiledWorkloads()), paramName);
+
+class OneProfilePerRandomProgram
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OneProfilePerRandomProgram,
+       CandidatesLieInTheSupersetAndProjectExactly) {
+  checkOneProfilePerModule(testing::generateRandomProgram(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OneProfilePerRandomProgram,
+                         ::testing::Range<std::uint64_t>(2000, 2050));
 
 // -------------------------------------- the experiment as a whole
 

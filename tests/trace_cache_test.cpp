@@ -1,19 +1,26 @@
 // Tests for the shared mmap-backed trace store (harness/trace_cache.h) and
 // the cached experiment path built on it: production/adoption/hit counter
-// semantics, v3 meta-word round trips, and — the property the whole
-// subsystem hangs on — bit-identical simulation results whether a machine
-// consumes the in-memory text-built TraceBuffer or the mmap'd v3 file.
+// semantics, v3 meta-word round trips, the profile sidecar and its codec,
+// and — the property the whole subsystem hangs on — bit-identical
+// simulation results whether a machine consumes the in-memory text-built
+// TraceBuffer or the mmap'd v3 file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "expect_same.h"
 #include "harness/experiment.h"
 #include "harness/suite.h"
 #include "harness/trace_cache.h"
+#include "profile/profile_codec.h"
+#include "spt/loop_analysis.h"
 #include "test_programs.h"
 #include "workloads/workloads.h"
 
@@ -127,9 +134,9 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   TraceCache cache(freshDir("experiment"));
   const workloads::Workload w = workloads::findWorkload("gzip");
 
-  // The cache miss profiles through the run that produces the baseline
-  // trace, the hit and the plain path interpret; the compiler sees the
-  // same profiles either way, so remarks (profile counts included) match.
+  // The plain path and the cache miss profile through the baseline run,
+  // the hit reads that profile from the sidecar; the compiler sees the same
+  // profiles either way, so remarks (profile counts included) match.
   compiler::CompilationRemarks plain_remarks;
   compiler::CompilationRemarks cached_remarks;
   compiler::CompilationRemarks again_remarks;
@@ -176,6 +183,128 @@ TEST(TraceCache, SuiteGoldenDigestsMatchTextVsBinary) {
         runSuiteEntry(entry, {}, 1, nullptr, &cache);
     expectSameMachineResult(text.baseline, binary.baseline);
     expectSameMachineResult(text.spt, binary.spt);
+  }
+}
+
+// ------------------------------------------------------------------------
+// The profile sidecar a baseline trace keeps beside it.
+
+profile::TrackedProfile supersetProfileOf(const std::string& workload) {
+  ir::Module m = workloads::findWorkload(workload).build(1);
+  m.finalize();
+  profile::TrackedProfile out;
+  out.tracked = compiler::svpSuperset(m);
+  out.data = InterpProfileRunner().run(m, out.tracked);
+  return out;
+}
+
+std::string readBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void writeBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(ProfileCodec, RoundTripsToIdenticalBytes) {
+  for (const char* name : {"mcf", "gap", "micro.svp_stride"}) {
+    SCOPED_TRACE(name);
+    const profile::TrackedProfile original = supersetProfileOf(name);
+    ASSERT_FALSE(original.data.values.empty());
+    const std::string bytes = profile::encodeProfile(original);
+    std::string error;
+    const std::optional<profile::TrackedProfile> decoded =
+        profile::decodeProfile(bytes, &error);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    EXPECT_EQ(decoded->tracked, original.tracked);
+    spt::testing::expectSameProfile(decoded->data, original.data);
+    EXPECT_EQ(profile::encodeProfile(*decoded), bytes);
+  }
+
+  // Equal profiles whose hash tables iterate in different orders encode to
+  // the same bytes: every table is written in key order.
+  profile::TrackedProfile a;
+  profile::TrackedProfile b;
+  b.data.branches.reserve(4096);
+  b.data.loops.reserve(4096);
+  b.tracked.reserve(4096);
+  for (ir::StaticId sid = 0; sid < 200; ++sid) {
+    a.data.branches[sid] = {sid, 1};
+    a.data.loops[sid * 7] = {1, sid, 2 * sid};
+    a.tracked.insert(sid * 3);
+  }
+  for (ir::StaticId sid = 200; sid-- > 0;) {
+    b.data.branches[sid] = {sid, 1};
+    b.data.loops[sid * 7] = {1, sid, 2 * sid};
+    b.tracked.insert(sid * 3);
+  }
+  EXPECT_EQ(profile::encodeProfile(a), profile::encodeProfile(b));
+}
+
+TEST(ProfileCodec, RejectsDamagedBytes) {
+  const std::string bytes =
+      profile::encodeProfile(supersetProfileOf("micro.parser_free"));
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] ^= 0x10;
+  for (const std::string& damaged :
+       {std::string(), bytes.substr(0, bytes.size() - 1), flipped,
+        bytes + '\0'}) {
+    std::string error;
+    EXPECT_FALSE(profile::decodeProfile(damaged, &error).has_value());
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+TEST(TraceCache, MissingOrDamagedSidecarIsReproduced) {
+  const workloads::Workload w = workloads::findWorkload("parser");
+  compiler::CompilationRemarks plain_remarks;
+  const ExperimentResult plain =
+      runSptExperiment(w.build(1), {}, {}, {}, &plain_remarks);
+  const std::string dir = freshDir("sidecar");
+  std::string sidecar;
+  {
+    TraceCache cache(dir);
+    runSptExperiment(w.build(1), cache, "parser.x1");
+    EXPECT_EQ(cache.produced(), 2u);
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      if (e.path().extension() == ".prof") sidecar = e.path().string();
+    }
+  }
+  ASSERT_FALSE(sidecar.empty());
+  const std::string good = readBytes(sidecar);
+
+  std::string flipped = good;
+  flipped[flipped.size() / 2] ^= 0x01;
+  const std::vector<std::pair<std::string, std::string>> damages = {
+      {"missing", ""},
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"bit-flipped", flipped},
+  };
+  for (const auto& [what, bytes] : damages) {
+    SCOPED_TRACE(what);
+    if (what == "missing") {
+      std::filesystem::remove(sidecar);
+    } else {
+      writeBytes(sidecar, bytes);
+    }
+    TraceCache cache(dir);
+    compiler::CompilationRemarks remarks;
+    const ExperimentResult again =
+        runSptExperiment(w.build(1), cache, "parser.x1", {}, {}, {}, &remarks);
+    // The baseline is produced again, trace and sidecar; the SPT trace is
+    // adopted.
+    EXPECT_EQ(cache.produced(), 1u);
+    EXPECT_EQ(cache.fileReuses(), 1u);
+    EXPECT_EQ(readBytes(sidecar), good);
+    EXPECT_EQ(remarksJson(remarks), remarksJson(plain_remarks));
+    EXPECT_EQ(again.plan.fingerprint(), plain.plan.fingerprint());
+    spt::testing::expectSameRun(again.baseline_run, plain.baseline_run);
+    spt::testing::expectSameRun(again.spt_run, plain.spt_run);
+    expectSameMachineResult(again.baseline, plain.baseline);
+    expectSameMachineResult(again.spt, plain.spt);
   }
 }
 
