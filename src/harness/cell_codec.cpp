@@ -161,6 +161,9 @@ std::string encodePerfRow(const PerfRow& row) {
   w.u64(row.baseline_dispatch_fallback);
   w.u64(row.spt_dispatch_fast);
   w.u64(row.spt_dispatch_fallback);
+  w.u64(row.spt_fallback_fork);
+  w.u64(row.spt_fallback_spec);
+  w.u64(row.spt_fallback_replay);
   w.u64(row.spt_arena_frame_allocs);
   w.u64(row.spt_arena_frame_reuses);
   w.f64(row.spt_records_per_alloc);
@@ -182,6 +185,8 @@ bool decodePerfRow(const std::string& payload, PerfRow* row) {
       !r.u64(&out.baseline_dispatch_fast) ||
       !r.u64(&out.baseline_dispatch_fallback) ||
       !r.u64(&out.spt_dispatch_fast) || !r.u64(&out.spt_dispatch_fallback) ||
+      !r.u64(&out.spt_fallback_fork) || !r.u64(&out.spt_fallback_spec) ||
+      !r.u64(&out.spt_fallback_replay) ||
       !r.u64(&out.spt_arena_frame_allocs) ||
       !r.u64(&out.spt_arena_frame_reuses) ||
       !r.f64(&out.spt_records_per_alloc) ||

@@ -97,6 +97,9 @@ PerfRow measure(PreparedWorkload& p, const PerfOptions& options) {
   row.baseline_dispatch_fallback = base_result.hotpath.dispatch_fallback;
   row.spt_dispatch_fast = spt_result.hotpath.dispatch_fast;
   row.spt_dispatch_fallback = spt_result.hotpath.dispatch_fallback;
+  row.spt_fallback_fork = spt_result.hotpath.fallback_fork;
+  row.spt_fallback_spec = spt_result.hotpath.fallback_spec;
+  row.spt_fallback_replay = spt_result.hotpath.fallback_replay;
   row.spt_arena_frame_allocs = spt_result.hotpath.arena_frame_allocs;
   row.spt_arena_frame_reuses = spt_result.hotpath.arena_frame_reuses;
   row.spt_records_per_alloc = spt_result.hotpath.recordsPerAlloc();
@@ -203,8 +206,12 @@ std::vector<PerfRow> runSimThroughput(const PerfOptions& options,
 void printSimThroughputTable(std::ostream& os,
                              const std::vector<PerfRow>& rows) {
   support::Table t("simulator host throughput (simulated MIPS)");
+  // The SPT machine's generic-path records, and of those the main
+  // thread's fork issues, the speculative records and the replay
+  // re-executions (the rest are main-thread calls, returns and the like).
   t.setHeader({"workload", "trace records", "baseline MIPS", "SPT MIPS",
-               "baseline ms", "SPT ms"});
+               "baseline ms", "SPT ms", "SPT fallback", "fork", "spec",
+               "replay"});
   double base_mips_sum = 0.0;
   double spt_mips_sum = 0.0;
   for (const PerfRow& r : rows) {
@@ -212,14 +219,19 @@ void printSimThroughputTable(std::ostream& os,
               support::fixed(r.host_baseline_mips, 2),
               support::fixed(r.host_spt_mips, 2),
               support::fixed(r.host_baseline_seconds * 1e3, 2),
-              support::fixed(r.host_spt_seconds * 1e3, 2)});
+              support::fixed(r.host_spt_seconds * 1e3, 2),
+              std::to_string(r.spt_dispatch_fallback),
+              std::to_string(r.spt_fallback_fork),
+              std::to_string(r.spt_fallback_spec),
+              std::to_string(r.spt_fallback_replay)});
     base_mips_sum += r.host_baseline_mips;
     spt_mips_sum += r.host_spt_mips;
   }
   if (!rows.empty()) {
     const double n = static_cast<double>(rows.size());
     t.addRow({"Average", "-", support::fixed(base_mips_sum / n, 2),
-              support::fixed(spt_mips_sum / n, 2), "-", "-"});
+              support::fixed(spt_mips_sum / n, 2), "-", "-", "-", "-", "-",
+              "-"});
   }
   t.print(os);
 }
@@ -263,6 +275,9 @@ bool writeSimThroughputJson(const std::string& path,
     w.member("baseline_dispatch_fallback", r.baseline_dispatch_fallback);
     w.member("spt_dispatch_fast", r.spt_dispatch_fast);
     w.member("spt_dispatch_fallback", r.spt_dispatch_fallback);
+    w.member("spt_fallback_fork", r.spt_fallback_fork);
+    w.member("spt_fallback_spec", r.spt_fallback_spec);
+    w.member("spt_fallback_replay", r.spt_fallback_replay);
     w.member("spt_arena_frame_allocs", r.spt_arena_frame_allocs);
     w.member("spt_arena_frame_reuses", r.spt_arena_frame_reuses);
     w.member("spt_records_per_alloc", r.spt_records_per_alloc);

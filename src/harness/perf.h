@@ -65,6 +65,11 @@ struct PerfRow {
   std::uint64_t baseline_dispatch_fallback = 0;
   std::uint64_t spt_dispatch_fast = 0;
   std::uint64_t spt_dispatch_fallback = 0;
+  // spt_dispatch_fallback by cause (HotPathStats::fallback_*): main-thread
+  // spt_fork issues, speculative generic records, replay re-executions.
+  std::uint64_t spt_fallback_fork = 0;
+  std::uint64_t spt_fallback_spec = 0;
+  std::uint64_t spt_fallback_replay = 0;
   std::uint64_t spt_arena_frame_allocs = 0;
   std::uint64_t spt_arena_frame_reuses = 0;
   double spt_records_per_alloc = 0.0;

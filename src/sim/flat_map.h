@@ -27,6 +27,7 @@
 // by the golden digest tests).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -293,6 +294,18 @@ class FrameRegMap {
       return nullptr;
     }
     return &slab->val[reg];
+  }
+
+  /// Copies every live entry of `frame` with a register below out.size()
+  /// into out[register]; other elements keep their values. One slab
+  /// lookup for the whole frame.
+  void overlayOnto(std::uint32_t frame, std::vector<V>& out) const {
+    const Slab* slab = slabFor(frame);
+    if (slab == nullptr) return;
+    const std::size_t n = std::min(out.size(), slab->stamp.size());
+    for (std::size_t reg = 0; reg < n; ++reg) {
+      if (slab->stamp[reg] == epoch_) out[reg] = slab->val[reg];
+    }
   }
 
   /// Reference to the entry, default-constructing it (and claiming the

@@ -87,6 +87,11 @@ struct FaultStats {
 struct HotPathStats {
   std::uint64_t dispatch_fast = 0;      // records through specialized handlers
   std::uint64_t dispatch_fallback = 0;  // records through the generic path
+  // dispatch_fallback by cause, SPT machine only (the rest of it is the
+  // main thread's calls, returns, kills, hallocs and kGeneric records):
+  std::uint64_t fallback_fork = 0;    // main-thread spt_fork issues
+  std::uint64_t fallback_spec = 0;    // speculative generic records
+  std::uint64_t fallback_replay = 0;  // selective-replay re-executions
   std::uint64_t arena_frame_allocs = 0;  // frames newly allocated
   std::uint64_t arena_frame_reuses = 0;  // frames recycled from the arena
   std::uint64_t fork_site_hits = 0;    // fork records served from the

@@ -1,5 +1,7 @@
 #include "sim/spt_machine.h"
 
+#include <algorithm>
+
 #include "support/check.h"
 #include "support/error.h"
 
@@ -216,10 +218,11 @@ std::int64_t SptMachine::specReadReg(SpecThread& t, trace::FrameId frame,
   const std::int64_t* v = t.rf.find(frame, reg.index);
   if (v != nullptr) return *v;
   if (frame == t.fork_frame) {
-    // Live-in read from the fork-time register context.
+    // Live-in read from the fork-time register context, by the SRB entry
+    // under construction.
     std::vector<std::size_t>& reads = t.livein_reads[reg.index];
     if (reads.empty()) t.livein_touched.push_back(reg.index);
-    reads.push_back(t.srb.size());
+    reads.push_back(t.srb.size() - 1);
     return t.fork_rf[reg.index];
   }
   // Registers of frames created during speculation are zero-initialized,
@@ -232,10 +235,9 @@ void SptMachine::specWriteReg(SpecThread& t, trace::FrameId frame,
   t.rf.at(frame, reg.index) = value;
 }
 
-bool SptMachine::specCanStep(const SpecThread& t) const {
+bool SptMachine::specRunnable(const SpecThread& t) const {
   return t.active && !t.wrong_path && !t.stalled && t.pos < t.limit_pos &&
-         t.srb.size() < config_.speculation_result_buffer_entries &&
-         t.pipe->cycle() <= main_pipe_->cycle();
+         t.srb.size() < config_.speculation_result_buffer_entries;
 }
 
 bool SptMachine::chainCanGrow(const SpecThread& t) const {
@@ -312,24 +314,73 @@ void SptMachine::step() {
   // step is chosen when the loop resumes.
   while (pos_ < end_) {
     // The first thread in chain order that can step, else the main thread.
+    // `horizon` is the earliest clock at which a thread that waits only for
+    // the main clock could step.
     SpecThread* t = nullptr;
+    std::uint64_t horizon = kNoHorizon;
     for (const std::uint32_t slot : chain_) {
       SpecThread& c = *slots_[slot];
-      if (!specCanStep(c)) continue;
+      if (!specRunnable(c)) continue;
+      if (c.pipe->cycle() > main_pipe_->cycle()) {
+        horizon = std::min(horizon, c.pipe->cycle());
+        continue;
+      }
       if (c.pos < end_) {
         t = &c;
         break;
       }
       if (!final_) return;
     }
+    if (t == nullptr && burstMain(horizon)) continue;
     if (!final_ && forkWaits(t)) return;
-    if (budgeted_ && (++steps_ & 1023u) == 0) checkBudgets();
     if (t != nullptr) {
-      stepSpec(*t);
+      burstSpec(*t);
     } else {
+      countStep();
       stepMain();
     }
   }
+}
+
+void SptMachine::burstSpec(SpecThread& t) {
+  // A speculative step changes neither the main clock nor anything a less
+  // speculative thread's eligibility depends on, so `t` stays the first
+  // thread that can step for as long as it can step at all.
+  do {
+    countStep();
+    stepSpec(t);
+  } while (specRunnable(t) && t.pipe->cycle() <= main_pipe_->cycle() &&
+           t.pos < end_ && (final_ || !forkWaits(&t)));
+}
+
+bool SptMachine::burstMain(std::uint64_t horizon) {
+  // Until the main clock reaches `horizon` no speculative thread can step,
+  // and a marker or a fast-class record changes nothing any thread's
+  // eligibility depends on: the main thread takes these steps back to back.
+  // The burst stops short of the chain head's start-point (arrival) and at
+  // the first record stepMain must handle.
+  std::size_t stop = end_;
+  if (!chain_.empty()) {
+    const SpecThread& head = *slots_[chain_.front()];
+    if (!head.wrong_path && head.start_pos >= pos_) {
+      stop = std::min(stop, head.start_pos);
+    }
+  }
+  const std::size_t from = pos_;
+  while (pos_ < stop && main_pipe_->cycle() < horizon) {
+    const trace::Record& r = rec(pos_);
+    if (r.kind != trace::RecordKind::kInstr) {
+      countStep();
+      loop_tracker_.onMarker(r, main_pipe_->cycle());
+    } else {
+      const DecodedInstr& d = decode_[r.sid];
+      if (d.klass > static_cast<std::uint8_t>(DispatchClass::kJump)) break;
+      countStep();
+      executeMainInstr(d, r);
+    }
+    ++pos_;
+  }
+  return pos_ != from;
 }
 
 MachineResult SptMachine::run() { return finish(); }
@@ -357,8 +408,13 @@ MachineResult SptMachine::finish() {
   result_.l2 = memory_->l2().stats();
   result_.l3 = memory_->l3().stats();
   result_.branch_mispredict_ratio = main_pipe_->predictor().mispredictRatio();
-  result_.hotpath.dispatch_fallback = dispatch_fallbacks_;
-  result_.hotpath.dispatch_fast = result_.instrs - dispatch_fallbacks_;
+  const std::uint64_t fallbacks =
+      fallback_main_ + fallback_fork_ + fallback_spec_ + fallback_replay_;
+  result_.hotpath.dispatch_fallback = fallbacks;
+  result_.hotpath.dispatch_fast = result_.instrs - fallbacks;
+  result_.hotpath.fallback_fork = fallback_fork_;
+  result_.hotpath.fallback_spec = fallback_spec_;
+  result_.hotpath.fallback_replay = fallback_replay_;
   result_.hotpath.arena_frame_allocs = arch_.arenaAllocs();
   result_.hotpath.arena_frame_reuses = arch_.arenaReuses();
   result_.hotpath.fork_site_hits = fork_site_hits_;
@@ -412,7 +468,7 @@ void SptMachine::stepMain() {
     ++pos_;
     return;
   }
-  executeMainInstr(r);
+  executeMainInstr(decode_[r.sid], r);
   ++pos_;
 }
 
@@ -422,7 +478,7 @@ void SptMachine::executeFork(const trace::Record& r) {
   // 1 cycle minimum — the copy is assumed banked/bulk, not port-limited;
   // our virtual-register IR would otherwise overcharge it).
   main_pipe_->execute(makeExecInstr(d, r));
-  ++dispatch_fallbacks_;
+  ++fallback_fork_;
   main_pipe_->advanceTo(main_pipe_->cycle() + config_.rf_copy_overhead,
                         StallKind::kPipeline);
   arch_.apply(r, *d.instr);
@@ -538,7 +594,7 @@ void SptMachine::chainFork(SpecThread& t, const trace::Record& r) {
   // forking frame — possibly stale or wrong; the arrival register check
   // (always value-based for chained threads) validates every live-in
   // against ground truth.
-  nt.fork_rf = snapshotRegsFrom(t, r.frame, site.frame_regs);
+  snapshotRegsFrom(t, r.frame, site.frame_regs, nt.fork_rf);
   if (injector_) {
     if (injector_->maybeFlipForkReg(nt.fork_rf)) ++nt.faults_pending;
     injector_->maybeCorruptCacheMeta(*memory_);
@@ -558,19 +614,18 @@ void SptMachine::chainFork(SpecThread& t, const trace::Record& r) {
   applyForkSlice(nt, site);
 }
 
-std::vector<std::int64_t> SptMachine::snapshotRegsFrom(
-    SpecThread& t, trace::FrameId frame, std::uint32_t reg_count) {
-  std::vector<std::int64_t> out(reg_count, 0);
-  const bool base = frame == t.fork_frame;
-  for (std::uint32_t i = 0; i < reg_count; ++i) {
-    const std::int64_t* v = t.rf.find(frame, i);
-    if (v != nullptr) {
-      out[i] = *v;
-    } else if (base && i < t.fork_rf.size()) {
-      out[i] = t.fork_rf[i];
-    }
+void SptMachine::snapshotRegsFrom(const SpecThread& t, trace::FrameId frame,
+                                   std::uint32_t reg_count,
+                                   std::vector<std::int64_t>& out) const {
+  // The fork-time context under the forking frame (zeros elsewhere and
+  // past its end), then the thread's overlay.
+  out.assign(reg_count, 0);
+  if (frame == t.fork_frame) {
+    std::copy_n(t.fork_rf.begin(), std::min<std::size_t>(reg_count,
+                                                         t.fork_rf.size()),
+                out.begin());
   }
-  return out;
+  t.rf.overlayOnto(frame, out);
 }
 
 void SptMachine::applyForkSlice(SpecThread& t, const ForkSite& site) {
@@ -649,9 +704,8 @@ void SptMachine::mainStoreCheck(std::uint64_t addr) {
   }
 }
 
-void SptMachine::executeMainInstr(const trace::Record& r) {
-  const DecodedInstr& d = decode_[r.sid];
-
+void SptMachine::executeMainInstr(const DecodedInstr& d,
+                                  const trace::Record& r) {
   // Threaded dispatch off the predecoded class (jump table): each fast case
   // pairs the class-specialized ExecInstr builder and executeKnown
   // instantiation with the matching inline ArchState applier, hoisting the
@@ -699,7 +753,7 @@ void SptMachine::executeMainInstr(const trace::Record& r) {
 void SptMachine::executeMainFallback(const DecodedInstr& d,
                                      const trace::Record& r) {
   const ir::Instr& instr = *d.instr;
-  ++dispatch_fallbacks_;
+  ++fallback_main_;
 
   if (d.op == ir::Opcode::kSptKill) {
     main_pipe_->execute(makeExecInstr(d, r));
@@ -743,8 +797,6 @@ void SptMachine::stepSpec(SpecThread& t) {
 
   const DecodedInstr& d = decode_[r.sid];
   const ir::Instr& instr = *d.instr;
-  SrbEntry entry;
-  entry.record_index = t.pos;
 
   // Buffer-capacity stalls for stores/loads. Both buffers are keyed by
   // address, so only an access that would create a *new* entry can exceed
@@ -752,100 +804,81 @@ void SptMachine::stepSpec(SpecThread& t) {
   // SSB (forwarded, never reaches the LAB) or re-reads a LAB address are
   // always admitted. The stall triggers exactly when the buffer already
   // holds the configured number of distinct addresses and one more would
-  // be needed. Addresses are computed with specPeekReg (no live-in read is
-  // recorded): a stalled instruction never executes speculatively, so it
-  // must not leave a dangling SRB reference behind.
-  if (d.is_store) {
+  // be needed, so the address is computed only for a full buffer, with
+  // specPeekReg (no live-in read is recorded): a stalled instruction never
+  // executes speculatively, so it must not leave an SRB entry or a
+  // dangling reference to one behind.
+  if (d.is_store &&
+      t.ssb.size() >= config_.speculative_store_buffer_entries) {
     const std::uint64_t addr = static_cast<std::uint64_t>(
         specPeekReg(t, r.frame, instr.a) + instr.imm);
-    if (!t.ssb.contains(addr) &&
-        t.ssb.size() >= config_.speculative_store_buffer_entries) {
+    if (!t.ssb.contains(addr)) {
       t.stalled = true;
       return;
     }
   }
-  if (d.is_load) {
+  if (d.is_load && t.lab.size() >= config_.load_address_buffer_entries) {
     const std::uint64_t addr = static_cast<std::uint64_t>(
         specPeekReg(t, r.frame, instr.a) + instr.imm);
-    if (!t.ssb.contains(addr) && !t.lab.contains(addr) &&
-        t.lab.size() >= config_.load_address_buffer_entries) {
+    if (!t.ssb.contains(addr) && !t.lab.contains(addr)) {
       t.stalled = true;
       return;
     }
   }
 
-  std::uint64_t mem_addr_override = 0;
+  // The SRB entry is built in place: live-in reads, the LAB and the SSB
+  // name it as t.srb.size() - 1 while the record executes.
+  SrbEntry& entry = t.srb.emplace_back();
+  entry.record_index = t.pos;
   bool stall_after = false;
-  bool ssb_forwarded = false;
 
-  switch (instr.op) {
-    case ir::Opcode::kConst:
-      entry.emu_value = instr.imm;
-      specWriteReg(t, r.frame, instr.dst, entry.emu_value);
-      break;
-    case ir::Opcode::kMov:
-      entry.emu_value = specReadReg(t, r.frame, instr.a);
-      specWriteReg(t, r.frame, instr.dst, entry.emu_value);
-      break;
-    case ir::Opcode::kLoad: {
-      const std::int64_t base = specReadReg(t, r.frame, instr.a);
-      const std::uint64_t addr =
-          static_cast<std::uint64_t>(base + instr.imm);
-      entry.emu_addr = addr;
-      mem_addr_override = addr;
-      const SsbEntry* hit = t.ssb.find(addr);
-      if (hit != nullptr) {
-        entry.emu_value = hit->value;
-        ssb_forwarded = true;  // forwarded from the SSB: no cache access
-      } else {
-        // Chained mode: a miss in the thread's own SSB consults every
-        // less-speculative predecessor's SSB, nearest first — the nearest
-        // predecessor's store is the latest one sequentially before this
-        // load. A cross-thread forward records its provenance in the SRB
-        // entry (commit-time exemption) and still registers in this
-        // thread's LAB: main-thread and intermediate stores must be able
-        // to flag it. It is charged as a cache access, not a same-core
-        // forward — the value crosses cores.
-        bool cross = false;
-        if (multiway_ && chain_.size() > 1) {
-          for (std::size_t j = chainIndexOf(t); j-- > 0;) {
-            SpecThread& p = *slots_[chain_[j]];
-            const SsbEntry* ph = p.ssb.find(addr);
-            if (ph != nullptr) {
-              entry.emu_value = ph->value;
-              entry.fwd_seq = p.seq;
-              entry.fwd_srb = static_cast<std::uint32_t>(ph->srb_index);
-              cross = true;
-              break;
-            }
-          }
-        }
-        t.labList(addr).push_back(t.srb.size());
-        // Dropping the record cuts the memory-dependence net's wire for
-        // this load: a conflicting store can no longer flag it, and only
-        // the commit-time validation walk can catch the divergence.
-        if (injector_ && injector_->maybeDropLabRecord()) {
-          t.labList(addr).pop_back();
-          ++t.faults_pending;
-        }
-        if (!cross) {
-          entry.emu_value = addr == r.mem_addr
-                                ? arch_.memValue(addr, r.value)
-                                : arch_.memValue(addr, 0);
-        }
+  // Threaded dispatch off the predecoded class, as executeMainInstr: each
+  // fast case pairs the emulation and its SSB/LAB bookkeeping with the
+  // class-specialized ExecInstr builder and executeKnown instantiation.
+  switch (static_cast<DispatchClass>(d.klass)) {
+    case DispatchClass::kValue: {
+      bool fault = false;
+      entry.emu_value = specEmulateValue(t, r, instr, fault);
+      if (fault) {
+        // A suppressed fault (division by zero on stale inputs): the
+        // entry forces replay and the thread stops after it.
+        entry.violated = true;
+        entry.emu_value = r.value;
+        stall_after = true;
       }
       specWriteReg(t, r.frame, instr.dst, entry.emu_value);
+      if (fault) {
+        issueSpecGeneric(t, d, r, 0, false);
+      } else {
+        t.pipe->executeKnown<Pipeline::kExecPlain>(
+            makeExecInstrFor<DispatchClass::kValue>(d, r));
+      }
       break;
     }
-    case ir::Opcode::kStore: {
+    case DispatchClass::kLoad: {
+      const std::int64_t base = specReadReg(t, r.frame, instr.a);
+      const std::uint64_t addr = static_cast<std::uint64_t>(base + instr.imm);
+      const bool forwarded = specLoad(t, r, addr, entry);
+      specWriteReg(t, r.frame, instr.dst, entry.emu_value);
+      ExecInstr e = makeExecInstrFor<DispatchClass::kLoad>(d, r);
+      if (forwarded) {
+        // Forwarded from the thread's own SSB: no cache access.
+        t.pipe->executeKnown<Pipeline::kExecPlain>(e);
+      } else {
+        // The emulated address, as makeExecInstr's override (address 0
+        // keeps the record's).
+        if (addr != 0) e.mem_addr = addr;
+        t.pipe->executeKnown<Pipeline::kExecLoad>(e);
+      }
+      break;
+    }
+    case DispatchClass::kStore: {
       const std::int64_t base = specReadReg(t, r.frame, instr.a);
       const std::int64_t value = specReadReg(t, r.frame, instr.b);
-      const std::uint64_t addr =
-          static_cast<std::uint64_t>(base + instr.imm);
+      const std::uint64_t addr = static_cast<std::uint64_t>(base + instr.imm);
       entry.emu_addr = addr;
       entry.emu_value = value;
-      mem_addr_override = addr;
-      SsbEntry& slot = (t.ssb[addr] = SsbEntry{value, t.srb.size()});
+      SsbEntry& slot = (t.ssb[addr] = SsbEntry{value, t.srb.size() - 1});
       // Corrupts the buffered copy only: later loads forward the corrupted
       // value while this store's own SRB payload stays correct, so only the
       // *consumers* can diverge.
@@ -859,40 +892,157 @@ void SptMachine::stepSpec(SpecThread& t) {
       if (multiway_ && chain_.size() > 1) {
         flagSuccessorLoads(t, addr, 0, 0, /*allow_forward_exemption=*/false);
       }
+      // Speculative stores stay in the SSB; they only reach the shared
+      // cache at commit time.
+      t.pipe->executeKnown<Pipeline::kExecPlain>(
+          makeExecInstrFor<DispatchClass::kStore>(d, r));
       break;
     }
-    case ir::Opcode::kBr:
-      break;
-    case ir::Opcode::kCondBr: {
-      const std::int64_t cond = specReadReg(t, r.frame, instr.a);
-      entry.emu_value = cond;
-      const bool outcome = cond != 0;
-      if (outcome != r.taken) {
+    case DispatchClass::kCondBr: {
+      entry.emu_value = specReadReg(t, r.frame, instr.a);
+      if ((entry.emu_value != 0) != r.taken) {
         // The speculative thread would fetch down the other path, which the
         // sequential trace cannot provide; it stops producing results here
         // and replay will stop at this entry.
         entry.branch_mismatch = true;
         stall_after = true;
       }
+      t.pipe->executeKnown<Pipeline::kExecBranch>(
+          makeExecInstrFor<DispatchClass::kCondBr>(d, r));
+      break;
+    }
+    case DispatchClass::kJump:
+      if (d.op == ir::Opcode::kBr || d.op == ir::Opcode::kNop) {
+        t.pipe->executeKnown<Pipeline::kExecPlain>(
+            makeExecInstrFor<DispatchClass::kJump>(d, r));
+        break;
+      }
+      [[fallthrough]];  // a dead destination still emulates
+    default:
+      if (!stepSpecGeneric(t, d, r, entry, stall_after)) {
+        t.srb.pop_back();
+        t.stalled = true;
+        return;
+      }
+      break;
+  }
+
+  // SRB payload corruption targets entries whose buffered result is
+  // actually consumed at commit (value producers, stores, returns); the
+  // register-file overlay keeps the true value, so downstream speculative
+  // dataflow is unaffected — exactly a buffer-array corruption.
+  if (injector_ && (d.is_store || d.op == ir::Opcode::kRet ||
+                    (ir::producesValue(d.op) && d.op != ir::Opcode::kCall))) {
+    if (injector_->maybeCorruptSrbPayload(entry.emu_value)) {
+      ++t.faults_pending;
+    }
+  }
+  ++t.pos;
+  if (stall_after) t.stalled = true;
+}
+
+std::int64_t SptMachine::specEmulateValue(SpecThread& t,
+                                          const trace::Record& r,
+                                          const ir::Instr& instr,
+                                          bool& fault) {
+  switch (instr.op) {
+    case ir::Opcode::kConst:
+      return instr.imm;
+    case ir::Opcode::kMov:
+      return specReadReg(t, r.frame, instr.a);
+    default: {
+      const std::int64_t a = specReadReg(t, r.frame, instr.a);
+      const std::int64_t b = specReadReg(t, r.frame, instr.b);
+      return emulateBinary(instr.op, a, b, fault);
+    }
+  }
+}
+
+bool SptMachine::specLoad(SpecThread& t, const trace::Record& r,
+                          std::uint64_t addr, SrbEntry& entry) {
+  entry.emu_addr = addr;
+  if (const SsbEntry* hit = t.ssb.find(addr)) {
+    entry.emu_value = hit->value;
+    return true;
+  }
+  // Chained mode: a miss in the thread's own SSB consults every
+  // less-speculative predecessor's SSB, nearest first — the nearest
+  // predecessor's store is the latest one sequentially before this load. A
+  // cross-thread forward records its provenance in the SRB entry
+  // (commit-time exemption) and still registers in this thread's LAB:
+  // main-thread and intermediate stores must be able to flag it. It is
+  // charged as a cache access, not a same-core forward — the value crosses
+  // cores.
+  bool cross = false;
+  if (multiway_ && chain_.size() > 1) {
+    for (std::size_t j = chainIndexOf(t); j-- > 0;) {
+      const SpecThread& p = *slots_[chain_[j]];
+      if (const SsbEntry* ph = p.ssb.find(addr)) {
+        entry.emu_value = ph->value;
+        entry.fwd_seq = p.seq;
+        entry.fwd_srb = static_cast<std::uint32_t>(ph->srb_index);
+        cross = true;
+        break;
+      }
+    }
+  }
+  std::vector<std::size_t>& loads = t.labList(addr);
+  loads.push_back(t.srb.size() - 1);
+  // Dropping the record cuts the memory-dependence net's wire for this
+  // load: a conflicting store can no longer flag it, and only the
+  // commit-time validation walk can catch the divergence.
+  if (injector_ && injector_->maybeDropLabRecord()) {
+    loads.pop_back();
+    ++t.faults_pending;
+  }
+  if (!cross) {
+    entry.emu_value = addr == r.mem_addr ? arch_.memValue(addr, r.value)
+                                         : arch_.memValue(addr, 0);
+  }
+  return false;
+}
+
+void SptMachine::issueSpecGeneric(SpecThread& t, const DecodedInstr& d,
+                                  const trace::Record& r,
+                                  std::uint64_t mem_addr_override,
+                                  bool ssb_forwarded) {
+  ExecInstr e = makeExecInstr(d, r, mem_addr_override);
+  // Speculative stores stay in the SSB (see the kStore fast case); loads
+  // satisfied by the SSB are forwarded without a cache access.
+  e.is_store = false;
+  if (ssb_forwarded) e.is_load = false;
+  t.pipe->execute(e);
+  ++fallback_spec_;
+}
+
+bool SptMachine::stepSpecGeneric(SpecThread& t, const DecodedInstr& d,
+                                 const trace::Record& r, SrbEntry& entry,
+                                 bool& stall_after) {
+  const ir::Instr& instr = *d.instr;
+  std::uint64_t mem_addr_override = 0;
+  bool ssb_forwarded = false;
+
+  switch (instr.op) {
+    case ir::Opcode::kLoad: {
+      // A load without a live destination (class kGeneric).
+      const std::int64_t base = specReadReg(t, r.frame, instr.a);
+      mem_addr_override = static_cast<std::uint64_t>(base + instr.imm);
+      ssb_forwarded = specLoad(t, r, mem_addr_override, entry);
+      specWriteReg(t, r.frame, instr.dst, entry.emu_value);
       break;
     }
     case ir::Opcode::kCall: {
-      const ir::Function& callee = module_.function(instr.callee);
       for (std::size_t i = 0; i < instr.args.size(); ++i) {
         const std::int64_t v = specReadReg(t, r.frame, instr.args[i]);
         specWriteReg(t, r.callee_frame,
                      ir::Reg{static_cast<std::uint32_t>(i)}, v);
       }
-      (void)callee;
       t.call_stack.push_back({r.frame, instr.dst});
       break;
     }
     case ir::Opcode::kRet: {
-      if (t.call_stack.empty()) {
-        // Returning out of the forked function: stop speculating.
-        t.stalled = true;
-        return;
-      }
+      // Returning out of the forked function: stop speculating.
+      if (t.call_stack.empty()) return false;
       const std::int64_t v =
           instr.a.valid() ? specReadReg(t, r.frame, instr.a) : 0;
       entry.emu_value = v;
@@ -919,9 +1069,7 @@ void SptMachine::stepSpec(SpecThread& t) {
       break;
     default: {
       bool fault = false;
-      const std::int64_t a = specReadReg(t, r.frame, instr.a);
-      const std::int64_t b = specReadReg(t, r.frame, instr.b);
-      entry.emu_value = emulateBinary(instr.op, a, b, fault);
+      entry.emu_value = specEmulateValue(t, r, instr, fault);
       if (fault) {
         entry.violated = true;
         entry.emu_value = r.value;
@@ -931,29 +1079,8 @@ void SptMachine::stepSpec(SpecThread& t) {
       break;
     }
   }
-
-  ExecInstr e = makeExecInstr(d, r, mem_addr_override);
-  // Speculative stores stay in the SSB; they only reach the shared cache
-  // at commit time. Loads satisfied by the SSB are forwarded without a
-  // cache access.
-  e.is_store = false;
-  if (ssb_forwarded) e.is_load = false;
-  t.pipe->execute(e);
-  ++dispatch_fallbacks_;  // emulation mutates flags: always the generic path
-  // SRB payload corruption targets entries whose buffered result is
-  // actually consumed at commit (value producers, stores, returns); the
-  // register-file overlay keeps the true value, so downstream speculative
-  // dataflow is unaffected — exactly a buffer-array corruption.
-  if (injector_ && (d.is_store || instr.op == ir::Opcode::kRet ||
-                    (ir::producesValue(instr.op) &&
-                     instr.op != ir::Opcode::kCall))) {
-    if (injector_->maybeCorruptSrbPayload(entry.emu_value)) {
-      ++t.faults_pending;
-    }
-  }
-  t.srb.push_back(entry);
-  ++t.pos;
-  if (stall_after) t.stalled = true;
+  issueSpecGeneric(t, d, r, mem_addr_override, ssb_forwarded);
+  return true;
 }
 
 void SptMachine::arrival(SpecThread& t) {
@@ -1339,7 +1466,7 @@ void SptMachine::replayCommit(SpecThread& t) {
     if (dirty) {
       // Selective re-execution on the main pipeline (normal width).
       const std::uint64_t done = main_pipe_->execute(makeExecInstr(d, r));
-      ++dispatch_fallbacks_;
+      ++fallback_replay_;
       ++result_.threads.misspec_instrs;
       ++ts.misspec_instrs;
 

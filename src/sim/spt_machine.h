@@ -135,6 +135,8 @@ class SptMachine final : public trace::TraceSink {
 
   /// No freeze horizon: the thread may run to the end of the trace.
   static constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
+  /// No speculative thread waits for the main clock.
+  static constexpr std::uint64_t kNoHorizon = static_cast<std::uint64_t>(-1);
 
   /// Per-thread speculative state. The containers are persistent across
   /// threads (reset() is O(1) epoch bumps plus clearing the touched lists)
@@ -212,6 +214,18 @@ class SptMachine final : public trace::TraceSink {
   /// The step loop. Runs until the trace is done or, before finish(), until
   /// the next step needs a record that has not arrived yet.
   void step();
+  /// Steps the main thread while no speculative thread can step before the
+  /// main clock reaches `horizon`, through markers and fast-class records
+  /// only; the steps and their order are exactly step()'s. Returns false
+  /// when the next record needs stepMain().
+  bool burstMain(std::uint64_t horizon);
+  /// Steps thread `t`, the first that can step, and keeps stepping it
+  /// while it stays so; the steps and their order are exactly step()'s.
+  void burstSpec(SpecThread& t);
+  /// Counts one step; budgets are checked every 1024th.
+  void countStep() {
+    if (budgeted_ && (++steps_ & 1023u) == 0) checkBudgets();
+  }
   /// True when the next step (thread `t`, or the main thread when null)
   /// consumes a fork record whose start-point is not yet resolved.
   bool forkWaits(const SpecThread* t) const;
@@ -221,9 +235,33 @@ class SptMachine final : public trace::TraceSink {
   void advanceOracle(std::size_t pos);
   void checkOracle(std::size_t pos, const char* boundary);
   void stepMain();
+  /// One speculative record, dispatched on its class like
+  /// executeMainInstr: values, loads, stores, branches and jumps pair their
+  /// emulation and SSB/LAB bookkeeping with the class-specialized issue;
+  /// calls, returns, forks, kills, hallocs, kGeneric records and divide
+  /// faults take stepSpecGeneric.
   void stepSpec(SpecThread& t);
-  /// Every test for stepping thread `t` except that its record exists.
-  bool specCanStep(const SpecThread& t) const;
+  /// The generic speculative path for `entry`, the SRB entry of record `r`.
+  /// Returns false, having done nothing, for a return out of the forked
+  /// function.
+  bool stepSpecGeneric(SpecThread& t, const DecodedInstr& d,
+                       const trace::Record& r, SrbEntry& entry,
+                       bool& stall_after);
+  /// Issues a speculative record through the generic execute path.
+  void issueSpecGeneric(SpecThread& t, const DecodedInstr& d,
+                        const trace::Record& r,
+                        std::uint64_t mem_addr_override, bool ssb_forwarded);
+  /// Emulates a const, mov or binary op; sets `fault` on a division fault.
+  std::int64_t specEmulateValue(SpecThread& t, const trace::Record& r,
+                                const ir::Instr& instr, bool& fault);
+  /// Emulates a speculative load from `addr` into `entry`: from the own SSB
+  /// (returns true: no cache access), else from a predecessor's SSB or
+  /// memory, registering the load in the LAB.
+  bool specLoad(SpecThread& t, const trace::Record& r, std::uint64_t addr,
+                SrbEntry& entry);
+  /// Every test for stepping thread `t` except its clock and that its
+  /// record exists.
+  bool specRunnable(const SpecThread& t) const;
   void executeFork(const trace::Record& record);
   /// A speculative thread consumed a fork record (chained mode): spawn its
   /// successor, or drop the fork when no core is free / the forker is not
@@ -232,12 +270,12 @@ class SptMachine final : public trace::TraceSink {
   /// Runs the fork site's precomputation slice (if any) over the fork-time
   /// snapshot and charges its execution to the new thread's pipeline.
   void applyForkSlice(SpecThread& t, const ForkSite& site);
-  /// Materializes a register snapshot of `frame` as seen by thread `t`
-  /// (its overlay over its own fork-time context).
-  std::vector<std::int64_t> snapshotRegsFrom(SpecThread& t,
-                                             trace::FrameId frame,
-                                             std::uint32_t reg_count);
-  void executeMainInstr(const trace::Record& record);
+  /// Materializes into `out` a register snapshot of `frame` as seen by
+  /// thread `t` (its overlay over its own fork-time context).
+  void snapshotRegsFrom(const SpecThread& t, trace::FrameId frame,
+                        std::uint32_t reg_count,
+                        std::vector<std::int64_t>& out) const;
+  void executeMainInstr(const DecodedInstr& d, const trace::Record& record);
   /// Generic-path main instruction (calls, returns, kills, hallocs, and
   /// anything classified kGeneric); the class-specialized handlers live in
   /// executeMainInstr's dispatch switch.
@@ -290,6 +328,8 @@ class SptMachine final : public trace::TraceSink {
   /// Main-thread store: flags matching loads in every active thread's LAB.
   void mainStoreCheck(std::uint64_t addr);
 
+  /// Reads a register for the SRB entry under construction (the last one),
+  /// recording a live-in read of the fork-time context.
   std::int64_t specReadReg(SpecThread& t, trace::FrameId frame, ir::Reg reg);
   /// Reads like specReadReg but records nothing: used to pre-compute a
   /// memory address for the SSB/LAB capacity check before committing to
@@ -336,10 +376,16 @@ class SptMachine final : public trace::TraceSink {
   // Replay scratch (persistent; epoch-reset at each replayCommit).
   FrameRegMap<char> replay_dirty_regs_;
   EpochMap64<char> replay_dirty_addrs_;
-  // Instructions issued through the generic execute path (forks, calls,
-  // returns, speculative emulation, replay re-execution) as opposed to the
-  // class-specialized handlers; reported in MachineResult::hotpath.
-  std::uint64_t dispatch_fallbacks_ = 0;
+  // Instructions issued through the generic execute path instead of a
+  // class-specialized handler, by cause: the main thread's calls, returns,
+  // kills, hallocs and kGeneric records; its spt_fork issues; speculative
+  // records through stepSpecGeneric and divide faults; re-executions
+  // during selective replay. MachineResult::hotpath reports their sum as
+  // dispatch_fallback.
+  std::uint64_t fallback_main_ = 0;
+  std::uint64_t fallback_fork_ = 0;
+  std::uint64_t fallback_spec_ = 0;
+  std::uint64_t fallback_replay_ = 0;
   std::uint64_t fork_site_hits_ = 0;
   std::uint64_t fork_site_misses_ = 0;
   MachineResult result_;
@@ -360,7 +406,7 @@ class SptMachine final : public trace::TraceSink {
   /// waits for more records.
   bool final_ = false;
   bool budgeted_ = false;
-  /// Steps taken; budgets are checked every 1024th.
+  /// Steps taken (countStep).
   std::uint64_t steps_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "trace/trace.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -58,7 +59,7 @@ LoopIndex::LoopIndex(const ir::Module& module, TraceView trace)
 }
 
 void LoopIndex::resolve(std::vector<std::size_t>& forks, std::size_t start) {
-  for (const std::size_t fork : forks) fork_start_.emplace(fork, start);
+  for (const std::size_t fork : forks) fork_starts_[fork] = start;
   forks.clear();
 }
 
@@ -110,6 +111,10 @@ void LoopIndex::add(std::size_t i, const Record& r) {
         }
       }
       if (r.op != ir::Opcode::kSptFork) break;
+      SPT_CHECK(fork_records_.empty() || fork_records_.back() < i);
+      const std::size_t ordinal = fork_records_.size();
+      fork_records_.push_back(i);
+      fork_starts_.push_back(kPending);
       const auto& loc = module_.locate(r.sid);
       const ir::Function& func = module_.function(loc.func);
       const ir::Instr& fork = func.blocks[loc.block].instrs[loc.index];
@@ -119,10 +124,10 @@ void LoopIndex::add(std::size_t i, const Record& r) {
           func.blocks[target].instrs.front().static_id;
       auto it = open_.find(LoopKey{r.frame, target_sid});
       if (it != open_.end()) {
-        it->second.pending_forks.push_back(i);
+        it->second.pending_forks.push_back(ordinal);
       } else {
         // Region fork: wait for the target's next execution.
-        pending_regions_[LoopKey{r.frame, target_sid}].push_back(i);
+        pending_regions_[LoopKey{r.frame, target_sid}].push_back(ordinal);
       }
       break;
     }
@@ -143,10 +148,23 @@ void LoopIndex::finish(std::size_t size) {
   pending_regions_.clear();
 }
 
+const std::size_t* LoopIndex::startEntry(std::size_t record_index) const {
+  const auto it = std::lower_bound(fork_records_.begin(), fork_records_.end(),
+                                   record_index);
+  if (it == fork_records_.end() || *it != record_index) return nullptr;
+  return &fork_starts_[static_cast<std::size_t>(it - fork_records_.begin())];
+}
+
+bool LoopIndex::resolved(std::size_t record_index) const {
+  const std::size_t* start = startEntry(record_index);
+  return start != nullptr && *start != kPending;
+}
+
 std::size_t LoopIndex::startOfFork(std::size_t record_index) const {
-  const auto it = fork_start_.find(record_index);
-  SPT_CHECK_MSG(it != fork_start_.end(), "record is not an indexed fork");
-  return it->second;
+  const std::size_t* start = startEntry(record_index);
+  SPT_CHECK_MSG(start != nullptr && *start != kPending,
+                "record is not an indexed fork");
+  return *start;
 }
 
 std::string loopNameOf(const ir::Module& module, ir::StaticId header_sid) {

@@ -150,9 +150,7 @@ class LoopIndex {
   void finish(std::size_t size);
 
   /// True once the fork record at `record_index` has a start-point answer.
-  bool resolved(std::size_t record_index) const {
-    return fork_start_.contains(record_index);
-  }
+  bool resolved(std::size_t record_index) const;
 
   /// For the fork record at `record_index`: the record index of the
   /// speculative thread's start-point (a kIterBegin marker for loop forks,
@@ -178,20 +176,32 @@ class LoopIndex {
   };
   struct OpenEpisode {
     std::size_t episode_index;
-    std::vector<std::size_t> pending_forks;
+    std::vector<std::size_t> pending_forks;  // fork ordinals
   };
 
-  /// Resolves `forks` to `start` and empties the list.
+  /// The start-point of a fork that has no answer yet.
+  static constexpr std::size_t kPending = kNoStart - 1;
+
+  /// fork_starts_ entry of the fork record at `record_index`, or null when
+  /// that record is not an indexed fork.
+  const std::size_t* startEntry(std::size_t record_index) const;
+  /// Resolves the forks with ordinals `forks` to `start` and empties the
+  /// list.
   void resolve(std::vector<std::size_t>& forks, std::size_t start);
 
   const ir::Module& module_;
-  std::unordered_map<std::size_t, std::size_t> fork_start_;
+  /// The fork table: fork record indices in record order (add() sees them
+  /// in that order, so the vector is sorted), and each fork's start-point
+  /// or kPending. A fork's ordinal is its position in both.
+  std::vector<std::size_t> fork_records_;
+  std::vector<std::size_t> fork_starts_;
   std::vector<LoopEpisode> episodes_;
   /// Loops currently executing, with the loop forks awaiting their next
   /// iteration.
   std::unordered_map<LoopKey, OpenEpisode, LoopKeyHash> open_;
-  /// Region forks awaiting the next execution of their target instruction
-  /// in the forking frame (key: forking frame, target's static id).
+  /// Region forks (ordinals) awaiting the next execution of their target
+  /// instruction in the forking frame (key: forking frame, target's static
+  /// id).
   std::unordered_map<LoopKey, std::vector<std::size_t>, LoopKeyHash>
       pending_regions_;
 };

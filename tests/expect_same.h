@@ -58,6 +58,9 @@ inline void expectSameMachineResult(const sim::MachineResult& a,
   EXPECT_EQ(a.branch_mispredict_ratio, b.branch_mispredict_ratio);
   EXPECT_EQ(a.hotpath.dispatch_fast, b.hotpath.dispatch_fast);
   EXPECT_EQ(a.hotpath.dispatch_fallback, b.hotpath.dispatch_fallback);
+  EXPECT_EQ(a.hotpath.fallback_fork, b.hotpath.fallback_fork);
+  EXPECT_EQ(a.hotpath.fallback_spec, b.hotpath.fallback_spec);
+  EXPECT_EQ(a.hotpath.fallback_replay, b.hotpath.fallback_replay);
   EXPECT_EQ(a.hotpath.arena_frame_allocs, b.hotpath.arena_frame_allocs);
   EXPECT_EQ(a.hotpath.arena_frame_reuses, b.hotpath.arena_frame_reuses);
   EXPECT_EQ(a.hotpath.fork_site_hits, b.hotpath.fork_site_hits);

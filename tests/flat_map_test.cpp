@@ -106,6 +106,17 @@ TEST(FrameRegMap, MatchesReferenceMapAcrossResets) {
         if (found != nullptr) ASSERT_EQ(*found, it->second);
       }
     }
+    // overlayOnto: the live entries of a frame below the output's size,
+    // over values it leaves alone.
+    for (std::uint32_t frame = 0; frame < 6; ++frame) {
+      std::vector<std::int64_t> out(32, -1);
+      flat.overlayOnto(frame, out);
+      for (std::uint32_t reg = 0; reg < out.size(); ++reg) {
+        const auto it = ref.find({frame, reg});
+        ASSERT_EQ(out[reg], it != ref.end() ? it->second : -1)
+            << "frame " << frame << " reg " << reg;
+      }
+    }
     flat.reset();
     for (std::uint32_t frame = 0; frame < 5; ++frame) {
       for (std::uint32_t reg = 0; reg < 40; ++reg) {

@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "expect_same.h"
+#include "fork_reference.h"
 #include "harness/experiment.h"
 #include "harness/suite.h"
 #include "random_programs.h"
@@ -25,6 +25,8 @@ namespace spt::harness {
 namespace {
 
 using spt::testing::expectSameMachineResult;
+using spt::testing::lookAheadStart;
+using spt::testing::OpenLoops;
 
 /// Feeds every record of `trace` to a streaming machine, then finish().
 sim::MachineResult streamInto(sim::SptMachine& machine,
@@ -223,32 +225,6 @@ TEST(StreamedSpt, BudgetDiagnosticsDoNotDependOnBlocks) {
 }
 
 // ------------------------------------------------ the incremental index
-
-/// (frame, header static id) of the loops executing at a trace position.
-using OpenLoops = std::set<std::pair<trace::FrameId, ir::StaticId>>;
-
-/// The start-point of the fork at `i` by looking ahead, as the definition
-/// in trace.h states it: with (frame, target) an open loop, its next
-/// iteration unless the loop exits first; otherwise the target's next
-/// execution in the forking frame. `open` holds the loops open at `i`.
-std::size_t lookAheadStart(const ir::Module& m, trace::TraceView trace,
-                           std::size_t i, const OpenLoops& open) {
-  const trace::Record& fork_record = trace[i];
-  const auto& loc = m.locate(fork_record.sid);
-  const ir::Function& func = m.function(loc.func);
-  const ir::Instr& fork = func.blocks[loc.block].instrs[loc.index];
-  const ir::StaticId target =
-      func.blocks[fork.target0].instrs.front().static_id;
-  const bool loop_fork = open.contains({fork_record.frame, target});
-  for (std::size_t j = i + 1; j < trace.size(); ++j) {
-    const trace::Record& r = trace[j];
-    if (r.frame != fork_record.frame || r.sid != target) continue;
-    if (loop_fork && r.kind == trace::RecordKind::kIterBegin) return j;
-    if (loop_fork && r.kind == trace::RecordKind::kLoopExit) break;
-    if (!loop_fork && r.kind == trace::RecordKind::kInstr) return j;
-  }
-  return trace::LoopIndex::kNoStart;
-}
 
 void expectSameEpisodes(const trace::LoopIndex& a, const trace::LoopIndex& b) {
   ASSERT_EQ(a.episodes().size(), b.episodes().size());

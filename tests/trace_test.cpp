@@ -4,9 +4,14 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
+#include "fork_reference.h"
+#include "harness/experiment.h"
+#include "harness/suite.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
+#include "random_programs.h"
 #include "test_programs.h"
 #include "trace/trace.h"
 
@@ -267,6 +272,85 @@ TEST(LoopIndex, InstrCountMatchesBuffer) {
     instrs += rec.kind == RecordKind::kInstr;
   }
   EXPECT_EQ(t.buf.instrCount(), instrs);
+}
+
+// ------------------------------------------------ the fork table
+
+/// Pins resolved()/startOfFork() of `m`'s trace to the look-ahead reference
+/// for every record: on the whole-trace index, and on an incremental index
+/// after every add() (a fork resolves with the reference's answer no later
+/// than its start-point's arrival; no other record ever resolves) and after
+/// finish(). Returns the number of forks.
+std::size_t checkForkTable(ir::Module& m) {
+  const harness::TracedRun run = harness::traceProgram(m);
+  const TraceView trace = run.trace.view();
+  const std::vector<std::size_t> ref = testing::referenceForkStarts(m, trace);
+  const auto isFork = [&](std::size_t i) {
+    return ref[i] != testing::kNotFork;
+  };
+
+  const LoopIndex whole(m, trace);
+  std::size_t forks = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(whole.resolved(i), isFork(i)) << "record " << i;
+    if (!isFork(i)) continue;
+    ++forks;
+    EXPECT_EQ(whole.startOfFork(i), ref[i]) << "record " << i;
+  }
+
+  LoopIndex inc(m);
+  std::vector<std::size_t> waiting;  // forks inc has not resolved yet
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    inc.add(i, trace[i]);
+    if (isFork(i)) {
+      waiting.push_back(i);
+    } else {
+      EXPECT_FALSE(inc.resolved(i)) << "record " << i;
+    }
+    std::erase_if(waiting, [&](std::size_t f) {
+      if (!inc.resolved(f)) {
+        EXPECT_GT(ref[f], i) << "fork " << f << " unresolved at " << i;
+        return false;
+      }
+      EXPECT_EQ(inc.startOfFork(f), ref[f]) << "fork " << f;
+      return true;
+    });
+  }
+  inc.finish(trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(inc.resolved(i), isFork(i)) << "record " << i;
+    if (isFork(i)) {
+      EXPECT_EQ(inc.startOfFork(i), ref[i]) << "record " << i;
+    }
+  }
+  return forks;
+}
+
+TEST(LoopIndexForkTable, SuiteMatchesLookAhead) {
+  std::size_t forks = 0;
+  for (const harness::SuiteEntry& e : harness::defaultSuite()) {
+    SCOPED_TRACE(e.workload.name);
+    ir::Module m = e.workload.build(1);
+    harness::InterpProfileRunner runner;
+    compiler::SptCompiler(e.copts).compile(m, runner);
+    forks += checkForkTable(m);
+  }
+  EXPECT_GT(forks, 0u);
+}
+
+TEST(LoopIndexForkTable, RandomProgramsMatchLookAhead) {
+  // Every other program with region speculation, for region forks.
+  std::size_t forks = 0;
+  for (std::uint64_t seed = 4000; seed < 4050; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ir::Module m = testing::generateRandomProgram(seed);
+    compiler::CompilerOptions copts;
+    copts.enable_region_speculation = seed % 2 == 1;
+    harness::InterpProfileRunner runner;
+    compiler::SptCompiler(copts).compile(m, runner);
+    forks += checkForkTable(m);
+  }
+  EXPECT_GT(forks, 0u);
 }
 
 }  // namespace
