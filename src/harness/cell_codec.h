@@ -94,8 +94,8 @@ class ByteReader {
 /// SweepRow <-> payload (tag 'S'). Covers benchmark, config, status,
 /// diagnostic, both machines' cycles/instrs/breakdown, the SPT machine's
 /// thread and fault stats, digests, and the extra-metric map — everything
-/// writeSweepJson and the checkpoint line consume. Worker diagnostics are
-/// parent-side and never cross the pipe.
+/// writeSweepJson consumes; the durable log stores these bytes as its row
+/// records. Worker diagnostics are parent-side and never cross the pipe.
 std::string encodeSweepRow(const SweepRow& row);
 bool decodeSweepRow(const std::string& payload, SweepRow* row);
 

@@ -1,14 +1,12 @@
 #include "harness/fault_campaign.h"
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
 #include "harness/cell_codec.h"
-#include "harness/checkpoint.h"
+#include "harness/durable_log.h"
 #include "harness/suite.h"
 #include "sim/oracle.h"
 #include "sim/spt_machine.h"
@@ -38,59 +36,6 @@ std::string campaignCellConfigKey(std::size_t cell_index,
                                   std::uint64_t fault_seed) {
   return "cell:" + std::to_string(cell_index) +
          "/seed:" + std::to_string(fault_seed);
-}
-
-CheckpointLine campaignCheckpointLine(const FaultCampaignCell& cell,
-                                      std::size_t c) {
-  CheckpointLine line;
-  line.status = cell.status;
-  line.benchmark = cell.benchmark;
-  line.config = campaignCellConfigKey(c, cell.fault_seed);
-  line.metrics = {
-      cell.faults.injected,
-      cell.faults.detected_by_net,
-      cell.faults.detected_by_oracle,
-      cell.faults.benign,
-      cell.faults.escaped,
-      cell.oracle_checks,
-      cell.arch_digest,
-      cell.sequential_digest,
-      cell.digest_match ? 1ull : 0ull,
-      cell.diverged ? 1ull : 0ull,
-      cell.divergence_pos,
-  };
-  line.diagnostic = cell.diagnostic;
-  return line;
-}
-
-namespace {
-
-void applyCheckpointLine(const CheckpointLine& l, FaultCampaignCell& cell) {
-  cell.status = l.status;
-  cell.diagnostic = l.diagnostic;
-  cell.faults.injected = l.metrics[0];
-  cell.faults.detected_by_net = l.metrics[1];
-  cell.faults.detected_by_oracle = l.metrics[2];
-  cell.faults.benign = l.metrics[3];
-  cell.faults.escaped = l.metrics[4];
-  cell.oracle_checks = l.metrics[5];
-  cell.arch_digest = l.metrics[6];
-  cell.sequential_digest = l.metrics[7];
-  cell.digest_match = l.metrics[8] != 0;
-  cell.diverged = l.metrics[9] != 0;
-  cell.divergence_pos = l.metrics[10];
-}
-
-}  // namespace
-
-FaultCampaignCell campaignCellFromCheckpointLine(const CheckpointLine& line,
-                                                 const std::string& benchmark,
-                                                 std::uint64_t fault_seed) {
-  FaultCampaignCell cell;
-  cell.benchmark = benchmark;
-  cell.fault_seed = fault_seed;
-  applyCheckpointLine(line, cell);
-  return cell;
 }
 
 namespace {
@@ -141,7 +86,9 @@ FaultCampaignCell runCampaignCell(const Prepared& p, std::size_t c,
 
 }  // namespace
 
-FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts) {
+FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts,
+                                     std::string* checkpoint_error) {
+  CheckpointLog log(opts.checkpoint_path, opts.resume);
   const std::vector<SuiteEntry> suite = defaultSuite();
   const ParallelSweep sweep(opts.jobs);
 
@@ -176,36 +123,21 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts) {
   const std::size_t n_cells = prepared.size() * opts.seeds;
   FaultCampaignResult result;
 
-  std::map<std::string, CheckpointLine> resumed;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
-    std::string torn_warning;
-    resumed = loadCheckpoint(opts.checkpoint_path, kCampaignCheckpointMetrics,
-                             &torn_warning);
-    if (!torn_warning.empty()) {
-      std::fprintf(stderr, "warning: %s\n", torn_warning.c_str());
-    }
-  }
-  // Reuses an ok checkpoint line for cell c, if one matches its key.
+  const auto cellKey = [&](std::size_t c) {
+    return campaignCellConfigKey(c, support::deriveSeed(opts.base_seed, c));
+  };
+  // The ok cell `log` holds for cell c, if one decodes.
   const auto resumedCell =
       [&](std::size_t c) -> std::optional<FaultCampaignCell> {
-    if (resumed.empty()) return std::nullopt;
+    const std::string* payload =
+        log.resumed(prepared[c / opts.seeds].name, cellKey(c));
     FaultCampaignCell cell;
-    cell.benchmark = prepared[c / opts.seeds].name;
-    cell.fault_seed = support::deriveSeed(opts.base_seed, c);
-    const auto it = resumed.find(checkpointKey(
-        cell.benchmark, campaignCellConfigKey(c, cell.fault_seed)));
-    if (it == resumed.end() || it->second.status != CellStatus::kOk) {
+    if (payload == nullptr || !decodeCampaignCell(*payload, &cell) ||
+        !cell.ok()) {
       return std::nullopt;
     }
-    applyCheckpointLine(it->second, cell);
     return cell;
   };
-
-  DurableAppendFile checkpoint;
-  std::mutex checkpoint_mu;
-  if (!opts.checkpoint_path.empty()) {
-    checkpoint.open(opts.checkpoint_path, /*truncate=*/!opts.resume);
-  }
 
   if (opts.supervisor.isolate && Supervisor::isolationSupported()) {
     result.cells.resize(n_cells);
@@ -227,7 +159,7 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts) {
       return encodeCampaignCell(
           runCampaignCell(prepared[c / opts.seeds], c, opts));
     };
-    // Parent-side settle hook: single-threaded, no checkpoint lock needed.
+    // Parent-side settle hook, run as each cell's retries resolve.
     const auto on_settled = [&](std::size_t k,
                                 const Supervisor::Outcome& oc) {
       const std::size_t c = to_run[k];
@@ -235,16 +167,12 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts) {
           prepared[c / opts.seeds].name,
           support::deriveSeed(opts.base_seed, c), oc);
       // A failed cell never carried the worker's digest; fill the ground
-      // truth from phase 1 so its checkpoint line matches the historical
-      // format (an ok cell's payload already carries it).
+      // truth from phase 1, as the in-process path reports it (an ok
+      // cell's payload already carries it).
       if (!cell.ok() && cell.sequential_digest == 0) {
         cell.sequential_digest = prepared[c / opts.seeds].sequential_digest;
       }
-      if (checkpoint.isOpen()) {
-        checkpoint.appendLine(
-            formatCheckpointLine(campaignCheckpointLine(cell, c)));
-        checkpoint.sync();
-      }
+      log.append(cell.benchmark, cellKey(c), encodeCampaignCell(cell));
       result.cells[c] = std::move(cell);
     };
 
@@ -256,15 +184,11 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts) {
       }
       FaultCampaignCell cell =
           runCampaignCell(prepared[c / opts.seeds], c, opts);
-      if (checkpoint.isOpen()) {
-        const std::lock_guard<std::mutex> lock(checkpoint_mu);
-        checkpoint.appendLine(
-            formatCheckpointLine(campaignCheckpointLine(cell, c)));
-        checkpoint.sync();
-      }
+      log.append(cell.benchmark, cellKey(c), encodeCampaignCell(cell));
       return cell;
     });
   }
+  if (checkpoint_error != nullptr) *checkpoint_error = log.failure();
 
   // Totals aggregate ok cells; a failed cell contributes its status (and
   // fails allCellsOk / allDigestsMatch), not half-counted fault numbers.

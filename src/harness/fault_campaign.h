@@ -37,12 +37,13 @@ struct FaultCampaignOptions {
   std::uint32_t period = 32;     // injector firing period (1/period per site)
   support::OracleMode oracle = support::OracleMode::kDigest;
   support::MachineConfig machine;
-  /// Checkpoint/resume, sharing the sweep's `spt-sweep-v1` side-file
-  /// format (harness/checkpoint.h): every finished cell is appended and
-  /// flushed; on resume the last ok line per cell is reused and failed or
-  /// missing cells re-run. A cell's key is its workload name plus
-  /// "cell:<index>/seed:<fault_seed>", so a resumed file silently ignores
-  /// lines from a different grid shape or base seed.
+  /// Checkpoint/resume through the sweep's durable log
+  /// (harness/durable_log.h): every finished cell is appended as a row
+  /// record and fsync'd; on resume the last ok row per cell is reused and
+  /// failed or missing cells re-run. A cell's key is its workload name
+  /// plus "cell:<index>/seed:<fault_seed>", so a resumed log silently
+  /// ignores rows from a different grid shape or base seed. Log failures
+  /// are handled as in runSweep.
   std::string checkpoint_path;
   bool resume = false;
   /// Process isolation (supervisor.h): with supervisor.isolate set, phase
@@ -103,36 +104,15 @@ struct FaultCampaignResult {
   }
 };
 
-/// Runs the campaign over harness::defaultSuite().
-FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts = {});
-
-/// Campaign checkpoint metric columns (harness/checkpoint.h line format):
-/// injected, detected_by_net, detected_by_oracle, benign, escaped,
-/// oracle_checks, arch_digest, sequential_digest, digest_match, diverged,
-/// divergence_pos.
-inline constexpr std::size_t kCampaignCheckpointMetrics = 11;
+/// Runs the campaign over harness::defaultSuite(). `checkpoint_error` is
+/// as in runSweep.
+FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts = {},
+                                     std::string* checkpoint_error = nullptr);
 
 /// The campaign cell's checkpoint config key,
 /// "cell:<index>/seed:<fault_seed>".
 std::string campaignCellConfigKey(std::size_t cell_index,
                                   std::uint64_t fault_seed);
-
-/// The checkpoint line for one finished campaign cell, exposed so the
-/// sweep service appends to the same side files `sptc inject` writes.
-CheckpointLine campaignCheckpointLine(const FaultCampaignCell& cell,
-                                      std::size_t cell_index);
-
-/// Inverse of campaignCheckpointLine: reconstructs a resumed cell from a
-/// parsed checkpoint line (`line.metrics.size()` must be
-/// kCampaignCheckpointMetrics) plus the benchmark/fault-seed identity the
-/// caller derives from the cell index. The 11 metrics cover every
-/// deterministic per-cell field writeFaultCampaignJson emits for a clean
-/// cell (the divergence boundary/diff excerpt only exists for diverged
-/// cells, matching `--resume`, which also re-runs those). Shared by
-/// resume and the sweep service's journal recovery.
-FaultCampaignCell campaignCellFromCheckpointLine(const CheckpointLine& line,
-                                                 const std::string& benchmark,
-                                                 std::uint64_t fault_seed);
 
 /// Worker-side body of one campaign cell that owns its whole pipeline:
 /// compiles and traces `benchmark` (a defaultSuite() workload name) in the

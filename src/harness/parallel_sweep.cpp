@@ -1,11 +1,9 @@
 #include "harness/parallel_sweep.h"
 
-#include <cstdio>
 #include <fstream>
-#include <mutex>
 
 #include "harness/cell_codec.h"
-#include "harness/checkpoint.h"
+#include "harness/durable_log.h"
 #include "support/check.h"
 #include "support/error.h"
 #include "support/json.h"
@@ -24,17 +22,10 @@ std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
   });
 }
 
-// The sweep stores the 20 summary metrics writeSweepJson emits in its
-// checkpoint lines (harness/checkpoint.h owns the shared line format), so
-// a resumed ok row carries the summary numbers but not the full plan/run
-// payloads.
 CheckpointLine sweepCheckpointLine(const SweepRow& r) {
   const sim::MachineResult& base = r.result.baseline;
   const sim::MachineResult& spt = r.result.spt;
   CheckpointLine line;
-  line.status = r.status;
-  line.benchmark = r.benchmark;
-  line.config = r.config;
   line.metrics = {
       base.cycles,
       spt.cycles,
@@ -57,7 +48,6 @@ CheckpointLine sweepCheckpointLine(const SweepRow& r) {
       spt.threads.forks_ignored,
       spt.threads.wrong_path,
   };
-  line.diagnostic = r.diagnostic;
   return line;
 }
 
@@ -109,37 +99,6 @@ std::vector<SweepCase> buildSuiteSweepCases(
   return cases;
 }
 
-SweepRow sweepRowFromCheckpointLine(const CheckpointLine& l) {
-  SweepRow out;
-  out.status = l.status;
-  out.benchmark = l.benchmark;
-  out.config = l.config;
-  out.diagnostic = l.diagnostic;
-  sim::MachineResult& base = out.result.baseline;
-  sim::MachineResult& spt = out.result.spt;
-  base.cycles = l.metrics[0];
-  spt.cycles = l.metrics[1];
-  base.instrs = l.metrics[2];
-  spt.instrs = l.metrics[3];
-  base.breakdown.execution = l.metrics[4];
-  base.breakdown.pipeline_stall = l.metrics[5];
-  base.breakdown.dcache_stall = l.metrics[6];
-  spt.breakdown.execution = l.metrics[7];
-  spt.breakdown.pipeline_stall = l.metrics[8];
-  spt.breakdown.dcache_stall = l.metrics[9];
-  spt.threads.spawned = l.metrics[10];
-  spt.threads.fast_commits = l.metrics[11];
-  spt.threads.replays = l.metrics[12];
-  spt.threads.squashes = l.metrics[13];
-  spt.threads.killed = l.metrics[14];
-  spt.threads.spec_instrs = l.metrics[15];
-  spt.threads.misspec_instrs = l.metrics[16];
-  spt.threads.committed_instrs = l.metrics[17];
-  spt.threads.forks_ignored = l.metrics[18];
-  spt.threads.wrong_path = l.metrics[19];
-  return out;
-}
-
 namespace {
 
 /// Runs one cell in-cell (either path): quarantine-catches per `catch_all`.
@@ -165,32 +124,32 @@ SweepRow runCell(const SweepCase& c, bool catch_all, TraceCache* cache) {
   return row;
 }
 
-/// The supervised sweep path (the warm worker pool). `resumed` holds ok
-/// rows reused from the checkpoint; only the remaining cells go to
-/// workers.
-std::vector<SweepRow> runSweepSupervised(
-    const ParallelSweep& sweep, const std::vector<SweepCase>& cases,
-    const SweepOptions& opts, std::map<std::string, SweepRow>& resumed,
-    TraceCache* cache) {
+/// The ok row `log` holds for `c`, if one decodes.
+std::optional<SweepRow> resumedRow(const CheckpointLog& log,
+                                   const SweepCase& c) {
+  const std::string* payload = log.resumed(c.benchmark, c.config);
+  SweepRow row;
+  if (payload == nullptr || !decodeSweepRow(*payload, &row) || !row.ok()) {
+    return std::nullopt;
+  }
+  return row;
+}
+
+/// The supervised sweep path (the warm worker pool). Cells with an ok row
+/// in the resumed log are reused; only the remaining cells go to workers.
+std::vector<SweepRow> runSweepSupervised(const ParallelSweep& sweep,
+                                         const std::vector<SweepCase>& cases,
+                                         const SweepOptions& opts,
+                                         CheckpointLog& log,
+                                         TraceCache* cache) {
   std::vector<SweepRow> rows(cases.size());
   std::vector<std::size_t> to_run;
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto it =
-        resumed.find(checkpointKey(cases[i].benchmark, cases[i].config));
-    if (opts.resume && it != resumed.end() && it->second.ok()) {
-      rows[i] = it->second;
+    if (std::optional<SweepRow> row = resumedRow(log, cases[i])) {
+      rows[i] = std::move(*row);
     } else {
       to_run.push_back(i);
     }
-  }
-
-  // Checkpoints go through the durable fd writer (O_APPEND + fsync per
-  // record): the old ofstream flush() only reached the page cache, so a
-  // power loss — or the SIGKILLs the service crash campaign throws — could
-  // lose records the process believed were safe.
-  DurableAppendFile checkpoint;
-  if (!opts.checkpoint_path.empty()) {
-    checkpoint.open(opts.checkpoint_path, /*truncate=*/!opts.resume);
   }
 
   SupervisorOptions sopts = opts.supervisor;
@@ -209,17 +168,12 @@ std::vector<SweepRow> runSweepSupervised(
     return produceSweepCellPayload(cases[to_run[k]], cache);
   };
 
-  // The settle hook runs in the parent, single-threaded, as each cell's
-  // retries resolve — checkpoint appends need no lock here.
+  // The settle hook runs in the parent as each cell's retries resolve.
   const auto on_settled = [&](std::size_t k, const Supervisor::Outcome& oc) {
-    const std::size_t i = to_run[k];
-    SweepRow row =
-        sweepRowFromOutcome(cases[i].benchmark, cases[i].config, oc);
-    if (checkpoint.isOpen()) {
-      checkpoint.appendLine(formatCheckpointLine(sweepCheckpointLine(row)));
-      checkpoint.sync();
-    }
-    rows[i] = std::move(row);
+    const SweepCase& c = cases[to_run[k]];
+    SweepRow row = sweepRowFromOutcome(c.benchmark, c.config, oc);
+    log.append(c.benchmark, c.config, encodeSweepRow(row));
+    rows[to_run[k]] = std::move(row);
   };
 
   supervisor.run(to_run.size(), produce, on_settled);
@@ -259,18 +213,9 @@ SweepRow sweepRowFromOutcome(const std::string& benchmark,
 
 std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
                                const std::vector<SweepCase>& cases,
-                               const SweepOptions& opts) {
-  std::map<std::string, SweepRow> resumed;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
-    std::string torn_warning;
-    for (auto& [key, line] : loadCheckpoint(
-             opts.checkpoint_path, kSweepCheckpointMetrics, &torn_warning)) {
-      resumed[key] = sweepRowFromCheckpointLine(line);
-    }
-    if (!torn_warning.empty()) {
-      std::fprintf(stderr, "warning: %s\n", torn_warning.c_str());
-    }
-  }
+                               const SweepOptions& opts,
+                               std::string* checkpoint_error) {
+  CheckpointLog log(opts.checkpoint_path, opts.resume);
 
   // Quarantine runs the whole sweep with SPT_CHECK in throwing mode so a
   // poisoned cell surfaces as SptInternalError on its own worker instead
@@ -286,30 +231,22 @@ std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
   if (!opts.trace_cache_dir.empty()) cache.emplace(opts.trace_cache_dir);
   TraceCache* cache_ptr = cache ? &*cache : nullptr;
 
+  std::vector<SweepRow> rows;
   if (opts.supervisor.isolate && Supervisor::isolationSupported()) {
-    return runSweepSupervised(sweep, cases, opts, resumed, cache_ptr);
+    rows = runSweepSupervised(sweep, cases, opts, log, cache_ptr);
+  } else {
+    rows = sweep.run(cases.size(), [&](std::size_t i) {
+      const SweepCase& c = cases[i];
+      if (std::optional<SweepRow> row = resumedRow(log, c)) {
+        return std::move(*row);
+      }
+      SweepRow row = runCell(c, /*catch_all=*/opts.quarantine, cache_ptr);
+      log.append(c.benchmark, c.config, encodeSweepRow(row));
+      return row;
+    });
   }
-
-  DurableAppendFile checkpoint;
-  std::mutex checkpoint_mu;
-  if (!opts.checkpoint_path.empty()) {
-    checkpoint.open(opts.checkpoint_path, /*truncate=*/!opts.resume);
-  }
-
-  return sweep.run(cases.size(), [&](std::size_t i) {
-    const SweepCase& c = cases[i];
-    if (opts.resume) {
-      const auto it = resumed.find(checkpointKey(c.benchmark, c.config));
-      if (it != resumed.end() && it->second.ok()) return it->second;
-    }
-    SweepRow row = runCell(c, /*catch_all=*/opts.quarantine, cache_ptr);
-    if (checkpoint.isOpen()) {
-      const std::lock_guard<std::mutex> lock(checkpoint_mu);
-      checkpoint.appendLine(formatCheckpointLine(sweepCheckpointLine(row)));
-      checkpoint.sync();
-    }
-    return row;
-  });
+  if (checkpoint_error != nullptr) *checkpoint_error = log.failure();
+  return rows;
 }
 
 bool writeSweepJson(const std::string& path,

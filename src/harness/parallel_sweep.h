@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <map>
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "harness/cell_status.h"
-#include "harness/checkpoint.h"
 #include "harness/suite.h"
 #include "harness/supervisor.h"
 #include "support/rng.h"
@@ -138,19 +138,23 @@ struct SweepOptions {
   /// throwing mode, catch per-cell failures, and report them as non-ok
   /// rows instead of propagating.
   bool quarantine = false;
-  /// When non-empty, every finished cell is appended (and flushed) to this
-  /// side file as it completes, so a killed sweep loses at most the cells
-  /// in flight.
+  /// When non-empty, every finished cell is appended as a row record to
+  /// this durable log (harness/durable_log.h) and fsync'd as it completes,
+  /// so a killed sweep loses at most the cells in flight. runSweep throws
+  /// DurableLogError when the log cannot be opened (before any cell runs);
+  /// a failed append or fsync is reported on stderr and through
+  /// runSweep's `checkpoint_error`, and the rows are still returned.
   std::string checkpoint_path;
   /// Reuse ok rows found in `checkpoint_path` instead of re-running their
   /// cells; failed (non-ok) and missing cells re-run. Keyed by
-  /// (benchmark, config); the last checkpoint line per key wins.
+  /// (benchmark, config); the last row per key wins. A file in an older
+  /// format is refused with DurableLogError.
   bool resume = false;
   /// Process isolation (supervisor.h). With supervisor.isolate set, every
   /// non-resumed cell runs in a pooled worker under the watchdog/retry
   /// policy; crashes and hangs become non-ok rows instead of taking the
   /// sweep down. Quarantine semantics are implied in the worker (a cell
-  /// exception becomes a non-ok row either way). Checkpoint files written
+  /// exception becomes a non-ok row either way). Checkpoint logs written
   /// by either path resume under the other.
   SupervisorOptions supervisor;
   /// When non-empty, cells share one mmap-backed v3 trace per
@@ -199,21 +203,14 @@ SweepRow sweepRowFromOutcome(const std::string& benchmark,
                              const std::string& config,
                              const Supervisor::Outcome& outcome);
 
-/// The checkpoint line for one finished sweep row (the 20 summary
-/// metrics; harness/checkpoint.h line format, kSweepCheckpointMetrics
-/// columns), exposed so the sweep service can append to the same
-/// checkpoint files the one-shot sweep writes.
-inline constexpr std::size_t kSweepCheckpointMetrics = 20;
+/// The 20 summary metrics of one sweep row, in a fixed order. Nothing in
+/// src/ or tools/ calls it; it stays only because perfbench/report.cpp
+/// hashes `.metrics` into its simulation digest, and goes away with the
+/// next change to the benchmark.
+struct CheckpointLine {
+  std::vector<std::uint64_t> metrics;
+};
 CheckpointLine sweepCheckpointLine(const SweepRow& row);
-
-/// Inverse of sweepCheckpointLine: reconstructs a resumed row from a
-/// parsed checkpoint line (`line.metrics.size()` must be
-/// kSweepCheckpointMetrics). The 20 metrics cover every deterministic
-/// field writeSweepJson emits (speedups and ratios are derived), so a
-/// resumed row renders byte-identically; the full plan/run payloads and
-/// worker diagnostics are not part of the line. Shared by `--resume` and
-/// the sweep service's journal recovery.
-SweepRow sweepRowFromCheckpointLine(const CheckpointLine& line);
 
 /// Runs every case through runSptExperiment on `sweep`'s pool; rows come
 /// back in `cases` order.
@@ -221,9 +218,12 @@ std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
                                const std::vector<SweepCase>& cases);
 
 /// Hardened variant: per-cell quarantine and checkpoint/resume per `opts`.
+/// When `checkpoint_error` is non-null it is set to CheckpointLog::failure()
+/// after the run: empty unless an append or fsync of a row failed.
 std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
                                const std::vector<SweepCase>& cases,
-                               const SweepOptions& opts);
+                               const SweepOptions& opts,
+                               std::string* checkpoint_error = nullptr);
 
 /// Writes rows as a machine-readable JSON document:
 /// {"rows":[{benchmark, config, baseline_cycles, spt_cycles, speedup,

@@ -93,7 +93,7 @@ struct SupervisorOptions {
   /// in-flight workers finish (and checkpoint) normally, every
   /// undispatched cell settles as kInternalError with an "interrupted"
   /// diagnostic, and run() returns — so an operator ^C never tears a
-  /// checkpoint line and `--resume` re-runs exactly the unfinished cells.
+  /// checkpoint row and `--resume` re-runs exactly the unfinished cells.
   const volatile std::sig_atomic_t* stop = nullptr;
 };
 

@@ -8,11 +8,11 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "harness/cell_codec.h"
-#include "harness/checkpoint.h"
-#include "harness/journal.h"
+#include "harness/durable_log.h"
 #include "harness/suite.h"
 #include "harness/trace_cache.h"
 #include "support/json.h"
@@ -564,7 +564,6 @@ struct SweepService::Impl {
   bool draining = false;
   bool drain_flush_armed = false;
   Clock::time_point drain_flush_deadline{};
-  DurableAppendFile checkpoint;
   DurableAppendFile journal;
   /// Next journal request id; seeded from the replay so ids stay unique
   /// across restarts of the same journal file.
@@ -582,6 +581,7 @@ struct SweepService::Impl {
   std::uint64_t journal_records_skipped = 0;
   std::uint64_t journal_requests_recovered = 0;
   std::uint64_t journal_appends = 0;
+  std::uint64_t journal_append_failures = 0;
   std::uint64_t requests_attached = 0;
   bool journal_torn_tail = false;
   ResourceReport resources;
@@ -608,26 +608,33 @@ struct SweepService::Impl {
 
   // ---- Journal writes ----
 
-  /// Appends one record; the kMidAppend crash point tears the write here.
-  void journalAppend(const JournalRecord& rec) {
+  /// Appends one record and fsyncs it; the kMidAppend crash point tears
+  /// the write here. A failed append or fsync is logged and counted in the
+  /// status document; the service keeps serving.
+  void journalAppend(const LogRecord& rec) {
     if (!journal.isOpen()) return;
-    const std::string line = formatJournalRecord(rec);
+    const std::string line = formatLogRecord(rec);
     if (crashDue(support::ServiceCrashPoint::kMidAppend)) {
       journal.appendTorn(line, static_cast<std::size_t>(options.crash.bytes));
       crashNow();
     }
-    journal.appendLine(line);
-    ++journal_appends;
+    if (journal.appendLine(line) && journal.sync()) {
+      ++journal_appends;
+      return;
+    }
+    const std::string why = std::strerror(errno);
+    ++journal_append_failures;
+    note("service: journal " + options.journal_path + ": append failed: " +
+         why);
   }
 
   void journalSettleId(std::uint64_t request_id, const char* outcome) {
-    if (!journal.isOpen() || request_id == 0) return;
-    JournalRecord rec;
-    rec.kind = JournalRecord::Kind::kSettle;
+    if (request_id == 0) return;
+    LogRecord rec;
+    rec.kind = LogRecord::Kind::kSettle;
     rec.id = request_id;
     rec.outcome = outcome;
     journalAppend(rec);
-    journal.sync();
   }
 
   void journalSettle(Client& c, const char* outcome) {
@@ -667,8 +674,8 @@ struct SweepService::Impl {
     if (c.admitted && !c.settled_logged) {
       // Tokenless, so nobody can ever attach: settle now. A request cut
       // down mid-run is cancelled; one whose work finished but whose
-      // delivery flush failed is done — the results are in the
-      // checkpoint, only the reply was lost.
+      // delivery flush failed is done — the rows are in the journal,
+      // only the reply was lost.
       journalSettle(c, c.done_sent
                            ? (c.deadline_expired ? "deadline" : "done")
                            : "cancelled");
@@ -840,14 +847,12 @@ struct SweepService::Impl {
   void journalAdmit(Client& c) {
     if (!journal.isOpen()) return;
     c.request_id = next_request_id++;
-    JournalRecord rec;
-    rec.kind = JournalRecord::Kind::kAdmit;
+    LogRecord rec;
+    rec.kind = LogRecord::Kind::kAdmit;
     rec.id = c.request_id;
     rec.token = c.token;
-    rec.checkpoint_path = options.checkpoint_path;
     rec.request_bytes = c.request_bytes;
     journalAppend(rec);
-    journal.sync();
   }
 
   /// Admission: validates, normalizes, and either queues every cell of
@@ -938,14 +943,14 @@ struct SweepService::Impl {
     flushClient(r);
   }
 
-  /// Startup recovery of one unsettled journal record: the request is
+  /// Startup recovery of one unsettled admit record: the request is
   /// re-admitted as an orphan (no client fd) in its original admission
-  /// order; every cell already settled ok in the bound checkpoint replays
-  /// from its checkpoint line with synthesized single-attempt worker
-  /// diagnostics, and only the remaining cells queue to run.
-  void recoverRequest(const JournalRecord& rec,
-                      const std::map<std::string, CheckpointLine>& sweep_ck,
-                      const std::map<std::string, CheckpointLine>& campaign_ck) {
+  /// order; every cell with an ok row that this request logged (`rows`,
+  /// never another request's) replays from that row's payload with
+  /// synthesized single-attempt worker diagnostics, and only the remaining
+  /// cells queue to run.
+  void recoverRequest(const LogRecord& rec,
+                      const std::map<RowKey, std::string>& rows) {
     ServiceRequest req;
     if (!decodeServiceRequest(rec.request_bytes, &req)) {
       note("service: journal request " + std::to_string(rec.id) +
@@ -972,30 +977,10 @@ struct SweepService::Impl {
     if (!r.token.empty()) tokens[r.token] = r.id;
     ++requests_admitted;
     ++journal_requests_recovered;
-    std::vector<std::pair<std::uint64_t, const CheckpointLine*>> replay;
+    std::vector<std::pair<std::uint64_t, const std::string*>> replay;
     for (std::uint64_t i = 0; i < r.total; ++i) {
-      const CheckpointLine* line = nullptr;
-      if (r.tag == 'W') {
-        const auto& key = r.sweep_keys[static_cast<std::size_t>(i)];
-        auto cit = sweep_ck.find(checkpointKey(key.first, key.second));
-        if (cit != sweep_ck.end() && cit->second.status == CellStatus::kOk) {
-          line = &cit->second;
-        }
-      } else if (r.tag == 'C') {
-        const std::string& benchmark =
-            r.campaign_names[static_cast<std::size_t>(i / r.request.seeds)];
-        auto cit = campaign_ck.find(checkpointKey(
-            benchmark,
-            campaignCellConfigKey(
-                static_cast<std::size_t>(i),
-                support::deriveSeed(r.request.base_seed, i))));
-        if (cit != campaign_ck.end() &&
-            cit->second.status == CellStatus::kOk) {
-          line = &cit->second;
-        }
-      }
-      if (line != nullptr) {
-        replay.emplace_back(i, line);
+      if (const std::string* payload = loggedRow(r, rows, i)) {
+        replay.emplace_back(i, payload);
       } else {
         r.ready.push_back(PendingCell{i, 1, Clock::time_point{}});
       }
@@ -1003,28 +988,45 @@ struct SweepService::Impl {
     queued_cells += r.ready.size();
     note("service: recovered request " + std::to_string(rec.id) +
          " from the journal (" + std::to_string(replay.size()) +
-         " cells from the checkpoint, " + std::to_string(r.ready.size()) +
+         " cells from logged rows, " + std::to_string(r.ready.size()) +
          " to run)");
-    for (const auto& [i, line] : replay) {
+    for (const auto& [i, payload] : replay) {
       Supervisor::Outcome oc;
       oc.status = CellStatus::kOk;
       // Synthesized diagnostics: the cell ran once, cleanly, in a prior
       // incarnation. attempts == 1 and exit_code == 0 keep the client-side
       // worker/resource JSON blocks byte-identical to an uninterrupted
-      // pooled run — a checkpointed kOk cell necessarily exited 0 (the
-      // host_ members differ and are filtered, as always).
+      // pooled run — a logged kOk cell necessarily exited 0 (the host_
+      // members differ and are filtered, as always).
       oc.worker.attempts = 1;
       oc.worker.exit_code = 0;
-      if (r.tag == 'W') {
-        oc.payload = encodeSweepRow(sweepRowFromCheckpointLine(*line));
-      } else {
-        const std::string& benchmark =
-            r.campaign_names[static_cast<std::size_t>(i / r.request.seeds)];
-        oc.payload = encodeCampaignCell(campaignCellFromCheckpointLine(
-            *line, benchmark, support::deriveSeed(r.request.base_seed, i)));
-      }
+      oc.payload = *payload;
       settleCell(r, i, oc, /*record=*/false);
     }
+  }
+
+  /// The row key of request-local cell `i` of a sweep or campaign.
+  static RowKey cellKey(const Client& c, std::uint64_t i) {
+    if (c.tag == 'W') return c.sweep_keys[static_cast<std::size_t>(i)];
+    return {c.campaign_names[static_cast<std::size_t>(i / c.request.seeds)],
+            campaignCellConfigKey(static_cast<std::size_t>(i),
+                                  support::deriveSeed(c.request.base_seed, i))};
+  }
+
+  /// The payload of the ok row `rows` holds for cell `i` of `c`, or
+  /// nullptr (echo requests log no rows).
+  static const std::string* loggedRow(const Client& c,
+                                      const std::map<RowKey, std::string>& rows,
+                                      std::uint64_t i) {
+    if (c.tag != 'W' && c.tag != 'C') return nullptr;
+    const auto it = rows.find(cellKey(c, i));
+    if (it == rows.end()) return nullptr;
+    SweepRow row;
+    FaultCampaignCell cell;
+    const bool ok = c.tag == 'W'
+                        ? decodeSweepRow(it->second, &row) && row.ok()
+                        : decodeCampaignCell(it->second, &cell) && cell.ok();
+    return ok ? &it->second : nullptr;
   }
 
   std::string statusJson() const {
@@ -1066,6 +1068,7 @@ struct SweepService::Impl {
     w.member("requests_recovered", journal_requests_recovered);
     w.member("requests_attached", requests_attached);
     w.member("records_appended", journal_appends);
+    w.member("append_failures", journal_append_failures);
     w.member("orphaned_serving", orphaned);
     w.member("torn_tail_dropped", journal_torn_tail);
     w.endObject();
@@ -1195,10 +1198,10 @@ struct SweepService::Impl {
   }
 
   /// Converts a settled outcome into the client-facing result frame (and
-  /// the checkpoint line), using the same decode helpers as the batch
-  /// paths — which is what keeps serve output field-identical to them.
-  /// `record` is false when replaying an already-checkpointed cell during
-  /// journal recovery: no checkpoint re-append, no crash point.
+  /// the journal's row record), using the same decode helpers as the
+  /// batch paths — which is what keeps serve output field-identical to
+  /// them. `record` is false when replaying an already-logged cell during
+  /// journal recovery: no row re-append, no crash point.
   void settleCell(Client& c, std::uint64_t cell, const Supervisor::Outcome& oc,
                   bool record = true) {
     ++cells_settled;
@@ -1211,25 +1214,15 @@ struct SweepService::Impl {
     switch (c.request.kind) {
       case ServiceRequest::Kind::kSweep: {
         const auto& key = c.sweep_keys[static_cast<std::size_t>(cell)];
-        SweepRow row = sweepRowFromOutcome(key.first, key.second, oc);
-        p.inner = encodeSweepRow(row);
-        if (record && checkpoint.isOpen()) {
-          checkpoint.appendLine(formatCheckpointLine(sweepCheckpointLine(row)));
-          checkpoint.sync();
-        }
+        p.inner = encodeSweepRow(
+            sweepRowFromOutcome(key.first, key.second, oc));
         break;
       }
       case ServiceRequest::Kind::kCampaign: {
         const std::string& benchmark =
             c.campaign_names[static_cast<std::size_t>(cell / c.request.seeds)];
-        FaultCampaignCell fc = campaignCellFromOutcome(
-            benchmark, support::deriveSeed(c.request.base_seed, cell), oc);
-        p.inner = encodeCampaignCell(fc);
-        if (record && checkpoint.isOpen()) {
-          checkpoint.appendLine(formatCheckpointLine(
-              campaignCheckpointLine(fc, static_cast<std::size_t>(cell))));
-          checkpoint.sync();
-        }
+        p.inner = encodeCampaignCell(campaignCellFromOutcome(
+            benchmark, support::deriveSeed(c.request.base_seed, cell), oc));
         break;
       }
       case ServiceRequest::Kind::kEcho:
@@ -1238,11 +1231,16 @@ struct SweepService::Impl {
                       : "error:" + toString(oc.status);
         break;
     }
-    // The settle crash point fires with the cell checkpointed but the
-    // request still unsettled in the journal: recovery must re-admit and
-    // replay this cell from the checkpoint, never re-run it.
-    if (record && crashDue(support::ServiceCrashPoint::kAfterSettle)) {
-      crashNow();
+    if (record && c.request.kind != ServiceRequest::Kind::kEcho) {
+      LogRecord row;
+      row.id = c.request_id;
+      std::tie(row.benchmark, row.config) = cellKey(c, cell);
+      row.payload = p.inner;
+      journalAppend(row);
+      // The settle crash point fires with the cell's row synced but the
+      // request still unsettled in the journal: recovery must re-admit
+      // and replay this cell from its row, never re-run it.
+      if (crashDue(support::ServiceCrashPoint::kAfterSettle)) crashNow();
     }
     const std::string result_payload = encodeResultPayload(p);
     if (!c.token.empty()) c.result_frames.push_back(result_payload);
@@ -1257,7 +1255,7 @@ struct SweepService::Impl {
       // written at *delivery* (the done frame fully flushed to a client),
       // so a crash in the completion-to-delivery window leaves the
       // request recoverable — the next incarnation replays every cell
-      // from the checkpoint and a same-token resubmission still attaches
+      // from its row and a same-token resubmission still attaches
       // instead of re-running the grid as a fresh request.
     }
     flushClient(c);
@@ -1410,7 +1408,7 @@ struct SweepService::Impl {
         }
         // An orphaned journaled request is left unsettled on purpose: the
         // journal carries it to the next incarnation, which resumes it
-        // from the checkpoint instead of failing its cells here.
+        // from its rows instead of failing its cells here.
         if (c.fd < 0 && c.admitted && !c.done_sent && c.request_id != 0) {
           ++orphans_preserved;
         }
@@ -1422,7 +1420,6 @@ struct SweepService::Impl {
       note("service: drain preserves " + std::to_string(orphans_preserved) +
            " orphaned journaled request(s) for the next start");
     }
-    checkpoint.sync();
     journal.sync();
   }
 
@@ -1439,41 +1436,20 @@ struct SweepService::Impl {
       return 1;
     }
     wire::setNonBlocking(listen_fd, true);
-    if (!options.checkpoint_path.empty()) {
-      if (!checkpoint.open(options.checkpoint_path, /*truncate=*/false)) {
-        note("service: cannot open checkpoint " + options.checkpoint_path);
+    LogReplay replay;
+    if (!options.journal_path.empty()) {
+      replay = openDurableLog(options.journal_path, /*fresh=*/false, journal);
+      if (!replay.error.empty()) {
+        note("service: " + replay.error);
         ::close(listen_fd);
+        ::unlink(options.socket_path.c_str());
         return 1;
       }
-    }
-    JournalReplay replay;
-    if (!options.journal_path.empty()) {
-      replay = replayJournal(options.journal_path);
       journal_records_replayed = replay.records_replayed;
       journal_records_skipped = replay.records_skipped;
       journal_torn_tail = replay.torn_tail;
       next_request_id = replay.next_id;
       for (const std::string& w : replay.warnings) note("service: " + w);
-      if (replay.torn_tail) {
-        // Drop the torn fragment before reopening for append: O_APPEND
-        // would otherwise glue the next record onto the fragment's line
-        // and the merged line would fail its checksum on every later
-        // replay.
-        if (::truncate(options.journal_path.c_str(),
-                       static_cast<off_t>(replay.valid_bytes)) != 0) {
-          note("service: cannot truncate torn journal tail in " +
-               options.journal_path);
-          checkpoint.close();
-          ::close(listen_fd);
-          return 1;
-        }
-      }
-      if (!journal.open(options.journal_path, /*truncate=*/false)) {
-        note("service: cannot open journal " + options.journal_path);
-        checkpoint.close();
-        ::close(listen_fd);
-        return 1;
-      }
     }
     SupervisorOptions sup = options.supervisor;
     sup.isolate = true;
@@ -1486,13 +1462,12 @@ struct SweepService::Impl {
     pool->setChildSetup([this] {
       // Workers must never hold the service's sockets open: a forked
       // worker outliving the service would otherwise keep clients (and
-      // the listening socket) half-alive. The checkpoint/journal fds are
-      // closed for the same hygiene — only the parent settles cells.
+      // the listening socket) half-alive. The journal fd is closed for the
+      // same hygiene — only the parent settles cells.
       if (listen_fd >= 0) ::close(listen_fd);
       for (auto& [id, c] : clients) {
         if (c.fd >= 0) ::close(c.fd);
       }
-      if (checkpoint.fd() >= 0) ::close(checkpoint.fd());
       if (journal.fd() >= 0) ::close(journal.fd());
     });
     if (!pool->ensure(jobs) && pool->workerCount() == 0) {
@@ -1501,33 +1476,11 @@ struct SweepService::Impl {
       return 1;
     }
     // Crash recovery: re-admit every unsettled journaled request, oldest
-    // first, before accepting new connections' traffic. Cells already ok
-    // in the bound checkpoint replay from it; the rest queue behind the
+    // first, before accepting new connections' traffic. Cells with an ok
+    // row in the journal replay from it; the rest queue behind the
     // ordinary scheduler.
-    if (!replay.unsettled.empty()) {
-      std::map<std::string,
-               std::pair<std::map<std::string, CheckpointLine>,
-                         std::map<std::string, CheckpointLine>>>
-          by_path;  // checkpoint path -> (sweep-shape map, campaign-shape map)
-      for (const JournalRecord& rec : replay.unsettled) {
-        if (rec.checkpoint_path.empty()) continue;
-        if (by_path.count(rec.checkpoint_path)) continue;
-        std::string warning;
-        auto& maps = by_path[rec.checkpoint_path];
-        maps.first = loadCheckpoint(rec.checkpoint_path,
-                                    kSweepCheckpointMetrics, &warning);
-        if (!warning.empty()) note("service: " + warning);
-        warning.clear();
-        maps.second = loadCheckpoint(rec.checkpoint_path,
-                                     kCampaignCheckpointMetrics, &warning);
-        if (!warning.empty()) note("service: " + warning);
-      }
-      const std::map<std::string, CheckpointLine> empty;
-      for (const JournalRecord& rec : replay.unsettled) {
-        auto pit = by_path.find(rec.checkpoint_path);
-        recoverRequest(rec, pit == by_path.end() ? empty : pit->second.first,
-                       pit == by_path.end() ? empty : pit->second.second);
-      }
+    for (const LogRecord& rec : replay.unsettled) {
+      recoverRequest(rec, replay.request_rows[rec.id]);
     }
     note("service: listening on " + options.socket_path + " (" +
          std::to_string(pool->workerCount()) + " workers)");
@@ -1643,7 +1596,6 @@ struct SweepService::Impl {
       if (c.fd >= 0) disconnectClient(c);
     }
     pool->shutdown();
-    checkpoint.close();
     journal.close();
     if (listen_fd >= 0) ::close(listen_fd);
     ::unlink(options.socket_path.c_str());

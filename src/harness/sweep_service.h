@@ -40,7 +40,7 @@
 //    surviving clients' JSON against a non-serve baseline;
 //  * **drain on SIGTERM/SIGINT** (`SweepServiceOptions::stop`): stop
 //    accepting, fail still-queued cells as interrupted, let in-flight
-//    cells finish and deliver, flush the checkpoint, reap every worker,
+//    cells finish and deliver, sync the journal, reap every worker,
 //    unlink the socket, exit 0.
 //
 // Byte-determinism contract: a sweep/campaign submitted through the
@@ -152,25 +152,31 @@ struct SweepServiceOptions {
   std::size_t max_queue = 1024;
   /// Accept request-embedded chaos plans (tests / CI soak only).
   bool allow_chaos = false;
-  /// When non-empty, every finished cell is appended (and flushed) to
-  /// this checkpoint file, sweep and campaign lines alike — the same
-  /// `spt-sweep-v1` format the one-shot runs write.
+  /// Unread: finished cells are logged as row records in the journal.
+  /// Nothing in src/ or tools/ reads this field; it stays only because
+  /// perfbench/served_grid.cpp still assigns it, and goes away with the
+  /// next change to the benchmark.
   std::string checkpoint_path;
   /// Shared mmap trace cache for sweep cells (sweep --trace-cache).
   std::string trace_cache_dir;
-  /// Write-ahead request journal (docs/ROBUSTNESS.md "Request journal").
-  /// When non-empty, every admitted request appends a durable
-  /// `spt-journal-v1` admit record (idempotency token, full request bytes,
-  /// checkpoint binding) before any of its cells dispatch, and a settle
-  /// record (done/cancelled/deadline) when its results are *delivered* —
-  /// the done frame fully flushed to a client — not merely computed, so a
-  /// crash between completion and delivery still recovers (the cells
-  /// replay from the checkpoint; nothing re-runs). On startup the journal
-  /// is replayed: unsettled requests are re-admitted in their original
-  /// admission order as orphans (no client fd), cells already settled ok
-  /// in the bound checkpoint are replayed from it instead of re-running,
-  /// and the rest run to completion whether or not the original client
-  /// ever returns.
+  /// The service's durable log (harness/durable_log.h; docs/ROBUSTNESS.md
+  /// "The durable log"). When non-empty, every admitted request appends a
+  /// durable admit record (idempotency token, full request bytes) before
+  /// any of its cells dispatch; every settled cell appends its row record
+  /// (the cell_codec payload the client receives) before the result is
+  /// sent; and a settle record (done/cancelled/deadline) follows when the
+  /// results are *delivered* — the done frame fully flushed to a client —
+  /// not merely computed, so a crash between completion and delivery
+  /// still recovers (the cells replay from their rows; nothing re-runs).
+  /// Each record is fsync'd; a failed append is logged and counted as
+  /// `journal.append_failures` in the status document. On startup the
+  /// log is replayed: unsettled requests are re-admitted in their original
+  /// admission order as orphans (no client fd), cells for which the same
+  /// request logged an ok row are replayed from it instead of re-running
+  /// (rows of other requests never are), and the rest run to
+  /// completion whether or not the original client ever returns. A file
+  /// in an older format is refused and the service does not start. The
+  /// rows also feed a one-shot `sptc sweep --resume --checkpoint`.
   std::string journal_path;
   /// Scripted crash for the kill/restart chaos campaign (tests / CI soak):
   /// SIGKILL self at the Nth occurrence of the chosen point. Inert by

@@ -116,13 +116,14 @@ enum class ServiceCrashPoint {
   kNone,
   kAfterAdmit,   // after the admit journal record is fsync'd, before any
                  // cell dispatch or reply
-  kAfterSettle,  // after the Nth cell settles (checkpoint + journal
-                 // synced) — remaining cells and in-flight workers die
-                 // with the process
+  kAfterSettle,  // after the Nth row record is synced to the journal
+                 // (the request still unsettled) — remaining cells and
+                 // in-flight workers die with the process
   kMidFlush,     // after writing only the first `bytes` bytes of a reply
                  // flush to an admitted client
   kMidAppend,    // after appending only the first `bytes` bytes of a
-                 // journal record (no newline) — leaves a torn tail
+                 // journal record of any kind (no newline) — leaves a
+                 // torn tail
 };
 
 std::string toString(ServiceCrashPoint point);

@@ -1,14 +1,18 @@
 // Tests for the hardened sweep harness: per-cell budgets, quarantine of
 // poisoned cells (budget blowouts and forced internal errors), sweep
-// checkpoint/resume, and the ParallelSweep error contract on both the
-// inline (jobs<=1) and pooled paths.
+// checkpoint/resume and its failure modes, and the ParallelSweep error
+// contract on both the inline (jobs<=1) and pooled paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
+#include "harness/cell_codec.h"
+#include "harness/durable_log.h"
+#include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
 #include "harness/suite.h"
 #include "support/check.h"
@@ -31,6 +35,18 @@ std::string readWholeFile(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// A suite entry whose builds are counted, to observe which cells ran.
+SuiteEntry countingEntry(const std::string& name,
+                         std::shared_ptr<std::atomic<int>> counter) {
+  SuiteEntry e = entryByName(name);
+  const auto inner = e.workload.build;
+  e.workload.build = [counter, inner](std::uint64_t scale) {
+    counter->fetch_add(1, std::memory_order_relaxed);
+    return inner(scale);
+  };
+  return e;
 }
 
 // Documented error contract: every task runs to completion and the first
@@ -141,10 +157,16 @@ TEST(HardenedSweep, PoisonedCellsAreQuarantinedAndReported) {
       << rows[2].diagnostic;
 
   // All three cells were checkpointed as they finished.
-  const std::string ck = readWholeFile(opts.checkpoint_path);
-  EXPECT_NE(ck.find("spt-sweep-v1"), std::string::npos);
-  EXPECT_NE(ck.find("budget_exceeded"), std::string::npos);
-  EXPECT_NE(ck.find("internal_error"), std::string::npos);
+  const LogReplay logged = readDurableLog(opts.checkpoint_path);
+  ASSERT_EQ(logged.rows.size(), 3u);
+  SweepRow poisoned;
+  ASSERT_TRUE(decodeSweepRow(logged.rows.at({"poisoned", "default"}),
+                             &poisoned));
+  EXPECT_EQ(poisoned.status, CellStatus::kInternalError);
+  SweepRow blowout;
+  ASSERT_TRUE(decodeSweepRow(logged.rows.at({"bzip2", "tiny-budget"}),
+                             &blowout));
+  EXPECT_EQ(blowout.status, CellStatus::kBudgetExceeded);
 
   // And the JSON report names both failures.
   const std::string json_path = ::testing::TempDir() + "/spt_poisoned.json";
@@ -160,34 +182,25 @@ TEST(HardenedSweep, PoisonedCellsAreQuarantinedAndReported) {
 // the Workload::build std::function to observe which cells actually ran.
 TEST(HardenedSweep, ResumeRerunsOnlyFailedCells) {
   auto counted = std::make_shared<std::atomic<int>>(0);
-  const auto countingEntry = [&](const std::string& name) {
-    SuiteEntry e = entryByName(name);
-    const auto inner = e.workload.build;
-    e.workload.build = [counted, inner](std::uint64_t scale) {
-      counted->fetch_add(1, std::memory_order_relaxed);
-      return inner(scale);
-    };
-    return e;
-  };
 
   std::vector<SweepCase> cases;
   {
     SweepCase a;
     a.benchmark = "crafty";
-    a.entry = countingEntry("crafty");
+    a.entry = countingEntry("crafty", counted);
     cases.push_back(std::move(a));
   }
   {
     SweepCase b;
     b.benchmark = "vortex";
-    b.entry = countingEntry("vortex");
+    b.entry = countingEntry("vortex", counted);
     cases.push_back(std::move(b));
   }
   {
     SweepCase failing;
     failing.benchmark = "bzip2";
     failing.config = "tiny-budget";
-    failing.entry = countingEntry("bzip2");
+    failing.entry = countingEntry("bzip2", counted);
     failing.machine.max_simulated_cycles = 1000;
     cases.push_back(std::move(failing));
   }
@@ -212,7 +225,7 @@ TEST(HardenedSweep, ResumeRerunsOnlyFailedCells) {
   EXPECT_TRUE(second[1].ok());
   EXPECT_EQ(second[2].status, CellStatus::kBudgetExceeded);
 
-  // Resumed ok rows carry the checkpointed summary metrics.
+  // Resumed ok rows carry the logged results.
   EXPECT_EQ(second[0].benchmark, first[0].benchmark);
   EXPECT_EQ(second[0].result.baseline.cycles, first[0].result.baseline.cycles);
   EXPECT_EQ(second[0].result.spt.cycles, first[0].result.spt.cycles);
@@ -221,8 +234,8 @@ TEST(HardenedSweep, ResumeRerunsOnlyFailedCells) {
   EXPECT_EQ(second[1].result.spt.cycles, first[1].result.spt.cycles);
 }
 
-// Checkpoint fields with embedded tabs/newlines are sanitized so the
-// line-oriented format stays parseable.
+// Keys with embedded tabs/newlines stay one record per line and come back
+// unchanged.
 TEST(HardenedSweep, CheckpointSurvivesHostileNames) {
   SweepCase c;
   c.benchmark = "bad\tname\nwith breaks";
@@ -241,9 +254,155 @@ TEST(HardenedSweep, CheckpointSurvivesHostileNames) {
   std::size_t lines = 0;
   while (std::getline(in, line)) {
     ++lines;
-    EXPECT_NE(line.find("spt-sweep-v1"), std::string::npos);
+    LogRecord rec;
+    ASSERT_TRUE(parseLogRecord(line, &rec));
+    EXPECT_EQ(rec.benchmark, c.benchmark);
+    EXPECT_EQ(rec.config, c.config);
   }
   EXPECT_EQ(lines, 1u);
+}
+
+// A bit flip that turns one digit of a logged row into another keeps the
+// line well-formed; the record's checksum catches it, so the row is
+// skipped with its byte offset and the cell re-runs instead of resuming a
+// wrong number.
+TEST(HardenedSweep, DigitFlipInALoggedRowReRunsTheCell) {
+  auto counted = std::make_shared<std::atomic<int>>(0);
+  SweepCase c;
+  c.benchmark = "crafty";
+  c.entry = countingEntry("crafty", counted);
+  SweepOptions opts;
+  opts.checkpoint_path = ::testing::TempDir() + "/spt_digit_flip_ck.txt";
+  const auto first = runSweep(ParallelSweep(1), {c}, opts);
+  ASSERT_TRUE(first[0].ok());
+
+  std::string text = readWholeFile(opts.checkpoint_path);
+  std::size_t pos = text.size() / 2;
+  while (text[pos] < '0' || text[pos] > '9') ++pos;
+  text[pos] = static_cast<char>(text[pos] ^ 1);  // '4' <-> '5', ...
+  {
+    std::ofstream out(opts.checkpoint_path, std::ios::trunc);
+    out << text;
+  }
+
+  opts.resume = true;
+  ::testing::internal::CaptureStderr();
+  const auto second = runSweep(ParallelSweep(1), {c}, opts);
+  const std::string warnings = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warnings.find("skipped record at byte offset 0"),
+            std::string::npos)
+      << warnings;
+  EXPECT_EQ(counted->load(), 2);  // re-ran, not resumed
+  ASSERT_TRUE(second[0].ok());
+  EXPECT_EQ(second[0].result.baseline.cycles, first[0].result.baseline.cycles);
+  EXPECT_EQ(second[0].result.spt.cycles, first[0].result.spt.cycles);
+  EXPECT_EQ(second[0].result.spt.threads.spawned,
+            first[0].result.spt.threads.spawned);
+}
+
+// A checkpoint path that cannot be opened stops the run before any cell
+// starts, with an error naming the path; the campaign does the same
+// before it compiles anything.
+TEST(HardenedSweep, UnopenableCheckpointStopsBeforeAnyCell) {
+  auto counted = std::make_shared<std::atomic<int>>(0);
+  SweepCase c;
+  c.benchmark = "crafty";
+  c.entry = countingEntry("crafty", counted);
+  SweepOptions opts;
+  opts.checkpoint_path = ::testing::TempDir() + "/no/such/dir/ck.txt";
+  try {
+    runSweep(ParallelSweep(1), {c}, opts);
+    ADD_FAILURE() << "an unopenable checkpoint must fail the sweep";
+  } catch (const DurableLogError& e) {
+    EXPECT_NE(std::string(e.what()).find(opts.checkpoint_path),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(counted->load(), 0);
+
+  FaultCampaignOptions fc;
+  fc.seeds = 1;
+  fc.checkpoint_path = opts.checkpoint_path;
+  EXPECT_THROW(runFaultCampaign(fc), DurableLogError);
+}
+
+#if defined(__linux__)
+// A failed append (/dev/full: ENOSPC) or fsync (/dev/null: EINVAL) is
+// reported on stderr as it happens and through `checkpoint_error` after
+// the run; the computed rows are still returned.
+TEST(HardenedSweep, FailedAppendOrFsyncFailsTheRun) {
+  for (const std::string path : {"/dev/full", "/dev/null"}) {
+    auto counted = std::make_shared<std::atomic<int>>(0);
+    SweepCase c;
+    c.benchmark = "vortex";
+    c.entry = countingEntry("vortex", counted);
+    SweepOptions opts;
+    opts.checkpoint_path = path;
+    std::string checkpoint_error;
+    ::testing::internal::CaptureStderr();
+    const std::vector<SweepRow> rows =
+        runSweep(ParallelSweep(1), {c}, opts, &checkpoint_error);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("cannot make the row for vortex/default durable"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(checkpoint_error.find(path), std::string::npos)
+        << checkpoint_error;
+    EXPECT_EQ(counted->load(), 1);  // the cell itself ran
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_TRUE(rows[0].ok()) << rows[0].diagnostic;
+  }
+
+  FaultCampaignOptions fc;
+  fc.seeds = 1;
+  fc.checkpoint_path = "/dev/full";
+  std::string checkpoint_error;
+  ::testing::internal::CaptureStderr();
+  const FaultCampaignResult result = runFaultCampaign(fc, &checkpoint_error);
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(checkpoint_error.find("/dev/full"), std::string::npos)
+      << checkpoint_error;
+  EXPECT_FALSE(result.cells.empty());
+  EXPECT_TRUE(result.allCellsOk());
+}
+#endif
+
+// --resume over a checkpoint in the retired spt-sweep-v1 text format is
+// refused with a versioned error; the file is neither read as empty nor
+// appended to, and no cell runs.
+TEST(HardenedSweep, OlderCheckpointFormatIsRefused) {
+  auto counted = std::make_shared<std::atomic<int>>(0);
+  SweepCase c;
+  c.benchmark = "crafty";
+  c.entry = countingEntry("crafty", counted);
+  const std::string path = ::testing::TempDir() + "/spt_old_format_ck.txt";
+  const std::string old =
+      "spt-sweep-v1\tok\tcrafty\tdefault\t1\t2\t3\t\n";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << old;
+  }
+  SweepOptions opts;
+  opts.checkpoint_path = path;
+  opts.resume = true;
+  try {
+    runSweep(ParallelSweep(1), {c}, opts);
+    ADD_FAILURE() << "an spt-sweep-v1 checkpoint must be refused";
+  } catch (const DurableLogError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("spt-sweep-v1"), std::string::npos) << what;
+    EXPECT_NE(what.find(kDurableLogFormat), std::string::npos) << what;
+  }
+  EXPECT_EQ(counted->load(), 0);
+  EXPECT_EQ(readWholeFile(path), old);
+
+  FaultCampaignOptions fc;
+  fc.seeds = 1;
+  fc.checkpoint_path = path;
+  fc.resume = true;
+  EXPECT_THROW(runFaultCampaign(fc), DurableLogError);
+  EXPECT_EQ(readWholeFile(path), old);
 }
 
 }  // namespace

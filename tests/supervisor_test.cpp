@@ -15,7 +15,7 @@
 #include <sstream>
 
 #include "harness/cell_codec.h"
-#include "harness/checkpoint.h"
+#include "harness/durable_log.h"
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
 #include "harness/perf.h"
@@ -1008,10 +1008,17 @@ TEST(SupervisedSweep, ContainsChaosWhileOtherCellsComplete) {
   EXPECT_EQ(rows[2].worker.attempts, 1u);
 
   // All three cells were checkpointed, crashes included.
-  const std::string ck = readWholeFile(opts.checkpoint_path);
   EXPECT_EQ(countLines(opts.checkpoint_path), 3u);
-  EXPECT_NE(ck.find("crashed"), std::string::npos);
-  EXPECT_NE(ck.find("budget_exceeded"), std::string::npos);
+  std::set<CellStatus> logged;
+  for (const auto& [key, payload] :
+       readDurableLog(opts.checkpoint_path).rows) {
+    SweepRow row;
+    ASSERT_TRUE(decodeSweepRow(payload, &row));
+    logged.insert(row.status);
+  }
+  EXPECT_EQ(logged, (std::set<CellStatus>{CellStatus::kOk,
+                                          CellStatus::kCrashed,
+                                          CellStatus::kBudgetExceeded}));
 
   // JSON carries the worker diagnostics for supervised cells.
   const std::string json_path =
@@ -1165,9 +1172,9 @@ TEST(SupervisedCampaign, MatchesInProcessResults) {
   EXPECT_TRUE(supervised.allDigestsMatch());
 }
 
-// `sptc inject --resume` semantics: ok checkpoint lines are reused without
-// re-running their cells (proved by planting a marker value in the file),
-// failed lines re-run, and the format is the sweep's spt-sweep-v1.
+// `sptc inject --resume` semantics: ok logged rows are reused without
+// re-running their cells (proved by planting a marker value in the log),
+// failed rows re-run, and the log is the sweep's durable log.
 TEST(SupervisedCampaign, CheckpointResumeReusesOkCells) {
   FaultCampaignOptions opts;
   opts.seeds = 1;
@@ -1178,36 +1185,30 @@ TEST(SupervisedCampaign, CheckpointResumeReusesOkCells) {
   ASSERT_TRUE(first.allCellsOk());
   ASSERT_EQ(countLines(opts.checkpoint_path), first.cells.size());
 
-  // Tamper with the checkpoint: append a *later* line for cell 0 with a
-  // marker injected-count (last line wins), and a failed line for cell 1
-  // (must re-run).
+  // Tamper with the log: append a *later* row for cell 0 with a marker
+  // injected-count (last row wins), and a failed row for cell 1 (must
+  // re-run).
   {
-    CheckpointLine line;
-    const auto parsed =
-        loadCheckpoint(opts.checkpoint_path, /*expected_metrics=*/11);
-    const std::string key0 =
-        checkpointKey(first.cells[0].benchmark,
-                      "cell:0/seed:" +
-                          std::to_string(first.cells[0].fault_seed));
-    ASSERT_TRUE(parsed.count(key0));
-    line = parsed.at(key0);
-    line.metrics[0] = 999999;  // marker injected count
-    std::ofstream append(opts.checkpoint_path, std::ios::app);
-    append << formatCheckpointLine(line) << '\n';
-    line = parsed.at(checkpointKey(
-        first.cells[1].benchmark,
-        "cell:1/seed:" + std::to_string(first.cells[1].fault_seed)));
-    line.status = CellStatus::kInternalError;
-    line.diagnostic = "poisoned for the resume test";
-    append << formatCheckpointLine(line) << '\n';
+    const auto key = [&](std::size_t c) {
+      return campaignCellConfigKey(c, first.cells[c].fault_seed);
+    };
+    FaultCampaignCell marked = first.cells[0];
+    marked.faults.injected = 999999;
+    FaultCampaignCell poisoned = first.cells[1];
+    poisoned.status = CellStatus::kInternalError;
+    poisoned.diagnostic = "poisoned for the resume test";
+    CheckpointLog log(opts.checkpoint_path, /*resume=*/true);
+    log.append(marked.benchmark, key(0), encodeCampaignCell(marked));
+    log.append(poisoned.benchmark, key(1), encodeCampaignCell(poisoned));
+    EXPECT_EQ(log.failure(), "");
   }
 
   opts.resume = true;
   const FaultCampaignResult second = runFaultCampaign(opts);
   ASSERT_EQ(second.cells.size(), first.cells.size());
-  // Cell 0 was reused from the tampered line — it did not re-run.
+  // Cell 0 was reused from the tampered row — it did not re-run.
   EXPECT_EQ(second.cells[0].faults.injected, 999999u);
-  // Cell 1's failed line forced a re-run; it is healthy again and its
+  // Cell 1's failed row forced a re-run; it is healthy again and its
   // numbers match the first run.
   EXPECT_TRUE(second.cells[1].ok());
   EXPECT_EQ(second.cells[1].faults.injected, first.cells[1].faults.injected);
@@ -1233,6 +1234,84 @@ std::string filterHostDependentLines(const std::string& json) {
     os << line << '\n';
   }
   return os.str();
+}
+
+// ---- Resumed rows render exactly like fresh rows ---------------------------
+
+/// Cuts a log to half its bytes: mid-record, so resuming from it also
+/// drops a torn tail.
+void halveLog(const std::string& path) {
+  const std::string full = readWholeFile(path);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(full.data(), static_cast<std::streamsize>(full.size() / 2));
+}
+
+/// Filtered sweep JSON. With `drop_worker`, the worker diagnostics go too:
+/// they describe the process a cell ran in, which a resumed row never had.
+std::string renderSweep(std::vector<SweepRow> rows, bool drop_worker) {
+  if (drop_worker) {
+    for (SweepRow& row : rows) row.worker = WorkerDiagnostics{};
+  }
+  const std::string path = ::testing::TempDir() + "/spt_render_sweep.json";
+  EXPECT_TRUE(writeSweepJson(path, rows));
+  return filterHostDependentLines(readWholeFile(path));
+}
+
+TEST(SupervisedSweep, ResumedRowsRenderLikeFreshRows) {
+  const std::vector<SweepCase> cases = buildSuiteSweepCases(
+      {}, {}, 1, {"crafty", "gzip", "parser", "vortex"});
+  const std::string ck = ::testing::TempDir() + "/spt_render_ck.txt";
+  SweepOptions opts;
+  opts.checkpoint_path = ck;
+  const auto fresh = runSweep(ParallelSweep(2), cases, opts);
+  const std::string fresh_json = renderSweep(fresh, /*drop_worker=*/false);
+
+  halveLog(ck);
+  ASSERT_FALSE(readDurableLog(ck).rows.empty());
+  opts.resume = true;
+  EXPECT_EQ(renderSweep(runSweep(ParallelSweep(2), cases, opts), false),
+            fresh_json);
+
+  if (!Supervisor::isolationSupported()) return;
+  SweepOptions iso;
+  iso.checkpoint_path = ::testing::TempDir() + "/spt_render_iso_ck.txt";
+  iso.supervisor.isolate = true;
+  iso.supervisor.cell_timeout_seconds = 240.0;
+  const auto iso_fresh = runSweep(ParallelSweep(2), cases, iso);
+  halveLog(iso.checkpoint_path);
+  iso.resume = true;
+  const auto iso_resumed = runSweep(ParallelSweep(2), cases, iso);
+  std::size_t reused = 0;
+  for (const SweepRow& row : iso_resumed) {
+    if (row.worker.attempts == 0) {
+      ++reused;
+    } else {
+      EXPECT_EQ(row.worker.attempts, 1u) << row.benchmark;
+    }
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_LT(reused, cases.size());
+  EXPECT_EQ(renderSweep(iso_resumed, /*drop_worker=*/true),
+            renderSweep(iso_fresh, /*drop_worker=*/true));
+  EXPECT_EQ(renderSweep(iso_fresh, /*drop_worker=*/true), fresh_json);
+}
+
+TEST(SupervisedCampaign, ResumedCellsRenderLikeFreshCells) {
+  FaultCampaignOptions opts;
+  opts.seeds = 1;
+  opts.jobs = 4;
+  opts.checkpoint_path = ::testing::TempDir() + "/spt_render_campaign_ck.txt";
+  const auto render = [](const FaultCampaignResult& result) {
+    const std::string path =
+        ::testing::TempDir() + "/spt_render_campaign.json";
+    EXPECT_TRUE(writeFaultCampaignJson(path, result));
+    return filterHostDependentLines(readWholeFile(path));
+  };
+  const std::string fresh = render(runFaultCampaign(opts));
+  halveLog(opts.checkpoint_path);
+  ASSERT_FALSE(readDurableLog(opts.checkpoint_path).rows.empty());
+  opts.resume = true;
+  EXPECT_EQ(render(runFaultCampaign(opts)), fresh);
 }
 
 // ---- Supervised perf measurement ----------------------------------------
@@ -1282,30 +1361,7 @@ TEST(SupervisedPerf, IsolatedRowsMatchInProcessInOrder) {
   }
 }
 
-// ---- Checkpoint field escaping -------------------------------------------
-
-TEST(Checkpoint, EscapeRoundTripsHostileFields) {
-  const std::vector<std::string> hostile = {
-      "",
-      "plain",
-      "tab\there",
-      "newline\nhere",
-      "cr\rhere",
-      "back\\slash",
-      "\\t literal backslash-t",
-      "all\tof\nthem\r\\together\n\t\\",
-      "trailing backslash \\",
-      std::string(1, '\0') + "embedded nul",
-  };
-  for (const std::string& s : hostile) {
-    const std::string escaped = escapeCheckpointField(s);
-    // Escaped text never carries a raw separator byte.
-    EXPECT_EQ(escaped.find('\t'), std::string::npos) << s;
-    EXPECT_EQ(escaped.find('\n'), std::string::npos) << s;
-    EXPECT_EQ(escaped.find('\r'), std::string::npos) << s;
-    EXPECT_EQ(unescapeCheckpointField(escaped), s) << s;
-  }
-}
+// ---- Checkpoint rows with hostile fields -----------------------------------
 
 TEST(Checkpoint, HostileDiagnosticsSurviveFormatParseRoundTrip) {
   const std::vector<std::string> hostile = {
@@ -1313,67 +1369,61 @@ TEST(Checkpoint, HostileDiagnosticsSurviveFormatParseRoundTrip) {
       "frame 4 reg r6: 1 != 2",
       "worker stderr:\tassert failed\r\nbacktrace:\n#0 main",
       "backslash soup \\t \\n \\\\ \\",
+      std::string(1, '\0') + "embedded nul",
   };
   for (const std::string& diag : hostile) {
-    CheckpointLine line;
-    line.status = CellStatus::kInternalError;
-    line.benchmark = "bench\twith\ttabs";
-    line.config = "config\nwith\nnewlines";
-    line.metrics = {1, 2, 3};
-    line.diagnostic = diag;
+    SweepRow row;
+    row.status = CellStatus::kInternalError;
+    row.benchmark = "bench\twith\ttabs";
+    row.config = "config\nwith\nnewlines";
+    row.result.spt.cycles = 3;
+    row.diagnostic = diag;
+    LogRecord rec;
+    rec.benchmark = row.benchmark;
+    rec.config = row.config;
+    rec.payload = encodeSweepRow(row);
 
-    const std::string text = formatCheckpointLine(line);
+    const std::string text = formatLogRecord(rec);
     // The formatted row is exactly one line of the file.
     EXPECT_EQ(text.find('\n'), std::string::npos);
     EXPECT_EQ(text.find('\r'), std::string::npos);
 
-    CheckpointLine parsed;
-    ASSERT_TRUE(parseCheckpointLine(text, 3, &parsed)) << diag;
-    EXPECT_EQ(parsed.status, line.status);
-    EXPECT_EQ(parsed.benchmark, line.benchmark);
-    EXPECT_EQ(parsed.config, line.config);
-    EXPECT_EQ(parsed.metrics, line.metrics);
-    EXPECT_EQ(parsed.diagnostic, diag);
+    LogRecord parsed;
+    ASSERT_TRUE(parseLogRecord(text, &parsed)) << diag;
+    EXPECT_EQ(parsed.benchmark, rec.benchmark);
+    EXPECT_EQ(parsed.config, rec.config);
+    SweepRow back;
+    ASSERT_TRUE(decodeSweepRow(parsed.payload, &back)) << diag;
+    EXPECT_EQ(back.status, row.status);
+    EXPECT_EQ(back.result.spt.cycles, 3u);
+    EXPECT_EQ(back.diagnostic, diag);
   }
 }
 
 TEST(Checkpoint, HostileFieldsSurviveARealFileViaLoadCheckpoint) {
   const std::string path = ::testing::TempDir() + "/spt_hostile_ck.txt";
-  CheckpointLine line;
-  line.status = CellStatus::kCrashed;
-  line.benchmark = "gzip";
-  line.config = "srb=64";
-  line.metrics = {7};
-  line.diagnostic =
+  SweepRow row;
+  row.status = CellStatus::kCrashed;
+  row.benchmark = "gzip";
+  row.config = "srb=64";
+  row.diagnostic =
       "worker killed by signal 6 (Aborted)\nstderr:\tassertion `x != "
       "nullptr' failed\r\n(core dumped)";
   {
-    std::ofstream out(path, std::ios::trunc);
-    out << formatCheckpointLine(line) << '\n';
-    // A second, hostile-keyed row exercises last-line-wins keying too.
-    CheckpointLine keyed = line;
-    keyed.benchmark = "bench\nnewline";
-    out << formatCheckpointLine(keyed) << '\n';
+    CheckpointLog log(path, /*resume=*/false);
+    log.append(row.benchmark, row.config, encodeSweepRow(row));
+    // A second, hostile-keyed row exercises last-row-wins keying too.
+    log.append("bench\nnewline", row.config, encodeSweepRow(row));
+    EXPECT_EQ(log.failure(), "");
   }
-  const auto map = loadCheckpoint(path, 1);
-  ASSERT_EQ(map.size(), 2u);
-  const auto it = map.find(checkpointKey("gzip", "srb=64"));
-  ASSERT_NE(it, map.end());
-  EXPECT_EQ(it->second.diagnostic, line.diagnostic);
-  ASSERT_NE(map.find(checkpointKey("bench\nnewline", "srb=64")), map.end());
-}
-
-TEST(Checkpoint, PreEscapingRowsStillParse) {
-  // A row written by the old sanitize-to-spaces code: no backslashes, no
-  // control bytes. The new parser must read it unchanged.
-  const std::string old_row =
-      "spt-sweep-v1\tok\tbzip2\tdefault\t42\tdiag with spaces only";
-  CheckpointLine parsed;
-  ASSERT_TRUE(parseCheckpointLine(old_row, 1, &parsed));
-  EXPECT_EQ(parsed.benchmark, "bzip2");
-  EXPECT_EQ(parsed.config, "default");
-  EXPECT_EQ(parsed.metrics, std::vector<std::uint64_t>{42});
-  EXPECT_EQ(parsed.diagnostic, "diag with spaces only");
+  const LogReplay replay = readDurableLog(path);
+  ASSERT_EQ(replay.rows.size(), 2u);
+  const auto it = replay.rows.find({"gzip", "srb=64"});
+  ASSERT_NE(it, replay.rows.end());
+  SweepRow back;
+  ASSERT_TRUE(decodeSweepRow(it->second, &back));
+  EXPECT_EQ(back.diagnostic, row.diagnostic);
+  EXPECT_NE(replay.rows.find({"bench\nnewline", "srb=64"}), replay.rows.end());
 }
 
 // ---- Per-sweep resource report -------------------------------------------
@@ -1491,101 +1541,23 @@ TEST(OracleDivergence, CampaignJsonCarriesDivergenceReport) {
 }
 
 
-// ---- Checkpoint torn-tail property ----------------------------------------
-
-// Satellite property test for the torn-tail loader: truncating a
-// checkpoint file at EVERY byte offset must either resume cleanly or drop
-// only the torn trailing record — never crash, never resume a corrupted
-// row. The expected map at each offset is exactly the set of records
-// whose terminating newline survived the cut.
-TEST(Checkpoint, TruncationAtEveryByteOffsetLosesAtMostTheTornTail) {
-  const std::size_t kMetrics = 3;
-  std::vector<CheckpointLine> lines;
-  {
-    CheckpointLine a;
-    a.status = CellStatus::kOk;
-    a.benchmark = "mcf";
-    a.config = "default";
-    a.metrics = {101, 202, 303};
-    lines.push_back(a);
-  }
-  {
-    CheckpointLine b;
-    b.status = CellStatus::kCrashed;
-    b.benchmark = "gzip";
-    b.config = "cell:1/seed:42";
-    b.metrics = {7, 0, 999999};
-    b.diagnostic = "hostile\tdiag\nwith separators";
-    lines.push_back(b);
-  }
-  {
-    CheckpointLine c;
-    c.status = CellStatus::kOk;
-    c.benchmark = "mcf";
-    c.config = "default";  // same key as the first line: last-wins
-    c.metrics = {111, 222, 333};
-    lines.push_back(c);
-  }
-
-  std::string full;
-  std::vector<std::size_t> ends;  // byte offset just past each record
-  for (const CheckpointLine& l : lines) {
-    full += formatCheckpointLine(l) + '\n';
-    ends.push_back(full.size());
-  }
-
-  const std::string path =
-      ::testing::TempDir() + "/spt_truncation_property_ck.txt";
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(full.data(), static_cast<std::streamsize>(cut));
-    }
-    // Expected: exactly the records whose '\n' survived, last-line-wins.
-    std::map<std::string, CheckpointLine> want;
-    std::size_t complete = 0;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (ends[i] <= cut) {
-        want[checkpointKey(lines[i].benchmark, lines[i].config)] = lines[i];
-        complete = ends[i];
-      }
-    }
-    std::string warning;
-    const auto got = loadCheckpoint(path, kMetrics, &warning);
-    ASSERT_EQ(got.size(), want.size()) << "cut at byte " << cut;
-    for (const auto& [key, wl] : want) {
-      const auto it = got.find(key);
-      ASSERT_NE(it, got.end()) << "cut at byte " << cut << ", key " << key;
-      EXPECT_EQ(it->second.status, wl.status) << "cut at byte " << cut;
-      EXPECT_EQ(it->second.metrics, wl.metrics) << "cut at byte " << cut;
-      EXPECT_EQ(it->second.diagnostic, wl.diagnostic)
-          << "cut at byte " << cut;
-    }
-    // The loader reports a torn tail iff the cut left one.
-    if (cut == complete) {
-      EXPECT_TRUE(warning.empty()) << "cut at byte " << cut << ": " << warning;
-    } else {
-      EXPECT_FALSE(warning.empty()) << "cut at byte " << cut;
-    }
-  }
-}
-
-// A line written with a different metric count never parses under this
-// loader's expectation — the sweep service appends sweep (20-metric) and
-// campaign (11-metric) records to one file, and each resume path must
-// keep only its own shape instead of gluing foreign columns into the
-// diagnostic.
+// A sweep row and a campaign cell may share one log (the service writes
+// both), and neither codec accepts the other's payload, so each resume
+// path keeps only its own shape.
 TEST(Checkpoint, MixedMetricShapesDoNotCrossParse) {
-  CheckpointLine sweep_like;
-  sweep_like.benchmark = "mcf";
-  sweep_like.config = "default";
-  sweep_like.metrics = {1, 2, 3, 4, 5};
-  sweep_like.diagnostic = "fine";
-  const std::string text = formatCheckpointLine(sweep_like);
-  CheckpointLine out;
-  EXPECT_TRUE(parseCheckpointLine(text, 5, &out));
-  EXPECT_FALSE(parseCheckpointLine(text, 3, &out));  // extra columns
-  EXPECT_FALSE(parseCheckpointLine(text, 6, &out));  // missing columns
+  SweepRow sweep_row;
+  sweep_row.benchmark = "mcf";
+  sweep_row.config = "default";
+  FaultCampaignCell campaign_cell;
+  campaign_cell.benchmark = "mcf";
+  const std::string sweep_payload = encodeSweepRow(sweep_row);
+  const std::string campaign_payload = encodeCampaignCell(campaign_cell);
+  SweepRow row;
+  FaultCampaignCell cell;
+  EXPECT_TRUE(decodeSweepRow(sweep_payload, &row));
+  EXPECT_TRUE(decodeCampaignCell(campaign_payload, &cell));
+  EXPECT_FALSE(decodeSweepRow(campaign_payload, &row));
+  EXPECT_FALSE(decodeCampaignCell(sweep_payload, &cell));
 }
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))

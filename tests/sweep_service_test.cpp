@@ -10,18 +10,20 @@
 // exercised, not a mock.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/cell_codec.h"
 #include "harness/cell_status.h"
-#include "harness/checkpoint.h"
+#include "harness/durable_log.h"
 #include "harness/fault_campaign.h"
-#include "harness/journal.h"
 #include "harness/parallel_sweep.h"
 #include "harness/suite.h"
 #include "harness/supervisor.h"
@@ -44,6 +46,19 @@ std::string readWholeFile(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// Row records in a durable log, duplicates included: one per cell run.
+std::size_t rowRecords(const std::string& path) {
+  std::stringstream in(readWholeFile(path));
+  std::size_t rows = 0;
+  for (std::string line; std::getline(in, line);) {
+    LogRecord rec;
+    if (parseLogRecord(line, &rec) && rec.kind == LogRecord::Kind::kRow) {
+      ++rows;
+    }
+  }
+  return rows;
 }
 
 // The CI byte-determinism filter: drop the lines that legitimately differ
@@ -499,14 +514,18 @@ TEST(SweepService, CampaignCellsMatchStandaloneWorkers) {
   EXPECT_EQ(out.campaign.totals.escaped, want_totals.escaped);
 }
 
-// ---- Checkpointing --------------------------------------------------------
+// ---- The journal's rows ---------------------------------------------------
 
+// The service logs every finished cell, sweep and campaign alike, as a row
+// record in its journal, and those rows feed a one-shot
+// `sptc sweep --resume --checkpoint <journal>`: the served cell is reused,
+// not re-run.
 TEST(SweepService, CheckpointCarriesSweepAndCampaignLines) {
   if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
   SweepServiceOptions opts;
-  opts.checkpoint_path = ::testing::TempDir() + "/spts_service_ck.txt";
-  ::unlink(opts.checkpoint_path.c_str());
-  const std::string ck = opts.checkpoint_path;
+  opts.journal_path = ::testing::TempDir() + "/spts_service_journal.txt";
+  ::unlink(opts.journal_path.c_str());
+  const std::string jl = opts.journal_path;
   const ServiceHandle h = startService(std::move(opts), "ck");
   ASSERT_GT(h.pid, 0);
 
@@ -515,6 +534,7 @@ TEST(SweepService, CheckpointCarriesSweepAndCampaignLines) {
   sweep.benchmarks = {"mcf"};
   const SubmitOutcome s = submitToService(h.socket_path, sweep);
   ASSERT_TRUE(s.ok) << s.error;
+  ASSERT_EQ(s.rows.size(), 1u);
 
   ServiceRequest camp;
   camp.kind = ServiceRequest::Kind::kCampaign;
@@ -524,16 +544,91 @@ TEST(SweepService, CheckpointCarriesSweepAndCampaignLines) {
   ASSERT_TRUE(c.ok) << c.error;
   EXPECT_EQ(stopService(h), 0);
 
-  // One side file, two line shapes; each loader keeps its own and skips
-  // the other's (mismatched metric count), so `--resume` on either path
-  // can consume a service-written checkpoint.
-  const auto sweep_map = loadCheckpoint(ck, kSweepCheckpointMetrics);
-  ASSERT_EQ(sweep_map.size(), 1u);
-  EXPECT_EQ(sweep_map.begin()->second.benchmark, "mcf");
-  const auto camp_map = loadCheckpoint(ck, kCampaignCheckpointMetrics);
-  ASSERT_EQ(camp_map.size(), 1u);
-  EXPECT_EQ(camp_map.begin()->second.config,
-            campaignCellConfigKey(0, support::deriveSeed(camp.base_seed, 0)));
+  // One log, both row shapes, each under its cell key.
+  const LogReplay replay = readDurableLog(jl);
+  ASSERT_EQ(replay.rows.size(), 2u);
+  SweepRow logged_row;
+  ASSERT_TRUE(decodeSweepRow(replay.rows.at({"mcf", "default"}), &logged_row));
+  FaultCampaignCell logged_cell;
+  ASSERT_TRUE(decodeCampaignCell(
+      replay.rows.at({"mcf", campaignCellConfigKey(
+                                 0, support::deriveSeed(camp.base_seed, 0))}),
+      &logged_cell));
+  EXPECT_EQ(logged_cell.arch_digest, c.campaign.cells[0].arch_digest);
+
+  // A one-shot resume over the journal reuses the served row.
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  std::vector<SweepCase> cases = buildSuiteSweepCases({}, {}, 1, {"mcf"});
+  const auto inner = cases[0].entry.workload.build;
+  cases[0].entry.workload.build = [builds, inner](std::uint64_t scale) {
+    builds->fetch_add(1, std::memory_order_relaxed);
+    return inner(scale);
+  };
+  SweepOptions resume;
+  resume.checkpoint_path = jl;
+  resume.resume = true;
+  const auto rows = runSweep(ParallelSweep(1), cases, resume);
+  EXPECT_EQ(builds->load(), 0);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].result.spt.cycles, s.rows[0].result.spt.cycles);
+  EXPECT_EQ(rows[0].result.baseline.cycles, s.rows[0].result.baseline.cycles);
+  const std::string served = ::testing::TempDir() + "/spts_ck_served.json";
+  const std::string resumed = ::testing::TempDir() + "/spts_ck_resumed.json";
+  std::vector<SweepRow> served_rows = s.rows;
+  served_rows[0].worker = WorkerDiagnostics{};
+  ASSERT_TRUE(writeSweepJson(served, served_rows));
+  ASSERT_TRUE(writeSweepJson(resumed, rows));
+  EXPECT_EQ(filterHostLines(readWholeFile(resumed)),
+            filterHostLines(readWholeFile(served)));
+}
+
+#if defined(__linux__)
+// A failed journal append (/dev/full: ENOSPC) is counted in the status
+// document, and the service keeps serving.
+TEST(SweepService, FailedJournalAppendIsCountedInStatus) {
+  if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
+  SweepServiceOptions opts;
+  opts.journal_path = "/dev/full";
+  const ServiceHandle h = startService(std::move(opts), "full");
+  ASSERT_GT(h.pid, 0);
+  ServiceRequest req;
+  req.kind = ServiceRequest::Kind::kEcho;
+  req.echo_cells = 2;
+  req.echo_payload = "x";
+  const SubmitOutcome out = submitToService(h.socket_path, req);
+  ASSERT_TRUE(out.ok) << out.error;
+  const auto status = queryServiceStatus(h.socket_path);
+  ASSERT_TRUE(status.has_value());
+  // The admit and the settle both failed; echo cells log no rows.
+  EXPECT_NE(status->find("\"append_failures\":2"), std::string::npos)
+      << *status;
+  EXPECT_EQ(stopService(h), 0);
+}
+#endif
+
+// A journal in the retired spt-journal-v1 format is refused: the service
+// does not start, and the file is left as it was.
+TEST(SweepService, OlderJournalFormatIsRefused) {
+  if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
+  const std::string jl = ::testing::TempDir() + "/spts_old_journal.txt";
+  const std::string old = "spt-journal-v1\tsettle\t1\tdone\t0\n";
+  {
+    std::ofstream out(jl, std::ios::trunc);
+    out << old;
+  }
+  SweepServiceOptions opts;
+  opts.socket_path = ::testing::TempDir() + "/spts_old_" +
+                     std::to_string(::getpid()) + ".sock";
+  opts.journal_path = jl;
+  std::string log;
+  opts.log = [&log](const std::string& m) { log += m + "\n"; };
+  const std::string sock = opts.socket_path;
+  EXPECT_EQ(SweepService(std::move(opts)).run(), 1);
+  EXPECT_NE(log.find(jl), std::string::npos) << log;
+  EXPECT_NE(log.find("spt-journal-v1"), std::string::npos) << log;
+  EXPECT_NE(log.find(kDurableLogFormat), std::string::npos) << log;
+  EXPECT_EQ(readWholeFile(jl), old);
+  EXPECT_NE(::access(sock.c_str(), F_OK), 0);  // socket removed again
 }
 
 // ---- Drain under load -----------------------------------------------------
@@ -619,11 +714,8 @@ TEST(SweepService, StaleSocketIsReclaimedAndLiveSocketRefused) {
 TEST(SweepService, TokenResubmissionAttachesWithoutDuplicateWork) {
   if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
   SweepServiceOptions opts;
-  opts.checkpoint_path = ::testing::TempDir() + "/spts_token_ck.txt";
   opts.journal_path = ::testing::TempDir() + "/spts_token_journal.txt";
-  ::unlink(opts.checkpoint_path.c_str());
   ::unlink(opts.journal_path.c_str());
-  const std::string ck = opts.checkpoint_path;
   const std::string jl = opts.journal_path;
   const ServiceHandle h = startService(std::move(opts), "token");
   ASSERT_GT(h.pid, 0);
@@ -665,15 +757,10 @@ TEST(SweepService, TokenResubmissionAttachesWithoutDuplicateWork) {
   EXPECT_EQ(stopService(h), 0);
 
   // Proof of no duplicate work: the sweep ran its one cell exactly once.
-  std::size_t checkpoint_lines = 0;
-  std::stringstream ck_in(readWholeFile(ck));
-  for (std::string line; std::getline(ck_in, line);) {
-    if (line.rfind(kCheckpointTag, 0) == 0) ++checkpoint_lines;
-  }
-  EXPECT_EQ(checkpoint_lines, 1u);
+  EXPECT_EQ(rowRecords(jl), 1u);
   // And the journal holds one admission, settled at delivery.
-  const JournalReplay replay = replayJournal(jl);
-  EXPECT_EQ(replay.records_replayed, 2u);
+  const LogReplay replay = readDurableLog(jl);
+  EXPECT_EQ(replay.records_replayed, 3u);
   EXPECT_EQ(replay.requests_settled, 1u);
   EXPECT_TRUE(replay.unsettled.empty());
 }
@@ -704,17 +791,14 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalSweep) {
 
   const std::string sock = ::testing::TempDir() + "/spts_kill_" +
                            std::to_string(::getpid()) + ".sock";
-  const std::string ck = ::testing::TempDir() + "/spts_kill_ck.txt";
   const std::string jl = ::testing::TempDir() + "/spts_kill_journal.txt";
   const std::string serve_path = ::testing::TempDir() + "/spts_kill_serve.json";
   ::unlink(sock.c_str());
-  ::unlink(ck.c_str());
   ::unlink(jl.c_str());
   ::unlink(serve_path.c_str());
 
   const auto incarnation = [&](const char* crash_spec) {
     SweepServiceOptions opts;
-    opts.checkpoint_path = ck;
     opts.journal_path = jl;
     if (crash_spec != nullptr) {
       opts.crash = *support::ServiceCrashPlan::parse(crash_spec);
@@ -751,12 +835,12 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalSweep) {
   h = incarnation("admit");
   ASSERT_GT(h.pid, 0);
   expectCrashed(h);
-  // 3: recovered the request, then died after the first cell settled into
-  //    the checkpoint (before its result/done reached anyone).
+  // 3: recovered the request, then died after the first cell's row was
+  //    synced to the journal (before its result/done reached anyone).
   h = incarnation("settle@1");
   ASSERT_GT(h.pid, 0);
   expectCrashed(h);
-  // 4: recovered (first cell replayed from the checkpoint, not re-run),
+  // 4: recovered (first cell replayed from its row, not re-run),
   //    then died 7 bytes into a reply flush to the re-attached client.
   h = incarnation("flush:7");
   ASSERT_GT(h.pid, 0);
@@ -775,15 +859,10 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalSweep) {
   // JSON to the uninterrupted pooled sweep...
   EXPECT_EQ(filterHostLines(readWholeFile(serve_path)),
             filterHostLines(readWholeFile(base_path)));
-  // ...and no cell ever ran twice: one checkpoint line per grid cell.
-  std::size_t checkpoint_lines = 0;
-  std::stringstream ck_in(readWholeFile(ck));
-  for (std::string line; std::getline(ck_in, line);) {
-    if (line.rfind(kCheckpointTag, 0) == 0) ++checkpoint_lines;
-  }
-  EXPECT_EQ(checkpoint_lines, baseline.size());
+  // ...and no cell ever ran twice: one row record per grid cell.
+  EXPECT_EQ(rowRecords(jl), baseline.size());
   // The journal settled the request exactly once, at delivery.
-  const JournalReplay replay = replayJournal(jl);
+  const LogReplay replay = readDurableLog(jl);
   EXPECT_TRUE(replay.unsettled.empty());
   // Only one admit is ever durable: incarnation 1's record was torn
   // mid-append and truncated away on restart, so the retry's admit (id 1)
@@ -825,18 +904,15 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalCampaign) {
 
   const std::string sock = ::testing::TempDir() + "/spts_killc_" +
                            std::to_string(::getpid()) + ".sock";
-  const std::string ck = ::testing::TempDir() + "/spts_killc_ck.txt";
   const std::string jl = ::testing::TempDir() + "/spts_killc_journal.txt";
   const std::string serve_path =
       ::testing::TempDir() + "/spts_killc_serve.json";
   ::unlink(sock.c_str());
-  ::unlink(ck.c_str());
   ::unlink(jl.c_str());
   ::unlink(serve_path.c_str());
 
   const auto incarnation = [&](const char* crash_spec) {
     SweepServiceOptions opts;
-    opts.checkpoint_path = ck;
     opts.journal_path = jl;
     if (crash_spec != nullptr) {
       opts.crash = *support::ServiceCrashPlan::parse(crash_spec);
@@ -868,8 +944,8 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalCampaign) {
   }
   ASSERT_GT(client, 0);
 
-  // Crash after the first campaign cell checkpointed; the clean restart
-  // replays it and runs only the second.
+  // Crash after the first campaign cell's row was synced; the clean
+  // restart replays it and runs only the second.
   expectCrashed(h);
   h = incarnation(nullptr);
   ASSERT_GT(h.pid, 0);
@@ -881,12 +957,99 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalCampaign) {
 
   EXPECT_EQ(filterHostLines(readWholeFile(serve_path)),
             filterHostLines(readWholeFile(base_path)));
-  std::size_t checkpoint_lines = 0;
-  std::stringstream ck_in(readWholeFile(ck));
-  for (std::string line; std::getline(ck_in, line);) {
-    if (line.rfind(kCheckpointTag, 0) == 0) ++checkpoint_lines;
+  EXPECT_EQ(rowRecords(jl), 2u);
+}
+
+// A sweep row's key is only (benchmark, config) and carries none of the
+// request's machine options, so recovery must fill a request's cells from
+// the rows *that request* logged. Request A (full-squash recovery) settles
+// first; request B asks for the same grid under the default SRX+FC
+// recovery and the service dies after B's first row. The restart must run
+// B's second cell, not reuse A's row for the same key.
+TEST(SweepService, KillRestartRecoveryUsesOnlyTheRequestsOwnRows) {
+  if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
+  const std::vector<std::string> benchmarks = {"mcf", "gzip"};
+  support::MachineConfig squash;
+  squash.recovery = support::RecoveryMechanism::kFullSquash;
+
+  // Uninterrupted baseline of request B.
+  SweepOptions base;
+  base.supervisor.isolate = true;
+  base.supervisor.cell_timeout_seconds = 240.0;
+  base.supervisor.jobs = 1;
+  const auto baseline =
+      runSweep(ParallelSweep(1), buildSuiteSweepCases({}, {}, 1, benchmarks),
+               base);
+  const std::string base_path = ::testing::TempDir() + "/spts_own_base.json";
+  ASSERT_TRUE(writeSweepJson(base_path, baseline));
+
+  const std::string sock = ::testing::TempDir() + "/spts_own_" +
+                           std::to_string(::getpid()) + ".sock";
+  const std::string jl = ::testing::TempDir() + "/spts_own_journal.txt";
+  const std::string serve_path = ::testing::TempDir() + "/spts_own_serve.json";
+  ::unlink(sock.c_str());
+  ::unlink(jl.c_str());
+  ::unlink(serve_path.c_str());
+  const auto incarnation = [&](const char* crash_spec) {
+    SweepServiceOptions opts;
+    opts.journal_path = jl;
+    opts.supervisor.jobs = 1;  // B's cells run one at a time
+    if (crash_spec != nullptr) {
+      opts.crash = *support::ServiceCrashPlan::parse(crash_spec);
+    }
+    return startServiceAt(std::move(opts), sock);
+  };
+
+  // Request A runs to delivery; its rows stay in the journal.
+  ServiceHandle h = incarnation(nullptr);
+  ASSERT_GT(h.pid, 0);
+  ServiceRequest a;
+  a.kind = ServiceRequest::Kind::kSweep;
+  a.benchmarks = benchmarks;
+  a.machine = squash;
+  const SubmitOutcome served_a = submitToService(sock, a);
+  ASSERT_TRUE(served_a.ok) << served_a.error;
+  ASSERT_EQ(served_a.rows.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    // The two requests' numbers differ in every cell, so a borrowed row
+    // shows in the output.
+    ASSERT_NE(served_a.rows[i].result.spt.cycles,
+              baseline[i].result.spt.cycles)
+        << baseline[i].benchmark;
   }
-  EXPECT_EQ(checkpoint_lines, 2u);
+  EXPECT_EQ(stopService(h), 0);
+
+  // Request B: the service dies after B's first row is synced.
+  h = incarnation("settle@1");
+  ASSERT_GT(h.pid, 0);
+  const pid_t client = ::fork();
+  if (client == 0) {
+    ServiceRequest b;
+    b.kind = ServiceRequest::Kind::kSweep;
+    b.benchmarks = benchmarks;
+    SubmitOptions sopts;
+    sopts.token = "own-rows";
+    sopts.retry_for_seconds = 240.0;
+    const SubmitOutcome out = submitToServiceWithRetry(sock, b, sopts);
+    if (!out.ok) ::_exit(1);
+    if (!writeSweepJson(serve_path, out.rows)) ::_exit(2);
+    ::_exit(0);
+  }
+  ASSERT_GT(client, 0);
+  expectCrashed(h);
+  h = incarnation(nullptr);
+  ASSERT_GT(h.pid, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(client, &status, 0), client);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "client exit " << WEXITSTATUS(status);
+  EXPECT_EQ(stopService(h), 0);
+
+  EXPECT_EQ(filterHostLines(readWholeFile(serve_path)),
+            filterHostLines(readWholeFile(base_path)));
+  // A's two rows, then B's: its first before the crash and its second
+  // after the restart, each cell run once.
+  EXPECT_EQ(rowRecords(jl), 2 * baseline.size());
 }
 
 #endif  // SPT_SERVICE_TEST_POSIX

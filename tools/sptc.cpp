@@ -37,9 +37,8 @@
 //       one warm worker pool with fair round-robin scheduling, bounded
 //       admission, per-request deadlines and graceful SIGTERM drain.
 //       --jobs / --cell-timeout / --retries / --rlimit-* size the pool;
-//       --checkpoint appends every finished cell service-wide; --journal
-//       makes admission restart-safe (docs/ROBUSTNESS.md "Request
-//       journal"): requests are recovered and finished after a crash.
+//       --journal makes the service restart-safe (docs/ROBUSTNESS.md "The
+//       durable log"): requests are recovered and finished after a crash.
 //   sptc submit <sweep|inject|status> --socket PATH [options]
 //       Submit one request to a running service and print/emit the same
 //       table and JSON the one-shot command would (byte-identical filtered
@@ -53,14 +52,17 @@
 //                      before requests are refused with a busy/retry-after
 //                      reply (default 1024)
 //   --allow-chaos      accept request-embedded worker chaos plans (tests)
-//   --journal PATH     write-ahead request journal: every admission is
-//                      fsync'd to PATH before any work, every settlement
-//                      after; on restart unsettled requests are re-admitted
-//                      and finished (ok cells replayed from --checkpoint,
-//                      the rest re-run), even if the client never returns
+//   --journal PATH     durable log of admissions, finished cells and
+//                      settlements, each fsync'd to PATH (admissions before
+//                      any work); on restart unsettled requests are
+//                      re-admitted and finished (ok cells replayed from
+//                      their logged rows, the rest re-run), even if the
+//                      client never returns. Its rows also feed
+//                      `sptc sweep --resume --checkpoint PATH`
 //   --crash-at SPEC    scripted self-SIGKILL for the kill/restart tests:
 //                      POINT[@AT][:BYTES] with POINT one of admit | settle
-//                      | flush | append (append:N dies after N bytes of a
+//                      | flush | append (settle@N dies after the Nth row
+//                      record is synced; append:N dies after N bytes of a
 //                      torn journal record)
 //
 // Options for submit:
@@ -88,8 +90,13 @@
 //   --oracle M         digest | deep (default digest)
 //
 // Options for sweep/inject:
-//   --checkpoint PATH  flush each finished cell to PATH as it completes
+//   --checkpoint PATH  append each finished cell to the durable log at PATH
+//                      as it completes (fsync'd); a PATH that cannot be
+//                      opened stops the run before any cell starts; after
+//                      a failed append the results are still printed,
+//                      then the command exits 2
 //   --resume           reuse ok cells from --checkpoint; re-run the rest
+//                      (a file in an older format is refused)
 //   --quarantine       report poisoned cells in the results instead of
 //                      aborting (arms throwing SPT_CHECK; sweep only)
 //   --max-records N    per-cell simulated-record budget (0 = unlimited)
@@ -169,6 +176,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "harness/durable_log.h"
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
 #include "harness/perf.h"
@@ -200,8 +208,8 @@ extern "C" void onInterruptSignal(int) { g_interrupted = 1; }
 /// without SA_RESTART so a signal wakes the supervisor's poll() instead
 /// of silently restarting it. Only used for supervised (--isolate/--pool)
 /// runs and the service — the in-process path keeps default signal
-/// behavior (die now; per-line checkpoint flushes already make --resume
-/// safe, and the loader drops a torn trailing line).
+/// behavior (die now; per-record checkpoint fsyncs already make --resume
+/// safe, and the reader drops a torn trailing record).
 void installInterruptHandlers() {
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
   struct sigaction sa {};
@@ -715,11 +723,22 @@ int cmdSweep(Options options) {
   sweep_opts.resume = options.resume;
   sweep_opts.supervisor = options.supervisor;
   sweep_opts.trace_cache_dir = options.trace_cache_dir;
-  const auto rows = harness::runSweep(sweep, cases, sweep_opts);
+  std::vector<harness::SweepRow> rows;
+  std::string checkpoint_error;
+  try {
+    rows = harness::runSweep(sweep, cases, sweep_opts, &checkpoint_error);
+  } catch (const harness::DurableLogError& e) {
+    std::cerr << "sptc: " << e.what() << "\n";
+    return 2;
+  }
 
   const int rc = finishSweep(
       rows, options,
       "suite sweep (" + std::to_string(sweep.jobs()) + " jobs)");
+  if (!checkpoint_error.empty()) {
+    std::cerr << "sptc: " << checkpoint_error << "\n";
+    return 2;
+  }
   if (g_interrupted) {
     std::cerr << "sptc: sweep interrupted; finished cells are checkpointed, "
                  "re-run with --resume\n";
@@ -807,9 +826,20 @@ int cmdInject(Options options) {
   fc.checkpoint_path = options.checkpoint_path;
   fc.resume = options.resume;
   fc.supervisor = options.supervisor;
-  const auto result = harness::runFaultCampaign(fc);
+  harness::FaultCampaignResult result;
+  std::string checkpoint_error;
+  try {
+    result = harness::runFaultCampaign(fc, &checkpoint_error);
+  } catch (const harness::DurableLogError& e) {
+    std::cerr << "sptc: " << e.what() << "\n";
+    return 2;
+  }
 
   const int rc = finishCampaign(result, options);
+  if (!checkpoint_error.empty()) {
+    std::cerr << "sptc: " << checkpoint_error << "\n";
+    return 2;
+  }
   if (g_interrupted) {
     std::cerr << "sptc: campaign interrupted; finished cells are "
                  "checkpointed, re-run with --resume\n";
@@ -821,6 +851,11 @@ int cmdInject(Options options) {
 int cmdServe(const Options& options) {
   if (options.socket_path.empty()) {
     std::cerr << "sptc: serve needs --socket PATH\n";
+    return 2;
+  }
+  if (!options.checkpoint_path.empty()) {
+    std::cerr << "sptc: serve takes no --checkpoint; finished cells are "
+                 "logged in the --journal file\n";
     return 2;
   }
   if (!harness::SweepService::supported()) {
@@ -835,7 +870,6 @@ int cmdServe(const Options& options) {
   so.supervisor.jobs = options.jobs;  // --jobs sizes the worker pool
   so.max_queue = options.max_queue;
   so.allow_chaos = options.allow_chaos;
-  so.checkpoint_path = options.checkpoint_path;
   so.journal_path = options.journal_path;
   so.crash = options.service_crash;
   so.trace_cache_dir = options.trace_cache_dir;
