@@ -2,7 +2,7 @@
 //
 // A supervised worker reports its finished cell to the parent as one
 // supervisor frame (supervisor.h); the frame payload is this codec's
-// output. A warm-pool worker nests these bytes inside a v2 pooled reply
+// output. A warm-pool worker nests these bytes inside a pooled reply
 // after the cell/rusage header (supervisor.h's PoolReplyHeader — kept
 // there, with the frame codec, because this header already depends on
 // parallel_sweep.h which depends on supervisor.h). The encoding is a flat

@@ -23,10 +23,10 @@ namespace spt::harness {
 
 namespace {
 
-constexpr char kLogMagic[4] = {'S', 'P', 'T', 'L'};
 constexpr std::uint32_t kLogVersion = 1;
-constexpr std::uint8_t kMaxKind =
-    static_cast<std::uint8_t>(LogRecord::Kind::kSettle);
+constexpr support::wire::FrameFormat kLogFormat{
+    {'S', 'P', 'T', 'L'}, kLogVersion, kLogVersion, 0,
+    static_cast<std::uint8_t>(LogRecord::Kind::kSettle)};
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
@@ -91,7 +91,7 @@ std::string formatLogRecord(const LogRecord& record) {
       break;
   }
   return toHex(support::wire::encodeFrame(
-      kLogMagic, kLogVersion, static_cast<std::uint8_t>(record.kind),
+      kLogFormat.magic, kLogVersion, static_cast<std::uint8_t>(record.kind),
       w.bytes()));
 }
 
@@ -103,9 +103,8 @@ bool parseLogRecord(const std::string& line, LogRecord* out,
   std::uint8_t kind = 0;
   std::string payload;
   std::string why;
-  if (!support::wire::decodeFrame(kLogMagic, frame, kLogVersion, kLogVersion,
-                                  kMaxKind, &version, &kind, &payload,
-                                  &why)) {
+  if (!support::wire::decodeFrame(kLogFormat, frame, &version, &kind,
+                                  &payload, &why)) {
     return fail(error, why);
   }
   LogRecord rec;

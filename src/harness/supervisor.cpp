@@ -7,9 +7,11 @@
 #include <sstream>
 #include <thread>
 
+#include "harness/cell_codec.h"
 #include "support/error.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
+#include "support/wire.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #define SPT_SUPERVISOR_POSIX 1
@@ -26,26 +28,7 @@
 namespace spt::harness {
 namespace {
 
-// ---- Frame codec (trace_io v2 FNV approach) -------------------------------
-
-constexpr char kFrameMagic[4] = {'S', 'P', 'T', 'W'};
-// magic + version + kind + length.
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 1 + 8;
-// A reply larger than this is corruption, not a result.
-constexpr std::uint64_t kMaxPayloadBytes = 1ull << 28;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-
-void appendRaw(std::string& out, const void* data, std::size_t n) {
-  out.append(static_cast<const char*>(data), n);
-}
+namespace wire = support::wire;
 
 std::string hexDump(const std::string& bytes, std::size_t limit) {
   static const char* digits = "0123456789abcdef";
@@ -61,154 +44,22 @@ std::string hexDump(const std::string& bytes, std::size_t limit) {
   return out;
 }
 
-/// The highest kind a frame of `version` may carry: v2 knows request and
-/// cell-tagged replies; v3 adds the spec request.
-std::uint8_t maxKindForVersion(std::uint32_t version) {
-  return version == kSupervisorFrameV2 ? kFrameKindPooledError
-                                       : kFrameKindSpecRequest;
-}
-
-bool supportedFrameVersion(std::uint32_t version) {
-  return version >= kSupervisorFrameV2 && version <= kSupervisorFrameV3;
-}
-
 }  // namespace
 
 std::string encodeSupervisorFrame(std::uint8_t kind,
-                                  const std::string& payload,
-                                  std::uint32_t version) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size() + 8);
-  appendRaw(out, kFrameMagic, sizeof kFrameMagic);
-  appendRaw(out, &version, sizeof version);
-  appendRaw(out, &kind, sizeof kind);
-  const std::uint64_t length = payload.size();
-  appendRaw(out, &length, sizeof length);
-  out += payload;
-  std::uint64_t checksum = kFnvOffset;
-  checksum = fnv1a(checksum, &kind, sizeof kind);
-  checksum = fnv1a(checksum, &length, sizeof length);
-  checksum = fnv1a(checksum, payload.data(), payload.size());
-  appendRaw(out, &checksum, sizeof checksum);
-  return out;
-}
-
-bool decodeSupervisorFrame(const std::string& bytes, std::uint8_t* kind,
-                           std::string* payload, std::string* error) {
-  const auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (bytes.empty()) return fail("empty reply (no frame)");
-  if (bytes.size() < kFrameHeaderBytes + 8) {
-    return fail("short reply: " + std::to_string(bytes.size()) +
-                " bytes, frame header needs " +
-                std::to_string(kFrameHeaderBytes + 8));
-  }
-  if (std::memcmp(bytes.data(), kFrameMagic, sizeof kFrameMagic) != 0) {
-    return fail("bad frame magic (first bytes " + hexDump(bytes, 8) + ")");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof version);
-  if (!supportedFrameVersion(version)) {
-    return fail("unsupported frame version " + std::to_string(version) +
-                " (expected " + std::to_string(kSupervisorFrameV2) + " to " +
-                std::to_string(kSupervisorFrameV3) + ")");
-  }
-  std::uint8_t k = 0;
-  std::memcpy(&k, bytes.data() + 8, sizeof k);
-  if (k < kFrameKindRequest || k > maxKindForVersion(version)) {
-    return fail("frame kind " + std::to_string(k) +
-                " is not valid in frame version " + std::to_string(version));
-  }
-  std::uint64_t length = 0;
-  std::memcpy(&length, bytes.data() + 9, sizeof length);
-  if (length > kMaxPayloadBytes) {
-    return fail("frame length " + std::to_string(length) +
-                " exceeds the payload cap");
-  }
-  if (bytes.size() != kFrameHeaderBytes + length + 8) {
-    return fail("frame length mismatch: header says " +
-                std::to_string(length) + " payload bytes, reply carries " +
-                std::to_string(bytes.size() - kFrameHeaderBytes - 8));
-  }
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + kFrameHeaderBytes + length,
-              sizeof stored);
-  std::uint64_t checksum = kFnvOffset;
-  checksum = fnv1a(checksum, &k, sizeof k);
-  checksum = fnv1a(checksum, &length, sizeof length);
-  checksum = fnv1a(checksum, bytes.data() + kFrameHeaderBytes, length);
-  if (checksum != stored) {
-    return fail("frame checksum mismatch: stored " + std::to_string(stored) +
-                ", computed " + std::to_string(checksum) +
-                " (reply bytes corrupted)");
-  }
-  if (kind != nullptr) *kind = k;
-  if (payload != nullptr) {
-    payload->assign(bytes, kFrameHeaderBytes, length);
-  }
-  return true;
-}
-
-FrameScan scanSupervisorFrame(const std::string& buf,
-                              std::size_t* frame_bytes, std::string* error) {
-  const auto corrupt = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return FrameScan::kCorrupt;
-  };
-  // Reject a garbage stream on the first bytes that can prove it garbage,
-  // rather than waiting for a length that will never arrive.
-  const std::size_t magic_avail = std::min(buf.size(), sizeof kFrameMagic);
-  if (std::memcmp(buf.data(), kFrameMagic, magic_avail) != 0) {
-    return corrupt("bad frame magic (first bytes " + hexDump(buf, 8) + ")");
-  }
-  if (buf.size() < 8) return FrameScan::kNeedMore;
-  std::uint32_t version = 0;
-  std::memcpy(&version, buf.data() + 4, sizeof version);
-  if (!supportedFrameVersion(version)) {
-    return corrupt("unsupported frame version " + std::to_string(version));
-  }
-  if (buf.size() < kFrameHeaderBytes) return FrameScan::kNeedMore;
-  std::uint64_t length = 0;
-  std::memcpy(&length, buf.data() + 9, sizeof length);
-  if (length > kMaxPayloadBytes) {
-    return corrupt("frame length " + std::to_string(length) +
-                   " exceeds the payload cap");
-  }
-  const std::size_t total =
-      kFrameHeaderBytes + static_cast<std::size_t>(length) + 8;
-  if (buf.size() < total) return FrameScan::kNeedMore;
-  if (frame_bytes != nullptr) *frame_bytes = total;
-  return FrameScan::kFrame;
-}
-
-std::string encodePoolRequest(std::uint64_t cell, std::uint32_t attempt) {
-  std::string out;
-  out.reserve(sizeof cell + sizeof attempt);
-  appendRaw(out, &cell, sizeof cell);
-  appendRaw(out, &attempt, sizeof attempt);
-  return out;
-}
-
-bool decodePoolRequest(const std::string& payload, std::uint64_t* cell,
-                       std::uint32_t* attempt) {
-  if (payload.size() != sizeof(std::uint64_t) + sizeof(std::uint32_t)) {
-    return false;
-  }
-  std::memcpy(cell, payload.data(), sizeof *cell);
-  std::memcpy(attempt, payload.data() + sizeof *cell, sizeof *attempt);
-  return true;
+                                  const std::string& payload) {
+  return wire::encodeFrame(kSupervisorFrameFormat.magic,
+                           kSupervisorFrameVersion, kind, payload);
 }
 
 std::string encodePoolReply(const PoolReplyHeader& header,
                             const std::string& inner) {
-  std::string out;
-  out.reserve(32 + inner.size());
-  appendRaw(out, &header.cell, sizeof header.cell);
-  appendRaw(out, &header.user_seconds, sizeof header.user_seconds);
-  appendRaw(out, &header.sys_seconds, sizeof header.sys_seconds);
-  appendRaw(out, &header.max_rss_kb, sizeof header.max_rss_kb);
+  ByteWriter w;
+  w.u64(header.cell);
+  w.f64(header.user_seconds);
+  w.f64(header.sys_seconds);
+  w.u64(static_cast<std::uint64_t>(header.max_rss_kb));
+  std::string out = w.take();
   out += inner;
   return out;
 }
@@ -228,12 +79,11 @@ bool decodePoolReply(const std::string& payload, PoolReplyHeader* header,
 std::string encodePoolSpecRequest(std::uint64_t id, std::uint32_t attempt,
                                   support::ChaosAction chaos,
                                   const std::string& spec) {
-  std::string out;
-  const std::uint8_t action = static_cast<std::uint8_t>(chaos);
-  out.reserve(sizeof id + sizeof attempt + sizeof action + spec.size());
-  appendRaw(out, &id, sizeof id);
-  appendRaw(out, &attempt, sizeof attempt);
-  appendRaw(out, &action, sizeof action);
+  ByteWriter w;
+  w.u64(id);
+  w.u32(attempt);
+  w.u8(static_cast<std::uint8_t>(chaos));
+  std::string out = w.take();
   out += spec;
   return out;
 }
@@ -262,20 +112,20 @@ Supervisor::Supervisor(SupervisorOptions options)
   }
 }
 
-double Supervisor::backoffSeconds(std::size_t cell,
-                                  std::uint32_t attempt) const {
+double backoffSeconds(const SupervisorOptions& options, std::size_t cell,
+                      std::uint32_t attempt) {
   if (attempt < 2) return 0.0;
   // Chain deriveSeed so cell and attempt enter the splitmix64 finalizer as
   // separate words: the old `cell * 64 + attempt` packing collided (e.g.
   // (cell 0, attempt 66) with (cell 1, attempt 2)), giving those pairs an
   // identical jitter stream.
   support::Rng rng(support::deriveSeed(
-      support::deriveSeed(options_.backoff_seed, cell), attempt));
+      support::deriveSeed(options.backoff_seed, cell), attempt));
   // Clamp the exponent: `1ull << (attempt - 2)` is UB once attempt >= 66,
   // and any delay beyond 2^62 * base is indistinguishable from forever.
   const std::uint32_t exponent = std::min<std::uint32_t>(attempt - 2, 62);
   const double factor = static_cast<double>(1ull << exponent);
-  return options_.backoff_base_seconds * factor * (1.0 + rng.nextDouble());
+  return options.backoff_base_seconds * factor * (1.0 + rng.nextDouble());
 }
 
 #if SPT_SUPERVISOR_POSIX
@@ -283,19 +133,6 @@ double Supervisor::backoffSeconds(std::size_t cell,
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool writeAll(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
 
 /// ru_maxrss is KB on Linux but **bytes** on macOS; WorkerDiagnostics
 /// promises KB, so normalize here.
@@ -346,12 +183,12 @@ std::string chaosGarbage(std::size_t cell) {
       for (;;) ::pause();
     case support::ChaosAction::kGarbage: {
       const std::string garbage = chaosGarbage(cell);
-      writeAll(fd, garbage.data(), garbage.size());
+      wire::writeAllFd(fd, garbage.data(), garbage.size());
       ::close(fd);
       ::_exit(0);
     }
     case support::ChaosAction::kPartial:
-      writeAll(fd, partial_frame.data(), partial_frame.size() / 2);
+      wire::writeAllFd(fd, partial_frame.data(), partial_frame.size() / 2);
       ::close(fd);
       ::_exit(0);
     case support::ChaosAction::kExit:
@@ -392,14 +229,12 @@ void armPooledCpuLimit(std::uint64_t limit_seconds) {
   }
 }
 
-/// One decoded request off a pooled worker's request pipe: either an
-/// index-mode cell (SPTW v2) or a spec-mode job (SPTW v3).
+/// One decoded spec request off a pooled worker's request pipe.
 struct PoolWorkerRequest {
-  std::uint64_t id = 0;  // cell index (v2) or opaque token (v3)
+  std::uint64_t id = 0;  // opaque token echoed on the reply
   std::uint32_t attempt = 1;
-  bool has_spec = false;
-  support::ChaosAction chaos = support::ChaosAction::kNone;  // v3 only
-  std::string spec;                                          // v3 only
+  support::ChaosAction chaos = support::ChaosAction::kNone;
+  std::string spec;
 };
 
 /// Blocks until one complete request frame is buffered, decoded, and
@@ -409,30 +244,21 @@ struct PoolWorkerRequest {
 bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
   for (;;) {
     std::size_t frame_bytes = 0;
-    const FrameScan scan = scanSupervisorFrame(buf, &frame_bytes, nullptr);
-    if (scan == FrameScan::kCorrupt) ::_exit(2);
-    if (scan == FrameScan::kFrame) {
+    const wire::FrameScan scan =
+        wire::scanFrame(kSupervisorFrameFormat, buf, &frame_bytes, nullptr);
+    if (scan == wire::FrameScan::kCorrupt) ::_exit(2);
+    if (scan == wire::FrameScan::kFrame) {
       std::uint8_t kind = 0;
       std::string payload;
-      if (!decodeSupervisorFrame(buf.substr(0, frame_bytes), &kind, &payload,
-                                 nullptr)) {
+      if (!wire::decodeFrame(kSupervisorFrameFormat,
+                             buf.substr(0, frame_bytes), nullptr, &kind,
+                             &payload, nullptr) ||
+          kind != kFrameKindSpecRequest ||
+          !decodePoolSpecRequest(payload, &req->id, &req->attempt,
+                                 &req->chaos, &req->spec)) {
         ::_exit(2);
       }
       buf.erase(0, frame_bytes);
-      if (kind == kFrameKindRequest) {
-        req->has_spec = false;
-        req->chaos = support::ChaosAction::kNone;
-        req->spec.clear();
-        if (!decodePoolRequest(payload, &req->id, &req->attempt)) ::_exit(2);
-      } else if (kind == kFrameKindSpecRequest) {
-        req->has_spec = true;
-        if (!decodePoolSpecRequest(payload, &req->id, &req->attempt,
-                                   &req->chaos, &req->spec)) {
-          ::_exit(2);
-        }
-      } else {
-        ::_exit(2);
-      }
       return true;
     }
     char chunk[4096];
@@ -448,14 +274,11 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
 }
 
 /// Pooled worker body: loop `recv request -> produce -> reply` until the
-/// parent closes the request pipe. Every reply is a v2 frame tagged with
-/// the id it answers plus the worker's self-reported per-cell rusage —
-/// spec-mode requests are answered with the same reply kinds, so the
-/// parent-side reply handling is identical across modes.
+/// parent closes the request pipe. Every reply is tagged with the id it
+/// answers plus the worker's self-reported per-cell rusage.
 [[noreturn]] void runPoolWorker(int request_fd, int reply_fd,
                                 const SupervisorOptions& options,
-                                const Supervisor::Producer& produce,
-                                const WorkerPool::SpecProducer& produce_spec) {
+                                const WorkerPool::Producer& produce) {
   if (options.rlimit_as_bytes != 0) {
     rlimit rl{};
     rl.rlim_cur = static_cast<rlim_t>(options.rlimit_as_bytes);
@@ -468,20 +291,12 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
   while (readPoolRequest(request_fd, in, &req)) {
     armPooledCpuLimit(options.rlimit_cpu_seconds);
 
-    // Index-mode chaos is resolved here from the plan (the worker knows
-    // the cell index); spec-mode chaos arrives pre-resolved in the frame.
-    const support::ChaosAction chaos =
-        req.has_spec
-            ? req.chaos
-            : options.chaos.actionFor(static_cast<std::size_t>(req.id),
-                                      req.attempt);
-    if (chaos != support::ChaosAction::kNone) {
-      performChaos(chaos, reply_fd, static_cast<std::size_t>(req.id),
+    if (req.chaos != support::ChaosAction::kNone) {
+      performChaos(req.chaos, reply_fd, static_cast<std::size_t>(req.id),
                    encodeSupervisorFrame(
                        kFrameKindPooledReply,
                        encodePoolReply({req.id, 0.0, 0.0, 0},
-                                       "chaos-partial-payload"),
-                       kSupervisorFrameV2));
+                                       "chaos-partial-payload")));
     }
 
     rusage before{};
@@ -489,12 +304,7 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
     std::uint8_t kind = kFrameKindPooledReply;
     std::string inner;
     try {
-      if (req.has_spec) {
-        if (!produce_spec) ::_exit(2);  // spec job sent to an index-only pool
-        inner = produce_spec(req.spec);
-      } else {
-        inner = produce(static_cast<std::size_t>(req.id));
-      }
+      inner = produce(req.spec);
     } catch (const std::exception& e) {
       kind = kFrameKindPooledError;
       inner = e.what();
@@ -511,9 +321,9 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
     header.sys_seconds =
         timevalSeconds(after.ru_stime) - timevalSeconds(before.ru_stime);
     header.max_rss_kb = maxRssKb(after);
-    const std::string frame = encodeSupervisorFrame(
-        kind, encodePoolReply(header, inner), kSupervisorFrameV2);
-    if (!writeAll(reply_fd, frame.data(), frame.size())) ::_exit(1);
+    const std::string frame =
+        encodeSupervisorFrame(kind, encodePoolReply(header, inner));
+    if (!wire::writeAllFd(reply_fd, frame.data(), frame.size())) ::_exit(1);
   }
   ::_exit(0);
 }
@@ -529,10 +339,10 @@ struct PendingCell {
 /// surfaces as a failed request write at the next dispatch).
 struct PoolWorker {
   pid_t pid = -1;
-  int request_fd = -1;  // parent writes SPTW v2/v3 request frames here
+  int request_fd = -1;  // parent writes SPTW request frames here
   int reply_fd = -1;    // parent reads the worker's reply stream here
   bool busy = false;
-  std::uint64_t id = 0;  // cell index (index mode) or opaque token (spec)
+  std::uint64_t id = 0;  // the in-flight job's token
   std::uint32_t attempt = 1;
   bool has_deadline = false;
   Clock::time_point deadline;
@@ -555,30 +365,30 @@ Clock::time_point deadlineFrom(Clock::time_point now, double seconds) {
                    std::chrono::duration<double>(seconds));
 }
 
+/// Supervisor::run's job spec: the cell index. A spec that is not one
+/// is reported by the worker as a structured error.
+std::string cellSpec(std::size_t cell) {
+  ByteWriter w;
+  w.u64(cell);
+  return w.take();
+}
+
+std::size_t cellOfSpec(const std::string& spec) {
+  ByteReader r(spec);
+  std::uint64_t cell = 0;
+  if (!r.u64(&cell) || !r.atEnd()) {
+    throw support::SptInternalError("malformed cell spec (" +
+                                    std::to_string(spec.size()) + " bytes)");
+  }
+  return static_cast<std::size_t>(cell);
+}
+
 /// Diagnostic for cells cancelled by SupervisorOptions::stop. Settled as
 /// kInternalError (never retried, re-run by --resume) with attempts == 0,
 /// so no worker block appears in JSON for a cell that never ran one.
 constexpr const char* kInterruptedDiagnostic =
     "interrupted by signal before dispatch; finished cells are "
     "checkpointed, re-run with --resume";
-
-/// Scoped SIG_IGN for SIGPIPE: the parent writes request frames to
-/// pipes whose worker may just have died; the write must fail with EPIPE,
-/// not kill the sweep. Restores the previous disposition on scope exit.
-class ScopedIgnoreSigpipe {
- public:
-  ScopedIgnoreSigpipe() {
-    struct sigaction ignore {};
-    ignore.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignore, &saved_);
-  }
-  ~ScopedIgnoreSigpipe() { ::sigaction(SIGPIPE, &saved_, nullptr); }
-  ScopedIgnoreSigpipe(const ScopedIgnoreSigpipe&) = delete;
-  ScopedIgnoreSigpipe& operator=(const ScopedIgnoreSigpipe&) = delete;
-
- private:
-  struct sigaction saved_ {};
-};
 
 }  // namespace
 
@@ -594,8 +404,7 @@ bool Supervisor::isolationSupported() { return true; }
 
 struct WorkerPool::Impl {
   SupervisorOptions options;
-  Supervisor::Producer produce;
-  WorkerPool::SpecProducer produce_spec;
+  WorkerPool::Producer produce;
   std::function<bool()> respawn_policy;
   std::function<void()> child_setup;
   std::vector<PoolWorker> workers;
@@ -647,7 +456,7 @@ struct WorkerPool::Impl {
       // connections) are closed here, so a worker never holds a client's
       // connection open past the parent's close().
       if (child_setup) child_setup();
-      runPoolWorker(request[0], reply[1], options, produce, produce_spec);
+      runPoolWorker(request[0], reply[1], options, produce);
     }
     ::close(request[0]);
     ::close(reply[1]);
@@ -756,13 +565,15 @@ struct WorkerPool::Impl {
     for (;;) {
       std::size_t frame_bytes = 0;
       std::string why;
-      const FrameScan scan = scanSupervisorFrame(w.buf, &frame_bytes, &why);
-      if (scan == FrameScan::kNeedMore) return true;
+      const wire::FrameScan scan =
+          wire::scanFrame(kSupervisorFrameFormat, w.buf, &frame_bytes, &why);
+      if (scan == wire::FrameScan::kNeedMore) return true;
       std::uint8_t kind = 0;
       std::string payload;
-      if (scan == FrameScan::kCorrupt ||
-          !decodeSupervisorFrame(w.buf.substr(0, frame_bytes), &kind,
-                                 &payload, &why)) {
+      if (scan == wire::FrameScan::kCorrupt ||
+          !wire::decodeFrame(kSupervisorFrameFormat,
+                             w.buf.substr(0, frame_bytes), nullptr, &kind,
+                             &payload, &why)) {
         ::kill(w.pid, SIGKILL);
         workerDied(wi, /*timed_out=*/false, why, out);
         return false;
@@ -809,12 +620,10 @@ struct WorkerPool::Impl {
   }
 };
 
-WorkerPool::WorkerPool(SupervisorOptions options, Supervisor::Producer produce,
-                       SpecProducer produce_spec)
+WorkerPool::WorkerPool(SupervisorOptions options, Producer produce)
     : impl_(std::make_unique<Impl>()) {
   impl_->options = std::move(options);
   impl_->produce = std::move(produce);
-  impl_->produce_spec = std::move(produce_spec);
 }
 
 WorkerPool::~WorkerPool() { shutdown(); }
@@ -865,17 +674,10 @@ bool WorkerPool::dispatch(const Job& job) {
     }
     if (wi == impl_->workers.size()) return false;  // no idle worker
     PoolWorker& w = impl_->workers[wi];
-    const std::string frame =
-        job.has_spec
-            ? encodeSupervisorFrame(
-                  kFrameKindSpecRequest,
-                  encodePoolSpecRequest(job.id, job.attempt, job.chaos,
-                                        job.spec),
-                  kSupervisorFrameV3)
-            : encodeSupervisorFrame(kFrameKindRequest,
-                                    encodePoolRequest(job.id, job.attempt),
-                                    kSupervisorFrameV2);
-    if (!writeAll(w.request_fd, frame.data(), frame.size())) {
+    const std::string frame = encodeSupervisorFrame(
+        kFrameKindSpecRequest,
+        encodePoolSpecRequest(job.id, job.attempt, job.chaos, job.spec));
+    if (!wire::writeAllFd(w.request_fd, frame.data(), frame.size())) {
       // Dead request pipe: the worker never saw the job (no attempt
       // burned). Replace it and try the next idle worker — possibly the
       // replacement itself.
@@ -941,7 +743,9 @@ void WorkerPool::service(std::vector<Settled>& settled) {
       const ssize_t r = ::read(w.reply_fd, chunk, sizeof chunk);
       if (r > 0) {
         w.buf.append(chunk, static_cast<std::size_t>(r));
-        if (w.buf.size() > kMaxPayloadBytes + kFrameHeaderBytes + 8) {
+        if (w.buf.size() > wire::kMaxFramePayloadBytes +
+                               wire::kFrameHeaderBytes +
+                               wire::kFrameTrailerBytes) {
           ::kill(w.pid, SIGKILL);
           impl_->workerDied(wi, /*timed_out=*/false, "oversized reply",
                             settled);
@@ -1007,7 +811,7 @@ std::vector<Supervisor::Outcome> Supervisor::run(
   std::vector<Outcome> out(n);
   // Nothing to run (e.g. a fully resumed sweep): fork no workers at all.
   if (n == 0) return out;
-  ScopedIgnoreSigpipe sigpipe_guard;
+  wire::ScopedIgnoreSigpipe sigpipe_guard;
 
   std::deque<PendingCell> pending;
   const Clock::time_point start = Clock::now();
@@ -1029,7 +833,7 @@ std::vector<Supervisor::Outcome> Supervisor::run(
                                  Outcome oc) {
     if (!interrupted && isTransportFailure(oc.status) &&
         attempt <= options_.retries) {
-      const double delay = backoffSeconds(cell, attempt + 1);
+      const double delay = backoffSeconds(options_, cell, attempt + 1);
       pending.push_back(
           {cell, attempt + 1, deadlineFrom(Clock::now(), delay)});
     } else {
@@ -1037,7 +841,9 @@ std::vector<Supervisor::Outcome> Supervisor::run(
     }
   };
 
-  WorkerPool pool(options_, produce);
+  WorkerPool pool(options_, [&produce](const std::string& spec) {
+    return produce(cellOfSpec(spec));
+  });
   pool.setRespawnPolicy([&] { return settled < n && !interrupted; });
   pool.ensure(std::min(options_.jobs, n));
 
@@ -1069,9 +875,13 @@ std::vector<Supervisor::Outcome> Supervisor::run(
       if (pi == pending.size()) break;  // nothing due yet
       const PendingCell p = pending[pi];
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pi));
+      // Dispatched like the service's jobs: the cell index is both the
+      // reply token and the spec, and the chaos action is resolved here.
       WorkerPool::Job job;
       job.id = static_cast<std::uint64_t>(p.cell);
       job.attempt = p.attempt;
+      job.spec = cellSpec(p.cell);
+      job.chaos = options_.chaos.actionFor(p.cell, p.attempt);
       if (!pool.dispatch(job)) {
         // No idle worker survived the write; the cell was never sent and
         // goes back to the front of the queue.
@@ -1165,8 +975,7 @@ std::vector<Supervisor::Outcome> Supervisor::run(std::size_t,
 
 struct WorkerPool::Impl {};
 
-WorkerPool::WorkerPool(SupervisorOptions, Supervisor::Producer,
-                       SpecProducer) {
+WorkerPool::WorkerPool(SupervisorOptions, Producer) {
   throw support::SptInternalError(
       "the warm worker pool is not supported on this platform (no fork)");
 }

@@ -2,14 +2,14 @@
 //
 // The hardened sweep quarantines cells that *throw*; this layer
 // contains cells that take the whole process down. `jobs` workers are
-// forked once per run and live for the whole sweep. The parent
-// dispatches cell indices to idle workers as SPTW request frames over
-// versioned, length-prefixed, FNV-1a-checksummed pipes (the trace_io v2
-// approach); each worker loops `recv request → produce → reply`,
-// re-arming its per-cell RLIMIT_CPU window before every cell. Keeping
-// workers warm removes the fork + pipeline re-setup cost per cell — the
-// dominant overhead on small cells (bench_supervisor_overhead) — and the
-// same pool is what the `sptc serve` daemon multiplexes.
+// forked once per run and live for the whole sweep. The parent sends
+// each job to an idle worker as an SPTW spec-request frame — a
+// support::wire frame (length-prefixed, FNV-1a-checksummed) over a pipe —
+// and each worker loops `recv request → produce → reply`, re-arming its
+// per-cell RLIMIT_CPU window before every cell. Keeping workers warm
+// removes the fork + pipeline re-setup cost per cell — the dominant
+// overhead on small cells (bench_supervisor_overhead) — and the same pool
+// is what the `sptc serve` daemon multiplexes, dispatching the same way.
 //
 // The parent is a single-threaded poll() event loop — fork() never races
 // other threads — that:
@@ -35,8 +35,9 @@
 //    jitter — a pure function of (backoff_seed, cell, attempt), so test
 //    and CI runs are reproducible;
 //  * honors support::ChaosPlan, the deterministic sabotage hook that makes
-//    designated (cell, attempt) pairs crash/hang/garble on demand —
-//    workers consult the plan per dispatched request.
+//    designated (cell, attempt) pairs crash/hang/garble on demand — the
+//    parent resolves the plan per dispatched job and the frame carries
+//    the action to the worker.
 //
 // On platforms without fork() the supervisor reports
 // isolationSupported() == false and callers degrade to the existing
@@ -53,6 +54,7 @@
 
 #include "harness/cell_status.h"
 #include "support/chaos.h"
+#include "support/wire.h"
 
 namespace spt::harness {
 
@@ -72,10 +74,7 @@ struct SupervisorOptions {
   /// error). Cell-level outcomes (ok, budget_exceeded, internal_error)
   /// are deterministic and never retried.
   std::uint32_t retries = 0;
-  /// Retry backoff: base * 2^min(attempt-2, 62) * (1 + jitter), jitter in
-  /// [0,1) drawn from Rng(deriveSeed(deriveSeed(backoff_seed, cell),
-  /// attempt)) — cell and attempt are mixed as separate words, so no two
-  /// (cell, attempt) pairs share a jitter stream.
+  /// Retry backoff (see backoffSeconds below).
   double backoff_base_seconds = 0.25;
   std::uint64_t backoff_seed = 0xb0ff;
   /// Worker resource limits (0 = inherit). RLIMIT_AS bounds address space
@@ -86,7 +85,8 @@ struct SupervisorOptions {
   std::uint64_t rlimit_cpu_seconds = 0;
   /// Max workers in flight. 0 = support::ThreadPool::defaultWorkerCount().
   std::size_t jobs = 0;
-  /// Deterministic sabotage for testing the containment paths.
+  /// Deterministic sabotage for testing the containment paths, keyed by
+  /// cell index and consulted by Supervisor::run as it dispatches.
   support::ChaosPlan chaos;
   /// Cooperative graceful-interrupt flag, set from a SIGINT/SIGTERM
   /// handler. When non-null and nonzero the supervisor stops dispatching:
@@ -96,6 +96,15 @@ struct SupervisorOptions {
   /// checkpoint row and `--resume` re-runs exactly the unfinished cells.
   const volatile std::sig_atomic_t* stop = nullptr;
 };
+
+/// The deterministic delay before retry `attempt` of `cell` (2-based: the
+/// delay preceding the second attempt is backoffSeconds(options, cell, 2);
+/// attempt 1 waits 0): base * 2^min(attempt-2, 62) * (1 + jitter), jitter
+/// in [0,1) drawn from Rng(deriveSeed(deriveSeed(backoff_seed, cell),
+/// attempt)) — cell and attempt are mixed as separate words, so no two
+/// (cell, attempt) pairs share a jitter stream.
+double backoffSeconds(const SupervisorOptions& options, std::size_t cell,
+                      std::uint32_t attempt);
 
 class Supervisor {
  public:
@@ -145,10 +154,6 @@ class Supervisor {
 
   const SupervisorOptions& options() const { return options_; }
 
-  /// The deterministic backoff delay before retry `attempt` (2-based: the
-  /// delay preceding the second attempt is backoffSeconds(cell, 2)).
-  double backoffSeconds(std::size_t cell, std::uint32_t attempt) const;
-
  private:
   SupervisorOptions options_;
 };
@@ -161,30 +166,23 @@ class Supervisor {
 /// stay with the caller, so the batch path and the service share one
 /// containment implementation and the byte-determinism tests cover both.
 ///
-/// Two dispatch modes share the worker body:
-///  * **index mode** (SPTW v2 request frames): `Job::id` is a cell index
-///    fed to the pool's index producer — the pre-existing batch
-///    discipline, where every worker can already see the whole grid.
-///  * **spec mode** (SPTW v3 spec-request frames, `Job::has_spec`): the
-///    work itself crosses the pipe as opaque spec bytes handed to the
-///    spec producer; `id` is an opaque token echoed back on the reply.
-///    This is what a service needs — its workers are forked before any
-///    client request exists, so cells cannot be indices into parent
-///    state. The chaos action is resolved by the *caller* per job and
-///    carried in the frame (the worker cannot consult a plan keyed by
-///    request-local cell indices it never sees).
+/// Every job crosses the pipe the same way: its opaque spec bytes go to
+/// the pool's producer in the worker, `id` is a token echoed back on the
+/// reply, and the chaos action is resolved by the caller per job and
+/// carried in the frame. Supervisor::run uses the cell index as both the
+/// token and the spec; the service encodes its request-local cell into
+/// the spec, since its workers are forked before any request exists.
 ///
 /// Only meaningful where Supervisor::isolationSupported(); construction
-/// throws elsewhere. Callers should ignore SIGPIPE around dispatch, as
-/// Supervisor::run does.
+/// throws elsewhere. Callers should ignore SIGPIPE around dispatch
+/// (support::wire::ScopedIgnoreSigpipe), as Supervisor::run does.
 class WorkerPool {
  public:
   struct Job {
     std::uint64_t id = 0;
     std::uint32_t attempt = 1;
-    bool has_spec = false;
     std::string spec;
-    /// Spec mode only: sabotage the worker performs for this job.
+    /// Sabotage the worker performs for this job instead of producing.
     support::ChaosAction chaos = support::ChaosAction::kNone;
   };
 
@@ -197,12 +195,11 @@ class WorkerPool {
     Supervisor::Outcome outcome;
   };
 
-  /// Runs in a pooled worker on a v3 spec request: spec bytes in,
-  /// serialized result out.
-  using SpecProducer = std::function<std::string(const std::string&)>;
+  /// Runs in a pooled worker (after fork): a job's spec bytes in, its
+  /// serialized result out. Exceptions become kInternalError outcomes.
+  using Producer = std::function<std::string(const std::string& spec)>;
 
-  WorkerPool(SupervisorOptions options, Supervisor::Producer produce,
-             SpecProducer produce_spec = nullptr);
+  WorkerPool(SupervisorOptions options, Producer produce);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -257,57 +254,25 @@ class WorkerPool {
 
 // ---- SPTW frame protocol (exposed for tests and the worker side) ----------
 //
-// A frame is:
-//   magic "SPTW" | u32 version | u8 kind | u64 length | bytes
-//   | u64 FNV-1a(kind, length, bytes)
-//
-// Version 2 (warm pool) carries the request and cell-tagged reply kinds.
-// Version 3 (external dispatch / sweep service) adds the spec-request
-// kind, whose payload carries the work itself instead of a cell index.
-// The decoder accepts both versions and validates the kind against the
-// version, so a v2 frame can never smuggle a spec request. Version 1 and
-// kinds 0-1 are unassigned and rejected; the kinds keep their numbers so
-// v2/v3 frame bytes stay stable.
+// SPTW frames are support::wire frames under magic "SPTW" at a single
+// version: the parent sends spec requests, and a worker answers each with
+// a cell-tagged reply or error. support::wire's scanner and decoder,
+// given kSupervisorFrameFormat, reject every other version and any kind
+// outside 3-5 (kinds 0-2 are unassigned).
 
-inline constexpr std::uint32_t kSupervisorFrameV2 = 2;
-inline constexpr std::uint32_t kSupervisorFrameV3 = 3;
+inline constexpr std::uint32_t kSupervisorFrameVersion = 3;
 
-inline constexpr std::uint8_t kFrameKindRequest = 2;      // parent->worker (v2)
-inline constexpr std::uint8_t kFrameKindPooledReply = 3;  // worker reply (v2)
-inline constexpr std::uint8_t kFrameKindPooledError = 4;  // worker reply (v2)
-inline constexpr std::uint8_t kFrameKindSpecRequest = 5;  // parent->worker (v3)
+inline constexpr std::uint8_t kFrameKindPooledReply = 3;  // worker -> parent
+inline constexpr std::uint8_t kFrameKindPooledError = 4;  // worker -> parent
+inline constexpr std::uint8_t kFrameKindSpecRequest = 5;  // parent -> worker
 
-/// Encodes one frame. `kind` must be valid for `version` (v2 carries
-/// kinds 2-4, v3 adds kind 5).
+inline constexpr support::wire::FrameFormat kSupervisorFrameFormat{
+    {'S', 'P', 'T', 'W'}, kSupervisorFrameVersion, kSupervisorFrameVersion,
+    kFrameKindPooledReply, kFrameKindSpecRequest};
+
+/// Encodes one SPTW frame.
 std::string encodeSupervisorFrame(std::uint8_t kind,
-                                  const std::string& payload,
-                                  std::uint32_t version);
-/// Decodes a complete frame of either protocol version; returns false
-/// (with a reason) on a short, corrupt, version-mismatched, or
-/// kind-invalid-for-version reply.
-bool decodeSupervisorFrame(const std::string& bytes, std::uint8_t* kind,
-                           std::string* payload, std::string* error);
-
-/// Incremental framing over a pooled worker's byte stream.
-enum class FrameScan {
-  kNeedMore,  // the buffer holds a valid but incomplete frame prefix
-  kFrame,     // buffer[0..*frame_bytes) is one complete frame
-  kCorrupt,   // the buffer can never become a valid frame (bad magic,
-              // unsupported version, or oversized length)
-};
-
-/// Scans the front of `buf` for one complete frame without copying.
-/// Corruption inside the payload (checksum) is only detectable by
-/// decodeSupervisorFrame on the completed slice.
-FrameScan scanSupervisorFrame(const std::string& buf,
-                              std::size_t* frame_bytes, std::string* error);
-
-/// Request-frame payload: which cell a pooled worker should produce, and
-/// the (1-based) attempt number — the worker needs the attempt to consult
-/// the chaos plan, which targets (cell, attempt) pairs.
-std::string encodePoolRequest(std::uint64_t cell, std::uint32_t attempt);
-bool decodePoolRequest(const std::string& payload, std::uint64_t* cell,
-                       std::uint32_t* attempt);
+                                  const std::string& payload);
 
 /// Pooled-reply payload prefix: the cell being answered (echoed back so
 /// the parent can detect a desynchronized stream) plus the worker's
@@ -324,12 +289,12 @@ std::string encodePoolReply(const PoolReplyHeader& header,
 bool decodePoolReply(const std::string& payload, PoolReplyHeader* header,
                      std::string* inner);
 
-/// Spec-request payload (SPTW v3, WorkerPool spec mode): an opaque token
-/// echoed back in the reply's PoolReplyHeader.cell, the (1-based) attempt,
-/// the chaos action the worker must perform (resolved by the dispatcher —
-/// a service worker never sees the request-local cell index a ChaosPlan is
-/// keyed by), and the spec bytes the worker's SpecProducer consumes.
-/// decodePoolSpecRequest rejects an out-of-range action byte.
+/// Spec-request payload: an opaque token echoed back in the reply's
+/// PoolReplyHeader.cell, the (1-based) attempt, the chaos action the
+/// worker must perform (resolved by the dispatcher, which alone knows the
+/// cell index a ChaosPlan is keyed by), and the spec bytes the worker's
+/// producer consumes. decodePoolSpecRequest rejects an out-of-range action
+/// byte.
 std::string encodePoolSpecRequest(std::uint64_t id, std::uint32_t attempt,
                                   support::ChaosAction chaos,
                                   const std::string& spec);

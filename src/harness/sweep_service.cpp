@@ -242,14 +242,16 @@ bool decodeServiceRequestWithToken(const std::string& payload,
 namespace {
 
 std::string encodeServiceFrame(std::uint8_t kind, const std::string& payload) {
-  return wire::encodeFrame(kServiceFrameMagic, kServiceFrameV1, kind, payload);
+  return wire::encodeFrame(kServiceFrameFormat.magic, kServiceFrameV1, kind,
+                           payload);
 }
 
 /// v2 frames carry only what v1 cannot express (the token request payload
 /// and kAttached); everything else stays v1 so v1 peers keep decoding.
 std::string encodeServiceFrameV2(std::uint8_t kind,
                                  const std::string& payload) {
-  return wire::encodeFrame(kServiceFrameMagic, kServiceFrameV2, kind, payload);
+  return wire::encodeFrame(kServiceFrameFormat.magic, kServiceFrameV2, kind,
+                           payload);
 }
 
 std::string encodeProgressPayload(std::uint64_t done, std::uint64_t total) {
@@ -448,30 +450,6 @@ std::string serviceSpecProduce(const std::string& spec) {
   throw std::runtime_error("service worker received an unknown request kind");
 }
 
-#if defined(SPT_SERVICE_POSIX)
-
-/// Scoped SIG_IGN for SIGPIPE, mirroring the supervisor's: both the
-/// service (writing to clients that may vanish) and the submit client
-/// (writing to a service that may have exited) need EPIPE, not death.
-class ScopedIgnoreSigpipe {
- public:
-  ScopedIgnoreSigpipe() {
-    struct sigaction ignore {};
-    ignore.sa_handler = SIG_IGN;
-    sigemptyset(&ignore.sa_mask);
-    ok_ = sigaction(SIGPIPE, &ignore, &saved_) == 0;
-  }
-  ~ScopedIgnoreSigpipe() {
-    if (ok_) sigaction(SIGPIPE, &saved_, nullptr);
-  }
-
- private:
-  struct sigaction saved_ {};
-  bool ok_ = false;
-};
-
-#endif  // SPT_SERVICE_POSIX
-
 }  // namespace
 
 // ---- The service ----------------------------------------------------------
@@ -551,7 +529,6 @@ struct SweepService::Impl {
   };
 
   std::unique_ptr<WorkerPool> pool;
-  std::unique_ptr<Supervisor> backoff;  // retry-delay policy only
   int listen_fd = -1;
   std::size_t jobs = 1;
   std::uint64_t next_client_id = 1;
@@ -1161,8 +1138,8 @@ struct SweepService::Impl {
     while (c.fd >= 0) {
       std::size_t frame_bytes = 0;
       std::string error;
-      const wire::FrameScan scan =
-          wire::scanFrame(kServiceFrameMagic, c.inbuf, &frame_bytes, &error);
+      const wire::FrameScan scan = wire::scanFrame(
+          kServiceFrameFormat, c.inbuf, &frame_bytes, &error);
       if (scan == wire::FrameScan::kNeedMore) break;
       if (scan == wire::FrameScan::kCorrupt) {
         note("service: client " + std::to_string(c.id) +
@@ -1175,9 +1152,8 @@ struct SweepService::Impl {
       std::uint32_t version = 0;
       std::uint8_t kind = 0;
       std::string payload;
-      if (!wire::decodeFrame(kServiceFrameMagic, frame, kServiceFrameV1,
-                             kServiceFrameV2, kServiceFrameMaxKindV2, &version,
-                             &kind, &payload, &error)) {
+      if (!wire::decodeFrame(kServiceFrameFormat, frame, &version, &kind,
+                             &payload, &error)) {
         note("service: client " + std::to_string(c.id) +
              " sent an invalid frame (" + error + "); disconnecting");
         disconnectClient(c);
@@ -1302,7 +1278,6 @@ struct SweepService::Impl {
     WorkerPool::Job job;
     job.id = next_job_id++;
     job.attempt = pc.attempt;
-    job.has_spec = true;
     job.spec = encodeWorkerSpec(c.request_bytes, pc.cell,
                                 options.trace_cache_dir);
     if (options.allow_chaos) {
@@ -1363,8 +1338,9 @@ struct SweepService::Impl {
       }
       if (!draining && isTransportFailure(s.outcome.status) &&
           s.attempt <= options.supervisor.retries) {
-        const double delay = backoff->backoffSeconds(
-            static_cast<std::size_t>(cell), s.attempt + 1);
+        const double delay =
+            backoffSeconds(options.supervisor, static_cast<std::size_t>(cell),
+                           s.attempt + 1);
         c.waiting.push_back(PendingCell{
             cell, s.attempt + 1,
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -1428,7 +1404,7 @@ struct SweepService::Impl {
       note("service: sockets/fork unsupported on this platform");
       return 1;
     }
-    ScopedIgnoreSigpipe sigpipe_guard;
+    wire::ScopedIgnoreSigpipe sigpipe_guard;
     std::string error;
     listen_fd = wire::listenUnix(options.socket_path, 64, &error);
     if (listen_fd < 0) {
@@ -1453,12 +1429,9 @@ struct SweepService::Impl {
     }
     SupervisorOptions sup = options.supervisor;
     sup.isolate = true;
-    sup.chaos = support::ChaosPlan{};  // chaos arrives per request
     jobs = sup.jobs == 0 ? support::ThreadPool::defaultWorkerCount()
                          : sup.jobs;
-    backoff = std::make_unique<Supervisor>(sup);
-    pool = std::make_unique<WorkerPool>(
-        sup, [](std::size_t) { return std::string(); }, serviceSpecProduce);
+    pool = std::make_unique<WorkerPool>(sup, serviceSpecProduce);
     pool->setChildSetup([this] {
       // Workers must never hold the service's sockets open: a forked
       // worker outliving the service would otherwise keep clients (and
@@ -1694,7 +1667,7 @@ bool readServiceFrames(
       std::size_t frame_bytes = 0;
       std::string error;
       const wire::FrameScan scan =
-          wire::scanFrame(kServiceFrameMagic, inbuf, &frame_bytes, &error);
+          wire::scanFrame(kServiceFrameFormat, inbuf, &frame_bytes, &error);
       if (scan == wire::FrameScan::kNeedMore) break;
       if (scan == wire::FrameScan::kCorrupt) {
         *transport_error = "corrupt frame from the service: " + error;
@@ -1705,9 +1678,8 @@ bool readServiceFrames(
       std::uint32_t version = 0;
       std::uint8_t kind = 0;
       std::string payload;
-      if (!wire::decodeFrame(kServiceFrameMagic, frame, kServiceFrameV1,
-                             kServiceFrameV2, kServiceFrameMaxKindV2, &version,
-                             &kind, &payload, &error)) {
+      if (!wire::decodeFrame(kServiceFrameFormat, frame, &version, &kind,
+                             &payload, &error)) {
         *transport_error = "invalid frame from the service: " + error;
         return false;
       }
@@ -1722,7 +1694,7 @@ SubmitOutcome submitToService(const std::string& socket_path,
                               const ServiceRequest& request,
                               const SubmitOptions& options) {
   SubmitOutcome outcome;
-  ScopedIgnoreSigpipe sigpipe_guard;
+  wire::ScopedIgnoreSigpipe sigpipe_guard;
   std::string error;
   const int fd = wire::connectUnix(socket_path, &error);
   if (fd < 0) {
@@ -1935,7 +1907,6 @@ SubmitOutcome submitToServiceWithRetry(const std::string& socket_path,
   // attempt: a service restart window is seconds, not minutes, and a
   // tokened retry that reconnects attaches instead of re-running, so
   // probing often is cheap.
-  const Supervisor backoff{SupervisorOptions{}};
   std::uint32_t attempt = 1;
   for (;;) {
     if (outcome.ok) return outcome;
@@ -1948,7 +1919,8 @@ SubmitOutcome submitToServiceWithRetry(const std::string& socket_path,
                                               : 0.25;
       why = "service busy";
     } else if (outcome.transport && !options.token.empty()) {
-      delay = std::min(2.0, backoff.backoffSeconds(0, attempt + 1));
+      delay = std::min(2.0,
+                       backoffSeconds(SupervisorOptions{}, 0, attempt + 1));
       why = "transport failure (" + outcome.error + ")";
     } else {
       // Structured service errors (bad request, chaos refusal, token
@@ -1979,7 +1951,7 @@ std::optional<std::string> queryServiceStatus(const std::string& socket_path,
                                               std::string* error) {
   std::string local_error;
   std::string* err = error ? error : &local_error;
-  ScopedIgnoreSigpipe sigpipe_guard;
+  wire::ScopedIgnoreSigpipe sigpipe_guard;
   const int fd = wire::connectUnix(socket_path, err);
   if (fd < 0) return std::nullopt;
   const std::string frame =

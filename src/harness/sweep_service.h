@@ -62,12 +62,12 @@
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
 #include "support/chaos.h"
+#include "support/wire.h"
 
 namespace spt::harness {
 
 // ---- SPTS v1 frames -------------------------------------------------------
 
-inline constexpr char kServiceFrameMagic[4] = {'S', 'P', 'T', 'S'};
 inline constexpr std::uint32_t kServiceFrameV1 = 1;
 /// SPTS v2 adds the idempotency-token request payload and the kAttached
 /// reply. v1 negotiation is preserved: a v1 client's frames decode and are
@@ -88,6 +88,12 @@ inline constexpr std::uint8_t kServiceFrameStatus = 7;
 inline constexpr std::uint8_t kServiceFrameAttached = 8;
 inline constexpr std::uint8_t kServiceFrameMaxKind = kServiceFrameStatus;
 inline constexpr std::uint8_t kServiceFrameMaxKindV2 = kServiceFrameAttached;
+
+/// SPTS frames on support::wire: magic "SPTS", v1-v2, kinds 0-8 (a v1
+/// frame carrying a v2-only kind is rejected by the service itself).
+inline constexpr support::wire::FrameFormat kServiceFrameFormat{
+    {'S', 'P', 'T', 'S'}, kServiceFrameV1, kServiceFrameV2,
+    kServiceFrameRequest, kServiceFrameMaxKindV2};
 
 /// One client request. The grid is described, not enumerated: the service
 /// and its workers rebuild the cases through buildSuiteSweepCases /

@@ -10,8 +10,9 @@
 namespace spt::profile {
 namespace {
 
-constexpr char kMagic[4] = {'S', 'P', 'T', 'P'};
 constexpr std::uint32_t kVersion = 1;
+constexpr support::wire::FrameFormat kFormat{
+    {'S', 'P', 'T', 'P'}, kVersion, kVersion, 0, 0};
 
 class Writer {
  public:
@@ -126,7 +127,7 @@ std::string encodeProfile(const TrackedProfile& profile) {
       w.put(count);
     }
   }
-  return support::wire::encodeFrame(kMagic, kVersion, 0, w.take());
+  return support::wire::encodeFrame(kFormat.magic, kVersion, 0, w.take());
 }
 
 std::optional<TrackedProfile> decodeProfile(const std::string& bytes,
@@ -134,8 +135,8 @@ std::optional<TrackedProfile> decodeProfile(const std::string& bytes,
   std::uint32_t version = 0;
   std::uint8_t kind = 0;
   std::string payload;
-  if (!support::wire::decodeFrame(kMagic, bytes, kVersion, kVersion, 0,
-                                  &version, &kind, &payload, error)) {
+  if (!support::wire::decodeFrame(kFormat, bytes, &version, &kind, &payload,
+                                  error)) {
     return std::nullopt;
   }
   Reader r(payload);

@@ -10,11 +10,11 @@
 // directive names a cell index and fires on a deterministic set of
 // attempts, never on a clock or a random draw.
 //
-// The plan targets **(cell, attempt)**, not worker processes: a warm-pool
-// worker consults it before each dispatched request using the attempt
-// number carried in the SPTW v2 request frame. Sabotage therefore follows
-// the cell to whichever worker runs it; a worker that executes a
-// sabotaged cell dies and is respawned, and the other cells keep running.
+// The plan targets **(cell, attempt)**, not worker processes: the parent
+// resolves it as it dispatches each attempt and the SPTW request frame
+// carries the action to the worker. Sabotage therefore follows the cell
+// to whichever worker runs it; a worker that executes a sabotaged cell
+// dies and is respawned, and the other cells keep running.
 //
 // The plan is inert unless a directive matches, and chaos only ever runs
 // inside a forked worker — the in-process (--no-isolate) path refuses it.

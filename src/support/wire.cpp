@@ -7,6 +7,7 @@
 #define SPT_WIRE_POSIX 1
 #include <errno.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -56,20 +57,53 @@ std::string encodeFrame(const char magic[4], std::uint32_t version,
   return out;
 }
 
-FrameScan scanFrame(const char magic[4], const std::string& buf,
+namespace {
+
+std::string versionError(const FrameFormat& format, std::uint32_t v) {
+  std::string out = "unsupported frame version " + std::to_string(v) +
+                    " (expected " + std::to_string(format.min_version);
+  if (format.max_version != format.min_version) {
+    out += " to " + std::to_string(format.max_version);
+  }
+  return out + ")";
+}
+
+std::string kindError(std::uint8_t k, std::uint32_t v) {
+  return "frame kind " + std::to_string(k) + " is not valid in frame version " +
+         std::to_string(v);
+}
+
+}  // namespace
+
+FrameScan scanFrame(const FrameFormat& format, const std::string& buf,
                     std::size_t* frame_bytes, std::string* error) {
-  const std::size_t magic_avail = std::min<std::size_t>(buf.size(), 4);
-  if (std::memcmp(buf.data(), magic, magic_avail) != 0) {
-    if (error) *error = "bad frame magic";
+  const auto corrupt = [&](std::string why) {
+    if (error) *error = std::move(why);
     return FrameScan::kCorrupt;
+  };
+  // Reject a garbage stream on the first bytes that can prove it garbage,
+  // rather than waiting for a length that will never arrive.
+  const std::size_t magic_avail = std::min<std::size_t>(buf.size(), 4);
+  if (std::memcmp(buf.data(), format.magic, magic_avail) != 0) {
+    return corrupt("bad frame magic");
+  }
+  if (buf.size() < 4 + 4) return FrameScan::kNeedMore;
+  std::uint32_t v = 0;
+  std::memcpy(&v, buf.data() + 4, sizeof v);
+  if (v < format.min_version || v > format.max_version) {
+    return corrupt(versionError(format, v));
+  }
+  if (buf.size() < 4 + 4 + 1) return FrameScan::kNeedMore;
+  const std::uint8_t k = static_cast<std::uint8_t>(buf[4 + 4]);
+  if (k < format.min_kind || k > format.max_kind) {
+    return corrupt(kindError(k, v));
   }
   if (buf.size() < kFrameHeaderBytes) return FrameScan::kNeedMore;
   std::uint64_t length = 0;
   std::memcpy(&length, buf.data() + 4 + 4 + 1, sizeof length);
   if (length > kMaxFramePayloadBytes) {
-    if (error) *error = "frame length " + std::to_string(length) +
-                        " exceeds the payload cap";
-    return FrameScan::kCorrupt;
+    return corrupt("frame length " + std::to_string(length) +
+                   " exceeds the payload cap");
   }
   const std::size_t total = kFrameHeaderBytes +
                             static_cast<std::size_t>(length) +
@@ -79,59 +113,41 @@ FrameScan scanFrame(const char magic[4], const std::string& buf,
   return FrameScan::kFrame;
 }
 
-bool decodeFrame(const char magic[4], const std::string& frame,
-                 std::uint32_t min_version, std::uint32_t max_version,
-                 std::uint8_t max_kind, std::uint32_t* version,
-                 std::uint8_t* kind, std::string* payload,
-                 std::string* error) {
+bool decodeFrame(const FrameFormat& format, const std::string& frame,
+                 std::uint32_t* version, std::uint8_t* kind,
+                 std::string* payload, std::string* error) {
+  const auto fail = [&](std::string why) {
+    if (error) *error = std::move(why);
+    return false;
+  };
   if (frame.size() < kFrameHeaderBytes + kFrameTrailerBytes) {
-    if (error) *error = "frame too short";
-    return false;
+    return fail("frame too short");
   }
-  if (std::memcmp(frame.data(), magic, 4) != 0) {
-    if (error) *error = "bad frame magic";
-    return false;
+  if (std::memcmp(frame.data(), format.magic, 4) != 0) {
+    return fail("bad frame magic");
   }
   std::uint32_t v = 0;
   std::memcpy(&v, frame.data() + 4, sizeof v);
-  if (v < min_version || v > max_version) {
-    if (error) {
-      *error = "unsupported frame version " + std::to_string(v) +
-               " (expected " + std::to_string(min_version) + " to " +
-               std::to_string(max_version) + ")";
-    }
-    return false;
+  if (v < format.min_version || v > format.max_version) {
+    return fail(versionError(format, v));
   }
   const std::uint8_t k = static_cast<std::uint8_t>(frame[4 + 4]);
-  if (k > max_kind) {
-    if (error) {
-      *error = "frame kind " + std::to_string(k) +
-               " is not valid for version " + std::to_string(v);
-    }
-    return false;
-  }
+  if (k < format.min_kind || k > format.max_kind) return fail(kindError(k, v));
   std::uint64_t length = 0;
   std::memcpy(&length, frame.data() + 4 + 4 + 1, sizeof length);
   if (length > kMaxFramePayloadBytes) {
-    if (error) *error = "frame length exceeds the payload cap";
-    return false;
+    return fail("frame length exceeds the payload cap");
   }
   if (frame.size() != kFrameHeaderBytes + length + kFrameTrailerBytes) {
-    if (error) {
-      *error = "frame length field " + std::to_string(length) +
-               " does not match the buffered bytes";
-    }
-    return false;
+    return fail("frame length field " + std::to_string(length) +
+                " does not match the buffered bytes");
   }
   std::uint64_t stored = 0;
   std::memcpy(&stored, frame.data() + kFrameHeaderBytes + length,
               sizeof stored);
   const std::uint64_t checksum =
       frameChecksum(k, length, frame.data() + kFrameHeaderBytes);
-  if (stored != checksum) {
-    if (error) *error = "frame checksum mismatch";
-    return false;
-  }
+  if (stored != checksum) return fail("frame checksum mismatch");
   if (version) *version = v;
   if (kind) *kind = k;
   if (payload) payload->assign(frame, kFrameHeaderBytes,
@@ -140,6 +156,22 @@ bool decodeFrame(const char magic[4], const std::string& frame,
 }
 
 #if SPT_WIRE_POSIX
+
+struct ScopedIgnoreSigpipe::Saved {
+  struct sigaction action {};
+  bool ok = false;
+};
+
+ScopedIgnoreSigpipe::ScopedIgnoreSigpipe() : saved_(std::make_unique<Saved>()) {
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  sigemptyset(&ignore.sa_mask);
+  saved_->ok = ::sigaction(SIGPIPE, &ignore, &saved_->action) == 0;
+}
+
+ScopedIgnoreSigpipe::~ScopedIgnoreSigpipe() {
+  if (saved_->ok) ::sigaction(SIGPIPE, &saved_->action, nullptr);
+}
 
 bool socketsSupported() { return true; }
 
@@ -290,6 +322,10 @@ int readSomeFd(int fd, std::string* buf, std::size_t max_bytes) {
 }
 
 #else  // !SPT_WIRE_POSIX
+
+struct ScopedIgnoreSigpipe::Saved {};
+ScopedIgnoreSigpipe::ScopedIgnoreSigpipe() = default;
+ScopedIgnoreSigpipe::~ScopedIgnoreSigpipe() = default;
 
 bool socketsSupported() { return false; }
 int listenUnix(const std::string&, int, std::string* error) {

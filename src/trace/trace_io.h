@@ -2,26 +2,16 @@
 //
 // The paper's simulator consumes execution-trace files (Section 5.1); this
 // gives the same workflow: trace once, simulate many configurations without
-// re-interpreting. Two container formats share the same 40-byte record
-// encoding and FNV-1a stream checksum:
-//
-//  * v2 — the interchange form: a fixed little-endian record stream behind
-//    a 28-byte header (magic, version, record count, checksum). Readers
-//    copy records into a TraceBuffer, validating every record's kind and
-//    opcode ranges and reporting corruption with the byte offset and what
-//    was expected there.
-//  * v3 — the mmap container: a 48-byte 8-aligned header (magic, version,
-//    flags, record count, checksum, two application-defined meta words)
-//    followed by the raw trace::Record array. Because Record *is* the disk
-//    layout (record.h's static_asserts), MappedTrace maps the file and
-//    hands out a zero-copy TraceView over the region — no materialization,
-//    and the page cache shares one physical copy across every process
-//    simulating the same workload. Validation (checksum, per-record
-//    ranges, canonical pad/taken bytes) runs once at open, with the same
-//    byte-offset diagnostics as v2.
-//
-// `sptc trace convert` moves traces between the two forms losslessly; the
-// record bytes — and therefore the stream checksum — are identical in both.
+// re-interpreting. The container is a 48-byte 8-aligned header (magic,
+// version 3, flags, record count, FNV-1a checksum of the record bytes, two
+// application-defined meta words) followed by the raw trace::Record array.
+// Because Record *is* the disk layout (record.h's static_asserts),
+// MappedTrace maps the file and hands out a zero-copy TraceView over the
+// region — no materialization, and the page cache shares one physical copy
+// across every process simulating the same workload. Validation (size,
+// checksum, per-record ranges, canonical pad/taken bytes) runs once at
+// open and reports corruption with the byte offset and what was expected
+// there.
 #pragma once
 
 #include <cstdint>
@@ -32,28 +22,6 @@
 #include "trace/trace.h"
 
 namespace spt::trace {
-
-/// Writes the trace to a stream in v2 (interchange) form. Returns false on
-/// I/O failure.
-bool writeTrace(std::ostream& os, TraceView trace);
-
-/// Convenience: writes v2 to a file path.
-bool writeTraceFile(const std::string& path, TraceView trace);
-
-/// Reads a trace in either container form (v2 record stream or v3 mmap
-/// container, distinguished by the header's version field) into an owned
-/// TraceBuffer. Returns std::nullopt on a short, corrupt, or unsupported
-/// stream; `error` (when given) explains with byte offsets.
-std::optional<TraceBuffer> readTrace(std::istream& is,
-                                     std::string* error = nullptr);
-
-std::optional<TraceBuffer> readTraceFile(const std::string& path,
-                                         std::string* error = nullptr);
-
-/// Peeks `path`'s container version from the header (2 or 3) without
-/// validating the payload. Returns 0 for unreadable files or foreign
-/// magic. `sptc trace convert` uses this to pick the default direction.
-int traceFileVersion(const std::string& path);
 
 /// Application-defined words stored in the v3 header (zero when unused).
 /// The harness's shared-trace cache stores the traced run's return value

@@ -26,6 +26,7 @@
 #include "support/chaos.h"
 #include "support/check.h"
 #include "support/error.h"
+#include "support/wire.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #include <sys/resource.h>
@@ -125,41 +126,76 @@ TEST(ChaosPlan, RejectsMalformedSpecs) {
 
 // ---- Frame protocol -------------------------------------------------------
 
+namespace wire = support::wire;
+
+bool decodeSupervisorFrame(const std::string& frame, std::uint8_t* kind,
+                           std::string* payload, std::string* error) {
+  return wire::decodeFrame(kSupervisorFrameFormat, frame, nullptr, kind,
+                           payload, error);
+}
+
+wire::FrameScan scanSupervisorFrame(const std::string& buf,
+                                    std::size_t* frame_bytes,
+                                    std::string* error) {
+  return wire::scanFrame(kSupervisorFrameFormat, buf, frame_bytes, error);
+}
+
+// Both reply kinds round-trip with the cell-tagged payload a worker
+// sends: the reply header (cell, rusage) and the producer's bytes.
 TEST(SupervisorFrame, RoundTripsBothKinds) {
+  PoolReplyHeader header;
+  header.cell = 123456789012ull;
+  header.user_seconds = 1.25;
+  header.sys_seconds = 0.5;
+  header.max_rss_kb = 123456;
   for (const std::uint8_t kind :
        {kFrameKindPooledReply, kFrameKindPooledError}) {
-    for (const std::string& payload : {std::string(), std::string("hello"),
-                                       std::string(1000, '\x7f')}) {
+    for (const std::string& inner : {std::string(), std::string("hello"),
+                                     std::string(1000, '\x7f')}) {
       const std::string frame =
-          encodeSupervisorFrame(kind, payload, kSupervisorFrameV2);
-      std::uint8_t got_kind = 0xff;
-      std::string got_payload;
+          encodeSupervisorFrame(kind, encodePoolReply(header, inner));
+      std::size_t frame_bytes = 0;
       std::string error;
-      ASSERT_TRUE(
-          decodeSupervisorFrame(frame, &got_kind, &got_payload, &error))
+      ASSERT_EQ(scanSupervisorFrame(frame, &frame_bytes, &error),
+                wire::FrameScan::kFrame)
+          << error;
+      EXPECT_EQ(frame_bytes, frame.size());
+      std::uint8_t got_kind = 0xff;
+      std::string payload;
+      ASSERT_TRUE(decodeSupervisorFrame(frame, &got_kind, &payload, &error))
           << error;
       EXPECT_EQ(got_kind, kind);
-      EXPECT_EQ(got_payload, payload);
+      PoolReplyHeader got;
+      std::string got_inner;
+      ASSERT_TRUE(decodePoolReply(payload, &got, &got_inner));
+      EXPECT_EQ(got.cell, header.cell);
+      EXPECT_EQ(got.user_seconds, 1.25);
+      EXPECT_EQ(got.sys_seconds, 0.5);
+      EXPECT_EQ(got.max_rss_kb, 123456);
+      EXPECT_EQ(got_inner, inner);
     }
   }
+  PoolReplyHeader got;
+  std::string inner;
+  EXPECT_FALSE(decodePoolReply("too-short", &got, &inner));
 }
 
 TEST(SupervisorFrame, DetectsCorruption) {
-  const std::string frame = encodeSupervisorFrame(
-      kFrameKindPooledReply, "checksummed-payload", kSupervisorFrameV2);
+  const std::string frame =
+      encodeSupervisorFrame(kFrameKindPooledReply, "checksummed-payload");
   std::string error;
 
   // Empty and short replies.
   EXPECT_FALSE(decodeSupervisorFrame("", nullptr, nullptr, &error));
-  EXPECT_NE(error.find("empty reply"), std::string::npos) << error;
+  EXPECT_NE(error.find("too short"), std::string::npos) << error;
   EXPECT_FALSE(decodeSupervisorFrame(frame.substr(0, 10), nullptr, nullptr,
                                      &error));
-  EXPECT_NE(error.find("short reply"), std::string::npos) << error;
+  EXPECT_NE(error.find("too short"), std::string::npos) << error;
 
-  // Truncated past the header: length mismatch.
+  // Truncated past the header: the length field disagrees.
   EXPECT_FALSE(decodeSupervisorFrame(frame.substr(0, frame.size() - 3),
                                      nullptr, nullptr, &error));
-  EXPECT_NE(error.find("length mismatch"), std::string::npos) << error;
+  EXPECT_NE(error.find("does not match"), std::string::npos) << error;
 
   // Trailing junk is corruption too, not ignored.
   EXPECT_FALSE(decodeSupervisorFrame(frame + "x", nullptr, nullptr, &error));
@@ -181,71 +217,62 @@ TEST(SupervisorFrame, DetectsCorruption) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
-TEST(SupervisorFrame, V2RoundTripsPoolKinds) {
-  for (const std::uint8_t kind :
-       {kFrameKindRequest, kFrameKindPooledReply, kFrameKindPooledError}) {
-    const std::string frame =
-        encodeSupervisorFrame(kind, "pool-payload", kSupervisorFrameV2);
-    std::uint8_t got_kind = 0xff;
-    std::string got_payload;
-    std::string error;
-    ASSERT_TRUE(decodeSupervisorFrame(frame, &got_kind, &got_payload, &error))
-        << "kind " << unsigned{kind} << ": " << error;
-    EXPECT_EQ(got_kind, kind);
-    EXPECT_EQ(got_payload, "pool-payload");
-  }
-}
-
-// Version negotiation: the decoder accepts v2-v3 but validates the kind
-// against the version — a v2 frame can never smuggle a spec request, the
-// unassigned version 1 and kinds 0-1 are refused, and a version bump
-// beyond v3 is rejected outright.
+// SPTW has one version and three kinds. Every other version — the retired
+// 1 and 2 included — and kinds 0-2 (or past 5) are refused by the decoder
+// and by the stream scanner, which needs only the header bytes that
+// carry them.
 TEST(SupervisorFrame, ValidatesKindAgainstVersion) {
-  std::string error;
-  // A version-1 header is an unsupported version, whatever it carries.
-  std::string v1 =
-      encodeSupervisorFrame(kFrameKindPooledReply, "x", kSupervisorFrameV2);
-  v1[4] = 1;
-  EXPECT_FALSE(decodeSupervisorFrame(v1, nullptr, nullptr, &error));
-  EXPECT_NE(error.find("unsupported frame version 1"), std::string::npos)
-      << error;
-  EXPECT_EQ(scanSupervisorFrame(v1, nullptr, &error), FrameScan::kCorrupt);
-  EXPECT_NE(error.find("unsupported frame version 1"), std::string::npos)
-      << error;
-  // Kinds 0-1 are valid in no version.
-  for (const std::uint32_t version : {kSupervisorFrameV2, kSupervisorFrameV3}) {
-    for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{1}}) {
-      const std::string frame = encodeSupervisorFrame(kind, "x", version);
-      EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
-      EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
+  const std::string good =
+      encodeSupervisorFrame(kFrameKindPooledReply, "x");
+  for (const std::uint32_t version :
+       {0u, 1u, 2u, 4u, 9u, 0xffffffffu}) {
+    std::string frame = good;
+    std::memcpy(frame.data() + 4, &version, sizeof version);
+    const std::string want =
+        "unsupported frame version " + std::to_string(version);
+    std::string error;
+    EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+    for (const std::size_t prefix : {std::size_t{8}, frame.size()}) {
+      error.clear();
+      EXPECT_EQ(scanSupervisorFrame(frame.substr(0, prefix), nullptr, &error),
+                wire::FrameScan::kCorrupt)
+          << "version " << version << ", " << prefix << " bytes";
+      EXPECT_NE(error.find(want), std::string::npos) << error;
+    }
+  }
+  for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{1},
+                                  std::uint8_t{2}, std::uint8_t{6},
+                                  std::uint8_t{255}}) {
+    const std::string frame = encodeSupervisorFrame(kind, "x");
+    std::string error;
+    EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
+    EXPECT_NE(error.find("not valid in frame version 3"), std::string::npos)
+        << error;
+    for (const std::size_t prefix : {std::size_t{9}, frame.size()}) {
+      error.clear();
+      EXPECT_EQ(scanSupervisorFrame(frame.substr(0, prefix), nullptr, &error),
+                wire::FrameScan::kCorrupt)
+          << "kind " << unsigned{kind} << ", " << prefix << " bytes";
+      EXPECT_NE(error.find("not valid in frame version 3"),
+                std::string::npos)
           << error;
     }
   }
-  // The spec-request kind is invalid below v3.
-  std::string frame =
-      encodeSupervisorFrame(kFrameKindSpecRequest, "x", kSupervisorFrameV3);
-  const std::uint32_t v2 = kSupervisorFrameV2;
-  std::memcpy(frame.data() + 4, &v2, sizeof v2);
-  EXPECT_FALSE(decodeSupervisorFrame(frame, nullptr, nullptr, &error));
-  EXPECT_NE(error.find("not valid in frame version"), std::string::npos)
-      << error;
-  // The v2 kinds stay decodable in v3.
-  for (const std::uint8_t kind :
-       {kFrameKindRequest, kFrameKindPooledReply, kFrameKindPooledError}) {
-    EXPECT_TRUE(decodeSupervisorFrame(
-        encodeSupervisorFrame(kind, "x", kSupervisorFrameV3), nullptr,
-        nullptr, &error))
+  // The three assigned kinds pass both.
+  for (const std::uint8_t kind : {kFrameKindPooledReply, kFrameKindPooledError,
+                                  kFrameKindSpecRequest}) {
+    const std::string frame = encodeSupervisorFrame(kind, "x");
+    std::string error;
+    EXPECT_EQ(scanSupervisorFrame(frame, nullptr, &error),
+              wire::FrameScan::kFrame)
+        << error;
+    EXPECT_TRUE(decodeSupervisorFrame(frame, nullptr, nullptr, &error))
         << error;
   }
-  // Version 4 does not exist yet.
-  std::string future =
-      encodeSupervisorFrame(kFrameKindPooledReply, "x", kSupervisorFrameV2);
-  future[4] = 4;
-  EXPECT_FALSE(decodeSupervisorFrame(future, nullptr, nullptr, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
-// v3 spec requests round-trip: token, attempt, chaos action, and opaque
+// Spec requests round-trip: token, attempt, chaos action, and opaque
 // spec bytes — and an out-of-range action byte is rejected.
 TEST(SupervisorFrame, SpecRequestRoundTrips) {
   const std::string spec("machine\0config\x7f bytes", 21);
@@ -261,9 +288,9 @@ TEST(SupervisorFrame, SpecRequestRoundTrips) {
   EXPECT_EQ(chaos, support::ChaosAction::kGarbage);
   EXPECT_EQ(got_spec, spec);
 
-  // Survives the frame layer under the v3 version tag.
+  // Survives the frame layer.
   const std::string frame =
-      encodeSupervisorFrame(kFrameKindSpecRequest, payload, kSupervisorFrameV3);
+      encodeSupervisorFrame(kFrameKindSpecRequest, payload);
   std::uint8_t kind = 0;
   std::string decoded;
   std::string error;
@@ -282,16 +309,15 @@ TEST(SupervisorFrame, SpecRequestRoundTrips) {
 }
 
 TEST(SupervisorFrame, StreamScannerFindsFramesIncrementally) {
-  const std::string a =
-      encodeSupervisorFrame(kFrameKindPooledReply, "first", kSupervisorFrameV2);
-  const std::string b = encodeSupervisorFrame(kFrameKindPooledError, "second",
-                                              kSupervisorFrameV2);
+  const std::string a = encodeSupervisorFrame(kFrameKindPooledReply, "first");
+  const std::string b =
+      encodeSupervisorFrame(kFrameKindPooledError, "second");
 
   // Every strict prefix of a frame scans as need-more, never corrupt.
   for (std::size_t cut = 0; cut < a.size(); ++cut) {
     std::size_t frame_bytes = 0;
     EXPECT_EQ(scanSupervisorFrame(a.substr(0, cut), &frame_bytes, nullptr),
-              FrameScan::kNeedMore)
+              wire::FrameScan::kNeedMore)
         << "prefix length " << cut;
   }
 
@@ -299,51 +325,24 @@ TEST(SupervisorFrame, StreamScannerFindsFramesIncrementally) {
   std::string stream = a + b;
   std::size_t frame_bytes = 0;
   ASSERT_EQ(scanSupervisorFrame(stream, &frame_bytes, nullptr),
-            FrameScan::kFrame);
+            wire::FrameScan::kFrame);
   EXPECT_EQ(frame_bytes, a.size());
   EXPECT_EQ(stream.substr(0, frame_bytes), a);
   stream.erase(0, frame_bytes);
   ASSERT_EQ(scanSupervisorFrame(stream, &frame_bytes, nullptr),
-            FrameScan::kFrame);
+            wire::FrameScan::kFrame);
   EXPECT_EQ(frame_bytes, b.size());
 
   // Garbage is rejected from the very first wrong byte.
   std::string error;
-  EXPECT_EQ(scanSupervisorFrame("Z", nullptr, &error), FrameScan::kCorrupt);
+  EXPECT_EQ(scanSupervisorFrame("Z", nullptr, &error),
+            wire::FrameScan::kCorrupt);
   EXPECT_NE(error.find("magic"), std::string::npos) << error;
   std::string bad_version = a;
   bad_version[4] = 9;
   EXPECT_EQ(scanSupervisorFrame(bad_version, nullptr, &error),
-            FrameScan::kCorrupt);
+            wire::FrameScan::kCorrupt);
   EXPECT_NE(error.find("version"), std::string::npos) << error;
-}
-
-TEST(SupervisorFrame, PoolPayloadsRoundTrip) {
-  std::uint64_t cell = 0;
-  std::uint32_t attempt = 0;
-  ASSERT_TRUE(decodePoolRequest(encodePoolRequest(123456789012ull, 7),
-                                &cell, &attempt));
-  EXPECT_EQ(cell, 123456789012ull);
-  EXPECT_EQ(attempt, 7u);
-  EXPECT_FALSE(decodePoolRequest("short", &cell, &attempt));
-  EXPECT_FALSE(decodePoolRequest(encodePoolRequest(1, 1) + "x", &cell,
-                                 &attempt));
-
-  PoolReplyHeader header;
-  header.cell = 42;
-  header.user_seconds = 1.25;
-  header.sys_seconds = 0.5;
-  header.max_rss_kb = 123456;
-  PoolReplyHeader got;
-  std::string inner;
-  ASSERT_TRUE(
-      decodePoolReply(encodePoolReply(header, "inner-bytes"), &got, &inner));
-  EXPECT_EQ(got.cell, 42u);
-  EXPECT_EQ(got.user_seconds, 1.25);
-  EXPECT_EQ(got.sys_seconds, 0.5);
-  EXPECT_EQ(got.max_rss_kb, 123456);
-  EXPECT_EQ(inner, "inner-bytes");
-  EXPECT_FALSE(decodePoolReply("too-short", &got, &inner));
 }
 
 // ---- Cell payload codec ---------------------------------------------------
@@ -587,12 +586,10 @@ TEST(Supervisor, WorkerExceptionBecomesStructuredInternalError) {
 TEST(Supervisor, BackoffIsDeterministicAndExponential) {
   SupervisorOptions opts;
   opts.backoff_base_seconds = 0.25;
-  const Supervisor a(opts);
-  const Supervisor b(opts);
   for (std::size_t cell = 0; cell < 4; ++cell) {
     for (std::uint32_t attempt = 2; attempt <= 5; ++attempt) {
-      const double d = a.backoffSeconds(cell, attempt);
-      EXPECT_EQ(d, b.backoffSeconds(cell, attempt));
+      const double d = backoffSeconds(opts, cell, attempt);
+      EXPECT_EQ(d, backoffSeconds(opts, cell, attempt));
       // base * 2^(attempt-2) * (1 + jitter), jitter in [0, 1).
       const double floor = 0.25 * static_cast<double>(1u << (attempt - 2));
       EXPECT_GE(d, floor) << "cell " << cell << " attempt " << attempt;
@@ -602,28 +599,28 @@ TEST(Supervisor, BackoffIsDeterministicAndExponential) {
   // A different seed produces different jitter somewhere.
   SupervisorOptions other = opts;
   other.backoff_seed = 0x1234;
-  const Supervisor c(other);
   bool any_diff = false;
   for (std::size_t cell = 0; cell < 4 && !any_diff; ++cell) {
-    any_diff = a.backoffSeconds(cell, 2) != c.backoffSeconds(cell, 2);
+    any_diff =
+        backoffSeconds(opts, cell, 2) != backoffSeconds(other, cell, 2);
   }
   EXPECT_TRUE(any_diff);
   // First attempt needs no backoff.
-  EXPECT_EQ(a.backoffSeconds(0, 1), 0.0);
+  EXPECT_EQ(backoffSeconds(opts, 0, 1), 0.0);
 }
 
 // Regression for the old `cell * 64 + attempt` jitter seed: (cell 0,
 // attempt 66) and (cell 1, attempt 2) packed to the same seed and shared
 // a jitter stream, and `1ull << (attempt - 2)` was UB from attempt 66 on.
 TEST(Supervisor, BackoffSeedDoesNotCollideAcrossCells) {
-  const Supervisor sup(SupervisorOptions{});
+  const SupervisorOptions opts{};
   // The old packing's collision pairs must now differ (modulo the scaled
   // floor): compare the jitter fraction, which is seed-determined.
   const auto jitter = [&](std::size_t cell, std::uint32_t attempt) {
     const double floor =
         0.25 * static_cast<double>(1ull << std::min<std::uint32_t>(
                                        attempt - 2, 62));
-    return sup.backoffSeconds(cell, attempt) / floor - 1.0;
+    return backoffSeconds(opts, cell, attempt) / floor - 1.0;
   };
   EXPECT_NE(jitter(0, 66), jitter(1, 2));
   EXPECT_NE(jitter(0, 130), jitter(2, 2));
@@ -631,9 +628,9 @@ TEST(Supervisor, BackoffSeedDoesNotCollideAcrossCells) {
 
   // Huge attempt numbers are finite (clamped exponent), monotone-capped,
   // and UBSan-clean.
-  const double capped = sup.backoffSeconds(0, 64);
+  const double capped = backoffSeconds(opts, 0, 64);
   for (const std::uint32_t attempt : {66u, 80u, 1000u, ~0u}) {
-    const double d = sup.backoffSeconds(0, attempt);
+    const double d = backoffSeconds(opts, 0, attempt);
     EXPECT_TRUE(std::isfinite(d)) << attempt;
     EXPECT_GT(d, 0.0) << attempt;
     // Past the clamp, only the jitter varies: within 2x of the cap value.

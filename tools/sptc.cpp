@@ -23,13 +23,6 @@
 //       suite under seeded corruption of the speculative structures with
 //       the architectural oracle armed. Exits nonzero if any fault
 //       escaped or any architectural digest diverged.
-//   sptc trace convert <in> <out> [--to v2|v3]
-//       Convert a trace file between the v2 interchange stream and the v3
-//       mmap container (docs/PERF.md "Trace format v3"). Lossless in both
-//       directions: the record bytes and stream checksum are identical in
-//       either container (v3's application meta words are preserved on
-//       v3 -> v3 and zero when converting up from v2). Without --to, the
-//       output format is the opposite of the input's.
 //   sptc serve --socket PATH [options]
 //       Run the resident sweep service (docs/ROBUSTNESS.md "Sweep
 //       service"): listen on a Unix-domain socket and multiplex sweep /
@@ -187,7 +180,6 @@
 #include "ir/verifier.h"
 #include "support/stats.h"
 #include "support/table.h"
-#include "trace/trace_io.h"
 
 namespace {
 
@@ -227,7 +219,7 @@ void installInterruptHandlers() {
 int usage() {
   std::cerr
       << "usage: sptc "
-         "<list|run|compile|parse|sweep|perf|inject|trace|serve|submit> "
+         "<list|run|compile|parse|sweep|perf|inject|serve|submit> "
          "[target] [options]\n"
          "       see the header of tools/sptc.cpp for details\n";
   return 2;
@@ -991,69 +983,6 @@ int cmdPerf(Options options) {
   return 0;
 }
 
-int cmdTraceConvert(int argc, char** argv) {
-  // sptc trace convert <in> <out> [--to v2|v3]
-  if (argc < 5 || argv[3][0] == '-' || argv[4][0] == '-') {
-    std::cerr << "usage: sptc trace convert <in> <out> [--to v2|v3]\n";
-    return 2;
-  }
-  const std::string in_path = argv[3];
-  const std::string out_path = argv[4];
-  std::string to;
-  for (int i = 5; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--to" && i + 1 < argc) {
-      to = argv[++i];
-    } else {
-      std::cerr << "sptc: unknown trace convert option '" << arg << "'\n";
-      return 2;
-    }
-  }
-  const int in_version = trace::traceFileVersion(in_path);
-  if (in_version == 0) {
-    std::cerr << "sptc: " << in_path
-              << " is not a trace file (bad magic or unreadable)\n";
-    return 1;
-  }
-  if (to.empty()) to = in_version == 3 ? "v2" : "v3";
-  if (to != "v2" && to != "v3") {
-    std::cerr << "sptc: --to expects v2 or v3, got '" << to << "'\n";
-    return 2;
-  }
-
-  // Full validation on the way in: checksum, per-record ranges, canonical
-  // bytes — a corrupt trace is rejected here, never silently re-encoded.
-  std::string error;
-  const auto buffer = trace::readTraceFile(in_path, &error);
-  if (!buffer) {
-    std::cerr << "sptc: cannot read " << in_path << ": " << error << "\n";
-    return 1;
-  }
-
-  bool ok;
-  if (to == "v2") {
-    ok = trace::writeTraceFile(out_path, buffer->view());
-  } else {
-    // Preserve the application meta words across v3 -> v3 rewrites; a v2
-    // input has none, so they stay zero.
-    trace::TraceFileMeta meta;
-    if (in_version == 3) {
-      if (const auto mapped = trace::MappedTrace::open(in_path)) {
-        meta = mapped->meta();
-      }
-    }
-    ok = trace::writeTraceV3File(out_path, buffer->view(), meta);
-  }
-  if (!ok) {
-    std::cerr << "sptc: cannot write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "converted " << in_path << " (v" << in_version << ") -> "
-            << out_path << " (" << to << "), " << buffer->size()
-            << " records\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1091,13 +1020,6 @@ int main(int argc, char** argv) {
         parseOptions(argc, argv, 3, /*chaos_needs_isolate=*/false);
     if (!options.ok) return 2;
     return cmdSubmit(mode, options);
-  }
-  if (cmd == "trace") {
-    if (argc < 3 || std::string(argv[2]) != "convert") {
-      std::cerr << "sptc: 'trace' supports: convert <in> <out> [--to v2|v3]\n";
-      return usage();
-    }
-    return cmdTraceConvert(argc, argv);
   }
   if (cmd == "run" || cmd == "compile" || cmd == "parse") {
     if (argc < 3 || argv[2][0] == '-') {
