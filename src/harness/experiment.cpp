@@ -27,12 +27,22 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-std::uint64_t instrCountOf(trace::TraceView view) {
-  std::uint64_t n = 0;
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    n += view[i].kind == trace::RecordKind::kInstr ? 1 : 0;
+/// The run's result as a cache entry keeps it, in the v3 meta words.
+trace::TraceFileMeta metaOf(const interp::RunResult& run) {
+  return {static_cast<std::uint64_t>(run.return_value), run.memory_hash};
+}
+
+/// The run that produced `entry`'s trace, recovered from its meta words;
+/// the instruction count is recounted from the trace.
+interp::RunResult runOf(const TraceCache::Entry& entry) {
+  interp::RunResult run;
+  run.return_value = static_cast<std::int64_t>(entry.meta.word0);
+  run.memory_hash = entry.meta.word1;
+  for (std::size_t i = 0; i < entry.view.size(); ++i) {
+    run.dynamic_instrs +=
+        entry.view[i].kind == trace::RecordKind::kInstr ? 1 : 0;
   }
-  return n;
+  return run;
 }
 
 /// Interprets the finalized `module`'s main function into `sink`. A
@@ -88,64 +98,12 @@ ExperimentResult runSptExperiment(ir::Module module,
                                   const compiler::CompilerOptions& copts,
                                   const support::MachineConfig& mconfig,
                                   std::vector<std::int64_t> args,
-                                  compiler::CompilationRemarks* remarks) {
+                                  compiler::CompilationRemarks* remarks,
+                                  TraceCache* cache,
+                                  const std::string& key_prefix) {
   ExperimentResult result;
 
-  // Baseline: the unmodified module, interpreted once. The run feeds the
-  // compiler's profile, SVP superset included, and the one-core machine at
-  // the same time.
-  ir::Module baseline = module;
-  baseline.finalize();
-  InterpProfileRunner runner(args);
-  {
-    std::unordered_set<ir::StaticId> superset =
-        compiler::svpSuperset(baseline);
-    profile::Profiler profiler(baseline, superset);
-    {
-      sim::BaselineMachine base_machine(baseline, mconfig);
-      trace::TeeSink tee;
-      tee.add(&profiler);
-      tee.add(&base_machine);
-      result.baseline_run =
-          interpret(baseline, args, mconfig.max_trace_records, tee);
-      result.baseline = base_machine.finish();
-    }
-    // The machine is gone before take() builds the value histograms.
-    runner.prime(baseline, profiler.take(), std::move(superset));
-  }
-
-  // SPT: two-pass cost-driven compilation in place.
-  compiler::SptCompiler cc(copts);
-  result.plan = cc.compile(module, runner, remarks);
-
-  // The SPT program, interpreted once straight into the SPT machine.
-  if (!module.finalized()) module.finalize();
-  sim::SptMachine spt_machine(module, mconfig);
-  result.spt_run =
-      interpret(module, args, mconfig.max_trace_records, spt_machine);
-
-  // Sequential semantics must be preserved by the transformation.
-  SPT_CHECK_MSG(
-      result.baseline_run.return_value == result.spt_run.return_value,
-      "SPT transformation changed the program result");
-  SPT_CHECK_MSG(result.baseline_run.memory_hash == result.spt_run.memory_hash,
-                "SPT transformation changed the memory image");
-  result.spt = spt_machine.finish();
-  return result;
-}
-
-ExperimentResult runSptExperiment(ir::Module module, TraceCache& cache,
-                                  const std::string& key_prefix,
-                                  const compiler::CompilerOptions& copts,
-                                  const support::MachineConfig& mconfig,
-                                  std::vector<std::int64_t> args,
-                                  compiler::CompilationRemarks* remarks) {
-  ExperimentResult result;
-
-  ir::Module baseline = module;
-  baseline.finalize();
-
-  // Everything beyond the program identity that shapes the trace: run
+  // Everything beyond the program identity that shapes a cached trace: run
   // arguments and the trace budget. The SPT key also folds the plan
   // fingerprint — the transformed program *is* the plan, so two option
   // sets that compile to the same plan legitimately share a trace.
@@ -154,72 +112,87 @@ ExperimentResult runSptExperiment(ir::Module module, TraceCache& cache,
     salt = foldWord(salt, static_cast<std::uint64_t>(a));
   }
   salt = foldWord(salt, mconfig.max_trace_records);
-
   const auto keyFor = [&](const std::string& tag) {
     return key_prefix + tag + "-" + hex64(salt);
   };
-  // Interprets `m` into `sink`, keeping the run's result in the meta words.
-  const auto traceInto = [&](const ir::Module& m, trace::TraceSink& sink,
-                             trace::TraceFileMeta* meta) {
+
+  // Baseline: the unmodified module, interpreted at most once. The run
+  // value-profiles the SVP superset for the compiler while it feeds
+  // `sink`: the one-core machine, or the trace the cache keeps.
+  ir::Module baseline = module;
+  baseline.finalize();
+  const auto profileBaseline = [&](trace::TraceSink& sink,
+                                   profile::TrackedProfile* profile) {
+    profile->tracked = compiler::svpSuperset(baseline);
+    profile::Profiler profiler(baseline, profile->tracked);
+    trace::TeeSink tee;
+    tee.add(&profiler);
+    tee.add(&sink);
     const interp::RunResult run =
-        interpret(m, args, mconfig.max_trace_records, sink);
-    meta->word0 = static_cast<std::uint64_t>(run.return_value);
-    meta->word1 = run.memory_hash;
+        interpret(baseline, args, mconfig.max_trace_records, tee);
+    profile->data = profiler.take();
+    return run;
   };
+  profile::TrackedProfile primed;
+  if (cache == nullptr) {
+    sim::BaselineMachine machine(baseline, mconfig);
+    result.baseline_run = profileBaseline(machine, &primed);
+    result.baseline = machine.finish();
+  } else {
+    // The entry keeps its producing run's profile, so a hit interprets
+    // nothing.
+    const TraceCache::Entry& entry = cache->getProfiled(
+        keyFor(".base"),
+        [&](trace::TraceFileMeta* meta, profile::TrackedProfile* profile) {
+          trace::TraceBuffer trace;
+          *meta = metaOf(profileBaseline(trace, profile));
+          return trace;
+        });
+    std::optional<profile::TrackedProfile> decoded =
+        profile::decodeProfile(entry.profile_sidecar);
+    SPT_CHECK_MSG(decoded.has_value(), "trace cache: invalid profile sidecar");
+    primed = std::move(*decoded);
+    result.baseline_run = runOf(entry);
+    sim::BaselineMachine machine(baseline, entry.view, mconfig);
+    result.baseline = machine.run();
+  }
 
-  // The baseline first: the run that produces its trace also profiles the
-  // SVP superset, and the entry keeps that profile to prime the compiler.
-  const TraceCache::Entry& base_entry = cache.getProfiled(
-      keyFor(".base"),
-      [&](trace::TraceFileMeta* meta, profile::TrackedProfile* profile) {
-        profile->tracked = compiler::svpSuperset(baseline);
-        trace::TraceBuffer trace;
-        profile::Profiler profiler(baseline, profile->tracked);
-        trace::TeeSink tee;
-        tee.add(&trace);
-        tee.add(&profiler);
-        traceInto(baseline, tee, meta);
-        profile->data = profiler.take();
-        return trace;
-      });
-  std::optional<profile::TrackedProfile> primed =
-      profile::decodeProfile(base_entry.profile_sidecar);
-  SPT_CHECK_MSG(primed.has_value(), "trace cache: invalid profile sidecar");
+  // SPT: two-pass cost-driven compilation in place.
   InterpProfileRunner runner(args);
-  runner.prime(baseline, std::move(primed->data), std::move(primed->tracked));
-
+  runner.prime(baseline, std::move(primed.data), std::move(primed.tracked));
   compiler::SptCompiler cc(copts);
   result.plan = cc.compile(module, runner, remarks);
   if (!module.finalized()) module.finalize();
-  const TraceCache::Entry& spt_entry = cache.get(
-      keyFor(".spt-" + hex64(result.plan.fingerprint())),
-      [&](trace::TraceFileMeta* meta) {
-        trace::TraceBuffer trace;
-        traceInto(module, trace, meta);
-        return trace;
-      });
 
-  result.baseline_run.return_value =
-      static_cast<std::int64_t>(base_entry.meta.word0);
-  result.baseline_run.memory_hash = base_entry.meta.word1;
-  result.baseline_run.dynamic_instrs = instrCountOf(base_entry.view);
-  result.spt_run.return_value =
-      static_cast<std::int64_t>(spt_entry.meta.word0);
-  result.spt_run.memory_hash = spt_entry.meta.word1;
-  result.spt_run.dynamic_instrs = instrCountOf(spt_entry.view);
+  // The SPT program, interpreted at most once: straight into the SPT
+  // machine, which indexes forks as the records arrive, or into the
+  // cached trace the machine replays.
+  if (cache == nullptr) {
+    sim::SptMachine machine(module, mconfig);
+    result.spt_run =
+        interpret(module, args, mconfig.max_trace_records, machine);
+    result.spt = machine.finish();
+  } else {
+    const TraceCache::Entry& entry = cache->get(
+        keyFor(".spt-" + hex64(result.plan.fingerprint())),
+        [&](trace::TraceFileMeta* meta) {
+          trace::TraceBuffer trace;
+          *meta = metaOf(
+              interpret(module, args, mconfig.max_trace_records, trace));
+          return trace;
+        });
+    result.spt_run = runOf(entry);
+    const trace::LoopIndex index(module, entry.view);
+    sim::SptMachine machine(module, entry.view, index, mconfig);
+    result.spt = machine.run();
+  }
+
+  // Sequential semantics must be preserved by the transformation.
   SPT_CHECK_MSG(
       result.baseline_run.return_value == result.spt_run.return_value,
       "SPT transformation changed the program result");
   SPT_CHECK_MSG(result.baseline_run.memory_hash == result.spt_run.memory_hash,
                 "SPT transformation changed the memory image");
-
-  // Simulate straight off the mapped files; the machines only need the
-  // views to stay valid until they are destroyed below.
-  sim::BaselineMachine base_machine(baseline, base_entry.view, mconfig);
-  result.baseline = base_machine.run();
-  const trace::LoopIndex index(module, spt_entry.view);
-  sim::SptMachine spt_machine(module, spt_entry.view, index, mconfig);
-  result.spt = spt_machine.run();
   return result;
 }
 

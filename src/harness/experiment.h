@@ -10,8 +10,10 @@
 // the module's static SVP superset (compiler::svpSuperset) and so yields
 // every profile the compiler asks of the baseline, the first profile
 // (paper Section 4.1) and the SVP value profile (Section 4.4) alike. Only a
-// module that unrolling changed is profiled again. Without a cache, each
-// run streams straight into its machine, so no trace is stored: the SPT
+// module that unrolling changed is profiled again. One entry,
+// runSptExperiment, runs that sequence; an optional trace cache changes
+// only where each program's records come from. Without a cache, each run
+// streams straight into its machine, so no trace is stored: the SPT
 // machine indexes forks as the records arrive and keeps only the window its
 // threads can still read. With a cache, both machines replay mapped v3
 // traces, and the baseline trace keeps its run's profile beside it, so a
@@ -90,32 +92,26 @@ struct ExperimentResult {
 /// non-null `remarks`, fills the compiler's structured per-loop decision
 /// log (spt/remarks.h) — the experiment consumes the same plan, so
 /// results are unchanged by construction.
+///
+/// Without a `cache`, each program's run streams straight into its
+/// machine and no trace is stored. With one, the baseline and SPT traces
+/// come from `cache` as mmap-backed v3 files, with identical results: the
+/// baseline entry keeps the profile of the run that produced it as a
+/// sidecar, and that profile primes the compiler whether this call
+/// produced the trace or found it. `key_prefix` must then identify the
+/// program and its scale (e.g. "gzip.x2"); the cache key additionally
+/// folds in the run arguments, the trace budget, and — for the SPT trace —
+/// the compilation plan's fingerprint, so distinct compiler options never
+/// collide. On a cache hit nothing is interpreted (except a module
+/// unrolling changed, which the compiler profiles): the traced run's
+/// return value and memory hash are recovered from the v3 meta words
+/// (baseline_run/spt_run.dynamic_instrs is recounted from the trace).
+/// The machines are torn down before return, so no view outlives the call.
 ExperimentResult runSptExperiment(
     ir::Module module, const compiler::CompilerOptions& copts = {},
     const support::MachineConfig& mconfig = {},
     std::vector<std::int64_t> args = {},
-    compiler::CompilationRemarks* remarks = nullptr);
-
-/// Shared-trace variant: identical results, but the baseline and SPT
-/// traces come from `cache` as mmap-backed v3 files instead of being
-/// re-interpreted per call. The baseline entry keeps the profile of the run
-/// that produced it as a sidecar, and that profile primes the compiler
-/// whether this call produced the trace or found it. `key_prefix` must
-/// identify the program and its scale (e.g. "gzip.x2"); the cache key
-/// additionally folds in the run arguments, the trace budget, and — for
-/// the SPT trace — the compilation plan's fingerprint, so distinct
-/// compiler options never collide. On a cache hit nothing is interpreted
-/// (except a module unrolling changed, which the compiler profiles): the
-/// traced run's return value and memory hash are recovered from the v3
-/// meta words (baseline_run/spt_run.dynamic_instrs is recomputed from the
-/// trace).
-/// `cache` must outlive nothing here — machines are torn down before
-/// return — but the usual rule applies to callers holding views.
-ExperimentResult runSptExperiment(
-    ir::Module module, TraceCache& cache, const std::string& key_prefix,
-    const compiler::CompilerOptions& copts = {},
-    const support::MachineConfig& mconfig = {},
-    std::vector<std::int64_t> args = {},
-    compiler::CompilationRemarks* remarks = nullptr);
+    compiler::CompilationRemarks* remarks = nullptr,
+    TraceCache* cache = nullptr, const std::string& key_prefix = {});
 
 }  // namespace spt::harness

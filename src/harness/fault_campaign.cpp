@@ -30,6 +30,26 @@ struct Prepared {
   std::uint64_t sequential_digest = 0;
 };
 
+/// Compiles and traces `entry`'s workload once for the campaign. The
+/// compiler follows the machine's chain depth so chained campaigns
+/// exercise slice-equipped forks too. Compilation and tracing are
+/// deterministic, so every caller gets the same traces.
+Prepared prepareWorkload(const SuiteEntry& entry,
+                         const FaultCampaignOptions& opts) {
+  Prepared p;
+  p.name = entry.workload.name;
+  p.module = std::make_unique<ir::Module>(entry.workload.build(opts.scale));
+  compiler::CompilerOptions copts = entry.copts;
+  copts.spec_threads = opts.machine.spec_threads;
+  compiler::SptCompiler cc(copts);
+  InterpProfileRunner runner;
+  cc.compile(*p.module, runner);
+  p.trace = traceProgram(*p.module, {}, opts.machine.max_trace_records).trace;
+  p.index = std::make_unique<trace::LoopIndex>(*p.module, p.trace);
+  p.sequential_digest = sim::Oracle::sequentialDigest(*p.module, p.trace);
+  return p;
+}
+
 }  // namespace
 
 std::string campaignCellConfigKey(std::size_t cell_index,
@@ -94,28 +114,9 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts,
 
   // Phase 1: compile + trace each workload once, in parallel. The pool is
   // torn down before phase 2, so supervised forks never race pool threads.
-  std::vector<Prepared> prepared =
-      sweep.run(suite.size(), [&](std::size_t i) {
-        const SuiteEntry& entry = suite[i];
-        Prepared p;
-        p.name = entry.workload.name;
-        p.module =
-            std::make_unique<ir::Module>(entry.workload.build(opts.scale));
-        // The compiler follows the machine's chain depth so chained
-        // campaigns exercise slice-equipped forks too.
-        compiler::CompilerOptions copts = entry.copts;
-        copts.spec_threads = opts.machine.spec_threads;
-        compiler::SptCompiler cc(copts);
-        InterpProfileRunner runner;
-        cc.compile(*p.module, runner);
-        TracedRun run = traceProgram(*p.module, {},
-                                     opts.machine.max_trace_records);
-        p.trace = std::move(run.trace);
-        p.index = std::make_unique<trace::LoopIndex>(*p.module, p.trace);
-        p.sequential_digest =
-            sim::Oracle::sequentialDigest(*p.module, p.trace);
-        return p;
-      });
+  std::vector<Prepared> prepared = sweep.run(
+      suite.size(),
+      [&](std::size_t i) { return prepareWorkload(suite[i], opts); });
 
   // Phase 2: the workloads × seeds grid over the shared traces. Cell c's
   // fault seed depends only on c, so the grid is bit-reproducible at any
@@ -207,23 +208,8 @@ FaultCampaignCell runFaultCampaignCellStandalone(
   try {
     for (const SuiteEntry& entry : defaultSuite()) {
       if (entry.workload.name != benchmark) continue;
-      // The same prepare steps as runFaultCampaign's phase 1, scoped to
-      // one workload. Compilation and tracing are deterministic, so the
-      // cell's JSON-visible fields equal the batch campaign's.
-      Prepared p;
-      p.name = entry.workload.name;
-      p.module =
-          std::make_unique<ir::Module>(entry.workload.build(opts.scale));
-      compiler::CompilerOptions copts = entry.copts;
-      copts.spec_threads = opts.machine.spec_threads;
-      compiler::SptCompiler cc(copts);
-      InterpProfileRunner runner;
-      cc.compile(*p.module, runner);
-      TracedRun run =
-          traceProgram(*p.module, {}, opts.machine.max_trace_records);
-      p.trace = std::move(run.trace);
-      p.index = std::make_unique<trace::LoopIndex>(*p.module, p.trace);
-      p.sequential_digest = sim::Oracle::sequentialDigest(*p.module, p.trace);
+      // The cell's JSON-visible fields equal the batch campaign's.
+      const Prepared p = prepareWorkload(entry, opts);
       return runCampaignCell(p, cell_index, opts);
     }
     cell.status = CellStatus::kInternalError;

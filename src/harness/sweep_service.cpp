@@ -221,8 +221,8 @@ bool decodeServiceRequest(const std::string& payload, ServiceRequest* req) {
 
 std::string encodeServiceRequestWithToken(const ServiceRequest& req,
                                           const std::string& token) {
-  // The v1 request bytes ride as one nested string so the journal and the
-  // request-equality check reuse them verbatim, token excluded.
+  // The tokenless request bytes ride as one nested string so the journal
+  // and the request-equality check reuse them verbatim.
   ByteWriter w;
   w.str(encodeServiceRequest(req));
   w.str(token);
@@ -242,16 +242,8 @@ bool decodeServiceRequestWithToken(const std::string& payload,
 namespace {
 
 std::string encodeServiceFrame(std::uint8_t kind, const std::string& payload) {
-  return wire::encodeFrame(kServiceFrameFormat.magic, kServiceFrameV1, kind,
-                           payload);
-}
-
-/// v2 frames carry only what v1 cannot express (the token request payload
-/// and kAttached); everything else stays v1 so v1 peers keep decoding.
-std::string encodeServiceFrameV2(std::uint8_t kind,
-                                 const std::string& payload) {
-  return wire::encodeFrame(kServiceFrameFormat.magic, kServiceFrameV2, kind,
-                           payload);
+  return wire::encodeFrame(kServiceFrameFormat.magic, kServiceFrameVersion,
+                           kind, payload);
 }
 
 std::string encodeProgressPayload(std::uint64_t done, std::uint64_t total) {
@@ -505,8 +497,8 @@ struct SweepService::Impl {
     // Sweep metadata: benchmark/config per cell.
     std::vector<std::pair<std::string, std::string>> sweep_keys;
     // ---- Journal / idempotency state ----
-    /// Client-supplied idempotency token ("" = v1 semantics: a disconnect
-    /// cancels the request).
+    /// Client-supplied idempotency token ("" = none: a disconnect cancels
+    /// the request).
     std::string token;
     /// Journal id (0 = unjournaled request).
     std::uint64_t request_id = 0;
@@ -524,7 +516,7 @@ struct SweepService::Impl {
     std::vector<std::string> result_frames;
 
     /// Keep serving after a disconnect? Tokened and journal-recovered
-    /// requests survive their client; plain v1 requests are cancelled.
+    /// requests survive their client; tokenless ones are cancelled.
     bool survivesDisconnect() const { return !token.empty() || recovered; }
   };
 
@@ -678,7 +670,7 @@ struct SweepService::Impl {
         if (c.admitted && c.done_sent && c.token.empty() &&
             !c.settled_logged) {
           // A tokenless request that finished with no one to deliver to
-          // (e.g. a journal-recovered v1 orphan): settle it at reap time,
+          // (e.g. a journal-recovered orphan): settle it at reap time,
           // or every future incarnation would pointlessly re-admit it.
           journalSettle(c, c.deadline_expired ? "deadline" : "done");
         }
@@ -907,8 +899,8 @@ struct SweepService::Impl {
     r.out_pos = 0;
     r.close_after_flush = false;
     ++requests_attached;
-    r.outbuf.append(encodeServiceFrameV2(
-        kServiceFrameAttached, encodeProgressPayload(r.done, r.total)));
+    queueFrame(r, kServiceFrameAttached,
+               encodeProgressPayload(r.done, r.total));
     for (const std::string& payload : r.result_frames) {
       queueFrame(r, kServiceFrameResult, payload);
     }
@@ -1080,18 +1072,13 @@ struct SweepService::Impl {
 
   /// Handles one decoded frame from a client. Returns false when the
   /// connection can no longer be trusted.
-  bool handleFrame(Client& c, std::uint32_t version, std::uint8_t kind,
-                   const std::string& payload) {
+  bool handleFrame(Client& c, std::uint8_t kind, const std::string& payload) {
     switch (kind) {
       case kServiceFrameRequest: {
         if (c.admitted || c.close_after_flush) return false;
         ServiceRequest req;
         std::string token;
-        const bool decoded =
-            version >= kServiceFrameV2
-                ? decodeServiceRequestWithToken(payload, &req, &token)
-                : decodeServiceRequest(payload, &req);
-        if (!decoded) {
+        if (!decodeServiceRequestWithToken(payload, &req, &token)) {
           refuse(c, kServiceFrameError,
                  encodeTextPayload("undecodable request payload"));
           return true;
@@ -1149,23 +1136,16 @@ struct SweepService::Impl {
       }
       std::string frame = c.inbuf.substr(0, frame_bytes);
       c.inbuf.erase(0, frame_bytes);
-      std::uint32_t version = 0;
       std::uint8_t kind = 0;
       std::string payload;
-      if (!wire::decodeFrame(kServiceFrameFormat, frame, &version, &kind,
+      if (!wire::decodeFrame(kServiceFrameFormat, frame, nullptr, &kind,
                              &payload, &error)) {
         note("service: client " + std::to_string(c.id) +
              " sent an invalid frame (" + error + "); disconnecting");
         disconnectClient(c);
         return;
       }
-      if (version == kServiceFrameV1 && kind > kServiceFrameMaxKind) {
-        note("service: client " + std::to_string(c.id) +
-             " sent a v1 frame with a v2-only kind; disconnecting");
-        disconnectClient(c);
-        return;
-      }
-      if (!handleFrame(c, version, kind, payload)) {
+      if (!handleFrame(c, kind, payload)) {
         disconnectClient(c);
         return;
       }
@@ -1675,10 +1655,9 @@ bool readServiceFrames(
       }
       std::string frame = inbuf.substr(0, frame_bytes);
       inbuf.erase(0, frame_bytes);
-      std::uint32_t version = 0;
       std::uint8_t kind = 0;
       std::string payload;
-      if (!wire::decodeFrame(kServiceFrameFormat, frame, &version, &kind,
+      if (!wire::decodeFrame(kServiceFrameFormat, frame, nullptr, &kind,
                              &payload, &error)) {
         *transport_error = "invalid frame from the service: " + error;
         return false;
@@ -1702,15 +1681,9 @@ SubmitOutcome submitToService(const std::string& socket_path,
     outcome.transport = true;
     return outcome;
   }
-  // A token selects v2 framing; tokenless requests stay v1 so a new
-  // client keeps working against an old service.
-  const std::string frame =
-      options.token.empty()
-          ? encodeServiceFrame(kServiceFrameRequest,
-                               encodeServiceRequest(request))
-          : encodeServiceFrameV2(
-                kServiceFrameRequest,
-                encodeServiceRequestWithToken(request, options.token));
+  const std::string frame = encodeServiceFrame(
+      kServiceFrameRequest,
+      encodeServiceRequestWithToken(request, options.token));
   if (!wire::writeAllFd(fd, frame.data(), frame.size())) {
     outcome.error = "failed to send the request";
     outcome.transport = true;

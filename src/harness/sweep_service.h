@@ -4,7 +4,7 @@
 // A single SweepService process listens on a Unix-domain socket and
 // multiplexes a stream of sweep / campaign requests from many concurrent
 // clients over one warm worker pool (harness::WorkerPool in spec-dispatch
-// mode). The wire protocol, "SPTS" v1, reuses the SPTW frame discipline —
+// mode). The wire protocol, "SPTS" v2, reuses the SPTW frame discipline —
 // length-prefixed, versioned, FNV-1a-checksummed frames (support/wire.h)
 // — with a request/progress/result/done/error/status vocabulary:
 //
@@ -16,7 +16,7 @@
 //                       kDone           request complete
 //                       kError          request rejected (bad spec, ...)
 //                       kStatus         JSON status document
-//                       kAttached       (v2) token matched an existing
+//                       kAttached       token matched an existing
 //                                       request; settled results replayed
 //
 // Scheduling and robustness properties (exercised by sweep_service_test
@@ -66,13 +66,11 @@
 
 namespace spt::harness {
 
-// ---- SPTS v1 frames -------------------------------------------------------
+// ---- SPTS frames ----------------------------------------------------------
 
-inline constexpr std::uint32_t kServiceFrameV1 = 1;
-/// SPTS v2 adds the idempotency-token request payload and the kAttached
-/// reply. v1 negotiation is preserved: a v1 client's frames decode and are
-/// answered with v1 frames; a v2 frame with a v1-only kind is invalid.
-inline constexpr std::uint32_t kServiceFrameV2 = 2;
+/// Every SPTS frame, either way, is at this one version; a frame at any
+/// other version is refused as soon as its header scans.
+inline constexpr std::uint32_t kServiceFrameVersion = 2;
 
 inline constexpr std::uint8_t kServiceFrameRequest = 0;
 inline constexpr std::uint8_t kServiceFrameProgress = 1;
@@ -82,18 +80,15 @@ inline constexpr std::uint8_t kServiceFrameDone = 4;
 inline constexpr std::uint8_t kServiceFrameError = 5;
 inline constexpr std::uint8_t kServiceFrameStatusRequest = 6;
 inline constexpr std::uint8_t kServiceFrameStatus = 7;
-/// v2 only, service -> client: the request's idempotency token matched a
+/// Service -> client: the request's idempotency token matched a
 /// live or journal-recovered request; every already-settled result is
 /// replayed on this connection, then the stream continues live.
 inline constexpr std::uint8_t kServiceFrameAttached = 8;
-inline constexpr std::uint8_t kServiceFrameMaxKind = kServiceFrameStatus;
-inline constexpr std::uint8_t kServiceFrameMaxKindV2 = kServiceFrameAttached;
 
-/// SPTS frames on support::wire: magic "SPTS", v1-v2, kinds 0-8 (a v1
-/// frame carrying a v2-only kind is rejected by the service itself).
+/// SPTS frames on support::wire: magic "SPTS", one version, kinds 0-8.
 inline constexpr support::wire::FrameFormat kServiceFrameFormat{
-    {'S', 'P', 'T', 'S'}, kServiceFrameV1, kServiceFrameV2,
-    kServiceFrameRequest, kServiceFrameMaxKindV2};
+    {'S', 'P', 'T', 'S'}, kServiceFrameVersion, kServiceFrameVersion,
+    kServiceFrameRequest, kServiceFrameAttached};
 
 /// One client request. The grid is described, not enumerated: the service
 /// and its workers rebuild the cases through buildSuiteSweepCases /
@@ -135,11 +130,12 @@ struct ServiceRequest {
 std::string encodeServiceRequest(const ServiceRequest& req);
 bool decodeServiceRequest(const std::string& payload, ServiceRequest* req);
 
-/// SPTS v2 request payload: the v1 request bytes followed by a
-/// client-supplied idempotency token. The token is *not* part of the v1
-/// request encoding (journal records and request-equality checks use the
-/// tokenless bytes), so a v2 resubmission with the same token and grid
-/// attaches to the original request instead of re-running it.
+/// The SPTS request payload: the encodeServiceRequest bytes followed by a
+/// client-supplied idempotency token, empty for a tokenless request. The
+/// token is *not* part of the request encoding (journal records and
+/// request-equality checks use the tokenless bytes), so a resubmission
+/// with the same token and grid attaches to the original request instead
+/// of re-running it.
 std::string encodeServiceRequestWithToken(const ServiceRequest& req,
                                           const std::string& token);
 bool decodeServiceRequestWithToken(const std::string& payload,
@@ -222,8 +218,8 @@ struct SubmitOptions {
   support::ClientChaosPlan chaos;
   /// Overall client-side wait bound in seconds (0 = wait forever).
   double timeout_seconds = 0.0;
-  /// Idempotency token (non-empty selects SPTS v2 framing). A
-  /// resubmission with the same token and grid attaches to the original
+  /// Idempotency token (empty = none: a disconnect cancels the request).
+  /// A resubmission with the same token and grid attaches to the original
   /// request — live, orphaned, or journal-recovered — and replays its
   /// already-settled results instead of re-running any cell.
   std::string token;

@@ -1,60 +1,126 @@
 #include "support/chaos.h"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <charconv>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 namespace spt::support {
 
-std::string toString(ChaosAction action) {
-  switch (action) {
-    case ChaosAction::kNone:
-      return "none";
-    case ChaosAction::kCrash:
-      return "crash";
-    case ChaosAction::kAbort:
-      return "abort";
-    case ChaosAction::kHang:
-      return "hang";
-    case ChaosAction::kGarbage:
-      return "garbage";
-    case ChaosAction::kPartial:
-      return "partial";
-    case ChaosAction::kExit:
-      return "exit";
-  }
-  return "none";
-}
-
 namespace {
 
-bool actionFromString(const std::string& s, ChaosAction& out) {
-  if (s == "crash") {
-    out = ChaosAction::kCrash;
-  } else if (s == "abort") {
-    out = ChaosAction::kAbort;
-  } else if (s == "hang") {
-    out = ChaosAction::kHang;
-  } else if (s == "garbage") {
-    out = ChaosAction::kGarbage;
-  } else if (s == "partial") {
-    out = ChaosAction::kPartial;
-  } else if (s == "exit") {
-    out = ChaosAction::kExit;
-  } else {
-    return false;
+// One name table per enum, indexed by enumerator; entry 0 is kNone. Each
+// table serves both toString and parsing, where "none" is not a spelling.
+constexpr std::array<std::string_view, 7> kChaosActionNames = {
+    "none", "crash", "abort", "hang", "garbage", "partial", "exit"};
+constexpr std::array<std::string_view, 4> kClientChaosActionNames = {
+    "none", "disconnect", "garbage", "slow-reader"};
+constexpr std::array<std::string_view, 5> kServiceCrashPointNames = {
+    "none", "admit", "settle", "flush", "append"};
+
+template <typename Enum, std::size_t N>
+std::string nameOf(const std::array<std::string_view, N>& names, Enum e) {
+  const auto i = static_cast<std::size_t>(e);
+  return std::string(i < N ? names[i] : names[0]);
+}
+
+/// The enumerator spelled `name`, if any.
+template <typename Enum, std::size_t N>
+std::optional<Enum> named(const std::array<std::string_view, N>& names,
+                          std::string_view name) {
+  for (std::size_t i = 1; i < N; ++i) {
+    if (names[i] == name) return static_cast<Enum>(i);
   }
-  return true;
+  return std::nullopt;
+}
+
+/// "a|b|c": every spelling, for diagnostics.
+template <std::size_t N>
+std::string spellings(const std::array<std::string_view, N>& names) {
+  std::string out;
+  for (std::size_t i = 1; i < N; ++i) {
+    if (i > 1) out += '|';
+    out += names[i];
+  }
+  return out;
+}
+
+/// Sets `*error` when given; converts to an empty optional of any plan.
+std::nullopt_t refuse(std::string* error, std::string why) {
+  if (error != nullptr) *error = std::move(why);
+  return std::nullopt;
 }
 
 /// Decimal digits only: no sign, no whitespace, no overflow.
-bool parseUnsigned(const std::string& s, std::uint64_t& out) {
+bool parseUnsigned(std::string_view s, std::uint64_t& out) {
   const char* end = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), end, out);
   return ec == std::errc() && ptr == end;
 }
 
+/// One term of the sabotage grammar, `[N:]NAME[@N][:N]`. Names begin with
+/// a letter, so text before the first ':' that does not is the N: prefix.
+/// Each plan decides which of the optional parts it allows.
+struct Term {
+  std::optional<std::uint64_t> prefix;
+  std::string name;
+  std::optional<std::uint64_t> at;
+  std::optional<std::uint64_t> suffix;
+};
+
+/// Splits `text` into a Term; `what` names it in the diagnostic.
+std::optional<Term> parseTerm(std::string_view text, const std::string& what,
+                              std::string* error) {
+  Term term;
+  std::uint64_t n = 0;
+  std::size_t pos = 0;
+  const std::size_t colon = text.find(':');
+  if (colon != std::string_view::npos &&
+      !std::isalpha(static_cast<unsigned char>(text[0]))) {
+    if (!parseUnsigned(text.substr(0, colon), n)) {
+      return refuse(error, what + " has a malformed N: prefix");
+    }
+    term.prefix = n;
+    pos = colon + 1;
+  }
+  const std::size_t end = std::min(text.find_first_of("@:", pos), text.size());
+  term.name = std::string(text.substr(pos, end - pos));
+  pos = end;
+  if (pos < text.size() && text[pos] == '@') {
+    const std::size_t stop = std::min(text.find(':', pos + 1), text.size());
+    if (!parseUnsigned(text.substr(pos + 1, stop - pos - 1), n)) {
+      return refuse(error, what + " has a malformed @N suffix");
+    }
+    term.at = n;
+    pos = stop;
+  }
+  if (pos < text.size()) {
+    if (!parseUnsigned(text.substr(pos + 1), n)) {
+      return refuse(error, what + " has a malformed :N suffix");
+    }
+    term.suffix = n;
+  }
+  return term;
+}
+
+/// The canonical spelling of `term`; parseTerm reads it back.
+std::string formatTerm(const Term& term) {
+  std::string s;
+  if (term.prefix) s += std::to_string(*term.prefix) + ':';
+  s += term.name;
+  if (term.at) s += '@' + std::to_string(*term.at);
+  if (term.suffix) s += ':' + std::to_string(*term.suffix);
+  return s;
+}
+
 }  // namespace
+
+std::string toString(ChaosAction action) {
+  return nameOf(kChaosActionNames, action);
+}
 
 ChaosAction ChaosPlan::actionFor(std::size_t cell,
                                  std::uint32_t attempt) const {
@@ -67,42 +133,32 @@ ChaosAction ChaosPlan::actionFor(std::size_t cell,
 
 std::optional<ChaosPlan> ChaosPlan::parse(const std::string& spec,
                                           std::string* error) {
-  const auto fail = [&](const std::string& why) -> std::optional<ChaosPlan> {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  };
   ChaosPlan plan;
   std::istringstream in(spec);
   std::string entry;
   while (std::getline(in, entry, ',')) {
     if (entry.empty()) continue;
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos) {
-      return fail("chaos entry '" + entry +
-                  "' is not CELL:ACTION[@ATTEMPTS]");
+    const std::string what = "chaos entry '" + entry + "'";
+    const std::optional<Term> term = parseTerm(entry, what, error);
+    if (!term) return std::nullopt;
+    if (!term->prefix || term->suffix) {
+      return refuse(error, what + " is not CELL:ACTION[@ATTEMPTS]");
     }
     Directive d;
-    std::uint64_t cell = 0;
-    if (!parseUnsigned(entry.substr(0, colon), cell)) {
-      return fail("chaos entry '" + entry + "' has a malformed cell index");
+    d.cell = static_cast<std::size_t>(*term->prefix);
+    const auto action = named<ChaosAction>(kChaosActionNames, term->name);
+    if (!action) {
+      return refuse(error, what + " names unknown action '" + term->name +
+                               "' (expected " +
+                               spellings(kChaosActionNames) + ")");
     }
-    d.cell = static_cast<std::size_t>(cell);
-    std::string action = entry.substr(colon + 1);
-    const std::size_t at = action.find('@');
-    if (at != std::string::npos) {
-      std::uint64_t attempts = 0;
-      if (!parseUnsigned(action.substr(at + 1), attempts) || attempts == 0 ||
-          attempts > std::numeric_limits<std::uint32_t>::max()) {
-        return fail("chaos entry '" + entry +
-                    "' has a malformed @ATTEMPTS suffix");
+    d.action = *action;
+    if (term->at) {
+      if (*term->at == 0 ||
+          *term->at > std::numeric_limits<std::uint32_t>::max()) {
+        return refuse(error, what + " has a malformed @ATTEMPTS suffix");
       }
-      d.until_attempt = static_cast<std::uint32_t>(attempts);
-      action.resize(at);
-    }
-    if (!actionFromString(action, d.action)) {
-      return fail("chaos entry '" + entry + "' names unknown action '" +
-                  action +
-                  "' (expected crash|abort|hang|garbage|partial|exit)");
+      d.until_attempt = static_cast<std::uint32_t>(*term->at);
     }
     plan.directives.push_back(d);
   }
@@ -110,139 +166,90 @@ std::optional<ChaosPlan> ChaosPlan::parse(const std::string& spec,
 }
 
 std::string ChaosPlan::toSpec() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string s;
   for (const Directive& d : directives) {
-    if (!first) os << ',';
-    first = false;
-    os << d.cell << ':' << toString(d.action);
-    if (d.until_attempt != ~std::uint32_t{0}) os << '@' << d.until_attempt;
+    if (!s.empty()) s += ',';
+    Term term{d.cell, toString(d.action), std::nullopt, std::nullopt};
+    if (d.until_attempt != ~std::uint32_t{0}) term.at = d.until_attempt;
+    s += formatTerm(term);
   }
-  return os.str();
+  return s;
 }
 
 std::string toString(ClientChaosAction action) {
-  switch (action) {
-    case ClientChaosAction::kNone:
-      return "none";
-    case ClientChaosAction::kDisconnect:
-      return "disconnect";
-    case ClientChaosAction::kGarbage:
-      return "garbage";
-    case ClientChaosAction::kSlowReader:
-      return "slow-reader";
-  }
-  return "none";
+  return nameOf(kClientChaosActionNames, action);
 }
 
 std::optional<ClientChaosPlan> ClientChaosPlan::parse(const std::string& spec,
                                                       std::string* error) {
-  const auto fail =
-      [&](const std::string& why) -> std::optional<ClientChaosPlan> {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  };
-  ClientChaosPlan plan;
-  std::string action = spec;
-  std::uint64_t suffix = 0;
-  bool have_suffix = false;
-  const std::size_t at = action.find('@');
-  if (at != std::string::npos) {
-    if (!parseUnsigned(action.substr(at + 1), suffix)) {
-      return fail("client chaos spec '" + spec +
-                  "' has a malformed @ suffix");
-    }
-    have_suffix = true;
-    action.resize(at);
+  const std::string what = "client chaos spec '" + spec + "'";
+  const std::optional<Term> term = parseTerm(spec, what, error);
+  if (!term) return std::nullopt;
+  if (term->prefix || term->suffix) {
+    return refuse(error, what + " is not ACTION[@N]");
   }
-  if (action == "disconnect") {
-    plan.action = ClientChaosAction::kDisconnect;
-    if (have_suffix) plan.after_results = suffix;
-  } else if (action == "garbage") {
-    plan.action = ClientChaosAction::kGarbage;
-    if (have_suffix) plan.after_results = suffix;
-  } else if (action == "slow-reader") {
-    plan.action = ClientChaosAction::kSlowReader;
-    if (have_suffix) plan.delay_ms = suffix;
-  } else {
-    return fail("client chaos spec '" + spec + "' names unknown action '" +
-                action + "' (expected disconnect|garbage|slow-reader)");
+  const auto action =
+      named<ClientChaosAction>(kClientChaosActionNames, term->name);
+  if (!action) {
+    return refuse(error, what + " names unknown action '" + term->name +
+                             "' (expected " +
+                             spellings(kClientChaosActionNames) + ")");
+  }
+  ClientChaosPlan plan;
+  plan.action = *action;
+  if (term->at) {
+    (*action == ClientChaosAction::kSlowReader ? plan.delay_ms
+                                               : plan.after_results) =
+        *term->at;
   }
   return plan;
 }
 
 std::string ClientChaosPlan::toSpec() const {
   if (action == ClientChaosAction::kNone) return "";
-  std::string s = toString(action);
+  Term term{std::nullopt, toString(action), std::nullopt, std::nullopt};
   if (action == ClientChaosAction::kSlowReader) {
-    s += '@' + std::to_string(delay_ms);
+    term.at = delay_ms;
   } else if (after_results != 0) {
-    s += '@' + std::to_string(after_results);
+    term.at = after_results;
   }
-  return s;
+  return formatTerm(term);
 }
 
 std::string toString(ServiceCrashPoint point) {
-  switch (point) {
-    case ServiceCrashPoint::kNone:
-      return "none";
-    case ServiceCrashPoint::kAfterAdmit:
-      return "admit";
-    case ServiceCrashPoint::kAfterSettle:
-      return "settle";
-    case ServiceCrashPoint::kMidFlush:
-      return "flush";
-    case ServiceCrashPoint::kMidAppend:
-      return "append";
-  }
-  return "none";
+  return nameOf(kServiceCrashPointNames, point);
 }
 
 std::optional<ServiceCrashPlan> ServiceCrashPlan::parse(
     const std::string& spec, std::string* error) {
-  const auto fail =
-      [&](const std::string& why) -> std::optional<ServiceCrashPlan> {
-    if (error != nullptr) *error = why;
-    return std::nullopt;
-  };
   ServiceCrashPlan plan;
   if (spec.empty()) return plan;  // inert
-  std::string point = spec;
-  const std::size_t colon = point.find(':');
-  if (colon != std::string::npos) {
-    if (!parseUnsigned(point.substr(colon + 1), plan.bytes)) {
-      return fail("crash spec '" + spec + "' has a malformed :BYTES suffix");
-    }
-    point.resize(colon);
+  const std::string what = "crash spec '" + spec + "'";
+  const std::optional<Term> term = parseTerm(spec, what, error);
+  if (!term) return std::nullopt;
+  if (term->prefix) return refuse(error, what + " is not POINT[@AT][:BYTES]");
+  const auto point =
+      named<ServiceCrashPoint>(kServiceCrashPointNames, term->name);
+  if (!point) {
+    return refuse(error, what + " names unknown point '" + term->name +
+                             "' (expected " +
+                             spellings(kServiceCrashPointNames) + ")");
   }
-  const std::size_t at = point.find('@');
-  if (at != std::string::npos) {
-    if (!parseUnsigned(point.substr(at + 1), plan.at) || plan.at == 0) {
-      return fail("crash spec '" + spec + "' has a malformed @AT suffix");
-    }
-    point.resize(at);
+  if (term->at == std::uint64_t{0}) {
+    return refuse(error, what + " has a malformed @AT suffix");
   }
-  if (point == "admit") {
-    plan.point = ServiceCrashPoint::kAfterAdmit;
-  } else if (point == "settle") {
-    plan.point = ServiceCrashPoint::kAfterSettle;
-  } else if (point == "flush") {
-    plan.point = ServiceCrashPoint::kMidFlush;
-  } else if (point == "append") {
-    plan.point = ServiceCrashPoint::kMidAppend;
-  } else {
-    return fail("crash spec '" + spec + "' names unknown point '" + point +
-                "' (expected admit|settle|flush|append)");
-  }
+  plan.point = *point;
+  plan.at = term->at.value_or(1);
+  plan.bytes = term->suffix.value_or(0);
   return plan;
 }
 
 std::string ServiceCrashPlan::toSpec() const {
   if (point == ServiceCrashPoint::kNone) return "";
-  std::string s = toString(point);
-  if (at != 1) s += '@' + std::to_string(at);
-  if (bytes != 0) s += ':' + std::to_string(bytes);
-  return s;
+  Term term{std::nullopt, toString(point), std::nullopt, std::nullopt};
+  if (at != 1) term.at = at;
+  if (bytes != 0) term.suffix = bytes;
+  return formatTerm(term);
 }
 
 }  // namespace spt::support

@@ -18,6 +18,12 @@
 //
 // The plan is inert unless a directive matches, and chaos only ever runs
 // inside a forked worker — the in-process (--no-isolate) path refuses it.
+//
+// All three sabotage plans here (ChaosPlan, ClientChaosPlan and
+// ServiceCrashPlan) are spelled in one term grammar, `[N:]NAME[@N][:N]`:
+// an optional numeric prefix, a name, an optional `@` number and an
+// optional `:` number, with numbers in decimal digits only. Each plan's
+// parse() accepts only the parts it uses.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +65,11 @@ struct ChaosPlan {
   /// directive matches. The last matching directive wins.
   ChaosAction actionFor(std::size_t cell, std::uint32_t attempt) const;
 
-  /// Parses a comma-separated spec, `CELL:ACTION[@ATTEMPTS]` per entry,
-  /// e.g. "2:crash,5:hang,7:garbage@1" (actions: crash, abort, hang,
-  /// garbage, partial, exit). Returns std::nullopt and fills `error` on a
-  /// malformed spec.
+  /// Parses a comma-separated list of terms, `CELL:ACTION[@ATTEMPTS]`
+  /// each (the prefix is required, no `:N` suffix, 1 <= ATTEMPTS <=
+  /// UINT32_MAX), e.g. "2:crash,5:hang,7:garbage@1" (actions: crash,
+  /// abort, hang, garbage, partial, exit); empty entries are skipped.
+  /// Returns std::nullopt and fills `error` on a malformed spec.
   static std::optional<ChaosPlan> parse(const std::string& spec,
                                         std::string* error = nullptr);
 
@@ -95,9 +102,9 @@ struct ClientChaosPlan {
 
   bool enabled() const { return action != ClientChaosAction::kNone; }
 
-  /// Parses `ACTION[@AFTER]` with ACTION one of disconnect | garbage |
-  /// slow-reader (AFTER = result frames before acting; for slow-reader
-  /// the suffix sets the per-read delay in ms instead).
+  /// Parses one term, `ACTION[@AFTER]`, with ACTION one of disconnect |
+  /// garbage | slow-reader (AFTER = result frames before acting; for
+  /// slow-reader the `@` number sets the per-read delay in ms instead).
   static std::optional<ClientChaosPlan> parse(const std::string& spec,
                                               std::string* error = nullptr);
 
@@ -137,8 +144,9 @@ struct ServiceCrashPlan {
 
   bool enabled() const { return point != ServiceCrashPoint::kNone; }
 
-  /// Parses `POINT[@AT][:BYTES]` with POINT one of admit | settle | flush
-  /// | append, e.g. "admit", "settle@2", "flush@1:7", "append:16".
+  /// Parses one term, `POINT[@AT][:BYTES]` (AT >= 1), with POINT one of
+  /// admit | settle | flush | append, e.g. "admit", "settle@2",
+  /// "flush@1:7", "append:16". An empty spec is the inert plan.
   static std::optional<ServiceCrashPlan> parse(const std::string& spec,
                                                std::string* error = nullptr);
 

@@ -323,20 +323,19 @@ TEST_P(OneProfilePerProgram, ColdCellInterpretsEachProgramOnceAndAHitNone) {
 
   const std::string dir = freshDir("runs_" + safeName(GetParam()));
   const std::string key = w.name + ".x1";
+  const auto cachedRuns = [&](TraceCache& cache) {
+    return runsOf([&] {
+      runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, key);
+    });
+  };
   {
     TraceCache cache(dir);
-    EXPECT_EQ(runsOf([&] { runSptExperiment(w.build(1), cache, key); }),
-              2 + unrolled)
-        << "cold";
-    EXPECT_EQ(runsOf([&] { runSptExperiment(w.build(1), cache, key); }),
-              unrolled)
-        << "memory hit";
+    EXPECT_EQ(cachedRuns(cache), 2 + unrolled) << "cold";
+    EXPECT_EQ(cachedRuns(cache), unrolled) << "memory hit";
     EXPECT_EQ(cache.produced(), 2u);
   }
   TraceCache cache(dir);
-  EXPECT_EQ(runsOf([&] { runSptExperiment(w.build(1), cache, key); }),
-            unrolled)
-      << "file hit";
+  EXPECT_EQ(cachedRuns(cache), unrolled) << "file hit";
   EXPECT_EQ(cache.produced(), 0u);
   EXPECT_EQ(cache.fileReuses(), 2u);
 }
@@ -383,7 +382,8 @@ std::string budgetWhat(const support::MachineConfig& config, bool cached) {
   try {
     if (cached) {
       TraceCache cache(freshDir("budget"));
-      runSptExperiment(w.build(1), cache, "parser.x1", {}, config);
+      runSptExperiment(w.build(1), {}, config, {}, nullptr, &cache,
+                       "parser.x1");
     } else {
       runSptExperiment(w.build(1), {}, config);
     }

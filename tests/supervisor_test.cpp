@@ -122,6 +122,39 @@ TEST(ChaosPlan, RejectsMalformedSpecs) {
   const auto lenient = support::ChaosPlan::parse("1:crash,,2:hang,");
   ASSERT_TRUE(lenient.has_value());
   EXPECT_EQ(lenient->directives.size(), 2u);
+  // The three plans share one term grammar, [N:]NAME[@N][:N], but each
+  // refuses the parts it has no use for.
+  for (const char* bad : {"1:disconnect", "disconnect:3"}) {
+    error.clear();
+    EXPECT_FALSE(support::ClientChaosPlan::parse(bad, &error).has_value())
+        << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  error.clear();
+  EXPECT_FALSE(support::ServiceCrashPlan::parse("2:admit", &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(support::ChaosPlan::parse("1:crash:7", &error));
+  EXPECT_FALSE(error.empty());
+  // Every accepted spelling reads back from its canonical spec.
+  for (const char* good : {"admit", "settle@2", "flush@1:7", "append:16"}) {
+    const auto plan = support::ServiceCrashPlan::parse(good, &error);
+    ASSERT_TRUE(plan.has_value()) << good << ": " << error;
+    const auto again = support::ServiceCrashPlan::parse(plan->toSpec());
+    ASSERT_TRUE(again.has_value()) << good;
+    EXPECT_EQ(again->point, plan->point) << good;
+    EXPECT_EQ(again->at, plan->at) << good;
+    EXPECT_EQ(again->bytes, plan->bytes) << good;
+  }
+  for (const char* good : {"disconnect@0", "slow-reader@20"}) {
+    const auto plan = support::ClientChaosPlan::parse(good, &error);
+    ASSERT_TRUE(plan.has_value()) << good << ": " << error;
+    const auto again = support::ClientChaosPlan::parse(plan->toSpec());
+    ASSERT_TRUE(again.has_value()) << good;
+    EXPECT_EQ(again->action, plan->action) << good;
+    EXPECT_EQ(again->after_results, plan->after_results) << good;
+    EXPECT_EQ(again->delay_ms, plan->delay_ms) << good;
+  }
 }
 
 // ---- Frame protocol -------------------------------------------------------

@@ -135,6 +135,39 @@ TEST(ServiceRequestCodec, RejectsEveryTruncationAndTrailingGarbage) {
   EXPECT_TRUE(decodeServiceRequest(bytes, &back));
 }
 
+TEST(ServiceRequestCodec, VersionOneFramesAreRefusedAtScan) {
+  namespace wire = support::wire;
+  // SPTS has one version. A version-1 request frame (the tokenless
+  // framing older clients sent) is refused as soon as its header scans.
+  const std::string v1 =
+      wire::encodeFrame(kServiceFrameFormat.magic, 1, kServiceFrameRequest,
+                        encodeServiceRequest(sampleRequest()));
+  std::size_t frame_bytes = 0;
+  std::string error;
+  EXPECT_EQ(wire::scanFrame(kServiceFrameFormat, v1, &frame_bytes, &error),
+            wire::FrameScan::kCorrupt);
+  EXPECT_NE(error.find("unsupported frame version 1"), std::string::npos)
+      << error;
+  // A tokenless request is the current version's payload with an empty
+  // token.
+  const std::string current = wire::encodeFrame(
+      kServiceFrameFormat.magic, kServiceFrameVersion, kServiceFrameRequest,
+      encodeServiceRequestWithToken(sampleRequest(), ""));
+  ASSERT_EQ(wire::scanFrame(kServiceFrameFormat, current, &frame_bytes,
+                            &error),
+            wire::FrameScan::kFrame)
+      << error;
+  std::string payload;
+  ASSERT_TRUE(wire::decodeFrame(kServiceFrameFormat, current, nullptr,
+                                nullptr, &payload, &error))
+      << error;
+  ServiceRequest back;
+  std::string token = "stale";
+  ASSERT_TRUE(decodeServiceRequestWithToken(payload, &back, &token));
+  EXPECT_TRUE(token.empty());
+  EXPECT_EQ(encodeServiceRequest(back), encodeServiceRequest(sampleRequest()));
+}
+
 #ifdef SPT_SERVICE_TEST_POSIX
 
 // ---- Live-service fixture -------------------------------------------------

@@ -143,7 +143,7 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   const ExperimentResult plain =
       runSptExperiment(w.build(1), {}, {}, {}, &plain_remarks);
   const ExperimentResult cached = runSptExperiment(
-      w.build(1), cache, "gzip.x1", {}, {}, {}, &cached_remarks);
+      w.build(1), {}, {}, {}, &cached_remarks, &cache, "gzip.x1");
   EXPECT_EQ(cache.produced(), 2u);  // one baseline trace + one SPT trace
   EXPECT_EQ(remarksJson(cached_remarks), remarksJson(plain_remarks));
 
@@ -161,7 +161,7 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   // A second cached run hits memory for both traces and — the whole point
   // — still reproduces the plain results without any interpretation.
   const ExperimentResult again = runSptExperiment(
-      w.build(1), cache, "gzip.x1", {}, {}, {}, &again_remarks);
+      w.build(1), {}, {}, {}, &again_remarks, &cache, "gzip.x1");
   EXPECT_EQ(cache.produced(), 2u);
   EXPECT_EQ(cache.memoryHits(), 2u);
   EXPECT_EQ(remarksJson(again_remarks), remarksJson(plain_remarks));
@@ -267,7 +267,7 @@ TEST(TraceCache, MissingOrDamagedSidecarIsReproduced) {
   std::string sidecar;
   {
     TraceCache cache(dir);
-    runSptExperiment(w.build(1), cache, "parser.x1");
+    runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "parser.x1");
     EXPECT_EQ(cache.produced(), 2u);
     for (const auto& e : std::filesystem::directory_iterator(dir)) {
       if (e.path().extension() == ".prof") sidecar = e.path().string();
@@ -292,8 +292,8 @@ TEST(TraceCache, MissingOrDamagedSidecarIsReproduced) {
     }
     TraceCache cache(dir);
     compiler::CompilationRemarks remarks;
-    const ExperimentResult again =
-        runSptExperiment(w.build(1), cache, "parser.x1", {}, {}, {}, &remarks);
+    const ExperimentResult again = runSptExperiment(
+        w.build(1), {}, {}, {}, &remarks, &cache, "parser.x1");
     // The baseline is produced again, trace and sidecar; the SPT trace is
     // adopted.
     EXPECT_EQ(cache.produced(), 1u);

@@ -3,6 +3,7 @@
 // equivalence.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -33,16 +34,19 @@ std::string fileBytes(TraceView trace, const TraceFileMeta& meta = {}) {
 }
 
 /// Writes `bytes` to a scratch file named after the running test (ctest
-/// runs tests as concurrent processes) and opens it.
-std::optional<MappedTrace> openBytes(const std::string& bytes,
-                                     std::string* error = nullptr) {
+/// runs tests as concurrent processes) and returns its path.
+std::string writeScratch(const std::string& bytes) {
   const std::string path = tracePath(
       ::testing::UnitTest::GetInstance()->current_test_info()->name());
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  return MappedTrace::open(path, error);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+/// Writes `bytes` to the scratch file and opens it.
+std::optional<MappedTrace> openBytes(const std::string& bytes,
+                                     std::string* error = nullptr) {
+  return MappedTrace::open(writeScratch(bytes), error);
 }
 
 void expectRecordsEqual(TraceView a, TraceView b) {
@@ -161,9 +165,14 @@ TEST(TraceIo, TruncationAtAnyOffsetIsDiagnosed) {
   const std::string full = fileBytes(run.trace);
   ASSERT_GT(full.size(), kHeaderBytes + 2 * kRecordBytes);
 
-  for (std::size_t cut = 1; cut < full.size(); cut += 97) {
+  // One file, cut shorter and shorter through cuts 1, 98, 195, ...,
+  // the longest first.
+  const std::string path = writeScratch(full);
+  for (std::size_t k = (full.size() - 2) / 97 + 1; k-- > 0;) {
+    const std::size_t cut = 1 + 97 * k;
+    std::filesystem::resize_file(path, cut);
     std::string error;
-    ASSERT_FALSE(openBytes(full.substr(0, cut), &error).has_value())
+    ASSERT_FALSE(MappedTrace::open(path, &error).has_value())
         << "cut " << cut;
     const std::string want = cut < kHeaderBytes
                                  ? std::string("truncated header")
@@ -181,15 +190,23 @@ TEST(TraceIo, BitFlipsAreDetected) {
   const harness::TracedRun run = harness::traceProgram(m);
   const std::string full = fileBytes(run.trace);
 
+  // One file, each bit flipped in place and flipped back.
+  const std::string path = writeScratch(full);
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  const auto put = [&](std::size_t byte, char value) {
+    file.seekp(static_cast<std::streamoff>(byte));
+    file.put(value);
+    file.flush();
+  };
   std::size_t checksum_hits = 0;
   std::size_t range_hits = 0;
   for (std::size_t byte = kHeaderBytes; byte < full.size(); byte += 53) {
     for (int bit : {0, 4, 7}) {
-      std::string bytes = full;
-      bytes[byte] = static_cast<char>(bytes[byte] ^ (1 << bit));
+      put(byte, static_cast<char>(full[byte] ^ (1 << bit)));
       std::string error;
-      ASSERT_FALSE(openBytes(bytes, &error).has_value())
-          << "byte " << byte << " bit " << bit;
+      const bool opened = MappedTrace::open(path, &error).has_value();
+      put(byte, full[byte]);
+      ASSERT_FALSE(opened) << "byte " << byte << " bit " << bit;
       if (error.find("checksum mismatch") != std::string::npos) {
         ++checksum_hits;
       } else if (error.find("corrupt") != std::string::npos) {
