@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <sstream>
-#include <thread>
 
 #include "harness/cell_codec.h"
 #include "support/error.h"
@@ -149,11 +149,16 @@ double timevalSeconds(const timeval& tv) {
          static_cast<double>(tv.tv_usec) / 1e6;
 }
 
-/// Deterministic garbage for ChaosAction::kGarbage: seeded by the cell so
-/// the bytes (and thus the protocol-error diagnostics) are reproducible,
-/// and guaranteed not to start with the frame magic.
-std::string chaosGarbage(std::size_t cell) {
-  support::Rng rng(support::deriveSeed(0xc4a05, cell));
+/// Deterministic garbage for ChaosAction::kGarbage: seeded by the job's
+/// spec bytes (which name the cell) so the bytes — and thus the
+/// protocol-error diagnostics — do not depend on dispatch order, and
+/// guaranteed not to start with the frame magic.
+std::string chaosGarbage(const std::string& spec) {
+  std::uint64_t seed = 0xc4a05;
+  for (const char c : spec) {
+    seed = support::deriveSeed(seed, static_cast<unsigned char>(c));
+  }
+  support::Rng rng(seed);
   std::string bytes(64, '\0');
   for (char& c : bytes) {
     c = static_cast<char>(rng.nextBelow(256));
@@ -166,7 +171,7 @@ std::string chaosGarbage(std::size_t cell) {
 /// for kHang's pause loop (which also never returns). `partial_frame` is
 /// the valid reply frame whose first half a kPartial worker emits.
 [[noreturn]] void performChaos(support::ChaosAction action, int fd,
-                               std::size_t cell,
+                               const std::string& spec,
                                const std::string& partial_frame) {
   switch (action) {
     case support::ChaosAction::kCrash:
@@ -182,7 +187,7 @@ std::string chaosGarbage(std::size_t cell) {
     case support::ChaosAction::kHang:
       for (;;) ::pause();
     case support::ChaosAction::kGarbage: {
-      const std::string garbage = chaosGarbage(cell);
+      const std::string garbage = chaosGarbage(spec);
       wire::writeAllFd(fd, garbage.data(), garbage.size());
       ::close(fd);
       ::_exit(0);
@@ -278,7 +283,7 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
 /// answers plus the worker's self-reported per-cell rusage.
 [[noreturn]] void runPoolWorker(int request_fd, int reply_fd,
                                 const SupervisorOptions& options,
-                                const WorkerPool::Producer& produce) {
+                                const CellScheduler::Producer& produce) {
   if (options.rlimit_as_bytes != 0) {
     rlimit rl{};
     rl.rlim_cur = static_cast<rlim_t>(options.rlimit_as_bytes);
@@ -292,7 +297,7 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
     armPooledCpuLimit(options.rlimit_cpu_seconds);
 
     if (req.chaos != support::ChaosAction::kNone) {
-      performChaos(req.chaos, reply_fd, static_cast<std::size_t>(req.id),
+      performChaos(req.chaos, reply_fd, req.spec,
                    encodeSupervisorFrame(
                        kFrameKindPooledReply,
                        encodePoolReply({req.id, 0.0, 0.0, 0},
@@ -327,12 +332,6 @@ bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
   }
   ::_exit(0);
 }
-
-struct PendingCell {
-  std::size_t cell = 0;
-  std::uint32_t attempt = 1;
-  Clock::time_point not_before;
-};
 
 /// One long-lived pool member. `busy` workers own an in-flight job and
 /// are polled; idle workers sit out of the poll set (a dead idle worker
@@ -390,22 +389,20 @@ constexpr const char* kInterruptedDiagnostic =
     "interrupted by signal before dispatch; finished cells are "
     "checkpointed, re-run with --resume";
 
-}  // namespace
+/// One finished attempt — a reply, a death, or a watchdog timeout —
+/// classified as crashed / timeout / protocol error.
+struct SettledAttempt {
+  std::uint64_t id = 0;
+  std::uint32_t attempt = 1;
+  Supervisor::Outcome outcome;
+};
 
-bool Supervisor::isolationSupported() { return true; }
-
-// ---- WorkerPool: parent-side pool management -----------------------------
-//
-// Spawn/respawn, dispatch writes, reply-stream framing, death
-// classification and the watchdog live here so the sweep service can
-// drive the same pool from its own event loop. Supervisor::run (below) is
-// a thin retry/aggregation layer on top, which keeps the two paths
-// byte-identical by construction.
-
-struct WorkerPool::Impl {
+/// The worker processes, their pipes, watchdog deadlines, death
+/// classification and respawn. Retry policy and lanes belong to the
+/// CellScheduler that owns it.
+struct WorkerPool {
   SupervisorOptions options;
-  WorkerPool::Producer produce;
-  std::function<bool()> respawn_policy;
+  CellScheduler::Producer produce;
   std::function<void()> child_setup;
   std::vector<PoolWorker> workers;
   std::size_t spawned = 0;
@@ -415,10 +412,17 @@ struct WorkerPool::Impl {
   // unspawnable, intervening close()/kill()/wait4() calls have clobbered
   // the global errno.
   int last_spawn_errno = 0;
-  bool shut_down = false;
+  /// Replace dead workers; off once the scheduler drains.
+  bool respawn = true;
 
-  bool wantRespawn() const {
-    return !shut_down && (!respawn_policy || respawn_policy());
+  ~WorkerPool() { shutdown(); }
+
+  std::size_t idleCount() const {
+    std::size_t idle = 0;
+    for (const PoolWorker& w : workers) {
+      if (!w.busy) ++idle;
+    }
+    return idle;
   }
 
   bool spawnWorker() {
@@ -471,14 +475,23 @@ struct WorkerPool::Impl {
     return true;
   }
 
+  /// Tops the pool up to `count` processes; false if a spawn failed (the
+  /// pool keeps whatever it managed to fork).
+  bool ensure(std::size_t count) {
+    while (workers.size() < count) {
+      if (!spawnWorker()) return false;
+    }
+    return true;
+  }
+
   // Removes worker `wi` from the pool, reaps it, classifies the in-flight
-  // attempt (if any) into `out`, and respawns a replacement while the
-  // respawn policy allows. `corrupt_reason` is non-empty when the parent
+  // attempt (if any) into `out`, and respawns a replacement unless the
+  // pool is draining. `corrupt_reason` is non-empty when the parent
   // detected a garbled reply stream (the worker was killed, or died right
   // after garbling).
   void workerDied(std::size_t wi, bool timed_out,
                   const std::string& corrupt_reason,
-                  std::vector<WorkerPool::Settled>& out) {
+                  std::vector<SettledAttempt>& out) {
     PoolWorker w = std::move(workers[wi]);
     workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(wi));
     rusage ru{};
@@ -555,12 +568,12 @@ struct WorkerPool::Impl {
     }
 
     // Respawn only the dead worker; the rest of the pool keeps draining.
-    if (wantRespawn() && spawnWorker()) ++respawned;
+    if (respawn && spawnWorker()) ++respawned;
   }
 
   // Consumes completed frames from worker `wi`'s reply stream. Returns
   // false (after containment) if the worker had to be killed.
-  bool drainReplies(std::size_t wi, std::vector<WorkerPool::Settled>& out) {
+  bool drainReplies(std::size_t wi, std::vector<SettledAttempt>& out) {
     PoolWorker& w = workers[wi];
     for (;;) {
       std::size_t frame_bytes = 0;
@@ -618,191 +631,390 @@ struct WorkerPool::Impl {
       out.push_back({id, attempt, std::move(oc)});
     }
   }
-};
 
-WorkerPool::WorkerPool(SupervisorOptions options, Producer produce)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->options = std::move(options);
-  impl_->produce = std::move(produce);
-}
-
-WorkerPool::~WorkerPool() { shutdown(); }
-
-void WorkerPool::setRespawnPolicy(std::function<bool()> policy) {
-  impl_->respawn_policy = std::move(policy);
-}
-
-void WorkerPool::setChildSetup(std::function<void()> setup) {
-  impl_->child_setup = std::move(setup);
-}
-
-bool WorkerPool::ensure(std::size_t workers) {
-  while (impl_->workers.size() < workers) {
-    if (!impl_->spawnWorker()) return false;
-  }
-  return true;
-}
-
-std::size_t WorkerPool::workerCount() const { return impl_->workers.size(); }
-
-std::size_t WorkerPool::idleWorkers() const {
-  std::size_t idle = 0;
-  for (const PoolWorker& w : impl_->workers) {
-    if (!w.busy) ++idle;
-  }
-  return idle;
-}
-
-std::size_t WorkerPool::busyWorkers() const {
-  return impl_->workers.size() - idleWorkers();
-}
-
-std::size_t WorkerPool::workersSpawned() const { return impl_->spawned; }
-
-std::size_t WorkerPool::workersRespawned() const { return impl_->respawned; }
-
-int WorkerPool::lastSpawnErrno() const { return impl_->last_spawn_errno; }
-
-bool WorkerPool::dispatch(const Job& job) {
-  for (;;) {
-    std::size_t wi = impl_->workers.size();
-    for (std::size_t j = 0; j < impl_->workers.size(); ++j) {
-      if (!impl_->workers[j].busy) {
-        wi = j;
-        break;
-      }
-    }
-    if (wi == impl_->workers.size()) return false;  // no idle worker
-    PoolWorker& w = impl_->workers[wi];
+  /// Writes the job's request frame to an idle worker. A dead request
+  /// pipe replaces that worker and tries the next idle one; false means
+  /// no idle worker could take the job — it was not sent and no attempt
+  /// was burned.
+  bool dispatch(std::uint64_t id, std::uint32_t attempt,
+                const CellScheduler::Job& job) {
     const std::string frame = encodeSupervisorFrame(
         kFrameKindSpecRequest,
-        encodePoolSpecRequest(job.id, job.attempt, job.chaos, job.spec));
-    if (!wire::writeAllFd(w.request_fd, frame.data(), frame.size())) {
-      // Dead request pipe: the worker never saw the job (no attempt
-      // burned). Replace it and try the next idle worker — possibly the
-      // replacement itself.
-      ::kill(w.pid, SIGKILL);
-      std::vector<Settled> none;  // an idle worker settles nothing
-      impl_->workerDied(wi, /*timed_out=*/false, "", none);
-      continue;
+        encodePoolSpecRequest(id, attempt, job.chaos, job.spec));
+    for (;;) {
+      const auto it = std::find_if(workers.begin(), workers.end(),
+                                   [](const PoolWorker& w) { return !w.busy; });
+      if (it == workers.end()) return false;
+      PoolWorker& w = *it;
+      if (!wire::writeAllFd(w.request_fd, frame.data(), frame.size())) {
+        // Dead request pipe: the worker never saw the job (no attempt
+        // burned). Replace it and try the next idle worker — possibly the
+        // replacement itself.
+        ::kill(w.pid, SIGKILL);
+        std::vector<SettledAttempt> none;  // an idle worker settles nothing
+        workerDied(static_cast<std::size_t>(it - workers.begin()),
+                   /*timed_out=*/false, "", none);
+        continue;
+      }
+      w.busy = true;
+      w.id = id;
+      w.attempt = attempt;
+      w.buf.clear();
+      w.has_deadline = options.cell_timeout_seconds > 0.0;
+      if (w.has_deadline) {
+        w.deadline = deadlineFrom(Clock::now(), options.cell_timeout_seconds);
+      }
+      return true;
     }
-    w.busy = true;
-    w.id = job.id;
-    w.attempt = job.attempt;
-    w.buf.clear();
-    if (impl_->options.cell_timeout_seconds > 0.0) {
-      w.has_deadline = true;
-      w.deadline =
-          deadlineFrom(Clock::now(), impl_->options.cell_timeout_seconds);
-    } else {
-      w.has_deadline = false;
+  }
+
+  /// Drains every busy worker's reply stream (non-blocking) and runs the
+  /// watchdog; each finished attempt is appended to `settled`.
+  void service(std::vector<SettledAttempt>& settled) {
+    // Snapshot the busy workers by pid: containment inside the loop mutates
+    // the pool (and a respawn can reuse a just-closed fd number, so fds are
+    // not stable identifiers either).
+    std::vector<pid_t> busy_pids;
+    for (const PoolWorker& w : workers) {
+      if (w.busy) busy_pids.push_back(w.pid);
     }
-    return true;
+    for (const pid_t pid : busy_pids) {
+      std::size_t wi = workers.size();
+      for (std::size_t j = 0; j < workers.size(); ++j) {
+        if (workers[j].pid == pid) {
+          wi = j;
+          break;
+        }
+      }
+      if (wi == workers.size()) continue;  // removed by a prior pass
+      PoolWorker& w = workers[wi];
+      bool saw_eof = false;
+      char chunk[65536];
+      for (;;) {
+        const ssize_t r = ::read(w.reply_fd, chunk, sizeof chunk);
+        if (r > 0) {
+          w.buf.append(chunk, static_cast<std::size_t>(r));
+          if (w.buf.size() > wire::kMaxFramePayloadBytes +
+                                 wire::kFrameHeaderBytes +
+                                 wire::kFrameTrailerBytes) {
+            ::kill(w.pid, SIGKILL);
+            workerDied(wi, /*timed_out=*/false, "oversized reply", settled);
+            wi = workers.size();
+            break;
+          }
+          continue;
+        }
+        if (r == 0) {
+          saw_eof = true;
+          break;
+        }
+        if (errno == EINTR) continue;
+        break;  // EAGAIN: drained for now
+      }
+      if (wi == workers.size()) continue;  // contained above
+      if (!drainReplies(wi, settled)) continue;  // worker replaced
+      if (saw_eof) {
+        // The worker died (or exited on chaos) — any buffered partial
+        // frame is part of the post-mortem.
+        workerDied(wi, /*timed_out=*/false, "", settled);
+      }
+    }
+
+    // Watchdog: SIGKILL overdue busy workers; their cells settle as
+    // timeouts and the workers are replaced.
+    const Clock::time_point now = Clock::now();
+    for (std::size_t wi = 0; wi < workers.size();) {
+      PoolWorker& w = workers[wi];
+      if (w.busy && w.has_deadline && w.deadline <= now) {
+        ::kill(w.pid, SIGKILL);
+        workerDied(wi, /*timed_out=*/true, "", settled);
+      } else {
+        ++wi;
+      }
+    }
+  }
+
+  /// EOFs the request pipes (idle workers _exit(0) on their own) and
+  /// reaps every worker. A still-busy worker (drain abandoned) is killed
+  /// so reaping cannot block on it.
+  void shutdown() {
+    respawn = false;
+    for (PoolWorker& w : workers) {
+      if (w.busy) ::kill(w.pid, SIGKILL);
+      if (w.request_fd >= 0) {
+        ::close(w.request_fd);
+        w.request_fd = -1;
+      }
+    }
+    for (PoolWorker& w : workers) {
+      reapWorker(w.pid, nullptr);
+      ::close(w.reply_fd);
+    }
+    workers.clear();
+  }
+};
+
+struct PendingCell {
+  std::uint64_t cell = 0;
+  std::uint32_t attempt = 1;
+  Clock::time_point not_before;
+};
+
+struct LaneState {
+  std::deque<PendingCell> ready;
+  std::vector<PendingCell> backoff;  // retries not yet due
+  std::size_t running = 0;
+  std::uint64_t dispatched = 0;
+  bool dropped = false;  // outcomes still in flight are discarded
+};
+
+}  // namespace
+
+bool Supervisor::isolationSupported() { return true; }
+
+// ---- CellScheduler ---------------------------------------------------------
+
+struct CellScheduler::Impl {
+  WorkerPool pool;
+  JobFor job_for;
+  OnSettled on_settled;
+  std::map<Lane, LaneState> lanes;
+  std::map<std::uint64_t, std::pair<Lane, std::uint64_t>>
+      in_flight;  // job id -> (lane, cell)
+  std::size_t queued = 0;
+  std::size_t target = 0;  // the pool size fill() asked for
+  std::uint64_t next_job_id = 1;  // also 1 + attempts dispatched
+  bool rotated = false;  // last_lane is meaningful
+  Lane last_lane = 0;    // round-robin cursor
+  bool draining = false;
+  std::vector<SettledAttempt> settled;
+
+  /// Settles `lane`'s queued cells in cell order. The cells leave the lane
+  /// before any callback runs, since a callback may drop it.
+  void settleQueued(Lane lane, CellStatus status, const std::string& diagnostic,
+                    bool count_attempt) {
+    const auto it = lanes.find(lane);
+    if (it == lanes.end()) return;
+    LaneState& l = it->second;
+    std::vector<PendingCell> cells(l.ready.begin(), l.ready.end());
+    cells.insert(cells.end(), l.backoff.begin(), l.backoff.end());
+    l.ready.clear();
+    l.backoff.clear();
+    queued -= cells.size();
+    std::sort(cells.begin(), cells.end(),
+              [](const PendingCell& a, const PendingCell& b) {
+                return a.cell < b.cell;
+              });
+    for (const PendingCell& pc : cells) {
+      Supervisor::Outcome oc;
+      oc.status = status;
+      oc.diagnostic = diagnostic;
+      if (count_attempt) oc.worker.attempts = pc.attempt;
+      on_settled(lane, pc.cell, oc);
+    }
+  }
+
+  /// Retries whose backoff has passed re-enter at the front of the lane:
+  /// they already waited and should not queue behind the lane's whole
+  /// remaining grid.
+  static void moveDueRetries(LaneState& l, Clock::time_point now) {
+    for (auto it = l.backoff.begin(); it != l.backoff.end();) {
+      if (it->not_before <= now) {
+        l.ready.push_front(*it);
+        it = l.backoff.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  /// Rotates over the lanes, one ready cell per lane per rotation, while
+  /// idle workers last.
+  void roundRobin() {
+    const Clock::time_point now = Clock::now();
+    bool progress = true;
+    while (progress && pool.idleCount() > 0 && !lanes.empty()) {
+      progress = false;
+      auto it = rotated ? lanes.upper_bound(last_lane) : lanes.begin();
+      for (std::size_t n = 0; n < lanes.size() && pool.idleCount() > 0; ++n) {
+        if (it == lanes.end()) it = lanes.begin();
+        const Lane lane = it->first;
+        LaneState& l = it->second;
+        ++it;
+        moveDueRetries(l, now);
+        if (l.ready.empty()) continue;
+        const PendingCell pc = l.ready.front();
+        const std::uint64_t id = next_job_id;
+        if (!pool.dispatch(id, pc.attempt,
+                           job_for(lane, pc.cell, pc.attempt))) {
+          return;  // no idle worker survived the write
+        }
+        ++next_job_id;
+        l.ready.pop_front();
+        --queued;
+        ++l.running;
+        ++l.dispatched;
+        in_flight[id] = {lane, pc.cell};
+        rotated = true;
+        last_lane = lane;
+        progress = true;
+      }
+    }
+  }
+};
+
+CellScheduler::CellScheduler(SupervisorOptions options, Producer produce,
+                             JobFor job_for, OnSettled on_settled,
+                             std::function<void()> child_setup)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->pool.options = std::move(options);
+  impl_->pool.produce = std::move(produce);
+  impl_->pool.child_setup = std::move(child_setup);
+  impl_->job_for = std::move(job_for);
+  impl_->on_settled = std::move(on_settled);
+}
+
+CellScheduler::~CellScheduler() = default;
+
+bool CellScheduler::fill(std::size_t workers) {
+  impl_->target = workers;
+  return impl_->pool.ensure(workers);
+}
+
+void CellScheduler::enqueue(Lane lane, std::uint64_t cell) {
+  impl_->lanes[lane].ready.push_back({cell, 1, Clock::time_point{}});
+  ++impl_->queued;
+}
+
+void CellScheduler::cancel(Lane lane, CellStatus status,
+                           const std::string& diagnostic) {
+  impl_->settleQueued(lane, status, diagnostic, /*count_attempt=*/false);
+}
+
+void CellScheduler::dropLane(Lane lane) {
+  const auto it = impl_->lanes.find(lane);
+  if (it == impl_->lanes.end()) return;
+  LaneState& l = it->second;
+  impl_->queued -= l.ready.size() + l.backoff.size();
+  if (l.running == 0) {
+    impl_->lanes.erase(it);
+    return;
+  }
+  l.ready.clear();
+  l.backoff.clear();
+  l.dropped = true;
+}
+
+void CellScheduler::drain() {
+  impl_->draining = true;
+  impl_->pool.respawn = false;
+}
+
+void CellScheduler::dispatch() {
+  Impl& s = *impl_;
+  if (s.draining) return;
+  for (;;) {
+    s.roundRobin();
+    if (s.queued == 0 || !s.pool.workers.empty()) return;
+    // Empty-pool rule: no worker is left to run the queue. Refill; if not
+    // even one worker can be forked, fail the queued cells rather than
+    // wait forever.
+    s.pool.ensure(s.target);
+    if (s.pool.workers.empty()) {
+      const std::string diagnostic =
+          std::string("worker pool spawn failed: ") +
+          std::strerror(s.pool.last_spawn_errno);
+      std::vector<Lane> lanes;
+      for (const auto& [lane, l] : s.lanes) lanes.push_back(lane);
+      for (const Lane lane : lanes) {
+        s.settleQueued(lane, CellStatus::kCrashed, diagnostic,
+                       /*count_attempt=*/true);
+      }
+      return;
+    }
   }
 }
 
-std::vector<int> WorkerPool::busyReplyFds() const {
+std::vector<int> CellScheduler::busyReplyFds() const {
   std::vector<int> fds;
-  for (const PoolWorker& w : impl_->workers) {
+  for (const PoolWorker& w : impl_->pool.workers) {
     if (w.busy) fds.push_back(w.reply_fd);
   }
   return fds;
 }
 
-bool WorkerPool::nextDeadline(std::chrono::steady_clock::time_point* out) const {
-  bool any = false;
-  for (const PoolWorker& w : impl_->workers) {
-    if (!w.busy || !w.has_deadline) continue;
-    if (!any || w.deadline < *out) *out = w.deadline;
-    any = true;
-  }
-  return any;
-}
-
-void WorkerPool::service(std::vector<Settled>& settled) {
-  // Snapshot the busy workers by pid: containment inside the loop mutates
-  // the pool (and a respawn can reuse a just-closed fd number, so fds are
-  // not stable identifiers either).
-  std::vector<pid_t> busy_pids;
-  for (const PoolWorker& w : impl_->workers) {
-    if (w.busy) busy_pids.push_back(w.pid);
-  }
-  for (const pid_t pid : busy_pids) {
-    std::size_t wi = impl_->workers.size();
-    for (std::size_t j = 0; j < impl_->workers.size(); ++j) {
-      if (impl_->workers[j].pid == pid) {
-        wi = j;
-        break;
-      }
-    }
-    if (wi == impl_->workers.size()) continue;  // removed by a prior pass
-    PoolWorker& w = impl_->workers[wi];
-    bool saw_eof = false;
-    char chunk[65536];
-    for (;;) {
-      const ssize_t r = ::read(w.reply_fd, chunk, sizeof chunk);
-      if (r > 0) {
-        w.buf.append(chunk, static_cast<std::size_t>(r));
-        if (w.buf.size() > wire::kMaxFramePayloadBytes +
-                               wire::kFrameHeaderBytes +
-                               wire::kFrameTrailerBytes) {
-          ::kill(w.pid, SIGKILL);
-          impl_->workerDied(wi, /*timed_out=*/false, "oversized reply",
-                            settled);
-          wi = impl_->workers.size();
-          break;
-        }
-        continue;
-      }
-      if (r == 0) {
-        saw_eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      break;  // EAGAIN: drained for now
-    }
-    if (wi == impl_->workers.size()) continue;  // contained above
-    if (!impl_->drainReplies(wi, settled)) continue;  // worker replaced
-    if (saw_eof) {
-      // The worker died (or exited on chaos) — any buffered partial
-      // frame is part of the post-mortem.
-      impl_->workerDied(wi, /*timed_out=*/false, "", settled);
-    }
-  }
-
-  // Watchdog: SIGKILL overdue busy workers; their cells settle as
-  // timeouts and the workers are replaced.
+int CellScheduler::pollTimeoutMs(
+    int cap_ms, const std::vector<Clock::time_point>& also) const {
   const Clock::time_point now = Clock::now();
-  for (std::size_t wi = 0; wi < impl_->workers.size();) {
-    PoolWorker& w = impl_->workers[wi];
-    if (w.busy && w.has_deadline && w.deadline <= now) {
-      ::kill(w.pid, SIGKILL);
-      impl_->workerDied(wi, /*timed_out=*/true, "", settled);
-    } else {
-      ++wi;
+  long long timeout_ms = cap_ms;
+  const auto consider = [&](Clock::time_point t) {
+    const long long ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(t - now).count();
+    timeout_ms = std::min(timeout_ms, ms < 0 ? 0 : ms + 1);
+  };
+  for (const PoolWorker& w : impl_->pool.workers) {
+    if (w.busy && w.has_deadline) consider(w.deadline);
+  }
+  // A due retry only needs an early wake while a worker is idle to take
+  // it; otherwise the next reply wakes the poll anyway.
+  const bool idle = impl_->pool.idleCount() > 0;
+  for (const auto& [lane, l] : impl_->lanes) {
+    for (const PendingCell& pc : l.backoff) {
+      if (idle || pc.not_before > now) consider(pc.not_before);
     }
+  }
+  for (const Clock::time_point t : also) consider(t);
+  return static_cast<int>(timeout_ms);
+}
+
+void CellScheduler::service() {
+  Impl& s = *impl_;
+  s.settled.clear();
+  s.pool.service(s.settled);
+  for (SettledAttempt& a : s.settled) {
+    const auto jit = s.in_flight.find(a.id);
+    if (jit == s.in_flight.end()) continue;
+    const auto [lane, cell] = jit->second;
+    s.in_flight.erase(jit);
+    // Looked up per attempt: an earlier callback may have dropped a lane.
+    const auto lit = s.lanes.find(lane);
+    if (lit == s.lanes.end()) continue;
+    LaneState& l = lit->second;
+    --l.running;
+    if (l.dropped) {
+      if (l.running == 0) s.lanes.erase(lit);
+      continue;
+    }
+    if (!s.draining && isTransportFailure(a.outcome.status) &&
+        a.attempt <= s.pool.options.retries) {
+      const double delay = backoffSeconds(
+          s.pool.options, static_cast<std::size_t>(cell), a.attempt + 1);
+      l.backoff.push_back(
+          {cell, a.attempt + 1, deadlineFrom(Clock::now(), delay)});
+      ++s.queued;
+      continue;
+    }
+    s.on_settled(lane, cell, a.outcome);
   }
 }
 
-void WorkerPool::shutdown() {
-  if (impl_ == nullptr || impl_->shut_down) return;
-  impl_->shut_down = true;
-  // Closing the request pipes is the idle workers' EOF signal; they
-  // _exit(0) and are reaped below. A still-busy worker (drain abandoned)
-  // is killed so reaping cannot block on it.
-  for (PoolWorker& w : impl_->workers) {
-    if (w.busy) ::kill(w.pid, SIGKILL);
-    if (w.request_fd >= 0) {
-      ::close(w.request_fd);
-      w.request_fd = -1;
-    }
-  }
-  for (PoolWorker& w : impl_->workers) {
-    reapWorker(w.pid, nullptr);
-    ::close(w.reply_fd);
-  }
-  impl_->workers.clear();
+CellScheduler::Counts CellScheduler::counts() const {
+  return {impl_->queued, impl_->in_flight.size(), impl_->next_job_id - 1};
 }
+
+CellScheduler::Counts CellScheduler::counts(Lane lane) const {
+  const auto it = impl_->lanes.find(lane);
+  if (it == impl_->lanes.end()) return {};
+  const LaneState& l = it->second;
+  return {l.ready.size() + l.backoff.size(), l.running, l.dispatched};
+}
+
+CellScheduler::PoolCounts CellScheduler::pool() const {
+  const WorkerPool& p = impl_->pool;
+  return {p.workers.size(), p.idleCount(), p.spawned, p.respawned};
+}
+
+// ---- Supervisor::run: one lane, no socket ---------------------------------
 
 std::vector<Supervisor::Outcome> Supervisor::run(
     std::size_t n, const Producer& produce, const OnSettled& on_settled,
@@ -813,149 +1025,50 @@ std::vector<Supervisor::Outcome> Supervisor::run(
   if (n == 0) return out;
   wire::ScopedIgnoreSigpipe sigpipe_guard;
 
-  std::deque<PendingCell> pending;
-  const Clock::time_point start = Clock::now();
-  for (std::size_t i = 0; i < n; ++i) pending.push_back({i, 1, start});
-  std::size_t settled = 0;
-  bool interrupted = false;
-  const auto stopRequested = [&] {
-    return options_.stop != nullptr && *options_.stop != 0;
-  };
+  // The cell index is the spec; the chaos plan is keyed by it.
+  CellScheduler scheduler(
+      options_,
+      [&produce](const std::string& spec) { return produce(cellOfSpec(spec)); },
+      [this](CellScheduler::Lane, std::uint64_t cell, std::uint32_t attempt) {
+        return CellScheduler::Job{
+            cellSpec(static_cast<std::size_t>(cell)),
+            options_.chaos.actionFor(static_cast<std::size_t>(cell), attempt)};
+      },
+      [&](CellScheduler::Lane, std::uint64_t cell, const Outcome& outcome) {
+        const auto i = static_cast<std::size_t>(cell);
+        out[i] = outcome;
+        if (on_settled) on_settled(i, out[i]);
+      });
+  for (std::size_t i = 0; i < n; ++i) scheduler.enqueue(0, i);
+  scheduler.fill(std::min(options_.jobs, n));
 
-  const auto settle = [&](std::size_t cell, Outcome outcome) {
-    out[cell] = std::move(outcome);
-    ++settled;
-    if (on_settled) on_settled(cell, out[cell]);
-  };
-
-  // Settles the attempt's outcome or queues the retry.
-  const auto finishAttempt = [&](std::size_t cell, std::uint32_t attempt,
-                                 Outcome oc) {
-    if (!interrupted && isTransportFailure(oc.status) &&
-        attempt <= options_.retries) {
-      const double delay = backoffSeconds(options_, cell, attempt + 1);
-      pending.push_back(
-          {cell, attempt + 1, deadlineFrom(Clock::now(), delay)});
-    } else {
-      settle(cell, std::move(oc));
-    }
-  };
-
-  WorkerPool pool(options_, [&produce](const std::string& spec) {
-    return produce(cellOfSpec(spec));
-  });
-  pool.setRespawnPolicy([&] { return settled < n && !interrupted; });
-  pool.ensure(std::min(options_.jobs, n));
-
-  std::vector<WorkerPool::Settled> batch;
-  while (settled < n) {
-    if (!interrupted && stopRequested()) {
+  for (;;) {
+    if (options_.stop != nullptr && *options_.stop != 0) {
       // Graceful interrupt: cancel the queue, drain the in-flight cells.
-      interrupted = true;
-      while (!pending.empty()) {
-        const PendingCell p = pending.front();
-        pending.pop_front();
-        Outcome oc;
-        oc.status = CellStatus::kInternalError;
-        oc.diagnostic = kInterruptedDiagnostic;
-        settle(p.cell, std::move(oc));
-      }
+      scheduler.drain();
+      scheduler.cancel(0, CellStatus::kInternalError, kInterruptedDiagnostic);
     }
-    Clock::time_point now = Clock::now();
+    scheduler.dispatch();
+    const CellScheduler::Counts counts = scheduler.counts();
+    if (counts.queued + counts.running == 0) break;
 
-    // Dispatch due pending cells to idle workers.
-    while (!pending.empty() && pool.idleWorkers() > 0) {
-      std::size_t pi = pending.size();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (pending[i].not_before <= now) {
-          pi = i;
-          break;
-        }
-      }
-      if (pi == pending.size()) break;  // nothing due yet
-      const PendingCell p = pending[pi];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pi));
-      // Dispatched like the service's jobs: the cell index is both the
-      // reply token and the spec, and the chaos action is resolved here.
-      WorkerPool::Job job;
-      job.id = static_cast<std::uint64_t>(p.cell);
-      job.attempt = p.attempt;
-      job.spec = cellSpec(p.cell);
-      job.chaos = options_.chaos.actionFor(p.cell, p.attempt);
-      if (!pool.dispatch(job)) {
-        // No idle worker survived the write; the cell was never sent and
-        // goes back to the front of the queue.
-        pending.push_front(p);
-        break;
-      }
-    }
-
-    if (pool.workerCount() == 0) {
-      // The pool could not be (re)built; fail the remaining cells rather
-      // than spin forever.
-      while (!pending.empty()) {
-        const PendingCell p = pending.front();
-        pending.pop_front();
-        Outcome oc;
-        oc.status = CellStatus::kCrashed;
-        oc.worker.attempts = p.attempt;
-        oc.diagnostic = std::string("worker pool spawn failed: ") +
-                        std::strerror(pool.lastSpawnErrno());
-        settle(p.cell, std::move(oc));
-      }
-      break;
-    }
-
-    if (pool.busyWorkers() == 0) {
-      if (pending.empty()) {
-        if (settled < n) continue;  // dispatch loop will make progress
-        break;
-      }
-      Clock::time_point wake = pending.front().not_before;
-      for (const PendingCell& p : pending) wake = std::min(wake, p.not_before);
-      std::this_thread::sleep_until(wake);
-      continue;
-    }
-
-    long long timeout_ms = -1;
-    const auto consider = [&](Clock::time_point t) {
-      const long long ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-              .count();
-      const long long clamped = ms < 0 ? 0 : ms + 1;
-      if (timeout_ms < 0 || clamped < timeout_ms) timeout_ms = clamped;
-    };
-    Clock::time_point pool_deadline;
-    if (pool.nextDeadline(&pool_deadline)) consider(pool_deadline);
-    for (const PendingCell& p : pending) consider(p.not_before);
-
-    const std::vector<int> reply_fds = pool.busyReplyFds();
+    const std::vector<int> reply_fds = scheduler.busyReplyFds();
     std::vector<pollfd> fds(reply_fds.size());
     for (std::size_t i = 0; i < reply_fds.size(); ++i) {
       fds[i] = pollfd{reply_fds[i], POLLIN, 0};
     }
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               timeout_ms < 0 ? -1 : static_cast<int>(
-                                         std::min<long long>(timeout_ms,
-                                                             60'000)));
-    if (rc < 0 && errno != EINTR) {
+    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+               scheduler.pollTimeoutMs(60'000)) < 0 &&
+        errno != EINTR) {
       throw support::SptInternalError(
           std::string("supervisor poll() failed: ") + std::strerror(errno));
     }
-
-    batch.clear();
-    pool.service(batch);
-    for (WorkerPool::Settled& s : batch) {
-      finishAttempt(static_cast<std::size_t>(s.id), s.attempt,
-                    std::move(s.outcome));
-    }
+    scheduler.service();
   }
 
-  pool.shutdown();
   if (stats != nullptr) {
-    stats->workers_spawned = pool.workersSpawned();
-    stats->workers_respawned = pool.workersRespawned();
+    stats->workers_spawned = scheduler.pool().spawned;
+    stats->workers_respawned = scheduler.pool().respawned;
   }
   return out;
 }
@@ -972,32 +1085,6 @@ std::vector<Supervisor::Outcome> Supervisor::run(std::size_t,
       "process isolation is not supported on this platform (no fork); "
       "use the in-process path");
 }
-
-struct WorkerPool::Impl {};
-
-WorkerPool::WorkerPool(SupervisorOptions, Producer) {
-  throw support::SptInternalError(
-      "the warm worker pool is not supported on this platform (no fork)");
-}
-
-WorkerPool::~WorkerPool() = default;
-
-void WorkerPool::setRespawnPolicy(std::function<bool()>) {}
-void WorkerPool::setChildSetup(std::function<void()>) {}
-bool WorkerPool::ensure(std::size_t) { return false; }
-std::size_t WorkerPool::workerCount() const { return 0; }
-std::size_t WorkerPool::idleWorkers() const { return 0; }
-std::size_t WorkerPool::busyWorkers() const { return 0; }
-std::size_t WorkerPool::workersSpawned() const { return 0; }
-std::size_t WorkerPool::workersRespawned() const { return 0; }
-int WorkerPool::lastSpawnErrno() const { return 0; }
-bool WorkerPool::dispatch(const Job&) { return false; }
-std::vector<int> WorkerPool::busyReplyFds() const { return {}; }
-bool WorkerPool::nextDeadline(std::chrono::steady_clock::time_point*) const {
-  return false;
-}
-void WorkerPool::service(std::vector<Settled>&) {}
-void WorkerPool::shutdown() {}
 
 #endif  // SPT_SUPERVISOR_POSIX
 

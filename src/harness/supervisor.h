@@ -1,22 +1,25 @@
-// Process-isolated execution supervisor (warm worker pool).
+// Process-isolated execution supervisor: one warm worker pool and the one
+// cell scheduler that drives it.
 //
-// The hardened sweep quarantines cells that *throw*; this layer
-// contains cells that take the whole process down. `jobs` workers are
-// forked once per run and live for the whole sweep. The parent sends
-// each job to an idle worker as an SPTW spec-request frame — a
-// support::wire frame (length-prefixed, FNV-1a-checksummed) over a pipe —
-// and each worker loops `recv request → produce → reply`, re-arming its
-// per-cell RLIMIT_CPU window before every cell. Keeping workers warm
-// removes the fork + pipeline re-setup cost per cell — the dominant
-// overhead on small cells (bench_supervisor_overhead) — and the same pool
-// is what the `sptc serve` daemon multiplexes, dispatching the same way.
+// The hardened sweep quarantines cells that *throw*; this layer contains
+// cells that take the whole process down. Workers are forked once and
+// live for the whole run. The parent sends each job to an idle worker as
+// an SPTW spec-request frame — a support::wire frame (length-prefixed,
+// FNV-1a-checksummed) over a pipe — and each worker loops `recv request →
+// produce → reply`, re-arming its per-cell RLIMIT_CPU window before every
+// cell. Keeping workers warm removes the fork + pipeline re-setup cost per
+// cell — the dominant overhead on small cells (bench_supervisor_overhead).
 //
-// The parent is a single-threaded poll() event loop — fork() never races
-// other threads — that:
+// CellScheduler is the only thing that drives the pool. It keeps cells in
+// *lanes*, one queue each: Supervisor::run is one lane with no socket, and
+// the `sptc serve` sweep service gives each client its own lane. The
+// scheduler, single-threaded in the caller's poll() loop (so fork() never
+// races other threads):
 //
-//  * keeps up to `jobs` workers busy, placing results by submission
-//    index so ordering guarantees match ParallelSweep;
-//  * runs a watchdog enforcing a per-cell **wall-clock** deadline
+//  * dispatches round-robin, one cell per lane per rotation, so a long
+//    lane cannot starve a short one; the caller's callback turns each
+//    (lane, cell, attempt) into the job's spec bytes and chaos action;
+//  * runs a watchdog enforcing a per-attempt **wall-clock** deadline
 //    (complementary to the simulated record/cycle budgets, which cannot
 //    catch a hang in the host code itself) and SIGKILLs overdue workers;
 //  * optionally applies RLIMIT_AS / RLIMIT_CPU to workers, so a runaway
@@ -28,16 +31,16 @@
 //    OOMs, hangs, or replies with bytes that fail frame validation lands
 //    in CellStatus::kCrashed / kTimeout / kProtocolError with diagnostics
 //    (including a hex dump of a corrupt reply's first bytes) while every
-//    other cell keeps running — only the dead worker is respawned and the
-//    rest of the pool keeps draining the queue;
+//    other cell keeps running — only the dead worker is respawned;
 //  * retries transport failures (crash/timeout/protocol) up to `retries`
-//    extra attempts with exponential backoff and deterministic seeded
-//    jitter — a pure function of (backoff_seed, cell, attempt), so test
-//    and CI runs are reproducible;
-//  * honors support::ChaosPlan, the deterministic sabotage hook that makes
-//    designated (cell, attempt) pairs crash/hang/garble on demand — the
-//    parent resolves the plan per dispatched job and the frame carries
-//    the action to the worker.
+//    extra attempts after backoffSeconds — exponential with deterministic
+//    seeded jitter, so test and CI runs are reproducible. A retry that
+//    falls due re-enters at the *front* of its lane, ahead of the lane's
+//    never-run cells, on both the batch and the service path;
+//  * cancels a lane's queued cells with one status and diagnostic, in
+//    cell order (graceful interrupt, service drain, request deadline),
+//    and, when the pool has no worker left and cannot fork one, settles
+//    every queued cell as kCrashed ("worker pool spawn failed: …").
 //
 // On platforms without fork() the supervisor reports
 // isolationSupported() == false and callers degrade to the existing
@@ -158,94 +161,89 @@ class Supervisor {
   SupervisorOptions options_;
 };
 
-/// Parent-side handle on the warm worker pool, driven by Supervisor::run
-/// for batch runs and by a long-lived event loop — the `sptc serve` sweep
-/// service — that dispatches itself. The pool owns worker processes,
-/// pipes, watchdog deadlines, death classification, and respawn; it
-/// deliberately does NOT own retry policy or result aggregation, which
-/// stay with the caller, so the batch path and the service share one
-/// containment implementation and the byte-determinism tests cover both.
+/// The one cell scheduler over the warm worker pool (see the file
+/// comment). A cell is (lane, cell); a lane is created by its first
+/// enqueue. The caller owns the event loop: each turn it calls dispatch(),
+/// polls busyReplyFds() (plus its own fds) for at most pollTimeoutMs(),
+/// then service(). Callbacks run synchronously — JobFor inside
+/// dispatch(), OnSettled inside dispatch(), service() and cancel() — and
+/// an OnSettled callback may call dropLane().
 ///
-/// Every job crosses the pipe the same way: its opaque spec bytes go to
-/// the pool's producer in the worker, `id` is a token echoed back on the
-/// reply, and the chaos action is resolved by the caller per job and
-/// carried in the frame. Supervisor::run uses the cell index as both the
-/// token and the spec; the service encodes its request-local cell into
-/// the spec, since its workers are forked before any request exists.
-///
-/// Only meaningful where Supervisor::isolationSupported(); construction
-/// throws elsewhere. Callers should ignore SIGPIPE around dispatch
-/// (support::wire::ScopedIgnoreSigpipe), as Supervisor::run does.
-class WorkerPool {
+/// Defined only where Supervisor::isolationSupported(). Callers should
+/// ignore SIGPIPE around it (support::wire::ScopedIgnoreSigpipe).
+class CellScheduler {
  public:
+  using Lane = std::uint64_t;
+  using Clock = std::chrono::steady_clock;
+
+  /// One attempt's spec bytes, and the sabotage the worker performs
+  /// instead of producing (kNone: produce).
   struct Job {
-    std::uint64_t id = 0;
-    std::uint32_t attempt = 1;
     std::string spec;
-    /// Sabotage the worker performs for this job instead of producing.
     support::ChaosAction chaos = support::ChaosAction::kNone;
   };
-
-  /// One finished attempt — a reply, a death, or a watchdog timeout —
-  /// classified as crashed / timeout / protocol error. Whether to retry is
-  /// the caller's decision.
-  struct Settled {
-    std::uint64_t id = 0;
-    std::uint32_t attempt = 1;
-    Supervisor::Outcome outcome;
-  };
-
-  /// Runs in a pooled worker (after fork): a job's spec bytes in, its
-  /// serialized result out. Exceptions become kInternalError outcomes.
+  using JobFor =
+      std::function<Job(Lane lane, std::uint64_t cell, std::uint32_t attempt)>;
+  /// A cell's final outcome: after its last attempt, or cancelled.
+  using OnSettled = std::function<void(Lane lane, std::uint64_t cell,
+                                       const Supervisor::Outcome& outcome)>;
+  /// Runs in a pooled worker (after fork): spec bytes in, serialized
+  /// result out. Exceptions become kInternalError outcomes.
   using Producer = std::function<std::string(const std::string& spec)>;
 
-  WorkerPool(SupervisorOptions options, Producer produce);
-  ~WorkerPool();
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
+  /// Cells of one lane, or of all lanes.
+  struct Counts {
+    std::size_t queued = 0;  // ready or in backoff
+    std::size_t running = 0;
+    std::uint64_t dispatched = 0;  // attempts sent, retries included
+  };
+  struct PoolCounts {
+    std::size_t workers = 0;
+    std::size_t idle = 0;
+    std::size_t spawned = 0;    // initial fill plus respawns
+    std::size_t respawned = 0;  // replacements of dead workers
+  };
 
-  /// Consulted when a worker dies: a replacement is forked only while the
-  /// policy returns true (default: always). Batch callers turn it off
-  /// once every cell settled; a draining service turns it off on SIGTERM.
-  void setRespawnPolicy(std::function<bool()> policy);
+  /// `child_setup`, when set, runs in every freshly forked worker before
+  /// its request loop: a service closes its sockets there.
+  CellScheduler(SupervisorOptions options, Producer produce, JobFor job_for,
+                OnSettled on_settled,
+                std::function<void()> child_setup = nullptr);
+  ~CellScheduler();  // reaps every worker
+  CellScheduler(const CellScheduler&) = delete;
+  CellScheduler& operator=(const CellScheduler&) = delete;
 
-  /// Runs in a freshly forked worker child (after the pool closed sibling
-  /// pipe ends, before the request loop): a service closes its listening
-  /// and client sockets here so workers never hold them open.
-  void setChildSetup(std::function<void()> setup);
+  /// Forks workers until the pool holds `workers`, the size an emptied
+  /// pool is also refilled to; false if a fork failed.
+  bool fill(std::size_t workers);
 
-  /// Tops the pool up to `workers` processes; false if a spawn failed
-  /// (the pool keeps whatever it managed to fork).
-  bool ensure(std::size_t workers);
+  /// Queues attempt 1 of `cell` at the back of `lane`.
+  void enqueue(Lane lane, std::uint64_t cell);
+  /// Settles every queued cell of `lane`, in cell order, with `status`,
+  /// `diagnostic` and attempts == 0. In-flight cells settle normally.
+  void cancel(Lane lane, CellStatus status, const std::string& diagnostic);
+  /// Forgets `lane`: queued cells are discarded unsettled and in-flight
+  /// outcomes are dropped on arrival.
+  void dropLane(Lane lane);
+  /// Stops dispatching, retrying and respawning for good. Idempotent.
+  void drain();
 
-  std::size_t workerCount() const;
-  std::size_t idleWorkers() const;
-  std::size_t busyWorkers() const;
-  std::size_t workersSpawned() const;
-  std::size_t workersRespawned() const;
-  /// errno of the most recent failed pipe()/fork() inside a spawn.
-  int lastSpawnErrno() const;
-
-  /// Writes the job's request frame to an idle worker. A dead request
-  /// pipe replaces that worker and tries the next idle one; false means
-  /// no idle worker could take the job (none existed, or every candidate
-  /// died and respawn is off/failing) — the job was not sent and no
-  /// attempt was burned.
-  bool dispatch(const Job& job);
-
-  /// Reply fds of busy workers, for the caller's poll set. Idle workers
-  /// have no fd here — a dead idle worker surfaces at the next dispatch.
+  /// Sends due cells to idle workers, one per lane per rotation. When the
+  /// pool is empty and cannot be refilled, settles every queued cell as
+  /// kCrashed ("worker pool spawn failed: …"). A no-op once draining.
+  void dispatch();
   std::vector<int> busyReplyFds() const;
-  /// Nearest watchdog deadline among busy workers; false when none.
-  bool nextDeadline(std::chrono::steady_clock::time_point* out) const;
+  /// Milliseconds to the nearest watchdog deadline, backoff expiry or
+  /// `also` entry, rounded up by 1 ms and clamped to [0, cap_ms].
+  int pollTimeoutMs(int cap_ms,
+                    const std::vector<Clock::time_point>& also = {}) const;
+  /// Reads finished attempts and runs the watchdog; each attempt settles
+  /// or, for a retryable transport failure, waits out its backoff.
+  void service();
 
-  /// Drains every busy worker's reply stream (non-blocking) and runs the
-  /// watchdog; each finished attempt is appended to `settled`.
-  void service(std::vector<Settled>& settled);
-
-  /// EOFs the request pipes (idle workers _exit(0) on their own) and
-  /// reaps every worker. Idempotent; the destructor calls it.
-  void shutdown();
+  Counts counts() const;
+  Counts counts(Lane lane) const;
+  PoolCounts pool() const;
 
  private:
   struct Impl;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -466,12 +465,8 @@ struct SweepService::Impl {
 
   SweepServiceOptions options;
 
-  struct PendingCell {
-    std::uint64_t cell = 0;
-    std::uint32_t attempt = 1;
-    Clock::time_point not_before{};
-  };
-
+  /// One connection and, once admitted, its request. The request's cells
+  /// queue in the scheduler lane named by the client id.
   struct Client {
     int fd = -1;
     std::uint64_t id = 0;
@@ -486,10 +481,6 @@ struct SweepService::Impl {
     std::uint8_t tag = 'E';
     std::uint64_t total = 0;
     std::uint64_t done = 0;
-    std::uint64_t dispatched = 0;  // fairness counter (dispatch events)
-    std::size_t running = 0;
-    std::deque<PendingCell> ready;
-    std::vector<PendingCell> waiting;  // retry backoff, not yet due
     bool has_deadline = false;
     Clock::time_point deadline{};
     // Campaign metadata for parent-side settles.
@@ -520,16 +511,11 @@ struct SweepService::Impl {
     bool survivesDisconnect() const { return !token.empty() || recovered; }
   };
 
-  std::unique_ptr<WorkerPool> pool;
+  std::unique_ptr<CellScheduler> scheduler;
   int listen_fd = -1;
   std::size_t jobs = 1;
   std::uint64_t next_client_id = 1;
-  std::uint64_t next_job_id = 1;
-  std::uint64_t last_rr = 0;  // round-robin cursor (client id)
   std::map<std::uint64_t, Client> clients;
-  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
-      jobs_in_flight;  // job id -> (client id, cell)
-  std::size_t queued_cells = 0;
   bool draining = false;
   bool drain_flush_armed = false;
   Clock::time_point drain_flush_deadline{};
@@ -636,10 +622,8 @@ struct SweepService::Impl {
       return;
     }
     // Only this client's queued cells are cancelled; its in-flight cells
-    // finish on their workers and are dropped at settle time.
-    queued_cells -= c.ready.size() + c.waiting.size();
-    c.ready.clear();
-    c.waiting.clear();
+    // finish on their workers and their outcomes are dropped.
+    scheduler->dropLane(c.id);
     if (c.admitted && !c.settled_logged) {
       // Tokenless, so nobody can ever attach: settle now. A request cut
       // down mid-run is cancelled; one whose work finished but whose
@@ -655,8 +639,8 @@ struct SweepService::Impl {
   /// no worker about to settle into it, no queued cells still being
   /// served for an orphan, and no token retention awaiting an attach.
   bool reapable(const Client& c) const {
-    if (c.fd >= 0 || c.running > 0) return false;
-    if (!c.ready.empty() || !c.waiting.empty()) return false;
+    const CellScheduler::Counts lane = scheduler->counts(c.id);
+    if (c.fd >= 0 || lane.running > 0 || lane.queued > 0) return false;
     if (c.admitted && !c.token.empty() && !c.delivered && !draining) {
       return false;  // finished orphan: hold for a same-token attach
     }
@@ -680,6 +664,7 @@ struct SweepService::Impl {
             tokens.erase(tit);
           }
         }
+        scheduler->dropLane(it->first);
         it = clients.erase(it);
       } else {
         ++it;
@@ -837,6 +822,7 @@ struct SweepService::Impl {
       refuse(c, kServiceFrameError, encodeTextPayload(why));
       return;
     }
+    const std::size_t queued_cells = scheduler->counts().queued;
     if (queued_cells + c.total > options.max_queue) {
       // Backpressure with an explicit hint: roughly the time for the
       // backlog ahead of this request to drain one pool pass.
@@ -859,10 +845,7 @@ struct SweepService::Impl {
     c.token = std::move(token);
     c.admitted = true;
     armDeadline(c);
-    for (std::uint64_t i = 0; i < c.total; ++i) {
-      c.ready.push_back(PendingCell{i, 1, Clock::time_point{}});
-    }
-    queued_cells += c.total;
+    for (std::uint64_t i = 0; i < c.total; ++i) scheduler->enqueue(c.id, i);
     ++requests_admitted;
     if (!c.token.empty()) tokens[c.token] = c.id;
     journalAdmit(c);
@@ -951,14 +934,13 @@ struct SweepService::Impl {
       if (const std::string* payload = loggedRow(r, rows, i)) {
         replay.emplace_back(i, payload);
       } else {
-        r.ready.push_back(PendingCell{i, 1, Clock::time_point{}});
+        scheduler->enqueue(r.id, i);
       }
     }
-    queued_cells += r.ready.size();
     note("service: recovered request " + std::to_string(rec.id) +
          " from the journal (" + std::to_string(replay.size()) +
-         " cells from logged rows, " + std::to_string(r.ready.size()) +
-         " to run)");
+         " cells from logged rows, " +
+         std::to_string(scheduler->counts(r.id).queued) + " to run)");
     for (const auto& [i, payload] : replay) {
       Supervisor::Outcome oc;
       oc.status = CellStatus::kOk;
@@ -1007,17 +989,18 @@ struct SweepService::Impl {
     w.member("max_queue", static_cast<std::uint64_t>(options.max_queue));
     w.member("jobs", static_cast<std::uint64_t>(jobs));
     w.endObject();
+    const CellScheduler::PoolCounts pool = scheduler->pool();
     w.key("workers").beginObject();
-    w.member("count", static_cast<std::uint64_t>(pool->workerCount()));
-    w.member("idle", static_cast<std::uint64_t>(pool->idleWorkers()));
-    w.member("busy", static_cast<std::uint64_t>(pool->busyWorkers()));
-    w.member("spawned", static_cast<std::uint64_t>(pool->workersSpawned()));
-    w.member("respawned",
-             static_cast<std::uint64_t>(pool->workersRespawned()));
+    w.member("count", static_cast<std::uint64_t>(pool.workers));
+    w.member("idle", static_cast<std::uint64_t>(pool.idle));
+    w.member("busy", static_cast<std::uint64_t>(pool.workers - pool.idle));
+    w.member("spawned", static_cast<std::uint64_t>(pool.spawned));
+    w.member("respawned", static_cast<std::uint64_t>(pool.respawned));
     w.endObject();
+    const CellScheduler::Counts cells = scheduler->counts();
     w.key("queue").beginObject();
-    w.member("queued", static_cast<std::uint64_t>(queued_cells));
-    w.member("running", static_cast<std::uint64_t>(jobs_in_flight.size()));
+    w.member("queued", static_cast<std::uint64_t>(cells.queued));
+    w.member("running", static_cast<std::uint64_t>(cells.running));
     w.endObject();
     w.key("counters").beginObject();
     w.member("requests_admitted", requests_admitted);
@@ -1049,10 +1032,10 @@ struct SweepService::Impl {
       w.member("kind", static_cast<std::uint64_t>(c.request.kind));
       w.member("total", c.total);
       w.member("done", c.done);
-      w.member("queued",
-               static_cast<std::uint64_t>(c.ready.size() + c.waiting.size()));
-      w.member("running", static_cast<std::uint64_t>(c.running));
-      w.member("dispatched", c.dispatched);
+      const CellScheduler::Counts lane = scheduler->counts(id);
+      w.member("queued", static_cast<std::uint64_t>(lane.queued));
+      w.member("running", static_cast<std::uint64_t>(lane.running));
+      w.member("dispatched", lane.dispatched);
       w.member("orphaned", c.fd < 0);
       w.member("recovered", c.recovered);
       w.endObject();
@@ -1217,133 +1200,17 @@ struct SweepService::Impl {
     flushClient(c);
   }
 
-  /// Settles every still-queued cell of `c` with a synthetic outcome
-  /// (deadline expiry or drain) — in-flight cells are left to finish.
-  void settleQueuedAs(Client& c, CellStatus status, const char* diagnostic) {
-    std::deque<PendingCell> cells = std::move(c.ready);
-    for (const PendingCell& pc : c.waiting) cells.push_back(pc);
-    c.ready.clear();
-    c.waiting.clear();
-    queued_cells -= cells.size();
-    Supervisor::Outcome oc;
-    oc.status = status;
-    oc.diagnostic = diagnostic;
-    std::sort(cells.begin(), cells.end(),
-              [](const PendingCell& a, const PendingCell& b) {
-                return a.cell < b.cell;
-              });
-    for (const PendingCell& pc : cells) {
-      // A mid-loop disconnect cancels a plain client's remaining settles;
-      // an orphaned tokened/recovered request settles regardless.
-      if (c.fd < 0 && !c.survivesDisconnect()) break;
-      settleCell(c, pc.cell, oc);
-    }
-  }
-
-  void moveDueRetries(Client& c, Clock::time_point now) {
-    for (auto it = c.waiting.begin(); it != c.waiting.end();) {
-      if (it->not_before <= now) {
-        // Retries re-enter at the front: the cell already waited its
-        // backoff and should not queue behind the whole remaining grid.
-        c.ready.push_front(*it);
-        it = c.waiting.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  bool dispatchCell(std::uint64_t client_id, Client& c) {
-    PendingCell pc = c.ready.front();
-    WorkerPool::Job job;
-    job.id = next_job_id++;
-    job.attempt = pc.attempt;
-    job.spec = encodeWorkerSpec(c.request_bytes, pc.cell,
-                                options.trace_cache_dir);
-    if (options.allow_chaos) {
-      job.chaos = c.request.chaos.actionFor(
-          static_cast<std::size_t>(pc.cell), pc.attempt);
-    }
-    if (!pool->dispatch(job)) return false;
-    c.ready.pop_front();
-    --queued_cells;
-    ++c.running;
-    ++c.dispatched;
-    jobs_in_flight[job.id] = {client_id, pc.cell};
-    return true;
-  }
-
-  /// One fair scheduling sweep: repeatedly rotate over clients, taking at
-  /// most one ready cell per client per rotation, while idle workers last.
-  void schedule() {
-    const Clock::time_point now = Clock::now();
-    bool progress = true;
-    while (progress && pool->idleWorkers() > 0 && !clients.empty()) {
-      progress = false;
-      auto it = clients.upper_bound(last_rr);
-      for (std::size_t n = 0; n < clients.size() && pool->idleWorkers() > 0;
-           ++n) {
-        if (it == clients.end()) it = clients.begin();
-        const std::uint64_t id = it->first;
-        Client& c = it->second;
-        ++it;
-        // Orphans (fd < 0 with a token or recovered from the journal)
-        // keep dispatching; their queues are cleared at disconnect
-        // otherwise, so ready.empty() skips plain disconnected clients.
-        if (!c.admitted || c.done_sent) continue;
-        moveDueRetries(c, now);
-        if (c.ready.empty()) continue;
-        if (dispatchCell(id, c)) {
-          last_rr = id;
-          progress = true;
-        } else {
-          return;  // no idle worker could take the job
-        }
-      }
-    }
-  }
-
-  void handleSettled(std::vector<WorkerPool::Settled>& settled) {
-    for (WorkerPool::Settled& s : settled) {
-      auto jit = jobs_in_flight.find(s.id);
-      if (jit == jobs_in_flight.end()) continue;
-      const auto [client_id, cell] = jit->second;
-      jobs_in_flight.erase(jit);
-      auto cit = clients.find(client_id);
-      if (cit == clients.end()) continue;
-      Client& c = cit->second;
-      --c.running;
-      if (c.fd < 0 && !c.survivesDisconnect()) {
-        continue;  // disconnected mid-flight: result dropped
-      }
-      if (!draining && isTransportFailure(s.outcome.status) &&
-          s.attempt <= options.supervisor.retries) {
-        const double delay =
-            backoffSeconds(options.supervisor, static_cast<std::size_t>(cell),
-                           s.attempt + 1);
-        c.waiting.push_back(PendingCell{
-            cell, s.attempt + 1,
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(delay))});
-        ++queued_cells;
-        continue;
-      }
-      settleCell(c, cell, s.outcome);
-    }
-    settled.clear();
-  }
-
   void checkDeadlines() {
     const Clock::time_point now = Clock::now();
     for (auto& [id, c] : clients) {
       if (!c.admitted || c.done_sent || !c.has_deadline) continue;
       if (c.fd < 0 && !c.survivesDisconnect()) continue;
       if (now < c.deadline) continue;
-      if (c.ready.empty() && c.waiting.empty()) continue;
+      if (scheduler->counts(id).queued == 0) continue;
       note("service: client " + std::to_string(id) +
            " deadline expired; failing its queued cells");
       c.deadline_expired = true;
-      settleQueuedAs(c, CellStatus::kTimeout, kDeadlineDiagnostic);
+      scheduler->cancel(id, CellStatus::kTimeout, kDeadlineDiagnostic);
     }
   }
 
@@ -1354,7 +1221,7 @@ struct SweepService::Impl {
       ::close(listen_fd);
       listen_fd = -1;
     }
-    pool->setRespawnPolicy([] { return false; });
+    scheduler->drain();
     std::uint64_t orphans_preserved = 0;
     for (auto& [id, c] : clients) {
       if (c.fd < 0 || !c.admitted || c.done_sent) {
@@ -1370,7 +1237,7 @@ struct SweepService::Impl {
         }
         continue;
       }
-      settleQueuedAs(c, CellStatus::kInternalError, kDrainDiagnostic);
+      scheduler->cancel(id, CellStatus::kInternalError, kDrainDiagnostic);
     }
     if (orphans_preserved > 0) {
       note("service: drain preserves " + std::to_string(orphans_preserved) +
@@ -1411,44 +1278,63 @@ struct SweepService::Impl {
     sup.isolate = true;
     jobs = sup.jobs == 0 ? support::ThreadPool::defaultWorkerCount()
                          : sup.jobs;
-    pool = std::make_unique<WorkerPool>(sup, serviceSpecProduce);
-    pool->setChildSetup([this] {
-      // Workers must never hold the service's sockets open: a forked
-      // worker outliving the service would otherwise keep clients (and
-      // the listening socket) half-alive. The journal fd is closed for the
-      // same hygiene — only the parent settles cells.
-      if (listen_fd >= 0) ::close(listen_fd);
-      for (auto& [id, c] : clients) {
-        if (c.fd >= 0) ::close(c.fd);
-      }
-      if (journal.fd() >= 0) ::close(journal.fd());
-    });
-    if (!pool->ensure(jobs) && pool->workerCount() == 0) {
+    scheduler = std::make_unique<CellScheduler>(
+        sup, serviceSpecProduce,
+        [this](std::uint64_t client_id, std::uint64_t cell,
+               std::uint32_t attempt) {
+          const Client& c = clients.at(client_id);
+          CellScheduler::Job job;
+          job.spec =
+              encodeWorkerSpec(c.request_bytes, cell, options.trace_cache_dir);
+          if (options.allow_chaos) {
+            job.chaos = c.request.chaos.actionFor(
+                static_cast<std::size_t>(cell), attempt);
+          }
+          return job;
+        },
+        [this](std::uint64_t client_id, std::uint64_t cell,
+               const Supervisor::Outcome& oc) {
+          // A client that disconnected without a token drops its outcomes.
+          const auto it = clients.find(client_id);
+          if (it == clients.end()) return;
+          Client& c = it->second;
+          if (c.fd >= 0 || c.survivesDisconnect()) settleCell(c, cell, oc);
+        },
+        [this] {
+          // Workers must never hold the service's sockets open: a forked
+          // worker outliving the service would otherwise keep clients (and
+          // the listening socket) half-alive. The journal fd is closed for
+          // the same hygiene — only the parent settles cells.
+          if (listen_fd >= 0) ::close(listen_fd);
+          for (auto& [id, c] : clients) {
+            if (c.fd >= 0) ::close(c.fd);
+          }
+          if (journal.fd() >= 0) ::close(journal.fd());
+        });
+    if (!scheduler->fill(jobs) && scheduler->pool().workers == 0) {
       note("service: could not fork any pooled worker");
       ::close(listen_fd);
       return 1;
     }
     // Crash recovery: re-admit every unsettled journaled request, oldest
     // first, before accepting new connections' traffic. Cells with an ok
-    // row in the journal replay from it; the rest queue behind the
-    // ordinary scheduler.
+    // row in the journal replay from it; the rest queue in the request's
+    // scheduler lane.
     for (const LogRecord& rec : replay.unsettled) {
       recoverRequest(rec, replay.request_rows[rec.id]);
     }
     note("service: listening on " + options.socket_path + " (" +
-         std::to_string(pool->workerCount()) + " workers)");
+         std::to_string(scheduler->pool().workers) + " workers)");
 
-    std::vector<WorkerPool::Settled> settled;
     for (;;) {
       if (!draining && options.stop && *options.stop) beginDrain();
 
-      pool->service(settled);
-      handleSettled(settled);
+      scheduler->service();
       checkDeadlines();
-      if (!draining) schedule();
+      scheduler->dispatch();
 
       if (draining) {
-        const bool work_done = jobs_in_flight.empty();
+        const bool work_done = scheduler->counts().running == 0;
         bool flushed = true;
         for (auto& [id, c] : clients) {
           if (c.fd >= 0 && c.out_pos < c.outbuf.size()) flushed = false;
@@ -1482,31 +1368,22 @@ struct SweepService::Impl {
         fds.push_back(pollfd{c.fd, events, 0});
         owner.push_back(id);
       }
-      for (int fd : pool->busyReplyFds()) {
+      for (int fd : scheduler->busyReplyFds()) {
         fds.push_back(pollfd{fd, POLLIN, 0});
         owner.push_back(0);
       }
 
-      int timeout_ms = 200;
-      const Clock::time_point now = Clock::now();
-      auto consider = [&](Clock::time_point t) {
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-                .count();
-        timeout_ms = std::max(
-            0, std::min(timeout_ms, static_cast<int>(std::max<long long>(
-                                        0, static_cast<long long>(ms)))));
-      };
-      Clock::time_point pool_deadline;
-      if (pool->nextDeadline(&pool_deadline)) consider(pool_deadline);
+      std::vector<Clock::time_point> deadlines;
       for (auto& [id, c] : clients) {
-        if (c.has_deadline && c.admitted && !c.done_sent) consider(c.deadline);
-        for (const PendingCell& pc : c.waiting) consider(pc.not_before);
+        if (c.has_deadline && c.admitted && !c.done_sent) {
+          deadlines.push_back(c.deadline);
+        }
       }
-      if (drain_flush_armed) consider(drain_flush_deadline);
+      if (drain_flush_armed) deadlines.push_back(drain_flush_deadline);
 
       const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                            static_cast<nfds_t>(fds.size()), timeout_ms);
+                            static_cast<nfds_t>(fds.size()),
+                            scheduler->pollTimeoutMs(200, deadlines));
       if (rc < 0 && errno != EINTR && errno != EAGAIN) {
         note("service: poll failed: " + std::string(std::strerror(errno)));
         break;
@@ -1528,7 +1405,7 @@ struct SweepService::Impl {
           }
           continue;
         }
-        if (owner[i] == 0) continue;  // worker pipe: handled by service()
+        if (owner[i] == 0) continue;  // worker pipe: the scheduler's
         auto cit = clients.find(owner[i]);
         if (cit == clients.end() || cit->second.fd != fds[i].fd) continue;
         Client& c = cit->second;
@@ -1548,7 +1425,7 @@ struct SweepService::Impl {
     for (auto& [id, c] : clients) {
       if (c.fd >= 0) disconnectClient(c);
     }
-    pool->shutdown();
+    scheduler.reset();  // reaps every worker
     journal.close();
     if (listen_fd >= 0) ::close(listen_fd);
     ::unlink(options.socket_path.c_str());

@@ -3,8 +3,13 @@
 //
 // A single SweepService process listens on a Unix-domain socket and
 // multiplexes a stream of sweep / campaign requests from many concurrent
-// clients over one warm worker pool (harness::WorkerPool in spec-dispatch
-// mode). The wire protocol, "SPTS" v2, reuses the SPTW frame discipline —
+// clients over one warm worker pool. The pool is driven by the same
+// harness::CellScheduler as a batch `Supervisor::run`: each admitted
+// request is one scheduler lane (keyed by its client id), so queueing,
+// dispatch, retry, cancellation and the empty-pool rule are the batch
+// path's code. The service keeps only what is its own: clients and
+// sockets, admission, tokens and attach, the journal, crash points,
+// per-request deadlines, and result frames. The wire protocol, "SPTS" v2, reuses the SPTW frame discipline —
 // length-prefixed, versioned, FNV-1a-checksummed frames (support/wire.h)
 // — with a request/progress/result/done/error/status vocabulary:
 //
@@ -22,9 +27,10 @@
 // Scheduling and robustness properties (exercised by sweep_service_test
 // and the CI soak):
 //
-//  * **fair round-robin**: one cell per ready client per scheduling pass,
-//    so a 640-cell campaign cannot starve a 10-cell sweep that arrived
-//    later;
+//  * **fair round-robin**: the scheduler takes one cell per lane per
+//    rotation, so a 640-cell campaign cannot starve a 10-cell sweep that
+//    arrived later; a retry whose backoff passed re-enters at the front
+//    of its lane, as on the batch path;
 //  * **bounded admission**: a request whose cells would push the total
 //    queued work over `max_queue` is refused with a kBusy frame carrying
 //    a retry_after hint — the service never buffers unboundedly;
@@ -33,7 +39,9 @@
 //    rows immediately; cells already on workers run on under the cell
 //    watchdog and still deliver;
 //  * **graceful degradation**: a dying pooled worker fails only its
-//    in-flight cell (the pool respawns a replacement); a disconnecting
+//    in-flight cell (the pool respawns a replacement; if no worker is
+//    left and none can be forked, queued cells settle as crashed
+//    instead of waiting forever); a disconnecting
 //    client cancels only its own queued cells; client-side sabotage
 //    (support::ClientChaosPlan: disconnect / garbage / slow-reader) never
 //    affects other clients' results — which CI proves by diffing the

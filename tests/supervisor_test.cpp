@@ -11,6 +11,8 @@
 #include <csignal>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -29,8 +31,10 @@
 #include "support/wire.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
@@ -1710,6 +1714,214 @@ TEST(SupervisorPool, MidFramePipeCloseIsContainedPerCell) {
       EXPECT_EQ(outcomes[i].payload.size(), 4096u);
     }
   }
+}
+
+// ---- CellScheduler: lanes, retry order, interrupt, spawn failure ----------
+
+/// Drives `s` the way its callers do until every queued and in-flight
+/// cell has settled.
+void runToIdle(CellScheduler& s) {
+  for (;;) {
+    s.dispatch();
+    if (s.counts().queued + s.counts().running == 0) return;
+    std::vector<pollfd> fds;
+    for (const int fd : s.busyReplyFds()) fds.push_back(pollfd{fd, POLLIN, 0});
+    ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+           s.pollTimeoutMs(1000));
+    s.service();
+  }
+}
+
+/// Settle order of a one-worker scheduler over lanes 'A' (4 cells) and 'B'
+/// (2 cells); every worker echoes its spec, and lane A follows `chaos`.
+std::vector<std::string> laneSettleOrder(SupervisorOptions opts,
+                                         const support::ChaosPlan& chaos) {
+  std::vector<std::string> order;
+  CellScheduler s(
+      opts, [](const std::string& spec) { return spec; },
+      [&](CellScheduler::Lane lane, std::uint64_t cell, std::uint32_t attempt) {
+        CellScheduler::Job job;
+        job.spec = std::string(1, static_cast<char>(lane)) +
+                   std::to_string(cell);
+        if (lane == 'A') {
+          job.chaos = chaos.actionFor(static_cast<std::size_t>(cell), attempt);
+        }
+        return job;
+      },
+      [&](CellScheduler::Lane lane, std::uint64_t cell,
+          const Supervisor::Outcome& oc) {
+        const std::string name =
+            std::string(1, static_cast<char>(lane)) + std::to_string(cell);
+        EXPECT_EQ(oc.status, CellStatus::kOk) << name << ": " << oc.diagnostic;
+        EXPECT_EQ(oc.payload, name);
+        order.push_back(name);
+      });
+  for (std::uint64_t i = 0; i < 4; ++i) s.enqueue('A', i);
+  for (std::uint64_t i = 0; i < 2; ++i) s.enqueue('B', i);
+  EXPECT_TRUE(s.fill(1));
+  runToIdle(s);
+  EXPECT_EQ(s.counts('A').dispatched, 4u + opts.retries);
+  EXPECT_EQ(s.counts('B').dispatched, 2u);
+  return order;
+}
+
+// One cell per lane per rotation, so the short lane is not starved; a
+// retry re-enters at the front of its own lane once its backoff passes.
+TEST(CellScheduler, LanesAreFairAndRetriesRunFirstInTheirLane) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  SupervisorOptions opts;
+  opts.jobs = 1;
+  EXPECT_EQ(laneSettleOrder(opts, {}),
+            (std::vector<std::string>{"A0", "B0", "A1", "B1", "A2", "A3"}));
+
+  opts.retries = 1;
+  opts.backoff_base_seconds = 0.0;
+  // A1 crashes on attempt 1; B1 takes the next turn, then A1's retry runs
+  // ahead of A2.
+  EXPECT_EQ(laneSettleOrder(opts, *support::ChaosPlan::parse("1:crash@1")),
+            (std::vector<std::string>{"A0", "B0", "B1", "A1", "A2", "A3"}));
+}
+
+// The batch graceful interrupt: in-flight cells finish, every queued cell
+// settles as interrupted without running, and no further worker forks.
+TEST(Supervisor, StopFlagCancelsQueuedCellsAfterInFlightOnes) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  volatile std::sig_atomic_t stop = 0;
+  SupervisorOptions opts;
+  opts.isolate = true;
+  opts.jobs = 1;
+  opts.stop = &stop;
+  const Supervisor sup(opts);
+  std::vector<std::size_t> settle_order;
+  Supervisor::PoolStats stats;
+  const auto outcomes = sup.run(
+      6, [](std::size_t c) { return "cell-" + std::to_string(c); },
+      [&](std::size_t cell, const Supervisor::Outcome&) {
+        settle_order.push_back(cell);
+        if (cell == 0) stop = 1;
+      },
+      &stats);
+  ASSERT_EQ(outcomes.size(), 6u);
+  EXPECT_EQ(outcomes[0].status, CellStatus::kOk) << outcomes[0].diagnostic;
+  EXPECT_EQ(outcomes[0].payload, "cell-0");
+  for (std::size_t i = 1; i < 6; ++i) {
+    EXPECT_EQ(outcomes[i].status, CellStatus::kInternalError) << "cell " << i;
+    EXPECT_NE(outcomes[i].diagnostic.find("interrupted by signal"),
+              std::string::npos)
+        << outcomes[i].diagnostic;
+    EXPECT_EQ(outcomes[i].worker.attempts, 0u) << "cell " << i;
+  }
+  EXPECT_EQ(settle_order,
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));  // cell order
+  EXPECT_EQ(stats.workers_spawned, 1u);
+}
+
+/// Runs `body` in a forked child and returns its exit status: 0 pass,
+/// 1 fail, 77 skip. The child dies on SIGALRM after 60 s, so a scheduler
+/// that waits forever fails the test instead of hanging it.
+int inChild(const std::function<int()>& body) {
+  const pid_t pid = ::fork();
+  if (pid < 0) return 77;
+  if (pid == 0) {
+    ::alarm(60);
+    ::_exit(body());
+  }
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
+}
+
+/// Makes every later fork() of this process fail with EAGAIN: as root,
+/// drop to uid 65534 first (root ignores RLIMIT_NPROC), then allow zero
+/// processes. False when this host does not refuse the probe fork.
+bool denyFork() {
+  if (::geteuid() == 0 && ::setuid(65534) != 0) return false;
+  rlimit none{};
+  if (::setrlimit(RLIMIT_NPROC, &none) != 0) return false;
+  const pid_t probe = ::fork();
+  if (probe == 0) ::_exit(0);
+  if (probe > 0) {
+    ::waitpid(probe, nullptr, 0);
+    return false;
+  }
+  return errno == EAGAIN;
+}
+
+bool settledAsSpawnFailed(const Supervisor::Outcome& oc) {
+  const bool ok =
+      oc.status == CellStatus::kCrashed &&
+      oc.diagnostic.rfind("worker pool spawn failed: ", 0) == 0 &&
+      oc.diagnostic.find(std::strerror(EAGAIN)) != std::string::npos;
+  if (!ok) std::fprintf(stderr, "unexpected outcome: %s\n", oc.diagnostic.c_str());
+  return ok;
+}
+
+// Empty-pool rule: the only worker dies, no replacement can be forked, and
+// the next queued cell settles as a spawn failure instead of waiting for a
+// worker that will never exist.
+TEST(CellScheduler, EmptyPoolSettlesQueuedCellsAsSpawnFailed) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  const int verdict = inChild([] {
+    std::map<std::uint64_t, Supervisor::Outcome> settled;
+    SupervisorOptions opts;
+    opts.retries = 0;
+    CellScheduler s(
+        opts, [](const std::string& spec) { return spec; },
+        [](CellScheduler::Lane, std::uint64_t cell, std::uint32_t) {
+          CellScheduler::Job job;
+          job.spec = std::to_string(cell);
+          if (cell == 0) job.chaos = support::ChaosAction::kCrash;
+          return job;
+        },
+        [&](CellScheduler::Lane, std::uint64_t cell,
+            const Supervisor::Outcome& oc) { settled[cell] = oc; });
+    s.enqueue(0, 0);
+    s.enqueue(0, 1);
+    if (!s.fill(1)) return 1;
+    if (!denyFork()) return 77;
+    runToIdle(s);
+    if (settled.size() != 2 || settled[0].status != CellStatus::kCrashed ||
+        settled[0].worker.term_signal != SIGSEGV) {
+      return 1;
+    }
+    return settledAsSpawnFailed(settled[1]) && settled[1].worker.attempts == 1
+               ? 0
+               : 1;
+  });
+  if (verdict == 77) GTEST_SKIP() << "this host does not refuse fork()";
+  EXPECT_EQ(verdict, 0);
+}
+
+// The same rule at startup of a batch run: no worker can be forked at all.
+TEST(Supervisor, UnforkablePoolSettlesEveryCellAsSpawnFailed) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  const int verdict = inChild([] {
+    if (!denyFork()) return 77;
+    SupervisorOptions opts;
+    opts.isolate = true;
+    opts.jobs = 2;
+    opts.retries = 2;
+    const Supervisor sup(opts);
+    Supervisor::PoolStats stats;
+    const auto outcomes = sup.run(
+        3, [](std::size_t c) { return std::to_string(c); }, nullptr, &stats);
+    if (outcomes.size() != 3 || stats.workers_spawned != 0) return 1;
+    for (const Supervisor::Outcome& oc : outcomes) {
+      if (!settledAsSpawnFailed(oc) || oc.worker.attempts != 1) return 1;
+    }
+    return 0;
+  });
+  if (verdict == 77) GTEST_SKIP() << "this host does not refuse fork()";
+  EXPECT_EQ(verdict, 0);
 }
 
 #endif  // POSIX
