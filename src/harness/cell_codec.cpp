@@ -50,7 +50,7 @@ bool getMachine(ByteReader& r, sim::MachineResult& m) {
 
 }  // namespace
 
-std::string encodeSweepRow(const SweepRow& row) {
+std::string encodeRow(const SweepRow& row) {
   ByteWriter w;
   w.u8(kSweepRowTag);
   w.str(row.benchmark);
@@ -67,7 +67,7 @@ std::string encodeSweepRow(const SweepRow& row) {
   return w.take();
 }
 
-bool decodeSweepRow(const std::string& payload, SweepRow* row) {
+bool decodeRow(const std::string& payload, SweepRow* row) {
   ByteReader r(payload);
   SweepRow out;
   std::uint8_t tag = 0;
@@ -97,7 +97,7 @@ bool decodeSweepRow(const std::string& payload, SweepRow* row) {
   return true;
 }
 
-std::string encodeCampaignCell(const FaultCampaignCell& cell) {
+std::string encodeRow(const FaultCampaignCell& cell) {
   ByteWriter w;
   w.u8(kCampaignCellTag);
   w.str(cell.benchmark);
@@ -120,7 +120,7 @@ std::string encodeCampaignCell(const FaultCampaignCell& cell) {
   return w.take();
 }
 
-bool decodeCampaignCell(const std::string& payload, FaultCampaignCell* cell) {
+bool decodeRow(const std::string& payload, FaultCampaignCell* cell) {
   ByteReader r(payload);
   FaultCampaignCell out;
   std::uint8_t tag = 0;

@@ -96,12 +96,20 @@ class ByteReader {
 /// thread and fault stats, digests, and the extra-metric map — everything
 /// writeSweepJson consumes; the durable log stores these bytes as its row
 /// records. Worker diagnostics are parent-side and never cross the pipe.
-std::string encodeSweepRow(const SweepRow& row);
-bool decodeSweepRow(const std::string& payload, SweepRow* row);
+std::string encodeRow(const SweepRow& row);
+bool decodeRow(const std::string& payload, SweepRow* row);
 
 /// FaultCampaignCell <-> payload (tag 'F').
-std::string encodeCampaignCell(const FaultCampaignCell& cell);
-bool decodeCampaignCell(const std::string& payload, FaultCampaignCell* cell);
+std::string encodeRow(const FaultCampaignCell& cell);
+bool decodeRow(const std::string& payload, FaultCampaignCell* cell);
+
+/// A grid row type's name, for decode diagnostics.
+template <typename Row>
+inline constexpr const char* kRowName = "row";
+template <>
+inline constexpr const char* kRowName<SweepRow> = "sweep row";
+template <>
+inline constexpr const char* kRowName<FaultCampaignCell> = "campaign cell";
 
 /// PerfRow <-> payload (tag 'P'), for `sptc perf --isolate` workers:
 /// every JSON-visible field of the throughput row crosses the pipe,

@@ -10,8 +10,8 @@
 //
 //   row     the id of the service request the cell belongs to (0 for a
 //           one-shot run), the cell key (benchmark, config) and the exact
-//           cell_codec payload a worker replies with (encodeSweepRow /
-//           encodeCampaignCell)
+//           cell_codec payload a worker replies with (encodeRow of a
+//           SweepRow or a FaultCampaignCell)
 //   admit   service request id, idempotency token, SPTS request bytes
 //   settle  service request id and outcome (done | cancelled | deadline)
 //

@@ -5,17 +5,11 @@
 #include "ir/verifier.h"
 #include "spt/loop_analysis.h"
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace spt::harness {
 
 namespace {
-
-std::uint64_t foldWord(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (i * 8)) & 0xff)) * 1099511628211ull;
-  }
-  return h;
-}
 
 std::string hex64(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
@@ -107,11 +101,13 @@ ExperimentResult runSptExperiment(ir::Module module,
   // arguments and the trace budget. The SPT key also folds the plan
   // fingerprint — the transformed program *is* the plan, so two option
   // sets that compile to the same plan legitimately share a trace.
+  // The seed is one digit short of the FNV offset basis; cached entries
+  // are named by it, so it stays.
   std::uint64_t salt = 1469598103934665603ull;
   for (const std::int64_t a : args) {
-    salt = foldWord(salt, static_cast<std::uint64_t>(a));
+    salt = support::fnv1aWord(salt, static_cast<std::uint64_t>(a));
   }
-  salt = foldWord(salt, mconfig.max_trace_records);
+  salt = support::fnv1aWord(salt, mconfig.max_trace_records);
   const auto keyFor = [&](const std::string& tag) {
     return key_prefix + tag + "-" + hex64(salt);
   };

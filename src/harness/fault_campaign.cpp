@@ -2,11 +2,11 @@
 
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "harness/cell_codec.h"
 #include "harness/durable_log.h"
+#include "harness/grid.h"
 #include "harness/suite.h"
 #include "sim/oracle.h"
 #include "sim/spt_machine.h"
@@ -60,15 +60,24 @@ std::string campaignCellConfigKey(std::size_t cell_index,
 
 namespace {
 
+/// Cell c's identity and its phase-1 ground truth, which the cell reports
+/// whatever happens to its machine run — in a worker or, when the worker
+/// fails, in the parent's settle.
+FaultCampaignCell blankCell(const Prepared& p, std::size_t c,
+                            const FaultCampaignOptions& opts) {
+  FaultCampaignCell cell;
+  cell.benchmark = p.name;
+  cell.fault_seed = support::deriveSeed(opts.base_seed, c);
+  cell.sequential_digest = p.sequential_digest;
+  return cell;
+}
+
 /// Runs one (workload, seed) cell, catching every cell-level failure into
 /// the cell's status — an oracle divergence, budget blowout, or internal
 /// error is reported, not fatal, on both execution paths.
 FaultCampaignCell runCampaignCell(const Prepared& p, std::size_t c,
                                   const FaultCampaignOptions& opts) {
-  FaultCampaignCell cell;
-  cell.benchmark = p.name;
-  cell.fault_seed = support::deriveSeed(opts.base_seed, c);
-  cell.sequential_digest = p.sequential_digest;
+  FaultCampaignCell cell = blankCell(p, c, opts);
 
   support::MachineConfig mc = opts.machine;
   // The campaign's claims need the digest even if the caller asked for
@@ -120,75 +129,26 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts,
 
   // Phase 2: the workloads × seeds grid over the shared traces. Cell c's
   // fault seed depends only on c, so the grid is bit-reproducible at any
-  // worker count (and across the isolated / in-process paths).
-  const std::size_t n_cells = prepared.size() * opts.seeds;
+  // worker count (and across the isolated / in-process paths). Isolated
+  // workers are forked after phase 1 and share its traces copy-on-write.
+  const auto workload = [&](std::size_t c) -> const Prepared& {
+    return prepared[c / opts.seeds];
+  };
+  Grid<FaultCampaignCell> grid;
+  grid.cells = prepared.size() * opts.seeds;
+  grid.key = [&](std::size_t c) {
+    return RowKey{workload(c).name,
+                  campaignCellConfigKey(
+                      c, support::deriveSeed(opts.base_seed, c))};
+  };
+  grid.run = [&](std::size_t c) {
+    return runCampaignCell(workload(c), c, opts);
+  };
+  // A cell whose worker failed still reports the ground truth from phase
+  // 1, as the in-process path does.
+  grid.blank = [&](std::size_t c) { return blankCell(workload(c), c, opts); };
   FaultCampaignResult result;
-
-  const auto cellKey = [&](std::size_t c) {
-    return campaignCellConfigKey(c, support::deriveSeed(opts.base_seed, c));
-  };
-  // The ok cell `log` holds for cell c, if one decodes.
-  const auto resumedCell =
-      [&](std::size_t c) -> std::optional<FaultCampaignCell> {
-    const std::string* payload =
-        log.resumed(prepared[c / opts.seeds].name, cellKey(c));
-    FaultCampaignCell cell;
-    if (payload == nullptr || !decodeCampaignCell(*payload, &cell) ||
-        !cell.ok()) {
-      return std::nullopt;
-    }
-    return cell;
-  };
-
-  if (opts.supervisor.isolate && Supervisor::isolationSupported()) {
-    result.cells.resize(n_cells);
-    std::vector<std::size_t> to_run;
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      if (std::optional<FaultCampaignCell> cell = resumedCell(c)) {
-        result.cells[c] = std::move(*cell);
-      } else {
-        to_run.push_back(c);
-      }
-    }
-
-    SupervisorOptions sopts = opts.supervisor;
-    if (sopts.jobs == 0) sopts.jobs = sweep.jobs();
-    const Supervisor supervisor(sopts);
-
-    const auto produce = [&](std::size_t k) {
-      const std::size_t c = to_run[k];
-      return encodeCampaignCell(
-          runCampaignCell(prepared[c / opts.seeds], c, opts));
-    };
-    // Parent-side settle hook, run as each cell's retries resolve.
-    const auto on_settled = [&](std::size_t k,
-                                const Supervisor::Outcome& oc) {
-      const std::size_t c = to_run[k];
-      FaultCampaignCell cell = campaignCellFromOutcome(
-          prepared[c / opts.seeds].name,
-          support::deriveSeed(opts.base_seed, c), oc);
-      // A failed cell never carried the worker's digest; fill the ground
-      // truth from phase 1, as the in-process path reports it (an ok
-      // cell's payload already carries it).
-      if (!cell.ok() && cell.sequential_digest == 0) {
-        cell.sequential_digest = prepared[c / opts.seeds].sequential_digest;
-      }
-      log.append(cell.benchmark, cellKey(c), encodeCampaignCell(cell));
-      result.cells[c] = std::move(cell);
-    };
-
-    supervisor.run(to_run.size(), produce, on_settled);
-  } else {
-    result.cells = sweep.run(n_cells, [&](std::size_t c) {
-      if (std::optional<FaultCampaignCell> cell = resumedCell(c)) {
-        return std::move(*cell);
-      }
-      FaultCampaignCell cell =
-          runCampaignCell(prepared[c / opts.seeds], c, opts);
-      log.append(cell.benchmark, cellKey(c), encodeCampaignCell(cell));
-      return cell;
-    });
-  }
+  result.cells = runGrid(grid, sweep, opts.supervisor, log);
   if (checkpoint_error != nullptr) *checkpoint_error = log.failure();
 
   // Totals aggregate ok cells; a failed cell contributes its status (and
@@ -221,27 +181,6 @@ FaultCampaignCell runFaultCampaignCellStandalone(
     cell.status = CellStatus::kInternalError;
     cell.diagnostic = e.what();
   }
-  return cell;
-}
-
-FaultCampaignCell campaignCellFromOutcome(const std::string& benchmark,
-                                          std::uint64_t fault_seed,
-                                          const Supervisor::Outcome& oc) {
-  FaultCampaignCell cell;
-  cell.benchmark = benchmark;
-  cell.fault_seed = fault_seed;
-  if (oc.status == CellStatus::kOk) {
-    if (!decodeCampaignCell(oc.payload, &cell)) {
-      cell.status = CellStatus::kProtocolError;
-      cell.diagnostic =
-          "worker payload passed frame validation but failed to decode "
-          "as a campaign cell";
-    }
-  } else {
-    cell.status = oc.status;
-    cell.diagnostic = oc.diagnostic;
-  }
-  cell.worker = oc.worker;
   return cell;
 }
 
@@ -284,38 +223,12 @@ bool writeFaultCampaignJson(const std::string& path,
       w.member("diff", c.divergence_diff);
       w.endObject();
     }
-    if (c.worker.attempts > 0) {
-      w.key("worker").beginObject();
-      w.member("attempts", static_cast<std::uint64_t>(c.worker.attempts));
-      w.member("exit_code", c.worker.exit_code);
-      w.member("term_signal", c.worker.term_signal);
-      w.member("timed_out", c.worker.timed_out);
-      w.member("host_user_seconds", c.worker.host_user_seconds);
-      w.member("host_sys_seconds", c.worker.host_sys_seconds);
-      w.member("host_max_rss_kb",
-               static_cast<std::int64_t>(c.worker.host_max_rss_kb));
-      if (!c.worker.partial_reply.empty()) {
-        w.member("partial_reply", c.worker.partial_reply);
-      }
-      w.endObject();
-    }
+    writeWorkerJson(w, c.worker);
     w.endObject();
   }
   w.endArray();
-  // Campaign-level rusage aggregate, mirroring writeSweepJson: present
-  // only for supervised runs so in-process output is unchanged.
-  ResourceReport resource;
-  for (const FaultCampaignCell& c : result.cells) resource.add(c.worker);
-  if (resource.supervised_cells > 0) {
-    w.key("resource").beginObject();
-    w.member("supervised_cells",
-             static_cast<std::uint64_t>(resource.supervised_cells));
-    w.member("attempts", resource.attempts);
-    w.member("host_user_seconds", resource.host_user_seconds);
-    w.member("host_sys_seconds", resource.host_sys_seconds);
-    w.member("host_max_rss_kb", resource.host_max_rss_kb);
-    w.endObject();
-  }
+  // Campaign-level rusage aggregate, as in writeSweepJson.
+  writeGridResourceJson(w, result.cells);
   w.endObject();
   out << "\n";
   return static_cast<bool>(out);

@@ -16,7 +16,9 @@
 //
 // Each workload is compiled and traced once (phase 1, parallel); the
 // workloads × seeds grid then shares those immutable traces (phase 2), so
-// a 10×64 campaign costs ten compilations, not 640.
+// a 10×64 campaign costs ten compilations, not 640. Phase 2 is a
+// harness::Grid of FaultCampaignCells on the sweep's grid driver
+// (harness/grid.h): resume, isolation, settle and logging are the sweep's.
 #pragma once
 
 #include <cstdint>
@@ -127,14 +129,6 @@ std::string campaignCellConfigKey(std::size_t cell_index,
 FaultCampaignCell runFaultCampaignCellStandalone(
     const std::string& benchmark, std::size_t cell_index,
     const FaultCampaignOptions& opts);
-
-/// Parent-side settle of one supervised campaign cell: decodes a kOk
-/// outcome's payload (or synthesizes a failed cell from the tags and the
-/// transport diagnostic) and attaches the worker diagnostics. Mirrors
-/// sweepRowFromOutcome for the campaign path.
-FaultCampaignCell campaignCellFromOutcome(const std::string& benchmark,
-                                          std::uint64_t fault_seed,
-                                          const Supervisor::Outcome& outcome);
 
 /// {"totals":{...}, "all_detected_or_benign":b, "all_digests_match":b,
 ///  "all_cells_ok":b,

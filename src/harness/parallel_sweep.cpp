@@ -4,6 +4,7 @@
 
 #include "harness/cell_codec.h"
 #include "harness/durable_log.h"
+#include "harness/grid.h"
 #include "support/check.h"
 #include "support/error.h"
 #include "support/json.h"
@@ -12,14 +13,7 @@ namespace spt::harness {
 
 std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
                                const std::vector<SweepCase>& cases) {
-  return sweep.run(cases.size(), [&](std::size_t i) {
-    const SweepCase& c = cases[i];
-    SweepRow row;
-    row.benchmark = c.benchmark;
-    row.config = c.config;
-    row.result = runSuiteEntry(c.entry, c.machine, c.scale);
-    return row;
-  });
+  return runSweep(sweep, cases, SweepOptions{});
 }
 
 CheckpointLine sweepCheckpointLine(const SweepRow& r) {
@@ -90,7 +84,8 @@ std::vector<SweepCase> buildSuiteSweepCases(
       SPT_CHECK_MSG(n >= 1 && n <= support::kMaxSpecThreads,
                     "spec_threads out of range");
       SweepCase g = c;
-      g.config = n == 1 ? "default" : "n" + std::to_string(n);
+      g.config = n == 1 ? std::string("default")
+                        : std::string("n").append(std::to_string(n));
       g.machine.spec_threads = n;
       g.entry.copts.spec_threads = n;
       cases.push_back(std::move(g));
@@ -99,115 +94,22 @@ std::vector<SweepCase> buildSuiteSweepCases(
   return cases;
 }
 
-namespace {
-
-/// Runs one cell in-cell (either path): quarantine-catches per `catch_all`.
-SweepRow runCell(const SweepCase& c, bool catch_all, TraceCache* cache) {
+SweepRow runSweepCell(const SweepCase& c, bool catch_all, TraceCache* cache) {
   SweepRow row;
   row.benchmark = c.benchmark;
   row.config = c.config;
-  if (catch_all) {
-    try {
-      row.result = runSuiteEntry(c.entry, c.machine, c.scale,
-                                 /*remarks=*/nullptr, cache);
-    } catch (const support::SptBudgetExceeded& e) {
-      row.status = CellStatus::kBudgetExceeded;
-      row.diagnostic = e.what();
-    } catch (const std::exception& e) {
-      row.status = CellStatus::kInternalError;
-      row.diagnostic = e.what();
-    }
-  } else {
+  try {
     row.result = runSuiteEntry(c.entry, c.machine, c.scale,
                                /*remarks=*/nullptr, cache);
+  } catch (const support::SptBudgetExceeded& e) {
+    if (!catch_all) throw;
+    row.status = CellStatus::kBudgetExceeded;
+    row.diagnostic = e.what();
+  } catch (const std::exception& e) {
+    if (!catch_all) throw;
+    row.status = CellStatus::kInternalError;
+    row.diagnostic = e.what();
   }
-  return row;
-}
-
-/// The ok row `log` holds for `c`, if one decodes.
-std::optional<SweepRow> resumedRow(const CheckpointLog& log,
-                                   const SweepCase& c) {
-  const std::string* payload = log.resumed(c.benchmark, c.config);
-  SweepRow row;
-  if (payload == nullptr || !decodeSweepRow(*payload, &row) || !row.ok()) {
-    return std::nullopt;
-  }
-  return row;
-}
-
-/// The supervised sweep path (the warm worker pool). Cells with an ok row
-/// in the resumed log are reused; only the remaining cells go to workers.
-std::vector<SweepRow> runSweepSupervised(const ParallelSweep& sweep,
-                                         const std::vector<SweepCase>& cases,
-                                         const SweepOptions& opts,
-                                         CheckpointLog& log,
-                                         TraceCache* cache) {
-  std::vector<SweepRow> rows(cases.size());
-  std::vector<std::size_t> to_run;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    if (std::optional<SweepRow> row = resumedRow(log, cases[i])) {
-      rows[i] = std::move(*row);
-    } else {
-      to_run.push_back(i);
-    }
-  }
-
-  SupervisorOptions sopts = opts.supervisor;
-  if (sopts.jobs == 0) sopts.jobs = sweep.jobs();
-  const Supervisor supervisor(sopts);
-
-  // The producer runs in a pooled worker. Supervision implies
-  // quarantine semantics: a cell exception becomes a non-ok row in the
-  // payload either way (the alternative — letting it escape — would just
-  // downgrade a structured status into a generic worker error). With a
-  // trace cache, workers rendezvous on the cache *files*: whichever
-  // worker first needs a workload's trace writes it, every other worker
-  // mmaps the same file, so the page cache
-  // holds one physical copy per workload across the whole worker fleet.
-  const auto produce = [&](std::size_t k) {
-    return produceSweepCellPayload(cases[to_run[k]], cache);
-  };
-
-  // The settle hook runs in the parent as each cell's retries resolve.
-  const auto on_settled = [&](std::size_t k, const Supervisor::Outcome& oc) {
-    const SweepCase& c = cases[to_run[k]];
-    SweepRow row = sweepRowFromOutcome(c.benchmark, c.config, oc);
-    log.append(c.benchmark, c.config, encodeSweepRow(row));
-    rows[to_run[k]] = std::move(row);
-  };
-
-  supervisor.run(to_run.size(), produce, on_settled);
-  return rows;
-}
-
-}  // namespace
-
-std::string produceSweepCellPayload(const SweepCase& c, TraceCache* cache) {
-  return encodeSweepRow(runCell(c, /*catch_all=*/true, cache));
-}
-
-SweepRow sweepRowFromOutcome(const std::string& benchmark,
-                             const std::string& config,
-                             const Supervisor::Outcome& oc) {
-  SweepRow row;
-  if (oc.status == CellStatus::kOk) {
-    if (!decodeSweepRow(oc.payload, &row)) {
-      row.benchmark = benchmark;
-      row.config = config;
-      row.status = CellStatus::kProtocolError;
-      row.diagnostic =
-          "worker payload passed frame validation but failed to decode "
-          "as a sweep row";
-    }
-  } else {
-    // Transport failure or structured worker error: synthesize the row
-    // from the case tags and the supervisor's diagnostic.
-    row.benchmark = benchmark;
-    row.config = config;
-    row.status = oc.status;
-    row.diagnostic = oc.diagnostic;
-  }
-  row.worker = oc.worker;
   return row;
 }
 
@@ -224,27 +126,33 @@ std::vector<SweepRow> runSweep(const ParallelSweep& sweep,
   std::optional<support::ScopedCheckThrowMode> throw_mode;
   if (opts.quarantine) throw_mode.emplace(true);
 
-  // The cache lives for the whole sweep (in the supervised case: in the
-  // parent, from which workers inherit the directory; each process maps
-  // the shared files on demand).
+  // The cache lives for the whole sweep (under isolation: in the parent,
+  // from which workers inherit the directory; each process maps the shared
+  // files on demand, so the page cache holds one physical copy per
+  // workload across the whole worker fleet).
   std::optional<TraceCache> cache;
   if (!opts.trace_cache_dir.empty()) cache.emplace(opts.trace_cache_dir);
   TraceCache* cache_ptr = cache ? &*cache : nullptr;
 
-  std::vector<SweepRow> rows;
-  if (opts.supervisor.isolate && Supervisor::isolationSupported()) {
-    rows = runSweepSupervised(sweep, cases, opts, log, cache_ptr);
-  } else {
-    rows = sweep.run(cases.size(), [&](std::size_t i) {
-      const SweepCase& c = cases[i];
-      if (std::optional<SweepRow> row = resumedRow(log, c)) {
-        return std::move(*row);
-      }
-      SweepRow row = runCell(c, /*catch_all=*/opts.quarantine, cache_ptr);
-      log.append(c.benchmark, c.config, encodeSweepRow(row));
-      return row;
-    });
-  }
+  // Supervision implies quarantine semantics: in a worker, a cell
+  // exception becomes a non-ok row in the payload (letting it escape would
+  // only downgrade a structured status into a generic worker error).
+  const bool catch_all = opts.quarantine || opts.supervisor.isolate;
+  Grid<SweepRow> grid;
+  grid.cells = cases.size();
+  grid.key = [&](std::size_t i) {
+    return RowKey{cases[i].benchmark, cases[i].config};
+  };
+  grid.run = [&](std::size_t i) {
+    return runSweepCell(cases[i], catch_all, cache_ptr);
+  };
+  grid.blank = [&](std::size_t i) {
+    SweepRow row;
+    row.benchmark = cases[i].benchmark;
+    row.config = cases[i].config;
+    return row;
+  };
+  std::vector<SweepRow> rows = runGrid(grid, sweep, opts.supervisor, log);
   if (checkpoint_error != nullptr) *checkpoint_error = log.failure();
   return rows;
 }
@@ -306,43 +214,15 @@ bool writeSweepJson(const std::string& path,
       w.endObject();
     }
     // Supervisor containment data, only for cells that went through a
-    // worker — the in-process path's output is byte-identical to before.
-    // host_-prefixed members are host-dependent (CI filters them out of
-    // determinism diffs with `grep -v '"host_'`).
-    if (r.worker.attempts > 0) {
-      w.key("worker").beginObject();
-      w.member("attempts", static_cast<std::uint64_t>(r.worker.attempts));
-      w.member("exit_code", r.worker.exit_code);
-      w.member("term_signal", r.worker.term_signal);
-      w.member("timed_out", r.worker.timed_out);
-      w.member("host_user_seconds", r.worker.host_user_seconds);
-      w.member("host_sys_seconds", r.worker.host_sys_seconds);
-      w.member("host_max_rss_kb",
-               static_cast<std::int64_t>(r.worker.host_max_rss_kb));
-      if (!r.worker.partial_reply.empty()) {
-        w.member("partial_reply", r.worker.partial_reply);
-      }
-      w.endObject();
-    }
+    // worker — the in-process path's output carries none.
+    writeWorkerJson(w, r.worker);
     w.endObject();
   }
   w.endArray();
   // Sweep-level rusage aggregate; present only when at least one cell ran
-  // under the supervisor, so in-process output stays byte-identical to
-  // before. Cell/attempt counts are deterministic across worker models;
-  // the host_ members are filtered from CI diffs like the per-row ones.
-  ResourceReport resource;
-  for (const SweepRow& r : rows) resource.add(r.worker);
-  if (resource.supervised_cells > 0) {
-    w.key("resource").beginObject();
-    w.member("supervised_cells",
-             static_cast<std::uint64_t>(resource.supervised_cells));
-    w.member("attempts", resource.attempts);
-    w.member("host_user_seconds", resource.host_user_seconds);
-    w.member("host_sys_seconds", resource.host_sys_seconds);
-    w.member("host_max_rss_kb", resource.host_max_rss_kb);
-    w.endObject();
-  }
+  // under the supervisor. Cell/attempt counts are deterministic across
+  // worker models; the host_ members are filtered from CI diffs.
+  writeGridResourceJson(w, rows);
   w.endObject();
   out << "\n";
   return static_cast<bool>(out);

@@ -15,6 +15,11 @@
 //    any --jobs value;
 //  * **error transparency** — a task that throws re-throws from run(), in
 //    submission order, after every other task has finished.
+//
+// runSweep describes its cases as a harness::Grid of SweepRows and hands
+// it to the one grid driver (harness/grid.h), which resumes, runs (here or
+// in pooled workers), settles and logs the cells; the fault campaign and
+// the sweep service drive their grids through the same code.
 #pragma once
 
 #include <cstddef>
@@ -188,20 +193,12 @@ std::vector<SweepCase> buildSuiteSweepCases(
     const std::vector<std::string>& benchmarks = {},
     const std::vector<std::uint32_t>& spec_threads = {});
 
-/// Worker-side body of one supervised sweep cell: runs the case with
-/// quarantine semantics and returns the encoded reply payload
-/// (cell_codec). Shared by the supervised sweep's workers and the sweep
-/// service's spec-mode workers.
-std::string produceSweepCellPayload(const SweepCase& c,
-                                    TraceCache* cache = nullptr);
-
-/// Parent-side settle of one supervised sweep cell: decodes a kOk
-/// outcome's payload (or synthesizes a row from the case tags and the
-/// transport diagnostic) and attaches the worker diagnostics. Shared by
-/// runSweep's supervised path and the sweep service.
-SweepRow sweepRowFromOutcome(const std::string& benchmark,
-                             const std::string& config,
-                             const Supervisor::Outcome& outcome);
+/// Runs one sweep cell in the calling process. With `catch_all`
+/// (quarantine, or a pooled worker, where supervision implies it) a cell
+/// failure becomes a non-ok row; otherwise it throws. runSweep and the
+/// sweep service's workers run every cell through it.
+SweepRow runSweepCell(const SweepCase& c, bool catch_all,
+                      TraceCache* cache = nullptr);
 
 /// The 20 summary metrics of one sweep row, in a fixed order. Nothing in
 /// src/ or tools/ calls it; it stays only because perfbench/report.cpp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -12,6 +13,7 @@
 
 #include "harness/cell_codec.h"
 #include "harness/durable_log.h"
+#include "harness/grid.h"
 #include "harness/suite.h"
 #include "harness/trace_cache.h"
 #include "support/json.h"
@@ -384,15 +386,133 @@ std::vector<std::string> resolveSuiteNames(
   return names;
 }
 
-FaultCampaignOptions campaignOptionsFromRequest(const ServiceRequest& req) {
-  FaultCampaignOptions fopts;
-  fopts.seeds = req.seeds;
-  fopts.base_seed = req.base_seed;
-  fopts.scale = req.scale;
-  fopts.period = req.period;
-  fopts.oracle = req.oracle;
-  fopts.machine = req.machine;
-  return fopts;
+/// This worker process's trace cache, reopened only when a request names
+/// another root.
+TraceCache* workerTraceCache(const std::string& dir) {
+  static std::unique_ptr<TraceCache> cache;
+  if (dir.empty()) return nullptr;
+  if (!cache || cache->dir() != dir) cache = std::make_unique<TraceCache>(dir);
+  return cache.get();
+}
+
+/// One request's grid as both sides of the service see it. The parent
+/// keys, settles and resumes the request's cells through it; a pooled
+/// worker rebuilds it from the spec and asks it for a cell's payload.
+struct RequestGrid {
+  std::uint8_t tag = 'E';  // result frame: 'W' sweep, 'C' campaign, 'E' echo
+  std::uint64_t total = 0;
+  /// Cell i's durable-log key; null for echo requests, which log no rows.
+  std::function<RowKey(std::uint64_t)> key;
+  /// Cell i's settled outcome as the result frame's inner payload.
+  std::function<std::string(std::uint64_t, const Supervisor::Outcome&)>
+      settle;
+  /// Whether a logged payload is an ok row that recovery may replay.
+  std::function<bool(const std::string&)> resumable;
+  /// Worker side: cell i's inner payload.
+  std::function<std::string(std::uint64_t)> produce;
+};
+
+/// A sweep or campaign request: a harness::Grid of its row type, settled
+/// and resumed exactly as runGrid settles and resumes batch cells.
+template <typename Row>
+RequestGrid rowRequestGrid(std::uint8_t tag, Grid<Row> grid) {
+  RequestGrid g;
+  g.tag = tag;
+  g.total = grid.cells;
+  g.key = std::move(grid.key);
+  g.settle = [blank = std::move(grid.blank)](std::uint64_t i,
+                                             const Supervisor::Outcome& oc) {
+    return encodeRow(rowFromOutcome(blank(i), oc));
+  };
+  g.resumable = [](const std::string& payload) {
+    return resumableRow<Row>(&payload).has_value();
+  };
+  g.produce = [run = std::move(grid.run)](std::uint64_t i) {
+    return encodeRow(run(i));
+  };
+  return g;
+}
+
+/// Describes `req`'s grid into `out`, or returns why the service must
+/// refuse it. Sweep workers share the trace cache rooted at
+/// `trace_cache_dir`.
+std::string describeRequest(const ServiceRequest& req,
+                            const std::string& trace_cache_dir,
+                            RequestGrid* out) {
+  switch (req.kind) {
+    case ServiceRequest::Kind::kSweep: {
+      const auto cases = std::make_shared<const std::vector<SweepCase>>(
+          buildSuiteSweepCases(req.machine, req.copts, req.scale,
+                               req.benchmarks, req.spec_threads));
+      Grid<SweepRow> grid;
+      grid.cells = cases->size();
+      grid.key = [cases](std::size_t i) {
+        return RowKey{(*cases)[i].benchmark, (*cases)[i].config};
+      };
+      grid.run = [cases, trace_cache_dir](std::size_t i) {
+        return runSweepCell((*cases)[i], /*catch_all=*/true,
+                            workerTraceCache(trace_cache_dir));
+      };
+      grid.blank = [cases](std::size_t i) {
+        SweepRow row;
+        row.benchmark = (*cases)[i].benchmark;
+        row.config = (*cases)[i].config;
+        return row;
+      };
+      *out = rowRequestGrid('W', std::move(grid));
+      return {};
+    }
+    case ServiceRequest::Kind::kCampaign: {
+      // The grid is names × seeds, in suite order on the parent and in
+      // every worker.
+      const std::vector<std::string> names =
+          resolveSuiteNames(req.benchmarks);
+      if (!names.empty() &&
+          req.seeds > std::numeric_limits<std::uint64_t>::max() /
+                          names.size()) {
+        return "campaign of " + std::to_string(names.size()) +
+               " benchmarks x " + std::to_string(req.seeds) +
+               " seeds has too many cells";
+      }
+      FaultCampaignOptions fopts;
+      fopts.seeds = req.seeds;
+      fopts.base_seed = req.base_seed;
+      fopts.scale = req.scale;
+      fopts.period = req.period;
+      fopts.oracle = req.oracle;
+      fopts.machine = req.machine;
+      const auto key = [names, fopts](std::size_t i) {
+        return RowKey{names[i / fopts.seeds],
+                      campaignCellConfigKey(
+                          i, support::deriveSeed(fopts.base_seed, i))};
+      };
+      Grid<FaultCampaignCell> grid;
+      grid.cells = names.size() * req.seeds;
+      grid.key = key;
+      grid.run = [key, fopts](std::size_t i) {
+        return runFaultCampaignCellStandalone(key(i).first, i, fopts);
+      };
+      grid.blank = [key, fopts](std::size_t i) {
+        FaultCampaignCell cell;
+        cell.benchmark = key(i).first;
+        cell.fault_seed = support::deriveSeed(fopts.base_seed, i);
+        return cell;
+      };
+      *out = rowRequestGrid('C', std::move(grid));
+      return {};
+    }
+    case ServiceRequest::Kind::kEcho:
+      out->total = req.echo_cells;
+      out->settle = [](std::uint64_t, const Supervisor::Outcome& oc) {
+        return oc.status == CellStatus::kOk ? oc.payload
+                                            : "error:" + toString(oc.status);
+      };
+      out->produce = [payload = req.echo_payload](std::uint64_t i) {
+        return payload + ":" + std::to_string(i);
+      };
+      return {};
+  }
+  return "unknown request kind";
 }
 
 /// Runs in a pooled service worker: spec bytes in, cell-codec payload out.
@@ -405,40 +525,13 @@ std::string serviceSpecProduce(const std::string& spec) {
   if (!decodeWorkerSpec(spec, &req, &cell, &cache_dir)) {
     throw std::runtime_error("service worker received an undecodable spec");
   }
-  switch (req.kind) {
-    case ServiceRequest::Kind::kEcho:
-      return req.echo_payload + ":" + std::to_string(cell);
-    case ServiceRequest::Kind::kSweep: {
-      std::vector<SweepCase> cases =
-          buildSuiteSweepCases(req.machine, req.copts, req.scale,
-                               req.benchmarks, req.spec_threads);
-      if (cell >= cases.size()) {
-        throw std::runtime_error("sweep cell index out of range");
-      }
-      // One cache handle per worker process, rebuilt only if a later
-      // request names a different root.
-      static std::unique_ptr<TraceCache> cache;
-      TraceCache* cache_ptr = nullptr;
-      if (!cache_dir.empty()) {
-        if (!cache || cache->dir() != cache_dir) {
-          cache = std::make_unique<TraceCache>(cache_dir);
-        }
-        cache_ptr = cache.get();
-      }
-      return produceSweepCellPayload(cases[cell], cache_ptr);
-    }
-    case ServiceRequest::Kind::kCampaign: {
-      std::vector<std::string> names = resolveSuiteNames(req.benchmarks);
-      if (req.seeds == 0 || cell / req.seeds >= names.size()) {
-        throw std::runtime_error("campaign cell index out of range");
-      }
-      const std::string& benchmark = names[cell / req.seeds];
-      return encodeCampaignCell(runFaultCampaignCellStandalone(
-          benchmark, static_cast<std::size_t>(cell),
-          campaignOptionsFromRequest(req)));
-    }
+  RequestGrid grid;
+  const std::string why = describeRequest(req, cache_dir, &grid);
+  if (!why.empty()) throw std::runtime_error(why);
+  if (cell >= grid.total) {
+    throw std::runtime_error("service worker cell index out of range");
   }
-  throw std::runtime_error("service worker received an unknown request kind");
+  return grid.produce(cell);
 }
 
 }  // namespace
@@ -478,15 +571,10 @@ struct SweepService::Impl {
     bool close_after_flush = false;
     ServiceRequest request;
     std::string request_bytes;  // normalized, pre-encoded for worker specs
-    std::uint8_t tag = 'E';
-    std::uint64_t total = 0;
+    RequestGrid grid;
     std::uint64_t done = 0;
     bool has_deadline = false;
     Clock::time_point deadline{};
-    // Campaign metadata for parent-side settles.
-    std::vector<std::string> campaign_names;
-    // Sweep metadata: benchmark/config per cell.
-    std::vector<std::pair<std::string, std::string>> sweep_keys;
     // ---- Journal / idempotency state ----
     /// Client-supplied idempotency token ("" = none: a disconnect cancels
     /// the request).
@@ -618,7 +706,8 @@ struct SweepService::Impl {
       // retained for a later attach (or the next service incarnation).
       note("service: client " + std::to_string(c.id) +
            " disconnected; continuing its request as an orphan (" +
-           std::to_string(c.done) + "/" + std::to_string(c.total) + " done)");
+           std::to_string(c.done) + "/" + std::to_string(c.grid.total) +
+           " done)");
       return;
     }
     // Only this client's queued cells are cancelled; its in-flight cells
@@ -736,8 +825,8 @@ struct SweepService::Impl {
 
   /// Validation + normalization shared by live admission and journal
   /// recovery: fills the request-derived fields of `c` (request,
-  /// request_bytes, total, tag, per-cell keys). Returns a non-empty
-  /// rejection reason for a request the service must not run.
+  /// request_bytes, grid). Returns a non-empty rejection reason for a
+  /// request the service must not run.
   std::string prepareRequest(Client& c, ServiceRequest req) {
     if (req.chaos.enabled() && !options.allow_chaos) {
       return "request carries a chaos plan but the service was not started "
@@ -745,46 +834,20 @@ struct SweepService::Impl {
     }
     // Validate the benchmark filter against the suite (buildSuiteSweepCases
     // silently drops unknown names; the service must not).
-    std::vector<std::string> suite_names = resolveSuiteNames({});
     for (const std::string& b : req.benchmarks) {
-      if (std::find(suite_names.begin(), suite_names.end(), b) ==
-          suite_names.end()) {
+      if (resolveSuiteNames({b}).empty()) {
         return "unknown benchmark '" + b + "'";
       }
     }
-    std::uint64_t total = 0;
-    switch (req.kind) {
-      case ServiceRequest::Kind::kSweep: {
-        std::vector<SweepCase> cases =
-            buildSuiteSweepCases(req.machine, req.copts, req.scale,
-                                 req.benchmarks, req.spec_threads);
-        total = cases.size();
-        c.sweep_keys.clear();
-        c.sweep_keys.reserve(cases.size());
-        for (const SweepCase& sc : cases) {
-          c.sweep_keys.emplace_back(sc.benchmark, sc.config);
-        }
-        c.tag = 'W';
-        break;
-      }
-      case ServiceRequest::Kind::kCampaign: {
-        c.campaign_names = resolveSuiteNames(req.benchmarks);
-        total = c.campaign_names.size() * req.seeds;
-        c.tag = 'C';
-        break;
-      }
-      case ServiceRequest::Kind::kEcho:
-        total = req.echo_cells;
-        c.tag = 'E';
-        break;
-    }
-    if (total == 0) return "request resolves to zero cells";
     // Normalize the benchmark filter to suite order so every worker
     // rebuilds the exact grid the parent admitted.
     req.benchmarks = resolveSuiteNames(req.benchmarks);
+    const std::string why =
+        describeRequest(req, options.trace_cache_dir, &c.grid);
+    if (!why.empty()) return why;
+    if (c.grid.total == 0) return "request resolves to zero cells";
     c.request = std::move(req);
     c.request_bytes = encodeServiceRequest(c.request);
-    c.total = total;
     return std::string();
   }
 
@@ -823,7 +886,8 @@ struct SweepService::Impl {
       return;
     }
     const std::size_t queued_cells = scheduler->counts().queued;
-    if (queued_cells + c.total > options.max_queue) {
+    if (queued_cells > options.max_queue ||
+        c.grid.total > options.max_queue - queued_cells) {
       // Backpressure with an explicit hint: roughly the time for the
       // backlog ahead of this request to drain one pool pass.
       const double per_cell =
@@ -845,12 +909,14 @@ struct SweepService::Impl {
     c.token = std::move(token);
     c.admitted = true;
     armDeadline(c);
-    for (std::uint64_t i = 0; i < c.total; ++i) scheduler->enqueue(c.id, i);
+    for (std::uint64_t i = 0; i < c.grid.total; ++i) {
+      scheduler->enqueue(c.id, i);
+    }
     ++requests_admitted;
     if (!c.token.empty()) tokens[c.token] = c.id;
     journalAdmit(c);
     note("service: client " + std::to_string(c.id) + " admitted (" +
-         std::to_string(c.total) + " cells)");
+         std::to_string(c.grid.total) + " cells)");
     if (crashDue(support::ServiceCrashPoint::kAfterAdmit)) crashNow();
   }
 
@@ -883,15 +949,18 @@ struct SweepService::Impl {
     r.close_after_flush = false;
     ++requests_attached;
     queueFrame(r, kServiceFrameAttached,
-               encodeProgressPayload(r.done, r.total));
+               encodeProgressPayload(r.done, r.grid.total));
     for (const std::string& payload : r.result_frames) {
       queueFrame(r, kServiceFrameResult, payload);
     }
-    queueFrame(r, kServiceFrameProgress, encodeProgressPayload(r.done, r.total));
-    if (r.done_sent) queueFrame(r, kServiceFrameDone, encodeDonePayload(r.total));
+    queueFrame(r, kServiceFrameProgress,
+               encodeProgressPayload(r.done, r.grid.total));
+    if (r.done_sent) {
+      queueFrame(r, kServiceFrameDone, encodeDonePayload(r.grid.total));
+    }
     note("service: client " + std::to_string(conn.id) + " attached to request " +
          std::to_string(r.id) + " by token (" + std::to_string(r.done) + "/" +
-         std::to_string(r.total) + " replayed)");
+         std::to_string(r.grid.total) + " replayed)");
     flushClient(r);
   }
 
@@ -930,9 +999,11 @@ struct SweepService::Impl {
     ++requests_admitted;
     ++journal_requests_recovered;
     std::vector<std::pair<std::uint64_t, const std::string*>> replay;
-    for (std::uint64_t i = 0; i < r.total; ++i) {
-      if (const std::string* payload = loggedRow(r, rows, i)) {
-        replay.emplace_back(i, payload);
+    for (std::uint64_t i = 0; i < r.grid.total; ++i) {
+      // Echo requests log no rows.
+      const auto it = r.grid.key ? rows.find(r.grid.key(i)) : rows.end();
+      if (it != rows.end() && r.grid.resumable(it->second)) {
+        replay.emplace_back(i, &it->second);
       } else {
         scheduler->enqueue(r.id, i);
       }
@@ -954,30 +1025,6 @@ struct SweepService::Impl {
       oc.payload = *payload;
       settleCell(r, i, oc, /*record=*/false);
     }
-  }
-
-  /// The row key of request-local cell `i` of a sweep or campaign.
-  static RowKey cellKey(const Client& c, std::uint64_t i) {
-    if (c.tag == 'W') return c.sweep_keys[static_cast<std::size_t>(i)];
-    return {c.campaign_names[static_cast<std::size_t>(i / c.request.seeds)],
-            campaignCellConfigKey(static_cast<std::size_t>(i),
-                                  support::deriveSeed(c.request.base_seed, i))};
-  }
-
-  /// The payload of the ok row `rows` holds for cell `i` of `c`, or
-  /// nullptr (echo requests log no rows).
-  static const std::string* loggedRow(const Client& c,
-                                      const std::map<RowKey, std::string>& rows,
-                                      std::uint64_t i) {
-    if (c.tag != 'W' && c.tag != 'C') return nullptr;
-    const auto it = rows.find(cellKey(c, i));
-    if (it == rows.end()) return nullptr;
-    SweepRow row;
-    FaultCampaignCell cell;
-    const bool ok = c.tag == 'W'
-                        ? decodeSweepRow(it->second, &row) && row.ok()
-                        : decodeCampaignCell(it->second, &cell) && cell.ok();
-    return ok ? &it->second : nullptr;
   }
 
   std::string statusJson() const {
@@ -1030,7 +1077,7 @@ struct SweepService::Impl {
       w.beginObject();
       w.member("id", id);
       w.member("kind", static_cast<std::uint64_t>(c.request.kind));
-      w.member("total", c.total);
+      w.member("total", c.grid.total);
       w.member("done", c.done);
       const CellScheduler::Counts lane = scheduler->counts(id);
       w.member("queued", static_cast<std::uint64_t>(lane.queued));
@@ -1041,14 +1088,7 @@ struct SweepService::Impl {
       w.endObject();
     }
     w.endArray();
-    w.key("resource").beginObject();
-    w.member("supervised_cells",
-             static_cast<std::uint64_t>(resources.supervised_cells));
-    w.member("attempts", resources.attempts);
-    w.member("host_user_seconds", resources.host_user_seconds);
-    w.member("host_sys_seconds", resources.host_sys_seconds);
-    w.member("host_max_rss_kb", resources.host_max_rss_kb);
-    w.endObject();
+    writeResourceJson(w, resources);
     w.endObject();
     return out.str();
   }
@@ -1137,9 +1177,9 @@ struct SweepService::Impl {
   }
 
   /// Converts a settled outcome into the client-facing result frame (and
-  /// the journal's row record), using the same decode helpers as the
-  /// batch paths — which is what keeps serve output field-identical to
-  /// them. `record` is false when replaying an already-logged cell during
+  /// the journal's row record) through the request's grid, which settles
+  /// with the batch driver's rowFromOutcome — what keeps serve output
+  /// field-identical to it. `record` is false when replaying an already-logged cell during
   /// journal recovery: no row re-append, no crash point.
   void settleCell(Client& c, std::uint64_t cell, const Supervisor::Outcome& oc,
                   bool record = true) {
@@ -1147,33 +1187,14 @@ struct SweepService::Impl {
     resources.add(oc.worker);
     ResultFramePayload p;
     p.cell = cell;
-    p.total = c.total;
-    p.tag = c.tag;
+    p.total = c.grid.total;
+    p.tag = c.grid.tag;
     p.worker = oc.worker;
-    switch (c.request.kind) {
-      case ServiceRequest::Kind::kSweep: {
-        const auto& key = c.sweep_keys[static_cast<std::size_t>(cell)];
-        p.inner = encodeSweepRow(
-            sweepRowFromOutcome(key.first, key.second, oc));
-        break;
-      }
-      case ServiceRequest::Kind::kCampaign: {
-        const std::string& benchmark =
-            c.campaign_names[static_cast<std::size_t>(cell / c.request.seeds)];
-        p.inner = encodeCampaignCell(campaignCellFromOutcome(
-            benchmark, support::deriveSeed(c.request.base_seed, cell), oc));
-        break;
-      }
-      case ServiceRequest::Kind::kEcho:
-        p.inner = oc.status == CellStatus::kOk
-                      ? oc.payload
-                      : "error:" + toString(oc.status);
-        break;
-    }
-    if (record && c.request.kind != ServiceRequest::Kind::kEcho) {
+    p.inner = c.grid.settle(cell, oc);
+    if (record && c.grid.key) {
       LogRecord row;
       row.id = c.request_id;
-      std::tie(row.benchmark, row.config) = cellKey(c, cell);
+      std::tie(row.benchmark, row.config) = c.grid.key(cell);
       row.payload = p.inner;
       journalAppend(row);
       // The settle crash point fires with the cell's row synced but the
@@ -1186,9 +1207,9 @@ struct SweepService::Impl {
     ++c.done;
     queueFrame(c, kServiceFrameResult, result_payload);
     queueFrame(c, kServiceFrameProgress,
-               encodeProgressPayload(c.done, c.total));
-    if (c.done == c.total) {
-      queueFrame(c, kServiceFrameDone, encodeDonePayload(c.total));
+               encodeProgressPayload(c.done, c.grid.total));
+    if (c.done == c.grid.total) {
+      queueFrame(c, kServiceFrameDone, encodeDonePayload(c.grid.total));
       c.done_sent = true;
       // Deliberately NOT journal-settled here: the settle record is
       // written at *delivery* (the done frame fully flushed to a client),
@@ -1544,6 +1565,32 @@ bool readServiceFrames(
   }
 }
 
+/// Decodes result `p` as a Row into its cell's slot. Returns why it does
+/// not decode, or an empty string.
+template <typename Row>
+std::string storeResult(const ResultFramePayload& p,
+                        std::vector<std::optional<Row>>& slots) {
+  Row row;
+  if (!decodeRow(p.inner, &row)) {
+    return std::string("undecodable ") + kRowName<Row>;
+  }
+  row.worker = p.worker;
+  if (slots.size() < p.total) slots.resize(p.total);
+  slots[p.cell] = std::move(row);
+  return {};
+}
+
+/// Moves every slot into `out`; false when one never arrived.
+template <typename T>
+bool takeAll(std::vector<std::optional<T>>& slots, std::vector<T>* out) {
+  for (const std::optional<T>& slot : slots) {
+    if (!slot) return false;
+  }
+  out->reserve(slots.size());
+  for (std::optional<T>& slot : slots) out->push_back(std::move(*slot));
+  return true;
+}
+
 }  // namespace
 
 SubmitOutcome submitToService(const std::string& socket_path,
@@ -1637,31 +1684,17 @@ SubmitOutcome submitToService(const std::string& socket_path,
               return false;
             }
             if (p.tag == 'W') {
-              if (rows.size() < total) rows.resize(total);
-              SweepRow row;
-              if (!decodeSweepRow(p.inner, &row)) {
-                protocol_error = true;
-                perror = "undecodable sweep row";
-                return false;
-              }
-              row.worker = p.worker;
-              rows[idx] = std::move(row);
+              perror = storeResult(p, rows);
             } else if (p.tag == 'C') {
-              if (cells.size() < total) cells.resize(total);
-              FaultCampaignCell cell;
-              if (!decodeCampaignCell(p.inner, &cell)) {
-                protocol_error = true;
-                perror = "undecodable campaign cell";
-                return false;
-              }
-              cell.worker = p.worker;
-              cells[idx] = std::move(cell);
+              perror = storeResult(p, cells);
             } else if (p.tag == 'E') {
               if (echoes.size() < total) echoes.resize(total);
               echoes[idx] = p.inner;
             } else {
-              protocol_error = true;
               perror = "unknown result tag";
+            }
+            if (!perror.empty()) {
+              protocol_error = true;
               return false;
             }
             ++results_seen;
@@ -1713,33 +1746,15 @@ SubmitOutcome submitToService(const std::string& socket_path,
     outcome.transport = true;
     return outcome;
   }
-  for (const auto& r : rows) {
-    if (!r) {
-      outcome.error = "done frame arrived with missing sweep rows";
-      return outcome;
-    }
+  if (!takeAll(rows, &outcome.rows) ||
+      !takeAll(cells, &outcome.campaign.cells) ||
+      !takeAll(echoes, &outcome.echoes)) {
+    outcome.error = "done frame arrived with missing results";
+    return outcome;
   }
-  for (const auto& c : cells) {
-    if (!c) {
-      outcome.error = "done frame arrived with missing campaign cells";
-      return outcome;
-    }
-  }
-  for (const auto& e : echoes) {
-    if (!e) {
-      outcome.error = "done frame arrived with missing echo cells";
-      return outcome;
-    }
-  }
-  outcome.rows.reserve(rows.size());
-  for (auto& r : rows) outcome.rows.push_back(std::move(*r));
-  outcome.campaign.cells.reserve(cells.size());
-  for (auto& c : cells) outcome.campaign.cells.push_back(std::move(*c));
   for (const FaultCampaignCell& c : outcome.campaign.cells) {
     if (c.ok()) outcome.campaign.totals.accumulate(c.faults);
   }
-  outcome.echoes.reserve(echoes.size());
-  for (auto& e : echoes) outcome.echoes.push_back(std::move(*e));
   outcome.ok = true;
   return outcome;
 }

@@ -55,9 +55,11 @@
 // service produces rows/cells field-for-field identical to
 // `sptc sweep --isolate` / `sptc inject --isolate` for the same grid (the
 // filtered JSON documents are byte-identical; only host_ fields and
-// worker diagnostics differ), because workers on both paths run the same
-// cell bodies (produceSweepCellPayload / runFaultCampaignCellStandalone)
-// and parents settle through the same decode helpers.
+// worker diagnostics differ). Each admitted request is described once as
+// a grid of its row type, like a batch run's (harness/grid.h): a key per
+// cell, the cell body its workers run (runSweepCell /
+// runFaultCampaignCellStandalone), and a settle into the row through the
+// grid driver's rowFromOutcome, the batch path's own settle.
 #pragma once
 
 #include <csignal>

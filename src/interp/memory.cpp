@@ -4,19 +4,21 @@
 #include <new>
 
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace spt::interp {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+// The seed is one digit short of the FNV offset basis. Cached trace meta
+// stores memory hashes, so it stays.
+constexpr std::uint64_t kMemoryHashSeed = 1469598103934665603ull;
 
 // FNV-1a over a zero byte is `h *= kFnvPrime`, so a zero 8-byte word is one
 // multiply by kFnvPrime^8 (mod 2^64).
 constexpr std::uint64_t kFnvPrimePow8 = [] {
   std::uint64_t p = 1;
-  for (int i = 0; i < 8; ++i) p *= kFnvPrime;
+  for (int i = 0; i < 8; ++i) p *= support::kFnvPrime;
   return p;
 }();
 
@@ -60,7 +62,7 @@ std::uint64_t Memory::hash() const {
   // brk_ starts at 8 and grows in multiples of 8, so [0, brk_) is whole
   // words.
   const std::uint8_t* bytes = bytes_.get();
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kMemoryHashSeed;
   for (std::uint64_t i = 0; i < brk_ && i + 8 <= size_; i += 8) {
     std::uint64_t word;
     std::memcpy(&word, bytes + i, 8);
@@ -68,10 +70,7 @@ std::uint64_t Memory::hash() const {
       h *= kFnvPrimePow8;
       continue;
     }
-    for (std::uint64_t k = i; k < i + 8; ++k) {
-      h ^= bytes[k];
-      h *= kFnvPrime;
-    }
+    h = support::fnv1a(h, bytes + i, 8);
   }
   return h;
 }

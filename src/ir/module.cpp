@@ -1,6 +1,7 @@
 #include "ir/module.h"
 
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace spt::ir {
 
@@ -88,17 +89,11 @@ const std::vector<Instr>* Module::forkSlice(StaticId fork_sid) const {
 }
 
 std::uint64_t Module::structuralDigest() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto byte = [&h](unsigned char b) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  };
-  const auto word = [&byte](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-  };
+  std::uint64_t h = support::kFnvOffsetBasis;
+  const auto word = [&h](std::uint64_t v) { h = support::fnv1aWord(h, v); };
   const auto str = [&](const std::string& s) {
     word(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
+    h = support::fnv1a(h, s.data(), s.size());
   };
 
   word(funcs_.size());

@@ -7,16 +7,16 @@ namespace {
 
 std::string regName(Reg r) {
   if (!r.valid()) return "_";
-  return "r" + std::to_string(r.index);
+  return std::string("r").append(std::to_string(r.index));
 }
+
+}  // namespace
 
 std::string blockName(const Function& f, BlockId b) {
   if (b == kInvalidBlock) return "B?";
   const std::string& label = f.blocks[b].label;
-  return label.empty() ? "B" + std::to_string(b) : label;
+  return label.empty() ? std::string("B").append(std::to_string(b)) : label;
 }
-
-}  // namespace
 
 void printInstr(std::ostream& os, const Module& module, const Instr& i) {
   // The function owning the instruction is only needed for block labels;

@@ -8,6 +8,10 @@
 
 namespace spt::ir {
 
+/// A block's label, or "B<id>" for an unlabeled block ("B?" for
+/// kInvalidBlock).
+std::string blockName(const Function& func, BlockId block);
+
 /// Prints one instruction, e.g. "r5 = add r3, r4" or "condbr r1, B2, B3".
 void printInstr(std::ostream& os, const Module& module, const Instr& instr);
 

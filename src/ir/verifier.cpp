@@ -171,8 +171,14 @@ std::string Violation::str() const {
   std::string out;
   if (!function.empty()) out += "@" + function + ": ";
   if (block != kInvalidBlock) {
-    out += "B" + std::to_string(block);
-    out += at_instr ? "[" + std::to_string(instr_index) + "]: " : " ";
+    out += "B";
+    out += std::to_string(block);
+    if (at_instr) {
+      out += "[";
+      out += std::to_string(instr_index);
+      out += "]";
+    }
+    out += at_instr ? ": " : " ";
   }
   out += message;
   return out;

@@ -1,6 +1,7 @@
 #include "sim/arch_state.h"
 
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace spt::sim {
 
@@ -11,16 +12,10 @@ ApplyInfo ArchState::apply(const trace::Record& record) {
 }
 
 void ArchState::foldDigest(const trace::Record& r) {
-  const auto fold = [this](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      digest_ = (digest_ ^ static_cast<unsigned char>(v >> (8 * i))) *
-                1099511628211ull;
-    }
-  };
-  fold(r.sid);
-  fold(r.frame);
-  fold(static_cast<std::uint64_t>(r.value));
-  fold(r.mem_addr);
+  digest_ = support::fnv1aWord(digest_, r.sid);
+  digest_ = support::fnv1aWord(digest_, r.frame);
+  digest_ = support::fnv1aWord(digest_, static_cast<std::uint64_t>(r.value));
+  digest_ = support::fnv1aWord(digest_, r.mem_addr);
 }
 
 ArchState::Frame& ArchState::frameSlowPath(const trace::Record& record) {

@@ -19,6 +19,7 @@
 #include "ir/module.h"
 #include "sim/flat_map.h"
 #include "support/check.h"
+#include "support/hash.h"
 #include "trace/record.h"
 
 namespace spt::sim {
@@ -131,7 +132,7 @@ class ArchState {
   std::uint64_t arena_reuses_ = 0;
   bool started_ = false;
   bool digest_enabled_ = false;
-  std::uint64_t digest_ = 14695981039346656037ull;  // FNV-1a offset basis
+  std::uint64_t digest_ = support::kFnvOffsetBasis;
 };
 
 }  // namespace spt::sim

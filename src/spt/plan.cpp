@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "support/hash.h"
 #include "support/stats.h"
 #include "support/table.h"
 
@@ -11,23 +12,17 @@ namespace {
 /// Incremental FNV-1a folding helpers for SptPlan::fingerprint().
 class Fnv {
  public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-  }
+  void add(std::uint64_t v) { hash_ = support::fnv1aWord(hash_, v); }
   void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(bool v) { byte(v ? 1 : 0); }
+  void add(bool v) { hash_ = support::fnv1aByte(hash_, v ? 1 : 0); }
   void add(const std::string& s) {
     add(static_cast<std::uint64_t>(s.size()));
-    for (const char c : s) byte(static_cast<unsigned char>(c));
+    hash_ = support::fnv1a(hash_, s.data(), s.size());
   }
   std::uint64_t hash() const { return hash_; }
 
  private:
-  void byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 0x100000001b3ull;
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+  std::uint64_t hash_ = support::kFnvOffsetBasis;
 };
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "analysis/dominators.h"
 #include "analysis/loops.h"
 #include "ir/module.h"
+#include "ir/printer.h"
 #include "trace/trace.h"
 
 namespace spt::compiler {
@@ -137,9 +138,7 @@ std::vector<RegionPlanEntry> applyRegionSpeculation(
 
       ir::BasicBlock suffix;
       suffix.id = static_cast<ir::BlockId>(func.blocks.size());
-      suffix.label =
-          (block.label.empty() ? "B" + std::to_string(b) : block.label) +
-          "_half2";
+      suffix.label = ir::blockName(func, b) + "_half2";
       {
         ir::BasicBlock& blk = func.blocks[b];
         suffix.instrs.assign(blk.instrs.begin() + split.index,
@@ -158,10 +157,7 @@ std::vector<RegionPlanEntry> applyRegionSpeculation(
       func.blocks.push_back(std::move(suffix));
 
       entry.applied = true;
-      entry.name = func.name + "." +
-                   (func.blocks[b].label.empty()
-                        ? "B" + std::to_string(b)
-                        : func.blocks[b].label);
+      entry.name = func.name + "." + ir::blockName(func, b);
       plan.push_back(std::move(entry));
     }
   }

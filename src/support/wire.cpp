@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "support/hash.h"
+
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #define SPT_WIRE_POSIX 1
 #include <errno.h>
@@ -17,22 +19,13 @@
 namespace spt::support::wire {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-
 void appendRaw(std::string& out, const void* data, std::size_t n) {
   out.append(static_cast<const char*>(data), n);
 }
 
 std::uint64_t frameChecksum(std::uint8_t kind, std::uint64_t length,
                             const char* payload) {
-  std::uint64_t checksum = kFnvOffset;
+  std::uint64_t checksum = kFnvOffsetBasis;
   checksum = fnv1a(checksum, &kind, sizeof kind);
   checksum = fnv1a(checksum, &length, sizeof length);
   checksum = fnv1a(checksum, payload, static_cast<std::size_t>(length));

@@ -6,6 +6,7 @@
 #include <new>
 #include <utility>
 
+#include "ir/printer.h"
 #include "support/check.h"
 
 namespace spt::trace {
@@ -170,9 +171,7 @@ std::size_t LoopIndex::startOfFork(std::size_t record_index) const {
 std::string loopNameOf(const ir::Module& module, ir::StaticId header_sid) {
   const auto& loc = module.locate(header_sid);
   const ir::Function& func = module.function(loc.func);
-  const std::string& label = func.blocks[loc.block].label;
-  return func.name + "." +
-         (label.empty() ? "B" + std::to_string(loc.block) : label);
+  return func.name + "." + ir::blockName(func, loc.block);
 }
 
 std::string LoopIndex::loopName(ir::StaticId header_sid) const {

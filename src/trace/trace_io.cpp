@@ -4,6 +4,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "support/hash.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define SPT_TRACE_HAVE_MMAP 1
 #include <fcntl.h>
@@ -23,15 +25,6 @@ constexpr std::size_t kHeaderBytesV3 =
     sizeof kMagic + 2 * sizeof(std::uint32_t) + 4 * sizeof(std::uint64_t);
 static_assert(kHeaderBytesV3 == 48 && kHeaderBytesV3 % alignof(Record) == 0,
               "v3 records must start 8-aligned for in-place mapping");
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
 
 /// Record-range validation. `raw` is one 40-byte record image; `offset` is
 /// its absolute position in the file. On failure fills `error` with the
@@ -77,7 +70,8 @@ bool validateRecordBytes(const unsigned char* raw, std::uint64_t index,
 std::uint64_t streamChecksum(TraceView trace) {
   // Record *is* the canonical disk encoding (record.h), so the checksum is
   // over the structs' own bytes.
-  return fnv1a(kFnvOffset, trace.data(), trace.size() * sizeof(Record));
+  return support::fnv1a(support::kFnvOffsetBasis, trace.data(),
+                        trace.size() * sizeof(Record));
 }
 
 }  // namespace
@@ -240,8 +234,8 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
       return fail(record_error);
     }
   }
-  const std::uint64_t checksum =
-      fnv1a(kFnvOffset, payload, count * sizeof(Record));
+  const std::uint64_t checksum = support::fnv1a(
+      support::kFnvOffsetBasis, payload, count * sizeof(Record));
   if (checksum != stored_checksum) {
     return fail("checksum mismatch over " + std::to_string(count) +
                 " records: stored " + std::to_string(stored_checksum) +

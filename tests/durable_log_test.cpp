@@ -323,11 +323,11 @@ std::vector<LogRecord> mixedLog() {
   cell.diagnostic = "hostile\tdiag\nwith separators";
   cell.faults.injected = 7;
   return {admitRecord(1, "t1", "req-one"),
-          rowRecord("mcf", "default", encodeSweepRow(sweep), 1),
+          rowRecord("mcf", "default", encodeRow(sweep), 1),
           admitRecord(2, "t2", "req-two"),
-          rowRecord("gzip", "cell:1/seed:42", encodeCampaignCell(cell), 2),
+          rowRecord("gzip", "cell:1/seed:42", encodeRow(cell), 2),
           settleRecord(1, "done"),
-          rowRecord("mcf", "default", encodeSweepRow(rerun), 2),
+          rowRecord("mcf", "default", encodeRow(rerun), 2),
           settleRecord(2, "deadline")};
 }
 
@@ -405,9 +405,9 @@ TEST(Checkpoint, TruncationAtEveryByteOffsetLosesAtMostTheTornTail) {
   cell.diagnostic = "hostile\tdiag\nwith separators";
   cell.faults.injected = 7;
   const std::vector<LogRecord> records = {
-      rowRecord("mcf", "default", encodeSweepRow(first)),
-      rowRecord("gzip", "cell:1/seed:42", encodeCampaignCell(cell)),
-      rowRecord("mcf", "default", encodeSweepRow(rerun))};
+      rowRecord("mcf", "default", encodeRow(first)),
+      rowRecord("gzip", "cell:1/seed:42", encodeRow(cell)),
+      rowRecord("mcf", "default", encodeRow(rerun))};
 
   std::string full;
   std::vector<std::size_t> ends;  // byte offset just past each record
@@ -443,7 +443,7 @@ TEST(Checkpoint, TruncationAtEveryByteOffsetLosesAtMostTheTornTail) {
         << "cut at byte " << cut;
     if (mcf) {
       SweepRow row;
-      ASSERT_TRUE(decodeSweepRow(*mcf, &row)) << "cut at byte " << cut;
+      ASSERT_TRUE(decodeRow(*mcf, &row)) << "cut at byte " << cut;
       const SweepRow& expect = cut >= ends[2] ? rerun : first;
       EXPECT_EQ(row.result.baseline.cycles, expect.result.baseline.cycles)
           << "cut at byte " << cut;
@@ -452,7 +452,7 @@ TEST(Checkpoint, TruncationAtEveryByteOffsetLosesAtMostTheTornTail) {
     }
     if (gzip) {
       FaultCampaignCell back;
-      ASSERT_TRUE(decodeCampaignCell(*gzip, &back)) << "cut at byte " << cut;
+      ASSERT_TRUE(decodeRow(*gzip, &back)) << "cut at byte " << cut;
       EXPECT_EQ(back.status, cell.status) << "cut at byte " << cut;
       EXPECT_EQ(back.diagnostic, cell.diagnostic) << "cut at byte " << cut;
       EXPECT_EQ(back.faults.injected, cell.faults.injected)

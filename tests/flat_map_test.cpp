@@ -30,7 +30,9 @@ TEST(FlatMap64, MatchesUnorderedMapUnderRandomOps) {
       const std::int64_t* found = flat.find(key);
       const auto it = ref.find(key);
       ASSERT_EQ(found != nullptr, it != ref.end()) << "key " << key;
-      if (found != nullptr) ASSERT_EQ(*found, it->second);
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second);
+      }
     }
     ASSERT_EQ(flat.size(), ref.size());
   }
@@ -64,7 +66,9 @@ TEST(EpochMap64, ClearForgetsEverythingAcrossManyEpochs) {
       const std::int64_t* found = flat.find(key);
       const auto it = ref.find(key);
       ASSERT_EQ(found != nullptr, it != ref.end());
-      if (found != nullptr) ASSERT_EQ(*found, it->second);
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second);
+      }
     }
     ASSERT_EQ(flat.size(), ref.size());
     flat.clear();
@@ -103,7 +107,9 @@ TEST(FrameRegMap, MatchesReferenceMapAcrossResets) {
         const auto it = ref.find({frame, reg});
         ASSERT_EQ(found != nullptr, it != ref.end())
             << "frame " << frame << " reg " << reg;
-        if (found != nullptr) ASSERT_EQ(*found, it->second);
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second);
+        }
       }
     }
     // overlayOnto: the live entries of a frame below the output's size,

@@ -160,11 +160,11 @@ TEST(HardenedSweep, PoisonedCellsAreQuarantinedAndReported) {
   const LogReplay logged = readDurableLog(opts.checkpoint_path);
   ASSERT_EQ(logged.rows.size(), 3u);
   SweepRow poisoned;
-  ASSERT_TRUE(decodeSweepRow(logged.rows.at({"poisoned", "default"}),
+  ASSERT_TRUE(decodeRow(logged.rows.at({"poisoned", "default"}),
                              &poisoned));
   EXPECT_EQ(poisoned.status, CellStatus::kInternalError);
   SweepRow blowout;
-  ASSERT_TRUE(decodeSweepRow(logged.rows.at({"bzip2", "tiny-budget"}),
+  ASSERT_TRUE(decodeRow(logged.rows.at({"bzip2", "tiny-budget"}),
                              &blowout));
   EXPECT_EQ(blowout.status, CellStatus::kBudgetExceeded);
 

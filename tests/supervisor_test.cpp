@@ -402,7 +402,7 @@ TEST(CellCodec, SweepRowRoundTrips) {
   row.extra["ratio"] = -1.5;
 
   SweepRow got;
-  ASSERT_TRUE(decodeSweepRow(encodeSweepRow(row), &got));
+  ASSERT_TRUE(decodeRow(encodeRow(row), &got));
   EXPECT_EQ(got.benchmark, row.benchmark);
   EXPECT_EQ(got.config, row.config);
   EXPECT_EQ(got.status, row.status);
@@ -438,7 +438,7 @@ TEST(CellCodec, CampaignCellRoundTrips) {
   cell.divergence_diff = "reg r3: 7 != 9";
 
   FaultCampaignCell got;
-  ASSERT_TRUE(decodeCampaignCell(encodeCampaignCell(cell), &got));
+  ASSERT_TRUE(decodeRow(encodeRow(cell), &got));
   EXPECT_EQ(got.benchmark, cell.benchmark);
   EXPECT_EQ(got.fault_seed, cell.fault_seed);
   EXPECT_EQ(got.status, cell.status);
@@ -459,22 +459,22 @@ TEST(CellCodec, CampaignCellRoundTrips) {
 TEST(CellCodec, RejectsCorruptPayloads) {
   SweepRow row;
   row.benchmark = "gzip";
-  const std::string payload = encodeSweepRow(row);
+  const std::string payload = encodeRow(row);
 
   SweepRow out;
   // Truncation at every prefix length must fail, never crash or zero-fill.
   for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
                                 payload.size() / 2, payload.size() - 1}) {
-    EXPECT_FALSE(decodeSweepRow(payload.substr(0, cut), &out)) << cut;
+    EXPECT_FALSE(decodeRow(payload.substr(0, cut), &out)) << cut;
   }
   // Trailing bytes and a wrong tag fail too.
-  EXPECT_FALSE(decodeSweepRow(payload + "z", &out));
+  EXPECT_FALSE(decodeRow(payload + "z", &out));
   std::string wrong_tag = payload;
   wrong_tag[0] = 'F';
-  EXPECT_FALSE(decodeSweepRow(wrong_tag, &out));
+  EXPECT_FALSE(decodeRow(wrong_tag, &out));
   // A sweep payload is not a campaign payload.
   FaultCampaignCell cell;
-  EXPECT_FALSE(decodeCampaignCell(payload, &cell));
+  EXPECT_FALSE(decodeRow(payload, &cell));
 }
 
 // ---- Supervisor containment ----------------------------------------------
@@ -781,7 +781,7 @@ TEST(SupervisorPool, CpuLimitReArmsAcrossCells) {
         volatile std::uint64_t sink = 0;
         for (;;) {
           for (int i = 0; i < 1'000'000; ++i) {
-            sink += static_cast<std::uint64_t>(i);
+            sink = sink + static_cast<std::uint64_t>(i);
           }
           ::getrusage(RUSAGE_SELF, &ru);
           const double now = ru.ru_utime.tv_sec + ru.ru_utime.tv_usec / 1e6 +
@@ -1047,7 +1047,7 @@ TEST(SupervisedSweep, ContainsChaosWhileOtherCellsComplete) {
   for (const auto& [key, payload] :
        readDurableLog(opts.checkpoint_path).rows) {
     SweepRow row;
-    ASSERT_TRUE(decodeSweepRow(payload, &row));
+    ASSERT_TRUE(decodeRow(payload, &row));
     logged.insert(row.status);
   }
   EXPECT_EQ(logged, (std::set<CellStatus>{CellStatus::kOk,
@@ -1232,8 +1232,8 @@ TEST(SupervisedCampaign, CheckpointResumeReusesOkCells) {
     poisoned.status = CellStatus::kInternalError;
     poisoned.diagnostic = "poisoned for the resume test";
     CheckpointLog log(opts.checkpoint_path, /*resume=*/true);
-    log.append(marked.benchmark, key(0), encodeCampaignCell(marked));
-    log.append(poisoned.benchmark, key(1), encodeCampaignCell(poisoned));
+    log.append(marked.benchmark, key(0), encodeRow(marked));
+    log.append(poisoned.benchmark, key(1), encodeRow(poisoned));
     EXPECT_EQ(log.failure(), "");
   }
 
@@ -1348,6 +1348,92 @@ TEST(SupervisedCampaign, ResumedCellsRenderLikeFreshCells) {
   EXPECT_EQ(render(runFaultCampaign(opts)), fresh);
 }
 
+// A campaign log written under the supervisor resumes in-process: only
+// the crashed cell re-runs (the log grows by one row), and its logged row
+// carried the phase-1 ground truth although no worker payload arrived.
+TEST(SupervisedCampaign, SupervisedCheckpointResumesInProcess) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  FaultCampaignOptions opts;
+  opts.seeds = 1;
+  opts.jobs = 4;
+  opts.checkpoint_path = ::testing::TempDir() + "/spt_campaign_xcompat_ck";
+  opts.supervisor.isolate = true;
+  opts.supervisor.cell_timeout_seconds = 240.0;
+  opts.supervisor.chaos = *support::ChaosPlan::parse("1:crash");
+  const FaultCampaignResult first = runFaultCampaign(opts);
+  ASSERT_EQ(first.cells.size(), 10u);
+  EXPECT_EQ(first.cells[1].status, CellStatus::kCrashed);
+  ASSERT_EQ(countLines(opts.checkpoint_path), first.cells.size());
+
+  // The crashed cell's row: the transport failure plus phase 1's digest.
+  const FaultCampaignCell& crashed = first.cells[1];
+  const auto& rows = readDurableLog(opts.checkpoint_path).rows;
+  const auto it = rows.find(
+      {crashed.benchmark,
+       campaignCellConfigKey(1, crashed.fault_seed)});
+  ASSERT_NE(it, rows.end());
+  FaultCampaignCell logged;
+  ASSERT_TRUE(decodeRow(it->second, &logged));
+  EXPECT_EQ(logged.status, CellStatus::kCrashed);
+  EXPECT_NE(logged.sequential_digest, 0u);
+
+  opts.resume = true;
+  opts.supervisor = SupervisorOptions{};  // --no-isolate
+  const FaultCampaignResult second = runFaultCampaign(opts);
+  ASSERT_EQ(second.cells.size(), first.cells.size());
+  EXPECT_EQ(countLines(opts.checkpoint_path), first.cells.size() + 1);
+  EXPECT_TRUE(second.allCellsOk());
+  EXPECT_TRUE(second.allDigestsMatch());
+  EXPECT_EQ(logged.sequential_digest, second.cells[1].sequential_digest);
+  for (std::size_t i = 0; i < second.cells.size(); ++i) {
+    EXPECT_EQ(second.cells[i].worker.attempts, 0u) << "cell " << i;
+    if (i != 1) {
+      EXPECT_EQ(second.cells[i].arch_digest, first.cells[i].arch_digest);
+    }
+  }
+}
+
+// And the other direction: an in-process campaign log resumes under the
+// supervisor, which forks a worker only for the cell whose row failed.
+TEST(SupervisedCampaign, InProcessCheckpointResumesSupervised) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  FaultCampaignOptions opts;
+  opts.seeds = 1;
+  opts.jobs = 4;
+  opts.checkpoint_path = ::testing::TempDir() + "/spt_campaign_xcompat2_ck";
+  const FaultCampaignResult first = runFaultCampaign(opts);
+  ASSERT_TRUE(first.allCellsOk());
+  {
+    FaultCampaignCell poisoned = first.cells[2];
+    poisoned.status = CellStatus::kInternalError;
+    poisoned.diagnostic = "poisoned for the resume test";
+    CheckpointLog log(opts.checkpoint_path, /*resume=*/true);
+    log.append(poisoned.benchmark,
+               campaignCellConfigKey(2, poisoned.fault_seed),
+               encodeRow(poisoned));
+  }
+  const std::size_t lines = countLines(opts.checkpoint_path);
+
+  opts.resume = true;
+  opts.supervisor.isolate = true;
+  opts.supervisor.cell_timeout_seconds = 240.0;
+  const FaultCampaignResult second = runFaultCampaign(opts);
+  ASSERT_EQ(second.cells.size(), first.cells.size());
+  EXPECT_EQ(countLines(opts.checkpoint_path), lines + 1);
+  EXPECT_TRUE(second.allCellsOk());
+  for (std::size_t i = 0; i < second.cells.size(); ++i) {
+    EXPECT_EQ(second.cells[i].worker.attempts, i == 2 ? 1u : 0u)
+        << "cell " << i;
+    EXPECT_EQ(second.cells[i].arch_digest, first.cells[i].arch_digest);
+    EXPECT_EQ(second.cells[i].sequential_digest,
+              first.cells[i].sequential_digest);
+  }
+}
+
 // ---- Supervised perf measurement ----------------------------------------
 
 // `sptc perf --isolate` runs each workload in a single-cell supervised run
@@ -1415,7 +1501,7 @@ TEST(Checkpoint, HostileDiagnosticsSurviveFormatParseRoundTrip) {
     LogRecord rec;
     rec.benchmark = row.benchmark;
     rec.config = row.config;
-    rec.payload = encodeSweepRow(row);
+    rec.payload = encodeRow(row);
 
     const std::string text = formatLogRecord(rec);
     // The formatted row is exactly one line of the file.
@@ -1427,7 +1513,7 @@ TEST(Checkpoint, HostileDiagnosticsSurviveFormatParseRoundTrip) {
     EXPECT_EQ(parsed.benchmark, rec.benchmark);
     EXPECT_EQ(parsed.config, rec.config);
     SweepRow back;
-    ASSERT_TRUE(decodeSweepRow(parsed.payload, &back)) << diag;
+    ASSERT_TRUE(decodeRow(parsed.payload, &back)) << diag;
     EXPECT_EQ(back.status, row.status);
     EXPECT_EQ(back.result.spt.cycles, 3u);
     EXPECT_EQ(back.diagnostic, diag);
@@ -1445,9 +1531,9 @@ TEST(Checkpoint, HostileFieldsSurviveARealFileViaLoadCheckpoint) {
       "nullptr' failed\r\n(core dumped)";
   {
     CheckpointLog log(path, /*resume=*/false);
-    log.append(row.benchmark, row.config, encodeSweepRow(row));
+    log.append(row.benchmark, row.config, encodeRow(row));
     // A second, hostile-keyed row exercises last-row-wins keying too.
-    log.append("bench\nnewline", row.config, encodeSweepRow(row));
+    log.append("bench\nnewline", row.config, encodeRow(row));
     EXPECT_EQ(log.failure(), "");
   }
   const LogReplay replay = readDurableLog(path);
@@ -1455,7 +1541,7 @@ TEST(Checkpoint, HostileFieldsSurviveARealFileViaLoadCheckpoint) {
   const auto it = replay.rows.find({"gzip", "srb=64"});
   ASSERT_NE(it, replay.rows.end());
   SweepRow back;
-  ASSERT_TRUE(decodeSweepRow(it->second, &back));
+  ASSERT_TRUE(decodeRow(it->second, &back));
   EXPECT_EQ(back.diagnostic, row.diagnostic);
   EXPECT_NE(replay.rows.find({"bench\nnewline", "srb=64"}), replay.rows.end());
 }
@@ -1584,14 +1670,14 @@ TEST(Checkpoint, MixedMetricShapesDoNotCrossParse) {
   sweep_row.config = "default";
   FaultCampaignCell campaign_cell;
   campaign_cell.benchmark = "mcf";
-  const std::string sweep_payload = encodeSweepRow(sweep_row);
-  const std::string campaign_payload = encodeCampaignCell(campaign_cell);
+  const std::string sweep_payload = encodeRow(sweep_row);
+  const std::string campaign_payload = encodeRow(campaign_cell);
   SweepRow row;
   FaultCampaignCell cell;
-  EXPECT_TRUE(decodeSweepRow(sweep_payload, &row));
-  EXPECT_TRUE(decodeCampaignCell(campaign_payload, &cell));
-  EXPECT_FALSE(decodeSweepRow(campaign_payload, &row));
-  EXPECT_FALSE(decodeCampaignCell(sweep_payload, &cell));
+  EXPECT_TRUE(decodeRow(sweep_payload, &row));
+  EXPECT_TRUE(decodeRow(campaign_payload, &cell));
+  EXPECT_FALSE(decodeRow(campaign_payload, &row));
+  EXPECT_FALSE(decodeRow(sweep_payload, &cell));
 }
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))

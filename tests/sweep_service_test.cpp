@@ -34,6 +34,7 @@
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #define SPT_SERVICE_TEST_POSIX 1
 #include <csignal>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -180,12 +181,24 @@ struct ServiceHandle {
   std::string socket_path;
 };
 
+/// The address space this process maps now, in bytes; 0 when unknown.
+std::uint64_t mappedBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0;
+  if (!(statm >> pages)) return 0;
+  return pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
 /// Forks a child that runs a SweepService on `socket_path` until SIGTERM;
 /// waits for the socket to answer a status query before returning. The
 /// kill/restart tests reuse one socket path across service incarnations,
 /// so the path is the caller's (startService generates a fresh one).
+/// A `bounded` service dies on SIGALRM after 60 s and may map at most
+/// 1 GiB more than it does at startup, so a request it wrongly admits
+/// cannot run the host out of memory.
 ServiceHandle startServiceAt(SweepServiceOptions opts,
-                             const std::string& socket_path) {
+                             const std::string& socket_path,
+                             bool bounded = false) {
   ServiceHandle h;
   h.socket_path = socket_path;
   opts.socket_path = h.socket_path;
@@ -195,6 +208,12 @@ ServiceHandle startServiceAt(SweepServiceOptions opts,
   }
   const pid_t pid = ::fork();
   if (pid == 0) {
+    if (bounded) {
+      ::alarm(60);
+      const rlim_t cap = mappedBytes() + (1ull << 30);
+      const rlimit limit{cap, cap};
+      if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(1);
+    }
     g_service_stop = 0;
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
@@ -203,8 +222,15 @@ ServiceHandle startServiceAt(SweepServiceOptions opts,
     ::sigaction(SIGTERM, &sa, nullptr);
     opts.stop = &g_service_stop;
     opts.log = nullptr;
-    SweepService service(std::move(opts));
-    ::_exit(service.run());
+    // An exception escaping the service (a bounded service out of address
+    // space) ends the child; it must not unwind into the test body.
+    int rc = 1;
+    try {
+      SweepService service(std::move(opts));
+      rc = service.run();
+    } catch (...) {
+    }
+    ::_exit(rc);
   }
   h.pid = pid;
   // Wait (up to ~10 s) for the service to answer on the socket.
@@ -216,11 +242,12 @@ ServiceHandle startServiceAt(SweepServiceOptions opts,
   return h;
 }
 
-ServiceHandle startService(SweepServiceOptions opts, const std::string& tag) {
+ServiceHandle startService(SweepServiceOptions opts, const std::string& tag,
+                           bool bounded = false) {
   const std::string path = ::testing::TempDir() + "/spts_" + tag + "_" +
                            std::to_string(::getpid()) + ".sock";
   ::unlink(path.c_str());
-  return startServiceAt(std::move(opts), path);
+  return startServiceAt(std::move(opts), path, bounded);
 }
 
 /// SIGTERMs the service and returns its exit code (-1 on abnormal death).
@@ -317,6 +344,60 @@ TEST(SweepService, AdmissionRefusalsAreStructuredAndNonFatal) {
   ASSERT_EQ(ok_out.echoes.size(), 2u);
   EXPECT_EQ(ok_out.echoes[1], "after:1");
 
+  EXPECT_EQ(stopService(h), 0);
+}
+
+// Admission arithmetic on client-supplied counts never wraps. A campaign
+// whose benchmarks × seeds product overflows is refused, not admitted as
+// the wrapped remainder; an echo request of 2^64-1 cells is refused while
+// another request's cells are queued, instead of wrapping the queue bound
+// and enqueueing until memory runs out (the service runs bounded, so a
+// regression fails here instead of exhausting the host).
+TEST(SweepService, AdmissionRefusesCellCountsThatWrap) {
+  if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
+  if (mappedBytes() == 0) GTEST_SKIP() << "no /proc/self/statm here";
+  SweepServiceOptions opts;
+  opts.allow_chaos = true;
+  opts.supervisor.jobs = 1;  // cells 1..3 queue behind the hung cell 0
+  opts.supervisor.cell_timeout_seconds = 2.0;
+  const ServiceHandle h = startService(std::move(opts), "wrap", true);
+  ASSERT_GT(h.pid, 0);
+
+  // 2 × (2^63 + 1) wraps to 2 cells.
+  ServiceRequest campaign;
+  campaign.kind = ServiceRequest::Kind::kCampaign;
+  campaign.benchmarks = {"crafty", "vortex"};
+  campaign.seeds = (1ull << 63) + 1;
+  const SubmitOutcome wrapped = submitToService(h.socket_path, campaign);
+  EXPECT_FALSE(wrapped.ok);
+  EXPECT_FALSE(wrapped.busy);
+  EXPECT_NE(wrapped.error.find("too many cells"), std::string::npos)
+      << wrapped.error;
+
+  const pid_t client = ::fork();
+  if (client == 0) {
+    ServiceRequest req;
+    req.kind = ServiceRequest::Kind::kEcho;
+    req.echo_cells = 4;
+    req.echo_payload = "q";
+    req.chaos = *support::ChaosPlan::parse("0:hang");
+    const SubmitOutcome out = submitToService(h.socket_path, req);
+    ::_exit(out.ok && out.echoes.size() == 4 && out.echoes[3] == "q:3" ? 0
+                                                                      : 1);
+  }
+  ASSERT_GT(client, 0);
+  ::usleep(300 * 1000);  // cell 0 hangs its worker; cells 1..3 are queued
+
+  ServiceRequest echo;
+  echo.kind = ServiceRequest::Kind::kEcho;
+  echo.echo_cells = ~std::uint64_t{0};
+  const SubmitOutcome huge = submitToService(h.socket_path, echo);
+  EXPECT_FALSE(huge.ok);
+  EXPECT_TRUE(huge.busy) << huge.error;
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(client, &status, 0), client);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   EXPECT_EQ(stopService(h), 0);
 }
 
@@ -581,9 +662,9 @@ TEST(SweepService, CheckpointCarriesSweepAndCampaignLines) {
   const LogReplay replay = readDurableLog(jl);
   ASSERT_EQ(replay.rows.size(), 2u);
   SweepRow logged_row;
-  ASSERT_TRUE(decodeSweepRow(replay.rows.at({"mcf", "default"}), &logged_row));
+  ASSERT_TRUE(decodeRow(replay.rows.at({"mcf", "default"}), &logged_row));
   FaultCampaignCell logged_cell;
-  ASSERT_TRUE(decodeCampaignCell(
+  ASSERT_TRUE(decodeRow(
       replay.rows.at({"mcf", campaignCellConfigKey(
                                  0, support::deriveSeed(camp.base_seed, 0))}),
       &logged_cell));

@@ -101,7 +101,6 @@
 //                      a segfault, abort, OOM, hang or corrupt reply
 //                      becomes a non-ok row while the rest of the run
 //                      completes
-//   --pool             the same as --isolate
 //   --no-isolate       force the in-process path (the default)
 //   --cell-timeout S   per-worker wall-clock deadline in seconds
 //                      (fractional ok; SIGKILL past it; 0 = none)
@@ -198,7 +197,7 @@ extern "C" void onInterruptSignal(int) { g_interrupted = 1; }
 
 /// Installs SIGINT/SIGTERM handlers that set the stop flag. Deliberately
 /// without SA_RESTART so a signal wakes the supervisor's poll() instead
-/// of silently restarting it. Only used for supervised (--isolate/--pool)
+/// of silently restarting it. Only used for supervised (--isolate)
 /// runs and the service — the in-process path keeps default signal
 /// behavior (die now; per-record checkpoint fsyncs already make --resume
 /// safe, and the reader drops a torn trailing record).
@@ -412,7 +411,7 @@ Options parseOptions(int argc, char** argv, int first,
       o.resume = true;
     } else if (arg == "--quarantine") {
       o.quarantine = true;
-    } else if (arg == "--isolate" || arg == "--pool") {
+    } else if (arg == "--isolate") {
       o.supervisor.isolate = true;
     } else if (arg == "--no-isolate") {
       o.supervisor.isolate = false;
