@@ -21,21 +21,18 @@ std::string hex64(std::uint64_t v) {
   return out;
 }
 
-/// The run's result as a cache entry keeps it, in the v3 meta words.
+/// The run's result as a cache entry keeps it, in the header's meta words.
 trace::TraceFileMeta metaOf(const interp::RunResult& run) {
   return {static_cast<std::uint64_t>(run.return_value), run.memory_hash};
 }
 
-/// The run that produced `entry`'s trace, recovered from its meta words;
-/// the instruction count is recounted from the trace.
+/// The run that produced `entry`'s trace, recovered from its meta words
+/// and the instruction count its open counted.
 interp::RunResult runOf(const TraceCache::Entry& entry) {
   interp::RunResult run;
   run.return_value = static_cast<std::int64_t>(entry.meta.word0);
   run.memory_hash = entry.meta.word1;
-  for (std::size_t i = 0; i < entry.view.size(); ++i) {
-    run.dynamic_instrs +=
-        entry.view[i].kind == trace::RecordKind::kInstr ? 1 : 0;
-  }
+  run.dynamic_instrs = entry.instr_count;
   return run;
 }
 

@@ -15,8 +15,8 @@
 // only where each program's records come from. Without a cache, each run
 // streams straight into its machine, so no trace is stored: the SPT
 // machine indexes forks as the records arrive and keeps only the window its
-// threads can still read. With a cache, both machines replay mapped v3
-// traces, and the baseline trace keeps its run's profile beside it, so a
+// threads can still read. With a cache, both machines replay mapped trace
+// files, and the baseline trace keeps its run's profile beside it, so a
 // cache hit interprets nothing.
 #pragma once
 
@@ -95,7 +95,7 @@ struct ExperimentResult {
 ///
 /// Without a `cache`, each program's run streams straight into its
 /// machine and no trace is stored. With one, the baseline and SPT traces
-/// come from `cache` as mmap-backed v3 files, with identical results: the
+/// come from `cache` as mmap-backed trace files, with identical results: the
 /// baseline entry keeps the profile of the run that produced it as a
 /// sidecar, and that profile primes the compiler whether this call
 /// produced the trace or found it. `key_prefix` must then identify the
@@ -104,8 +104,9 @@ struct ExperimentResult {
 /// the compilation plan's fingerprint, so distinct compiler options never
 /// collide. On a cache hit nothing is interpreted (except a module
 /// unrolling changed, which the compiler profiles): the traced run's
-/// return value and memory hash are recovered from the v3 meta words
-/// (baseline_run/spt_run.dynamic_instrs is recounted from the trace).
+/// return value and memory hash are recovered from the header's meta
+/// words, and baseline_run/spt_run.dynamic_instrs is the count the file's
+/// validating open took.
 /// The machines are torn down before return, so no view outlives the call.
 ExperimentResult runSptExperiment(
     ir::Module module, const compiler::CompilerOptions& copts = {},

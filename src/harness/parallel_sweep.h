@@ -162,7 +162,7 @@ struct SweepOptions {
   /// exception becomes a non-ok row either way). Checkpoint logs written
   /// by either path resume under the other.
   SupervisorOptions supervisor;
-  /// When non-empty, cells share one mmap-backed v3 trace per
+  /// When non-empty, cells share one mmap-backed trace file per
   /// (workload, scale, plan) through a TraceCache rooted here
   /// (harness/trace_cache.h): the first cell to need a trace interprets
   /// and writes it, every other cell — including supervised workers in

@@ -107,7 +107,7 @@ void TraceCache::populate(Slot& slot, const std::string& key,
   const std::string profile_path = dir_ + "/" + file + ".prof";
 
   // Another process (a sibling pooled worker, or an earlier run over the
-  // same cache directory) may already have written this trace; v3
+  // same cache directory) may already have written this trace;
   // validation at open decides whether the file is trustworthy, and the
   // sidecar's checksum whether its profile is.
   std::string error;
@@ -116,7 +116,7 @@ void TraceCache::populate(Slot& slot, const std::string& key,
     if (profiled) sidecar = readProfileSidecar(profile_path);
     if (!profiled || sidecar) {
       slot.entry = {mapped->view(), mapped->meta(), path,
-                    std::move(sidecar).value_or("")};
+                    mapped->instrCount(), std::move(sidecar).value_or("")};
       slot.map = std::move(mapped);
       const std::lock_guard<std::mutex> lock(mu_);
       ++file_reuses_;
@@ -146,7 +146,7 @@ void TraceCache::populate(Slot& slot, const std::string& key,
                       .c_str());
   }
   const std::string tmp = path + tag;
-  SPT_CHECK_MSG(trace::writeTraceV3File(tmp, buffer.view(), meta),
+  SPT_CHECK_MSG(trace::writeTraceFile(tmp, buffer.view(), meta),
                 ("trace cache: cannot write " + tmp).c_str());
   SPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
                 ("trace cache: cannot rename " + tmp + " to " + path)
@@ -157,7 +157,8 @@ void TraceCache::populate(Slot& slot, const std::string& key,
                 ("trace cache: just-written " + path +
                  " failed validation: " + error)
                     .c_str());
-  slot.entry = {mapped->view(), mapped->meta(), path, std::move(sidecar)};
+  slot.entry = {mapped->view(), mapped->meta(), path, mapped->instrCount(),
+                std::move(sidecar)};
   slot.map = std::move(mapped);
   const std::lock_guard<std::mutex> lock(mu_);
   ++produced_;

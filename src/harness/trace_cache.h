@@ -1,19 +1,21 @@
-// Shared mmap-backed trace store for sweeps (trace format v3).
+// Shared mmap-backed trace store for sweeps (trace container v4).
 //
 // A suite sweep re-runs the same workload under many machine configs, and
 // a supervised sweep re-runs it across many worker processes; before this
 // cache every cell re-interpreted the program just to rebuild a trace that
 // is a pure function of (workload, scale, compiler plan). TraceCache
 // makes the trace a file: the first producer interprets once and writes a
-// v3 container (trace_io.h), every later consumer — same process, another
-// pool thread, or another forked worker — mmaps that file and simulates
-// over a zero-copy TraceView. Because v3 mappings are read-only and
-// MAP_SHARED, the page cache keeps **one** physical copy of each
+// trace container (trace_io.h), every later consumer — same process,
+// another pool thread, or another forked worker — mmaps that file and
+// simulates over a zero-copy TraceView. Because the mappings are read-only
+// and MAP_SHARED, the page cache keeps **one** physical copy of each
 // workload's trace no matter how many supervised workers are replaying it.
 //
-// The traced run's return value and memory hash ride in the v3 header's
-// meta words, so cached experiments re-assert baseline-vs-SPT execution
-// equivalence without re-interpreting. An entry got through getProfiled()
+// The traced run's return value and memory hash ride in the container
+// header's meta words, and its instruction count comes from the pass that
+// validates the file at open, so cached experiments re-assert
+// baseline-vs-SPT execution equivalence without re-interpreting or
+// re-reading the trace. An entry got through getProfiled()
 // also keeps the profile of the run that produced it, as a sidecar file
 // (<key>.prof, profile/profile_codec.h) written in the same producer call,
 // so a cached experiment primes its compiler without interpreting either.
@@ -26,10 +28,13 @@
 // readers only ever see complete, checksummed files. A file that fails
 // validation (truncated leftover, version skew) is silently re-produced,
 // and so is a trace whose profile sidecar is missing or fails validation.
+// Files keep the name <key>.spt3 across container versions, so a cache
+// written by an older version heals in place: each stale file is
+// overwritten by the first get() that finds it.
 //
 // Lifetime: entries (and the mappings behind their views) live until the
 // cache is destroyed; every machine/LoopIndex built over an entry's view
-// must be gone by then (docs/PERF.md "Trace v3").
+// must be gone by then (docs/PERF.md "Trace v4").
 #pragma once
 
 #include <cstdint>
@@ -51,7 +56,8 @@ class TraceCache {
   struct Entry {
     trace::TraceView view;
     trace::TraceFileMeta meta;  // word0 = return value, word1 = memory hash
-    std::string path;           // the backing v3 file
+    std::string path;           // the backing container file
+    std::uint64_t instr_count = 0;  // kInstr records in `view`
     /// The producing run's profile as validated sidecar bytes
     /// (profile::decodeProfile reads them); empty unless got via
     /// getProfiled(). Kept encoded, which takes less memory than decoded.
@@ -68,7 +74,7 @@ class TraceCache {
   /// `dir` is created if missing; trace files land there as <key>.spt3.
   explicit TraceCache(std::string dir);
 
-  /// Returns the entry for `key`, producing and writing the v3 file on
+  /// Returns the entry for `key`, producing and writing the file on
   /// first use in this process (or adopting a valid file another process
   /// already wrote). The reference is stable for the cache's lifetime.
   const Entry& get(const std::string& key, const Producer& produce);

@@ -7,11 +7,12 @@
 // addresses, overwritten memory values, branch outcomes) for the simulator
 // to emulate speculative execution exactly.
 //
-// Layout contract: Record is the on-disk v3 record. The field order below
-// packs to exactly 40 bytes with no padding holes, little-endian on every
-// supported target — so a v3 trace file is mmap-able as a raw Record array
-// (zero-copy). The static_asserts below pin the contract; do not reorder
-// fields without bumping the trace format version.
+// Layout contract: Record is the trace container's on-disk record
+// (trace_io.h). The field order below packs to exactly 40 bytes with no
+// padding holes, little-endian on every supported target — so a trace file
+// is mmap-able as a raw Record array (zero-copy). The static_asserts below
+// pin the contract; do not reorder fields without bumping the trace format
+// version.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +39,7 @@ struct Record {
   /// kCondBr: true if target0 (the "taken" side) was followed.
   bool taken = false;
 
-  /// Reserved; always zero (keeps the struct hole-free and the v3 byte
+  /// Reserved; always zero (keeps the struct hole-free and the on-disk byte
   /// stream canonical — readers reject a nonzero pad).
   std::uint8_t pad = 0;
 
@@ -67,7 +68,7 @@ struct Record {
 };
 
 // The zero-copy contract (see header comment).
-static_assert(sizeof(Record) == 40, "Record must be the 40-byte v3 layout");
+static_assert(sizeof(Record) == 40, "Record must be the 40-byte disk layout");
 static_assert(std::is_trivially_copyable_v<Record>);
 static_assert(offsetof(Record, kind) == 0);
 static_assert(offsetof(Record, op) == 1);

@@ -39,7 +39,7 @@ class TeeSink final : public TraceSink {
 
 /// Non-owning view over a contiguous run of records — the single currency
 /// the machines, LoopIndex, and the oracle consume. Both an in-memory
-/// TraceBuffer and an mmap-ed v3 file (trace_io::MappedTrace) produce one,
+/// TraceBuffer and an mmap-ed trace file (trace_io::MappedTrace) produce one,
 /// so simulation is zero-copy over whichever backing store holds the
 /// records. Lifetime: the backing store must outlive every view (and every
 /// machine/index holding one); views are cheap value types (pointer+size).

@@ -1,5 +1,7 @@
 #include "trace/trace_io.h"
 
+#include <bit>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -18,13 +20,19 @@ namespace spt::trace {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'P', 'T', 'T', 'R', 'A', 'C', 'E'};
-constexpr std::uint32_t kVersionV3 = 3;
+constexpr std::uint32_t kVersion = 4;
 
 // magic + version + flags + count + checksum + meta0 + meta1.
-constexpr std::size_t kHeaderBytesV3 =
+constexpr std::size_t kHeaderBytes =
     sizeof kMagic + 2 * sizeof(std::uint32_t) + 4 * sizeof(std::uint64_t);
-static_assert(kHeaderBytesV3 == 48 && kHeaderBytesV3 % alignof(Record) == 0,
-              "v3 records must start 8-aligned for in-place mapping");
+static_assert(kHeaderBytes == 48 && kHeaderBytes % alignof(Record) == 0,
+              "records must start 8-aligned for in-place mapping");
+
+// The checksum folds whole words, and open() reads a record's kind, op,
+// taken and pad bytes from its first word.
+constexpr std::size_t kRecordWords = sizeof(Record) / sizeof(std::uint64_t);
+static_assert(sizeof(Record) % sizeof(std::uint64_t) == 0);
+static_assert(offsetof(Record, pad) < sizeof(std::uint64_t));
 
 /// Record-range validation. `raw` is one 40-byte record image; `offset` is
 /// its absolute position in the file. On failure fills `error` with the
@@ -70,16 +78,24 @@ bool validateRecordBytes(const unsigned char* raw, std::uint64_t index,
 std::uint64_t streamChecksum(TraceView trace) {
   // Record *is* the canonical disk encoding (record.h), so the checksum is
   // over the structs' own bytes.
-  return support::fnv1a(support::kFnvOffsetBasis, trace.data(),
-                        trace.size() * sizeof(Record));
+  support::WordLanes lanes;
+  lanes.fold(trace.data(), trace.size() * kRecordWords);
+  return lanes.digest();
+}
+
+/// The byte at offset `at` of the eight bytes loaded as `word`.
+constexpr std::uint64_t byteAt(std::uint64_t word, std::size_t at) {
+  const std::size_t shift =
+      std::endian::native == std::endian::little ? at : 7 - at;
+  return (word >> (8 * shift)) & 0xff;
 }
 
 }  // namespace
 
-bool writeTraceV3(std::ostream& os, TraceView trace,
-                  const TraceFileMeta& meta) {
+bool writeTrace(std::ostream& os, TraceView trace,
+                const TraceFileMeta& meta) {
   os.write(kMagic, sizeof kMagic);
-  const std::uint32_t version = kVersionV3;
+  const std::uint32_t version = kVersion;
   os.write(reinterpret_cast<const char*>(&version), sizeof version);
   const std::uint32_t flags = 0;
   os.write(reinterpret_cast<const char*>(&flags), sizeof flags);
@@ -94,10 +110,10 @@ bool writeTraceV3(std::ostream& os, TraceView trace,
   return static_cast<bool>(os);
 }
 
-bool writeTraceV3File(const std::string& path, TraceView trace,
-                      const TraceFileMeta& meta) {
+bool writeTraceFile(const std::string& path, TraceView trace,
+                    const TraceFileMeta& meta) {
   std::ofstream out(path, std::ios::binary);
-  return out && writeTraceV3(out, trace, meta);
+  return out && writeTrace(out, trace, meta);
 }
 
 MappedTrace::MappedTrace(MappedTrace&& other) noexcept {
@@ -109,12 +125,14 @@ MappedTrace& MappedTrace::operator=(MappedTrace&& other) noexcept {
   release();
   records_ = other.records_;
   count_ = other.count_;
+  instr_count_ = other.instr_count_;
   meta_ = other.meta_;
   map_base_ = other.map_base_;
   map_len_ = other.map_len_;
   heap_copy_ = other.heap_copy_;
   other.records_ = nullptr;
   other.count_ = 0;
+  other.instr_count_ = 0;
   other.map_base_ = nullptr;
   other.map_len_ = 0;
   other.heap_copy_ = nullptr;
@@ -133,6 +151,7 @@ void MappedTrace::release() {
   heap_copy_ = nullptr;
   records_ = nullptr;
   count_ = 0;
+  instr_count_ = 0;
 }
 
 std::optional<MappedTrace> MappedTrace::open(const std::string& path,
@@ -182,9 +201,9 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
   bytes = mapped.heap_copy_;
 #endif
 
-  if (file_len < kHeaderBytesV3) {
+  if (file_len < kHeaderBytes) {
     return fail("truncated header: file is " + std::to_string(file_len) +
-                " bytes, the v3 header is " + std::to_string(kHeaderBytesV3) +
+                " bytes, the header is " + std::to_string(kHeaderBytes) +
                 " bytes");
   }
   if (std::memcmp(bytes, kMagic, sizeof kMagic) != 0) {
@@ -192,14 +211,14 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
   }
   std::uint32_t version = 0;
   std::memcpy(&version, bytes + 8, sizeof version);
-  if (version != kVersionV3) {
+  if (version != kVersion) {
     return fail("unsupported trace version " + std::to_string(version) +
-                " (expected " + std::to_string(kVersionV3) + ")");
+                " (expected " + std::to_string(kVersion) + ")");
   }
   std::uint32_t flags = 0;
   std::memcpy(&flags, bytes + 12, sizeof flags);
   if (flags != 0) {
-    return fail("unsupported v3 flags " + std::to_string(flags) +
+    return fail("unsupported trace flags " + std::to_string(flags) +
                 " at byte offset 12 (reserved, must be 0)");
   }
   std::uint64_t count = 0;
@@ -212,7 +231,7 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
   // Compare record counts, not byte totals: a corrupt count near
   // 2^64 / sizeof(Record) would wrap `count * sizeof(Record)` back to the
   // file's length and send the validation loop far past the mapping.
-  const std::size_t body = file_len - kHeaderBytesV3;
+  const std::size_t body = file_len - kHeaderBytes;
   const std::uint64_t room = body / sizeof(Record);
   if (count != room || body % sizeof(Record) != 0) {
     return fail("record stream size mismatch: header declares " +
@@ -224,18 +243,57 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
                               : " (trailing garbage)"));
   }
 
+  // One pass over the payload: fold every word into the checksum, test
+  // each record's kind/op/taken/pad bytes (from its first word) into one
+  // flag without branching, and count the instructions. Records go four at
+  // a time, a whole number of checksum rounds.
   const unsigned char* payload =
-      reinterpret_cast<const unsigned char*>(bytes) + kHeaderBytesV3;
-  std::string record_error;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (!validateRecordBytes(payload + i * sizeof(Record), i,
-                             kHeaderBytesV3 + i * sizeof(Record),
-                             &record_error)) {
-      return fail(record_error);
+      reinterpret_cast<const unsigned char*>(bytes) + kHeaderBytes;
+  constexpr std::uint64_t kMaxKind =
+      static_cast<std::uint8_t>(RecordKind::kLoopExit);
+  constexpr std::uint64_t kMaxOp = static_cast<std::uint8_t>(ir::Opcode::kNop);
+  constexpr std::uint64_t kInstr =
+      static_cast<std::uint8_t>(RecordKind::kInstr);
+  constexpr std::uint64_t kGroup = support::WordLanes::kLanes;
+  support::WordLanes lanes;
+  std::uint64_t bad = 0;
+  std::uint64_t instrs = 0;
+  const auto check = [&](const unsigned char* raw) {
+    std::uint64_t head = 0;
+    std::memcpy(&head, raw, sizeof head);
+    const std::uint64_t kind = byteAt(head, offsetof(Record, kind));
+    bad |= static_cast<std::uint64_t>(kind > kMaxKind) |
+           static_cast<std::uint64_t>(byteAt(head, offsetof(Record, op)) >
+                                      kMaxOp) |
+           static_cast<std::uint64_t>(byteAt(head, offsetof(Record, taken)) >
+                                      1) |
+           byteAt(head, offsetof(Record, pad));
+    instrs += static_cast<std::uint64_t>(kind == kInstr);
+  };
+  std::uint64_t i = 0;
+  for (; i + kGroup <= count; i += kGroup) {
+    const unsigned char* group = payload + i * sizeof(Record);
+    for (std::uint64_t r = 0; r < kGroup; ++r) {
+      check(group + r * sizeof(Record));
+    }
+    lanes.fold(group, kGroup * kRecordWords);
+  }
+  lanes.fold(payload + i * sizeof(Record), (count - i) * kRecordWords);
+  for (; i < count; ++i) check(payload + i * sizeof(Record));
+
+  // A flagged record: find the first one again, byte by byte, for its
+  // diagnostic (range errors take precedence over the checksum).
+  if (bad != 0) {
+    std::string record_error;
+    for (std::uint64_t j = 0; j < count; ++j) {
+      if (!validateRecordBytes(payload + j * sizeof(Record), j,
+                               kHeaderBytes + j * sizeof(Record),
+                               &record_error)) {
+        return fail(record_error);
+      }
     }
   }
-  const std::uint64_t checksum = support::fnv1a(
-      support::kFnvOffsetBasis, payload, count * sizeof(Record));
+  const std::uint64_t checksum = lanes.digest();
   if (checksum != stored_checksum) {
     return fail("checksum mismatch over " + std::to_string(count) +
                 " records: stored " + std::to_string(stored_checksum) +
@@ -247,6 +305,7 @@ std::optional<MappedTrace> MappedTrace::open(const std::string& path,
   // zero-copy view.
   mapped.records_ = reinterpret_cast<const Record*>(payload);
   mapped.count_ = static_cast<std::size_t>(count);
+  mapped.instr_count_ = instrs;
   return mapped;
 }
 

@@ -1,9 +1,9 @@
 // Tests for the shared mmap-backed trace store (harness/trace_cache.h) and
 // the cached experiment path built on it: production/adoption/hit counter
-// semantics, v3 meta-word round trips, the profile sidecar and its codec,
+// semantics, header meta-word round trips, the profile sidecar and its codec,
 // and — the property the whole subsystem hangs on — bit-identical
 // simulation results whether a machine consumes the in-memory text-built
-// TraceBuffer or the mmap'd v3 file.
+// TraceBuffer or the mmap'd trace file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -165,13 +165,17 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   EXPECT_EQ(cache.produced(), 2u);
   EXPECT_EQ(cache.memoryHits(), 2u);
   EXPECT_EQ(remarksJson(again_remarks), remarksJson(plain_remarks));
+  // The instruction counts come from the files' validating opens.
+  EXPECT_EQ(plain.baseline_run.dynamic_instrs,
+            again.baseline_run.dynamic_instrs);
+  EXPECT_EQ(plain.spt_run.dynamic_instrs, again.spt_run.dynamic_instrs);
   expectSameMachineResult(plain.baseline, again.baseline);
   expectSameMachineResult(plain.spt, again.spt);
 }
 
 TEST(TraceCache, SuiteGoldenDigestsMatchTextVsBinary) {
   // The satellite gate: for every suite workload, simulating over the
-  // mmap'd v3 file must be bit-identical to simulating over the in-memory
+  // mmap'd trace file must be bit-identical to simulating over the in-memory
   // trace — baseline and SPT machines both. This is the suite-wide
   // extension of golden_digest_test's pins: those pin absolute values for
   // three workloads; this pins text-vs-binary equality for all ten.
@@ -305,6 +309,46 @@ TEST(TraceCache, MissingOrDamagedSidecarIsReproduced) {
     spt::testing::expectSameRun(again.spt_run, plain.spt_run);
     expectSameMachineResult(again.baseline, plain.baseline);
     expectSameMachineResult(again.spt, plain.spt);
+  }
+}
+
+// A trace file that fails validation is written again by the next cache
+// that needs it: one left by the previous container version (its version
+// byte rewritten to 3) and one cut short.
+TEST(TraceCache, StaleOrTruncatedTraceFileIsReproduced) {
+  const TracedRun run = tracedArraySum(48);
+  const auto produce = [&](trace::TraceFileMeta* meta) {
+    meta->word0 = static_cast<std::uint64_t>(run.result.return_value);
+    meta->word1 = run.result.memory_hash;
+    return run.trace;
+  };
+  const std::string dir = freshDir("stale");
+  std::string path;
+  {
+    TraceCache cache(dir);
+    path = cache.get("arraysum.c", produce).path;
+  }
+  const std::string good = readBytes(path);
+  std::string old_version = good;
+  old_version[8] = 3;  // version field (little-endian low byte)
+  const std::vector<std::pair<std::string, std::string>> damages = {
+      {"version 3", old_version},
+      {"truncated", good.substr(0, good.size() - 7)},
+  };
+  for (const auto& [what, bytes] : damages) {
+    SCOPED_TRACE(what);
+    writeBytes(path, bytes);
+    std::string error;
+    ASSERT_FALSE(trace::MappedTrace::open(path, &error).has_value());
+    TraceCache cache(dir);
+    const TraceCache::Entry& entry = cache.get("arraysum.c", produce);
+    EXPECT_EQ(cache.produced(), 1u);
+    EXPECT_EQ(cache.fileReuses(), 0u);
+    EXPECT_EQ(entry.path, path);
+    EXPECT_EQ(entry.view.size(), run.trace.size());
+    EXPECT_EQ(entry.instr_count, run.result.dynamic_instrs);
+    EXPECT_EQ(readBytes(path), good);
+    EXPECT_TRUE(trace::MappedTrace::open(path, &error).has_value()) << error;
   }
 }
 

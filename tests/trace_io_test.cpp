@@ -1,10 +1,12 @@
-// Tests for the v3 trace container: round trips through a file opened
+// Tests for the v4 trace container: round trips through a file opened
 // with MappedTrace::open, corruption handling, and simulate-from-file
 // equivalence.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "harness/experiment.h"
@@ -26,10 +28,10 @@ std::string tracePath(const std::string& name) {
   return ::testing::TempDir() + "/spt_trace_io_" + name + ".trace";
 }
 
-/// The v3 file image of `trace`.
+/// The file image of `trace`.
 std::string fileBytes(TraceView trace, const TraceFileMeta& meta = {}) {
   std::ostringstream os;
-  EXPECT_TRUE(writeTraceV3(os, trace, meta));
+  EXPECT_TRUE(writeTrace(os, trace, meta));
   return os.str();
 }
 
@@ -74,7 +76,7 @@ TEST(TraceIo, RoundTripPreservesEveryField) {
   harness::TracedRun run = harness::traceProgram(m);
 
   const std::string path = tracePath("round_trip");
-  ASSERT_TRUE(writeTraceV3File(path, run.trace, {0x1234, ~0ull}));
+  ASSERT_TRUE(writeTraceFile(path, run.trace, {0x1234, ~0ull}));
   std::string error;
   const auto back = MappedTrace::open(path, &error);
   ASSERT_TRUE(back.has_value()) << error;
@@ -89,7 +91,7 @@ TEST(TraceIo, SimulationFromFileMatchesInMemory) {
   harness::TracedRun run = harness::traceProgram(m);
 
   const std::string path = tracePath("simulate");
-  ASSERT_TRUE(writeTraceV3File(path, run.trace));
+  ASSERT_TRUE(writeTraceFile(path, run.trace));
   const auto loaded = MappedTrace::open(path);
   ASSERT_TRUE(loaded.has_value());
 
@@ -143,14 +145,15 @@ TEST(TraceIo, RejectsVersionMismatch) {
   testing::buildArraySum(m, 2);
   harness::TracedRun run = harness::traceProgram(m);
   const std::string good = fileBytes(run.trace);
-  // Version 2 (the retired record stream) is as foreign as any other.
-  for (const char version : {char{2}, char{99}}) {
+  // Version 2 (the retired record stream) and version 3 (the byte-wise
+  // checksum) are as foreign as any other.
+  for (const char version : {char{2}, char{3}, char{99}}) {
     std::string bytes = good;
     bytes[8] = version;  // version field (little-endian low byte)
     std::string error;
     EXPECT_FALSE(openBytes(bytes, &error).has_value());
     EXPECT_NE(error.find("unsupported trace version " +
-                         std::to_string(version) + " (expected 3)"),
+                         std::to_string(version) + " (expected 4)"),
               std::string::npos)
         << error;
   }
@@ -221,6 +224,56 @@ TEST(TraceIo, BitFlipsAreDetected) {
   EXPECT_GT(range_hits, 0u);
 }
 
+// Any corruption confined to one 64-bit payload word is caught: the
+// checksum's lane step is a bijection for a fixed word, so a changed word
+// always changes the digest. Each word gets a seeded random non-zero mask.
+TEST(TraceIo, WholeWordCorruptionIsDetected) {
+  ir::Module m("t");
+  testing::buildForkLoop(m, 6);
+  const harness::TracedRun run = harness::traceProgram(m);
+  // 70 records: not a whole number of four-record checksum rounds, so the
+  // words folded after the last round are covered too.
+  ASSERT_EQ(run.trace.size() % 4, 2u);
+  const std::string full = fileBytes(run.trace);
+
+  const std::string path = writeScratch(full);
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  const auto put = [&](std::size_t at, const char* bytes) {
+    file.seekp(static_cast<std::streamoff>(at));
+    file.write(bytes, 8);
+    file.flush();
+  };
+  std::mt19937_64 rng(23);
+  std::size_t checksum_hits = 0;
+  std::size_t range_hits = 0;
+  for (std::size_t at = kHeaderBytes; at < full.size(); at += 8) {
+    std::uint64_t mask = 0;
+    while (mask == 0) mask = rng();
+    std::uint64_t word = 0;
+    std::memcpy(&word, full.data() + at, 8);
+    word ^= mask;
+    char bad[8];
+    std::memcpy(bad, &word, 8);
+    put(at, bad);
+    std::string error;
+    const bool opened = MappedTrace::open(path, &error).has_value();
+    put(at, full.data() + at);
+    ASSERT_FALSE(opened) << "word at byte " << at;
+    if (error.find("checksum mismatch") != std::string::npos) {
+      ++checksum_hits;
+    } else if (error.find("corrupt") != std::string::npos &&
+               error.find("byte offset") != std::string::npos) {
+      ++range_hits;
+    } else {
+      FAIL() << "unexpected diagnostic: " << error;
+    }
+  }
+  EXPECT_GT(checksum_hits, 0u);
+  EXPECT_GT(range_hits, 0u);
+  // The file is whole again.
+  EXPECT_TRUE(MappedTrace::open(path).has_value());
+}
+
 // Every single-bit flip of the header's record count is a size mismatch.
 // Bits 61-63 are the dangerous ones: `count * 40` wraps modulo 2^64 back
 // to the true size, so a size check done in bytes passes and validation
@@ -277,11 +330,13 @@ TEST(TraceIo, RandomProgramRoundTripProperty) {
     ASSERT_GT(run.trace.size(), 0u) << "seed " << seed;
 
     const std::string path = tracePath("random_" + std::to_string(seed));
-    ASSERT_TRUE(writeTraceV3File(path, run.trace)) << "seed " << seed;
+    ASSERT_TRUE(writeTraceFile(path, run.trace)) << "seed " << seed;
     std::string error;
     const auto back = MappedTrace::open(path, &error);
     ASSERT_TRUE(back.has_value()) << "seed " << seed << ": " << error;
     expectRecordsEqual(run.trace, *back);
+    // The validating pass counts the instructions the run executed.
+    EXPECT_EQ(back->instrCount(), run.result.dynamic_instrs) << "seed " << seed;
     expectSameLoopIndex(m, run.trace, *back);
   }
 }
@@ -293,7 +348,7 @@ TEST(TraceIo, ForkResolutionSurvivesRoundTrip) {
   testing::buildForkLoop(m, 25);
   const harness::TracedRun run = harness::traceProgram(m);
   const std::string path = tracePath("forks");
-  ASSERT_TRUE(writeTraceV3File(path, run.trace));
+  ASSERT_TRUE(writeTraceFile(path, run.trace));
   const auto back = MappedTrace::open(path);
   ASSERT_TRUE(back.has_value());
 
@@ -315,14 +370,14 @@ TEST(TraceIo, FileHelpers) {
   testing::buildFib(m, 6);
   harness::TracedRun run = harness::traceProgram(m);
   const std::string path = tracePath("file_helpers");
-  ASSERT_TRUE(writeTraceV3File(path, run.trace));
+  ASSERT_TRUE(writeTraceFile(path, run.trace));
   std::string error;
   const auto back = MappedTrace::open(path, &error);
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_EQ(back->size(), run.trace.size());
   EXPECT_FALSE(MappedTrace::open(path + ".missing", &error).has_value());
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
-  EXPECT_FALSE(writeTraceV3File(path + ".missing/dir/x", run.trace));
+  EXPECT_FALSE(writeTraceFile(path + ".missing/dir/x", run.trace));
 }
 
 }  // namespace
