@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "harness/fault_campaign.h"
@@ -90,6 +91,23 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// MachineConfig <-> bytes, every field: the sweep service's requests
+/// carry configs this way, and baselineConfigDigest (experiment.h) hashes
+/// these bytes.
+void encodeMachineConfig(ByteWriter& w, const support::MachineConfig& m);
+bool decodeMachineConfig(ByteReader& r, support::MachineConfig* m);
+
+/// A whole sim::MachineResult as one support::wire frame (magic "SPTR",
+/// version 1, kind 0): a row's machine fields, then the per-loop cycle
+/// and thread maps, the three cache levels' stats, the bits of
+/// branch_mispredict_ratio and the host-side telemetry. A trace cache
+/// stores baseline results in this form (experiment.h).
+std::string encodeMachineResult(const sim::MachineResult& result);
+/// nullopt unless `bytes` are one complete, checksummed version-1 frame
+/// whose payload decodes exactly.
+std::optional<sim::MachineResult> decodeMachineResult(
+    const std::string& bytes);
 
 /// SweepRow <-> payload (tag 'S'). Covers benchmark, config, status,
 /// diagnostic, both machines' cycles/instrs/breakdown, the SPT machine's

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "harness/cell_codec.h"
 #include "ir/verifier.h"
 #include "spt/loop_analysis.h"
 #include "support/check.h"
@@ -59,10 +60,19 @@ void InterpProfileRunner::prime(const ir::Module& module,
                          {std::move(profile), std::move(tracked)}});
 }
 
+profile::ProfileData InterpProfileRunner::interpretProfile(
+    const ir::Module& module,
+    const std::unordered_set<ir::StaticId>& value_candidates) const {
+  profile::Profiler profiler(module, value_candidates);
+  interpret(module, args_, 0, profiler);
+  return profiler.take();
+}
+
 profile::ProfileData InterpProfileRunner::run(
     const ir::Module& module,
     const std::unordered_set<ir::StaticId>& value_candidates) {
-  if (primed_ && primed_->digest == module.structuralDigest() &&
+  const std::uint64_t digest = module.structuralDigest();
+  if (primed_ && primed_->digest == digest &&
       std::all_of(value_candidates.begin(), value_candidates.end(),
                   [&](ir::StaticId sid) {
                     return primed_->profile.tracked.contains(sid);
@@ -72,9 +82,46 @@ profile::ProfileData InterpProfileRunner::run(
     profile.projectValues(value_candidates);
     return profile;
   }
-  profile::Profiler profiler(module, value_candidates);
-  interpret(module, args_, 0, profiler);
-  return profiler.take();
+  if (store_ == nullptr) return interpretProfile(module, value_candidates);
+  std::vector<ir::StaticId> sids(value_candidates.begin(),
+                                 value_candidates.end());
+  std::sort(sids.begin(), sids.end());
+  const std::uint64_t sids_digest =
+      support::fnv1a(support::kFnvOffsetBasis, sids.data(),
+                     sids.size() * sizeof(ir::StaticId));
+  const std::string& bytes = store_->getBlob(
+      store_key_ + "-" + hex64(digest) + "-" + hex64(sids_digest) + ".prof",
+      [&] {
+        return profile::encodeProfile(
+            {interpretProfile(module, value_candidates), value_candidates});
+      },
+      [](const std::string& b) {
+        return profile::decodeProfile(b).has_value();
+      });
+  return std::move(profile::decodeProfile(bytes)->data);
+}
+
+std::uint64_t baselineConfigDigest(const support::MachineConfig& config) {
+  // The fields only the SPT machine reads go back to their defaults.
+  const support::MachineConfig defaults;
+  support::MachineConfig one_core = config;
+  one_core.spec_threads = defaults.spec_threads;
+  one_core.recovery = defaults.recovery;
+  one_core.register_check = defaults.register_check;
+  one_core.speculation_result_buffer_entries =
+      defaults.speculation_result_buffer_entries;
+  one_core.speculative_store_buffer_entries =
+      defaults.speculative_store_buffer_entries;
+  one_core.load_address_buffer_entries = defaults.load_address_buffer_entries;
+  one_core.rf_copy_overhead = defaults.rf_copy_overhead;
+  one_core.fast_commit_overhead = defaults.fast_commit_overhead;
+  one_core.oracle = defaults.oracle;
+  one_core.fault_plan = defaults.fault_plan;
+  ByteWriter w;
+  w.u32(sim::kTimingModelVersion);
+  encodeMachineConfig(w, one_core);
+  return support::fnv1a(support::kFnvOffsetBasis, w.bytes().data(),
+                        w.bytes().size());
 }
 
 TracedRun traceProgram(ir::Module& module, std::vector<std::int64_t> args,
@@ -146,12 +193,25 @@ ExperimentResult runSptExperiment(ir::Module module,
     SPT_CHECK_MSG(decoded.has_value(), "trace cache: invalid profile sidecar");
     primed = std::move(*decoded);
     result.baseline_run = runOf(entry);
-    sim::BaselineMachine machine(baseline, entry.view, mconfig);
-    result.baseline = machine.run();
+    // The one-core result is a function of the trace and the config
+    // fields the machine reads, so cells that differ only in the SPT
+    // machine share one simulation.
+    const std::string& stored = cache->getBlob(
+        keyFor(".base") + "-" + hex64(baselineConfigDigest(mconfig)) +
+            ".res",
+        [&] {
+          sim::BaselineMachine machine(baseline, entry.view, mconfig);
+          return encodeMachineResult(machine.run());
+        },
+        [](const std::string& bytes) {
+          return decodeMachineResult(bytes).has_value();
+        });
+    result.baseline = *decodeMachineResult(stored);
   }
 
-  // SPT: two-pass cost-driven compilation in place.
-  InterpProfileRunner runner(args);
+  // SPT: two-pass cost-driven compilation in place. With a cache, a
+  // module unrolling made keeps its profile there too.
+  InterpProfileRunner runner(args, cache, keyFor(".profile"));
   runner.prime(baseline, std::move(primed.data), std::move(primed.tracked));
   compiler::SptCompiler cc(copts);
   result.plan = cc.compile(module, runner, remarks);

@@ -17,11 +17,15 @@
 // machine indexes forks as the records arrive and keeps only the window its
 // threads can still read. With a cache, both machines replay mapped trace
 // files, and the baseline trace keeps its run's profile beside it, so a
-// cache hit interprets nothing.
+// cache hit interprets nothing. The cache also keeps the baseline
+// machine's result, keyed by the trace and baselineConfigDigest, so cells
+// that differ only in the SPT machine's config simulate the one-core
+// machine once between them, and a hit simulates no baseline at all.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,8 +42,17 @@ namespace spt::harness {
 /// ProfileRunner that interprets the module's main function.
 class InterpProfileRunner final : public compiler::ProfileRunner {
  public:
-  explicit InterpProfileRunner(std::vector<std::int64_t> args = {})
-      : args_(std::move(args)) {}
+  /// With a `store`, every request prime() does not answer is kept as a
+  /// blob of the store, under `store_key` plus the module's structural
+  /// digest and a digest of the sorted value candidates, so it is
+  /// interpreted once per cache rather than once per request. `store_key`
+  /// must identify the program's inputs as a trace key does.
+  explicit InterpProfileRunner(std::vector<std::int64_t> args = {},
+                               TraceCache* store = nullptr,
+                               std::string store_key = {})
+      : args_(std::move(args)),
+        store_(store),
+        store_key_(std::move(store_key)) {}
 
   /// Answers the first request for `module`'s structure whose value
   /// candidates lie within `tracked` from `profile`, projected onto them,
@@ -54,7 +67,13 @@ class InterpProfileRunner final : public compiler::ProfileRunner {
       const std::unordered_set<ir::StaticId>& value_candidates) override;
 
  private:
+  profile::ProfileData interpretProfile(
+      const ir::Module& module,
+      const std::unordered_set<ir::StaticId>& value_candidates) const;
+
   std::vector<std::int64_t> args_;
+  TraceCache* store_;
+  std::string store_key_;
   /// The profile from prime(), until used.
   struct Primed {
     std::uint64_t digest = 0;  // Module::structuralDigest()
@@ -62,6 +81,14 @@ class InterpProfileRunner final : public compiler::ProfileRunner {
   };
   std::optional<Primed> primed_;
 };
+
+/// A digest of the fields of `config` the one-core BaselineMachine reads,
+/// with sim::kTimingModelVersion folded in: configs that differ only in
+/// the SPT machine's fields (spec_threads, recovery, register_check, the
+/// SRB/SSB/LAB sizes, the fork and commit overheads, the oracle and the
+/// fault plan) share it. It resets exactly those fields to their defaults
+/// and hashes every other one, so a field added later counts by default.
+std::uint64_t baselineConfigDigest(const support::MachineConfig& config);
 
 struct TracedRun {
   trace::TraceBuffer trace;
@@ -102,11 +129,12 @@ struct ExperimentResult {
 /// program and its scale (e.g. "gzip.x2"); the cache key additionally
 /// folds in the run arguments, the trace budget, and — for the SPT trace —
 /// the compilation plan's fingerprint, so distinct compiler options never
-/// collide. On a cache hit nothing is interpreted (except a module
-/// unrolling changed, which the compiler profiles): the traced run's
-/// return value and memory hash are recovered from the header's meta
-/// words, and baseline_run/spt_run.dynamic_instrs is the count the file's
-/// validating open took.
+/// collide. On a cache hit nothing is interpreted and no baseline is
+/// simulated: the traced run's return value and memory hash are recovered
+/// from the header's meta words, baseline_run/spt_run.dynamic_instrs is
+/// the count the file's validating open took, `baseline` is the result
+/// stored for this trace and baselineConfigDigest(mconfig), and the
+/// profile of a module unrolling made is a stored blob too.
 /// The machines are torn down before return, so no view outlives the call.
 ExperimentResult runSptExperiment(
     ir::Module module, const compiler::CompilerOptions& copts = {},

@@ -38,85 +38,6 @@ namespace wire = support::wire;
 
 namespace {
 
-void encodeCache(ByteWriter& w, const support::CacheConfig& c) {
-  w.u32(c.size_bytes);
-  w.u32(c.associativity);
-  w.u32(c.block_bytes);
-  w.u32(c.latency_cycles);
-}
-
-bool decodeCache(ByteReader& r, support::CacheConfig* c) {
-  return r.u32(&c->size_bytes) && r.u32(&c->associativity) &&
-         r.u32(&c->block_bytes) && r.u32(&c->latency_cycles);
-}
-
-void encodeMachine(ByteWriter& w, const support::MachineConfig& m) {
-  encodeCache(w, m.l1i);
-  encodeCache(w, m.l1d);
-  encodeCache(w, m.l2);
-  encodeCache(w, m.l3);
-  w.u32(m.memory_latency_cycles);
-  w.u32(m.fetch_width);
-  w.u32(m.issue_width);
-  w.u32(m.replay_fetch_width);
-  w.u32(m.replay_issue_width);
-  w.u32(m.rf_ports);
-  w.u32(m.branch_predictor_entries);
-  w.u32(m.branch_mispredict_penalty);
-  w.u32(m.rf_copy_overhead);
-  w.u32(m.fast_commit_overhead);
-  w.u32(m.speculation_result_buffer_entries);
-  w.u32(m.speculative_store_buffer_entries);
-  w.u32(m.load_address_buffer_entries);
-  w.u8(static_cast<std::uint8_t>(m.recovery));
-  w.u8(static_cast<std::uint8_t>(m.register_check));
-  w.u64(m.max_trace_records);
-  w.u64(m.max_simulated_records);
-  w.u64(m.max_simulated_cycles);
-  w.u8(static_cast<std::uint8_t>(m.oracle));
-  w.boolean(m.fault_plan.enabled);
-  w.u64(m.fault_plan.seed);
-  w.u32(m.fault_plan.period);
-  w.boolean(m.fault_plan.ssb_value_flip);
-  w.boolean(m.fault_plan.lab_drop);
-  w.boolean(m.fault_plan.fork_reg_flip);
-  w.boolean(m.fault_plan.srb_payload_flip);
-  w.boolean(m.fault_plan.cache_meta_flip);
-  w.boolean(m.fault_plan.bp_meta_flip);
-  w.u32(m.spec_threads);
-}
-
-bool decodeMachine(ByteReader& r, support::MachineConfig* m) {
-  std::uint8_t recovery = 0, register_check = 0, oracle = 0;
-  if (!(decodeCache(r, &m->l1i) && decodeCache(r, &m->l1d) &&
-        decodeCache(r, &m->l2) && decodeCache(r, &m->l3) &&
-        r.u32(&m->memory_latency_cycles) && r.u32(&m->fetch_width) &&
-        r.u32(&m->issue_width) && r.u32(&m->replay_fetch_width) &&
-        r.u32(&m->replay_issue_width) && r.u32(&m->rf_ports) &&
-        r.u32(&m->branch_predictor_entries) &&
-        r.u32(&m->branch_mispredict_penalty) && r.u32(&m->rf_copy_overhead) &&
-        r.u32(&m->fast_commit_overhead) &&
-        r.u32(&m->speculation_result_buffer_entries) &&
-        r.u32(&m->speculative_store_buffer_entries) &&
-        r.u32(&m->load_address_buffer_entries) && r.u8(&recovery) &&
-        r.u8(&register_check) && r.u64(&m->max_trace_records) &&
-        r.u64(&m->max_simulated_records) && r.u64(&m->max_simulated_cycles) &&
-        r.u8(&oracle))) {
-    return false;
-  }
-  if (recovery > 2 || register_check > 1 || oracle > 2) return false;
-  m->recovery = static_cast<support::RecoveryMechanism>(recovery);
-  m->register_check = static_cast<support::RegisterCheckMode>(register_check);
-  m->oracle = static_cast<support::OracleMode>(oracle);
-  support::FaultPlan& fp = m->fault_plan;
-  return r.boolean(&fp.enabled) && r.u64(&fp.seed) && r.u32(&fp.period) &&
-         r.boolean(&fp.ssb_value_flip) && r.boolean(&fp.lab_drop) &&
-         r.boolean(&fp.fork_reg_flip) && r.boolean(&fp.srb_payload_flip) &&
-         r.boolean(&fp.cache_meta_flip) && r.boolean(&fp.bp_meta_flip) &&
-         r.u32(&m->spec_threads) && m->spec_threads >= 1 &&
-         m->spec_threads <= support::kMaxSpecThreads;
-}
-
 void encodeCompilerOptions(ByteWriter& w, const compiler::CompilerOptions& o) {
   w.f64(o.min_avg_body_size);
   w.f64(o.max_avg_body_size);
@@ -165,7 +86,7 @@ std::string encodeServiceRequest(const ServiceRequest& req) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(req.kind));
   w.u64(req.scale);
-  encodeMachine(w, req.machine);
+  encodeMachineConfig(w, req.machine);
   encodeCompilerOptions(w, req.copts);
   w.u64(req.benchmarks.size());
   for (const std::string& b : req.benchmarks) w.str(b);
@@ -189,7 +110,7 @@ bool decodeServiceRequest(const std::string& payload, ServiceRequest* req) {
   if (!(r.u8(&kind) && r.u64(&out.scale))) return false;
   if (kind > 2) return false;
   out.kind = static_cast<ServiceRequest::Kind>(kind);
-  if (!decodeMachine(r, &out.machine)) return false;
+  if (!decodeMachineConfig(r, &out.machine)) return false;
   if (!decodeCompilerOptions(r, &out.copts)) return false;
   std::uint64_t nbench = 0;
   if (!r.u64(&nbench) || nbench > 4096) return false;

@@ -23,22 +23,54 @@ std::string processTag() {
 #endif
 }
 
-bool writeFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  return static_cast<bool>(out);
+/// Keys come from workload names and hex fingerprints; normalize anything
+/// that would escape the cache directory or upset a filesystem.
+std::string fileNameOf(std::string key) {
+  for (char& c : key) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '-' ||
+                    c == '_';
+    if (!ok) c = '_';
+  }
+  return key;
 }
 
-/// The bytes of the profile sidecar at `path`; nullopt when missing or
-/// invalid.
-std::optional<std::string> readProfileSidecar(const std::string& path) {
+std::string tempPathFor(const std::string& path) {
+  return path + ".tmp." + processTag();
+}
+
+/// Moves the finished `tmp` over `path` in one step.
+void renameInto(const std::string& tmp, const std::string& path) {
+  SPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                ("trace cache: cannot rename " + tmp + " to " + path)
+                    .c_str());
+}
+
+/// Installs `bytes` as the file at `path` by write-then-rename.
+void installFile(const std::string& path, const std::string& bytes) {
+  const std::string tmp = tempPathFor(path);
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  SPT_CHECK_MSG(static_cast<bool>(out),
+                ("trace cache: cannot write " + tmp).c_str());
+  renameInto(tmp, path);
+}
+
+/// The bytes of the file at `path`, when it exists and `valid` accepts
+/// them.
+std::optional<std::string> readValidFile(
+    const std::string& path, const TraceCache::BlobCheck& valid) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream bytes;
   bytes << in.rdbuf();
-  if (!profile::decodeProfile(bytes.str())) return std::nullopt;
+  if (!valid(bytes.str())) return std::nullopt;
   return std::move(bytes).str();
+}
+
+bool isProfile(const std::string& bytes) {
+  return profile::decodeProfile(bytes).has_value();
 }
 
 }  // namespace
@@ -94,17 +126,9 @@ const TraceCache::Entry& TraceCache::getSlot(const std::string& key,
 
 void TraceCache::populate(Slot& slot, const std::string& key,
                           const ProfilingProducer& produce, bool profiled) {
-  // Keys come from workload names and hex fingerprints; normalize anything
-  // that would escape the cache directory or upset a filesystem.
-  std::string file = key;
-  for (char& c : file) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '-' ||
-                    c == '_';
-    if (!ok) c = '_';
-  }
-  const std::string path = dir_ + "/" + file + ".spt3";
-  const std::string profile_path = dir_ + "/" + file + ".prof";
+  const std::string file = dir_ + "/" + fileNameOf(key);
+  const std::string path = file + ".spt3";
+  const std::string profile_path = file + ".prof";
 
   // Another process (a sibling pooled worker, or an earlier run over the
   // same cache directory) may already have written this trace;
@@ -113,7 +137,7 @@ void TraceCache::populate(Slot& slot, const std::string& key,
   std::string error;
   if (auto mapped = trace::MappedTrace::open(path, &error)) {
     std::optional<std::string> sidecar;
-    if (profiled) sidecar = readProfileSidecar(profile_path);
+    if (profiled) sidecar = readValidFile(profile_path, isProfile);
     if (!profiled || sidecar) {
       slot.entry = {mapped->view(), mapped->meta(), path,
                     mapped->instrCount(), std::move(sidecar).value_or("")};
@@ -133,24 +157,15 @@ void TraceCache::populate(Slot& slot, const std::string& key,
   // profile are deterministic functions of the key, whichever rename lands
   // last installs the same bytes. The sidecar goes first, so a reader that
   // finds the trace normally finds its profile too.
-  const std::string tag = ".tmp." + processTag();
   std::string sidecar;
   if (profiled) {
     sidecar = profile::encodeProfile(prof);
-    const std::string tmp = profile_path + tag;
-    SPT_CHECK_MSG(writeFile(tmp, sidecar),
-                  ("trace cache: cannot write " + tmp).c_str());
-    SPT_CHECK_MSG(std::rename(tmp.c_str(), profile_path.c_str()) == 0,
-                  ("trace cache: cannot rename " + tmp + " to " +
-                   profile_path)
-                      .c_str());
+    installFile(profile_path, sidecar);
   }
-  const std::string tmp = path + tag;
+  const std::string tmp = tempPathFor(path);
   SPT_CHECK_MSG(trace::writeTraceFile(tmp, buffer.view(), meta),
                 ("trace cache: cannot write " + tmp).c_str());
-  SPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                ("trace cache: cannot rename " + tmp + " to " + path)
-                    .c_str());
+  renameInto(tmp, path);
 
   auto mapped = trace::MappedTrace::open(path, &error);
   SPT_CHECK_MSG(mapped.has_value(),
@@ -162,6 +177,32 @@ void TraceCache::populate(Slot& slot, const std::string& key,
   slot.map = std::move(mapped);
   const std::lock_guard<std::mutex> lock(mu_);
   ++produced_;
+}
+
+const std::string& TraceCache::getBlob(
+    const std::string& key, const std::function<std::string()>& produce,
+    const BlobCheck& valid) {
+  Blob* blob = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::unique_ptr<Blob>& b = blobs_[key];
+    if (!b) b = std::make_unique<Blob>();
+    blob = b.get();
+  }
+  bool ran = false;
+  std::call_once(blob->once, [&] {
+    const std::string path = dir_ + "/" + fileNameOf(key);
+    if (std::optional<std::string> bytes = readValidFile(path, valid)) {
+      blob->bytes = std::move(*bytes);
+      return;
+    }
+    blob->bytes = produce();
+    installFile(path, blob->bytes);
+    ran = true;
+  });
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++(ran ? blobs_produced_ : blob_hits_);
+  return blob->bytes;
 }
 
 std::uint64_t TraceCache::memoryHits() const {
@@ -177,6 +218,16 @@ std::uint64_t TraceCache::fileReuses() const {
 std::uint64_t TraceCache::produced() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return produced_;
+}
+
+std::uint64_t TraceCache::blobHits() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return blob_hits_;
+}
+
+std::uint64_t TraceCache::blobsProduced() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return blobs_produced_;
 }
 
 }  // namespace spt::harness

@@ -32,6 +32,12 @@
 // written by an older version heals in place: each stale file is
 // overwritten by the first get() that finds it.
 //
+// Beside the traces the cache keeps small checksummed blobs (getBlob) of
+// values derived from them: a cached experiment stores its baseline
+// machine's result there, keyed by the trace and the one-core config, so
+// a hit simulates no baseline either, and the profile of a module
+// unrolling made, so a hit interprets nothing at all (experiment.h).
+//
 // Lifetime: entries (and the mappings behind their views) live until the
 // cache is destroyed; every machine/LoopIndex built over an entry's view
 // must be gone by then (docs/PERF.md "Trace v4").
@@ -86,19 +92,44 @@ class TraceCache {
   const Entry& getProfiled(const std::string& key,
                            const ProfilingProducer& produce);
 
+  /// Accepts a blob's bytes; false for damaged or version-skewed ones.
+  using BlobCheck = std::function<bool(const std::string& bytes)>;
+
+  /// A small value derived from cached traces, kept as the file `<key>`
+  /// (normalized like a trace key, so `key` names its own extension).
+  /// Returns the bytes: held in memory after the first call in this
+  /// process, else read from a file `valid` accepts, else made by
+  /// `produce` and written by the same write-then-rename as a trace, so a
+  /// missing, damaged or version-skewed file is silently made again. The
+  /// bytes must be a deterministic function of the key and carry their own
+  /// checksum and version, which `valid` tests. The reference is stable
+  /// for the cache's lifetime.
+  const std::string& getBlob(const std::string& key,
+                             const std::function<std::string()>& produce,
+                             const BlobCheck& valid);
+
   const std::string& dir() const { return dir_; }
 
   /// Observability for tests: how many get() calls found an in-memory
-  /// entry, adopted an existing file, or had to run the producer.
+  /// entry, adopted an existing file, or had to run the producer; and how
+  /// many getBlob() calls were answered without the producer (in memory
+  /// or from a file), or had to run it.
   std::uint64_t memoryHits() const;
   std::uint64_t fileReuses() const;
   std::uint64_t produced() const;
+  std::uint64_t blobHits() const;
+  std::uint64_t blobsProduced() const;
 
  private:
   struct Slot {
     std::once_flag once;
     std::optional<trace::MappedTrace> map;
     Entry entry;
+  };
+
+  struct Blob {
+    std::once_flag once;
+    std::string bytes;
   };
 
   const Entry& getSlot(const std::string& key,
@@ -112,6 +143,9 @@ class TraceCache {
   std::uint64_t memory_hits_ = 0;
   std::uint64_t file_reuses_ = 0;
   std::uint64_t produced_ = 0;
+  std::map<std::string, std::unique_ptr<Blob>> blobs_;
+  std::uint64_t blob_hits_ = 0;
+  std::uint64_t blobs_produced_ = 0;
 };
 
 }  // namespace spt::harness

@@ -11,6 +11,14 @@
 
 namespace spt::sim {
 
+/// The version of the machines' timing model. A trace cache keeps
+/// baseline results under a key that folds it in
+/// (harness::baselineConfigDigest), so a change that moves any reported
+/// result must bump it, and golden_digest_test pins it beside the digests:
+/// re-pinning them without a bump fails to compile, and no result stored
+/// by the old model is ever read back.
+inline constexpr std::uint32_t kTimingModelVersion = 1;
+
 /// Cycles attributed to a static loop (all dynamic episodes aggregated;
 /// nested loops also accumulate into their ancestors, consistently across
 /// baseline and SPT runs).

@@ -328,16 +328,27 @@ TEST_P(OneProfilePerProgram, ColdCellInterpretsEachProgramOnceAndAHitNone) {
       runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, key);
     });
   };
+  // The cache keeps the baseline result and the unrolled module's
+  // profile as blobs, so a hit interprets nothing, gap's included.
   {
     TraceCache cache(dir);
     EXPECT_EQ(cachedRuns(cache), 2 + unrolled) << "cold";
-    EXPECT_EQ(cachedRuns(cache), unrolled) << "memory hit";
+    EXPECT_EQ(cachedRuns(cache), 0u) << "memory hit";
     EXPECT_EQ(cache.produced(), 2u);
+    EXPECT_EQ(cache.blobsProduced(), 1 + unrolled);
   }
   TraceCache cache(dir);
-  EXPECT_EQ(cachedRuns(cache), unrolled) << "file hit";
+  compiler::CompilationRemarks warm;
+  EXPECT_EQ(runsOf([&] {
+              runSptExperiment(w.build(1), {}, {}, {}, &warm, &cache, key);
+            }),
+            0u)
+      << "file hit";
+  EXPECT_EQ(warm.profile_runs, 1 + unrolled);
   EXPECT_EQ(cache.produced(), 0u);
   EXPECT_EQ(cache.fileReuses(), 2u);
+  EXPECT_EQ(cache.blobsProduced(), 0u);
+  EXPECT_EQ(cache.blobHits(), 1 + unrolled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, OneProfilePerProgram,

@@ -15,16 +15,21 @@
 //
 // If a future change *intentionally* alters reported results (new stat,
 // timing-model fix), re-pin the constants in kGolden and kGrid (the tests
-// print them) and say why in the commit message.
+// print them), bump sim::kTimingModelVersion and kPinnedTimingModelVersion
+// with them, and say why in the commit message. A trace cache keys its
+// stored baseline results by that version, so none stored by the old
+// model is read back.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <iomanip>
 #include <sstream>
 #include <tuple>
 
 #include "harness/experiment.h"
 #include "harness/suite.h"
+#include "harness/trace_cache.h"
 #include "workloads/workloads.h"
 
 namespace spt::sim {
@@ -127,6 +132,12 @@ struct GoldenCase {
   std::uint64_t spt_digest;
 };
 
+/// The timing model the pins in this file were captured from.
+constexpr std::uint32_t kPinnedTimingModelVersion = 1;
+static_assert(kTimingModelVersion == kPinnedTimingModelVersion,
+              "re-pin the golden digests together with the timing model "
+              "version, and only then");
+
 // Captured from the pre-optimization implementation (PR 2); see the header
 // comment for the re-pinning policy.
 const GoldenCase kGolden[] = {
@@ -153,6 +164,31 @@ TEST(GoldenDigest, MachineResultsAreBitIdenticalToPinnedRuns) {
     EXPECT_EQ(hex(base), hex(c.baseline_digest));
     EXPECT_EQ(hex(spt), hex(c.spt_digest));
   }
+}
+
+TEST(GoldenDigest, CachedHitsReadPinnedBaselineDigests) {
+  // A cold cache simulates each workload's one-core machine once ("stress"
+  // differs from "default" only in SPT machine fields, so it reads the
+  // stored result); a warm one simulates none. Every baseline a cache
+  // serves still has its pinned digest.
+  const std::string dir = ::testing::TempDir() + "spt_golden_digest_cache";
+  std::filesystem::remove_all(dir);
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    harness::TraceCache cache(dir);
+    for (const GoldenCase& c : kGolden) {
+      SCOPED_TRACE(std::string(c.workload) + " / " + c.config);
+      const auto result = harness::runSptExperiment(
+          workloads::findWorkload(c.workload).build(1), {},
+          configNamed(c.config), {}, nullptr, &cache,
+          std::string(c.workload) + ".x1");
+      EXPECT_EQ(hex(digestOf(result.baseline)), hex(c.baseline_digest));
+      EXPECT_EQ(hex(digestOf(result.spt)), hex(c.spt_digest));
+    }
+    EXPECT_EQ(cache.blobsProduced(), warm ? 0u : 3u);
+    EXPECT_EQ(cache.blobHits(), warm ? 6u : 3u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --------------------------------------------------- the machine grid
