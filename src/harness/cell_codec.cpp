@@ -9,7 +9,7 @@ constexpr std::uint8_t kSweepRowTag = 'S';
 constexpr std::uint8_t kCampaignCellTag = 'F';
 constexpr std::uint8_t kPerfRowTag = 'P';
 
-constexpr std::uint32_t kResultVersion = 1;
+constexpr std::uint32_t kResultVersion = 2;
 constexpr support::wire::FrameFormat kResultFormat{
     {'S', 'P', 'T', 'R'}, kResultVersion, kResultVersion, 0, 0};
 
@@ -144,8 +144,12 @@ bool decodeMachineConfig(ByteReader& r, support::MachineConfig* m) {
          m->spec_threads <= support::kMaxSpecThreads;
 }
 
-std::string encodeMachineResult(const sim::MachineResult& m) {
+std::string encodeMachineResult(const sim::MachineResult& m,
+                                const interp::RunResult& run) {
   ByteWriter w;
+  w.u64(static_cast<std::uint64_t>(run.return_value));
+  w.u64(run.memory_hash);
+  w.u64(run.dynamic_instrs);
   putMachine(w, m);
   w.u32(static_cast<std::uint32_t>(m.loops.size()));
   for (const auto& [name, s] : m.loops) {
@@ -176,7 +180,7 @@ std::string encodeMachineResult(const sim::MachineResult& m) {
 }
 
 std::optional<sim::MachineResult> decodeMachineResult(
-    const std::string& bytes) {
+    const std::string& bytes, interp::RunResult* run) {
   std::uint32_t version = 0;
   std::uint8_t kind = 0;
   std::string payload;
@@ -185,8 +189,14 @@ std::optional<sim::MachineResult> decodeMachineResult(
     return std::nullopt;
   }
   ByteReader r(payload);
+  std::uint64_t return_value = 0;
+  interp::RunResult ran;
   sim::MachineResult m;
-  if (!getMachine(r, m)) return std::nullopt;
+  if (!(r.u64(&return_value) && r.u64(&ran.memory_hash) &&
+        r.u64(&ran.dynamic_instrs) && getMachine(r, m))) {
+    return std::nullopt;
+  }
+  ran.return_value = static_cast<std::int64_t>(return_value);
   std::uint32_t n = 0;
   if (!r.u32(&n)) return std::nullopt;
   for (; n > 0; --n) {
@@ -216,6 +226,7 @@ std::optional<sim::MachineResult> decodeMachineResult(
       !r.atEnd()) {
     return std::nullopt;
   }
+  if (run != nullptr) *run = ran;
   return m;
 }
 

@@ -98,16 +98,18 @@ class ByteReader {
 void encodeMachineConfig(ByteWriter& w, const support::MachineConfig& m);
 bool decodeMachineConfig(ByteReader& r, support::MachineConfig* m);
 
-/// A whole sim::MachineResult as one support::wire frame (magic "SPTR",
-/// version 1, kind 0): a row's machine fields, then the per-loop cycle
+/// A run and its whole sim::MachineResult as one support::wire frame
+/// (magic "SPTR", version 2, kind 0): the run's return value, memory hash
+/// and instruction count, then a row's machine fields, the per-loop cycle
 /// and thread maps, the three cache levels' stats, the bits of
 /// branch_mispredict_ratio and the host-side telemetry. A trace cache
-/// stores baseline results in this form (experiment.h).
-std::string encodeMachineResult(const sim::MachineResult& result);
-/// nullopt unless `bytes` are one complete, checksummed version-1 frame
-/// whose payload decodes exactly.
+/// stores streamed baseline runs in this form (experiment.h).
+std::string encodeMachineResult(const sim::MachineResult& result,
+                                const interp::RunResult& run);
+/// nullopt unless `bytes` are one complete, checksummed version-2 frame
+/// whose payload decodes exactly; then fills a non-null `run` too.
 std::optional<sim::MachineResult> decodeMachineResult(
-    const std::string& bytes);
+    const std::string& bytes, interp::RunResult* run = nullptr);
 
 /// SweepRow <-> payload (tag 'S'). Covers benchmark, config, status,
 /// diagnostic, both machines' cycles/instrs/breakdown, the SPT machine's

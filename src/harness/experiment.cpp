@@ -37,6 +37,10 @@ interp::RunResult runOf(const TraceCache::Entry& entry) {
   return run;
 }
 
+bool isProfile(const std::string& bytes) {
+  return profile::decodeProfile(bytes).has_value();
+}
+
 /// Interprets the finalized `module`'s main function into `sink`. A
 /// non-zero `max_records` caps the interpreted instruction count.
 interp::RunResult interpret(const ir::Module& module,
@@ -95,9 +99,7 @@ profile::ProfileData InterpProfileRunner::run(
         return profile::encodeProfile(
             {interpretProfile(module, value_candidates), value_candidates});
       },
-      [](const std::string& b) {
-        return profile::decodeProfile(b).has_value();
-      });
+      isProfile);
   return std::move(profile::decodeProfile(bytes)->data);
 }
 
@@ -156,57 +158,55 @@ ExperimentResult runSptExperiment(ir::Module module,
     return key_prefix + tag + "-" + hex64(salt);
   };
 
-  // Baseline: the unmodified module, interpreted at most once. The run
-  // value-profiles the SVP superset for the compiler while it feeds
-  // `sink`: the one-core machine, or the trace the cache keeps.
+  // Baseline: the unmodified module, interpreted at most once, straight
+  // into the one-core machine while the run value-profiles the SVP
+  // superset for the compiler.
   ir::Module baseline = module;
   baseline.finalize();
-  const auto profileBaseline = [&](trace::TraceSink& sink,
-                                   profile::TrackedProfile* profile) {
-    profile->tracked = compiler::svpSuperset(baseline);
-    profile::Profiler profiler(baseline, profile->tracked);
+  profile::TrackedProfile primed;
+  const auto streamBaseline = [&] {
+    primed.tracked = compiler::svpSuperset(baseline);
+    profile::Profiler profiler(baseline, primed.tracked);
+    sim::BaselineMachine machine(baseline, mconfig);
     trace::TeeSink tee;
     tee.add(&profiler);
-    tee.add(&sink);
-    const interp::RunResult run =
+    tee.add(&machine);
+    result.baseline_run =
         interpret(baseline, args, mconfig.max_trace_records, tee);
-    profile->data = profiler.take();
-    return run;
-  };
-  profile::TrackedProfile primed;
-  if (cache == nullptr) {
-    sim::BaselineMachine machine(baseline, mconfig);
-    result.baseline_run = profileBaseline(machine, &primed);
     result.baseline = machine.finish();
+    primed.data = profiler.take();
+  };
+  if (cache == nullptr) {
+    streamBaseline();
   } else {
-    // The entry keeps its producing run's profile, so a hit interprets
-    // nothing.
-    const TraceCache::Entry& entry = cache->getProfiled(
-        keyFor(".base"),
-        [&](trace::TraceFileMeta* meta, profile::TrackedProfile* profile) {
-          trace::TraceBuffer trace;
-          *meta = metaOf(profileBaseline(trace, profile));
-          return trace;
-        });
-    std::optional<profile::TrackedProfile> decoded =
-        profile::decodeProfile(entry.profile_sidecar);
-    SPT_CHECK_MSG(decoded.has_value(), "trace cache: invalid profile sidecar");
-    primed = std::move(*decoded);
-    result.baseline_run = runOf(entry);
-    // The one-core result is a function of the trace and the config
-    // fields the machine reads, so cells that differ only in the SPT
-    // machine share one simulation.
+    // The same stream, memoized: the run and its one-core result are a
+    // function of the program and the config fields the machine reads, so
+    // cells that differ only in the SPT machine share one stream; the
+    // profile is a function of the program alone. The stream that makes
+    // the result stores the profile first, so no cell that finds the
+    // result streams again for the profile.
+    const std::string key = keyFor(".base");
+    const std::string profile_key = key + ".prof";
     const std::string& stored = cache->getBlob(
-        keyFor(".base") + "-" + hex64(baselineConfigDigest(mconfig)) +
-            ".res",
+        key + "-" + hex64(baselineConfigDigest(mconfig)) + ".res",
         [&] {
-          sim::BaselineMachine machine(baseline, entry.view, mconfig);
-          return encodeMachineResult(machine.run());
+          streamBaseline();
+          cache->getBlob(
+              profile_key, [&] { return profile::encodeProfile(primed); },
+              isProfile);
+          return encodeMachineResult(result.baseline, result.baseline_run);
         },
         [](const std::string& bytes) {
           return decodeMachineResult(bytes).has_value();
         });
-    result.baseline = *decodeMachineResult(stored);
+    result.baseline = *decodeMachineResult(stored, &result.baseline_run);
+    primed = *profile::decodeProfile(cache->getBlob(
+        profile_key,
+        [&] {
+          streamBaseline();
+          return profile::encodeProfile(primed);
+        },
+        isProfile));
   }
 
   // SPT: two-pass cost-driven compilation in place. With a cache, a

@@ -11,16 +11,15 @@
 // every profile the compiler asks of the baseline, the first profile
 // (paper Section 4.1) and the SVP value profile (Section 4.4) alike. Only a
 // module that unrolling changed is profiled again. One entry,
-// runSptExperiment, runs that sequence; an optional trace cache changes
-// only where each program's records come from. Without a cache, each run
-// streams straight into its machine, so no trace is stored: the SPT
-// machine indexes forks as the records arrive and keeps only the window its
-// threads can still read. With a cache, both machines replay mapped trace
-// files, and the baseline trace keeps its run's profile beside it, so a
-// cache hit interprets nothing. The cache also keeps the baseline
-// machine's result, keyed by the trace and baselineConfigDigest, so cells
-// that differ only in the SPT machine's config simulate the one-core
-// machine once between them, and a hit simulates no baseline at all.
+// runSptExperiment, runs that sequence. The baseline run always streams
+// straight into the one-core machine, and no baseline trace is ever
+// stored. Without a cache the SPT run streams too: the SPT machine indexes
+// forks as the records arrive and keeps only the window its threads can
+// still read. An optional trace cache memoizes the baseline stream, its
+// run and one-core result keyed by baselineConfigDigest and its profile,
+// so cells that differ only in the SPT machine's config stream the
+// baseline once between them and a hit streams none; the SPT machine
+// replays the cached SPT trace file.
 #pragma once
 
 #include <cstdint>
@@ -121,20 +120,19 @@ struct ExperimentResult {
 /// results are unchanged by construction.
 ///
 /// Without a `cache`, each program's run streams straight into its
-/// machine and no trace is stored. With one, the baseline and SPT traces
-/// come from `cache` as mmap-backed trace files, with identical results: the
-/// baseline entry keeps the profile of the run that produced it as a
-/// sidecar, and that profile primes the compiler whether this call
-/// produced the trace or found it. `key_prefix` must then identify the
-/// program and its scale (e.g. "gzip.x2"); the cache key additionally
-/// folds in the run arguments, the trace budget, and — for the SPT trace —
-/// the compilation plan's fingerprint, so distinct compiler options never
-/// collide. On a cache hit nothing is interpreted and no baseline is
-/// simulated: the traced run's return value and memory hash are recovered
-/// from the header's meta words, baseline_run/spt_run.dynamic_instrs is
-/// the count the file's validating open took, `baseline` is the result
-/// stored for this trace and baselineConfigDigest(mconfig), and the
-/// profile of a module unrolling made is a stored blob too.
+/// machine and no trace is stored. With one, the results are identical:
+/// the baseline stream's run, one-core result and profile come from
+/// `cache` as blobs, made by that stream on a miss, and the SPT machine
+/// replays the SPT program's trace from `cache` as an mmap-backed file.
+/// `key_prefix` must then identify the program and its scale (e.g.
+/// "gzip.x2"); every cache key additionally folds in the run arguments and
+/// the trace budget, the stored one-core result's key
+/// baselineConfigDigest(mconfig), and the SPT trace's key the compilation
+/// plan's fingerprint, so distinct compiler options never collide. On a hit nothing is
+/// interpreted and no baseline is simulated: the SPT run's return value
+/// and memory hash are recovered from the trace header's meta words,
+/// spt_run.dynamic_instrs is the count the file's validating open took,
+/// and the profile of a module unrolling made is a stored blob too.
 /// The machines are torn down before return, so no view outlives the call.
 ExperimentResult runSptExperiment(
     ir::Module module, const compiler::CompilerOptions& copts = {},

@@ -18,9 +18,9 @@ std::vector<SuiteEntry> defaultSuite();
 
 /// Runs the full pipeline for one entry. With non-null `remarks`, fills
 /// the compiler's structured per-loop decision log (spt/remarks.h). With
-/// non-null `trace_cache`, the baseline and SPT traces come from the
-/// shared mmap-backed store (harness/trace_cache.h) keyed by workload
-/// name and scale — results are identical either way.
+/// non-null `trace_cache`, the baseline's run, result and profile and the
+/// SPT trace come from the shared store (harness/trace_cache.h) keyed by
+/// workload name and scale — results are identical either way.
 ExperimentResult runSuiteEntry(const SuiteEntry& entry,
                                const support::MachineConfig& mconfig = {},
                                std::uint64_t scale = 1,

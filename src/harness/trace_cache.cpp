@@ -69,10 +69,6 @@ std::optional<std::string> readValidFile(
   return std::move(bytes).str();
 }
 
-bool isProfile(const std::string& bytes) {
-  return profile::decodeProfile(bytes).has_value();
-}
-
 }  // namespace
 
 TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {
@@ -85,22 +81,6 @@ TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {
 
 const TraceCache::Entry& TraceCache::get(const std::string& key,
                                          const Producer& produce) {
-  return getSlot(
-      key,
-      [&](trace::TraceFileMeta* meta, profile::TrackedProfile*) {
-        return produce(meta);
-      },
-      false);
-}
-
-const TraceCache::Entry& TraceCache::getProfiled(
-    const std::string& key, const ProfilingProducer& produce) {
-  return getSlot(key, produce, true);
-}
-
-const TraceCache::Entry& TraceCache::getSlot(const std::string& key,
-                                             const ProfilingProducer& produce,
-                                             bool profiled) {
   Slot* slot = nullptr;
   bool fresh = false;
   {
@@ -115,8 +95,7 @@ const TraceCache::Entry& TraceCache::getSlot(const std::string& key,
   // call_once serializes producers for one key and makes every later get()
   // wait for (and then share) the populated entry; a producer exception
   // leaves the flag unset so the next get() retries.
-  std::call_once(slot->once,
-                 [&] { populate(*slot, key, produce, profiled); });
+  std::call_once(slot->once, [&] { populate(*slot, key, produce); });
   if (!fresh) {
     const std::lock_guard<std::mutex> lock(mu_);
     ++memory_hits_;
@@ -125,43 +104,28 @@ const TraceCache::Entry& TraceCache::getSlot(const std::string& key,
 }
 
 void TraceCache::populate(Slot& slot, const std::string& key,
-                          const ProfilingProducer& produce, bool profiled) {
-  const std::string file = dir_ + "/" + fileNameOf(key);
-  const std::string path = file + ".spt3";
-  const std::string profile_path = file + ".prof";
+                          const Producer& produce) {
+  const std::string path = dir_ + "/" + fileNameOf(key) + ".spt3";
 
   // Another process (a sibling pooled worker, or an earlier run over the
   // same cache directory) may already have written this trace;
-  // validation at open decides whether the file is trustworthy, and the
-  // sidecar's checksum whether its profile is.
+  // validation at open decides whether the file is trustworthy.
   std::string error;
   if (auto mapped = trace::MappedTrace::open(path, &error)) {
-    std::optional<std::string> sidecar;
-    if (profiled) sidecar = readValidFile(profile_path, isProfile);
-    if (!profiled || sidecar) {
-      slot.entry = {mapped->view(), mapped->meta(), path,
-                    mapped->instrCount(), std::move(sidecar).value_or("")};
-      slot.map = std::move(mapped);
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++file_reuses_;
-      return;
-    }
+    slot.entry = {mapped->view(), mapped->meta(), path, mapped->instrCount()};
+    slot.map = std::move(mapped);
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++file_reuses_;
+    return;
   }
 
   trace::TraceFileMeta meta;
-  profile::TrackedProfile prof;
-  trace::TraceBuffer buffer = produce(&meta, profiled ? &prof : nullptr);
+  trace::TraceBuffer buffer = produce(&meta);
 
   // Write-then-rename keeps concurrent cross-process producers benign:
-  // readers never observe a partial file, and because the trace and its
-  // profile are deterministic functions of the key, whichever rename lands
-  // last installs the same bytes. The sidecar goes first, so a reader that
-  // finds the trace normally finds its profile too.
-  std::string sidecar;
-  if (profiled) {
-    sidecar = profile::encodeProfile(prof);
-    installFile(profile_path, sidecar);
-  }
+  // readers never observe a partial file, and because the trace is a
+  // deterministic function of the key, whichever rename lands last
+  // installs the same bytes.
   const std::string tmp = tempPathFor(path);
   SPT_CHECK_MSG(trace::writeTraceFile(tmp, buffer.view(), meta),
                 ("trace cache: cannot write " + tmp).c_str());
@@ -172,8 +136,7 @@ void TraceCache::populate(Slot& slot, const std::string& key,
                 ("trace cache: just-written " + path +
                  " failed validation: " + error)
                     .c_str());
-  slot.entry = {mapped->view(), mapped->meta(), path, mapped->instrCount(),
-                std::move(sidecar)};
+  slot.entry = {mapped->view(), mapped->meta(), path, mapped->instrCount()};
   slot.map = std::move(mapped);
   const std::lock_guard<std::mutex> lock(mu_);
   ++produced_;

@@ -15,10 +15,7 @@
 // header's meta words, and its instruction count comes from the pass that
 // validates the file at open, so cached experiments re-assert
 // baseline-vs-SPT execution equivalence without re-interpreting or
-// re-reading the trace. An entry got through getProfiled()
-// also keeps the profile of the run that produced it, as a sidecar file
-// (<key>.prof, profile/profile_codec.h) written in the same producer call,
-// so a cached experiment primes its compiler without interpreting either.
+// re-reading the trace.
 //
 // Concurrency: get() is thread-safe; production is serialized per key
 // (std::call_once). Across *processes* the file itself is the lock-free
@@ -26,17 +23,17 @@
 // it into place, so concurrent producers race benignly (the trace is
 // deterministic, both files are byte-identical, last rename wins) and
 // readers only ever see complete, checksummed files. A file that fails
-// validation (truncated leftover, version skew) is silently re-produced,
-// and so is a trace whose profile sidecar is missing or fails validation.
+// validation (truncated leftover, version skew) is silently re-produced.
 // Files keep the name <key>.spt3 across container versions, so a cache
 // written by an older version heals in place: each stale file is
 // overwritten by the first get() that finds it.
 //
 // Beside the traces the cache keeps small checksummed blobs (getBlob) of
-// values derived from them: a cached experiment stores its baseline
-// machine's result there, keyed by the trace and the one-core config, so
-// a hit simulates no baseline either, and the profile of a module
-// unrolling made, so a hit interprets nothing at all (experiment.h).
+// values that are deterministic functions of their keys. A cached
+// experiment keeps its baseline there and no baseline trace: the streamed
+// one-core run's result, keyed by the one-core config, and its profile,
+// so a hit neither interprets nor simulates the baseline; and the profile
+// of a module unrolling made (experiment.h).
 //
 // Lifetime: entries (and the mappings behind their views) live until the
 // cache is destroyed; every machine/LoopIndex built over an entry's view
@@ -51,7 +48,6 @@
 #include <optional>
 #include <string>
 
-#include "profile/profile_codec.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
 
@@ -64,18 +60,11 @@ class TraceCache {
     trace::TraceFileMeta meta;  // word0 = return value, word1 = memory hash
     std::string path;           // the backing container file
     std::uint64_t instr_count = 0;  // kInstr records in `view`
-    /// The producing run's profile as validated sidecar bytes
-    /// (profile::decodeProfile reads them); empty unless got via
-    /// getProfiled(). Kept encoded, which takes less memory than decoded.
-    std::string profile_sidecar;
   };
 
   /// Fills `meta` and returns the freshly produced trace on a miss.
   using Producer =
       std::function<trace::TraceBuffer(trace::TraceFileMeta* meta)>;
-  /// A Producer that also fills `profile` from the same run.
-  using ProfilingProducer = std::function<trace::TraceBuffer(
-      trace::TraceFileMeta* meta, profile::TrackedProfile* profile)>;
 
   /// `dir` is created if missing; trace files land there as <key>.spt3.
   explicit TraceCache(std::string dir);
@@ -85,25 +74,19 @@ class TraceCache {
   /// already wrote). The reference is stable for the cache's lifetime.
   const Entry& get(const std::string& key, const Producer& produce);
 
-  /// get() for a trace that keeps its run's profile beside it: the entry's
-  /// `profile_sidecar` is set. A file is adopted only with a valid sidecar;
-  /// otherwise the producer runs and both files are written again. Use one
-  /// of get() and getProfiled() per key.
-  const Entry& getProfiled(const std::string& key,
-                           const ProfilingProducer& produce);
-
   /// Accepts a blob's bytes; false for damaged or version-skewed ones.
   using BlobCheck = std::function<bool(const std::string& bytes)>;
 
-  /// A small value derived from cached traces, kept as the file `<key>`
-  /// (normalized like a trace key, so `key` names its own extension).
+  /// A small value kept as the file `<key>` (normalized like a trace key,
+  /// so `key` names its own extension).
   /// Returns the bytes: held in memory after the first call in this
   /// process, else read from a file `valid` accepts, else made by
   /// `produce` and written by the same write-then-rename as a trace, so a
   /// missing, damaged or version-skewed file is silently made again. The
   /// bytes must be a deterministic function of the key and carry their own
-  /// checksum and version, which `valid` tests. The reference is stable
-  /// for the cache's lifetime.
+  /// checksum and version, which `valid` tests. `produce` may fill another
+  /// key's blob by calling getBlob() for it. The reference is stable for
+  /// the cache's lifetime.
   const std::string& getBlob(const std::string& key,
                              const std::function<std::string()>& produce,
                              const BlobCheck& valid);
@@ -132,10 +115,7 @@ class TraceCache {
     std::string bytes;
   };
 
-  const Entry& getSlot(const std::string& key,
-                       const ProfilingProducer& produce, bool profiled);
-  void populate(Slot& slot, const std::string& key,
-                const ProfilingProducer& produce, bool profiled);
+  void populate(Slot& slot, const std::string& key, const Producer& produce);
 
   std::string dir_;
   mutable std::mutex mu_;

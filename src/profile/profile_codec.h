@@ -1,6 +1,6 @@
-// Byte codec for a profile and the sids its run value-profiled: the
-// sidecar a cached baseline trace keeps beside it (harness/trace_cache.h),
-// so a cache hit primes the compiler without interpreting.
+// Byte codec for a profile and the sids its run value-profiled: the blob a
+// trace cache keeps of a baseline run's profile (harness/experiment.h), so
+// a cache hit primes the compiler without interpreting.
 //
 // The bytes are one support/wire frame (magic "SPTP", version 1, kind 0)
 // whose FNV-1a checksum rejects truncated or bit-flipped files. The

@@ -7,7 +7,8 @@
 // budget diagnostics keep their exact text. They also pin one profile per
 // program: the run value-profiles the static SVP superset, every candidate
 // set lies within it and projects exactly, and a cell interprets each
-// program at most once, a trace-cache hit none.
+// program at most once, a trace-cache hit none, and a cache stores no
+// baseline trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -328,15 +329,24 @@ TEST_P(OneProfilePerProgram, ColdCellInterpretsEachProgramOnceAndAHitNone) {
       runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, key);
     });
   };
-  // The cache keeps the baseline result and the unrolled module's
-  // profile as blobs, so a hit interprets nothing, gap's included.
+  // The cache keeps the streamed baseline's run and result, its profile
+  // and the unrolled module's profile as blobs and only the SPT program
+  // as a trace, so a hit interprets nothing, gap's included.
   {
     TraceCache cache(dir);
     EXPECT_EQ(cachedRuns(cache), 2 + unrolled) << "cold";
     EXPECT_EQ(cachedRuns(cache), 0u) << "memory hit";
-    EXPECT_EQ(cache.produced(), 2u);
-    EXPECT_EQ(cache.blobsProduced(), 1 + unrolled);
+    EXPECT_EQ(cache.produced(), 1u);
+    EXPECT_EQ(cache.blobsProduced(), 2 + unrolled);
   }
+  std::size_t traces = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() != ".spt3") continue;
+    ++traces;
+    EXPECT_EQ(e.path().filename().string().find(".base-"), std::string::npos)
+        << "no baseline trace is stored";
+  }
+  EXPECT_EQ(traces, 1u);
   TraceCache cache(dir);
   compiler::CompilationRemarks warm;
   EXPECT_EQ(runsOf([&] {
@@ -346,9 +356,9 @@ TEST_P(OneProfilePerProgram, ColdCellInterpretsEachProgramOnceAndAHitNone) {
       << "file hit";
   EXPECT_EQ(warm.profile_runs, 1 + unrolled);
   EXPECT_EQ(cache.produced(), 0u);
-  EXPECT_EQ(cache.fileReuses(), 2u);
+  EXPECT_EQ(cache.fileReuses(), 1u);
   EXPECT_EQ(cache.blobsProduced(), 0u);
-  EXPECT_EQ(cache.blobHits(), 1 + unrolled);
+  EXPECT_EQ(cache.blobHits(), 2 + unrolled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, OneProfilePerProgram,

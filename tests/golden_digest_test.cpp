@@ -24,8 +24,10 @@
 #include <cstring>
 #include <filesystem>
 #include <iomanip>
+#include <set>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "harness/experiment.h"
 #include "harness/suite.h"
@@ -167,12 +169,14 @@ TEST(GoldenDigest, MachineResultsAreBitIdenticalToPinnedRuns) {
 }
 
 TEST(GoldenDigest, CachedHitsReadPinnedBaselineDigests) {
-  // A cold cache simulates each workload's one-core machine once ("stress"
-  // differs from "default" only in SPT machine fields, so it reads the
-  // stored result); a warm one simulates none. Every baseline a cache
-  // serves still has its pinned digest.
+  // A cold cache streams each workload's one-core machine once and stores
+  // its run and result and its profile ("stress" differs from "default"
+  // only in SPT machine fields, so it reads both); a warm one streams
+  // none. Every baseline a cache serves still has its pinned digest, and
+  // the cache holds one trace per SPT program and no baseline trace.
   const std::string dir = ::testing::TempDir() + "spt_golden_digest_cache";
   std::filesystem::remove_all(dir);
+  std::set<std::pair<std::string, std::uint64_t>> programs;
   for (const bool warm : {false, true}) {
     SCOPED_TRACE(warm ? "warm" : "cold");
     harness::TraceCache cache(dir);
@@ -184,10 +188,19 @@ TEST(GoldenDigest, CachedHitsReadPinnedBaselineDigests) {
           std::string(c.workload) + ".x1");
       EXPECT_EQ(hex(digestOf(result.baseline)), hex(c.baseline_digest));
       EXPECT_EQ(hex(digestOf(result.spt)), hex(c.spt_digest));
+      programs.emplace(c.workload, result.plan.fingerprint());
     }
-    EXPECT_EQ(cache.blobsProduced(), warm ? 0u : 3u);
-    EXPECT_EQ(cache.blobHits(), warm ? 6u : 3u);
+    EXPECT_EQ(cache.blobsProduced(), warm ? 0u : 6u);
+    EXPECT_EQ(cache.blobHits(), warm ? 12u : 9u);
   }
+  std::size_t traces = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() != ".spt3") continue;
+    ++traces;
+    EXPECT_EQ(e.path().filename().string().find(".base-"), std::string::npos)
+        << "no baseline trace is stored";
+  }
+  EXPECT_EQ(traces, programs.size());
   std::filesystem::remove_all(dir);
 }
 

@@ -1,11 +1,13 @@
 // Tests for the shared mmap-backed trace store (harness/trace_cache.h) and
 // the cached experiment path built on it: production/adoption/hit counter
-// semantics, header meta-word round trips, the profile sidecar and its codec,
-// the stored baseline results, their codec and the config projection that
-// keys them, and — the property the whole subsystem hangs on —
-// bit-identical simulation results whether a machine consumes the
-// in-memory text-built TraceBuffer or the mmap'd trace file.
+// semantics, header meta-word round trips, the profile codec, the stored
+// baseline runs (run, result and profile blobs, no baseline trace), their
+// codec and the config projection that keys them, and — the property the
+// whole subsystem hangs on — bit-identical simulation results whether a
+// machine consumes the in-memory text-built TraceBuffer or the mmap'd
+// trace file.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <cstring>
@@ -21,8 +23,10 @@
 #include "expect_same.h"
 #include "harness/cell_codec.h"
 #include "harness/experiment.h"
+#include "harness/parallel_sweep.h"
 #include "harness/suite.h"
 #include "harness/trace_cache.h"
+#include "interp/interpreter.h"
 #include "profile/profile_codec.h"
 #include "sim/baseline.h"
 #include "spt/loop_analysis.h"
@@ -137,13 +141,35 @@ std::string remarksJson(const compiler::CompilationRemarks& remarks) {
   return os.str();
 }
 
+/// The trace files in `dir` whose names contain `infix`.
+std::size_t tracesIn(const std::string& dir, const std::string& infix = "") {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (e.path().extension() == ".spt3" &&
+        name.find(infix) != std::string::npos) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+/// Programs the interpreter ran from main while `cell` ran.
+template <typename Cell>
+std::uint64_t runsOf(const Cell& cell) {
+  const std::uint64_t before = interp::Interpreter::mainRuns();
+  cell();
+  return interp::Interpreter::mainRuns() - before;
+}
+
 TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   TraceCache cache(freshDir("experiment"));
   const workloads::Workload w = workloads::findWorkload("gzip");
 
-  // The plain path and the cache miss profile through the baseline run,
-  // the hit reads that profile from the sidecar; the compiler sees the same
-  // profiles either way, so remarks (profile counts included) match.
+  // The plain path and the cache miss profile through the streamed
+  // baseline run, the hit reads that profile from its blob; the compiler
+  // sees the same profiles either way, so remarks (profile counts
+  // included) match.
   compiler::CompilationRemarks plain_remarks;
   compiler::CompilationRemarks cached_remarks;
   compiler::CompilationRemarks again_remarks;
@@ -151,7 +177,9 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
       runSptExperiment(w.build(1), {}, {}, {}, &plain_remarks);
   const ExperimentResult cached = runSptExperiment(
       w.build(1), {}, {}, {}, &cached_remarks, &cache, "gzip.x1");
-  EXPECT_EQ(cache.produced(), 2u);  // one baseline trace + one SPT trace
+  EXPECT_EQ(cache.produced(), 1u);  // the SPT trace; no baseline trace
+  EXPECT_EQ(tracesIn(cache.dir()), 1u);
+  EXPECT_EQ(tracesIn(cache.dir(), ".base-"), 0u);
   EXPECT_EQ(remarksJson(cached_remarks), remarksJson(plain_remarks));
 
   EXPECT_EQ(plain.baseline_run.return_value, cached.baseline_run.return_value);
@@ -165,14 +193,17 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   expectSameMachineResult(plain.baseline, cached.baseline);
   expectSameMachineResult(plain.spt, cached.spt);
 
-  // A second cached run hits memory for both traces and — the whole point
-  // — still reproduces the plain results without any interpretation.
+  // A second cached run hits memory for the SPT trace and the baseline
+  // blobs and — the whole point — still reproduces the plain results
+  // without any interpretation.
   const ExperimentResult again = runSptExperiment(
       w.build(1), {}, {}, {}, &again_remarks, &cache, "gzip.x1");
-  EXPECT_EQ(cache.produced(), 2u);
-  EXPECT_EQ(cache.memoryHits(), 2u);
+  EXPECT_EQ(cache.produced(), 1u);
+  EXPECT_EQ(cache.memoryHits(), 1u);
+  EXPECT_EQ(cache.blobsProduced(), 2u);  // the baseline's run and profile
   EXPECT_EQ(remarksJson(again_remarks), remarksJson(plain_remarks));
-  // The instruction counts come from the files' validating opens.
+  // The baseline's instruction count is stored with its run; the SPT
+  // program's comes from its file's validating open.
   EXPECT_EQ(plain.baseline_run.dynamic_instrs,
             again.baseline_run.dynamic_instrs);
   EXPECT_EQ(plain.spt_run.dynamic_instrs, again.spt_run.dynamic_instrs);
@@ -198,7 +229,7 @@ TEST(TraceCache, SuiteGoldenDigestsMatchTextVsBinary) {
 }
 
 // ------------------------------------------------------------------------
-// The profile sidecar a baseline trace keeps beside it.
+// The profile blob a cached baseline run keeps.
 
 profile::TrackedProfile supersetProfileOf(const std::string& workload) {
   ir::Module m = workloads::findWorkload(workload).build(1);
@@ -266,56 +297,6 @@ TEST(ProfileCodec, RejectsDamagedBytes) {
     std::string error;
     EXPECT_FALSE(profile::decodeProfile(damaged, &error).has_value());
     EXPECT_FALSE(error.empty());
-  }
-}
-
-TEST(TraceCache, MissingOrDamagedSidecarIsReproduced) {
-  const workloads::Workload w = workloads::findWorkload("parser");
-  compiler::CompilationRemarks plain_remarks;
-  const ExperimentResult plain =
-      runSptExperiment(w.build(1), {}, {}, {}, &plain_remarks);
-  const std::string dir = freshDir("sidecar");
-  std::string sidecar;
-  {
-    TraceCache cache(dir);
-    runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "parser.x1");
-    EXPECT_EQ(cache.produced(), 2u);
-    for (const auto& e : std::filesystem::directory_iterator(dir)) {
-      if (e.path().extension() == ".prof") sidecar = e.path().string();
-    }
-  }
-  ASSERT_FALSE(sidecar.empty());
-  const std::string good = readBytes(sidecar);
-
-  std::string flipped = good;
-  flipped[flipped.size() / 2] ^= 0x01;
-  const std::vector<std::pair<std::string, std::string>> damages = {
-      {"missing", ""},
-      {"truncated", good.substr(0, good.size() / 2)},
-      {"bit-flipped", flipped},
-  };
-  for (const auto& [what, bytes] : damages) {
-    SCOPED_TRACE(what);
-    if (what == "missing") {
-      std::filesystem::remove(sidecar);
-    } else {
-      writeBytes(sidecar, bytes);
-    }
-    TraceCache cache(dir);
-    compiler::CompilationRemarks remarks;
-    const ExperimentResult again = runSptExperiment(
-        w.build(1), {}, {}, {}, &remarks, &cache, "parser.x1");
-    // The baseline is produced again, trace and sidecar; the SPT trace is
-    // adopted.
-    EXPECT_EQ(cache.produced(), 1u);
-    EXPECT_EQ(cache.fileReuses(), 1u);
-    EXPECT_EQ(readBytes(sidecar), good);
-    EXPECT_EQ(remarksJson(remarks), remarksJson(plain_remarks));
-    EXPECT_EQ(again.plan.fingerprint(), plain.plan.fingerprint());
-    spt::testing::expectSameRun(again.baseline_run, plain.baseline_run);
-    spt::testing::expectSameRun(again.spt_run, plain.spt_run);
-    expectSameMachineResult(again.baseline, plain.baseline);
-    expectSameMachineResult(again.spt, plain.spt);
   }
 }
 
@@ -398,6 +379,13 @@ TEST(TraceCache, BlobIsProducedOnceThenServedFromMemoryAndFile) {
   EXPECT_EQ(readBytes(dir + "/k.res"), "blob-bytes");
 }
 
+/// The payload of the support::wire frame `frame`.
+std::string payloadOf(const std::string& frame) {
+  return frame.substr(support::wire::kFrameHeaderBytes,
+                      frame.size() - support::wire::kFrameHeaderBytes -
+                          support::wire::kFrameTrailerBytes);
+}
+
 /// A result with every field set, maps and telemetry included.
 sim::MachineResult fullResult() {
   sim::MachineResult r;
@@ -422,33 +410,46 @@ sim::MachineResult fullResult() {
   return r;
 }
 
+/// A run with every field set, the return value negative.
+interp::RunResult fullRun() {
+  interp::RunResult run;
+  run.return_value = -42;
+  run.dynamic_instrs = 702;
+  run.memory_hash = 0xfedcba9876543210ull;
+  return run;
+}
+
 TEST(MachineResultCodec, RoundTripsEveryField) {
   const sim::MachineResult original = fullResult();
-  const std::string bytes = encodeMachineResult(original);
+  const std::string bytes = encodeMachineResult(original, fullRun());
+  interp::RunResult run;
   const std::optional<sim::MachineResult> decoded =
-      decodeMachineResult(bytes);
+      decodeMachineResult(bytes, &run);
   ASSERT_TRUE(decoded.has_value());
   expectSameMachineResult(*decoded, original);
+  spt::testing::expectSameRun(run, fullRun());
   EXPECT_EQ(std::memcmp(&decoded->branch_mispredict_ratio,
                         &original.branch_mispredict_ratio, sizeof(double)),
             0)
       << "the ratio round-trips bit-exact";
-  EXPECT_EQ(encodeMachineResult(*decoded), bytes);
+  EXPECT_EQ(encodeMachineResult(*decoded, run), bytes);
 
-  // A real baseline result, with the loop map a suite workload fills.
+  // A real baseline run, with the loop map a suite workload fills.
   ir::Module m = workloads::findWorkload("bzip2").build(1);
-  const TracedRun run = traceProgram(m);
+  const TracedRun traced = traceProgram(m);
   const sim::MachineResult real =
-      sim::BaselineMachine(m, run.trace.view(), {}).run();
+      sim::BaselineMachine(m, traced.trace.view(), {}).run();
   ASSERT_FALSE(real.loops.empty());
-  const std::optional<sim::MachineResult> real_decoded =
-      decodeMachineResult(encodeMachineResult(real));
+  interp::RunResult real_run;
+  const std::optional<sim::MachineResult> real_decoded = decodeMachineResult(
+      encodeMachineResult(real, traced.result), &real_run);
   ASSERT_TRUE(real_decoded.has_value());
   expectSameMachineResult(*real_decoded, real);
+  spt::testing::expectSameRun(real_run, traced.result);
 }
 
 TEST(MachineResultCodec, DecodingIsStrict) {
-  const std::string bytes = encodeMachineResult(fullResult());
+  const std::string bytes = encodeMachineResult(fullResult(), fullRun());
   for (std::size_t n = 0; n < bytes.size(); ++n) {
     EXPECT_FALSE(decodeMachineResult(bytes.substr(0, n)).has_value()) << n;
   }
@@ -462,62 +463,152 @@ TEST(MachineResultCodec, DecodingIsStrict) {
   EXPECT_FALSE(decodeMachineResult(
                    profile::encodeProfile(profile::TrackedProfile{}))
                    .has_value());
+  // A version-1 frame, as caches from before the run words hold, is
+  // refused, whatever its payload.
+  const std::string payload = payloadOf(bytes);
+  for (const std::string& old : {payload, payload.substr(24)}) {
+    EXPECT_FALSE(
+        decodeMachineResult(support::wire::encodeFrame("SPTR", 1, 0, old))
+            .has_value());
+  }
 }
 
-/// The one stored baseline result in `dir`.
-std::string storedResultIn(const std::string& dir) {
+/// The one file in `dir` with extension `ext`.
+std::string storedIn(const std::string& dir, const std::string& ext) {
   std::string found;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    if (e.path().extension() == ".res") {
-      EXPECT_TRUE(found.empty()) << "more than one stored result";
+    if (e.path().extension() == ext) {
+      EXPECT_TRUE(found.empty()) << "more than one " << ext;
       found = e.path().string();
     }
   }
   return found;
 }
 
-TEST(TraceCache, DamagedStoredResultIsRecomputed) {
-  const workloads::Workload w = workloads::findWorkload("vpr");
-  const ExperimentResult plain = runSptExperiment(w.build(1));
-  const std::string dir = freshDir("stored_result");
+/// Makes the blob with extension \p ext that a cached baseline keeps
+/// missing or damaged in each way in turn. The baseline streams again, the
+/// blob is written again byte for byte, the SPT trace is adopted, and the
+/// cell equals the uncached one.
+void expectDamagedBlobIsRecomputed(const std::string& workload,
+                                   const std::string& ext) {
+  const workloads::Workload w = workloads::findWorkload(workload);
+  const std::string key = workload + ".x1";
+  compiler::CompilationRemarks plain_remarks;
+  const ExperimentResult plain =
+      runSptExperiment(w.build(1), {}, {}, {}, &plain_remarks);
+  const std::string dir = freshDir("damaged" + ext);
   {
     TraceCache cache(dir);
-    runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "vpr.x1");
-    EXPECT_EQ(cache.blobsProduced(), 1u);
+    runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, key);
+    EXPECT_EQ(cache.blobsProduced(), 2u);
   }
-  const std::string path = storedResultIn(dir);
-  ASSERT_FALSE(path.empty());
+  const std::string path = storedIn(dir, ext);
+  ASSERT_FALSE(path.empty()) << ext;
   const std::string good = readBytes(path);
-  ASSERT_TRUE(decodeMachineResult(good).has_value());
-
   std::string flipped = good;
   flipped[support::wire::kFrameHeaderBytes + 3] ^= 0x01;  // the payload
   std::string other_version = good;
-  other_version[4] = 2;  // the frame version's low byte
+  other_version[4] ^= 0x03;  // the frame version's low byte: 1 <-> 2
   const std::vector<std::pair<std::string, std::string>> damages = {
       {"missing", ""},
-      {"bit-flipped", flipped},
       {"truncated", good.substr(0, good.size() - 5)},
-      {"version 2", other_version},
+      {"bit-flipped", flipped},
+      {"other version", other_version},
   };
   for (const auto& [what, bytes] : damages) {
-    SCOPED_TRACE(what);
+    SCOPED_TRACE(ext + " " + what);
     if (what == "missing") {
       std::filesystem::remove(path);
     } else {
       writeBytes(path, bytes);
     }
     TraceCache cache(dir);
-    const ExperimentResult again =
-        runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "vpr.x1");
+    compiler::CompilationRemarks remarks;
+    std::optional<ExperimentResult> again;
+    EXPECT_EQ(runsOf([&] {
+                again = runSptExperiment(w.build(1), {}, {}, {}, &remarks,
+                                         &cache, key);
+              }),
+              1u)
+        << "the baseline streams again";
     EXPECT_EQ(cache.blobsProduced(), 1u);
-    EXPECT_EQ(cache.blobHits(), 0u);
-    EXPECT_EQ(cache.produced(), 0u) << "both traces are adopted";
+    EXPECT_EQ(cache.produced(), 0u) << "the SPT trace is adopted";
     EXPECT_EQ(readBytes(path), good);
-    spt::testing::expectSameRun(again.baseline_run, plain.baseline_run);
-    expectSameMachineResult(again.baseline, plain.baseline);
-    expectSameMachineResult(again.spt, plain.spt);
+    EXPECT_EQ(remarksJson(remarks), remarksJson(plain_remarks));
+    EXPECT_EQ(again->plan.fingerprint(), plain.plan.fingerprint());
+    spt::testing::expectSameRun(again->baseline_run, plain.baseline_run);
+    spt::testing::expectSameRun(again->spt_run, plain.spt_run);
+    expectSameMachineResult(again->baseline, plain.baseline);
+    expectSameMachineResult(again->spt, plain.spt);
   }
+}
+
+TEST(TraceCache, DamagedStoredResultIsRecomputed) {
+  // The baseline's run and one-core result (.res).
+  expectDamagedBlobIsRecomputed("vpr", ".res");
+}
+
+TEST(TraceCache, MissingOrDamagedSidecarIsReproduced) {
+  // The baseline's profile sidecar (.prof).
+  expectDamagedBlobIsRecomputed("parser", ".prof");
+}
+
+/// A file's inode and modification time, which a rewrite changes.
+std::pair<std::uint64_t, std::filesystem::file_time_type> identityOf(
+    const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return {static_cast<std::uint64_t>(st.st_ino),
+          std::filesystem::last_write_time(path)};
+}
+
+TEST(TraceCache, OlderCacheHealsInPlace) {
+  // A cache from before the baseline's run moved into its stored result
+  // holds a version-1 .res without the run words, the baseline trace
+  // <key>.base-<salt>.spt3 and, beside it, the same .prof as now.
+  const workloads::Workload w = workloads::findWorkload("parser");
+  const ExperimentResult plain = runSptExperiment(w.build(1));
+  const std::string dir = freshDir("older_cache");
+  {
+    TraceCache cache(dir);
+    runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "parser.x1");
+  }
+  const std::string res = storedIn(dir, ".res");
+  const std::string prof = storedIn(dir, ".prof");
+  ASSERT_FALSE(res.empty());
+  ASSERT_FALSE(prof.empty());
+  const std::string good = readBytes(res);
+  writeBytes(res, support::wire::encodeFrame("SPTR", 1, 0,
+                                             payloadOf(good).substr(24)));
+  const std::string leftover = prof.substr(0, prof.size() - 5) + ".spt3";
+  ASSERT_NE(leftover.find(".base-"), std::string::npos);
+  ir::Module baseline = w.build(1);
+  const TracedRun traced = traceProgram(baseline);
+  ASSERT_TRUE(trace::writeTraceFile(
+      leftover, traced.trace.view(),
+      {static_cast<std::uint64_t>(traced.result.return_value),
+       traced.result.memory_hash}));
+  const auto leftover_before = identityOf(leftover);
+  const auto prof_before = identityOf(prof);
+
+  TraceCache cache(dir);
+  std::optional<ExperimentResult> again;
+  EXPECT_EQ(runsOf([&] {
+              again = runSptExperiment(w.build(1), {}, {}, {}, nullptr,
+                                       &cache, "parser.x1");
+            }),
+            1u)
+      << "the baseline streams once, for its run";
+  EXPECT_EQ(readBytes(res), good) << "the .res is made again";
+  EXPECT_EQ(cache.blobsProduced(), 1u) << "the profile is adopted";
+  EXPECT_EQ(identityOf(prof), prof_before);
+  EXPECT_EQ(cache.produced(), 0u);
+  EXPECT_EQ(cache.fileReuses(), 1u) << "only the SPT trace is opened";
+  EXPECT_EQ(identityOf(leftover), leftover_before);
+  spt::testing::expectSameRun(again->baseline_run, plain.baseline_run);
+  spt::testing::expectSameRun(again->spt_run, plain.spt_run);
+  expectSameMachineResult(again->baseline, plain.baseline);
+  expectSameMachineResult(again->spt, plain.spt);
 }
 
 /// One machine config field, perturbed.
@@ -594,7 +685,7 @@ std::string baselineBytes(const ir::Module& module, trace::TraceView trace,
                           const support::MachineConfig& config) {
   try {
     return encodeMachineResult(
-        sim::BaselineMachine(module, trace, config).run());
+        sim::BaselineMachine(module, trace, config).run(), {});
   } catch (const support::SptBudgetExceeded& e) {
     return std::string("budget: ") + e.what();
   }
@@ -701,17 +792,31 @@ TEST(TraceCache, CachedGridSimulatesTheBaselineOnce) {
   checked.fault_plan.seed = 7;
   grid.push_back(checked);
 
+  // Four pool threads over a cold cache: the first cell to reach the
+  // stored baseline streams it and stores its profile too, so every cell
+  // reads both and none streams the baseline again.
   TraceCache cache(freshDir("grid"));
-  for (const support::MachineConfig& config : grid) {
-    SCOPED_TRACE(config.spec_threads);
-    compiler::CompilerOptions copts;
-    copts.spec_threads = config.spec_threads;
-    const ExperimentResult cell = runSptExperiment(
-        w.build(1), copts, config, {}, nullptr, &cache, "twolf.x1");
+  std::vector<ExperimentResult> cells;
+  const std::uint64_t runs = runsOf([&] {
+    cells = ParallelSweep(4).run(grid.size(), [&](std::size_t i) {
+      compiler::CompilerOptions copts;
+      copts.spec_threads = grid[i].spec_threads;
+      return runSptExperiment(w.build(1), copts, grid[i], {}, nullptr,
+                              &cache, "twolf.x1");
+    });
+  });
+  std::set<std::uint64_t> plans;
+  for (const ExperimentResult& cell : cells) {
+    SCOPED_TRACE(cell.plan.fingerprint());
     expectSameMachineResult(cell.baseline, plain.baseline);
+    plans.insert(cell.plan.fingerprint());
   }
-  EXPECT_EQ(cache.blobsProduced(), 1u) << "one baseline simulation";
-  EXPECT_EQ(cache.blobHits(), grid.size() - 1);
+  EXPECT_EQ(runs, 1 + plans.size()) << "one baseline, one run per plan";
+  EXPECT_EQ(cache.produced(), plans.size());
+  EXPECT_EQ(tracesIn(cache.dir()), plans.size());
+  EXPECT_EQ(tracesIn(cache.dir(), ".base-"), 0u);
+  EXPECT_EQ(cache.blobsProduced(), 2u) << "one baseline run and profile";
+  EXPECT_EQ(cache.blobHits(), 2 * grid.size() - 1);
 }
 
 }  // namespace

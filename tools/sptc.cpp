@@ -114,10 +114,11 @@
 //                      partial | exit (requires --isolate)
 //
 // Options for sweep:
-//   --trace-cache DIR  share one mmap-backed v3 trace per workload across
-//                      all cells (and across supervised worker processes)
-//                      through a trace cache rooted at DIR; results are
-//                      identical with or without the cache
+//   --trace-cache DIR  share each workload's SPT trace (an mmap-backed
+//                      container v4 file), baseline result and profiles
+//                      across all cells (and across supervised worker
+//                      processes) through a trace cache rooted at DIR;
+//                      results are identical with or without the cache
 //
 // Options for sweep/perf:
 //   --jobs N           parallel experiment workers (default: SPT_JOBS env
