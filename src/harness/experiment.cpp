@@ -218,25 +218,29 @@ ExperimentResult runSptExperiment(ir::Module module,
   if (!module.finalized()) module.finalize();
 
   // The SPT program, interpreted at most once: straight into the SPT
-  // machine, which indexes forks as the records arrive, or into the
-  // cached trace the machine replays.
-  if (cache == nullptr) {
+  // machine, which indexes forks as the records arrive. With a cache, the
+  // cell that produces the trace tees the same stream into the trace file,
+  // and every later cell replays the file instead.
+  const auto streamSpt = [&](trace::TraceSink* writer) {
     sim::SptMachine machine(module, mconfig);
+    trace::TeeSink tee;
+    tee.add(&machine);
+    if (writer != nullptr) tee.add(writer);
     result.spt_run =
-        interpret(module, args, mconfig.max_trace_records, machine);
+        interpret(module, args, mconfig.max_trace_records,
+                  writer != nullptr ? static_cast<trace::TraceSink&>(tee)
+                                    : machine);
     result.spt = machine.finish();
-  } else {
-    const TraceCache::Entry& entry = cache->get(
-        keyFor(".spt-" + hex64(result.plan.fingerprint())),
-        [&](trace::TraceFileMeta* meta) {
-          trace::TraceBuffer trace;
-          *meta = metaOf(
-              interpret(module, args, mconfig.max_trace_records, trace));
-          return trace;
-        });
-    result.spt_run = runOf(entry);
-    const trace::LoopIndex index(module, entry.view);
-    sim::SptMachine machine(module, entry.view, index, mconfig);
+    return metaOf(result.spt_run);
+  };
+  if (cache == nullptr) {
+    streamSpt(nullptr);
+  } else if (const TraceCache::Entry* entry = cache->getOrStream(
+                 keyFor(".spt-" + hex64(result.plan.fingerprint())),
+                 streamSpt)) {
+    result.spt_run = runOf(*entry);
+    const trace::LoopIndex index(module, entry->view);
+    sim::SptMachine machine(module, entry->view, index, mconfig);
     result.spt = machine.run();
   }
 

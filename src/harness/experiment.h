@@ -18,8 +18,9 @@
 // still read. An optional trace cache memoizes the baseline stream, its
 // run and one-core result keyed by baselineConfigDigest and its profile,
 // so cells that differ only in the SPT machine's config stream the
-// baseline once between them and a hit streams none; the SPT machine
-// replays the cached SPT trace file.
+// baseline once between them and a hit streams none. The cell that
+// misses the SPT trace streams as well, teeing the run into the trace
+// file; later cells replay that file.
 #pragma once
 
 #include <cstdint>
@@ -123,7 +124,8 @@ struct ExperimentResult {
 /// machine and no trace is stored. With one, the results are identical:
 /// the baseline stream's run, one-core result and profile come from
 /// `cache` as blobs, made by that stream on a miss, and the SPT machine
-/// replays the SPT program's trace from `cache` as an mmap-backed file.
+/// replays the SPT program's trace from `cache` as an mmap-backed file,
+/// which a miss writes while its own SPT run streams into the machine.
 /// `key_prefix` must then identify the program and its scale (e.g.
 /// "gzip.x2"); every cache key additionally folds in the run arguments and
 /// the trace budget, the stored one-core result's key
@@ -131,7 +133,8 @@ struct ExperimentResult {
 /// plan's fingerprint, so distinct compiler options never collide. On a hit nothing is
 /// interpreted and no baseline is simulated: the SPT run's return value
 /// and memory hash are recovered from the trace header's meta words,
-/// spt_run.dynamic_instrs is the count the file's validating open took,
+/// spt_run.dynamic_instrs is the count of the file's instruction records
+/// (from its validating open, or from the writer if this process wrote it),
 /// and the profile of a module unrolling made is a stored blob too.
 /// The machines are torn down before return, so no view outlives the call.
 ExperimentResult runSptExperiment(

@@ -164,9 +164,10 @@ struct SweepOptions {
   SupervisorOptions supervisor;
   /// When non-empty, cells share one mmap-backed trace file per
   /// (workload, scale, plan) through a TraceCache rooted here
-  /// (harness/trace_cache.h): the first cell to need a trace interprets
-  /// and writes it, every other cell — including supervised workers in
-  /// other processes — maps the same file. Results are identical with or
+  /// (harness/trace_cache.h): the first cell to need a trace streams it
+  /// and writes it, every later cell — including supervised workers in
+  /// other processes — maps the same file, and one that finds another
+  /// process writing it computes alone. Results are identical with or
   /// without the cache.
   std::string trace_cache_dir;
 };

@@ -4,24 +4,20 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "support/check.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
+#define SPT_TRACE_CACHE_HAVE_FLOCK 1
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 #endif
 
 namespace spt::harness {
 
 namespace {
-
-std::string processTag() {
-#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
-  return std::to_string(static_cast<long>(::getpid()));
-#else
-  return "self";
-#endif
-}
 
 /// Keys come from workload names and hex fingerprints; normalize anything
 /// that would escape the cache directory or upset a filesystem.
@@ -35,16 +31,40 @@ std::string fileNameOf(std::string key) {
   return key;
 }
 
-std::string tempPathFor(const std::string& path) {
-  return path + ".tmp." + processTag();
-}
+/// Only the holder of a key's lock writes, so one temp name per file
+/// suffices, and the next holder truncates whatever a killed one left.
+std::string tempPathFor(const std::string& path) { return path + ".tmp.held"; }
 
-/// Moves the finished `tmp` over `path` in one step.
-void renameInto(const std::string& tmp, const std::string& path) {
-  SPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                ("trace cache: cannot rename " + tmp + " to " + path)
-                    .c_str());
-}
+/// A non-blocking exclusive flock on a key's lock file, held until
+/// destruction (closing the descriptor releases it, and so does the
+/// kernel when the holder dies). Where flock is unavailable every lock is
+/// taken, so one process at a time may use a cache directory.
+class KeyLock {
+ public:
+  explicit KeyLock(const std::string& path) {
+#if SPT_TRACE_CACHE_HAVE_FLOCK
+    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    SPT_CHECK_MSG(fd_ >= 0,
+                  ("trace cache: cannot open lock " + path).c_str());
+    held_ = ::flock(fd_, LOCK_EX | LOCK_NB) == 0;
+#else
+    (void)path;
+#endif
+  }
+  KeyLock(const KeyLock&) = delete;
+  KeyLock& operator=(const KeyLock&) = delete;
+  ~KeyLock() {
+#if SPT_TRACE_CACHE_HAVE_FLOCK
+    ::close(fd_);
+#endif
+  }
+
+  bool held() const { return held_; }
+
+ private:
+  int fd_ = -1;
+  bool held_ = true;
+};
 
 /// Installs `bytes` as the file at `path` by write-then-rename.
 void installFile(const std::string& path, const std::string& bytes) {
@@ -54,7 +74,9 @@ void installFile(const std::string& path, const std::string& bytes) {
   out.close();
   SPT_CHECK_MSG(static_cast<bool>(out),
                 ("trace cache: cannot write " + tmp).c_str());
-  renameInto(tmp, path);
+  SPT_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                ("trace cache: cannot rename " + tmp + " to " + path)
+                    .c_str());
 }
 
 /// The bytes of the file at `path`, when it exists and `valid` accepts
@@ -69,6 +91,23 @@ std::optional<std::string> readValidFile(
   return std::move(bytes).str();
 }
 
+/// Completes `writer`'s file with `meta` and maps it against the summary
+/// the writer reports.
+trace::MappedTrace finishAndMap(trace::TraceFileWriter& writer,
+                                const std::string& path,
+                                const trace::TraceFileMeta& meta) {
+  std::string error;
+  const std::optional<trace::TraceFileSummary> written =
+      writer.finish(meta, &error);
+  SPT_CHECK_MSG(written.has_value(),
+                ("trace cache: cannot write " + path + ": " + error).c_str());
+  std::optional<trace::MappedTrace> mapped =
+      trace::MappedTrace::openWritten(path, *written, &error);
+  SPT_CHECK_MSG(mapped.has_value(),
+                ("trace cache: just-written " + error).c_str());
+  return std::move(*mapped);
+}
+
 }  // namespace
 
 TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {
@@ -79,67 +118,95 @@ TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {
                          .c_str());
 }
 
-const TraceCache::Entry& TraceCache::get(const std::string& key,
-                                         const Producer& produce) {
-  Slot* slot = nullptr;
-  bool fresh = false;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    std::unique_ptr<Slot>& s = slots_[key];
-    if (!s) {
-      s = std::make_unique<Slot>();
-      fresh = true;
-    }
-    slot = s.get();
-  }
-  // call_once serializes producers for one key and makes every later get()
-  // wait for (and then share) the populated entry; a producer exception
-  // leaves the flag unset so the next get() retries.
-  std::call_once(slot->once, [&] { populate(*slot, key, produce); });
-  if (!fresh) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++memory_hits_;
-  }
-  return slot->entry;
+TraceCache::Slot& TraceCache::slotFor(const std::string& key) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::unique_ptr<Slot>& slot = slots_[key];
+  if (!slot) slot = std::make_unique<Slot>();
+  return *slot;
 }
 
-void TraceCache::populate(Slot& slot, const std::string& key,
-                          const Producer& produce) {
-  const std::string path = dir_ + "/" + fileNameOf(key) + ".spt3";
+void TraceCache::count(std::uint64_t& counter) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++counter;
+}
 
+std::string TraceCache::pathOf(const std::string& key,
+                               const char* extension) const {
+  return dir_ + "/" + fileNameOf(key) + extension;
+}
+
+bool TraceCache::adopt(Slot& slot, const std::string& path) {
   // Another process (a sibling pooled worker, or an earlier run over the
   // same cache directory) may already have written this trace;
   // validation at open decides whether the file is trustworthy.
-  std::string error;
-  if (auto mapped = trace::MappedTrace::open(path, &error)) {
-    slot.entry = {mapped->view(), mapped->meta(), path, mapped->instrCount()};
-    slot.map = std::move(mapped);
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++file_reuses_;
-    return;
+  std::optional<trace::MappedTrace> mapped = trace::MappedTrace::open(path);
+  if (!mapped) return false;
+  install(slot, path, std::move(*mapped));
+  count(file_reuses_);
+  return true;
+}
+
+void TraceCache::install(Slot& slot, const std::string& path,
+                         trace::MappedTrace mapped) {
+  slot.entry = {mapped.view(), mapped.meta(), path, mapped.instrCount()};
+  slot.map = std::move(mapped);
+  slot.ready = true;
+}
+
+const TraceCache::Entry& TraceCache::get(const std::string& key,
+                                         const Producer& produce) {
+  Slot& slot = slotFor(key);
+  const std::lock_guard<std::mutex> hold(slot.mu);
+  if (slot.ready) {
+    count(memory_hits_);
+    return slot.entry;
   }
+  const std::string path = pathOf(key, ".spt3");
+  if (adopt(slot, path)) return slot.entry;
+  const KeyLock lock(pathOf(key, ".lock"));
+  if (lock.held() && adopt(slot, path)) return slot.entry;
 
   trace::TraceFileMeta meta;
-  trace::TraceBuffer buffer = produce(&meta);
+  trace::TraceBuffer trace = produce(&meta);
+  if (!lock.held()) {
+    slot.buffer = std::move(trace);
+    slot.entry = {slot.buffer.view(), meta, path, slot.buffer.instrCount()};
+    slot.ready = true;
+    count(bypasses_);
+    return slot.entry;
+  }
+  trace::TraceFileWriter writer(path, tempPathFor(path));
+  writer.append(trace.view());
+  install(slot, path, finishAndMap(writer, path, meta));
+  count(produced_);
+  return slot.entry;
+}
 
-  // Write-then-rename keeps concurrent cross-process producers benign:
-  // readers never observe a partial file, and because the trace is a
-  // deterministic function of the key, whichever rename lands last
-  // installs the same bytes.
-  const std::string tmp = tempPathFor(path);
-  SPT_CHECK_MSG(trace::writeTraceFile(tmp, buffer.view(), meta),
-                ("trace cache: cannot write " + tmp).c_str());
-  renameInto(tmp, path);
-
-  auto mapped = trace::MappedTrace::open(path, &error);
-  SPT_CHECK_MSG(mapped.has_value(),
-                ("trace cache: just-written " + path +
-                 " failed validation: " + error)
-                    .c_str());
-  slot.entry = {mapped->view(), mapped->meta(), path, mapped->instrCount()};
-  slot.map = std::move(mapped);
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++produced_;
+const TraceCache::Entry* TraceCache::getOrStream(const std::string& key,
+                                                 const Streamer& stream) {
+  Slot& slot = slotFor(key);
+  std::unique_lock<std::mutex> hold(slot.mu);
+  if (slot.ready) {
+    count(memory_hits_);
+    return &slot.entry;
+  }
+  const std::string path = pathOf(key, ".spt3");
+  if (adopt(slot, path)) return &slot.entry;
+  const KeyLock lock(pathOf(key, ".lock"));
+  if (!lock.held()) {
+    // The stream yields this call's result and nothing to share, so
+    // later calls in this process need not wait for it.
+    hold.unlock();
+    stream(nullptr);
+    count(bypasses_);
+    return nullptr;
+  }
+  if (adopt(slot, path)) return &slot.entry;
+  trace::TraceFileWriter writer(path, tempPathFor(path));
+  const trace::TraceFileMeta meta = stream(&writer);
+  install(slot, path, finishAndMap(writer, path, meta));
+  count(produced_);
+  return nullptr;
 }
 
 const std::string& TraceCache::getBlob(
@@ -152,19 +219,30 @@ const std::string& TraceCache::getBlob(
     if (!b) b = std::make_unique<Blob>();
     blob = b.get();
   }
-  bool ran = false;
-  std::call_once(blob->once, [&] {
-    const std::string path = dir_ + "/" + fileNameOf(key);
-    if (std::optional<std::string> bytes = readValidFile(path, valid)) {
-      blob->bytes = std::move(*bytes);
-      return;
+  const std::lock_guard<std::mutex> hold(blob->mu);
+  if (blob->ready) {
+    count(blob_hits_);
+    return blob->bytes;
+  }
+  const std::string path = pathOf(key, "");
+  std::optional<std::string> bytes = readValidFile(path, valid);
+  std::uint64_t* outcome = &blob_hits_;
+  if (!bytes) {
+    const KeyLock lock(pathOf(key, ".lock"));
+    if (lock.held()) bytes = readValidFile(path, valid);
+    if (!bytes) {
+      bytes = produce();
+      if (lock.held()) {
+        installFile(path, *bytes);
+        outcome = &blobs_produced_;
+      } else {
+        outcome = &bypasses_;
+      }
     }
-    blob->bytes = produce();
-    installFile(path, blob->bytes);
-    ran = true;
-  });
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++(ran ? blobs_produced_ : blob_hits_);
+  }
+  blob->bytes = std::move(*bytes);
+  blob->ready = true;
+  count(*outcome);
   return blob->bytes;
 }
 
@@ -191,6 +269,11 @@ std::uint64_t TraceCache::blobHits() const {
 std::uint64_t TraceCache::blobsProduced() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return blobs_produced_;
+}
+
+std::uint64_t TraceCache::bypasses() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return bypasses_;
 }
 
 }  // namespace spt::harness

@@ -13,20 +13,34 @@
 //
 // The traced run's return value and memory hash ride in the container
 // header's meta words, and its instruction count comes from the pass that
-// validates the file at open, so cached experiments re-assert
-// baseline-vs-SPT execution equivalence without re-interpreting or
-// re-reading the trace.
+// validates the file at open (or from the writer, for a file this process
+// wrote), so cached experiments re-assert baseline-vs-SPT execution
+// equivalence without re-interpreting or re-reading the trace.
 //
-// Concurrency: get() is thread-safe; production is serialized per key
-// (std::call_once). Across *processes* the file itself is the lock-free
-// rendezvous — writers produce into a pid-suffixed temp file and rename(2)
-// it into place, so concurrent producers race benignly (the trace is
-// deterministic, both files are byte-identical, last rename wins) and
-// readers only ever see complete, checksummed files. A file that fails
-// validation (truncated leftover, version skew) is silently re-produced.
-// Files keep the name <key>.spt3 across container versions, so a cache
-// written by an older version heals in place: each stale file is
-// overwritten by the first get() that finds it.
+// A cache miss need not materialize the trace: getOrStream() hands the
+// producing run a TraceFileWriter to tee its records into while they
+// stream into a machine, so the producing cell is the uncached cell plus
+// a write, and later cells in this process map the file against the
+// writer's summary instead of validating it again.
+//
+// Concurrency: one writer per key per cache directory. Within one cache,
+// calls for a key wait while one of them produces it, then share what it
+// made (a stream that computes alone, below, makes nothing to share and
+// holds no one up). Across caches (other processes, such as sibling pooled
+// workers, or other caches in this process) a cache takes a non-blocking
+// flock on <dir>/<key>.lock before it produces a trace or a blob, and
+// looks for a valid file once more under it. A cache that finds the lock
+// held waits on no one: it computes its own value exactly as an uncached
+// cell does and writes nothing, so no cell ever blocks on another process,
+// and a killed holder's lock is freed by the kernel. The lock files are
+// never removed (removing one would let two writers hold "the" lock on two
+// inodes). The holder writes a temp file <file>.tmp.held, truncating any a
+// killed holder left, and renames it into place, so readers only ever see
+// complete, checksummed files. A file that fails validation (truncated
+// leftover, version skew) is silently re-produced. Files keep the name
+// <key>.spt3 across container versions, so a cache written by an older
+// version heals in place: each stale file is overwritten by the first
+// get() that finds it.
 //
 // Beside the traces the cache keeps small checksummed blobs (getBlob) of
 // values that are deterministic functions of their keys. A cached
@@ -66,13 +80,27 @@ class TraceCache {
   using Producer =
       std::function<trace::TraceBuffer(trace::TraceFileMeta* meta)>;
 
+  /// Runs the program that makes a trace, teeing its records into
+  /// `writer` when that is not null, and returns the run's meta words.
+  using Streamer =
+      std::function<trace::TraceFileMeta(trace::TraceSink* writer)>;
+
   /// `dir` is created if missing; trace files land there as <key>.spt3.
   explicit TraceCache(std::string dir);
 
   /// Returns the entry for `key`, producing and writing the file on
   /// first use in this process (or adopting a valid file another process
-  /// already wrote). The reference is stable for the cache's lifetime.
+  /// already wrote). When another cache holds the key's lock the entry is
+  /// the produced trace, kept in memory. The reference is stable for the
+  /// cache's lifetime.
   const Entry& get(const std::string& key, const Producer& produce);
+
+  /// Returns the entry for `key` when this process has it or a valid file
+  /// exists. Otherwise runs `stream` once, with a writer for the key's
+  /// file when this cache takes the key's lock and with nullptr when
+  /// another cache holds it, and returns nullptr: the caller has its
+  /// result from the stream. A `stream` that throws leaves no file.
+  const Entry* getOrStream(const std::string& key, const Streamer& stream);
 
   /// Accepts a blob's bytes; false for damaged or version-skewed ones.
   using BlobCheck = std::function<bool(const std::string& bytes)>;
@@ -81,7 +109,8 @@ class TraceCache {
   /// so `key` names its own extension).
   /// Returns the bytes: held in memory after the first call in this
   /// process, else read from a file `valid` accepts, else made by
-  /// `produce` and written by the same write-then-rename as a trace, so a
+  /// `produce` and written by the same locked write-then-rename as a trace
+  /// (or only kept in memory when another cache holds the lock), so a
   /// missing, damaged or version-skewed file is silently made again. The
   /// bytes must be a deterministic function of the key and carry their own
   /// checksum and version, which `valid` tests. `produce` may fill another
@@ -93,29 +122,41 @@ class TraceCache {
 
   const std::string& dir() const { return dir_; }
 
-  /// Observability for tests: how many get() calls found an in-memory
-  /// entry, adopted an existing file, or had to run the producer; and how
-  /// many getBlob() calls were answered without the producer (in memory
-  /// or from a file), or had to run it.
+  /// Observability for tests: how many get()/getOrStream() calls found
+  /// an in-memory entry, adopted an existing file, or produced and wrote
+  /// one; how many getBlob() calls were answered without the producer (in
+  /// memory or from a file), or produced and wrote the blob; and how many
+  /// calls of either kind found another cache's lock and computed alone.
   std::uint64_t memoryHits() const;
   std::uint64_t fileReuses() const;
   std::uint64_t produced() const;
   std::uint64_t blobHits() const;
   std::uint64_t blobsProduced() const;
+  std::uint64_t bypasses() const;
 
  private:
   struct Slot {
-    std::once_flag once;
+    std::mutex mu;  // serializes this key's calls in this process
+    bool ready = false;
     std::optional<trace::MappedTrace> map;
+    trace::TraceBuffer buffer;  // the entry's records when nothing is mapped
     Entry entry;
   };
 
   struct Blob {
-    std::once_flag once;
+    std::mutex mu;
+    bool ready = false;
     std::string bytes;
   };
 
-  void populate(Slot& slot, const std::string& key, const Producer& produce);
+  Slot& slotFor(const std::string& key);
+  /// The file for `key` with `extension` appended.
+  std::string pathOf(const std::string& key, const char* extension) const;
+  /// Fills `slot` from a valid file at `path`; false when there is none.
+  bool adopt(Slot& slot, const std::string& path);
+  static void install(Slot& slot, const std::string& path,
+                      trace::MappedTrace mapped);
+  void count(std::uint64_t& counter);
 
   std::string dir_;
   mutable std::mutex mu_;
@@ -126,6 +167,7 @@ class TraceCache {
   std::map<std::string, std::unique_ptr<Blob>> blobs_;
   std::uint64_t blob_hits_ = 0;
   std::uint64_t blobs_produced_ = 0;
+  std::uint64_t bypasses_ = 0;
 };
 
 }  // namespace spt::harness

@@ -6,17 +6,26 @@
 // whole subsystem hangs on — bit-identical simulation results whether a
 // machine consumes the in-memory text-built TraceBuffer or the mmap'd
 // trace file.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,12 +34,14 @@
 #include "harness/experiment.h"
 #include "harness/parallel_sweep.h"
 #include "harness/suite.h"
+#include "harness/supervisor.h"
 #include "harness/trace_cache.h"
 #include "interp/interpreter.h"
 #include "profile/profile_codec.h"
 #include "sim/baseline.h"
 #include "spt/loop_analysis.h"
 #include "support/error.h"
+#include "support/hash.h"
 #include "support/wire.h"
 #include "test_programs.h"
 #include "workloads/workloads.h"
@@ -200,10 +211,11 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
       w.build(1), {}, {}, {}, &again_remarks, &cache, "gzip.x1");
   EXPECT_EQ(cache.produced(), 1u);
   EXPECT_EQ(cache.memoryHits(), 1u);
+  EXPECT_EQ(cache.fileReuses(), 0u) << "no validating open of our file";
   EXPECT_EQ(cache.blobsProduced(), 2u);  // the baseline's run and profile
   EXPECT_EQ(remarksJson(again_remarks), remarksJson(plain_remarks));
   // The baseline's instruction count is stored with its run; the SPT
-  // program's comes from its file's validating open.
+  // program's is the count its writer reported.
   EXPECT_EQ(plain.baseline_run.dynamic_instrs,
             again.baseline_run.dynamic_instrs);
   EXPECT_EQ(plain.spt_run.dynamic_instrs, again.spt_run.dynamic_instrs);
@@ -766,9 +778,9 @@ TEST(BaselineConfigDigest, SptOnlyFieldsShareOneDigest) {
   EXPECT_NE(baselineConfigDigest(slow_memory), digest);
 }
 
-TEST(TraceCache, CachedGridSimulatesTheBaselineOnce) {
-  const workloads::Workload w = workloads::findWorkload("twolf");
-  const ExperimentResult plain = runSptExperiment(w.build(1));
+/// Ten machine configs one workload's cells run under: chain depths and
+/// recoveries, tight buffers, and an oracle with injected faults.
+std::vector<support::MachineConfig> machineGrid() {
   std::vector<support::MachineConfig> grid;
   for (const std::uint32_t threads : {1u, 2u, 4u, 16u}) {
     for (const support::RecoveryMechanism recovery :
@@ -791,6 +803,13 @@ TEST(TraceCache, CachedGridSimulatesTheBaselineOnce) {
   checked.fault_plan.enabled = true;
   checked.fault_plan.seed = 7;
   grid.push_back(checked);
+  return grid;
+}
+
+TEST(TraceCache, CachedGridSimulatesTheBaselineOnce) {
+  const workloads::Workload w = workloads::findWorkload("twolf");
+  const ExperimentResult plain = runSptExperiment(w.build(1));
+  const std::vector<support::MachineConfig> grid = machineGrid();
 
   // Four pool threads over a cold cache: the first cell to reach the
   // stored baseline streams it and stores its profile too, so every cell
@@ -817,6 +836,429 @@ TEST(TraceCache, CachedGridSimulatesTheBaselineOnce) {
   EXPECT_EQ(tracesIn(cache.dir(), ".base-"), 0u);
   EXPECT_EQ(cache.blobsProduced(), 2u) << "one baseline run and profile";
   EXPECT_EQ(cache.blobHits(), 2 * grid.size() - 1);
+}
+
+
+/// The cache's files in `dir` with a given extension, by name.
+std::map<std::string, std::string> filesIn(
+    const std::string& dir, const std::vector<std::string>& extensions) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    for (const std::string& ext : extensions) {
+      if (e.path().extension() == ext) {
+        files[e.path().filename().string()] = readBytes(e.path().string());
+      }
+    }
+  }
+  return files;
+}
+
+/// The names in `dir` that a writer leaves behind only when it fails.
+std::vector<std::string> tempFilesIn(const std::string& dir) {
+  std::vector<std::string> temps;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) temps.push_back(name);
+  }
+  return temps;
+}
+
+// ------------------------------------------------------------------------
+// The streamed miss: the producing cell tees its run into the trace file.
+
+/// True when the files at `a` and `b` hold the same bytes, compared a
+/// megabyte at a time.
+bool sameBytes(const std::string& a, const std::string& b) {
+  std::ifstream fa(a, std::ios::binary);
+  std::ifstream fb(b, std::ios::binary);
+  std::vector<char> ca(1 << 20);
+  std::vector<char> cb(1 << 20);
+  while (fa && fb) {
+    fa.read(ca.data(), static_cast<std::streamsize>(ca.size()));
+    fb.read(cb.data(), static_cast<std::streamsize>(cb.size()));
+    if (fa.gcount() != fb.gcount() ||
+        !std::equal(ca.begin(), ca.begin() + fa.gcount(), cb.begin())) {
+      return false;
+    }
+  }
+  return fa.eof() && fb.eof();
+}
+
+/// What TeedTraceIsTheWrittenBuffer found wrong with one cell; empty
+/// when nothing.
+std::string teeMismatches(const SweepCase& c, const std::string& dir) {
+  std::string wrong;
+  {
+    TraceCache cache(dir);
+    runSuiteEntry(c.entry, c.machine, c.scale, nullptr, &cache);
+    if (cache.produced() != 1) {
+      wrong += " produced " + std::to_string(cache.produced());
+    }
+  }
+  const std::string teed = storedIn(dir, ".spt3");
+  if (teed.empty()) return wrong + " no .spt3";
+
+  ir::Module module = c.entry.workload.build(c.scale);
+  InterpProfileRunner runner;
+  compiler::SptCompiler(c.entry.copts).compile(module, runner, nullptr);
+  const TracedRun run = traceProgram(module, {}, c.machine.max_trace_records);
+  const trace::TraceFileMeta meta{
+      static_cast<std::uint64_t>(run.result.return_value),
+      run.result.memory_hash};
+  const std::string written = dir + "/written.trace";
+  if (!trace::writeTraceFile(written, run.trace.view(), meta)) {
+    return wrong + " writeTraceFile failed";
+  }
+  if (!sameBytes(teed, written)) wrong += " teed file differs from written";
+
+  const std::string streamed = dir + "/streamed.trace";
+  trace::TraceFileWriter writer(streamed, streamed + ".tmp.test");
+  for (const trace::Record& r : run.trace.view()) writer.onRecord(r);
+  std::string error;
+  const std::optional<trace::TraceFileSummary> summary =
+      writer.finish(meta, &error);
+  if (!summary) return wrong + " " + error;
+  if (!sameBytes(streamed, written)) wrong += " streamed file differs";
+  if (summary->instrs != run.result.dynamic_instrs) wrong += " instrs";
+  const std::optional<trace::MappedTrace> opened =
+      trace::MappedTrace::open(teed, &error);
+  if (!opened) return wrong + " " + error;
+  if (!(opened->summary() == *summary)) wrong += " summary differs";
+  std::filesystem::remove_all(dir);
+  return wrong;
+}
+
+// For every suite workload at depths 1 and 4, the trace a cold cached cell
+// tees into its file is byte for byte the file writeTraceFile makes of the
+// materialized trace, and a writer fed record by record reports what a
+// validating open of that file finds. Two cells at a time.
+TEST(TraceCache, TeedTraceIsTheWrittenBuffer) {
+  const std::vector<SweepCase> cases =
+      buildSuiteSweepCases({}, {}, 1, {}, {1, 4});
+  const std::vector<std::string> wrong =
+      ParallelSweep(2).run(cases.size(), [&](std::size_t i) {
+        return teeMismatches(cases[i], freshDir("tee" + std::to_string(i)));
+      });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(wrong[i], "") << cases[i].benchmark << " " << cases[i].config;
+  }
+}
+
+// A cache that finds a key's lock held by another cache computes its own
+// value and returns: it neither waits for the holder nor writes a file.
+TEST(TraceCache, HeldLockMakesAnotherCacheComputeAlone) {
+  const std::string dir = freshDir("held_lock");
+  const TracedRun run = tracedArraySum(64);
+  const trace::TraceFileMeta meta{7, 9};
+  const auto produce = [&](trace::TraceFileMeta* out) {
+    *out = meta;
+    return run.trace;
+  };
+  const auto valid = [](const std::string& b) { return b == "blob"; };
+  TraceCache holder(dir);
+  TraceCache other(dir);
+  int alone = 0;
+  const TraceCache::Entry* held = holder.getOrStream(
+      "held.trace", [&](trace::TraceSink* writer) {
+        EXPECT_NE(writer, nullptr);
+        EXPECT_EQ(other.getOrStream("held.trace",
+                                    [&](trace::TraceSink* none) {
+                                      EXPECT_EQ(none, nullptr);
+                                      ++alone;
+                                      return meta;
+                                    }),
+                  nullptr);
+        const TraceCache::Entry& kept = other.get("held.trace", produce);
+        EXPECT_EQ(kept.view.size(), run.trace.size());
+        EXPECT_EQ(kept.meta, meta);
+        EXPECT_EQ(kept.instr_count, run.result.dynamic_instrs);
+        EXPECT_TRUE(std::filesystem::is_empty(dir + "/held.trace.lock"));
+        for (const trace::Record& r : run.trace.view()) writer->onRecord(r);
+        return meta;
+      });
+  EXPECT_EQ(held, nullptr) << "the holder streamed";
+  EXPECT_EQ(alone, 1);
+  EXPECT_EQ(holder.getBlob(
+                "held.res",
+                [&] {
+                  EXPECT_EQ(other.getBlob(
+                                "held.res", [] { return std::string("blob"); },
+                                valid),
+                            "blob");
+                  EXPECT_FALSE(std::filesystem::exists(dir + "/held.res"));
+                  return std::string("blob");
+                },
+                valid),
+            "blob");
+  EXPECT_EQ(other.bypasses(), 3u);
+  EXPECT_EQ(other.produced(), 0u);
+  EXPECT_EQ(other.blobsProduced(), 0u);
+  EXPECT_EQ(holder.produced(), 1u);
+  EXPECT_EQ(holder.blobsProduced(), 1u);
+  EXPECT_EQ(holder.bypasses(), 0u);
+  const TraceCache::Entry* entry =
+      holder.getOrStream("held.trace", [&](trace::TraceSink*) {
+        ADD_FAILURE() << "streamed again";
+        return meta;
+      });
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->instr_count, run.result.dynamic_instrs);
+  EXPECT_EQ(readBytes(entry->path), readBytes(TraceCache(freshDir(
+                                                  "held_lock_ref"))
+                                                  .get("held.trace", produce)
+                                                  .path));
+  EXPECT_TRUE(tempFilesIn(dir).empty());
+}
+
+// A cell whose every lock is held elsewhere runs as an uncached cell: the
+// same interpretations, the same result, and no file written.
+TEST(TraceCache, CellFindingEveryLockHeldRunsUncached) {
+  const workloads::Workload w = workloads::findWorkload("gap");
+  const ExperimentResult plain = runSptExperiment(w.build(1));
+  std::uint64_t uncached_runs = runsOf([&] { runSptExperiment(w.build(1)); });
+  // The lock files a cold cached cell takes.
+  const std::string cold = freshDir("all_held_cold");
+  {
+    TraceCache cache(cold);
+    runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "gap.x1");
+  }
+  const std::string dir = freshDir("all_held");
+  std::filesystem::create_directories(dir);
+  std::vector<int> fds;
+  for (const auto& e : std::filesystem::directory_iterator(cold)) {
+    if (e.path().extension() != ".lock") continue;
+    const std::string path = dir + "/" + e.path().filename().string();
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0);
+    fds.push_back(fd);
+  }
+  ASSERT_GE(fds.size(), 4u) << "the .res, .prof, unrolled .prof and .spt3";
+
+  TraceCache cache(dir);
+  std::optional<ExperimentResult> again;
+  EXPECT_EQ(runsOf([&] {
+              again = runSptExperiment(w.build(1), {}, {}, {}, nullptr,
+                                       &cache, "gap.x1");
+            }),
+            uncached_runs);
+  for (const int fd : fds) ::close(fd);
+  EXPECT_EQ(cache.bypasses(), fds.size());
+  EXPECT_EQ(cache.produced() + cache.blobsProduced(), 0u);
+  EXPECT_TRUE(filesIn(dir, {".spt3", ".res", ".prof"}).empty());
+  EXPECT_EQ(again->plan.fingerprint(), plain.plan.fingerprint());
+  spt::testing::expectSameRun(again->baseline_run, plain.baseline_run);
+  spt::testing::expectSameRun(again->spt_run, plain.spt_run);
+  expectSameMachineResult(again->baseline, plain.baseline);
+  expectSameMachineResult(again->spt, plain.spt);
+}
+
+// ------------------------------------------------------------------------
+// Processes sharing one cache directory.
+
+/// Reads exactly `n` bytes from `fd`; false at EOF or on error.
+bool readFully(int fd, void* out, std::size_t n) {
+  auto* p = static_cast<char*>(out);
+  while (n > 0) {
+    const ssize_t got = ::read(fd, p, n);
+    if (got <= 0) return false;
+    p += got;
+    n -= static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
+// Four processes race on one trace and one blob over a cold directory:
+// one of them writes each, the others adopt the file or compute alone,
+// and all of them see the same values.
+TEST(TraceCache, ForkedProducersWriteEachEntryOnce) {
+  const std::string dir = freshDir("fork_race");
+  const TracedRun run = tracedArraySum(2000);
+  const auto slowly = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  const auto valid = [](const std::string& b) { return b == "raced-blob"; };
+  constexpr int kChildren = 4;
+  int go[2];
+  ASSERT_EQ(::pipe(go), 0);
+  std::vector<std::pair<pid_t, int>> children;
+  for (int i = 0; i < kChildren; ++i) {
+    int report[2];
+    ASSERT_EQ(::pipe(report), 0);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::close(go[1]);
+      ::close(report[0]);
+      char start = 0;
+      (void)::read(go[0], &start, 1);  // EOF: every child starts at once
+      TraceCache cache(dir);
+      const TraceCache::Entry& entry =
+          cache.get("raced.trace", [&](trace::TraceFileMeta* meta) {
+            slowly();
+            meta->word0 = 11;
+            return run.trace;
+          });
+      const std::string& blob = cache.getBlob(
+          "raced.res",
+          [&] {
+            slowly();
+            return std::string("raced-blob");
+          },
+          valid);
+      std::uint64_t digest = support::fnv1a(
+          support::kFnvOffsetBasis, entry.view.data(),
+          entry.view.size() * sizeof(trace::Record));
+      digest = support::fnv1aWord(digest, entry.meta.word0);
+      digest = support::fnv1a(digest, blob.data(), blob.size());
+      const std::uint64_t words[3] = {cache.produced(), cache.blobsProduced(),
+                                      digest};
+      const bool sent =
+          ::write(report[1], words, sizeof words) ==
+          static_cast<ssize_t>(sizeof words);
+      ::_exit(sent ? 0 : 1);
+    }
+    ::close(report[1]);
+    children.emplace_back(pid, report[0]);
+  }
+  ::close(go[0]);
+  ::close(go[1]);
+  std::uint64_t produced = 0;
+  std::uint64_t blobs = 0;
+  std::set<std::uint64_t> digests;
+  for (const auto& [pid, fd] : children) {
+    std::uint64_t words[3] = {};
+    EXPECT_TRUE(readFully(fd, words, sizeof words));
+    ::close(fd);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    produced += words[0];
+    blobs += words[1];
+    digests.insert(words[2]);
+  }
+  EXPECT_EQ(produced, 1u);
+  EXPECT_EQ(blobs, 1u);
+  EXPECT_EQ(digests.size(), 1u) << "every child saw the same values";
+  EXPECT_TRUE(tempFilesIn(dir).empty());
+  TraceCache after(dir);
+  EXPECT_EQ(after.get("raced.trace", nullptr).view.size(), run.trace.size());
+  EXPECT_EQ(after.fileReuses(), 1u);
+}
+
+// A holder killed while it streams into the trace file leaves its lock to
+// the kernel: the next cache takes it, writes the entry once, byte for
+// byte what an uninterrupted writer makes, and leaves no temp file.
+TEST(TraceCache, KilledHolderLeavesNoStuckLock) {
+  const std::string dir = freshDir("killed_holder");
+  const TracedRun run = tracedArraySum(4000);
+  ASSERT_GT(run.trace.size(), 2 * trace::TraceFileWriter::kBlockRecords);
+  const auto produce = [&](trace::TraceFileMeta* meta) {
+    meta->word0 = 5;
+    return run.trace;
+  };
+  int ready[2];
+  int never[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(never), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(ready[0]);
+    ::close(never[1]);
+    TraceCache cache(dir);
+    cache.getOrStream("killed.trace", [&](trace::TraceSink* writer) {
+      if (writer == nullptr) ::_exit(2);
+      const trace::TraceView view = run.trace.view();
+      for (std::size_t i = 0; i < view.size() / 2; ++i) {
+        writer->onRecord(view[i]);
+      }
+      (void)::write(ready[1], "x", 1);
+      char byte = 0;
+      (void)::read(never[0], &byte, 1);  // blocks until killed
+      ::_exit(3);
+      return trace::TraceFileMeta{};
+    });
+    ::_exit(4);
+  }
+  ::close(ready[1]);
+  ::close(never[0]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1) << "the holder streams";
+  EXPECT_EQ(tempFilesIn(dir).size(), 1u) << "a partial temp file";
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFSIGNALED(status));
+  ::close(ready[0]);
+  ::close(never[1]);
+
+  TraceCache cache(dir);
+  const TraceCache::Entry& entry = cache.get("killed.trace", produce);
+  EXPECT_EQ(cache.produced(), 1u);
+  EXPECT_EQ(cache.bypasses(), 0u) << "the dead holder's lock is free";
+  EXPECT_TRUE(tempFilesIn(dir).empty());
+  TraceCache reference(freshDir("killed_holder_ref"));
+  EXPECT_TRUE(readBytes(entry.path) ==
+              readBytes(reference.get("killed.trace", produce).path));
+}
+
+// The cold grid of CachedGridSimulatesTheBaselineOnce, run by three pooled
+// workers: each owns a cache over one directory, and the locks make them
+// write the same files, byte for byte, as one process does, and the same
+// rows.
+TEST(TraceCache, PooledGridWritesWhatOneProcessWrites) {
+  if (!Supervisor::isolationSupported()) {
+    GTEST_SKIP() << "no fork on this platform";
+  }
+  SuiteEntry twolf;
+  for (const SuiteEntry& e : defaultSuite()) {
+    if (e.workload.name == "twolf") twolf = e;
+  }
+  std::vector<SweepCase> cases;
+  for (const support::MachineConfig& machine : machineGrid()) {
+    SweepCase c;
+    c.benchmark = "twolf";
+    c.config = "c" + std::to_string(cases.size());
+    c.entry = twolf;
+    c.entry.copts.spec_threads = machine.spec_threads;
+    c.machine = machine;
+    cases.push_back(c);
+  }
+  const auto sweepInto = [&](const std::string& dir, bool isolate) {
+    SweepOptions opts;
+    opts.trace_cache_dir = dir;
+    opts.supervisor.isolate = isolate;
+    opts.supervisor.jobs = 3;
+    std::vector<SweepRow> rows = runSweep(ParallelSweep(3), cases, opts);
+    for (SweepRow& row : rows) {
+      EXPECT_EQ(row.status, CellStatus::kOk) << row.diagnostic;
+      row.worker = WorkerDiagnostics{};
+    }
+    const std::string json = dir + ".json";
+    EXPECT_TRUE(writeSweepJson(json, rows));
+    std::istringstream lines(readBytes(json));
+    std::string filtered;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"host_") == std::string::npos) filtered += line + "\n";
+    }
+    return filtered;
+  };
+  const std::string in_process = freshDir("grid_in_process");
+  const std::string pooled = freshDir("grid_pooled");
+  EXPECT_EQ(sweepInto(pooled, true), sweepInto(in_process, false));
+  const std::vector<std::string> kinds = {".spt3", ".res", ".prof"};
+  const std::map<std::string, std::string> expected =
+      filesIn(in_process, kinds);
+  const std::map<std::string, std::string> got = filesIn(pooled, kinds);
+  EXPECT_GE(expected.size(), 3u);
+  std::set<std::string> expected_names;
+  std::set<std::string> got_names;
+  for (const auto& [name, bytes] : expected) expected_names.insert(name);
+  for (const auto& [name, bytes] : got) got_names.insert(name);
+  EXPECT_EQ(got_names, expected_names);
+  EXPECT_TRUE(got == expected) << "the files differ in their bytes";
+  EXPECT_TRUE(tempFilesIn(pooled).empty());
 }
 
 }  // namespace

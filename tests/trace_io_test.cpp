@@ -28,11 +28,22 @@ std::string tracePath(const std::string& name) {
   return ::testing::TempDir() + "/spt_trace_io_" + name + ".trace";
 }
 
-/// The file image of `trace`.
+/// The whole of the file at `path`.
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return std::move(bytes).str();
+}
+
+/// The file image of `trace`, as writeTraceFile writes it.
 std::string fileBytes(TraceView trace, const TraceFileMeta& meta = {}) {
-  std::ostringstream os;
-  EXPECT_TRUE(writeTrace(os, trace, meta));
-  return os.str();
+  const std::string path = tracePath(
+      std::string(
+          ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      ".image");
+  EXPECT_TRUE(writeTraceFile(path, trace, meta));
+  return readFile(path);
 }
 
 /// Writes `bytes` to a scratch file named after the running test (ctest
@@ -363,6 +374,80 @@ TEST(TraceIo, ForkResolutionSurvivesRoundTrip) {
   }
   EXPECT_GT(resolved_forks, 0u);
   expectSameLoopIndex(m, run.trace, *back);
+}
+
+// The writer checks each record as MappedTrace::open does: a record out
+// of range fails finish() with open's diagnostic, and no file is left.
+TEST(TraceIo, WriterRefusesOutOfRangeRecordsAndLeavesNoFile) {
+  ir::Module m("t");
+  testing::buildArraySum(m, 2000);
+  const harness::TracedRun run = harness::traceProgram(m);
+  const std::size_t bad = TraceFileWriter::kBlockRecords + 3;
+  ASSERT_GT(run.trace.size(), bad);
+  const std::string path = tracePath("writer_refuses");
+  std::filesystem::remove(path);
+  for (const bool bulk : {false, true}) {
+    SCOPED_TRACE(bulk ? "append" : "onRecord");
+    TraceBuffer damaged = run.trace;  // a copy, whose records we own
+    Record* records = const_cast<Record*>(damaged.view().data());
+    records[bad].pad = 7;
+    TraceFileWriter writer(path, path + ".tmp.test");
+    if (bulk) {
+      writer.append(damaged.view());
+    } else {
+      for (const Record& r : damaged.view()) writer.onRecord(r);
+    }
+    std::string error;
+    EXPECT_FALSE(writer.finish({}, &error).has_value());
+    EXPECT_NE(error.find("corrupt pad byte 7 in record " +
+                         std::to_string(bad) + " at byte offset " +
+                         std::to_string(kHeaderBytes + bad * kRecordBytes +
+                                        3)),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp.test"));
+  }
+}
+
+// A writer dropped before finish() (the run feeding it threw) removes its
+// temp file; a file mapped against a summary it does not match is refused.
+TEST(TraceIo, UnfinishedWriterLeavesNothingAndSummariesMustMatch) {
+  ir::Module m("t");
+  testing::buildArraySum(m, 300);
+  const harness::TracedRun run = harness::traceProgram(m);
+  const std::string path = tracePath("unfinished");
+  std::filesystem::remove(path);
+  {
+    TraceFileWriter writer(path, path + ".tmp.test");
+    writer.append(run.trace.view());
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp.test"));
+
+  TraceFileWriter writer(path, path + ".tmp.test");
+  writer.append(run.trace.view());
+  const std::optional<TraceFileSummary> written = writer.finish({1, 2});
+  ASSERT_TRUE(written.has_value());
+  EXPECT_EQ(written->records, run.trace.size());
+  EXPECT_EQ(written->instrs, run.result.dynamic_instrs);
+  std::string error;
+  const auto mapped = MappedTrace::openWritten(path, *written, &error);
+  ASSERT_TRUE(mapped.has_value()) << error;
+  EXPECT_EQ(mapped->summary(), *written);
+  EXPECT_EQ(mapped->summary(), MappedTrace::open(path)->summary());
+  TraceFileSummary other_checksum = *written;
+  other_checksum.checksum ^= 1;
+  TraceFileSummary other_count = *written;
+  other_count.records -= 1;
+  TraceFileSummary other_meta = *written;
+  other_meta.meta.word1 = 3;
+  for (const TraceFileSummary& other :
+       {other_checksum, other_count, other_meta}) {
+    EXPECT_FALSE(MappedTrace::openWritten(path, other, &error).has_value());
+    EXPECT_NE(error.find("differs from the one written"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(TraceIo, FileHelpers) {
