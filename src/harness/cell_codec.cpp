@@ -13,6 +13,10 @@ constexpr std::uint32_t kResultVersion = 2;
 constexpr support::wire::FrameFormat kResultFormat{
     {'S', 'P', 'T', 'R'}, kResultVersion, kResultVersion, 0, 0};
 
+constexpr std::uint32_t kForkTableVersion = 1;
+constexpr support::wire::FrameFormat kForkTableFormat{
+    {'S', 'P', 'T', 'F'}, kForkTableVersion, kForkTableVersion, 0, 0};
+
 void putThreads(ByteWriter& w, const sim::ThreadStats& t) {
   w.u64(t.spawned);
   w.u64(t.forks_ignored);
@@ -177,6 +181,61 @@ std::string encodeMachineResult(const sim::MachineResult& m,
   }
   return support::wire::encodeFrame(kResultFormat.magic, kResultVersion, 0,
                                     w.take());
+}
+
+std::string encodeForkTable(const trace::ForkTable& forks,
+                            const trace::TraceFileSummary& trace) {
+  ByteWriter w;
+  w.u64(trace.records);
+  w.u64(trace.checksum);
+  w.u64(forks.records.size());
+  for (std::size_t f = 0; f < forks.records.size(); ++f) {
+    w.u64(forks.records[f]);
+    w.u64(forks.starts[f]);
+  }
+  return support::wire::encodeFrame(kForkTableFormat.magic,
+                                    kForkTableVersion, 0, w.take());
+}
+
+std::optional<trace::ForkTable> decodeForkTable(
+    const std::string& bytes, trace::TraceView records,
+    const trace::TraceFileSummary& trace) {
+  std::uint32_t version = 0;
+  std::uint8_t kind = 0;
+  std::string payload;
+  if (!support::wire::decodeFrame(kForkTableFormat, bytes, &version, &kind,
+                                  &payload, nullptr)) {
+    return std::nullopt;
+  }
+  ByteReader r(payload);
+  std::uint64_t bound_records = 0;
+  std::uint64_t bound_checksum = 0;
+  std::uint64_t n = 0;
+  if (!(r.u64(&bound_records) && r.u64(&bound_checksum) && r.u64(&n)) ||
+      bound_records != trace.records || bound_records != records.size() ||
+      bound_checksum != trace.checksum ||
+      n > (payload.size() - 24) / 16) {
+    return std::nullopt;
+  }
+  trace::ForkTable forks;
+  forks.records.resize(n);
+  forks.starts.resize(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    std::uint64_t fork = 0;
+    std::uint64_t start = 0;
+    if (!(r.u64(&fork) && r.u64(&start)) || fork >= records.size() ||
+        (f > 0 && fork <= forks.records[f - 1]) ||
+        (start != trace::ForkTable::kNoStart &&
+         (start <= fork || start >= records.size())) ||
+        records[fork].kind != trace::RecordKind::kInstr ||
+        records[fork].op != ir::Opcode::kSptFork) {
+      return std::nullopt;
+    }
+    forks.records[f] = fork;
+    forks.starts[f] = start;
+  }
+  if (!r.atEnd()) return std::nullopt;
+  return forks;
 }
 
 std::optional<sim::MachineResult> decodeMachineResult(

@@ -22,6 +22,8 @@
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
 #include "harness/perf.h"
+#include "trace/trace.h"
+#include "trace/trace_io.h"
 
 namespace spt::harness {
 
@@ -110,6 +112,22 @@ std::string encodeMachineResult(const sim::MachineResult& result,
 /// whose payload decodes exactly; then fills a non-null `run` too.
 std::optional<sim::MachineResult> decodeMachineResult(
     const std::string& bytes, interp::RunResult* run = nullptr);
+
+/// A finished trace::ForkTable as one support::wire frame (magic "SPTF",
+/// version 1, kind 0): the record count and container checksum of the
+/// trace it belongs to (trace::MappedTrace::summary()), then each fork's
+/// record index and start-point. A trace cache stores an SPT trace's fork
+/// table this way beside the trace (trace_cache.h).
+std::string encodeForkTable(const trace::ForkTable& forks,
+                            const trace::TraceFileSummary& trace);
+/// nullopt unless `bytes` are one complete, checksummed version-1 frame
+/// bound to `trace`, the summary of `records`, whose forks lie strictly
+/// increasing inside the trace, each on a kSptFork instruction record with
+/// a start of kNoStart or a record after it. Reads the records at the
+/// forks only.
+std::optional<trace::ForkTable> decodeForkTable(
+    const std::string& bytes, trace::TraceView records,
+    const trace::TraceFileSummary& trace);
 
 /// SweepRow <-> payload (tag 'S'). Covers benchmark, config, status,
 /// diagnostic, both machines' cycles/instrs/breakdown, the SPT machine's

@@ -219,8 +219,9 @@ ExperimentResult runSptExperiment(ir::Module module,
 
   // The SPT program, interpreted at most once: straight into the SPT
   // machine, which indexes forks as the records arrive. With a cache, the
-  // cell that produces the trace tees the same stream into the trace file,
-  // and every later cell replays the file instead.
+  // cell that produces the trace tees the same stream into the trace file
+  // and stores the fork table its machine indexed beside it; every later
+  // cell replays the file against the stored table.
   const auto streamSpt = [&](trace::TraceSink* writer) {
     sim::SptMachine machine(module, mconfig);
     trace::TeeSink tee;
@@ -231,17 +232,22 @@ ExperimentResult runSptExperiment(ir::Module module,
                   writer != nullptr ? static_cast<trace::TraceSink&>(tee)
                                     : machine);
     result.spt = machine.finish();
-    return metaOf(result.spt_run);
+    return TraceCache::Streamed{
+        metaOf(result.spt_run),
+        writer != nullptr ? machine.forks() : trace::ForkTable{}};
   };
   if (cache == nullptr) {
     streamSpt(nullptr);
-  } else if (const TraceCache::Entry* entry = cache->getOrStream(
-                 keyFor(".spt-" + hex64(result.plan.fingerprint())),
-                 streamSpt)) {
-    result.spt_run = runOf(*entry);
-    const trace::LoopIndex index(module, entry->view);
-    sim::SptMachine machine(module, entry->view, index, mconfig);
-    result.spt = machine.run();
+  } else {
+    const std::string key = keyFor(".spt-" + hex64(result.plan.fingerprint()));
+    if (const TraceCache::Entry* entry = cache->getOrStream(key, streamSpt)) {
+      result.spt_run = runOf(*entry);
+      const trace::ForkTable& forks = cache->forks(key, [&] {
+        return trace::LoopIndex(module, entry->view).forks();
+      });
+      sim::SptMachine machine(module, entry->view, forks, mconfig);
+      result.spt = machine.run();
+    }
   }
 
   // Sequential semantics must be preserved by the transformation.

@@ -20,7 +20,10 @@
 // so cells that differ only in the SPT machine's config stream the
 // baseline once between them and a hit streams none. The cell that
 // misses the SPT trace streams as well, teeing the run into the trace
-// file; later cells replay that file.
+// file and storing the fork table its machine indexed; later cells replay
+// that file against that table. A hit reads two baseline blobs, compiles,
+// and replays the mapped trace against the stored table: it interprets
+// nothing and indexes no record.
 #pragma once
 
 #include <cstdint>
@@ -135,7 +138,9 @@ struct ExperimentResult {
 /// and memory hash are recovered from the trace header's meta words,
 /// spt_run.dynamic_instrs is the count of the file's instruction records
 /// (from its validating open, or from the writer if this process wrote it),
-/// and the profile of a module unrolling made is a stored blob too.
+/// the fork start-points the SPT machine replays against come from the
+/// trace's stored fork table (TraceCache::forks), and the profile of a
+/// module unrolling made is a stored blob too.
 /// The machines are torn down before return, so no view outlives the call.
 ExperimentResult runSptExperiment(
     ir::Module module, const compiler::CompilerOptions& copts = {},

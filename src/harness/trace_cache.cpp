@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "harness/cell_codec.h"
 #include "support/check.h"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
@@ -203,9 +204,10 @@ const TraceCache::Entry* TraceCache::getOrStream(const std::string& key,
   }
   if (adopt(slot, path)) return &slot.entry;
   trace::TraceFileWriter writer(path, tempPathFor(path));
-  const trace::TraceFileMeta meta = stream(&writer);
-  install(slot, path, finishAndMap(writer, path, meta));
+  Streamed streamed = stream(&writer);
+  install(slot, path, finishAndMap(writer, path, streamed.meta));
   count(produced_);
+  forksOf(slot, key, [&] { return std::move(streamed.forks); });
   return nullptr;
 }
 
@@ -224,6 +226,14 @@ const std::string& TraceCache::getBlob(
     count(blob_hits_);
     return blob->bytes;
   }
+  blob->bytes = loadBlob(key, produce, valid);
+  blob->ready = true;
+  return blob->bytes;
+}
+
+std::string TraceCache::loadBlob(const std::string& key,
+                                 const std::function<std::string()>& produce,
+                                 const BlobCheck& valid) {
   const std::string path = pathOf(key, "");
   std::optional<std::string> bytes = readValidFile(path, valid);
   std::uint64_t* outcome = &blob_hits_;
@@ -240,10 +250,38 @@ const std::string& TraceCache::getBlob(
       }
     }
   }
-  blob->bytes = std::move(*bytes);
-  blob->ready = true;
   count(*outcome);
-  return blob->bytes;
+  return std::move(*bytes);
+}
+
+const trace::ForkTable& TraceCache::forks(const std::string& key,
+                                          const ForkBuilder& build) {
+  Slot& slot = slotFor(key);
+  const std::lock_guard<std::mutex> hold(slot.mu);
+  SPT_CHECK_MSG(slot.ready, "trace cache: fork table of an absent trace");
+  return forksOf(slot, key, build);
+}
+
+const trace::ForkTable& TraceCache::forksOf(Slot& slot,
+                                            const std::string& key,
+                                            const ForkBuilder& build) {
+  if (slot.forks) {
+    if (slot.map) count(blob_hits_);
+    return *slot.forks;
+  }
+  if (!slot.map) return slot.forks.emplace(build());
+  const trace::TraceFileSummary summary = slot.map->summary();
+  loadBlob(
+      key + ".forks",
+      [&] {
+        slot.forks = build();
+        return encodeForkTable(*slot.forks, summary);
+      },
+      [&](const std::string& bytes) {
+        slot.forks = decodeForkTable(bytes, slot.entry.view, summary);
+        return slot.forks.has_value();
+      });
+  return *slot.forks;
 }
 
 std::uint64_t TraceCache::memoryHits() const {

@@ -23,6 +23,17 @@
 // a write, and later cells in this process map the file against the
 // writer's summary instead of validating it again.
 //
+// Beside each trace the cache keeps its fork table (trace::ForkTable, the
+// blob <key>.forks): every fork's start-point, which is all the SPT
+// machine reads of a LoopIndex. The producing stream's machine indexed the
+// whole trace anyway, so it hands its table over and the cache writes it
+// at no extra pass; a hit decodes the table once per process, checking it
+// against the trace's record count and checksum and the records at its
+// forks, and replays the mapped trace against it. So a hit makes no pass
+// over the records beyond the validating open of a file this process did
+// not write, and a missing or damaged table is made again by one batch
+// LoopIndex.
+//
 // Concurrency: one writer per key per cache directory. Within one cache,
 // calls for a key wait while one of them produces it, then share what it
 // made (a stream that computes alone, below, makes nothing to share and
@@ -46,12 +57,12 @@
 // values that are deterministic functions of their keys. A cached
 // experiment keeps its baseline there and no baseline trace: the streamed
 // one-core run's result, keyed by the one-core config, and its profile,
-// so a hit neither interprets nor simulates the baseline; and the profile
-// of a module unrolling made (experiment.h).
+// so a hit neither interprets nor simulates the baseline; the profile of
+// a module unrolling made (experiment.h); and the traces' fork tables.
 //
-// Lifetime: entries (and the mappings behind their views) live until the
-// cache is destroyed; every machine/LoopIndex built over an entry's view
-// must be gone by then (docs/PERF.md "Trace v4").
+// Lifetime: entries (and the mappings behind their views) and fork tables
+// live until the cache is destroyed; every machine/LoopIndex built over an
+// entry's view must be gone by then (docs/PERF.md "Trace v4").
 #pragma once
 
 #include <cstdint>
@@ -80,10 +91,20 @@ class TraceCache {
   using Producer =
       std::function<trace::TraceBuffer(trace::TraceFileMeta* meta)>;
 
+  /// What a stream that makes a trace reports besides its records: the
+  /// run's meta words and, when it wrote the trace, the trace's finished
+  /// fork table.
+  struct Streamed {
+    trace::TraceFileMeta meta;
+    trace::ForkTable forks;
+  };
+
   /// Runs the program that makes a trace, teeing its records into
-  /// `writer` when that is not null, and returns the run's meta words.
-  using Streamer =
-      std::function<trace::TraceFileMeta(trace::TraceSink* writer)>;
+  /// `writer` when that is not null.
+  using Streamer = std::function<Streamed(trace::TraceSink* writer)>;
+
+  /// Makes a trace's fork table from its records (a batch LoopIndex).
+  using ForkBuilder = std::function<trace::ForkTable()>;
 
   /// `dir` is created if missing; trace files land there as <key>.spt3.
   explicit TraceCache(std::string dir);
@@ -99,7 +120,9 @@ class TraceCache {
   /// exists. Otherwise runs `stream` once, with a writer for the key's
   /// file when this cache takes the key's lock and with nullptr when
   /// another cache holds it, and returns nullptr: the caller has its
-  /// result from the stream. A `stream` that throws leaves no file.
+  /// result from the stream. A `stream` that throws leaves no file. A
+  /// stream that wrote the file hands over its fork table, which is
+  /// stored as forks() stores one before any other call sees the entry.
   const Entry* getOrStream(const std::string& key, const Streamer& stream);
 
   /// Accepts a blob's bytes; false for damaged or version-skewed ones.
@@ -120,13 +143,26 @@ class TraceCache {
                              const std::function<std::string()>& produce,
                              const BlobCheck& valid);
 
+  /// The fork table of `key`'s trace, whose entry this cache already holds
+  /// (get() or getOrStream() found or made it). It is the blob
+  /// `<key>.forks` (encodeForkTable) and is counted as one, but held
+  /// decoded, not as bytes: after the first call in this process, read
+  /// from a file decodeForkTable binds to the entry's file, else made by
+  /// `build` and written as getBlob() writes. An entry kept in memory
+  /// because another cache held its lock has no file to bind a table to,
+  /// so `build` makes its table and nothing is written or counted. The
+  /// reference is stable for the cache's lifetime.
+  const trace::ForkTable& forks(const std::string& key,
+                                const ForkBuilder& build);
+
   const std::string& dir() const { return dir_; }
 
   /// Observability for tests: how many get()/getOrStream() calls found
   /// an in-memory entry, adopted an existing file, or produced and wrote
-  /// one; how many getBlob() calls were answered without the producer (in
-  /// memory or from a file), or produced and wrote the blob; and how many
-  /// calls of either kind found another cache's lock and computed alone.
+  /// one; how many getBlob() and forks() calls were answered without the
+  /// producer (in memory or from a file), or produced and wrote the blob;
+  /// and how many calls of any kind found another cache's lock and
+  /// computed alone.
   std::uint64_t memoryHits() const;
   std::uint64_t fileReuses() const;
   std::uint64_t produced() const;
@@ -141,6 +177,7 @@ class TraceCache {
     std::optional<trace::MappedTrace> map;
     trace::TraceBuffer buffer;  // the entry's records when nothing is mapped
     Entry entry;
+    std::optional<trace::ForkTable> forks;  // once forks() has run
   };
 
   struct Blob {
@@ -156,6 +193,14 @@ class TraceCache {
   bool adopt(Slot& slot, const std::string& path);
   static void install(Slot& slot, const std::string& path,
                       trace::MappedTrace mapped);
+  /// forks() for a slot whose mutex the caller holds.
+  const trace::ForkTable& forksOf(Slot& slot, const std::string& key,
+                                  const ForkBuilder& build);
+  /// getBlob() without the in-memory copy: the file's bytes, or
+  /// `produce`'s, written under the key's lock when this cache takes it.
+  std::string loadBlob(const std::string& key,
+                       const std::function<std::string()>& produce,
+                       const BlobCheck& valid);
   void count(std::uint64_t& counter);
 
   std::string dir_;

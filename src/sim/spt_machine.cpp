@@ -86,12 +86,12 @@ SptMachine::SptMachine(const ir::Module& module,
     : SptMachine(module, trace::TraceView{}, nullptr, config) {}
 
 SptMachine::SptMachine(const ir::Module& module, trace::TraceView trace,
-                       const trace::LoopIndex& loop_index,
+                       const trace::ForkTable& forks,
                        const support::MachineConfig& config)
-    : SptMachine(module, trace, &loop_index, config) {}
+    : SptMachine(module, trace, &forks, config) {}
 
 SptMachine::SptMachine(const ir::Module& module, trace::TraceView trace,
-                       const trace::LoopIndex* loop_index,
+                       const trace::ForkTable* forks,
                        const support::MachineConfig& config)
     : module_(module),
       config_(config),
@@ -100,14 +100,14 @@ SptMachine::SptMachine(const ir::Module& module, trace::TraceView trace,
       main_pipe_(std::make_unique<Pipeline>(config, *memory_)),
       arch_(module),
       loop_tracker_(module),
-      loop_index_(loop_index),
+      forks_(forks),
       data_(trace.data()),
       end_(trace.size()) {
   SPT_CHECK_MSG(config.spec_threads >= 1 &&
                     config.spec_threads <= support::kMaxSpecThreads,
                 "spec_threads out of range");
-  if (loop_index_ == nullptr) {
-    loop_index_ = &own_index_.emplace(module);
+  if (forks_ == nullptr) {
+    forks_ = &own_index_.emplace(module).forks();
     window_.reserve(2 * kBlockRecords);
   }
   budgeted_ = config.max_simulated_records != 0 ||
@@ -250,7 +250,7 @@ bool SptMachine::forkWaits(const SpecThread* t) const {
   const std::size_t i = t != nullptr ? t->pos : pos_;
   const trace::Record& r = rec(i);
   if (r.kind != trace::RecordKind::kInstr || r.op != ir::Opcode::kSptFork ||
-      loop_index_->resolved(i)) {
+      forks_->resolved(i)) {
     return false;
   }
   // A main-thread fork spawns only into an empty chain (otherwise it is
@@ -492,7 +492,7 @@ void SptMachine::executeFork(const trace::Record& r) {
     return;
   }
 
-  const std::size_t start = loop_index_->startOfFork(pos_);
+  const std::size_t start = forks_->startOfFork(pos_);
   ForkSite& site = forkSiteOf(r);
 
   // The chain is empty, so every slot is free; the head always spawns into
@@ -511,7 +511,7 @@ void SptMachine::executeFork(const trace::Record& r) {
   ++result_.threads.spawned;
   ++ts.spawned;
 
-  if (start == trace::LoopIndex::kNoStart) {
+  if (start == trace::ForkTable::kNoStart) {
     // No next iteration exists in the trace: the speculative thread runs a
     // wrong path we cannot replay; it occupies the core until spt_kill.
     t.wrong_path = true;
@@ -574,8 +574,8 @@ void SptMachine::chainFork(SpecThread& t, const trace::Record& r) {
   ++result_.threads.spawned;
   ++site.stats->spawned;
 
-  const std::size_t start = loop_index_->startOfFork(t.pos);
-  if (start == trace::LoopIndex::kNoStart) {
+  const std::size_t start = forks_->startOfFork(t.pos);
+  if (start == trace::ForkTable::kNoStart) {
     // The forker speculates the loop's last iteration: its successor has
     // no trace to replay. The wrong-path thread occupies the tail slot
     // (blocking further chaining) until the chain is squashed or killed —

@@ -6,7 +6,7 @@
 // sequential trace:
 //  * the main pipeline executes trace records in order;
 //  * `spt_fork` spawns a speculative thread at the next iteration's
-//    start-point (resolved by trace::LoopIndex); the register context copy
+//    start-point (resolved by a trace::ForkTable); the register context copy
 //    costs rf_copy_overhead cycles. With spec_threads > 1 a speculative
 //    thread that consumes a fork record spawns its own successor
 //    (Prophet-style chaining): the forker freezes at the successor's
@@ -77,11 +77,16 @@ class SptMachine final : public trace::TraceSink {
   /// forks itself and keeps only the records a thread can still read.
   SptMachine(const ir::Module& module, const support::MachineConfig& config);
   /// Replay: run() simulates `trace`, whose backing store (TraceBuffer or
-  /// trace_io::MappedTrace) must outlive the machine; `loop_index` must be
-  /// built over the same records.
+  /// trace_io::MappedTrace) must outlive the machine; `forks` must be the
+  /// finished fork table of the same records (a LoopIndex's, or one stored
+  /// with the trace) and outlive the machine too.
+  SptMachine(const ir::Module& module, trace::TraceView trace,
+             const trace::ForkTable& forks,
+             const support::MachineConfig& config);
   SptMachine(const ir::Module& module, trace::TraceView trace,
              const trace::LoopIndex& loop_index,
-             const support::MachineConfig& config);
+             const support::MachineConfig& config)
+      : SptMachine(module, trace, loop_index.forks(), config) {}
   SptMachine(const SptMachine&) = delete;
   SptMachine& operator=(const SptMachine&) = delete;
 
@@ -98,6 +103,10 @@ class SptMachine final : public trace::TraceSink {
 
   /// Simulates the whole trace given at construction, then finish().
   MachineResult run();
+
+  /// The fork table the machine reads; when streaming, the whole trace's
+  /// once finish() has run.
+  const trace::ForkTable& forks() const { return *forks_; }
 
   /// The most records the machine held at once: the window's peak when
   /// streaming, the whole trace on replay.
@@ -200,7 +209,7 @@ class SptMachine final : public trace::TraceSink {
   };
 
   SptMachine(const ir::Module& module, trace::TraceView trace,
-             const trace::LoopIndex* loop_index,
+             const trace::ForkTable* forks,
              const support::MachineConfig& config);
 
   /// Record `i` of the trace; only indices in [base_, end_) are held.
@@ -391,7 +400,7 @@ class SptMachine final : public trace::TraceSink {
   MachineResult result_;
   /// Streaming only: the fork index built as records arrive.
   std::optional<trace::LoopIndex> own_index_;
-  const trace::LoopIndex* loop_index_;
+  const trace::ForkTable* forks_;
   /// Streaming only: records [base_, base_ + window_.size()) of the trace.
   std::vector<trace::Record> window_;
   /// Records [base_, end_) are readable at data_ (the window or the

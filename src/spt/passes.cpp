@@ -4,6 +4,8 @@
 // bit-identical to that monolith.
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 
 #include "ir/verifier.h"
 #include "spt/loop_shape.h"
@@ -315,11 +317,12 @@ class PrecomputationSlicePass : public Pass {
     PipelineState& st = ctx.state;
     for (ir::FuncId f = 0; f < ctx.module.functionCount(); ++f) {
       const ir::Function& func = ctx.module.function(f);
+      FunctionLoops loops(func);
       for (const ir::BasicBlock& block : func.blocks) {
         for (std::uint32_t i = 0; i < block.instrs.size(); ++i) {
           const ir::Instr& fork = block.instrs[i];
           if (fork.op != ir::Opcode::kSptFork) continue;
-          sliceFork(ctx, st, f, func, block.id, i, fork);
+          sliceFork(ctx, st, f, func, loops, block.id, i, fork);
         }
       }
     }
@@ -353,24 +356,117 @@ class PrecomputationSlicePass : public Pass {
     }
   }
 
-  /// Blocks of the natural loop around `header`: reachable from the header
-  /// without leaving its SCC (forward ∩ backward reachability over the
-  /// finalized CFG — analyses caches may be stale after the transform).
-  static std::vector<bool> loopBlocksOf(const ir::Function& func,
-                                        ir::BlockId header) {
-    const std::size_t n = func.blocks.size();
-    std::vector<std::vector<ir::BlockId>> preds(n);
-    for (const ir::BasicBlock& b : func.blocks) {
-      for (const ir::BlockId s : b.successors()) preds[s].push_back(b.id);
+  /// The natural loops of one finalized function and the registers
+  /// live-in at their headers, each computed once per header however many
+  /// forks target it. Built over the finalized CFG: analyses caches may be
+  /// stale after the transform.
+  class FunctionLoops {
+   public:
+    explicit FunctionLoops(const ir::Function& func)
+        : func_(func), succs_(func.blocks.size()), preds_(func.blocks.size()) {
+      for (const ir::BasicBlock& b : func.blocks) {
+        succs_[b.id] = b.successors();
+        for (const ir::BlockId s : succs_[b.id]) preds_[s].push_back(b.id);
+      }
     }
-    const auto reach = [n](ir::BlockId from, auto&& next) {
-      std::vector<bool> seen(n, false);
+
+    const std::vector<ir::BlockId>& successors(ir::BlockId b) const {
+      return succs_[b];
+    }
+
+    /// Blocks of the natural loop around `header`: reachable from the
+    /// header without leaving its SCC (forward ∩ backward reachability).
+    const std::vector<bool>& blocks(ir::BlockId header) {
+      return loopAt(header).blocks;
+    }
+
+    /// Registers live-in at `header`, by backward liveness restricted to
+    /// the loop's own blocks, over 64-register words.
+    const std::vector<bool>& liveIn(ir::BlockId header) {
+      Loop& loop = loopAt(header);
+      if (loop.live_in) return *loop.live_in;
+      const std::size_t regs = func_.reg_count;
+      const std::size_t words = (regs + 63) / 64;
+      std::vector<ir::BlockId> members;
+      for (ir::BlockId b = 0; b < loop.blocks.size(); ++b) {
+        if (loop.blocks[b]) members.push_back(b);
+      }
+      // Row b of each matrix holds block b's registers.
+      const std::size_t n = func_.blocks.size();
+      std::vector<std::uint64_t> gen(n * words, 0);
+      std::vector<std::uint64_t> kill(n * words, 0);
+      std::vector<std::uint64_t> live(n * words, 0);
+      const auto has = [&](const std::vector<std::uint64_t>& m, ir::BlockId b,
+                           std::size_t r) {
+        return (m[b * words + r / 64] >> (r % 64)) & 1;
+      };
+      const auto set = [&](std::vector<std::uint64_t>& m, ir::BlockId b,
+                           std::size_t r) {
+        m[b * words + r / 64] |= std::uint64_t{1} << (r % 64);
+      };
+      std::vector<ir::Reg> uses;
+      for (const ir::BlockId b : members) {
+        for (const ir::Instr& in : func_.blocks[b].instrs) {
+          uses.clear();
+          in.appendUses(uses);
+          for (const ir::Reg r : uses) {
+            if (r.index < regs && !has(kill, b, r.index)) set(gen, b, r.index);
+          }
+          if (in.dst.valid() && in.dst.index < regs) set(kill, b, in.dst.index);
+        }
+      }
+      for (bool changed = true; changed;) {
+        changed = false;
+        for (auto it = members.rbegin(); it != members.rend(); ++it) {
+          const ir::BlockId b = *it;
+          for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t out = 0;
+            for (const ir::BlockId s : succs_[b]) {
+              if (loop.blocks[s]) out |= live[s * words + w];
+            }
+            std::uint64_t& in = live[b * words + w];
+            const std::uint64_t next =
+                in | gen[b * words + w] | (out & ~kill[b * words + w]);
+            if (next != in) {
+              in = next;
+              changed = true;
+            }
+          }
+        }
+      }
+      std::vector<bool>& live_in = loop.live_in.emplace(regs);
+      for (std::size_t r = 0; r < regs; ++r) live_in[r] = has(live, header, r);
+      return live_in;
+    }
+
+   private:
+    struct Loop {
+      std::vector<bool> blocks;
+      std::optional<std::vector<bool>> live_in;
+    };
+
+    Loop& loopAt(ir::BlockId header) {
+      auto [it, fresh] = loops_.try_emplace(header);
+      if (fresh) {
+        const std::vector<bool> fwd = reach(header, succs_);
+        const std::vector<bool> bwd = reach(header, preds_);
+        it->second.blocks.resize(fwd.size());
+        for (std::size_t b = 0; b < fwd.size(); ++b) {
+          it->second.blocks[b] = fwd[b] && bwd[b];
+        }
+      }
+      return it->second;
+    }
+
+    static std::vector<bool> reach(
+        ir::BlockId from, const std::vector<std::vector<ir::BlockId>>& next) {
+      std::vector<bool> seen(next.size(), false);
       std::vector<ir::BlockId> stack{from};
       seen[from] = true;
       while (!stack.empty()) {
         const ir::BlockId b = stack.back();
         stack.pop_back();
-        for (const ir::BlockId s : next(b)) {
+        for (const ir::BlockId s : next[b]) {
           if (!seen[s]) {
             seen[s] = true;
             stack.push_back(s);
@@ -378,19 +474,18 @@ class PrecomputationSlicePass : public Pass {
         }
       }
       return seen;
-    };
-    const std::vector<bool> fwd =
-        reach(header, [&](ir::BlockId b) { return func.blocks[b].successors(); });
-    const std::vector<bool> bwd =
-        reach(header, [&](ir::BlockId b) { return preds[b]; });
-    std::vector<bool> loop(n, false);
-    for (std::size_t b = 0; b < n; ++b) loop[b] = fwd[b] && bwd[b];
-    return loop;
-  }
+    }
+
+    const ir::Function& func_;
+    std::vector<std::vector<ir::BlockId>> succs_;
+    std::vector<std::vector<ir::BlockId>> preds_;
+    std::map<ir::BlockId, Loop> loops_;
+  };
 
   void sliceFork(PassContext& ctx, PipelineState& st, ir::FuncId f,
-                 const ir::Function& func, ir::BlockId fork_block,
-                 std::uint32_t fork_index, const ir::Instr& fork) {
+                 const ir::Function& func, FunctionLoops& loops,
+                 ir::BlockId fork_block, std::uint32_t fork_index,
+                 const ir::Instr& fork) {
     const ir::BlockId header = fork.target0;
     if (header >= func.blocks.size() || func.blocks[header].instrs.empty()) {
       return;
@@ -398,7 +493,7 @@ class PrecomputationSlicePass : public Pass {
     // Only loop forks carry slices: the fork must sit inside the loop it
     // targets (region-speculation forks target a continuation block that
     // is not a header of a loop containing them).
-    const std::vector<bool> loop = loopBlocksOf(func, header);
+    const std::vector<bool>& loop = loops.blocks(header);
     if (!loop[fork_block]) return;
 
     // Match the plan entry by the stable loop name; only loops the
@@ -414,48 +509,11 @@ class PrecomputationSlicePass : public Pass {
     }
     if (entry == nullptr || !entry->transformed) return;
 
-    // ---- Live-in registers at the header (backward liveness restricted
-    // to the loop's own blocks).
+    // ---- Live-in registers at the header.
     const std::size_t regs = func.reg_count;
     const std::size_t n = func.blocks.size();
-    std::vector<std::vector<bool>> gen(n), kill(n), live_in(n);
+    const std::vector<bool>& targets = loops.liveIn(header);
     std::vector<ir::Reg> uses;
-    for (std::size_t b = 0; b < n; ++b) {
-      if (!loop[b]) continue;
-      gen[b].assign(regs, false);
-      kill[b].assign(regs, false);
-      live_in[b].assign(regs, false);
-      for (const ir::Instr& in : func.blocks[b].instrs) {
-        uses.clear();
-        in.appendUses(uses);
-        for (const ir::Reg r : uses) {
-          if (r.index < regs && !kill[b][r.index]) gen[b][r.index] = true;
-        }
-        if (in.dst.valid() && in.dst.index < regs) kill[b][in.dst.index] = true;
-      }
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t b = 0; b < n; ++b) {
-        if (!loop[b]) continue;
-        for (std::size_t r = 0; r < regs; ++r) {
-          if (live_in[b][r]) continue;
-          bool out = false;
-          for (const ir::BlockId s : func.blocks[b].successors()) {
-            if (loop[s] && live_in[s][r]) {
-              out = true;
-              break;
-            }
-          }
-          if (gen[b][r] || (out && !kill[b][r])) {
-            live_in[b][r] = true;
-            changed = true;
-          }
-        }
-      }
-    }
-    const std::vector<bool>& targets = live_in[header];
 
     // ---- Linearize the post-fork portion of one iteration: the fork
     // block's remainder, then the loop blocks reachable from it in RPO
@@ -469,7 +527,7 @@ class PrecomputationSlicePass : public Pass {
       std::vector<ir::BlockId> post;
       while (!stack.empty()) {
         const ir::BlockId b = stack.back().first;
-        const std::vector<ir::BlockId> succs = func.blocks[b].successors();
+        const std::vector<ir::BlockId>& succs = loops.successors(b);
         bool descended = false;
         while (stack.back().second < succs.size()) {
           const ir::BlockId s = succs[stack.back().second++];

@@ -60,7 +60,7 @@ LoopIndex::LoopIndex(const ir::Module& module, TraceView trace)
 }
 
 void LoopIndex::resolve(std::vector<std::size_t>& forks, std::size_t start) {
-  for (const std::size_t fork : forks) fork_starts_[fork] = start;
+  for (const std::size_t fork : forks) forks_.starts[fork] = start;
   forks.clear();
 }
 
@@ -112,10 +112,10 @@ void LoopIndex::add(std::size_t i, const Record& r) {
         }
       }
       if (r.op != ir::Opcode::kSptFork) break;
-      SPT_CHECK(fork_records_.empty() || fork_records_.back() < i);
-      const std::size_t ordinal = fork_records_.size();
-      fork_records_.push_back(i);
-      fork_starts_.push_back(kPending);
+      SPT_CHECK(forks_.records.empty() || forks_.records.back() < i);
+      const std::size_t ordinal = forks_.records.size();
+      forks_.records.push_back(i);
+      forks_.starts.push_back(ForkTable::kPending);
       const auto& loc = module_.locate(r.sid);
       const ir::Function& func = module_.function(loc.func);
       const ir::Instr& fork = func.blocks[loc.block].instrs[loc.index];
@@ -149,19 +149,19 @@ void LoopIndex::finish(std::size_t size) {
   pending_regions_.clear();
 }
 
-const std::size_t* LoopIndex::startEntry(std::size_t record_index) const {
-  const auto it = std::lower_bound(fork_records_.begin(), fork_records_.end(),
+const std::size_t* ForkTable::startEntry(std::size_t record_index) const {
+  const auto it = std::lower_bound(records.begin(), records.end(),
                                    record_index);
-  if (it == fork_records_.end() || *it != record_index) return nullptr;
-  return &fork_starts_[static_cast<std::size_t>(it - fork_records_.begin())];
+  if (it == records.end() || *it != record_index) return nullptr;
+  return &starts[static_cast<std::size_t>(it - records.begin())];
 }
 
-bool LoopIndex::resolved(std::size_t record_index) const {
+bool ForkTable::resolved(std::size_t record_index) const {
   const std::size_t* start = startEntry(record_index);
   return start != nullptr && *start != kPending;
 }
 
-std::size_t LoopIndex::startOfFork(std::size_t record_index) const {
+std::size_t ForkTable::startOfFork(std::size_t record_index) const {
   const std::size_t* start = startEntry(record_index);
   SPT_CHECK_MSG(start != nullptr && *start != kPending,
                 "record is not an indexed fork");

@@ -118,6 +118,39 @@ struct LoopEpisode {
   std::size_t exit_index = 0;  // index of the kLoopExit marker (or trace end)
 };
 
+/// The forks of one trace and their start-points: all the SPT machine reads
+/// of a LoopIndex. A LoopIndex fills one as the records pass; a finished
+/// one is a pure function of the trace, so a trace cache stores it beside
+/// the trace and a cache hit replays against the stored table without a
+/// pass over the records (harness/trace_cache.h).
+struct ForkTable {
+  static constexpr std::size_t kNoStart = static_cast<std::size_t>(-1);
+  /// The start-point of a fork that has no answer yet (only while a
+  /// LoopIndex is still being built).
+  static constexpr std::size_t kPending = kNoStart - 1;
+
+  /// Fork record indices, strictly increasing. A fork's ordinal is its
+  /// position here and in `starts`.
+  std::vector<std::size_t> records;
+  /// Each fork's start-point record index, kNoStart or kPending.
+  std::vector<std::size_t> starts;
+
+  /// True once the fork record at `record_index` has a start-point answer.
+  bool resolved(std::size_t record_index) const;
+  /// For the fork record at `record_index`: the record index of the
+  /// speculative thread's start-point (a kIterBegin marker for loop forks,
+  /// a kInstr record for region forks), or kNoStart when control never
+  /// reached the start-point (wrong-path fork).
+  std::size_t startOfFork(std::size_t record_index) const;
+
+  bool operator==(const ForkTable&) const = default;
+
+ private:
+  /// starts entry of the fork record at `record_index`, or null when that
+  /// record is not a fork of the table.
+  const std::size_t* startEntry(std::size_t record_index) const;
+};
+
 /// Index over a trace that resolves SPT forks to their speculative
 /// start-points and groups iterations into loop episodes.
 ///
@@ -133,7 +166,9 @@ struct LoopEpisode {
 /// control can no longer reach it: its loop exits (loop forks) or its frame
 /// returns (region forks; frame ids are never reused). The index is built
 /// either over a whole trace at once or incrementally, record by record,
-/// while the trace streams past; both give the same answers.
+/// while the trace streams past; both give the same answers and the same
+/// forks(). The SPT machine reads only forks(); a trace-cache hit replays
+/// against a stored table and builds no index.
 class LoopIndex {
  public:
   /// Incremental: add() every record in order, then finish().
@@ -141,7 +176,7 @@ class LoopIndex {
   /// The whole of `trace` added and finished.
   LoopIndex(const ir::Module& module, TraceView trace);
 
-  static constexpr std::size_t kNoStart = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoStart = ForkTable::kNoStart;
 
   /// Indexes `record`, the trace's record number `i` (0, 1, 2, ...).
   void add(std::size_t i, const Record& record);
@@ -149,14 +184,17 @@ class LoopIndex {
   /// start-point resolve to kNoStart, open episodes exit at `size`.
   void finish(std::size_t size);
 
-  /// True once the fork record at `record_index` has a start-point answer.
-  bool resolved(std::size_t record_index) const;
+  /// ForkTable::resolved() and ForkTable::startOfFork() of forks().
+  bool resolved(std::size_t record_index) const {
+    return forks_.resolved(record_index);
+  }
+  std::size_t startOfFork(std::size_t record_index) const {
+    return forks_.startOfFork(record_index);
+  }
 
-  /// For the fork record at `record_index`: the record index of the
-  /// speculative thread's start-point (a kIterBegin marker for loop forks,
-  /// a kInstr record for region forks), or kNoStart when control never
-  /// reached the start-point (wrong-path fork).
-  std::size_t startOfFork(std::size_t record_index) const;
+  /// The fork table so far; complete, with no kPending start, once
+  /// finish() has run.
+  const ForkTable& forks() const { return forks_; }
 
   const std::vector<LoopEpisode>& episodes() const { return episodes_; }
 
@@ -179,22 +217,14 @@ class LoopIndex {
     std::vector<std::size_t> pending_forks;  // fork ordinals
   };
 
-  /// The start-point of a fork that has no answer yet.
-  static constexpr std::size_t kPending = kNoStart - 1;
-
-  /// fork_starts_ entry of the fork record at `record_index`, or null when
-  /// that record is not an indexed fork.
-  const std::size_t* startEntry(std::size_t record_index) const;
   /// Resolves the forks with ordinals `forks` to `start` and empties the
   /// list.
   void resolve(std::vector<std::size_t>& forks, std::size_t start);
 
   const ir::Module& module_;
-  /// The fork table: fork record indices in record order (add() sees them
-  /// in that order, so the vector is sorted), and each fork's start-point
-  /// or kPending. A fork's ordinal is its position in both.
-  std::vector<std::size_t> fork_records_;
-  std::vector<std::size_t> fork_starts_;
+  /// add() sees the forks in record order, so the table's records are
+  /// sorted.
+  ForkTable forks_;
   std::vector<LoopEpisode> episodes_;
   /// Loops currently executing, with the loop forks awaiting their next
   /// iteration.

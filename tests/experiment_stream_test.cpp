@@ -329,15 +329,16 @@ TEST_P(OneProfilePerProgram, ColdCellInterpretsEachProgramOnceAndAHitNone) {
       runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, key);
     });
   };
-  // The cache keeps the streamed baseline's run and result, its profile
-  // and the unrolled module's profile as blobs and only the SPT program
-  // as a trace, so a hit interprets nothing, gap's included.
+  // The cache keeps the streamed baseline's run and result, its profile,
+  // the unrolled module's profile and the SPT trace's fork table as blobs
+  // and only the SPT program as a trace, so a hit interprets nothing,
+  // gap's included, and indexes no record.
   {
     TraceCache cache(dir);
     EXPECT_EQ(cachedRuns(cache), 2 + unrolled) << "cold";
     EXPECT_EQ(cachedRuns(cache), 0u) << "memory hit";
     EXPECT_EQ(cache.produced(), 1u);
-    EXPECT_EQ(cache.blobsProduced(), 2 + unrolled);
+    EXPECT_EQ(cache.blobsProduced(), 3 + unrolled);
   }
   std::size_t traces = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
@@ -358,7 +359,7 @@ TEST_P(OneProfilePerProgram, ColdCellInterpretsEachProgramOnceAndAHitNone) {
   EXPECT_EQ(cache.produced(), 0u);
   EXPECT_EQ(cache.fileReuses(), 1u);
   EXPECT_EQ(cache.blobsProduced(), 0u);
-  EXPECT_EQ(cache.blobHits(), 2 + unrolled);
+  EXPECT_EQ(cache.blobHits(), 3 + unrolled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, OneProfilePerProgram,

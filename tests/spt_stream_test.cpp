@@ -4,7 +4,8 @@
 // tests pin that streaming changes nothing: a streamed machine equals a
 // replay of the stored trace on every field across the machine grid, the
 // incremental fork index gives the batch index's answers as soon as they
-// are known, and the window stays far smaller than the trace.
+// are known, the fork table a trace cache stores answers as the batch
+// index does, and the window stays far smaller than the trace.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,6 +16,7 @@
 
 #include "expect_same.h"
 #include "fork_reference.h"
+#include "harness/cell_codec.h"
 #include "harness/experiment.h"
 #include "harness/suite.h"
 #include "random_programs.h"
@@ -33,6 +35,31 @@ sim::MachineResult streamInto(sim::SptMachine& machine,
                               trace::TraceView trace) {
   for (const trace::Record& r : trace) machine.onRecord(r);
   return machine.finish();
+}
+
+/// The fork table `produced` stored as a trace cache's `.forks` blob and
+/// decoded again: `produced` is the batch index's table, and the decoded
+/// one answers as the batch index does at every fork record of `trace`.
+void expectStoredTableAnswersAsBatch(trace::TraceView trace,
+                                     const trace::LoopIndex& batch,
+                                     const trace::ForkTable& produced) {
+  EXPECT_TRUE(produced == batch.forks());
+  const trace::TraceFileSummary summary{trace.size(), 0, 0x5eedf0cc, {}};
+  const std::optional<trace::ForkTable> stored =
+      decodeForkTable(encodeForkTable(produced, summary), trace, summary);
+  ASSERT_TRUE(stored.has_value());
+  std::size_t forks = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].kind != trace::RecordKind::kInstr ||
+        trace[i].op != ir::Opcode::kSptFork) {
+      continue;
+    }
+    ++forks;
+    ASSERT_TRUE(stored->resolved(i)) << "fork " << i;
+    ASSERT_TRUE(batch.resolved(i)) << "fork " << i;
+    ASSERT_EQ(stored->startOfFork(i), batch.startOfFork(i)) << "fork " << i;
+  }
+  EXPECT_EQ(stored->records.size(), forks);
 }
 
 struct StreamCase {
@@ -78,13 +105,16 @@ struct SptProgram {
   }
 
   /// Runs `config` streamed and replayed, expects identical results and
-  /// returns the streamed machine's window high-water mark.
+  /// returns the streamed machine's window high-water mark. The streamed
+  /// machine's fork table, stored and read back as a cache hit reads it,
+  /// answers as the batch index does.
   std::size_t expectStreamedEqualsReplayed(
       const support::MachineConfig& config) const {
     sim::SptMachine streamed(module, config);
     const sim::MachineResult a = streamInto(streamed, run.trace);
     expectSameMachineResult(
         a, sim::SptMachine(module, run.trace, *index, config).run());
+    expectStoredTableAnswersAsBatch(run.trace, *index, streamed.forks());
     EXPECT_EQ(a.faults.escaped, 0u);
     if (config.oracle != support::OracleMode::kOff) {
       EXPECT_GT(a.oracle_checks, 0u);
@@ -248,7 +278,8 @@ struct IndexCounts {
 /// every record, that each fork resolved so far has the batch index's
 /// answer (and the look-ahead definition's), that no fork whose
 /// start-point has been added is still unresolved, and that finish()
-/// leaves the same episodes.
+/// leaves the same episodes and a fork table that, stored, answers as the
+/// batch index does.
 void checkIncrementalIndex(const ir::Module& m, trace::TraceView trace,
                            IndexCounts& counts) {
   const trace::LoopIndex batch(m, trace);
@@ -296,6 +327,7 @@ void checkIncrementalIndex(const ir::Module& m, trace::TraceView trace,
     EXPECT_EQ(batch.startOfFork(f), trace::LoopIndex::kNoStart);
   }
   expectSameEpisodes(inc, batch);
+  expectStoredTableAnswersAsBatch(trace, batch, inc.forks());
 }
 
 TEST(IncrementalLoopIndex, RandomProgramsWithAndWithoutRegions) {

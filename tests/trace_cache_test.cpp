@@ -212,7 +212,8 @@ TEST(TraceCache, CachedExperimentMatchesPlainExperiment) {
   EXPECT_EQ(cache.produced(), 1u);
   EXPECT_EQ(cache.memoryHits(), 1u);
   EXPECT_EQ(cache.fileReuses(), 0u) << "no validating open of our file";
-  EXPECT_EQ(cache.blobsProduced(), 2u);  // the baseline's run and profile
+  // The baseline's run and profile, and the SPT trace's fork table.
+  EXPECT_EQ(cache.blobsProduced(), 3u);
   EXPECT_EQ(remarksJson(again_remarks), remarksJson(plain_remarks));
   // The baseline's instruction count is stored with its run; the SPT
   // program's is the count its writer reported.
@@ -485,6 +486,64 @@ TEST(MachineResultCodec, DecodingIsStrict) {
   }
 }
 
+TEST(ForkTableCodec, RefusesATableThatDoesNotFitItsTrace) {
+  ir::Module m = workloads::findWorkload("micro.parser_free").build(1);
+  InterpProfileRunner runner;
+  compiler::SptCompiler().compile(m, runner);
+  const TracedRun traced = traceProgram(m);
+  const trace::TraceView view = traced.trace.view();
+  const trace::ForkTable table = trace::LoopIndex(m, view).forks();
+  ASSERT_GE(table.records.size(), 2u);
+  const trace::TraceFileSummary summary{view.size(), 0, 0xc0ffee, {}};
+  const std::optional<trace::ForkTable> decoded =
+      decodeForkTable(encodeForkTable(table, summary), view, summary);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(*decoded == table);
+
+  // Each table is sound as a frame but wrong for the trace.
+  const auto refused = [&](const char* what, auto&& damage,
+                           trace::TraceFileSummary bound) {
+    SCOPED_TRACE(what);
+    trace::ForkTable wrong = table;
+    damage(wrong);
+    EXPECT_FALSE(
+        decodeForkTable(encodeForkTable(wrong, bound), view, summary));
+  };
+  const auto same = [](trace::ForkTable&) {};
+  trace::TraceFileSummary other = summary;
+  other.checksum ^= 1;
+  refused("another checksum", same, other);
+  other = summary;
+  other.records += 1;
+  refused("another record count", same, other);
+  refused("out of order",
+          [](trace::ForkTable& t) {
+            std::swap(t.records[0], t.records[1]);
+          },
+          summary);
+  refused("repeated",
+          [](trace::ForkTable& t) { t.records[1] = t.records[0]; }, summary);
+  refused("past the trace",
+          [&](trace::ForkTable& t) { t.records.back() = view.size(); },
+          summary);
+  refused("not a fork record",
+          [](trace::ForkTable& t) { t.records[0] -= 1; }, summary);
+  refused("start before its fork",
+          [](trace::ForkTable& t) { t.starts[0] = t.records[0]; }, summary);
+  refused("start past the trace",
+          [&](trace::ForkTable& t) { t.starts[0] = view.size(); }, summary);
+  refused("start pending",
+          [](trace::ForkTable& t) {
+            t.starts[0] = trace::ForkTable::kPending;
+          },
+          summary);
+  const std::string bytes = encodeForkTable(table, summary);
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_FALSE(decodeForkTable(bytes.substr(0, n), view, summary)) << n;
+  }
+  EXPECT_FALSE(decodeForkTable(bytes + '\0', view, summary));
+}
+
 /// The one file in `dir` with extension `ext`.
 std::string storedIn(const std::string& dir, const std::string& ext) {
   std::string found;
@@ -497,10 +556,26 @@ std::string storedIn(const std::string& dir, const std::string& ext) {
   return found;
 }
 
-/// Makes the blob with extension \p ext that a cached baseline keeps
-/// missing or damaged in each way in turn. The baseline streams again, the
-/// blob is written again byte for byte, the SPT trace is adopted, and the
-/// cell equals the uncached one.
+/// The summary of the one SPT trace in `dir`, as a validating open finds
+/// it, and its fork table decoded from the `.forks` blob beside it.
+std::pair<trace::TraceFileSummary, trace::ForkTable> storedForksIn(
+    const std::string& dir) {
+  const std::optional<trace::MappedTrace> mapped =
+      trace::MappedTrace::open(storedIn(dir, ".spt3"));
+  EXPECT_TRUE(mapped.has_value());
+  if (!mapped) return {};
+  std::optional<trace::ForkTable> forks = decodeForkTable(
+      readBytes(storedIn(dir, ".forks")), mapped->view(), mapped->summary());
+  EXPECT_TRUE(forks.has_value());
+  return {mapped->summary(), forks.value_or(trace::ForkTable{})};
+}
+
+/// Makes the blob with extension \p ext that a cached cell keeps missing
+/// or damaged in each way in turn. The blob is made again once and written
+/// again byte for byte, the SPT trace is adopted, and the cell equals the
+/// uncached one. A baseline blob streams the baseline again; the SPT
+/// trace's fork table is made from the adopted trace, interpreting
+/// nothing.
 void expectDamagedBlobIsRecomputed(const std::string& workload,
                                    const std::string& ext) {
   const workloads::Workload w = workloads::findWorkload(workload);
@@ -512,7 +587,7 @@ void expectDamagedBlobIsRecomputed(const std::string& workload,
   {
     TraceCache cache(dir);
     runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, key);
-    EXPECT_EQ(cache.blobsProduced(), 2u);
+    EXPECT_EQ(cache.blobsProduced(), 3u);
   }
   const std::string path = storedIn(dir, ext);
   ASSERT_FALSE(path.empty()) << ext;
@@ -521,12 +596,22 @@ void expectDamagedBlobIsRecomputed(const std::string& workload,
   flipped[support::wire::kFrameHeaderBytes + 3] ^= 0x01;  // the payload
   std::string other_version = good;
   other_version[4] ^= 0x03;  // the frame version's low byte: 1 <-> 2
-  const std::vector<std::pair<std::string, std::string>> damages = {
+  std::vector<std::pair<std::string, std::string>> damages = {
       {"missing", ""},
       {"truncated", good.substr(0, good.size() - 5)},
       {"bit-flipped", flipped},
       {"other version", other_version},
   };
+  const bool forks = ext == ".forks";
+  if (forks) {
+    // A sound frame of the same table, bound to another trace.
+    auto [summary, table] = storedForksIn(dir);
+    EXPECT_FALSE(table.records.empty());
+    EXPECT_EQ(encodeForkTable(table, summary), good);
+    summary.checksum ^= 1;
+    damages.emplace_back("bound to another trace",
+                         encodeForkTable(table, summary));
+  }
   for (const auto& [what, bytes] : damages) {
     SCOPED_TRACE(ext + " " + what);
     if (what == "missing") {
@@ -541,8 +626,8 @@ void expectDamagedBlobIsRecomputed(const std::string& workload,
                 again = runSptExperiment(w.build(1), {}, {}, {}, &remarks,
                                          &cache, key);
               }),
-              1u)
-        << "the baseline streams again";
+              forks ? 0u : 1u)
+        << "only a baseline blob streams the baseline again";
     EXPECT_EQ(cache.blobsProduced(), 1u);
     EXPECT_EQ(cache.produced(), 0u) << "the SPT trace is adopted";
     EXPECT_EQ(readBytes(path), good);
@@ -565,6 +650,50 @@ TEST(TraceCache, MissingOrDamagedSidecarIsReproduced) {
   expectDamagedBlobIsRecomputed("parser", ".prof");
 }
 
+TEST(TraceCache, DamagedForkTableIsRecomputed) {
+  // The SPT trace's fork table (.forks).
+  expectDamagedBlobIsRecomputed("gzip", ".forks");
+}
+
+// A hit replays the mapped trace against the stored fork table: it builds
+// no LoopIndex over the records, so a sound table that says no fork ever
+// reaches its start-point turns every fork into one that never spawns.
+TEST(TraceCache, HitReplaysAgainstTheStoredForkTable) {
+  const workloads::Workload w = workloads::findWorkload("mcf");
+  const ExperimentResult plain = runSptExperiment(w.build(1));
+  const std::string dir = freshDir("stored_forks");
+  {
+    TraceCache cache(dir);
+    runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "mcf.x1");
+  }
+  const std::string path = storedIn(dir, ".forks");
+  const std::string good = readBytes(path);
+  {
+    TraceCache cache(dir);
+    std::optional<ExperimentResult> warm;
+    EXPECT_EQ(runsOf([&] {
+                warm = runSptExperiment(w.build(1), {}, {}, {}, nullptr,
+                                        &cache, "mcf.x1");
+              }),
+              0u);
+    EXPECT_EQ(cache.blobsProduced(), 0u);
+    EXPECT_EQ(cache.blobHits(), 3u) << "the .res, the .prof and the .forks";
+    expectSameMachineResult(warm->spt, plain.spt);
+  }
+  auto [summary, table] = storedForksIn(dir);
+  ASSERT_GT(plain.spt.threads.spawned, 0u);
+  for (std::size_t& start : table.starts) start = trace::ForkTable::kNoStart;
+  writeBytes(path, encodeForkTable(table, summary));
+  TraceCache cache(dir);
+  const ExperimentResult never =
+      runSptExperiment(w.build(1), {}, {}, {}, nullptr, &cache, "mcf.x1");
+  EXPECT_EQ(cache.blobsProduced(), 0u) << "the table is sound";
+  EXPECT_NE(readBytes(path), good);
+  EXPECT_EQ(never.spt.threads.fast_commits, 0u);
+  EXPECT_NE(never.spt.cycles, plain.spt.cycles);
+  spt::testing::expectSameRun(never.spt_run, plain.spt_run);
+}
+
 /// A file's inode and modification time, which a rewrite changes.
 std::pair<std::uint64_t, std::filesystem::file_time_type> identityOf(
     const std::string& path) {
@@ -577,7 +706,9 @@ std::pair<std::uint64_t, std::filesystem::file_time_type> identityOf(
 TEST(TraceCache, OlderCacheHealsInPlace) {
   // A cache from before the baseline's run moved into its stored result
   // holds a version-1 .res without the run words, the baseline trace
-  // <key>.base-<salt>.spt3 and, beside it, the same .prof as now.
+  // <key>.base-<salt>.spt3 and, beside it, the same .prof as now; and
+  // one from before fork tables were stored holds the SPT trace without
+  // its .forks.
   const workloads::Workload w = workloads::findWorkload("parser");
   const ExperimentResult plain = runSptExperiment(w.build(1));
   const std::string dir = freshDir("older_cache");
@@ -587,9 +718,14 @@ TEST(TraceCache, OlderCacheHealsInPlace) {
   }
   const std::string res = storedIn(dir, ".res");
   const std::string prof = storedIn(dir, ".prof");
+  const std::string spt = storedIn(dir, ".spt3");
+  const std::string forks = storedIn(dir, ".forks");
   ASSERT_FALSE(res.empty());
   ASSERT_FALSE(prof.empty());
+  ASSERT_FALSE(forks.empty());
   const std::string good = readBytes(res);
+  const std::string good_forks = readBytes(forks);
+  std::filesystem::remove(forks);
   writeBytes(res, support::wire::encodeFrame("SPTR", 1, 0,
                                              payloadOf(good).substr(24)));
   const std::string leftover = prof.substr(0, prof.size() - 5) + ".spt3";
@@ -602,6 +738,7 @@ TEST(TraceCache, OlderCacheHealsInPlace) {
        traced.result.memory_hash}));
   const auto leftover_before = identityOf(leftover);
   const auto prof_before = identityOf(prof);
+  const auto spt_before = identityOf(spt);
 
   TraceCache cache(dir);
   std::optional<ExperimentResult> again;
@@ -612,10 +749,12 @@ TEST(TraceCache, OlderCacheHealsInPlace) {
             1u)
       << "the baseline streams once, for its run";
   EXPECT_EQ(readBytes(res), good) << "the .res is made again";
-  EXPECT_EQ(cache.blobsProduced(), 1u) << "the profile is adopted";
+  EXPECT_EQ(readBytes(forks), good_forks) << "the .forks is written";
+  EXPECT_EQ(cache.blobsProduced(), 2u) << "the profile is adopted";
   EXPECT_EQ(identityOf(prof), prof_before);
   EXPECT_EQ(cache.produced(), 0u);
   EXPECT_EQ(cache.fileReuses(), 1u) << "only the SPT trace is opened";
+  EXPECT_EQ(identityOf(spt), spt_before);
   EXPECT_EQ(identityOf(leftover), leftover_before);
   spt::testing::expectSameRun(again->baseline_run, plain.baseline_run);
   spt::testing::expectSameRun(again->spt_run, plain.spt_run);
@@ -834,8 +973,11 @@ TEST(TraceCache, CachedGridSimulatesTheBaselineOnce) {
   EXPECT_EQ(cache.produced(), plans.size());
   EXPECT_EQ(tracesIn(cache.dir()), plans.size());
   EXPECT_EQ(tracesIn(cache.dir(), ".base-"), 0u);
-  EXPECT_EQ(cache.blobsProduced(), 2u) << "one baseline run and profile";
-  EXPECT_EQ(cache.blobHits(), 2 * grid.size() - 1);
+  EXPECT_EQ(cache.blobsProduced(), 2 + plans.size())
+      << "one baseline run and profile, and a fork table per plan";
+  // Each cell reads the baseline's two blobs, except the one that made
+  // them; each cell that replays a trace reads its fork table.
+  EXPECT_EQ(cache.blobHits(), 2 * grid.size() - 1 + grid.size() - plans.size());
 }
 
 
@@ -965,7 +1107,7 @@ TEST(TraceCache, HeldLockMakesAnotherCacheComputeAlone) {
                                     [&](trace::TraceSink* none) {
                                       EXPECT_EQ(none, nullptr);
                                       ++alone;
-                                      return meta;
+                                      return TraceCache::Streamed{meta, {}};
                                     }),
                   nullptr);
         const TraceCache::Entry& kept = other.get("held.trace", produce);
@@ -974,7 +1116,7 @@ TEST(TraceCache, HeldLockMakesAnotherCacheComputeAlone) {
         EXPECT_EQ(kept.instr_count, run.result.dynamic_instrs);
         EXPECT_TRUE(std::filesystem::is_empty(dir + "/held.trace.lock"));
         for (const trace::Record& r : run.trace.view()) writer->onRecord(r);
-        return meta;
+        return TraceCache::Streamed{meta, {}};  // the trace has no fork
       });
   EXPECT_EQ(held, nullptr) << "the holder streamed";
   EXPECT_EQ(alone, 1);
@@ -994,12 +1136,12 @@ TEST(TraceCache, HeldLockMakesAnotherCacheComputeAlone) {
   EXPECT_EQ(other.produced(), 0u);
   EXPECT_EQ(other.blobsProduced(), 0u);
   EXPECT_EQ(holder.produced(), 1u);
-  EXPECT_EQ(holder.blobsProduced(), 1u);
+  EXPECT_EQ(holder.blobsProduced(), 2u) << "the .res and the trace's .forks";
   EXPECT_EQ(holder.bypasses(), 0u);
   const TraceCache::Entry* entry =
       holder.getOrStream("held.trace", [&](trace::TraceSink*) {
         ADD_FAILURE() << "streamed again";
-        return meta;
+        return TraceCache::Streamed{meta, {}};
       });
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->instr_count, run.result.dynamic_instrs);
@@ -1033,7 +1175,8 @@ TEST(TraceCache, CellFindingEveryLockHeldRunsUncached) {
     ASSERT_EQ(::flock(fd, LOCK_EX | LOCK_NB), 0);
     fds.push_back(fd);
   }
-  ASSERT_GE(fds.size(), 4u) << "the .res, .prof, unrolled .prof and .spt3";
+  ASSERT_GE(fds.size(), 5u)
+      << "the .res, .prof, unrolled .prof, .spt3 and .forks";
 
   TraceCache cache(dir);
   std::optional<ExperimentResult> again;
@@ -1043,9 +1186,11 @@ TEST(TraceCache, CellFindingEveryLockHeldRunsUncached) {
             }),
             uncached_runs);
   for (const int fd : fds) ::close(fd);
-  EXPECT_EQ(cache.bypasses(), fds.size());
+  // A cell that streams its SPT run alone stores no fork table, so it
+  // never asks for the .forks lock.
+  EXPECT_EQ(cache.bypasses(), fds.size() - 1);
   EXPECT_EQ(cache.produced() + cache.blobsProduced(), 0u);
-  EXPECT_TRUE(filesIn(dir, {".spt3", ".res", ".prof"}).empty());
+  EXPECT_TRUE(filesIn(dir, {".spt3", ".res", ".prof", ".forks"}).empty());
   EXPECT_EQ(again->plan.fingerprint(), plain.plan.fingerprint());
   spt::testing::expectSameRun(again->baseline_run, plain.baseline_run);
   spt::testing::expectSameRun(again->spt_run, plain.spt_run);
@@ -1177,7 +1322,7 @@ TEST(TraceCache, KilledHolderLeavesNoStuckLock) {
       char byte = 0;
       (void)::read(never[0], &byte, 1);  // blocks until killed
       ::_exit(3);
-      return trace::TraceFileMeta{};
+      return TraceCache::Streamed{};
     });
     ::_exit(4);
   }
@@ -1247,7 +1392,8 @@ TEST(TraceCache, PooledGridWritesWhatOneProcessWrites) {
   const std::string in_process = freshDir("grid_in_process");
   const std::string pooled = freshDir("grid_pooled");
   EXPECT_EQ(sweepInto(pooled, true), sweepInto(in_process, false));
-  const std::vector<std::string> kinds = {".spt3", ".res", ".prof"};
+  const std::vector<std::string> kinds = {".spt3", ".res", ".prof",
+                                          ".forks"};
   const std::map<std::string, std::string> expected =
       filesIn(in_process, kinds);
   const std::map<std::string, std::string> got = filesIn(pooled, kinds);

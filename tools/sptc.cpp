@@ -115,9 +115,10 @@
 //
 // Options for sweep:
 //   --trace-cache DIR  share each workload's SPT trace (an mmap-backed
-//                      container v4 file), baseline result and profiles
-//                      across all cells (and across supervised worker
-//                      processes) through a trace cache rooted at DIR;
+//                      container v4 file) and its fork table, baseline
+//                      result and profiles across all cells (and across
+//                      supervised worker processes) through a trace cache
+//                      rooted at DIR;
 //                      results are identical with or without the cache
 //
 // Options for sweep/perf:
