@@ -11,9 +11,12 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,11 +73,38 @@ Row rowFromOutcome(Row blank, const Supervisor::Outcome& oc) {
   return blank;
 }
 
+/// The order in which to hand cells 0..n-1 to workers so that cells of one
+/// group run apart: round r holds the r-th cell of each group, and groups
+/// come in the order of their first cell. A grid's group is its benchmark
+/// (Grid::key(i).first), and the cells of one benchmark share its cache
+/// entries, so by the time a benchmark's second cell starts its first has
+/// normally stored them. A single group's order is the identity.
+template <typename GroupOf>
+std::vector<std::size_t> spreadOrder(std::size_t n, const GroupOf& group_of) {
+  using Group = std::decay_t<std::invoke_result_t<const GroupOf&, std::size_t>>;
+  std::map<Group, std::size_t> index;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, fresh] = index.try_emplace(group_of(i), groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  for (std::size_t round = 0; order.size() < n; ++round) {
+    for (const std::vector<std::size_t>& group : groups) {
+      if (round < group.size()) order.push_back(group[round]);
+    }
+  }
+  return order;
+}
+
 /// Runs `grid`: resumes ok rows from `log`, runs the rest in-process on
 /// `sweep` or, when `supervisor.isolate` is set and supported, on a pool of
 /// `supervisor.jobs` workers (0: sweep.jobs()), and appends every settled
-/// row to `log`. Rows come back in cell order. In-process, a cell body
-/// that throws rethrows from here after every other cell has finished.
+/// row to `log`. Cells start in spreadOrder over their benchmarks; rows
+/// come back in cell order. In-process, a cell body that throws rethrows
+/// from here after every other cell has finished (the first in cell order).
 template <typename Row>
 std::vector<Row> runGrid(const Grid<Row>& grid, const ParallelSweep& sweep,
                          const SupervisorOptions& supervisor,
@@ -94,6 +124,8 @@ std::vector<Row> runGrid(const Grid<Row>& grid, const ParallelSweep& sweep,
     const RowKey key = grid.key(i);
     log.append(key.first, key.second, encodeRow(row));
   };
+  const std::vector<std::size_t> order = spreadOrder(
+      to_run.size(), [&](std::size_t k) { return grid.key(to_run[k]).first; });
 
   if (supervisor.isolate && Supervisor::isolationSupported()) {
     SupervisorOptions sopts = supervisor;
@@ -110,15 +142,26 @@ std::vector<Row> runGrid(const Grid<Row>& grid, const ParallelSweep& sweep,
           const std::size_t i = to_run[k];
           rows[i] = rowFromOutcome(grid.blank(i), oc);
           append(i, rows[i]);
-        });
+        },
+        nullptr, order);
   } else {
-    std::vector<Row> ran = sweep.run(to_run.size(), [&](std::size_t k) {
-      Row row = grid.run(to_run[k]);
-      append(to_run[k], row);
-      return row;
+    std::vector<std::exception_ptr> errors(to_run.size());
+    std::vector<Row> ran = sweep.run(order.size(), [&](std::size_t j) {
+      const std::size_t k = order[j];
+      try {
+        Row row = grid.run(to_run[k]);
+        append(to_run[k], row);
+        return row;
+      } catch (...) {
+        errors[k] = std::current_exception();
+        return Row{};
+      }
     });
-    for (std::size_t k = 0; k < to_run.size(); ++k) {
-      rows[to_run[k]] = std::move(ran[k]);
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      rows[to_run[order[j]]] = std::move(ran[j]);
     }
   }
   return rows;

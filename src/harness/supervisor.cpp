@@ -1018,7 +1018,11 @@ CellScheduler::PoolCounts CellScheduler::pool() const {
 
 std::vector<Supervisor::Outcome> Supervisor::run(
     std::size_t n, const Producer& produce, const OnSettled& on_settled,
-    PoolStats* stats) const {
+    PoolStats* stats, const std::vector<std::size_t>& order) const {
+  if (!order.empty() && order.size() != n) {
+    throw support::SptInternalError(
+        "supervisor dispatch order must list every cell");
+  }
   if (stats != nullptr) *stats = PoolStats{};
   std::vector<Outcome> out(n);
   // Nothing to run (e.g. a fully resumed sweep): fork no workers at all.
@@ -1039,7 +1043,9 @@ std::vector<Supervisor::Outcome> Supervisor::run(
         out[i] = outcome;
         if (on_settled) on_settled(i, out[i]);
       });
-  for (std::size_t i = 0; i < n; ++i) scheduler.enqueue(0, i);
+  for (std::size_t k = 0; k < n; ++k) {
+    scheduler.enqueue(0, order.empty() ? k : order[k]);
+  }
   scheduler.fill(std::min(options_.jobs, n));
 
   for (;;) {
@@ -1077,10 +1083,9 @@ std::vector<Supervisor::Outcome> Supervisor::run(
 
 bool Supervisor::isolationSupported() { return false; }
 
-std::vector<Supervisor::Outcome> Supervisor::run(std::size_t,
-                                                 const Producer&,
-                                                 const OnSettled&,
-                                                 PoolStats*) const {
+std::vector<Supervisor::Outcome> Supervisor::run(
+    std::size_t, const Producer&, const OnSettled&, PoolStats*,
+    const std::vector<std::size_t>&) const {
   throw support::SptInternalError(
       "process isolation is not supported on this platform (no fork); "
       "use the in-process path");

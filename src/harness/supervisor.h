@@ -150,10 +150,13 @@ class Supervisor {
   /// Runs cells 0..n-1 on a pool of min(jobs, n) workers; outcomes land
   /// by cell index. n == 0 forks nothing. Must only be called when
   /// isolationSupported(). `stats`, when non-null, receives the
-  /// worker-process accounting for this run.
+  /// worker-process accounting for this run. A non-empty `order`, a
+  /// permutation of 0..n-1, is the order cells are queued in (empty: cell
+  /// order); the chaos plan stays keyed by cell index.
   std::vector<Outcome> run(std::size_t n, const Producer& produce,
                            const OnSettled& on_settled = nullptr,
-                           PoolStats* stats = nullptr) const;
+                           PoolStats* stats = nullptr,
+                           const std::vector<std::size_t>& order = {}) const;
 
   const SupervisorOptions& options() const { return options_; }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -793,6 +794,17 @@ struct SweepService::Impl {
     journalAppend(rec);
   }
 
+  /// Queues `cells` of `grid` on `lane` in spreadOrder over their
+  /// benchmarks (echo cells, which have no key, in the order given).
+  void enqueueSpread(CellScheduler::Lane lane, const RequestGrid& grid,
+                     const std::vector<std::uint64_t>& cells) {
+    const std::vector<std::size_t> order =
+        spreadOrder(cells.size(), [&](std::size_t k) {
+          return grid.key ? grid.key(cells[k]).first : std::string();
+        });
+    for (const std::size_t k : order) scheduler->enqueue(lane, cells[k]);
+  }
+
   /// Admission: validates, normalizes, and either queues every cell of
   /// the request or answers busy/error and closes.
   void admit(Client& c, ServiceRequest req, std::string token) {
@@ -830,9 +842,9 @@ struct SweepService::Impl {
     c.token = std::move(token);
     c.admitted = true;
     armDeadline(c);
-    for (std::uint64_t i = 0; i < c.grid.total; ++i) {
-      scheduler->enqueue(c.id, i);
-    }
+    std::vector<std::uint64_t> cells(c.grid.total);
+    std::iota(cells.begin(), cells.end(), std::uint64_t{0});
+    enqueueSpread(c.id, c.grid, cells);
     ++requests_admitted;
     if (!c.token.empty()) tokens[c.token] = c.id;
     journalAdmit(c);
@@ -920,15 +932,17 @@ struct SweepService::Impl {
     ++requests_admitted;
     ++journal_requests_recovered;
     std::vector<std::pair<std::uint64_t, const std::string*>> replay;
+    std::vector<std::uint64_t> to_run;
     for (std::uint64_t i = 0; i < r.grid.total; ++i) {
       // Echo requests log no rows.
       const auto it = r.grid.key ? rows.find(r.grid.key(i)) : rows.end();
       if (it != rows.end() && r.grid.resumable(it->second)) {
         replay.emplace_back(i, &it->second);
       } else {
-        scheduler->enqueue(r.id, i);
+        to_run.push_back(i);
       }
     }
+    enqueueSpread(r.id, r.grid, to_run);
     note("service: recovered request " + std::to_string(rec.id) +
          " from the journal (" + std::to_string(replay.size()) +
          " cells from logged rows, " +

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Refuses a bare `!` command in the run: blocks of CI workflow files.
+"""Refuses a bare `!` command in the run: blocks of CI workflow files and
+in the end-to-end shell scripts.
 
-A step's shell runs with errexit, and errexit ignores a command whose
-status is inverted with `!`: a line such as `! pgrep -f server` never
-fails its step, whatever pgrep finds. Write the check as
-`if pgrep -f server; then exit 1; fi` instead.
+A step's shell, and each script, runs with errexit, and errexit ignores a
+command whose status is inverted with `!`: a line such as
+`! pgrep -f server` never fails its step, whatever pgrep finds. Write the
+check as `if pgrep -f server; then exit 1; fi` instead.
 
-Usage: ci_negation_lint.py WORKFLOW.yml...   exit 1 on any bare `!`
-       ci_negation_lint.py --self-test       checks the checker
+Usage: ci_negation_lint.py FILE...     exit 1 on any bare `!`; a FILE
+                                       ending in .sh is a shell script,
+                                       any other a workflow
+       ci_negation_lint.py --self-test checks the checker
 """
 import re
 import sys
@@ -44,6 +47,17 @@ def bare_negations(lines):
             yield number, value
 
 
+def script_negations(lines):
+    """Yields (line number, text) of each command of a shell script that
+    starts with a bare `!`."""
+    continued = False
+    for number, line in enumerate(lines, 1):
+        text = line.strip()
+        if text and not continued and BARE_NEGATION.match(text):
+            yield number, text
+        continued = text.endswith("\\")
+
+
 def self_test():
     sample = """\
       - name: leak check
@@ -59,6 +73,17 @@ def self_test():
     bad = sample + "        run: |\n          ! pgrep x\n      - run: ! ls\n"
     found = [n for n, _ in bare_negations(bad.splitlines())]
     assert found == [10, 11], found
+    script = """\
+# ! in a comment is fine
+test ! -e sock
+if pgrep -f "sptc serve"; then exit 1; fi
+ls a \\
+  ! b
+"""
+    assert list(script_negations(script.splitlines())) == []
+    found = [n for n, _ in script_negations(
+        (script + "  ! pgrep x\n").splitlines())]
+    assert found == [6], found
     print("self-test passed")
     return 0
 
@@ -68,10 +93,11 @@ def main(paths):
         return self_test()
     failed = False
     for path in paths:
+        scan = script_negations if path.endswith(".sh") else bare_negations
         with open(path, encoding="utf-8") as f:
-            for number, text in bare_negations(f.read().splitlines()):
-                print(f"{path}:{number}: bare '!' never fails the step "
-                      f"under errexit: {text}")
+            for number, text in scan(f.read().splitlines()):
+                print(f"{path}:{number}: bare '!' never fails under "
+                      f"errexit: {text}")
                 failed = True
     return 1 if failed else 0
 

@@ -158,7 +158,7 @@
 //   --print-ir         also dump the transformed module (run only)
 //   --verify-passes    run the IR verifier after every pipeline pass
 //
-// Options for compile:
+// Options for run and compile:
 //   --remarks FILE     write the compilation remarks — the structured
 //                      per-loop decision log (docs/COMPILER.md) — as
 //                      deterministic JSON to FILE ("-" = stdout), and
@@ -275,7 +275,7 @@ struct Options {
   support::MachineConfig machine;
   compiler::CompilerOptions copts;
   bool print_ir = false;
-  std::string remarks_path;  // compile: empty = no remarks output
+  std::string remarks_path;  // run/compile: empty = no remarks output
   std::size_t jobs = 0;   // sweep/perf: 0 = ParallelSweep default
   std::string json_path;  // sweep: empty = no JSON output
   int reps = 3;           // perf: timed repetitions per machine
@@ -576,6 +576,25 @@ int cmdList() {
   return 0;
 }
 
+/// Prints the remarks summary table and writes the remarks as JSON to
+/// `path` ("-" = stdout); 1 when the file cannot be written.
+int writeRemarks(const compiler::CompilationRemarks& remarks,
+                 const std::string& path) {
+  remarks.printSummary(std::cerr);
+  if (path == "-") {
+    remarks.writeJson(std::cout);
+    return 0;
+  }
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "sptc: could not write " << path << "\n";
+    return 1;
+  }
+  remarks.writeJson(out);
+  std::cerr << "remarks: " << path << "\n";
+  return 0;
+}
+
 int cmdRun(const std::string& target, const Options& options) {
   auto m = loadTarget(target, options.scale);
   if (!m) return 1;
@@ -584,8 +603,11 @@ int cmdRun(const std::string& target, const Options& options) {
   if (target == "gap" && copts.max_avg_body_size == 1000.0) {
     copts.max_avg_body_size = 2500.0;
   }
-  const auto result =
-      harness::runSptExperiment(std::move(*m), copts, options.machine);
+  compiler::CompilationRemarks remarks;
+  const bool want_remarks = !options.remarks_path.empty();
+  const auto result = harness::runSptExperiment(
+      std::move(*m), copts, options.machine, {},
+      want_remarks ? &remarks : nullptr);
   result.plan.print(std::cout);
 
   const auto& threads = result.spt.threads;
@@ -607,7 +629,7 @@ int cmdRun(const std::string& target, const Options& options) {
     std::cout << "\n";
     ir::printModule(std::cout, compiled);
   }
-  return 0;
+  return want_remarks ? writeRemarks(remarks, options.remarks_path) : 0;
 }
 
 int cmdCompile(const std::string& target, const Options& options) {
@@ -620,18 +642,10 @@ int cmdCompile(const std::string& target, const Options& options) {
   const auto plan = cc.compile(*m, runner, want_remarks ? &remarks : nullptr);
   plan.print(std::cerr);
   if (want_remarks) {
-    remarks.printSummary(std::cerr);
-    if (options.remarks_path == "-") {
-      remarks.writeJson(std::cout);
-      return 0;
+    if (const int rc = writeRemarks(remarks, options.remarks_path); rc != 0) {
+      return rc;
     }
-    std::ofstream out(options.remarks_path);
-    if (!out) {
-      std::cerr << "sptc: could not write " << options.remarks_path << "\n";
-      return 1;
-    }
-    remarks.writeJson(out);
-    std::cerr << "remarks: " << options.remarks_path << "\n";
+    if (options.remarks_path == "-") return 0;
   }
   ir::printModule(std::cout, *m);
   return 0;
