@@ -85,10 +85,10 @@ ApplyInfo ArchState::apply(const trace::Record& record,
       return info;
     }
     case ir::Opcode::kStore:
-      memory_[record.mem_addr] = record.value;
+      memory_.set(record.mem_addr, record.value);
       return info;
     case ir::Opcode::kLoad:
-      memory_[record.mem_addr] = record.value;
+      memory_.set(record.mem_addr, record.value);
       frames_[depth_ - 1].regs[instr.dst.index] = record.value;
       return info;
     case ir::Opcode::kHalloc:
@@ -101,12 +101,6 @@ ApplyInfo ArchState::apply(const trace::Record& record,
       }
       return info;
   }
-}
-
-std::int64_t ArchState::memValue(std::uint64_t addr,
-                                 std::int64_t fallback) const {
-  const std::int64_t* value = memory_.find(addr);
-  return value == nullptr ? fallback : *value;
 }
 
 bool ArchState::deepEquals(const ArchState& other, std::string* diff) const {

@@ -11,13 +11,19 @@
 // allocating per call, so deep call-heavy traces run allocation-free once
 // the arena reaches the program's maximum call depth. Reset to any depth is
 // O(1) (just the depth index moves).
+//
+// The memory image is 4 KiB pages of words, each made on first write, with
+// one written-bit per word: a load or store is an index and a bit-or, and
+// a memValue lookup an index and a bit-test.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/module.h"
-#include "sim/flat_map.h"
 #include "support/check.h"
 #include "support/hash.h"
 #include "trace/record.h"
@@ -33,6 +39,79 @@ struct ApplyInfo {
   // kRet:
   trace::FrameId caller_frame = 0;
   ir::Reg caller_dst;  // invalid when the callee's result is unused
+};
+
+/// Word-addressed memory contents learned from the trace. Trace addresses
+/// are 8-aligned and inside the interpreter's memory, which the
+/// interpreter checks on every access; `set` refuses any other. An
+/// unaligned, never-written or past-the-last-page address reads as never
+/// written.
+class MemoryImage {
+ public:
+  void set(std::uint64_t addr, std::int64_t value) {
+    SPT_CHECK_MSG(addr % 8 == 0 && addr < kAddressLimit,
+                  "memory image address is unaligned or out of range");
+    const std::size_t p = addr >> kPageBits;
+    if (p >= pages_.size()) pages_.resize(p + 1);
+    if (pages_[p] == nullptr) {
+      pages_[p] = std::make_unique_for_overwrite<Page>();
+    }
+    Page& page = *pages_[p];
+    const std::size_t w = (addr & kPageMask) >> 3;
+    page.words[w] = value;
+    page.written[w >> 6] |= 1ull << (w & 63);
+  }
+
+  /// The word at `addr`, or nullptr when it was never written.
+  const std::int64_t* find(std::uint64_t addr) const {
+    const std::size_t p = addr >> kPageBits;
+    if (addr % 8 != 0 || p >= pages_.size() || pages_[p] == nullptr) {
+      return nullptr;
+    }
+    const Page& page = *pages_[p];
+    const std::size_t w = (addr & kPageMask) >> 3;
+    return (page.written[w >> 6] >> (w & 63) & 1) != 0 ? &page.words[w]
+                                                         : nullptr;
+  }
+
+  /// Number of words ever written.
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& page : pages_) {
+      if (page == nullptr) continue;
+      for (const std::uint64_t bits : page->written) n += std::popcount(bits);
+    }
+    return n;
+  }
+
+  /// Visits every written (address, value) pair in address order.
+  template <typename Fn>
+  void forEach(Fn fn) const {
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+      if (pages_[p] == nullptr) continue;
+      for (std::size_t w = 0; w < kPageWords; ++w) {
+        if ((pages_[p]->written[w >> 6] >> (w & 63) & 1) != 0) {
+          fn(static_cast<std::uint64_t>(p << kPageBits | w << 3),
+             pages_[p]->words[w]);
+        }
+      }
+    }
+  }
+
+ private:
+  static constexpr unsigned kPageBits = 12;
+  static constexpr std::uint64_t kPageMask = (1ull << kPageBits) - 1;
+  static constexpr std::size_t kPageWords = std::size_t{1} << kPageBits >> 3;
+  /// Far above the interpreter's memory (64 MiB); bounds the page table
+  /// a corrupt record could otherwise grow.
+  static constexpr std::uint64_t kAddressLimit = 1ull << 32;
+
+  struct Page {
+    std::int64_t words[kPageWords];  // read only where written
+    std::uint64_t written[kPageWords / 64] = {};
+  };
+
+  std::vector<std::unique_ptr<Page>> pages_;
 };
 
 class ArchState {
@@ -58,11 +137,11 @@ class ArchState {
   }
   void applyLoad(const trace::Record& r, std::uint32_t dst_index) {
     hotFrame(r).regs[dst_index] = r.value;
-    memory_[r.mem_addr] = r.value;
+    memory_.set(r.mem_addr, r.value);
   }
   void applyStore(const trace::Record& r) {
     hotFrame(r);
-    memory_[r.mem_addr] = r.value;
+    memory_.set(r.mem_addr, r.value);
   }
   /// kJump/kCondBr/kFork/kKill: digest + frame check only.
   void applyNoEffect(const trace::Record& r) { hotFrame(r); }
@@ -80,7 +159,10 @@ class ArchState {
   /// Current memory value at `addr` as of the applied prefix; `fallback`
   /// when the address was never observed (then the trace-recorded value is
   /// the correct content).
-  std::int64_t memValue(std::uint64_t addr, std::int64_t fallback) const;
+  std::int64_t memValue(std::uint64_t addr, std::int64_t fallback) const {
+    const std::int64_t* value = memory_.find(addr);
+    return value == nullptr ? fallback : *value;
+  }
 
   std::uint64_t hallocCount() const { return halloc_count_; }
 
@@ -126,7 +208,7 @@ class ArchState {
   const ir::Module& module_;
   std::vector<Frame> frames_;  // arena; [0, depth_) are the live stack
   std::size_t depth_ = 0;
-  FlatMap64<std::int64_t> memory_;
+  MemoryImage memory_;
   std::uint64_t halloc_count_ = 0;
   std::uint64_t arena_allocs_ = 0;
   std::uint64_t arena_reuses_ = 0;

@@ -1,16 +1,15 @@
 // Flat open-addressing containers for the simulator hot path.
 //
-// Every per-record structure the machines consult — pipeline register
-// scoreboards, the reconstructed memory image, the speculative thread's
-// register overlay, SSB/LAB — used to be a node-based std::unordered_map.
-// At multi-million-record traces the malloc/rehash/pointer-chase traffic of
-// those maps dominated host time (see docs/PERF.md), so the hot path uses
-// three purpose-built containers instead:
+// The per-record structures the machines consult — the speculative
+// thread's register overlay, SSB/LAB, the fork-site cache — used to be
+// node-based std::unordered_maps. At multi-million-record traces the
+// malloc/rehash/pointer-chase traffic of those maps dominated host time
+// (see docs/PERF.md), so the hot path uses three purpose-built containers
+// instead:
 //
-//  * FlatMap64<V>   — linear-probing hash map with u64 keys, grow-only,
-//                     plus a predicate purge that rebuilds in place
-//                     (pipeline scoreboards drop entries that are already
-//                     available; the memory image just grows).
+//  * FlatMap64<V>   — linear-probing hash map with u64 keys, grow-only.
+//                     Backs the SPT machine's fork-site cache and the
+//                     profiler's value-delta histograms.
 //  * EpochMap64<V>  — FlatMap64 whose clear() is O(1): slots carry a
 //                     generation stamp and clearing bumps the generation.
 //                     Backs the SSB/LAB and per-replay dirty-address sets,
@@ -21,6 +20,10 @@
 //                     replay dirty-register set. A one-entry frame cache
 //                     makes the common consecutive-same-frame access an
 //                     array index.
+//
+// The pipeline scoreboards (sim/pipeline.h) and the memory image
+// (sim/arch_state.h) need no hash map: the first holds only values in
+// flight in a small set-associative table, the second is paged words.
 //
 // None of these change any simulated number: they are drop-in value-map
 // replacements (no iteration-order-dependent results anywhere — asserted
@@ -45,9 +48,8 @@ inline std::size_t flatPow2AtLeast(std::size_t n) {
   return cap;
 }
 
-/// Linear-probing hash map with std::uint64_t keys. Grow-only (no erase);
-/// `purge` rebuilds the table keeping only entries that satisfy a
-/// predicate. Key 0 is valid (dedicated slot).
+/// Linear-probing hash map with std::uint64_t keys. Grow-only (no erase).
+/// Key 0 is valid (dedicated slot).
 template <typename V>
 class FlatMap64 {
  public:
@@ -107,21 +109,6 @@ class FlatMap64 {
     for (const Slot& s : slots_) {
       if (s.key != 0) fn(s.key, s.value);
     }
-  }
-
-  /// Drops every entry whose value fails `keep`, rebuilding the table.
-  /// Lossless only if absent and dropped entries are indistinguishable to
-  /// the caller (true for scoreboard entries that are already available).
-  template <typename Keep>
-  void purge(Keep keep) {
-    std::vector<Slot> old = std::move(slots_);
-    const bool old_has_zero = has_zero_;
-    const V old_zero = zero_value_;
-    rebuild(slots_capacity_);  // same capacity; live set is about to shrink
-    for (const Slot& s : old) {
-      if (s.key != 0 && keep(s.value)) (*this)[s.key] = s.value;
-    }
-    if (old_has_zero && keep(old_zero)) (*this)[0] = old_zero;
   }
 
  private:

@@ -45,7 +45,7 @@ void Pipeline::advanceToWithProfile(std::uint64_t cycle,
 void Pipeline::setRegReady(std::uint64_t key, std::uint64_t cycle,
                            bool from_load) {
   SPT_CHECK(key != 0);
-  scoreboardWrite(key, RegState{cycle, from_load});
+  scoreboard_.write(key, RegState{cycle, from_load}, cycle_);
 }
 
 void Pipeline::finish() {

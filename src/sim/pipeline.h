@@ -7,18 +7,21 @@
 // one of three categories — execution, pipeline stall, or D-cache stall —
 // which is exactly the breakdown paper Figure 9 reports.
 //
-// The register scoreboard is a flat open-addressing table keyed by
-// frame-qualified register ids. Keys accumulate with trace length, but an
-// entry whose value is already available behaves exactly like an absent
-// one, so the table is purged in place at a size threshold — lossless by
-// construction, and it keeps the scoreboard cache-resident. (A dense
-// per-frame-array variant was measured and lost to this layout: the
-// operand-readiness probe almost always hits the first slot, while the
-// per-frame arrays cost an extra indirection per source.)
+// The register scoreboard holds only values not yet available. No
+// pipeline clock ever goes back, so a value whose ready cycle has passed
+// behaves exactly like an absent one: its way is free for reuse, and a
+// write of an already-available value to an absent key stores nothing. The
+// table is set-associative (Scoreboard below) and grows only when one set
+// holds more values in flight than it has ways, so it stays a few KiB
+// however long the trace. (A dense per-frame array over every register
+// was measured and lost to the hash table this replaced: it costs an
+// extra indirection per source.)
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ir/instr.h"
 #include "sim/branch_predictor.h"
@@ -72,6 +75,97 @@ struct ExecInstr {
   std::uint64_t mem_addr = 0;
   bool is_cond_branch = false;
   bool taken = false;
+};
+
+/// Ready cycle of a register value and whether a load produced it (a stall
+/// on it counts as a D-cache stall).
+struct RegState {
+  std::uint64_t ready = 0;
+  bool from_load = false;
+};
+
+/// The set of register values still in flight, keyed by frame-qualified
+/// register id (key 0 is reserved). Each 64-byte set holds 4 ways of
+/// (key, ready << 1 | from_load). A way whose value is available at the
+/// writer's clock is free; when every way of a set is in flight the table
+/// doubles and rehashes only the values in flight, so it never drops one.
+/// `find` may return a value that has since become available: callers
+/// compare its ready cycle with their clock, as they would for any value.
+class Scoreboard {
+ public:
+  Scoreboard() : sets_(kInitialSets) {}
+
+  /// The key's state, or ready cycle 0 when it holds none.
+  RegState find(std::uint64_t key) const {
+    const Set& set = sets_[setOf(key)];
+    for (int w = 0; w < kWays; ++w) {
+      if (set.key[w] == key) {
+        return RegState{set.state[w] >> 1, (set.state[w] & 1) != 0};
+      }
+    }
+    return RegState{};
+  }
+
+  /// Records `state` for `key` as of clock `now`, which never decreases
+  /// from one write to the next.
+  void write(std::uint64_t key, RegState state, std::uint64_t now) {
+    const std::uint64_t packed = state.ready << 1 | (state.from_load ? 1 : 0);
+    for (;;) {
+      Set& set = sets_[setOf(key)];
+      int free_way = -1;
+      for (int w = 0; w < kWays; ++w) {
+        if (set.key[w] == key) {
+          set.state[w] = packed;
+          return;
+        }
+        if (free_way < 0 && set.state[w] >> 1 <= now) free_way = w;
+      }
+      if (state.ready <= now) return;
+      if (free_way >= 0) {
+        set.key[free_way] = key;
+        set.state[free_way] = packed;
+        return;
+      }
+      grow(now);
+    }
+  }
+
+  std::size_t setCount() const { return sets_.size(); }
+
+ private:
+  static constexpr int kWays = 4;
+  static constexpr std::size_t kInitialSets = 64;  // 4 KiB
+
+  struct alignas(64) Set {
+    std::uint64_t key[kWays] = {};
+    std::uint64_t state[kWays] = {};
+  };
+
+  std::size_t setOf(std::uint64_t key) const {
+    return flatHashSlot(key, shift_);
+  }
+
+  /// Doubles the set count. A set's index is the top bits of its keys'
+  /// hash, so the values of old set s land in new sets 2s and 2s + 1:
+  /// none can overflow its new set.
+  void grow(std::uint64_t now) {
+    std::vector<Set> old(sets_.size() * 2);
+    old.swap(sets_);
+    --shift_;
+    for (const Set& from : old) {
+      for (int w = 0; w < kWays; ++w) {
+        if (from.state[w] >> 1 <= now) continue;
+        Set& to = sets_[setOf(from.key[w])];
+        int way = 0;
+        while (to.key[way] != 0) ++way;
+        to.key[way] = from.key[w];
+        to.state[way] = from.state[w];
+      }
+    }
+  }
+
+  std::vector<Set> sets_;
+  unsigned shift_ = 64 - std::countr_zero(kInitialSets);
 };
 
 class Pipeline {
@@ -146,9 +240,7 @@ class Pipeline {
       if (is_load) done = issue_cycle + dlat;
       // Stores retire through the store buffer without stalling the pipe.
     }
-    if (instr.dst != 0) {
-      scoreboardWrite(instr.dst, RegState{done, is_load});
-    }
+    if (instr.dst != 0) scoreboard_.write(instr.dst, {done, is_load}, cycle_);
 
     // Branch resolution.
     if (is_cond_branch) {
@@ -193,11 +285,6 @@ class Pipeline {
   void finish();
 
  private:
-  struct RegState {
-    std::uint64_t ready = 0;
-    bool from_load = false;
-  };
-
   void bumpCycleTo(std::uint64_t cycle, StallKind kind) {
     if (cycle <= cycle_) return;
     std::uint64_t gap = cycle - cycle_;
@@ -217,21 +304,10 @@ class Pipeline {
   RegState sourceState(const ExecInstr& instr) const {
     RegState latest;
     for (std::uint32_t i = 0; i < instr.src_count; ++i) {
-      const RegState* state = scoreboard_.find(instr.srcs[i]);
-      if (state != nullptr && state->ready > latest.ready) latest = *state;
+      const RegState state = scoreboard_.find(instr.srcs[i]);
+      if (state.ready > latest.ready) latest = state;
     }
     return latest;
-  }
-
-  void scoreboardWrite(std::uint64_t key, RegState state) {
-    if (scoreboard_.size() >= 4096) {
-      // Entries whose value is already available behave exactly like absent
-      // entries, so dropping them is lossless; the genuinely in-flight set
-      // is tiny (see the header's memory-growth note).
-      scoreboard_.purge(
-          [cycle = cycle_](const RegState& s) { return s.ready > cycle; });
-    }
-    scoreboard_[key] = state;
   }
 
   const support::MachineConfig& config_;
@@ -244,7 +320,7 @@ class Pipeline {
   bool cycle_had_issue_ = false;
   std::uint64_t instrs_issued_ = 0;
   CycleBreakdown breakdown_;
-  FlatMap64<RegState> scoreboard_;
+  Scoreboard scoreboard_;
 };
 
 }  // namespace spt::sim

@@ -198,8 +198,8 @@ class SptMachine final : public trace::TraceSink {
   /// Fork-site cache: everything executeFork derives from the static fork
   /// instruction (target-loop header, display name, per-loop stats slot,
   /// precomputation slice, forking function's register count), computed
-  /// once per site instead of per dynamic fork. FlatMap64-backed — the
-  /// last per-machine hash map; hit/miss counts land in
+  /// once per site instead of per dynamic fork. A FlatMap64 probed once
+  /// per dynamic fork, not per record; hit/miss counts land in
   /// MachineResult::hotpath.
   struct ForkSite {
     std::string loop_name;

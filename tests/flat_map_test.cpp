@@ -1,6 +1,6 @@
 // Differential tests for the flat hot-path containers (sim/flat_map.h)
 // against std reference maps: random operation sequences must observe
-// identical contents through every growth, purge, and epoch reset.
+// identical contents through every growth and epoch reset.
 #include "sim/flat_map.h"
 
 #include <cstdint>
@@ -36,19 +36,6 @@ TEST(FlatMap64, MatchesUnorderedMapUnderRandomOps) {
     }
     ASSERT_EQ(flat.size(), ref.size());
   }
-}
-
-TEST(FlatMap64, PurgeKeepsExactlyThePredicateSet) {
-  FlatMap64<std::uint64_t> flat;
-  for (std::uint64_t key = 0; key < 1000; ++key) flat[key] = key;
-  flat.purge([](std::uint64_t v) { return v % 3 == 0; });
-  EXPECT_EQ(flat.size(), 334u);  // 0, 3, ..., 999
-  for (std::uint64_t key = 0; key < 1000; ++key) {
-    ASSERT_EQ(flat.contains(key), key % 3 == 0) << "key " << key;
-  }
-  // The table stays writable after a purge.
-  flat[1] = 7;
-  EXPECT_EQ(*flat.find(1), 7u);
 }
 
 TEST(EpochMap64, ClearForgetsEverythingAcrossManyEpochs) {

@@ -1,13 +1,19 @@
 // Tests for simulator internals not covered by sim_test: ArchState
-// reconstruction, LoopCycleTracker attribution, pipeline scoreboard purge,
-// and the advanceToWithProfile distribution.
+// reconstruction and its paged memory image, LoopCycleTracker attribution,
+// the in-flight scoreboard, and the advanceToWithProfile distribution.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <unordered_map>
 
 #include "harness/experiment.h"
 #include "ir/builder.h"
 #include "sim/arch_state.h"
 #include "sim/loop_tracker.h"
 #include "sim/pipeline.h"
+#include "support/error.h"
+#include "support/rng.h"
 #include "test_programs.h"
 
 namespace spt::sim {
@@ -69,6 +75,63 @@ TEST(ArchState, MemValueFallback) {
   m.finalize();
   ArchState arch(m);
   EXPECT_EQ(arch.memValue(0xdead000, 42), 42);
+}
+
+TEST(MemoryImage, MatchesUnorderedMapUnderRandomOps) {
+  support::Rng rng(7);
+  MemoryImage image;
+  std::unordered_map<std::uint64_t, std::int64_t> ref;
+  // Eight pages' worth of words, plus a few far pages so the page table
+  // has holes.
+  const auto random_addr = [&] {
+    const std::uint64_t word = rng.nextBelow(8 * 512);
+    const std::uint64_t far = rng.nextBool(0.05) ? rng.nextBelow(64) << 20 : 0;
+    return far + word * 8;
+  };
+  std::uint64_t top = 0;
+  for (int i = 0; i < 20000; ++i) {
+    if (rng.nextBool(0.5)) {
+      const std::uint64_t addr = random_addr();
+      const auto value = static_cast<std::int64_t>(rng.next());
+      image.set(addr, value);
+      ref[addr] = value;
+      top = std::max(top, addr);
+    } else {
+      // Written, never-written, unaligned and past-the-last-page reads.
+      std::uint64_t addr = random_addr();
+      if (rng.nextBool(0.2)) addr += 1 + rng.nextBelow(7);
+      if (rng.nextBool(0.05)) addr = top + 4096 + rng.nextBelow(1 << 20) * 8;
+      if (rng.nextBool(0.01)) addr = ~0ull - 7;
+      const std::int64_t* found = image.find(addr);
+      const auto it = ref.find(addr);
+      ASSERT_EQ(found != nullptr, it != ref.end()) << "addr " << addr;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second) << "addr " << addr;
+      }
+    }
+  }
+  ASSERT_EQ(image.size(), ref.size());
+  std::size_t visited = 0;
+  std::uint64_t last = 0;
+  image.forEach([&](std::uint64_t addr, std::int64_t value) {
+    if (visited > 0) {
+      EXPECT_GT(addr, last);  // address order, each word once
+    }
+    last = addr;
+    ++visited;
+    const auto it = ref.find(addr);
+    ASSERT_NE(it, ref.end()) << "addr " << addr;
+    EXPECT_EQ(value, it->second) << "addr " << addr;
+  });
+  EXPECT_EQ(visited, ref.size());
+}
+
+TEST(MemoryImage, RefusesUnalignedAndOutOfRangeWrites) {
+  support::ScopedCheckThrowMode throwing(true);
+  MemoryImage image;
+  EXPECT_THROW(image.set(12, 1), support::SptInternalError);
+  EXPECT_THROW(image.set(1ull << 40, 1), support::SptInternalError);
+  EXPECT_EQ(image.size(), 0u);
 }
 
 TEST(LoopCycleTracker, AttributesNestedCycles) {
@@ -135,12 +198,12 @@ TEST(LoopCycleTracker, FinishClosesOpenEpisodes) {
   EXPECT_EQ(tracker.stats().at("main.openL").cycles, 20u);
 }
 
-TEST(Pipeline, ScoreboardPurgeIsLossless) {
+TEST(Pipeline, AvailableValuesKeepTheCycleEnvelope) {
   support::MachineConfig config;
   MemorySystem memory(config);
   Pipeline pipe(config, memory);
-  // Write far more than the purge threshold of distinct registers whose
-  // values are all ready immediately; timing must be unaffected by purges.
+  // Write far more distinct registers than the scoreboard has ways, their
+  // values all ready at once; timing must not depend on where they went.
   for (std::uint64_t i = 0; i < (1u << 17); ++i) {
     ExecInstr e;
     e.sid = static_cast<ir::StaticId>(i % 16);
@@ -150,10 +213,61 @@ TEST(Pipeline, ScoreboardPurgeIsLossless) {
   }
   pipe.finish();
   // 2^17 independent instructions at width 6 ≈ 21846 cycles, plus cold
-  // I-cache fills; a purge bug (lost pending latencies / spurious stalls)
-  // would blow far past this envelope.
+  // I-cache fills; a lost pending latency or a spurious stall would blow
+  // far past this envelope.
   EXPECT_GE(pipe.cycle(), (1u << 17) / 6);
   EXPECT_LE(pipe.cycle(), (1u << 17) / 6 + 1024);
+}
+
+// Replays one seeded write stream against a Scoreboard and a never-purged
+// map. The clock only rises. At every step each key still in flight (its
+// last written ready cycle is after the clock) must read back exactly, and
+// every other key must read as available. Returns the board's final set
+// count.
+std::size_t checkBoardAgainstMap(std::uint64_t seed, std::uint64_t keys,
+                                 std::uint64_t max_latency,
+                                 double tick_chance) {
+  support::Rng rng(seed);
+  Scoreboard board;
+  std::unordered_map<std::uint64_t, RegState> ref;
+  std::uint64_t now = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (rng.nextBool(tick_chance)) now += 1 + rng.nextBelow(3);
+    const std::uint64_t key = 1 + rng.nextBelow(keys);
+    // Mostly in-flight values; some already available, which overwrite
+    // (and so retire) whatever the key held.
+    RegState state;
+    state.ready = rng.nextBool(0.2) ? now - std::min(now, rng.nextBelow(4))
+                                    : now + rng.nextBelow(max_latency + 1);
+    state.from_load = rng.nextBool(0.5);
+    board.write(key, state, now);
+    ref[key] = state;
+    for (std::uint64_t k = 1; k <= keys; ++k) {
+      const RegState got = board.find(k);
+      const auto it = ref.find(k);
+      if (it != ref.end() && it->second.ready > now) {
+        EXPECT_EQ(got.ready, it->second.ready) << "key " << k;
+        EXPECT_EQ(got.from_load, it->second.from_load) << "key " << k;
+      } else {
+        EXPECT_LE(got.ready, now) << "key " << k;
+      }
+      if (::testing::Test::HasFailure()) return board.setCount();
+    }
+  }
+  return board.setCount();
+}
+
+TEST(Scoreboard, MatchesNeverPurgedMapOnValuesInFlight) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    // Short latencies and a clock that ticks every write: at most three
+    // values are ever in flight, fewer than one set's ways.
+    EXPECT_EQ(checkBoardAgainstMap(seed, 600, 3, 1.0), 64u);
+    // Long latencies and a slow clock keep hundreds in flight: the table
+    // must grow rather than drop one.
+    EXPECT_GT(checkBoardAgainstMap(seed, 600, 2000, 0.05), 64u);
+    // A small key space: constant overwrites of in-flight keys.
+    checkBoardAgainstMap(seed, 12, 50, 0.3);
+  }
 }
 
 TEST(Pipeline, AdvanceToWithProfileDistributes) {

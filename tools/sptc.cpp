@@ -154,7 +154,8 @@
 //   --no-svp           disable software value prediction
 //   --no-unroll        disable loop unrolling preprocessing
 //   --select-all       bypass cost-driven selection
-//   --max-body N       candidate loop body-size limit (default 1000)
+//   --max-body N       candidate loop body-size limit (default 1000; gap
+//                      2500 when run or compiled by name)
 //   --print-ir         also dump the transformed module (run only)
 //   --verify-passes    run the IR verifier after every pipeline pass
 //
@@ -274,6 +275,7 @@ struct Options {
   std::uint64_t scale = 1;
   support::MachineConfig machine;
   compiler::CompilerOptions copts;
+  bool max_body_given = false;  // --max-body overrides a suite entry's limit
   bool print_ir = false;
   std::string remarks_path;  // run/compile: empty = no remarks output
   std::size_t jobs = 0;   // sweep/perf: 0 = ParallelSweep default
@@ -362,6 +364,7 @@ Options parseOptions(int argc, char** argv, int first,
     } else if (arg == "--max-body") {
       o.copts.max_avg_body_size =
           std::strtod(need_value(i), nullptr);
+      o.max_body_given = true;
     } else if (arg == "--print-ir") {
       o.print_ir = true;
     } else if (arg == "--verify-passes") {
@@ -595,14 +598,26 @@ int writeRemarks(const compiler::CompilationRemarks& remarks,
   return 0;
 }
 
+/// The compiler options `run` and `compile` use for `target`: a suite
+/// benchmark named by target keeps its own body-size limit (gap's 2500,
+/// as in every sweep) unless --max-body was given.
+compiler::CompilerOptions targetCompilerOptions(const std::string& target,
+                                                const Options& options) {
+  compiler::CompilerOptions copts = options.copts;
+  if (options.max_body_given) return copts;
+  for (const harness::SuiteEntry& entry : harness::defaultSuite()) {
+    if (entry.workload.name == target) {
+      copts.max_avg_body_size = entry.copts.max_avg_body_size;
+    }
+  }
+  return copts;
+}
+
 int cmdRun(const std::string& target, const Options& options) {
   auto m = loadTarget(target, options.scale);
   if (!m) return 1;
-  // gap's paper-specified body-size override when run by name.
-  compiler::CompilerOptions copts = options.copts;
-  if (target == "gap" && copts.max_avg_body_size == 1000.0) {
-    copts.max_avg_body_size = 2500.0;
-  }
+  const compiler::CompilerOptions copts =
+      targetCompilerOptions(target, options);
   compiler::CompilationRemarks remarks;
   const bool want_remarks = !options.remarks_path.empty();
   const auto result = harness::runSptExperiment(
@@ -635,7 +650,7 @@ int cmdRun(const std::string& target, const Options& options) {
 int cmdCompile(const std::string& target, const Options& options) {
   auto m = loadTarget(target, options.scale);
   if (!m) return 1;
-  compiler::SptCompiler cc(options.copts);
+  compiler::SptCompiler cc(targetCompilerOptions(target, options));
   harness::InterpProfileRunner runner;
   compiler::CompilationRemarks remarks;
   const bool want_remarks = !options.remarks_path.empty();
