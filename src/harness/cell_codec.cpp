@@ -7,7 +7,6 @@ namespace {
 
 constexpr std::uint8_t kSweepRowTag = 'S';
 constexpr std::uint8_t kCampaignCellTag = 'F';
-constexpr std::uint8_t kPerfRowTag = 'P';
 
 constexpr std::uint32_t kResultVersion = 2;
 constexpr support::wire::FrameFormat kResultFormat{
@@ -384,57 +383,6 @@ bool decodeRow(const std::string& payload, FaultCampaignCell* cell) {
   }
   if (!r.ok() || !r.atEnd()) return false;
   *cell = std::move(out);
-  return true;
-}
-
-std::string encodePerfRow(const PerfRow& row) {
-  ByteWriter w;
-  w.u8(kPerfRowTag);
-  w.str(row.workload);
-  w.u64(row.trace_records);
-  w.u64(row.baseline_cycles);
-  w.u64(row.spt_cycles);
-  w.u64(row.baseline_sim_instrs);
-  w.u64(row.spt_sim_instrs);
-  w.u64(row.baseline_dispatch_fast);
-  w.u64(row.baseline_dispatch_fallback);
-  w.u64(row.spt_dispatch_fast);
-  w.u64(row.spt_dispatch_fallback);
-  w.u64(row.spt_fallback_fork);
-  w.u64(row.spt_fallback_spec);
-  w.u64(row.spt_fallback_replay);
-  w.u64(row.spt_arena_frame_allocs);
-  w.u64(row.spt_arena_frame_reuses);
-  w.f64(row.spt_records_per_alloc);
-  w.f64(row.host_baseline_seconds);
-  w.f64(row.host_spt_seconds);
-  w.f64(row.host_baseline_mips);
-  w.f64(row.host_spt_mips);
-  return w.take();
-}
-
-bool decodePerfRow(const std::string& payload, PerfRow* row) {
-  ByteReader r(payload);
-  PerfRow out;
-  std::uint8_t tag = 0;
-  if (!r.u8(&tag) || tag != kPerfRowTag) return false;
-  if (!r.str(&out.workload) || !r.u64(&out.trace_records) ||
-      !r.u64(&out.baseline_cycles) || !r.u64(&out.spt_cycles) ||
-      !r.u64(&out.baseline_sim_instrs) || !r.u64(&out.spt_sim_instrs) ||
-      !r.u64(&out.baseline_dispatch_fast) ||
-      !r.u64(&out.baseline_dispatch_fallback) ||
-      !r.u64(&out.spt_dispatch_fast) || !r.u64(&out.spt_dispatch_fallback) ||
-      !r.u64(&out.spt_fallback_fork) || !r.u64(&out.spt_fallback_spec) ||
-      !r.u64(&out.spt_fallback_replay) ||
-      !r.u64(&out.spt_arena_frame_allocs) ||
-      !r.u64(&out.spt_arena_frame_reuses) ||
-      !r.f64(&out.spt_records_per_alloc) ||
-      !r.f64(&out.host_baseline_seconds) || !r.f64(&out.host_spt_seconds) ||
-      !r.f64(&out.host_baseline_mips) || !r.f64(&out.host_spt_mips)) {
-    return false;
-  }
-  if (!r.ok() || !r.atEnd()) return false;
-  *row = std::move(out);
   return true;
 }
 

@@ -21,7 +21,6 @@
 
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
-#include "harness/perf.h"
 #include "trace/trace.h"
 #include "trace/trace_io.h"
 
@@ -148,11 +147,5 @@ template <>
 inline constexpr const char* kRowName<SweepRow> = "sweep row";
 template <>
 inline constexpr const char* kRowName<FaultCampaignCell> = "campaign cell";
-
-/// PerfRow <-> payload (tag 'P'), for `sptc perf --isolate` workers:
-/// every JSON-visible field of the throughput row crosses the pipe,
-/// deterministic counters and host_ timings alike.
-std::string encodePerfRow(const PerfRow& row);
-bool decodePerfRow(const std::string& payload, PerfRow* row);
 
 }  // namespace spt::harness

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <map>
 
-#include "harness/cell_codec.h"
 #include "harness/experiment.h"
 #include "spt/remarks.h"
 #include "support/check.h"
@@ -109,47 +108,6 @@ PerfRow measure(PreparedWorkload& p, const PerfOptions& options) {
   return row;
 }
 
-/// `sptc perf --isolate`: one fresh worker per workload, strictly one at
-/// a time (timing must never contend), each doing its own setup + timed
-/// measurement in a fresh address space. Each workload gets its own
-/// single-cell run, so no worker is reused across workloads. A worker
-/// that crashes, hangs, or garbles its reply surfaces as an
-/// SptInternalError naming the workload instead of killing the bench
-/// process.
-std::vector<PerfRow> runIsolated(const std::vector<std::string>& names,
-                                 const PerfOptions& options) {
-  std::vector<PerfRow> rows(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    // Workload i is cell 0 of its own run: keep only its chaos directives.
-    SupervisorOptions sopts = options.supervisor;
-    sopts.jobs = 1;
-    sopts.chaos.directives.clear();
-    for (auto d : options.supervisor.chaos.directives) {
-      if (d.cell != i) continue;
-      d.cell = 0;
-      sopts.chaos.directives.push_back(d);
-    }
-    const Supervisor supervisor(sopts);
-    const Supervisor::Outcome oc =
-        supervisor
-            .run(1,
-                 [&](std::size_t) {
-                   PreparedWorkload p = prepare(names[i], options);
-                   return encodePerfRow(measure(p, options));
-                 })
-            .front();
-    SPT_CHECK_MSG(oc.status == CellStatus::kOk,
-                  ("perf worker for " + names[i] + " failed (" +
-                   std::string(toString(oc.status)) + "): " + oc.diagnostic)
-                      .c_str());
-    SPT_CHECK_MSG(decodePerfRow(oc.payload, &rows[i]),
-                  ("perf worker for " + names[i] +
-                   " replied with an undecodable row")
-                      .c_str());
-  }
-  return rows;
-}
-
 }  // namespace
 
 std::vector<PerfRow> runSimThroughput(const PerfOptions& options,
@@ -160,13 +118,6 @@ std::vector<PerfRow> runSimThroughput(const PerfOptions& options,
     for (const auto& entry : defaultSuite()) {
       names.push_back(entry.workload.name);
     }
-  }
-
-  if (options.supervisor.isolate && Supervisor::isolationSupported()) {
-    // Each measurement runs in its own worker; the compiles happen there
-    // too, so pass-time aggregation has nothing to report.
-    if (passes != nullptr) passes->clear();
-    return runIsolated(names, options);
   }
 
   // Setup (compile + interpret + trace) fans out; timing must not, so the

@@ -36,16 +36,6 @@ struct PerfOptions {
   std::size_t setup_jobs = 0;  // 0 = ParallelSweep default
   support::MachineConfig machine;
   compiler::CompilerOptions copts;
-  /// With supervisor.isolate set (`sptc perf --isolate`), each workload's
-  /// setup + timed measurement runs in a worker process of its own under
-  /// the execution supervisor (one Supervisor::run per workload), one at
-  /// a time — a fresh address space per measurement (no allocator or
-  /// cache pollution from earlier workloads), and a crashed or hung
-  /// measurement becomes a reported failure instead of taking the bench
-  /// down. Deterministic row fields are identical to the in-process path;
-  /// host timings differ. Pass-time aggregation is unavailable in this
-  /// mode (the compiles happen in throwaway workers).
-  SupervisorOptions supervisor;
 };
 
 struct PerfRow {

@@ -4,12 +4,10 @@
 # bench_multiway fails unless at least one workload keeps gaining at every
 # depth; bench_compare then holds every simulated metric in every row to
 # BENCH_multiway.json exactly (the sweep schema has no host_ fields, so
-# any drift fails). Usage: multiway_curve.sh BENCH_MULTIWAY
+# any drift fails). Usage: multiway_curve.sh BUILD
 set -eu -o pipefail
-bench="$(realpath "$1")"
 root="$(dirname "$(realpath "$0")")/../.."
-work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
-"$bench" --jobs 4 --json "$work/multiway_bench.json"
+. "$root/tests/e2e/lib.sh"
+"$build/bench/bench_multiway" --jobs 4 --json multiway_bench.json
 python3 "$root/tools/bench_compare.py" \
-  "$root/BENCH_multiway.json" "$work/multiway_bench.json"
+  "$root/BENCH_multiway.json" multiway_bench.json

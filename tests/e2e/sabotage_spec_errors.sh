@@ -1,21 +1,14 @@
 #!/usr/bin/env bash
 # The three sabotage flags share one term grammar; each refuses a shape it
 # has no use for before any work starts, exiting non-zero with an error
-# that names the flag. Usage: sabotage_spec_errors.sh SPTC
+# that names the flag. Usage: sabotage_spec_errors.sh BUILD
 set -eu -o pipefail
-sptc="$(realpath "$1")"
-work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
-cd "$work"
+. "$(dirname "$(realpath "$0")")/lib.sh"
 refused() {
   flag="$1"
   shift
-  set +e
-  "$sptc" "$@" 2> spec.err
-  rc=$?
-  set -e
+  fails "$sptc" "$@" 2> spec.err
   cat spec.err
-  test "$rc" -ne 0
   grep -q -- "bad $flag spec" spec.err
 }
 refused --chaos sweep --isolate --chaos 1:frobnicate

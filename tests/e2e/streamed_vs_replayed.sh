@@ -1,13 +1,9 @@
 #!/usr/bin/env bash
 # Streamed versus replayed cells: a sweep's rows are the same whether its
 # cells stream their programs, fill a cold trace cache or replay a warm,
-# healed or damaged one. Usage: streamed_vs_replayed.sh SPTC
+# healed or damaged one. Usage: streamed_vs_replayed.sh BUILD
 set -eu -o pipefail
-sptc="$(realpath "$1")"
 . "$(dirname "$(realpath "$0")")/lib.sh"
-work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
-cd "$work"
 sweep() { "$sptc" sweep --spec-threads 1,2,4 "$@"; }  # the 10 x 3 grid
 
 # With a cache the baseline still streams; the cache keeps its run and

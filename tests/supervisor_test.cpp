@@ -1,8 +1,8 @@
 // Tests for the process-isolation supervisor stack: the chaos plan, the
 // worker frame protocol, the cell payload codec, crash/hang/garbage
-// containment with retry/backoff, supervised sweeps, campaigns and perf
-// measurements, and checkpoint-format compatibility between the
-// supervised and in-process paths.
+// containment with retry/backoff, supervised sweeps and campaigns, and
+// checkpoint-format compatibility between the supervised and in-process
+// paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "harness/durable_log.h"
 #include "harness/fault_campaign.h"
 #include "harness/parallel_sweep.h"
-#include "harness/perf.h"
 #include "harness/suite.h"
 #include "harness/supervisor.h"
 #include "sim/decode.h"
@@ -1431,53 +1430,6 @@ TEST(SupervisedCampaign, InProcessCheckpointResumesSupervised) {
     EXPECT_EQ(second.cells[i].arch_digest, first.cells[i].arch_digest);
     EXPECT_EQ(second.cells[i].sequential_digest,
               first.cells[i].sequential_digest);
-  }
-}
-
-// ---- Supervised perf measurement ----------------------------------------
-
-// `sptc perf --isolate` runs each workload in a single-cell supervised run
-// of its own, serially: rows come back in workload order, and every
-// deterministic field matches the in-process measurement.
-TEST(SupervisedPerf, IsolatedRowsMatchInProcessInOrder) {
-  if (!Supervisor::isolationSupported()) {
-    GTEST_SKIP() << "no fork on this platform";
-  }
-  PerfOptions opts;
-  opts.workloads = {"vortex", "micro.parser_free"};
-  opts.repetitions = 1;
-  const std::vector<PerfRow> in_process = runSimThroughput(opts);
-
-  opts.supervisor.isolate = true;
-  opts.supervisor.cell_timeout_seconds = 240.0;
-  std::vector<PerfPassRow> passes = {{"stale", 1, 0, 0.0}};
-  const std::vector<PerfRow> isolated = runSimThroughput(opts, &passes);
-  ASSERT_EQ(isolated.size(), 2u);
-  EXPECT_EQ(isolated[0].workload, "vortex");
-  EXPECT_EQ(isolated[1].workload, "micro.parser_free");
-  EXPECT_GT(isolated[1].spt_cycles, 0u);
-  EXPECT_TRUE(passes.empty());  // compiles ran in the workers
-
-  const std::string local_path =
-      ::testing::TempDir() + "/spt_perf_in_process.json";
-  const std::string isolated_path =
-      ::testing::TempDir() + "/spt_perf_isolated.json";
-  ASSERT_TRUE(writeSimThroughputJson(local_path, in_process));
-  ASSERT_TRUE(writeSimThroughputJson(isolated_path, isolated));
-  EXPECT_EQ(filterHostDependentLines(readWholeFile(local_path)),
-            filterHostDependentLines(readWholeFile(isolated_path)));
-
-  // Chaos still targets the workload's index: only workload 1's worker
-  // crashes, and the failure names it.
-  opts.supervisor.chaos = *support::ChaosPlan::parse("1:crash");
-  const support::ScopedCheckThrowMode throwing(true);
-  try {
-    runSimThroughput(opts);
-    ADD_FAILURE() << "a crashed perf worker must fail the measurement";
-  } catch (const support::SptInternalError& e) {
-    EXPECT_NE(std::string(e.what()).find("micro.parser_free failed (crashed)"),
-              std::string::npos)
-        << e.what();
   }
 }
 

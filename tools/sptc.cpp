@@ -131,13 +131,6 @@
 // Options for perf:
 //   --reps N           timed repetitions per machine, fastest wins
 //                      (default 3)
-//   --isolate          run each workload's setup + timed measurement in
-//                      its own fresh worker process (serially —
-//                      measurements never overlap): a fresh address space
-//                      per workload, and supervisor containment for
-//                      crashes and hangs.
-//                      --cell-timeout / --retries / --rlimit-* apply; the
-//                      per-pass compile-time table is unavailable
 //
 // Options for run/compile/sweep:
 //   --scale N          workload input scale (default 1)
@@ -988,20 +981,17 @@ int cmdSubmit(const std::string& mode, const Options& options) {
   return finishCampaign(outcome.campaign, options);
 }
 
-int cmdPerf(Options options) {
-  checkIsolationSupport(options);
+int cmdPerf(const Options& options) {
   harness::PerfOptions perf;
   perf.scale = options.scale;
   perf.repetitions = options.reps;
   perf.setup_jobs = options.jobs;
   perf.machine = options.machine;
   perf.copts = options.copts;
-  perf.supervisor = options.supervisor;
   std::vector<harness::PerfPassRow> passes;
   const auto rows = harness::runSimThroughput(perf, &passes);
   harness::printSimThroughputTable(std::cout, rows);
-  // Empty under --isolate (the compiles happen in throwaway workers).
-  if (!passes.empty()) harness::printPassTimeTable(std::cout, passes);
+  harness::printPassTimeTable(std::cout, passes);
   const std::string path = options.json_path.empty()
                                ? "BENCH_sim_throughput.json"
                                : options.json_path;
@@ -1027,6 +1017,11 @@ int main(int argc, char** argv) {
   if (cmd == "perf") {
     Options options = parseOptions(argc, argv, 2);
     if (!options.ok || !applySpecThreads(options, "perf")) return 2;
+    if (options.supervisor.isolate) {
+      std::cerr << "sptc: perf measures in process; --isolate is a "
+                   "sweep/inject option\n";
+      return 2;
+    }
     return cmdPerf(options);
   }
   if (cmd == "inject") {
