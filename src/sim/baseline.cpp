@@ -11,44 +11,6 @@
 
 namespace spt::sim {
 
-ExecInstr makeExecInstr(const ir::Module& module, const trace::Record& record,
-                        std::uint64_t mem_addr_override) {
-  SPT_CHECK(record.kind == trace::RecordKind::kInstr);
-  const ir::Instr& instr = module.instrAt(record.sid);
-  ExecInstr e;
-  e.sid = record.sid;
-  e.op = instr.op;
-  e.base_latency = ir::baseLatency(instr.op);
-
-  int n = 0;
-  const auto addSrc = [&](ir::Reg r) {
-    if (r.valid() && n < 4) e.srcs[n++] = Pipeline::regKey(record.frame, r);
-  };
-  addSrc(instr.a);
-  addSrc(instr.b);
-  for (const ir::Reg arg : instr.args) addSrc(arg);
-  e.src_count = static_cast<std::uint32_t>(n);
-
-  if (instr.dst.valid() && ir::producesValue(instr.op) &&
-      instr.op != ir::Opcode::kCall) {
-    // A call's destination becomes ready when the callee returns; the
-    // machines set it explicitly on kRet.
-    e.dst = Pipeline::regKey(record.frame, instr.dst);
-  }
-  if (instr.op == ir::Opcode::kLoad) {
-    e.is_load = true;
-    e.mem_addr = mem_addr_override != 0 ? mem_addr_override : record.mem_addr;
-  } else if (instr.op == ir::Opcode::kStore) {
-    e.is_store = true;
-    e.mem_addr = mem_addr_override != 0 ? mem_addr_override : record.mem_addr;
-  }
-  if (instr.op == ir::Opcode::kCondBr) {
-    e.is_cond_branch = true;
-    e.taken = record.taken;
-  }
-  return e;
-}
-
 BaselineMachine::BaselineMachine(const ir::Module& module,
                                  const support::MachineConfig& config)
     : BaselineMachine(module, trace::TraceView{}, config) {
@@ -145,58 +107,51 @@ void BaselineMachine::simulate(trace::TraceView records) {
     return false;
   };
 
-  // Per-class handlers. Each pairs the class-specialized ExecInstr builder
-  // with the matching compile-time executeKnown instantiation, so every
-  // data-dependent branch of the generic path is resolved at dispatch.
+  // Per-class handlers. Each issues through the Pipeline::issue variant of
+  // its class, so every data-dependent branch of the dynamic issue is
+  // resolved at dispatch.
+  using Access = Pipeline::Access;
   const auto doValue = [&] {
     checkFrame(*r);
-    pipe.executeKnown<Pipeline::kExecPlain>(
-        makeExecInstrFor<DispatchClass::kValue>(*d, *r));
+    pipe.issue<Access::kNone>(*d, *r);
   };
   const auto doLoad = [&] {
     checkFrame(*r);
-    pipe.executeKnown<Pipeline::kExecLoad>(
-        makeExecInstrFor<DispatchClass::kLoad>(*d, *r));
+    pipe.issue<Access::kLoad>(*d, *r);
   };
   const auto doStore = [&] {
     checkFrame(*r);
-    pipe.executeKnown<Pipeline::kExecStore>(
-        makeExecInstrFor<DispatchClass::kStore>(*d, *r));
+    pipe.issue<Access::kStore>(*d, *r);
   };
   const auto doCondBr = [&] {
     checkFrame(*r);
-    pipe.executeKnown<Pipeline::kExecBranch>(
-        makeExecInstrFor<DispatchClass::kCondBr>(*d, *r));
+    pipe.issue<Access::kBranch>(*d, *r);
   };
   const auto doJump = [&] {
     checkFrame(*r);
-    pipe.executeKnown<Pipeline::kExecPlain>(
-        makeExecInstrFor<DispatchClass::kJump>(*d, *r));
+    pipe.issue<Access::kNone>(*d, *r);
   };
   const auto doCall = [&] {
-    const std::uint64_t done = pipe.executeKnown<Pipeline::kExecPlain>(
-        makeExecInstrFor<DispatchClass::kJump>(*d, *r));
+    const std::uint64_t done = pipe.issue<Access::kNone>(*d, *r);
     checkFrame(*r);
     stack.push_back({r->callee_frame, d->instr->dst});
     cur_frame = r->callee_frame;
     // Parameters materialize in the callee when the call issues.
-    const std::uint64_t base =
-        (static_cast<std::uint64_t>(r->callee_frame) << 32) + 1;
     for (std::uint32_t p = 0; p < d->callee_params; ++p) {
-      pipe.setRegReady(base + p, done, false);
+      pipe.setRegReady(Pipeline::regKey(r->callee_frame, p), done, false);
     }
     ++fallbacks;
   };
   const auto doRet = [&] {
-    const std::uint64_t done = pipe.executeKnown<Pipeline::kExecPlain>(
-        makeExecInstrFor<DispatchClass::kJump>(*d, *r));
+    const std::uint64_t done = pipe.issue<Access::kNone>(*d, *r);
     checkFrame(*r);
     const ir::Reg dst = stack.back().ret_dst;
     stack.pop_back();
     if (!stack.empty()) {
       cur_frame = stack.back().id;
       if (dst.valid()) {
-        pipe.setRegReady(Pipeline::regKey(stack.back().id, dst), done, false);
+        pipe.setRegReady(Pipeline::regKey(stack.back().id, dst.index), done,
+                         false);
       }
     } else {
       cur_frame = kDead;
@@ -204,7 +159,7 @@ void BaselineMachine::simulate(trace::TraceView records) {
     ++fallbacks;
   };
   const auto doGeneric = [&] {
-    pipe.execute(makeExecInstr(*d, *r));
+    pipe.issue(*d, *r);
     checkFrame(*r);
     ++fallbacks;
   };

@@ -20,13 +20,6 @@
 
 namespace spt::sim {
 
-/// Converts one kInstr record into a timed ExecInstr. `mem_addr_override`
-/// replaces the record's address (used by speculative emulation where the
-/// effective address may differ). Call arguments beyond the fourth do not
-/// constrain timing.
-ExecInstr makeExecInstr(const ir::Module& module, const trace::Record& record,
-                        std::uint64_t mem_addr_override = 0);
-
 /// One machine simulates one trace: either run() once, or onRecord() for
 /// every record and then finish() once.
 class BaselineMachine final : public trace::TraceSink {

@@ -27,7 +27,7 @@ DecodeTable::DecodeTable(const ir::Module& module) {
         if (instr.dst.valid() && ir::producesValue(instr.op) &&
             instr.op != ir::Opcode::kCall) {
           // A call's destination becomes ready when the callee returns; the
-          // machines set it explicitly on kRet (same rule as makeExecInstr).
+          // machines set it explicitly on kRet.
           d.dst_reg = instr.dst.index;
         }
         d.is_load = instr.op == ir::Opcode::kLoad;

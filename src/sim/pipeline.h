@@ -26,6 +26,7 @@
 #include "ir/instr.h"
 #include "sim/branch_predictor.h"
 #include "sim/cache.h"
+#include "sim/decode.h"
 #include "sim/flat_map.h"
 #include "trace/record.h"
 
@@ -58,23 +59,6 @@ struct CycleBreakdown {
         break;
     }
   }
-};
-
-/// One dynamic instruction prepared for timing simulation.
-struct ExecInstr {
-  ir::StaticId sid = ir::kInvalidStaticId;
-  ir::Opcode op = ir::Opcode::kNop;
-  std::uint32_t base_latency = 1;
-  /// Frame-qualified source register keys (see Pipeline::regKey); the first
-  /// `src_count` entries are set, the rest are 0.
-  std::uint64_t srcs[4] = {0, 0, 0, 0};
-  std::uint32_t src_count = 0;
-  std::uint64_t dst = 0;
-  bool is_load = false;
-  bool is_store = false;
-  std::uint64_t mem_addr = 0;
-  bool is_cond_branch = false;
-  bool taken = false;
 };
 
 /// Ready cycle of a register value and whether a load produced it (a stall
@@ -172,40 +156,46 @@ class Pipeline {
  public:
   Pipeline(const support::MachineConfig& config, MemorySystem& memory);
 
-  /// Frame-qualified register key; 0 is reserved for "no register".
-  static std::uint64_t regKey(trace::FrameId frame, ir::Reg reg) {
-    return ((static_cast<std::uint64_t>(frame) << 32) | reg.index) + 1;
+  /// Frame-qualified key of register index `reg`; 0 is reserved for "no
+  /// register".
+  static std::uint64_t regKey(trace::FrameId frame, std::uint32_t reg) {
+    return (static_cast<std::uint64_t>(frame) << 32) + 1 + reg;
   }
-  /// Kind selectors for executeKnown: which memory/branch flags the caller
-  /// has already resolved at compile time. kExecDynamic reads the flags from
-  /// the ExecInstr at runtime (the classic execute() behavior); the others
-  /// fold the corresponding branches away entirely — the threaded-dispatch
-  /// handlers (docs/PERF.md) call the variant matching their dispatch class.
-  enum : int {
-    kExecPlain = 0,   // no memory access, not a conditional branch
-    kExecLoad = 1,    // is_load
-    kExecStore = 2,   // is_store
-    kExecBranch = 3,  // is_cond_branch
-    kExecDynamic = 4,
+
+  /// The data access an issue makes, when the caller knows it at compile
+  /// time: the threaded-dispatch handlers (docs/PERF.md) call the variant
+  /// of their dispatch class, so the other branches fold away. kDynamic
+  /// reads it from the DecodedInstr.
+  enum class Access : std::uint8_t {
+    kNone,    // no D-cache access, not a conditional branch
+    kLoad,
+    kStore,
+    kBranch,  // conditional branch
+    kDynamic,
   };
 
-  /// Issues one instruction; returns the cycle its result is available.
+  /// Issues record `r` of static instruction `d`; returns the cycle its
+  /// result is available. A nonzero `mem_addr` replaces the record's
+  /// address (a speculative thread's emulated address). With `dcache`
+  /// false a load or store makes no D-cache access: a load forwarded from
+  /// a speculative store buffer completes at its base latency, and a
+  /// speculative store stays in the buffer.
   /// Inline: this is the per-record core of both machines, and keeping it
   /// (and the cache model it calls) visible to the caller's translation
   /// unit is worth measurable host throughput (docs/PERF.md). One body
   /// serves the dynamic path and all specialized instantiations, so the
   /// timing semantics cannot diverge between them.
-  template <int Kind = kExecDynamic>
-  std::uint64_t executeKnown(const ExecInstr& instr) {
-    constexpr bool kDyn = Kind == kExecDynamic;
-    const bool is_load = kDyn ? instr.is_load : Kind == kExecLoad;
-    const bool is_store = kDyn ? instr.is_store : Kind == kExecStore;
-    const bool is_cond_branch =
-        kDyn ? instr.is_cond_branch : Kind == kExecBranch;
+  template <Access A = Access::kDynamic>
+  std::uint64_t issue(const DecodedInstr& d, const trace::Record& r,
+                      std::uint64_t mem_addr = 0, bool dcache = true) {
+    constexpr bool kDyn = A == Access::kDynamic;
+    const bool is_load = (kDyn ? d.is_load : A == Access::kLoad) && dcache;
+    const bool is_store = (kDyn ? d.is_store : A == Access::kStore) && dcache;
+    const bool is_cond_branch = kDyn ? d.is_cond_branch : A == Access::kBranch;
 
     // Instruction fetch. Instructions occupy 16 synthetic bytes each; an
     // L1I miss stalls the front end for the extra fill latency.
-    const std::uint64_t iaddr = static_cast<std::uint64_t>(instr.sid) * 16;
+    const std::uint64_t iaddr = static_cast<std::uint64_t>(r.sid) * 16;
     const std::uint32_t ifetch = memory_.accessInstr(iaddr, cycle_);
     if (ifetch > config_.l1i.latency_cycles) {
       bumpCycleTo(cycle_ + (ifetch - config_.l1i.latency_cycles),
@@ -213,7 +203,7 @@ class Pipeline {
     }
 
     // Operand readiness.
-    const RegState latest = sourceState(instr);
+    const RegState latest = sourceState(d, r.frame);
     if (latest.ready > cycle_) {
       bumpCycleTo(latest.ready,
                   latest.from_load ? StallKind::kDCache : StallKind::kPipeline);
@@ -233,28 +223,26 @@ class Pipeline {
     }
 
     // Result latency.
-    std::uint64_t done = issue_cycle + instr.base_latency;
+    std::uint64_t done = issue_cycle + d.base_latency;
     if (is_load || is_store) {
-      const std::uint32_t dlat =
-          memory_.accessData(instr.mem_addr, issue_cycle);
+      const std::uint32_t dlat = memory_.accessData(
+          mem_addr != 0 ? mem_addr : r.mem_addr, issue_cycle);
       if (is_load) done = issue_cycle + dlat;
       // Stores retire through the store buffer without stalling the pipe.
     }
-    if (instr.dst != 0) scoreboard_.write(instr.dst, {done, is_load}, cycle_);
+    if (d.dst_reg != ir::Reg::kInvalidIndex) {
+      scoreboard_.write(regKey(r.frame, d.dst_reg), {done, is_load}, cycle_);
+    }
 
     // Branch resolution.
     if (is_cond_branch) {
-      const bool correct = predictor_.predictAndUpdate(instr.taken);
+      const bool correct = predictor_.predictAndUpdate(r.taken);
       if (!correct) {
         bumpCycleTo(issue_cycle + 1 + config_.branch_mispredict_penalty,
                     StallKind::kPipeline);
       }
     }
     return done;
-  }
-
-  std::uint64_t execute(const ExecInstr& instr) {
-    return executeKnown<kExecDynamic>(instr);
   }
 
   /// Consumes one replay-commit slot (replay width entries retire per
@@ -301,10 +289,10 @@ class Pipeline {
     replay_slots_ = 0;
   }
 
-  RegState sourceState(const ExecInstr& instr) const {
+  RegState sourceState(const DecodedInstr& d, trace::FrameId frame) const {
     RegState latest;
-    for (std::uint32_t i = 0; i < instr.src_count; ++i) {
-      const RegState state = scoreboard_.find(instr.srcs[i]);
+    for (std::uint32_t i = 0; i < d.src_count; ++i) {
+      const RegState state = scoreboard_.find(regKey(frame, d.src_regs[i]));
       if (state.ready > latest.ready) latest = state;
     }
     return latest;

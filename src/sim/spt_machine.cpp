@@ -477,7 +477,7 @@ void SptMachine::executeFork(const trace::Record& r) {
   // The fork instruction itself plus the register-context copy (Table 1:
   // 1 cycle minimum — the copy is assumed banked/bulk, not port-limited;
   // our virtual-register IR would otherwise overcharge it).
-  main_pipe_->execute(makeExecInstr(d, r));
+  main_pipe_->issue(d, r);
   ++fallback_fork_;
   main_pipe_->advanceTo(main_pipe_->cycle() + config_.rf_copy_overhead,
                         StallKind::kPipeline);
@@ -707,41 +707,37 @@ void SptMachine::mainStoreCheck(std::uint64_t addr) {
 void SptMachine::executeMainInstr(const DecodedInstr& d,
                                   const trace::Record& r) {
   // Threaded dispatch off the predecoded class (jump table): each fast case
-  // pairs the class-specialized ExecInstr builder and executeKnown
-  // instantiation with the matching inline ArchState applier, hoisting the
-  // opcode re-dispatch and every data-dependent flag test out of the
-  // per-record path. Calls/returns/kills/hallocs take the generic fallback.
+  // pairs the Pipeline::issue variant of its class with the matching inline
+  // ArchState applier, hoisting the opcode re-dispatch and every
+  // data-dependent flag test out of the per-record path.
+  // Calls/returns/kills/hallocs take the generic fallback.
+  using Access = Pipeline::Access;
   switch (static_cast<DispatchClass>(d.klass)) {
     case DispatchClass::kValue:
-      main_pipe_->executeKnown<Pipeline::kExecPlain>(
-          makeExecInstrFor<DispatchClass::kValue>(d, r));
+      main_pipe_->issue<Access::kNone>(d, r);
       arch_.applyValue(r, d.dst_reg);
       if (sb_thread_ != nullptr && r.frame == sb_thread_->fork_frame) {
         main_written_[d.dst_reg] = 1;  // scoreboard-mode register tracking
       }
       return;
     case DispatchClass::kLoad:
-      main_pipe_->executeKnown<Pipeline::kExecLoad>(
-          makeExecInstrFor<DispatchClass::kLoad>(d, r));
+      main_pipe_->issue<Access::kLoad>(d, r);
       arch_.applyLoad(r, d.dst_reg);
       if (sb_thread_ != nullptr && r.frame == sb_thread_->fork_frame) {
         main_written_[d.dst_reg] = 1;
       }
       return;
     case DispatchClass::kStore:
-      main_pipe_->executeKnown<Pipeline::kExecStore>(
-          makeExecInstrFor<DispatchClass::kStore>(d, r));
+      main_pipe_->issue<Access::kStore>(d, r);
       arch_.applyStore(r);
       if (!chain_.empty()) mainStoreCheck(r.mem_addr);
       return;
     case DispatchClass::kCondBr:
-      main_pipe_->executeKnown<Pipeline::kExecBranch>(
-          makeExecInstrFor<DispatchClass::kCondBr>(d, r));
+      main_pipe_->issue<Access::kBranch>(d, r);
       arch_.applyNoEffect(r);
       return;
     case DispatchClass::kJump:
-      main_pipe_->executeKnown<Pipeline::kExecPlain>(
-          makeExecInstrFor<DispatchClass::kJump>(d, r));
+      main_pipe_->issue<Access::kNone>(d, r);
       arch_.applyNoEffect(r);
       return;
     default:
@@ -756,24 +752,24 @@ void SptMachine::executeMainFallback(const DecodedInstr& d,
   ++fallback_main_;
 
   if (d.op == ir::Opcode::kSptKill) {
-    main_pipe_->execute(makeExecInstr(d, r));
+    main_pipe_->issue(d, r);
     arch_.apply(r, instr);
     killChain();
     return;
   }
 
-  const ExecInstr e = makeExecInstr(d, r);
-  const std::uint64_t done = main_pipe_->execute(e);
+  const std::uint64_t done = main_pipe_->issue(d, r);
   const ApplyInfo info = arch_.apply(r, instr);
 
   if (d.op == ir::Opcode::kCall) {
     for (std::uint32_t p = 0; p < info.callee_params; ++p) {
-      main_pipe_->setRegReady(Pipeline::regKey(info.callee_frame, ir::Reg{p}),
+      main_pipe_->setRegReady(Pipeline::regKey(info.callee_frame, p),
                               done, false);
     }
   } else if (d.op == ir::Opcode::kRet && info.caller_dst.valid()) {
     main_pipe_->setRegReady(
-        Pipeline::regKey(info.caller_frame, info.caller_dst), done, false);
+        Pipeline::regKey(info.caller_frame, info.caller_dst.index), done,
+        false);
   }
 
   // Memory dependence checking (see the kStore fast case).
@@ -834,7 +830,8 @@ void SptMachine::stepSpec(SpecThread& t) {
 
   // Threaded dispatch off the predecoded class, as executeMainInstr: each
   // fast case pairs the emulation and its SSB/LAB bookkeeping with the
-  // class-specialized ExecInstr builder and executeKnown instantiation.
+  // Pipeline::issue variant of its class.
+  using Access = Pipeline::Access;
   switch (static_cast<DispatchClass>(d.klass)) {
     case DispatchClass::kValue: {
       bool fault = false;
@@ -850,8 +847,7 @@ void SptMachine::stepSpec(SpecThread& t) {
       if (fault) {
         issueSpecGeneric(t, d, r, 0, false);
       } else {
-        t.pipe->executeKnown<Pipeline::kExecPlain>(
-            makeExecInstrFor<DispatchClass::kValue>(d, r));
+        t.pipe->issue<Access::kNone>(d, r);
       }
       break;
     }
@@ -860,15 +856,12 @@ void SptMachine::stepSpec(SpecThread& t) {
       const std::uint64_t addr = static_cast<std::uint64_t>(base + instr.imm);
       const bool forwarded = specLoad(t, r, addr, entry);
       specWriteReg(t, r.frame, instr.dst, entry.emu_value);
-      ExecInstr e = makeExecInstrFor<DispatchClass::kLoad>(d, r);
       if (forwarded) {
         // Forwarded from the thread's own SSB: no cache access.
-        t.pipe->executeKnown<Pipeline::kExecPlain>(e);
+        t.pipe->issue<Access::kNone>(d, r);
       } else {
-        // The emulated address, as makeExecInstr's override (address 0
-        // keeps the record's).
-        if (addr != 0) e.mem_addr = addr;
-        t.pipe->executeKnown<Pipeline::kExecLoad>(e);
+        // The emulated address (address 0 keeps the record's).
+        t.pipe->issue<Access::kLoad>(d, r, addr);
       }
       break;
     }
@@ -894,8 +887,7 @@ void SptMachine::stepSpec(SpecThread& t) {
       }
       // Speculative stores stay in the SSB; they only reach the shared
       // cache at commit time.
-      t.pipe->executeKnown<Pipeline::kExecPlain>(
-          makeExecInstrFor<DispatchClass::kStore>(d, r));
+      t.pipe->issue<Access::kNone>(d, r);
       break;
     }
     case DispatchClass::kCondBr: {
@@ -907,14 +899,12 @@ void SptMachine::stepSpec(SpecThread& t) {
         entry.branch_mismatch = true;
         stall_after = true;
       }
-      t.pipe->executeKnown<Pipeline::kExecBranch>(
-          makeExecInstrFor<DispatchClass::kCondBr>(d, r));
+      t.pipe->issue<Access::kBranch>(d, r);
       break;
     }
     case DispatchClass::kJump:
       if (d.op == ir::Opcode::kBr || d.op == ir::Opcode::kNop) {
-        t.pipe->executeKnown<Pipeline::kExecPlain>(
-            makeExecInstrFor<DispatchClass::kJump>(d, r));
+        t.pipe->issue<Access::kNone>(d, r);
         break;
       }
       [[fallthrough]];  // a dead destination still emulates
@@ -1006,12 +996,9 @@ void SptMachine::issueSpecGeneric(SpecThread& t, const DecodedInstr& d,
                                   const trace::Record& r,
                                   std::uint64_t mem_addr_override,
                                   bool ssb_forwarded) {
-  ExecInstr e = makeExecInstr(d, r, mem_addr_override);
   // Speculative stores stay in the SSB (see the kStore fast case); loads
   // satisfied by the SSB are forwarded without a cache access.
-  e.is_store = false;
-  if (ssb_forwarded) e.is_load = false;
-  t.pipe->execute(e);
+  t.pipe->issue(d, r, mem_addr_override, !d.is_store && !ssb_forwarded);
   ++fallback_spec_;
 }
 
@@ -1325,15 +1312,13 @@ std::size_t SptMachine::fastCommit(SpecThread& t) {
     switch (static_cast<DispatchClass>(d.klass)) {
       case DispatchClass::kValue:
         arch_.applyValue(r, d.dst_reg);
-        main_pipe_->setRegReady(
-            (static_cast<std::uint64_t>(r.frame) << 32) + 1 + d.dst_reg,
-            main_pipe_->cycle(), false);
+        main_pipe_->setRegReady(Pipeline::regKey(r.frame, d.dst_reg),
+                                main_pipe_->cycle(), false);
         continue;
       case DispatchClass::kLoad:
         arch_.applyLoad(r, d.dst_reg);
-        main_pipe_->setRegReady(
-            (static_cast<std::uint64_t>(r.frame) << 32) + 1 + d.dst_reg,
-            main_pipe_->cycle(), false);
+        main_pipe_->setRegReady(Pipeline::regKey(r.frame, d.dst_reg),
+                                main_pipe_->cycle(), false);
         continue;
       case DispatchClass::kStore:
         arch_.applyStore(r);
@@ -1365,12 +1350,12 @@ std::size_t SptMachine::fastCommit(SpecThread& t) {
     const ir::Instr& instr = *d.instr;
     const ApplyInfo info = arch_.apply(r, instr);
     if (instr.dst.valid() && ir::producesValue(instr.op)) {
-      main_pipe_->setRegReady(Pipeline::regKey(r.frame, instr.dst),
+      main_pipe_->setRegReady(Pipeline::regKey(r.frame, instr.dst.index),
                               main_pipe_->cycle(), false);
     }
     if (instr.op == ir::Opcode::kRet && info.caller_dst.valid()) {
       main_pipe_->setRegReady(
-          Pipeline::regKey(info.caller_frame, info.caller_dst),
+          Pipeline::regKey(info.caller_frame, info.caller_dst.index),
           main_pipe_->cycle(), false);
     }
   }
@@ -1465,7 +1450,7 @@ void SptMachine::replayCommit(SpecThread& t) {
 
     if (dirty) {
       // Selective re-execution on the main pipeline (normal width).
-      const std::uint64_t done = main_pipe_->execute(makeExecInstr(d, r));
+      const std::uint64_t done = main_pipe_->issue(d, r);
       ++fallback_replay_;
       ++result_.threads.misspec_instrs;
       ++ts.misspec_instrs;
@@ -1494,11 +1479,11 @@ void SptMachine::replayCommit(SpecThread& t) {
       if (d.op == ir::Opcode::kCall) {
         for (std::uint32_t p = 0; p < info.callee_params; ++p) {
           main_pipe_->setRegReady(
-              Pipeline::regKey(info.callee_frame, ir::Reg{p}), done, false);
+              Pipeline::regKey(info.callee_frame, p), done, false);
         }
       } else if (d.op == ir::Opcode::kRet && info.caller_dst.valid()) {
         main_pipe_->setRegReady(
-            Pipeline::regKey(info.caller_frame, info.caller_dst), done,
+            Pipeline::regKey(info.caller_frame, info.caller_dst.index), done,
             false);
       }
       if (e.branch_mismatch) {
@@ -1510,7 +1495,7 @@ void SptMachine::replayCommit(SpecThread& t) {
     } else {
       main_pipe_->commitFromBuffer();
       if (instr.dst.valid() && ir::producesValue(instr.op)) {
-        main_pipe_->setRegReady(Pipeline::regKey(r.frame, instr.dst),
+        main_pipe_->setRegReady(Pipeline::regKey(r.frame, instr.dst.index),
                                 main_pipe_->cycle(), false);
       }
       if (d.is_store) {

@@ -256,7 +256,7 @@ class SptMachine final : public trace::TraceSink {
   bool stepSpecGeneric(SpecThread& t, const DecodedInstr& d,
                        const trace::Record& r, SrbEntry& entry,
                        bool& stall_after);
-  /// Issues a speculative record through the generic execute path.
+  /// Issues a speculative record through the dynamic Pipeline::issue.
   void issueSpecGeneric(SpecThread& t, const DecodedInstr& d,
                         const trace::Record& r,
                         std::uint64_t mem_addr_override, bool ssb_forwarded);

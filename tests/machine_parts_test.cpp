@@ -204,12 +204,13 @@ TEST(Pipeline, AvailableValuesKeepTheCycleEnvelope) {
   Pipeline pipe(config, memory);
   // Write far more distinct registers than the scoreboard has ways, their
   // values all ready at once; timing must not depend on where they went.
-  for (std::uint64_t i = 0; i < (1u << 17); ++i) {
-    ExecInstr e;
-    e.sid = static_cast<ir::StaticId>(i % 16);
-    e.op = Opcode::kAdd;
-    e.dst = i + 1;
-    pipe.execute(e);
+  DecodedInstr d;
+  d.op = Opcode::kAdd;
+  trace::Record r;
+  for (std::uint32_t i = 0; i < (1u << 17); ++i) {
+    d.dst_reg = i;  // key i + 1 in frame 0
+    r.sid = static_cast<ir::StaticId>(i % 16);
+    pipe.issue(d, r);
   }
   pipe.finish();
   // 2^17 independent instructions at width 6 ≈ 21846 cycles, plus cold

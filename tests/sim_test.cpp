@@ -2,6 +2,8 @@
 // baseline machine, and the SPT machine's speculation mechanics.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
@@ -99,18 +101,39 @@ TEST(BranchPredictor, RandomIsHard) {
 
 // -------------------------------------------------------------- pipeline
 
-ExecInstr simpleOp(StaticId sid, std::uint64_t dst, std::uint64_t src = 0,
-                   std::uint32_t latency = 1) {
-  ExecInstr e;
-  e.sid = sid;
-  e.op = Opcode::kAdd;
-  e.base_latency = latency;
-  e.dst = dst;
-  if (src != 0) {
-    e.srcs[0] = src;
-    e.src_count = 1;
+/// A hand-built decoded entry and the record that issues it, in frame 0.
+struct IssuedOp {
+  DecodedInstr d;
+  trace::Record r;
+};
+
+IssuedOp simpleOp(StaticId sid, std::uint32_t dst,
+                  std::uint32_t src = Reg::kInvalidIndex,
+                  std::uint32_t latency = 1) {
+  IssuedOp op;
+  op.r.sid = sid;
+  op.d.op = Opcode::kAdd;
+  op.d.base_latency = latency;
+  op.d.dst_reg = dst;
+  if (src != Reg::kInvalidIndex) {
+    op.d.src_regs[0] = src;
+    op.d.src_count = 1;
   }
-  return e;
+  return op;
+}
+
+IssuedOp loadOp(StaticId sid, std::uint32_t dst, std::uint64_t addr) {
+  IssuedOp op;
+  op.r.sid = sid;
+  op.r.mem_addr = addr;
+  op.d.op = Opcode::kLoad;
+  op.d.is_load = true;
+  op.d.dst_reg = dst;
+  return op;
+}
+
+std::uint64_t issue(Pipeline& pipe, const IssuedOp& op) {
+  return pipe.issue(op.d, op.r);
 }
 
 TEST(Pipeline, IssueWidthBoundsThroughput) {
@@ -120,11 +143,11 @@ TEST(Pipeline, IssueWidthBoundsThroughput) {
   // Warm the I-cache first, then measure: 60 independent single-cycle ops
   // at width 6 take 10 cycles.
   for (std::uint32_t i = 0; i < 60; ++i) {
-    pipe.execute(simpleOp(i % 4, 100 + i));
+    issue(pipe, simpleOp(i % 4, 100 + i));
   }
   const std::uint64_t warm = pipe.cycle();
   for (std::uint32_t i = 0; i < 60; ++i) {
-    pipe.execute(simpleOp(i % 4, 200 + i));
+    issue(pipe, simpleOp(i % 4, 200 + i));
   }
   pipe.finish();
   const std::uint64_t delta = pipe.cycle() - warm;
@@ -138,10 +161,9 @@ TEST(Pipeline, DependencyChainSerializes) {
   MemorySystem mem(config);
   Pipeline pipe(config, mem);
   // Chain of 20 dependent 3-cycle ops: ~60 cycles.
-  std::uint64_t prev = 0;
+  std::uint32_t prev = Reg::kInvalidIndex;
   for (std::uint32_t i = 0; i < 20; ++i) {
-    ExecInstr e = simpleOp(0, 200 + i, prev, 3);
-    pipe.execute(e);
+    issue(pipe, simpleOp(0, 200 + i, prev, 3));
     prev = 200 + i;
   }
   pipe.finish();
@@ -153,14 +175,8 @@ TEST(Pipeline, LoadConsumerStallsAreDCache) {
   MachineConfig config;
   MemorySystem mem(config);
   Pipeline pipe(config, mem);
-  ExecInstr load;
-  load.sid = 0;
-  load.op = Opcode::kLoad;
-  load.is_load = true;
-  load.mem_addr = 0x10000;  // cold: 168 cycles
-  load.dst = 7;
-  pipe.execute(load);
-  pipe.execute(simpleOp(1, 8, 7));  // consumer
+  issue(pipe, loadOp(0, 7, 0x10000));  // cold: 168 cycles
+  issue(pipe, simpleOp(1, 8, 7));      // consumer
   pipe.finish();
   EXPECT_GT(pipe.breakdown().dcache_stall, 100u);
 }
@@ -170,19 +186,14 @@ TEST(Pipeline, BreakdownCoversTotalCycles) {
   MemorySystem mem(config);
   Pipeline pipe(config, mem);
   support::Rng rng(3);
-  std::uint64_t prev = 0;
+  std::uint32_t prev = Reg::kInvalidIndex;
   for (std::uint32_t i = 0; i < 500; ++i) {
     if (rng.nextBool(0.2)) {
-      ExecInstr load;
-      load.sid = i % 64;
-      load.op = Opcode::kLoad;
-      load.is_load = true;
-      load.mem_addr = rng.nextBelow(1 << 20) & ~7ull;
-      load.dst = 1000 + i;
-      pipe.execute(load);
-      prev = load.dst;
+      issue(pipe, loadOp(i % 64, 1000 + i, rng.nextBelow(1 << 20) & ~7ull));
+      prev = 1000 + i;
     } else {
-      pipe.execute(simpleOp(i % 64, 1000 + i, rng.nextBool(0.5) ? prev : 0));
+      issue(pipe, simpleOp(i % 64, 1000 + i,
+                           rng.nextBool(0.5) ? prev : Reg::kInvalidIndex));
     }
   }
   pipe.finish();
@@ -194,14 +205,14 @@ TEST(Pipeline, MispredictAddsPenalty) {
   MemorySystem mem(config);
   Pipeline pipe(config, mem);
   support::Rng rng(9);
-  ExecInstr br;
-  br.sid = 0;
-  br.op = Opcode::kCondBr;
-  br.is_cond_branch = true;
+  IssuedOp br;
+  br.r.sid = 0;
+  br.d.op = Opcode::kCondBr;
+  br.d.is_cond_branch = true;
   std::uint64_t mispredicted_before = 0;
   for (int i = 0; i < 200; ++i) {
-    br.taken = rng.nextBool(0.5);
-    pipe.execute(br);
+    br.r.taken = rng.nextBool(0.5);
+    issue(pipe, br);
   }
   (void)mispredicted_before;
   pipe.finish();
@@ -209,6 +220,141 @@ TEST(Pipeline, MispredictAddsPenalty) {
   EXPECT_GT(mis, 20u);
   EXPECT_GE(pipe.breakdown().pipeline_stall,
             mis * config.branch_mispredict_penalty);
+}
+
+TEST(Pipeline, SpecializedIssueMatchesDynamic) {
+  // One seeded stream of records, issued on one pipeline through the
+  // variant the machines' handlers use for the record's dispatch class and
+  // on a twin through the dynamic variant. The twins must agree after
+  // every record.
+  using Access = Pipeline::Access;
+  enum class Case {
+    kClass,          // a record of `klass`, issued as its handler does
+    kForwardedLoad,  // a speculative load forwarded from the SSB
+    kSpecStore,      // a speculative store (stays in the SSB)
+    kEmulatedLoad,   // a speculative load at its emulated address
+  };
+  struct Shape {
+    Case c;
+    DispatchClass klass;
+    Opcode op;
+    Access access;  // the specialized variant
+    bool dst;
+  };
+  const Shape kShapes[] = {
+      {Case::kClass, DispatchClass::kValue, Opcode::kAdd, Access::kNone, true},
+      {Case::kClass, DispatchClass::kValue, Opcode::kMul, Access::kNone, true},
+      {Case::kClass, DispatchClass::kValue, Opcode::kDiv, Access::kNone, true},
+      {Case::kClass, DispatchClass::kLoad, Opcode::kLoad, Access::kLoad, true},
+      {Case::kClass, DispatchClass::kStore, Opcode::kStore, Access::kStore,
+       false},
+      {Case::kClass, DispatchClass::kCondBr, Opcode::kCondBr, Access::kBranch,
+       false},
+      {Case::kClass, DispatchClass::kJump, Opcode::kBr, Access::kNone, false},
+      {Case::kClass, DispatchClass::kJump, Opcode::kSub, Access::kNone, false},
+      {Case::kClass, DispatchClass::kCall, Opcode::kCall, Access::kNone, false},
+      {Case::kClass, DispatchClass::kRet, Opcode::kRet, Access::kNone, false},
+      {Case::kClass, DispatchClass::kFork, Opcode::kSptFork, Access::kNone,
+       false},
+      {Case::kClass, DispatchClass::kKill, Opcode::kSptKill, Access::kNone,
+       false},
+      {Case::kClass, DispatchClass::kHalloc, Opcode::kHalloc, Access::kNone,
+       true},
+      // A load without a live destination.
+      {Case::kClass, DispatchClass::kGeneric, Opcode::kLoad, Access::kLoad,
+       false},
+      {Case::kForwardedLoad, DispatchClass::kLoad, Opcode::kLoad,
+       Access::kNone, true},
+      {Case::kSpecStore, DispatchClass::kStore, Opcode::kStore, Access::kNone,
+       false},
+      {Case::kEmulatedLoad, DispatchClass::kLoad, Opcode::kLoad,
+       Access::kLoad, true},
+  };
+  constexpr std::size_t kShapeCount = std::size(kShapes);
+
+  MachineConfig config;
+  MemorySystem mem_known(config);
+  MemorySystem mem_dyn(config);
+  Pipeline known(config, mem_known);
+  Pipeline dyn(config, mem_dyn);
+  support::Rng rng(31);
+  std::size_t issued[kShapeCount] = {};
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t k = rng.nextBelow(kShapeCount);
+    const Shape& shape = kShapes[k];
+    IssuedOp op;
+    op.d.op = shape.op;
+    op.d.klass = static_cast<std::uint8_t>(shape.klass);
+    op.d.base_latency = baseLatency(shape.op);
+    op.d.is_load = shape.op == Opcode::kLoad;
+    op.d.is_store = shape.op == Opcode::kStore;
+    op.d.is_cond_branch = shape.op == Opcode::kCondBr;
+    op.d.src_count = static_cast<std::uint32_t>(rng.nextBelow(5));
+    for (std::uint32_t s = 0; s < op.d.src_count; ++s) {
+      op.d.src_regs[s] = static_cast<std::uint32_t>(rng.nextBelow(24));
+    }
+    if (shape.dst) op.d.dst_reg = static_cast<std::uint32_t>(rng.nextBelow(24));
+    op.r.op = shape.op;
+    op.r.sid = static_cast<StaticId>(rng.nextBelow(2048));
+    op.r.frame = static_cast<trace::FrameId>(rng.nextBelow(3));
+    op.r.taken = rng.nextBool(0.6);
+    if (op.d.is_load || op.d.is_store) {
+      op.r.mem_addr = rng.nextBelow(1 << 22) & ~7ull;
+    }
+
+    std::uint64_t ready_known = 0;
+    std::uint64_t ready_dyn = 0;
+    switch (shape.c) {
+      case Case::kClass:
+        switch (shape.access) {
+          case Access::kNone:
+            ready_known = known.issue<Access::kNone>(op.d, op.r);
+            break;
+          case Access::kLoad:
+            ready_known = known.issue<Access::kLoad>(op.d, op.r);
+            break;
+          case Access::kStore:
+            ready_known = known.issue<Access::kStore>(op.d, op.r);
+            break;
+          case Access::kBranch:
+            ready_known = known.issue<Access::kBranch>(op.d, op.r);
+            break;
+          case Access::kDynamic:
+            FAIL() << "no specialized variant";
+        }
+        ready_dyn = dyn.issue(op.d, op.r);
+        break;
+      case Case::kForwardedLoad:
+      case Case::kSpecStore:
+        ready_known = known.issue<Access::kNone>(op.d, op.r);
+        ready_dyn = dyn.issue(op.d, op.r, 0, /*dcache=*/false);
+        break;
+      case Case::kEmulatedLoad: {
+        // An emulated address of 0 keeps the record's.
+        const std::uint64_t addr =
+            rng.nextBool(0.1) ? 0 : rng.nextBelow(1 << 22) & ~7ull;
+        ready_known = known.issue<Access::kLoad>(op.d, op.r, addr);
+        ready_dyn = dyn.issue(op.d, op.r, addr);
+        break;
+      }
+    }
+    ++issued[k];
+    ASSERT_EQ(ready_known, ready_dyn) << "record " << i << " shape " << k;
+    ASSERT_EQ(known.cycle(), dyn.cycle()) << "record " << i;
+    ASSERT_EQ(known.breakdown().execution, dyn.breakdown().execution);
+    ASSERT_EQ(known.breakdown().pipeline_stall, dyn.breakdown().pipeline_stall);
+    ASSERT_EQ(known.breakdown().dcache_stall, dyn.breakdown().dcache_stall);
+    ASSERT_EQ(known.instrsIssued(), dyn.instrsIssued());
+  }
+  for (std::size_t k = 0; k < kShapeCount; ++k) {
+    EXPECT_GT(issued[k], 100u) << "shape " << k;
+  }
+  // The stream exercised every stall kind and the D-cache.
+  EXPECT_GT(known.breakdown().pipeline_stall, 0u);
+  EXPECT_GT(known.breakdown().dcache_stall, 0u);
+  EXPECT_GT(mem_known.l1d().stats().misses, 0u);
+  EXPECT_EQ(mem_known.l1d().stats().hits, mem_dyn.l1d().stats().hits);
+  EXPECT_EQ(mem_known.l1d().stats().misses, mem_dyn.l1d().stats().misses);
 }
 
 // --------------------------------------------------------------- helpers
