@@ -17,7 +17,11 @@ CoverageSink::CoverageSink(
     const std::unordered_map<ir::StaticId, profile::LoopStats>& loop_stats)
     : loop_stats_(loop_stats) {}
 
-void CoverageSink::onRecord(const trace::Record& record) {
+void CoverageSink::onBlock(trace::TraceView block) {
+  for (const trace::Record& record : block) add(record);
+}
+
+void CoverageSink::add(const trace::Record& record) {
   switch (record.kind) {
     case trace::RecordKind::kIterBegin: {
       if (!open_.empty() && open_.back().header_sid == record.sid &&

@@ -25,7 +25,7 @@ class CoverageSink final : public trace::TraceSink {
   explicit CoverageSink(
       const std::unordered_map<ir::StaticId, profile::LoopStats>& loop_stats);
 
-  void onRecord(const trace::Record& record) override;
+  void onBlock(trace::TraceView block) override;
 
   const support::Histogram& histogram() const { return hist_; }
   std::uint64_t totalInstrs() const { return total_; }
@@ -34,6 +34,8 @@ class CoverageSink final : public trace::TraceSink {
   double coverageUpTo(std::int64_t limit) const;
 
  private:
+  void add(const trace::Record& record);
+
   struct OpenLoop {
     ir::StaticId header_sid;
     trace::FrameId frame;

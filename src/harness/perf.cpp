@@ -62,9 +62,9 @@ double fastestRun(int repetitions, Fn&& run) {
   return best;
 }
 
-double mips(std::uint64_t instrs, double host_seconds) {
+double millionsPerSecond(std::uint64_t count, double host_seconds) {
   if (host_seconds <= 0.0) return 0.0;
-  return static_cast<double>(instrs) / host_seconds / 1e6;
+  return static_cast<double>(count) / host_seconds / 1e6;
 }
 
 /// The timed phase for one prepared workload (strictly serial — callers
@@ -103,8 +103,18 @@ PerfRow measure(PreparedWorkload& p, const PerfOptions& options) {
   row.spt_arena_frame_reuses = spt_result.hotpath.arena_frame_reuses;
   row.spt_records_per_alloc = spt_result.hotpath.recordsPerAlloc();
   row.host_baseline_mips =
-      mips(row.baseline_sim_instrs, row.host_baseline_seconds);
-  row.host_spt_mips = mips(row.spt_sim_instrs, row.host_spt_seconds);
+      millionsPerSecond(row.baseline_sim_instrs, row.host_baseline_seconds);
+  row.host_spt_mips =
+      millionsPerSecond(row.spt_sim_instrs, row.host_spt_seconds);
+
+  const interp::ProgramContext ctx(p.spt_module);
+  row.host_interp_seconds = fastestRun(options.repetitions, [&] {
+    interp::Memory memory;
+    trace::NullSink sink;
+    interp::Interpreter(ctx, memory, sink).runMain();
+  });
+  row.host_interp_mrps =
+      millionsPerSecond(row.trace_records, row.host_interp_seconds);
   return row;
 }
 
@@ -160,9 +170,11 @@ void printSimThroughputTable(std::ostream& os,
   // The SPT machine's generic-path records, and of those the main
   // thread's fork issues, the speculative records and the replay
   // re-executions (the rest are main-thread calls, returns and the like).
+  // Last, the interpretation of the SPT program alone, in milliseconds
+  // and millions of trace records per second.
   t.setHeader({"workload", "trace records", "baseline MIPS", "SPT MIPS",
                "baseline ms", "SPT ms", "SPT fallback", "fork", "spec",
-               "replay"});
+               "replay", "interp ms", "interp Mrec/s"});
   double base_mips_sum = 0.0;
   double spt_mips_sum = 0.0;
   for (const PerfRow& r : rows) {
@@ -174,7 +186,9 @@ void printSimThroughputTable(std::ostream& os,
               std::to_string(r.spt_dispatch_fallback),
               std::to_string(r.spt_fallback_fork),
               std::to_string(r.spt_fallback_spec),
-              std::to_string(r.spt_fallback_replay)});
+              std::to_string(r.spt_fallback_replay),
+              support::fixed(r.host_interp_seconds * 1e3, 2),
+              support::fixed(r.host_interp_mrps, 2)});
     base_mips_sum += r.host_baseline_mips;
     spt_mips_sum += r.host_spt_mips;
   }
@@ -182,7 +196,7 @@ void printSimThroughputTable(std::ostream& os,
     const double n = static_cast<double>(rows.size());
     t.addRow({"Average", "-", support::fixed(base_mips_sum / n, 2),
               support::fixed(spt_mips_sum / n, 2), "-", "-", "-", "-", "-",
-              "-"});
+              "-", "-", "-"});
   }
   t.print(os);
 }
@@ -236,6 +250,8 @@ bool writeSimThroughputJson(const std::string& path,
     w.member("host_spt_seconds", r.host_spt_seconds);
     w.member("host_baseline_mips", r.host_baseline_mips);
     w.member("host_spt_mips", r.host_spt_mips);
+    w.member("host_interp_seconds", r.host_interp_seconds);
+    w.member("host_interp_mrps", r.host_interp_mrps);
     w.endObject();
   }
   w.endArray();

@@ -68,6 +68,10 @@ struct PerfRow {
   double host_spt_seconds = 0.0;
   double host_baseline_mips = 0.0;     // sim instrs / host second / 1e6
   double host_spt_mips = 0.0;
+  /// Fastest run interpreting the SPT program into a NullSink, and its
+  /// trace records per host second / 1e6.
+  double host_interp_seconds = 0.0;
+  double host_interp_mrps = 0.0;
 };
 
 /// Wall time of one compiler pass aggregated across every workload's
@@ -82,7 +86,8 @@ struct PerfPassRow {
 };
 
 /// Builds, compiles and traces each workload (parallel), then times
-/// BaselineMachine and SptMachine runs over the pre-built traces (serial).
+/// BaselineMachine and SptMachine runs over the pre-built traces and the
+/// interpretation of the SPT program (serial).
 /// With non-null `passes`, also reports the setup phase's per-pass
 /// compile wall times.
 std::vector<PerfRow> runSimThroughput(const PerfOptions& options,

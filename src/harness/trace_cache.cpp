@@ -177,7 +177,7 @@ const TraceCache::Entry& TraceCache::get(const std::string& key,
     return slot.entry;
   }
   trace::TraceFileWriter writer(path, tempPathFor(path));
-  writer.append(trace.view());
+  writer.onBlock(trace.view());
   install(slot, path, finishAndMap(writer, path, meta));
   count(produced_);
   return slot.entry;

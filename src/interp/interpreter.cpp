@@ -6,121 +6,17 @@
 #include "support/error.h"
 
 namespace spt::interp {
-namespace {
-
-std::int64_t evalBinary(ir::Opcode op, std::int64_t a, std::int64_t b) {
-  using ir::Opcode;
-  switch (op) {
-    case Opcode::kAdd:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                       static_cast<std::uint64_t>(b));
-    case Opcode::kSub:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
-                                       static_cast<std::uint64_t>(b));
-    case Opcode::kMul:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
-                                       static_cast<std::uint64_t>(b));
-    case Opcode::kDiv:
-      SPT_CHECK_MSG(b != 0, "division by zero");
-      SPT_CHECK_MSG(!(a == INT64_MIN && b == -1), "division overflow");
-      return a / b;
-    case Opcode::kRem:
-      SPT_CHECK_MSG(b != 0, "remainder by zero");
-      SPT_CHECK_MSG(!(a == INT64_MIN && b == -1), "remainder overflow");
-      return a % b;
-    case Opcode::kAnd:
-      return a & b;
-    case Opcode::kOr:
-      return a | b;
-    case Opcode::kXor:
-      return a ^ b;
-    case Opcode::kShl:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a)
-                                       << (b & 63));
-    case Opcode::kShr:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >>
-                                       (b & 63));
-    case Opcode::kCmpEq:
-      return a == b;
-    case Opcode::kCmpNe:
-      return a != b;
-    case Opcode::kCmpLt:
-      return a < b;
-    case Opcode::kCmpLe:
-      return a <= b;
-    case Opcode::kCmpGt:
-      return a > b;
-    case Opcode::kCmpGe:
-      return a >= b;
-    default:
-      SPT_UNREACHABLE("not a binary opcode");
-  }
-}
-
-}  // namespace
 
 Interpreter::Interpreter(const ProgramContext& ctx, Memory& memory,
                          trace::TraceSink& sink)
-    : ctx_(ctx), memory_(memory), sink_(sink) {}
-
-void Interpreter::emitIterBegin(const Frame& frame, analysis::LoopId loop,
-                                std::int64_t iteration) {
-  const auto& header = ctx_.loops(frame.func).loop(loop).header;
-  trace::Record rec;
-  rec.kind = trace::RecordKind::kIterBegin;
-  rec.sid = ctx_.firstSid(frame.func, header);
-  rec.frame = frame.id;
-  rec.value = iteration;
-  sink_.onRecord(rec);
-}
-
-void Interpreter::emitLoopExit(const Frame& frame, analysis::LoopId loop) {
-  const auto& header = ctx_.loops(frame.func).loop(loop).header;
-  trace::Record rec;
-  rec.kind = trace::RecordKind::kLoopExit;
-  rec.sid = ctx_.firstSid(frame.func, header);
-  rec.frame = frame.id;
-  sink_.onRecord(rec);
-}
-
-void Interpreter::exitAllLoops(Frame& frame) {
-  while (!frame.active_loops.empty()) {
-    emitLoopExit(frame, frame.active_loops.back().loop);
-    frame.active_loops.pop_back();
-  }
-}
-
-void Interpreter::enterBlock(Frame& frame, ir::BlockId target) {
-  const auto& chain = ctx_.loopChain(frame.func, target);  // outermost first
-
-  // Close loops the target is no longer inside. Active loops are properly
-  // nested, so the surviving prefix must match the chain positionally.
-  while (!frame.active_loops.empty() &&
-         (frame.active_loops.size() > chain.size() ||
-          chain[frame.active_loops.size() - 1] !=
-              frame.active_loops.back().loop)) {
-    emitLoopExit(frame, frame.active_loops.back().loop);
-    frame.active_loops.pop_back();
-  }
-
-  // Back edge: target is the header of the (still-active) innermost loop.
-  if (!frame.active_loops.empty() &&
-      frame.active_loops.size() == chain.size() &&
-      ctx_.loops(frame.func).loop(frame.active_loops.back().loop).header ==
-          target) {
-    ActiveLoop& top = frame.active_loops.back();
-    ++top.iteration;
-    emitIterBegin(frame, top.loop, top.iteration);
-  }
-
-  // Newly entered loops (natural loops are entered through their header).
-  for (std::size_t i = frame.active_loops.size(); i < chain.size(); ++i) {
-    frame.active_loops.push_back({chain[i], 0});
-    emitIterBegin(frame, chain[i], 0);
-  }
-
-  frame.block = target;
-  frame.index = 0;
+    : ctx_(ctx),
+      memory_(memory),
+      sink_(sink),
+      block_(std::make_unique_for_overwrite<trace::Record[]>(
+          trace::kBlockRecords)) {
+  frames_.reserve(64);
+  regs_.reserve(1024);
+  loops_.reserve(64);
 }
 
 RunResult Interpreter::run(ir::FuncId entry,
@@ -128,153 +24,258 @@ RunResult Interpreter::run(ir::FuncId entry,
                            const RunLimits& limits) {
   const ir::Module& module = ctx_.module();
   SPT_CHECK(module.finalized());
-  const ir::Function& entry_func = module.function(entry);
-  SPT_CHECK_MSG(args.size() == entry_func.param_count,
+  SPT_CHECK_MSG(args.size() == module.function(entry).param_count,
                 "entry argument count mismatch");
 
-  std::vector<Frame> stack;
-  {
-    Frame frame;
-    frame.func = entry;
-    frame.id = next_frame_++;
-    frame.regs.assign(entry_func.reg_count, 0);
-    for (std::size_t i = 0; i < args.size(); ++i) frame.regs[i] = args[i];
-    stack.push_back(std::move(frame));
-    enterBlock(stack.back(), 0);
-  }
+  const DecodedInstr* const code = ctx_.code();
+  const std::uint32_t* const call_args = ctx_.callArgs();
+  constexpr std::uint32_t kNoReg = ir::Reg::kInvalidIndex;
+  trace::Record* const out = block_.get();
+  std::size_t pending = 0;  // records in the block
 
+  const auto emit = [&](const trace::Record& rec) {
+    out[pending] = rec;
+    if (++pending == trace::kBlockRecords) {
+      sink_.onBlock({out, pending});
+      pending = 0;
+    }
+  };
+  const auto emitMarker = [&](trace::RecordKind kind, trace::FrameId frame,
+                              ir::StaticId header_sid,
+                              std::int64_t iteration) {
+    trace::Record rec;
+    rec.kind = kind;
+    rec.sid = header_sid;
+    rec.frame = frame;
+    rec.value = iteration;
+    emit(rec);
+  };
+
+  // The state of the frame on top, kept in locals.
+  frames_.clear();
+  regs_.clear();
+  loops_.clear();
+  trace::FrameId frame = next_frame_++;
+  std::uint32_t loop_base = 0;
+  regs_.assign(ctx_.function(entry).reg_count, 0);
+  for (std::size_t i = 0; i < args.size(); ++i) regs_[i] = args[i];
+  std::int64_t* regs = regs_.data();
+  frames_.push_back({frame, 0, 0, kNoReg, nullptr});
+
+  // Enters decoded block `b` of the frame on top: closes the loops the
+  // block is not inside, counts a back edge to the innermost loop's
+  // header, opens the loops newly entered (natural loops are entered
+  // through their header), and returns the block's first instruction.
+  // Active loops are properly nested, so the surviving prefix matches the
+  // block's chain positionally.
+  const auto enterBlock = [&](std::uint32_t b) -> const DecodedInstr* {
+    const DecodedBlock& block = ctx_.block(b);
+    const std::span<const LoopRef> chain = ctx_.chain(block);
+    std::size_t depth = loops_.size() - loop_base;
+    while (depth != 0 &&
+           (depth > chain.size() ||
+            chain[depth - 1].loop != loops_.back().loop)) {
+      emitMarker(trace::RecordKind::kLoopExit, frame,
+                 loops_.back().header_sid, 0);
+      loops_.pop_back();
+      --depth;
+    }
+    if (depth != 0 && depth == chain.size() && block.innermost_header) {
+      ActiveLoop& top = loops_.back();
+      ++top.iteration;
+      emitMarker(trace::RecordKind::kIterBegin, frame, top.header_sid,
+                 top.iteration);
+    }
+    for (; depth < chain.size(); ++depth) {
+      loops_.push_back({chain[depth].loop, chain[depth].header_sid, 0});
+      emitMarker(trace::RecordKind::kIterBegin, frame,
+                 chain[depth].header_sid, 0);
+    }
+    return code + block.first;
+  };
+
+  const DecodedInstr* ip = enterBlock(ctx_.function(entry).entry);
   RunResult result;
   std::uint64_t count = 0;
+  const std::uint64_t max_instrs = limits.max_instrs;
 
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    const ir::Function& func = module.function(f.func);
-    const ir::BasicBlock& bb = func.blocks[f.block];
-    SPT_CHECK_MSG(f.index < bb.instrs.size(), "fell off the end of a block");
-    const ir::Instr& in = bb.instrs[f.index];
-
-    if (count >= limits.max_instrs) {
+  for (;;) {
+    const DecodedInstr& in = *ip;
+    if (count >= max_instrs) [[unlikely]] {
+      SPT_CHECK_MSG(in.op != kEndOfBlock, "fell off the end of a block");
       throw support::SptBudgetExceeded("interpreted instructions", count,
-                                       limits.max_instrs);
+                                       max_instrs);
     }
     ++count;
 
     trace::Record rec;
     rec.kind = trace::RecordKind::kInstr;
     rec.op = in.op;
-    rec.sid = in.static_id;
-    rec.frame = f.id;
+    rec.sid = in.sid;
+    rec.frame = frame;
 
     using ir::Opcode;
+    // A binary arithmetic or comparison op: dst = a OP b.
+#define SPT_BINARY(OPCODE, EXPR)                  \
+  case Opcode::OPCODE: {                          \
+    const std::int64_t a = regs[in.a];            \
+    const std::int64_t b = regs[in.b];            \
+    const std::int64_t v = (EXPR);                \
+    regs[in.dst] = v;                             \
+    rec.value = v;                                \
+    emit(rec);                                    \
+    ++ip;                                         \
+    break;                                        \
+  }
     switch (in.op) {
       case Opcode::kConst:
-        f.regs[in.dst.index] = in.imm;
+        regs[in.dst] = in.imm;
         rec.value = in.imm;
-        sink_.onRecord(rec);
-        ++f.index;
+        emit(rec);
+        ++ip;
         break;
       case Opcode::kMov:
-        f.regs[in.dst.index] = f.regs[in.a.index];
-        rec.value = f.regs[in.dst.index];
-        sink_.onRecord(rec);
-        ++f.index;
+        regs[in.dst] = regs[in.a];
+        rec.value = regs[in.dst];
+        emit(rec);
+        ++ip;
         break;
+      SPT_BINARY(kAdd, static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                                 static_cast<std::uint64_t>(b)))
+      SPT_BINARY(kSub, static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                                 static_cast<std::uint64_t>(b)))
+      SPT_BINARY(kMul, static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                                 static_cast<std::uint64_t>(b)))
+      SPT_BINARY(kAnd, a & b)
+      SPT_BINARY(kOr, a | b)
+      SPT_BINARY(kXor, a ^ b)
+      SPT_BINARY(kShl, static_cast<std::int64_t>(static_cast<std::uint64_t>(a)
+                                                 << (b & 63)))
+      SPT_BINARY(kShr, static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >>
+                                                 (b & 63)))
+      SPT_BINARY(kCmpEq, a == b)
+      SPT_BINARY(kCmpNe, a != b)
+      SPT_BINARY(kCmpLt, a < b)
+      SPT_BINARY(kCmpLe, a <= b)
+      SPT_BINARY(kCmpGt, a > b)
+      SPT_BINARY(kCmpGe, a >= b)
+      case Opcode::kDiv:
+      case Opcode::kRem: {
+        const std::int64_t a = regs[in.a];
+        const std::int64_t b = regs[in.b];
+        const bool div = in.op == Opcode::kDiv;
+        SPT_CHECK_MSG(b != 0, div ? "division by zero" : "remainder by zero");
+        SPT_CHECK_MSG(!(a == INT64_MIN && b == -1),
+                      div ? "division overflow" : "remainder overflow");
+        const std::int64_t v = div ? a / b : a % b;
+        regs[in.dst] = v;
+        rec.value = v;
+        emit(rec);
+        ++ip;
+        break;
+      }
+#undef SPT_BINARY
       case Opcode::kHalloc: {
         const std::uint64_t base =
             memory_.alloc(static_cast<std::uint64_t>(in.imm));
-        f.regs[in.dst.index] = static_cast<std::int64_t>(base);
-        rec.value = f.regs[in.dst.index];
-        sink_.onRecord(rec);
-        ++f.index;
+        regs[in.dst] = static_cast<std::int64_t>(base);
+        rec.value = regs[in.dst];
+        emit(rec);
+        ++ip;
         break;
       }
       case Opcode::kLoad: {
         const std::uint64_t addr =
-            static_cast<std::uint64_t>(f.regs[in.a.index] + in.imm);
+            static_cast<std::uint64_t>(regs[in.a] + in.imm);
         const std::int64_t v = memory_.load64(addr);
-        f.regs[in.dst.index] = v;
+        regs[in.dst] = v;
         rec.value = v;
         rec.mem_addr = addr;
-        sink_.onRecord(rec);
-        ++f.index;
+        emit(rec);
+        ++ip;
         break;
       }
       case Opcode::kStore: {
         const std::uint64_t addr =
-            static_cast<std::uint64_t>(f.regs[in.a.index] + in.imm);
+            static_cast<std::uint64_t>(regs[in.a] + in.imm);
         rec.mem_old = memory_.load64(addr);
-        rec.value = f.regs[in.b.index];
+        rec.value = regs[in.b];
         rec.mem_addr = addr;
-        memory_.store64(addr, f.regs[in.b.index]);
-        sink_.onRecord(rec);
-        ++f.index;
+        memory_.store64(addr, regs[in.b]);
+        emit(rec);
+        ++ip;
         break;
       }
       case Opcode::kBr:
-        sink_.onRecord(rec);
-        enterBlock(f, in.target0);
+        emit(rec);
+        ip = enterBlock(in.target0);
         break;
       case Opcode::kCondBr: {
-        const bool taken = f.regs[in.a.index] != 0;
+        const bool taken = regs[in.a] != 0;
         rec.taken = taken;
-        sink_.onRecord(rec);
-        enterBlock(f, taken ? in.target0 : in.target1);
+        emit(rec);
+        ip = enterBlock(taken ? in.target0 : in.target1);
         break;
       }
       case Opcode::kCall: {
-        const ir::Function& callee = module.function(in.callee);
-        Frame next;
-        next.func = in.callee;
-        next.id = next_frame_++;
-        next.regs.assign(callee.reg_count, 0);
-        for (std::size_t i = 0; i < in.args.size(); ++i) {
-          next.regs[i] = f.regs[in.args[i].index];
+        const DecodedFunction& callee = ctx_.function(in.target0);
+        const trace::FrameId callee_frame = next_frame_++;
+        rec.callee_frame = callee_frame;
+        emit(rec);
+        frames_.back().resume = ip + 1;  // caller resumes after the call
+        const std::uint32_t caller_regs = frames_.back().regs;
+        const auto base = static_cast<std::uint32_t>(regs_.size());
+        regs_.resize(base + callee.reg_count);
+        regs = regs_.data() + base;
+        const std::int64_t* caller = regs_.data() + caller_regs;
+        for (std::uint32_t i = 0; i < in.arg_count; ++i) {
+          regs[i] = caller[call_args[in.target1 + i]];
         }
-        next.ret_dst = in.dst;
-        rec.callee_frame = next.id;
-        sink_.onRecord(rec);
-        ++f.index;  // caller resumes after the call
-        stack.push_back(std::move(next));
-        enterBlock(stack.back(), 0);
+        loop_base = static_cast<std::uint32_t>(loops_.size());
+        frames_.push_back({callee_frame, base, loop_base, in.dst, nullptr});
+        frame = callee_frame;
+        ip = enterBlock(callee.entry);
         break;
       }
       case Opcode::kRet: {
-        const std::int64_t value =
-            in.a.valid() ? f.regs[in.a.index] : 0;
-        exitAllLoops(f);
-        rec.value = value;
-        sink_.onRecord(rec);
-        const ir::Reg ret_dst = f.ret_dst;
-        stack.pop_back();
-        if (stack.empty()) {
-          result.return_value = value;
-        } else if (ret_dst.valid()) {
-          stack.back().regs[ret_dst.index] = value;
+        const std::int64_t value = in.a != kNoReg ? regs[in.a] : 0;
+        while (loops_.size() > loop_base) {
+          emitMarker(trace::RecordKind::kLoopExit, frame,
+                     loops_.back().header_sid, 0);
+          loops_.pop_back();
         }
+        rec.value = value;
+        emit(rec);
+        const Frame done = frames_.back();
+        frames_.pop_back();
+        if (frames_.empty()) {
+          result.return_value = value;
+          if (pending != 0) sink_.onBlock({out, pending});
+          result.dynamic_instrs = count;
+          result.memory_hash = memory_.hash();
+          return result;
+        }
+        regs_.resize(done.regs);
+        const Frame& caller = frames_.back();
+        regs = regs_.data() + caller.regs;
+        if (done.ret_dst != kNoReg) regs[done.ret_dst] = value;
+        frame = caller.id;
+        loop_base = caller.loops;
+        ip = caller.resume;
         break;
       }
       case Opcode::kSptFork:
       case Opcode::kSptKill:
       case Opcode::kNop:
-        sink_.onRecord(rec);
-        ++f.index;
+        emit(rec);
+        ++ip;
         break;
-      default: {
-        // Binary arithmetic / comparison.
-        const std::int64_t v =
-            evalBinary(in.op, f.regs[in.a.index], f.regs[in.b.index]);
-        f.regs[in.dst.index] = v;
-        rec.value = v;
-        sink_.onRecord(rec);
-        ++f.index;
-        break;
-      }
+      default:
+        // Every opcode has its case: this is the kEndOfBlock sentinel.
+        SPT_CHECK_MSG(in.op != kEndOfBlock, "fell off the end of a block");
+        SPT_UNREACHABLE("not an opcode");
     }
   }
-
-  result.dynamic_instrs = count;
-  result.memory_hash = memory_.hash();
-  return result;
 }
 
 namespace {

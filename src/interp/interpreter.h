@@ -1,12 +1,18 @@
 // Sequential IR interpreter with trace emission.
 //
-// Executes a finalized module and streams one trace::Record per dynamic
-// instruction plus loop iteration/exit markers (paper Section 5.1: the SPT
-// simulator is driven by the trace of the *sequential* execution).
+// Executes a finalized module's decoded program (interp::ProgramContext)
+// and streams one trace::Record per dynamic instruction plus loop
+// iteration/exit markers (paper Section 5.1: the SPT simulator is driven by
+// the trace of the *sequential* execution). Records are written straight
+// into a block of trace::kBlockRecords; each full block, and the last
+// partial one when the run ends, goes to the sink. A run that fails hands
+// on only the whole blocks before the failing instruction.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "interp/memory.h"
 #include "interp/program_context.h"
@@ -44,29 +50,32 @@ class Interpreter {
  private:
   struct ActiveLoop {
     analysis::LoopId loop;
+    ir::StaticId header_sid;
     std::int64_t iteration;  // 0-based
   };
 
+  /// A call frame. Its registers are regs_[regs, regs + reg_count) and its
+  /// active loops loops_[loops, ...), innermost last: both stacks grow and
+  /// shrink with the frames.
   struct Frame {
-    ir::FuncId func = ir::kInvalidFunc;
     trace::FrameId id = 0;
-    std::vector<std::int64_t> regs;
-    ir::BlockId block = 0;
-    std::uint32_t index = 0;  // next instruction within block
-    std::vector<ActiveLoop> active_loops;  // innermost last
-    ir::Reg ret_dst;          // caller register awaiting the return value
+    std::uint32_t regs = 0;
+    std::uint32_t loops = 0;
+    /// Caller register awaiting the return value (kInvalidIndex: none).
+    std::uint32_t ret_dst = ir::Reg::kInvalidIndex;
+    /// Where the frame resumes when its callee returns.
+    const DecodedInstr* resume = nullptr;
   };
-
-  void enterBlock(Frame& frame, ir::BlockId target);
-  void exitAllLoops(Frame& frame);
-  void emitIterBegin(const Frame& frame, analysis::LoopId loop,
-                     std::int64_t iteration);
-  void emitLoopExit(const Frame& frame, analysis::LoopId loop);
 
   const ProgramContext& ctx_;
   Memory& memory_;
   trace::TraceSink& sink_;
   trace::FrameId next_frame_ = 0;
+  std::vector<Frame> frames_;
+  std::vector<std::int64_t> regs_;
+  std::vector<ActiveLoop> loops_;
+  /// The block records are written into.
+  std::unique_ptr<trace::Record[]> block_;
 };
 
 }  // namespace spt::interp

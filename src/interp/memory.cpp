@@ -30,25 +30,6 @@ Memory::Memory(std::size_t size_bytes)
   if (bytes_ == nullptr) throw std::bad_alloc();
 }
 
-void Memory::checkAccess(std::uint64_t addr) const {
-  SPT_CHECK_MSG(addr != 0, "null pointer dereference");
-  SPT_CHECK_MSG(addr % 8 == 0, "unaligned 64-bit access");
-  SPT_CHECK_MSG(addr < size_ && size_ - addr >= 8,
-                "memory access out of bounds");
-}
-
-std::int64_t Memory::load64(std::uint64_t addr) const {
-  checkAccess(addr);
-  std::int64_t v;
-  std::memcpy(&v, bytes_.get() + addr, 8);
-  return v;
-}
-
-void Memory::store64(std::uint64_t addr, std::int64_t value) {
-  checkAccess(addr);
-  std::memcpy(bytes_.get() + addr, &value, 8);
-}
-
 std::uint64_t Memory::alloc(std::uint64_t bytes) {
   SPT_CHECK_MSG(bytes <= size_ - brk_, "interpreter heap overflow");
   const std::uint64_t rounded = (bytes + 7) & ~7ull;

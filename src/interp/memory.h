@@ -11,7 +11,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+
+#include "support/check.h"
 
 namespace spt::interp {
 
@@ -20,8 +23,16 @@ class Memory {
   /// Throws std::bad_alloc when the backing store cannot be allocated.
   explicit Memory(std::size_t size_bytes = 64u << 20);
 
-  std::int64_t load64(std::uint64_t addr) const;
-  void store64(std::uint64_t addr, std::int64_t value);
+  std::int64_t load64(std::uint64_t addr) const {
+    checkAccess(addr);
+    std::int64_t v;
+    std::memcpy(&v, bytes_.get() + addr, 8);
+    return v;
+  }
+  void store64(std::uint64_t addr, std::int64_t value) {
+    checkAccess(addr);
+    std::memcpy(bytes_.get() + addr, &value, 8);
+  }
 
   /// Bump-allocates `bytes` (rounded up to 8), zero-initialized.
   /// Returns the 8-aligned base address (never 0).
@@ -39,7 +50,13 @@ class Memory {
     void operator()(std::uint8_t* p) const { std::free(p); }
   };
 
-  void checkAccess(std::uint64_t addr) const;
+  /// Inline: the interpreter checks every load and store.
+  void checkAccess(std::uint64_t addr) const {
+    SPT_CHECK_MSG(addr != 0, "null pointer dereference");
+    SPT_CHECK_MSG(addr % 8 == 0, "unaligned 64-bit access");
+    SPT_CHECK_MSG(addr < size_ && size_ - addr >= 8,
+                  "memory access out of bounds");
+  }
 
   std::unique_ptr<std::uint8_t[], FreeDeleter> bytes_;
   std::size_t size_;

@@ -87,7 +87,11 @@ void Profiler::trackDependents(const trace::Record& record) {
   }
 }
 
-void Profiler::onRecord(const trace::Record& record) {
+void Profiler::onBlock(trace::TraceView block) {
+  for (const trace::Record& record : block) add(record);
+}
+
+void Profiler::add(const trace::Record& record) {
   using trace::RecordKind;
   switch (record.kind) {
     case RecordKind::kIterBegin: {

@@ -29,7 +29,7 @@ class Profiler final : public trace::TraceSink {
       const ir::Module& module,
       const std::unordered_set<ir::StaticId>& value_candidates = {});
 
-  void onRecord(const trace::Record& record) override;
+  void onBlock(trace::TraceView block) override;
 
   /// Takes the accumulated profile (call once, after the run).
   ProfileData take();
@@ -82,6 +82,8 @@ class Profiler final : public trace::TraceSink {
     return (static_cast<std::uint64_t>(frame) << 32) | reg.index;
   }
 
+  /// Folds one record into the profile.
+  void add(const trace::Record& record);
   void trackDependents(const trace::Record& record);
 
   void closeTopLoop();

@@ -13,9 +13,7 @@ namespace spt::sim {
 
 BaselineMachine::BaselineMachine(const ir::Module& module,
                                  const support::MachineConfig& config)
-    : BaselineMachine(module, trace::TraceView{}, config) {
-  block_.reserve(kBlockRecords);
-}
+    : BaselineMachine(module, trace::TraceView{}, config) {}
 
 BaselineMachine::BaselineMachine(const ir::Module& module,
                                  trace::TraceView trace,
@@ -33,11 +31,6 @@ BaselineMachine::BaselineMachine(const ir::Module& module,
   // timing. The call stack keeps exactly that (same check, same failure
   // behavior) at a push/pop instead of full frame reconstruction.
   stack_.reserve(64);
-}
-
-void BaselineMachine::drainBlock() {
-  simulate({block_.data(), block_.size()});
-  block_.clear();
 }
 
 MachineResult BaselineMachine::run() {
@@ -257,7 +250,6 @@ void BaselineMachine::simulate(trace::TraceView records) {
 }
 
 MachineResult BaselineMachine::finish() {
-  drainBlock();
   pipe_.finish();
   loops_.finish(pipe_.cycle());
 

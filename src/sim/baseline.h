@@ -3,8 +3,9 @@
 // This is the paper's reference configuration ("the optimized non-SPT code
 // running on one core", Section 5.5). The machine reads its trace front to
 // back exactly once, so it can either replay a stored trace (run()) or sit
-// behind the interpreter as a TraceSink and simulate while the program runs
-// (onRecord() then finish()), with no trace stored at all.
+// behind the interpreter as a TraceSink and simulate each block of records
+// in place while the program runs (onBlock() then finish()), with no trace
+// stored at all.
 #pragma once
 
 #include <vector>
@@ -20,11 +21,11 @@
 
 namespace spt::sim {
 
-/// One machine simulates one trace: either run() once, or onRecord() for
-/// every record and then finish() once.
+/// One machine simulates one trace: either run() once, or onBlock() for
+/// every block and then finish() once.
 class BaselineMachine final : public trace::TraceSink {
  public:
-  /// Streaming: records arrive through onRecord().
+  /// Streaming: records arrive through onBlock().
   BaselineMachine(const ir::Module& module,
                   const support::MachineConfig& config);
   /// Replay: run() simulates `trace`, whose backing store (TraceBuffer or
@@ -34,23 +35,16 @@ class BaselineMachine final : public trace::TraceSink {
   BaselineMachine(const BaselineMachine&) = delete;
   BaselineMachine& operator=(const BaselineMachine&) = delete;
 
-  /// Buffers the record; every kBlockRecords records run through the
-  /// dispatch loop while the block is still in the host's L2.
-  void onRecord(const trace::Record& record) override {
-    block_.push_back(record);
-    if (block_.size() == kBlockRecords) drainBlock();
-  }
+  /// Runs the block through the dispatch loop where it lies.
+  void onBlock(trace::TraceView block) override { simulate(block); }
 
-  /// Simulates what is still buffered and returns the result.
+  /// Ends the trace and returns the result.
   MachineResult finish();
 
   /// Simulates the whole trace given at construction, then finish().
   MachineResult run();
 
  private:
-  /// 4096 records of 40 bytes: 160 KB.
-  static constexpr std::size_t kBlockRecords = 4096;
-
   struct FrameEntry {
     trace::FrameId id = 0;
     ir::Reg ret_dst;
@@ -64,7 +58,6 @@ class BaselineMachine final : public trace::TraceSink {
 
   /// The threaded-dispatch loop over the next `records` of the trace.
   void simulate(trace::TraceView records);
-  void drainBlock();
 
   trace::TraceView trace_;
   const support::MachineConfig& config_;
@@ -72,7 +65,6 @@ class BaselineMachine final : public trace::TraceSink {
   MemorySystem memory_;
   Pipeline pipe_;
   LoopCycleTracker loops_;
-  std::vector<trace::Record> block_;
   std::vector<FrameEntry> stack_;
   std::uint64_t cur_frame_ = kUnstarted;
   /// Trace index of the next record to simulate; budget checks and their

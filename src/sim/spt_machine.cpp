@@ -108,7 +108,7 @@ SptMachine::SptMachine(const ir::Module& module, trace::TraceView trace,
                 "spec_threads out of range");
   if (forks_ == nullptr) {
     forks_ = &own_index_.emplace(module).forks();
-    window_.reserve(2 * kBlockRecords);
+    window_.reserve(2 * trace::kBlockRecords);
   }
   budgeted_ = config.max_simulated_records != 0 ||
               config.max_simulated_cycles != 0;

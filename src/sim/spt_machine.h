@@ -43,11 +43,12 @@
 // No step reads a record behind the main thread's position, and a thread
 // runs at most its SRB's capacity past its start-point, so the machine
 // needs only a window of the trace. It either replays a stored trace
-// (run()) or sits behind the interpreter as a TraceSink (onRecord() then
-// finish()): it then resolves forks with an incremental LoopIndex, steps
-// until the next step needs a record or a fork start-point that has not
-// arrived yet, and drops the records behind the main thread. Both ways take
-// the same steps in the same order, so results are identical.
+// (run()) or sits behind the interpreter as a TraceSink (onBlock() then
+// finish()): it then appends each block to its window, resolves forks with
+// an incremental LoopIndex, steps until the next step needs a record or a
+// fork start-point that has not arrived yet, and drops the records behind
+// the main thread. Both ways take the same steps in the same order, so
+// results are identical.
 #pragma once
 
 #include <memory>
@@ -69,11 +70,11 @@
 
 namespace spt::sim {
 
-/// One machine simulates one trace: either run() once, or onRecord() for
-/// every record and then finish() once.
+/// One machine simulates one trace: either run() once, or onBlock() for
+/// every block and then finish() once.
 class SptMachine final : public trace::TraceSink {
  public:
-  /// Streaming: records arrive through onRecord(). The machine indexes the
+  /// Streaming: records arrive through onBlock(). The machine indexes the
   /// forks itself and keeps only the records a thread can still read.
   SptMachine(const ir::Module& module, const support::MachineConfig& config);
   /// Replay: run() simulates `trace`, whose backing store (TraceBuffer or
@@ -90,11 +91,14 @@ class SptMachine final : public trace::TraceSink {
   SptMachine(const SptMachine&) = delete;
   SptMachine& operator=(const SptMachine&) = delete;
 
-  /// Appends the record to the window; every kBlockRecords records the
-  /// machine runs as far as the records seen so far allow.
-  void onRecord(const trace::Record& record) override {
-    window_.push_back(record);
-    if (base_ + window_.size() - indexed_ == kBlockRecords) drainBlock();
+  /// Appends the block to the window; once trace::kBlockRecords records
+  /// are unindexed, the machine runs as far as the records seen so far
+  /// allow.
+  void onBlock(trace::TraceView block) override {
+    window_.insert(window_.end(), block.begin(), block.end());
+    if (base_ + window_.size() - indexed_ >= trace::kBlockRecords) {
+      drainBlock();
+    }
   }
 
   /// Ends the trace: closes the fork index, runs the machine to the end
@@ -113,9 +117,6 @@ class SptMachine final : public trace::TraceSink {
   std::size_t windowHighWater() const { return high_water_; }
 
  private:
-  /// 4096 records of 40 bytes: 160 KB.
-  static constexpr std::size_t kBlockRecords = 4096;
-
   struct SrbEntry {
     std::size_t record_index = 0;
     std::int64_t emu_value = 0;
@@ -216,7 +217,8 @@ class SptMachine final : public trace::TraceSink {
   const trace::Record& rec(std::size_t i) const { return data_[i - base_]; }
   /// Indexes the records that arrived since the last call.
   void indexNewRecords();
-  /// Streaming: indexes the block, runs the machine, compacts the window.
+  /// Streaming: indexes the new records, runs the machine, compacts the
+  /// window.
   void drainBlock();
   /// Drops the records below pos_ (no thread reads them again).
   void compact();

@@ -41,8 +41,16 @@ TraceBuffer& TraceBuffer::operator=(TraceBuffer other) noexcept {
 
 TraceBuffer::~TraceBuffer() { std::free(data_); }
 
-void TraceBuffer::grow() {
-  const std::size_t capacity = capacity_ == 0 ? 1024 : 2 * capacity_;
+void TraceBuffer::onBlock(TraceView block) {
+  if (block.empty()) return;
+  if (capacity_ - size_ < block.size()) grow(size_ + block.size());
+  std::memcpy(data_ + size_, block.data(), block.size() * sizeof(Record));
+  size_ += block.size();
+}
+
+void TraceBuffer::grow(std::size_t min_capacity) {
+  const std::size_t capacity =
+      std::max(min_capacity, capacity_ == 0 ? std::size_t{1024} : 2 * capacity_);
   void* data = std::realloc(data_, capacity * sizeof(Record));
   if (data == nullptr) throw std::bad_alloc();
   data_ = static_cast<Record*>(data);

@@ -1,6 +1,7 @@
 // Trace sinks, in-memory trace buffer, and the loop/fork index.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -10,32 +11,6 @@
 #include "trace/record.h"
 
 namespace spt::trace {
-
-/// Streaming consumer of trace records (profilers implement this so that
-/// profiling runs need not buffer the whole trace).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void onRecord(const Record& record) = 0;
-};
-
-/// Sink that discards everything (plain functional runs).
-class NullSink final : public TraceSink {
- public:
-  void onRecord(const Record&) override {}
-};
-
-/// Sink that forwards to several sinks.
-class TeeSink final : public TraceSink {
- public:
-  void add(TraceSink* sink) { sinks_.push_back(sink); }
-  void onRecord(const Record& record) override {
-    for (TraceSink* s : sinks_) s->onRecord(record);
-  }
-
- private:
-  std::vector<TraceSink*> sinks_;
-};
 
 /// Non-owning view over a contiguous run of records — the single currency
 /// the machines, LoopIndex, and the oracle consume. Both an in-memory
@@ -64,6 +39,44 @@ class TraceView {
   std::size_t size_ = 0;
 };
 
+/// Records per block: the interpreter hands its sink the records of a run
+/// in blocks of this many, the last one partial. 4096 records of 40 bytes
+/// are 160 KB, small enough that a block is still in the host's L2 when
+/// the next sink of a TeeSink reads it.
+inline constexpr std::size_t kBlockRecords = 4096;
+
+/// Streaming consumer of trace records. Records arrive in blocks, in trace
+/// order; a block's view is valid only during the call, so a sink that
+/// keeps records copies them. Where one block ends carries no meaning:
+/// every sink gives the same output however the trace is cut into blocks.
+class TraceSink {
+ public:
+  virtual ~TraceSink() = default;
+  virtual void onBlock(TraceView block) = 0;
+
+  /// Sends `record` as a block of one.
+  void onRecord(const Record& record) { onBlock({&record, 1}); }
+};
+
+/// Sink that discards everything (plain functional runs).
+class NullSink final : public TraceSink {
+ public:
+  void onBlock(TraceView) override {}
+};
+
+/// Sink that forwards each block to several sinks, in the order they were
+/// added.
+class TeeSink final : public TraceSink {
+ public:
+  void add(TraceSink* sink) { sinks_.push_back(sink); }
+  void onBlock(TraceView block) override {
+    for (TraceSink* s : sinks_) s->onBlock(block);
+  }
+
+ private:
+  std::vector<TraceSink*> sinks_;
+};
+
 /// Stores the full trace in memory, for the consumers that need all of it
 /// at once: trace files, the trace cache, and replays of one trace through
 /// many machines. A single simulation needs no stored trace: both machines
@@ -82,10 +95,8 @@ class TraceBuffer final : public TraceSink {
   TraceBuffer& operator=(TraceBuffer other) noexcept;
   ~TraceBuffer() override;
 
-  void onRecord(const Record& record) override {
-    if (size_ == capacity_) grow();
-    data_[size_++] = record;
-  }
+  /// Grows at most once and copies the block.
+  void onBlock(TraceView block) override;
 
   std::size_t size() const { return size_; }
   const Record& operator[](std::size_t i) const { return data_[i]; }
@@ -99,7 +110,8 @@ class TraceBuffer final : public TraceSink {
   std::size_t instrCount() const;
 
  private:
-  void grow();
+  /// Grows the block to hold at least `min_capacity` records.
+  void grow(std::size_t min_capacity);
 
   Record* data_ = nullptr;
   std::size_t size_ = 0;

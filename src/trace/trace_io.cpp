@@ -196,10 +196,10 @@ void TraceFileWriter::flush() {
   pending_ = 0;
 }
 
-void TraceFileWriter::append(TraceView trace) {
-  const Record* next = trace.begin();
-  while (next != trace.end()) {
-    const std::size_t left = static_cast<std::size_t>(trace.end() - next);
+void TraceFileWriter::onBlock(TraceView block) {
+  const Record* next = block.begin();
+  while (next != block.end()) {
+    const std::size_t left = static_cast<std::size_t>(block.end() - next);
     if (pending_ == 0 && left >= kBlockRecords) {
       const std::size_t whole = left - left % kBlockRecords;
       put(next, whole);
@@ -254,7 +254,7 @@ std::optional<TraceFileSummary> TraceFileWriter::finish(
 bool writeTraceFile(const std::string& path, TraceView trace,
                     const TraceFileMeta& meta) {
   TraceFileWriter writer(path, path + ".tmp." + processTag());
-  writer.append(trace);
+  writer.onBlock(trace);
   return writer.finish(meta).has_value();
 }
 

@@ -20,7 +20,7 @@
 // are refused, and the trace cache re-produces them.
 //
 // There is one write path: TraceFileWriter, a TraceSink that checks,
-// checksums, counts and writes the records as they arrive, so a trace can
+// checksums, counts and writes the blocks of records as they arrive, so a trace can
 // be written while the run that makes it streams into a machine. A file
 // this process wrote is mapped again by openWritten() against the
 // writer's summary, without a second pass over its records.
@@ -58,28 +58,24 @@ struct TraceFileSummary {
 };
 
 /// Writes a container as its records arrive. Records gather in blocks of
-/// kBlockRecords; each block gets the per-record checks MappedTrace::open
-/// applies, is folded into the checksum, counted and written to the temp
-/// file `tmp`. finish() writes the header last, at offset 0, and renames
+/// kBlockRecords (an arriving whole block is taken as it is); each block
+/// gets the per-record checks MappedTrace::open applies, is folded into
+/// the checksum, counted and written to the temp file `tmp`. finish() writes the header last, at offset 0, and renames
 /// `tmp` onto `path`, so no reader ever sees a partial trace. A writer
 /// destroyed unfinished (the run feeding it threw) removes `tmp`.
 class TraceFileWriter final : public TraceSink {
  public:
   /// A block folds 5 * 4096 words, a multiple of WordLanes::kLanes, so
   /// every block but the last continues the checksum at lane 0.
-  static constexpr std::size_t kBlockRecords = 4096;
+  static constexpr std::size_t kBlockRecords = trace::kBlockRecords;
 
   TraceFileWriter(std::string path, std::string tmp);
   TraceFileWriter(const TraceFileWriter&) = delete;
   TraceFileWriter& operator=(const TraceFileWriter&) = delete;
   ~TraceFileWriter() override;
 
-  void onRecord(const Record& record) override {
-    block_[pending_++] = record;
-    if (pending_ == kBlockRecords) flush();
-  }
-  /// The records of `trace`, in bulk: whole blocks go straight from it.
-  void append(TraceView trace);
+  /// The records of `block`: whole blocks go straight from it.
+  void onBlock(TraceView block) override;
 
   /// Completes the file with `meta` in its header and renames it into
   /// place. Returns std::nullopt when a record failed its checks or a

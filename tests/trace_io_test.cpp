@@ -387,13 +387,13 @@ TEST(TraceIo, WriterRefusesOutOfRangeRecordsAndLeavesNoFile) {
   const std::string path = tracePath("writer_refuses");
   std::filesystem::remove(path);
   for (const bool bulk : {false, true}) {
-    SCOPED_TRACE(bulk ? "append" : "onRecord");
+    SCOPED_TRACE(bulk ? "onBlock" : "onRecord");
     TraceBuffer damaged = run.trace;  // a copy, whose records we own
     Record* records = const_cast<Record*>(damaged.view().data());
     records[bad].pad = 7;
     TraceFileWriter writer(path, path + ".tmp.test");
     if (bulk) {
-      writer.append(damaged.view());
+      writer.onBlock(damaged.view());
     } else {
       for (const Record& r : damaged.view()) writer.onRecord(r);
     }
@@ -420,13 +420,13 @@ TEST(TraceIo, UnfinishedWriterLeavesNothingAndSummariesMustMatch) {
   std::filesystem::remove(path);
   {
     TraceFileWriter writer(path, path + ".tmp.test");
-    writer.append(run.trace.view());
+    writer.onBlock(run.trace.view());
   }
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp.test"));
 
   TraceFileWriter writer(path, path + ".tmp.test");
-  writer.append(run.trace.view());
+  writer.onBlock(run.trace.view());
   const std::optional<TraceFileSummary> written = writer.finish({1, 2});
   ASSERT_TRUE(written.has_value());
   EXPECT_EQ(written->records, run.trace.size());

@@ -17,7 +17,8 @@
 //       value.
 //   sptc perf [options]
 //       Measure the simulator's own host throughput (simulated MIPS per
-//       workload, docs/PERF.md) and write BENCH_sim_throughput.json.
+//       workload, docs/PERF.md) and the interpreter's (trace records per
+//       second into a NullSink), and write BENCH_sim_throughput.json.
 //   sptc inject [options]
 //       Run the fault-injection campaign (docs/ROBUSTNESS.md): the whole
 //       suite under seeded corruption of the speculative structures with
@@ -129,7 +130,8 @@
 //                      (perf default: BENCH_sim_throughput.json)
 //
 // Options for perf:
-//   --reps N           timed repetitions per machine, fastest wins
+//   --reps N           timed repetitions per machine and of the
+//                      interpreter, fastest wins
 //                      (default 3)
 //
 // Options for run/compile/sweep:
