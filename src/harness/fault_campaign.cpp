@@ -31,17 +31,19 @@ struct Prepared {
 };
 
 /// Compiles and traces `entry`'s workload once for the campaign. The
-/// compiler follows the machine's chain depth so chained campaigns
-/// exercise slice-equipped forks too. Compilation and tracing are
+/// compiler keeps the suite's plan (cellCompilerOptions with no override)
+/// and follows the machine's chain depth so chained campaigns exercise
+/// slice-equipped forks too. Compilation and tracing are
 /// deterministic, so every caller gets the same traces.
 Prepared prepareWorkload(const SuiteEntry& entry,
                          const FaultCampaignOptions& opts) {
   Prepared p;
   p.name = entry.workload.name;
   p.module = std::make_unique<ir::Module>(entry.workload.build(opts.scale));
-  compiler::CompilerOptions copts = entry.copts;
+  compiler::CompilerOptions copts;
   copts.spec_threads = opts.machine.spec_threads;
-  compiler::SptCompiler cc(copts);
+  compiler::SptCompiler cc(
+      cellCompilerOptions(p.name, copts, /*max_body=*/std::nullopt));
   InterpProfileRunner runner;
   cc.compile(*p.module, runner);
   p.trace = traceProgram(*p.module, {}, opts.machine.max_trace_records).trace;
@@ -118,7 +120,7 @@ FaultCampaignCell runCampaignCell(const Prepared& p, std::size_t c,
 FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts,
                                      std::string* checkpoint_error) {
   CheckpointLog log(opts.checkpoint_path, opts.resume);
-  const std::vector<SuiteEntry> suite = defaultSuite();
+  const std::vector<SuiteEntry> suite = suiteEntries(opts.benchmarks);
   const ParallelSweep sweep(opts.jobs);
 
   // Phase 1: compile + trace each workload once, in parallel. The pool is

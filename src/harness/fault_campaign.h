@@ -36,6 +36,8 @@ struct FaultCampaignOptions {
   std::uint64_t base_seed = 0x5eed;
   std::size_t jobs = 0;          // 0 = ThreadPool default
   std::uint64_t scale = 1;
+  /// Workload-name filter (suiteEntries); empty = the whole suite.
+  std::vector<std::string> benchmarks;
   std::uint32_t period = 32;     // injector firing period (1/period per site)
   support::OracleMode oracle = support::OracleMode::kDigest;
   support::MachineConfig machine;
@@ -106,8 +108,8 @@ struct FaultCampaignResult {
   }
 };
 
-/// Runs the campaign over harness::defaultSuite(). `checkpoint_error` is
-/// as in runSweep.
+/// Runs the campaign over harness::suiteEntries(opts.benchmarks).
+/// `checkpoint_error` is as in runSweep.
 FaultCampaignResult runFaultCampaign(const FaultCampaignOptions& opts = {},
                                      std::string* checkpoint_error = nullptr);
 

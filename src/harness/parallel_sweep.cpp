@@ -49,26 +49,14 @@ std::vector<SweepCase> buildSuiteSweepCases(
     const support::MachineConfig& machine,
     const compiler::CompilerOptions& copts, std::uint64_t scale,
     const std::vector<std::string>& benchmarks,
-    const std::vector<std::uint32_t>& spec_threads) {
+    const std::vector<std::uint32_t>& spec_threads,
+    std::optional<double> max_body) {
   std::vector<SweepCase> cases;
-  for (auto& entry : defaultSuite()) {
-    if (!benchmarks.empty()) {
-      bool wanted = false;
-      for (const std::string& b : benchmarks) {
-        if (b == entry.workload.name) wanted = true;
-      }
-      if (!wanted) continue;
-    }
+  for (auto& entry : suiteEntries(benchmarks)) {
     SweepCase c;
     c.benchmark = entry.workload.name;
     c.entry = std::move(entry);
-    // Suite-level per-benchmark overrides (gap's 2500 body-size limit)
-    // survive; every other knob comes from the caller.
-    const double per_benchmark_limit = c.entry.copts.max_avg_body_size;
-    c.entry.copts = copts;
-    if (per_benchmark_limit > c.entry.copts.max_avg_body_size) {
-      c.entry.copts.max_avg_body_size = per_benchmark_limit;
-    }
+    c.entry.copts = cellCompilerOptions(c.benchmark, copts, max_body);
     c.machine = machine;
     c.scale = scale;
     if (spec_threads.empty()) {

@@ -174,8 +174,8 @@ struct SweepOptions {
 
 /// Builds the standard suite sweep grid under one machine/compiler
 /// configuration: one case per defaultSuite() entry (in figure order),
-/// keeping suite-level per-benchmark overrides — gap's raised body-size
-/// limit survives unless the caller's own limit is higher. A non-empty
+/// each with cellCompilerOptions(name, copts, max_body) — gap keeps its
+/// raised body-size limit unless `max_body` is given. A non-empty
 /// `benchmarks` list filters the grid by workload name (unknown names are
 /// silently absent — callers that must reject them validate against
 /// defaultSuite() first). `sptc sweep`, the sweep service, and its
@@ -192,7 +192,8 @@ std::vector<SweepCase> buildSuiteSweepCases(
     const support::MachineConfig& machine,
     const compiler::CompilerOptions& copts, std::uint64_t scale,
     const std::vector<std::string>& benchmarks = {},
-    const std::vector<std::uint32_t>& spec_threads = {});
+    const std::vector<std::uint32_t>& spec_threads = {},
+    std::optional<double> max_body = std::nullopt);
 
 /// Runs one sweep cell in the calling process. With `catch_all`
 /// (quarantine, or a pooled worker, where supervision implies it) a cell

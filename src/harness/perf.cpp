@@ -5,6 +5,7 @@
 #include <map>
 
 #include "harness/experiment.h"
+#include "harness/suite.h"
 #include "spt/remarks.h"
 #include "support/check.h"
 #include "support/json.h"
@@ -33,7 +34,8 @@ PreparedWorkload prepare(const std::string& name, const PerfOptions& options) {
   p.baseline_module = module;
   p.baseline_module.finalize();
 
-  compiler::SptCompiler cc(options.copts);
+  compiler::SptCompiler cc(
+      cellCompilerOptions(name, options.copts, options.max_body));
   InterpProfileRunner runner;
   compiler::CompilationRemarks remarks;
   cc.compile(module, runner, &remarks);

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -35,7 +36,10 @@ struct PerfOptions {
   int repetitions = 3;
   std::size_t setup_jobs = 0;  // 0 = ParallelSweep default
   support::MachineConfig machine;
+  /// Each workload compiles with cellCompilerOptions(name, copts,
+  /// max_body), so gap keeps its suite plan unless max_body is given.
   compiler::CompilerOptions copts;
+  std::optional<double> max_body;
 };
 
 struct PerfRow {

@@ -1,5 +1,7 @@
 #include "harness/suite.h"
 
+#include <algorithm>
+
 namespace spt::harness {
 
 std::vector<SuiteEntry> defaultSuite() {
@@ -16,6 +18,31 @@ std::vector<SuiteEntry> defaultSuite() {
     suite.push_back(std::move(entry));
   }
   return suite;
+}
+
+std::vector<SuiteEntry> suiteEntries(const std::vector<std::string>& names) {
+  std::vector<SuiteEntry> entries = defaultSuite();
+  if (names.empty()) return entries;
+  std::erase_if(entries, [&](const SuiteEntry& entry) {
+    return std::find(names.begin(), names.end(), entry.workload.name) ==
+           names.end();
+  });
+  return entries;
+}
+
+compiler::CompilerOptions cellCompilerOptions(
+    const std::string& workload, compiler::CompilerOptions copts,
+    std::optional<double> max_body) {
+  if (max_body) {
+    copts.max_avg_body_size = *max_body;
+    return copts;
+  }
+  for (const SuiteEntry& entry : defaultSuite()) {
+    if (entry.workload.name == workload) {
+      copts.max_avg_body_size = entry.copts.max_avg_body_size;
+    }
+  }
+  return copts;
 }
 
 ExperimentResult runSuiteEntry(const SuiteEntry& entry,

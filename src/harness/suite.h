@@ -3,6 +3,10 @@
 // limit of 2500 instructions — paper Section 5.3).
 #pragma once
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "harness/experiment.h"
 #include "workloads/workloads.h"
 
@@ -15,6 +19,20 @@ struct SuiteEntry {
 
 /// The ten benchmarks in figure order with their default compiler options.
 std::vector<SuiteEntry> defaultSuite();
+
+/// defaultSuite() filtered by workload name, in suite order. An empty
+/// `names` keeps every entry; an unknown name selects nothing.
+std::vector<SuiteEntry> suiteEntries(const std::vector<std::string>& names);
+
+/// The compiler options of one cell of `workload` (a suite name, a
+/// microkernel or a .spt path): an explicit `max_body` wins, otherwise a
+/// suite entry's own body-size limit applies (gap's 2500), and every other
+/// field is the caller's `copts`. A workload outside the suite keeps the
+/// caller's limit. run, compile, perf, sweep, the campaign and the sweep
+/// service all resolve a cell's options here.
+compiler::CompilerOptions cellCompilerOptions(
+    const std::string& workload, compiler::CompilerOptions copts,
+    std::optional<double> max_body);
 
 /// Runs the full pipeline for one entry. With non-null `remarks`, fills
 /// the compiler's structured per-loop decision log (spt/remarks.h). With

@@ -101,6 +101,8 @@ std::string encodeServiceRequest(const ServiceRequest& req) {
   w.str(req.chaos.toSpec());
   w.u64(req.spec_threads.size());
   for (const std::uint32_t n : req.spec_threads) w.u32(n);
+  w.boolean(req.max_body.has_value());
+  w.f64(req.max_body.value_or(0.0));
   return w.take();
 }
 
@@ -131,6 +133,10 @@ bool decodeServiceRequest(const std::string& payload, ServiceRequest* req) {
   for (std::uint32_t& n : out.spec_threads) {
     if (!r.u32(&n) || n < 1 || n > support::kMaxSpecThreads) return false;
   }
+  bool has_max_body = false;
+  double max_body = 0.0;
+  if (!(r.boolean(&has_max_body) && r.f64(&max_body))) return false;
+  if (has_max_body) out.max_body = max_body;
   if (oracle > 2 || !r.ok() || !r.atEnd()) return false;
   out.oracle = static_cast<support::OracleMode>(oracle);
   if (!chaos_spec.empty()) {
@@ -295,14 +301,7 @@ bool decodeWorkerSpec(const std::string& spec, ServiceRequest* req,
 std::vector<std::string> resolveSuiteNames(
     const std::vector<std::string>& filter) {
   std::vector<std::string> names;
-  for (const SuiteEntry& entry : defaultSuite()) {
-    if (!filter.empty()) {
-      bool wanted = false;
-      for (const std::string& b : filter) {
-        if (b == entry.workload.name) wanted = true;
-      }
-      if (!wanted) continue;
-    }
+  for (const SuiteEntry& entry : suiteEntries(filter)) {
     names.push_back(entry.workload.name);
   }
   return names;
@@ -365,7 +364,8 @@ std::string describeRequest(const ServiceRequest& req,
     case ServiceRequest::Kind::kSweep: {
       const auto cases = std::make_shared<const std::vector<SweepCase>>(
           buildSuiteSweepCases(req.machine, req.copts, req.scale,
-                               req.benchmarks, req.spec_threads));
+                               req.benchmarks, req.spec_threads,
+                               req.max_body));
       Grid<SweepRow> grid;
       grid.cells = cases->size();
       grid.key = [cases](std::size_t i) {

@@ -121,6 +121,9 @@ struct ServiceRequest {
   /// the plain single-config grid; out-of-range values (0 or >
   /// support::kMaxSpecThreads) are rejected with a kError frame.
   std::vector<std::uint32_t> spec_threads;
+  /// Body-size limit for every kSweep cell (cellCompilerOptions); empty
+  /// keeps each suite entry's own limit.
+  std::optional<double> max_body;
   // Campaign knobs (kCampaign only).
   std::uint64_t seeds = 8;
   std::uint64_t base_seed = 0x5eed;

@@ -388,7 +388,7 @@ MachineResult SptMachine::run() { return finish(); }
 MachineResult SptMachine::finish() {
   if (own_index_) {
     indexNewRecords();
-    own_index_->finish(end_);
+    own_index_->finish();
   }
   final_ = true;
   step();

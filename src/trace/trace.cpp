@@ -64,7 +64,7 @@ LoopIndex::LoopIndex(const ir::Module& module) : module_(module) {}
 LoopIndex::LoopIndex(const ir::Module& module, TraceView trace)
     : LoopIndex(module) {
   for (std::size_t i = 0; i < trace.size(); ++i) add(i, trace[i]);
-  finish(trace.size());
+  finish();
 }
 
 void LoopIndex::resolve(std::vector<std::size_t>& forks, std::size_t start) {
@@ -75,26 +75,15 @@ void LoopIndex::resolve(std::vector<std::size_t>& forks, std::size_t start) {
 void LoopIndex::add(std::size_t i, const Record& r) {
   switch (r.kind) {
     case RecordKind::kIterBegin: {
-      const LoopKey key{r.frame, r.sid};
-      auto it = open_.find(key);
-      if (it == open_.end()) {
-        LoopEpisode episode;
-        episode.header_sid = r.sid;
-        episode.frame = r.frame;
-        episode.iter_begins.push_back(i);
-        episodes_.push_back(std::move(episode));
-        open_.emplace(key, OpenEpisode{episodes_.size() - 1, {}});
-      } else {
-        episodes_[it->second.episode_index].iter_begins.push_back(i);
-        resolve(it->second.pending_forks, i);
-      }
+      // Opens the loop on its first iteration; later ones start its
+      // pending forks.
+      resolve(open_[LoopKey{r.frame, r.sid}], i);
       break;
     }
     case RecordKind::kLoopExit: {
       auto it = open_.find(LoopKey{r.frame, r.sid});
       if (it != open_.end()) {
-        episodes_[it->second.episode_index].exit_index = i;
-        resolve(it->second.pending_forks, kNoStart);
+        resolve(it->second, kNoStart);
         open_.erase(it);
       }
       break;
@@ -133,7 +122,7 @@ void LoopIndex::add(std::size_t i, const Record& r) {
           func.blocks[target].instrs.front().static_id;
       auto it = open_.find(LoopKey{r.frame, target_sid});
       if (it != open_.end()) {
-        it->second.pending_forks.push_back(ordinal);
+        it->second.push_back(ordinal);
       } else {
         // Region fork: wait for the target's next execution.
         pending_regions_[LoopKey{r.frame, target_sid}].push_back(ordinal);
@@ -143,11 +132,10 @@ void LoopIndex::add(std::size_t i, const Record& r) {
   }
 }
 
-void LoopIndex::finish(std::size_t size) {
-  for (auto& [key, ep] : open_) {
+void LoopIndex::finish() {
+  for (auto& [key, forks] : open_) {
     (void)key;
-    episodes_[ep.episode_index].exit_index = size;
-    resolve(ep.pending_forks, kNoStart);
+    resolve(forks, kNoStart);
   }
   open_.clear();
   for (auto& [key, forks] : pending_regions_) {
@@ -180,10 +168,6 @@ std::string loopNameOf(const ir::Module& module, ir::StaticId header_sid) {
   const auto& loc = module.locate(header_sid);
   const ir::Function& func = module.function(loc.func);
   return func.name + "." + ir::blockName(func, loc.block);
-}
-
-std::string LoopIndex::loopName(ir::StaticId header_sid) const {
-  return loopNameOf(module_, header_sid);
 }
 
 }  // namespace spt::trace

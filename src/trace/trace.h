@@ -121,15 +121,6 @@ class TraceBuffer final : public TraceSink {
 /// Stable display name for a loop: "func.label" of its header block.
 std::string loopNameOf(const ir::Module& module, ir::StaticId header_sid);
 
-/// One dynamic execution episode of a loop: from entering the header to the
-/// exit marker. `iter_begins` are record indices of kIterBegin markers.
-struct LoopEpisode {
-  ir::StaticId header_sid = ir::kInvalidStaticId;
-  FrameId frame = 0;
-  std::vector<std::size_t> iter_begins;
-  std::size_t exit_index = 0;  // index of the kLoopExit marker (or trace end)
-};
-
 /// The forks of one trace and their start-points: all the SPT machine reads
 /// of a LoopIndex. A LoopIndex fills one as the records pass; a finished
 /// one is a pure function of the trace, so a trace cache stores it beside
@@ -164,7 +155,7 @@ struct ForkTable {
 };
 
 /// Index over a trace that resolves SPT forks to their speculative
-/// start-points and groups iterations into loop episodes.
+/// start-points.
 ///
 /// Two fork flavours are resolved:
 ///  * loop forks — the fork's target block is the header of a currently
@@ -192,9 +183,9 @@ class LoopIndex {
 
   /// Indexes `record`, the trace's record number `i` (0, 1, 2, ...).
   void add(std::size_t i, const Record& record);
-  /// Ends the trace after `size` records: forks still waiting for their
-  /// start-point resolve to kNoStart, open episodes exit at `size`.
-  void finish(std::size_t size);
+  /// Ends the trace: forks still waiting for their start-point resolve to
+  /// kNoStart.
+  void finish();
 
   /// ForkTable::resolved() and ForkTable::startOfFork() of forks().
   bool resolved(std::size_t record_index) const {
@@ -208,11 +199,6 @@ class LoopIndex {
   /// finish() has run.
   const ForkTable& forks() const { return forks_; }
 
-  const std::vector<LoopEpisode>& episodes() const { return episodes_; }
-
-  /// Stable display name for a loop: "func.label" of the header block.
-  std::string loopName(ir::StaticId header_sid) const;
-
  private:
   struct LoopKey {
     FrameId frame;
@@ -224,11 +210,6 @@ class LoopIndex {
       return (static_cast<std::size_t>(k.frame) << 32) ^ k.header_sid;
     }
   };
-  struct OpenEpisode {
-    std::size_t episode_index;
-    std::vector<std::size_t> pending_forks;  // fork ordinals
-  };
-
   /// Resolves the forks with ordinals `forks` to `start` and empties the
   /// list.
   void resolve(std::vector<std::size_t>& forks, std::size_t start);
@@ -237,10 +218,9 @@ class LoopIndex {
   /// add() sees the forks in record order, so the table's records are
   /// sorted.
   ForkTable forks_;
-  std::vector<LoopEpisode> episodes_;
-  /// Loops currently executing, with the loop forks awaiting their next
-  /// iteration.
-  std::unordered_map<LoopKey, OpenEpisode, LoopKeyHash> open_;
+  /// Loops currently executing, each with the loop forks (ordinals)
+  /// awaiting its next iteration.
+  std::unordered_map<LoopKey, std::vector<std::size_t>, LoopKeyHash> open_;
   /// Region forks (ordinals) awaiting the next execution of their target
   /// instruction in the forking frame (key: forking frame, target's static
   /// id).

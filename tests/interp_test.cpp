@@ -10,6 +10,7 @@
 #include "interp/program_context.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
+#include "loop_episodes.h"
 #include "support/check.h"
 #include "support/error.h"
 #include "test_programs.h"
@@ -278,12 +279,12 @@ TEST(LoopIndex, EpisodesAndTripCounts) {
   trace::TraceBuffer buf;
   Interpreter interp(ctx, mem, buf);
   interp.runMain();
-  const trace::LoopIndex index(m, buf);
-  ASSERT_EQ(index.episodes().size(), 2u);
-  for (const auto& ep : index.episodes()) {
+  const auto episodes = testing::loopEpisodes(buf);
+  ASSERT_EQ(episodes.size(), 2u);
+  for (const auto& ep : episodes) {
     EXPECT_EQ(ep.iter_begins.size(), 11u);
     EXPECT_LT(ep.iter_begins.back(), ep.exit_index);
-    const std::string name = index.loopName(ep.header_sid);
+    const std::string name = trace::loopNameOf(m, ep.header_sid);
     EXPECT_TRUE(name == "main.init_loop" || name == "main.sum_loop") << name;
   }
 }
@@ -415,11 +416,10 @@ TEST(Interpreter, NestedLoopMarkers) {
 
   trace::TraceBuffer buf;
   runModule(m, buf);
-  const trace::LoopIndex index(m, buf);
   // 1 outer episode + 3 inner episodes.
   int outer = 0, inner = 0;
-  for (const auto& ep : index.episodes()) {
-    const std::string name = index.loopName(ep.header_sid);
+  for (const auto& ep : testing::loopEpisodes(buf)) {
+    const std::string name = trace::loopNameOf(m, ep.header_sid);
     if (name == "main.outer") {
       ++outer;
       EXPECT_EQ(ep.iter_begins.size(), 4u);

@@ -16,8 +16,10 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/cell_codec.h"
@@ -97,6 +99,7 @@ ServiceRequest sampleRequest() {
   req.echo_payload = "ping\tpong\n";
   req.deadline_seconds = 2.5;
   req.chaos = *support::ChaosPlan::parse("2:crash@1,5:hang");
+  req.max_body = 500.0;
   return req;
 }
 
@@ -121,6 +124,13 @@ TEST(ServiceRequestCodec, RoundTripsEveryField) {
   EXPECT_EQ(back.echo_payload, req.echo_payload);
   EXPECT_DOUBLE_EQ(back.deadline_seconds, req.deadline_seconds);
   EXPECT_EQ(back.chaos.toSpec(), req.chaos.toSpec());
+  EXPECT_EQ(back.max_body, req.max_body);
+
+  // No override round-trips as none, not as a limit of 0.
+  ServiceRequest plain = req;
+  plain.max_body.reset();
+  ASSERT_TRUE(decodeServiceRequest(encodeServiceRequest(plain), &back));
+  EXPECT_FALSE(back.max_body.has_value());
 }
 
 TEST(ServiceRequestCodec, RejectsEveryTruncationAndTrailingGarbage) {
@@ -546,36 +556,44 @@ TEST(SweepService, SaboteurClientsDoNotAffectHealthyClients) {
 
 TEST(SweepService, SweepJsonMatchesPooledOneShotByteForByte) {
   if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
-  const std::vector<std::string> benchmarks = {"mcf", "gzip"};
   support::MachineConfig machine;
   compiler::CompilerOptions copts;
-
-  // Baseline: the exact grid `sptc sweep --isolate` runs.
-  SweepOptions base;
-  base.supervisor.isolate = true;
-  base.supervisor.cell_timeout_seconds = 240.0;
-  base.supervisor.jobs = 2;
-  const auto cases = buildSuiteSweepCases(machine, copts, 1, benchmarks);
-  const auto baseline = runSweep(ParallelSweep(2), cases, base);
-
   const ServiceHandle h = startService({}, "bytes");
   ASSERT_GT(h.pid, 0);
-  ServiceRequest req;
-  req.kind = ServiceRequest::Kind::kSweep;
-  req.benchmarks = benchmarks;
-  req.machine = machine;
-  req.copts = copts;
-  const SubmitOutcome out = submitToService(h.socket_path, req);
-  EXPECT_EQ(stopService(h), 0);
-  ASSERT_TRUE(out.ok) << out.error;
-  ASSERT_EQ(out.rows.size(), baseline.size());
+  // Each suite entry's own limit, then an explicit --max-body below gap's.
+  const std::pair<std::vector<std::string>, std::optional<double>> grids[] = {
+      {{"mcf", "gzip"}, std::nullopt}, {{"gap"}, 500.0}};
+  for (const auto& [benchmarks, max_body] : grids) {
+    // Baseline: the exact grid `sptc sweep --isolate` runs.
+    SweepOptions base;
+    base.supervisor.isolate = true;
+    base.supervisor.cell_timeout_seconds = 240.0;
+    base.supervisor.jobs = 2;
+    const auto cases =
+        buildSuiteSweepCases(machine, copts, 1, benchmarks, {}, max_body);
+    if (max_body) {
+      EXPECT_EQ(cases.front().entry.copts.max_avg_body_size, *max_body);
+    }
+    const auto baseline = runSweep(ParallelSweep(2), cases, base);
 
-  const std::string base_path = ::testing::TempDir() + "/spts_base.json";
-  const std::string serve_path = ::testing::TempDir() + "/spts_serve.json";
-  ASSERT_TRUE(writeSweepJson(base_path, baseline));
-  ASSERT_TRUE(writeSweepJson(serve_path, out.rows));
-  EXPECT_EQ(filterHostLines(readWholeFile(serve_path)),
-            filterHostLines(readWholeFile(base_path)));
+    ServiceRequest req;
+    req.kind = ServiceRequest::Kind::kSweep;
+    req.benchmarks = benchmarks;
+    req.machine = machine;
+    req.copts = copts;
+    req.max_body = max_body;
+    const SubmitOutcome out = submitToService(h.socket_path, req);
+    ASSERT_TRUE(out.ok) << out.error;
+    ASSERT_EQ(out.rows.size(), baseline.size());
+
+    const std::string base_path = ::testing::TempDir() + "/spts_base.json";
+    const std::string serve_path = ::testing::TempDir() + "/spts_serve.json";
+    ASSERT_TRUE(writeSweepJson(base_path, baseline));
+    ASSERT_TRUE(writeSweepJson(serve_path, out.rows));
+    EXPECT_EQ(filterHostLines(readWholeFile(serve_path)),
+              filterHostLines(readWholeFile(base_path)));
+  }
+  EXPECT_EQ(stopService(h), 0);
 }
 
 TEST(SweepService, CampaignCellsMatchStandaloneWorkers) {
@@ -626,6 +644,28 @@ TEST(SweepService, CampaignCellsMatchStandaloneWorkers) {
   }
   EXPECT_EQ(out.campaign.totals.injected, want_totals.injected);
   EXPECT_EQ(out.campaign.totals.escaped, want_totals.escaped);
+
+  // The one-shot campaign under the same filter (`sptc inject --benchmarks
+  // mcf`) runs exactly the served cells, at one seed and at two.
+  for (const std::uint64_t seeds : {1u, 2u}) {
+    copts.seeds = seeds;
+    copts.benchmarks = req.benchmarks;
+    copts.jobs = 2;
+    const FaultCampaignResult one_shot = runFaultCampaign(copts);
+    ASSERT_EQ(one_shot.cells.size(), seeds);
+    for (std::size_t i = 0; i < seeds; ++i) {
+      const FaultCampaignCell& got = out.campaign.cells[i];
+      const FaultCampaignCell& want = one_shot.cells[i];
+      EXPECT_EQ(want.benchmark, "mcf");
+      EXPECT_EQ(got.fault_seed, want.fault_seed);
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.faults.injected, want.faults.injected);
+      EXPECT_EQ(got.faults.escaped, want.faults.escaped);
+      EXPECT_EQ(got.arch_digest, want.arch_digest);
+      EXPECT_EQ(got.sequential_digest, want.sequential_digest);
+      EXPECT_EQ(got.oracle_checks, want.oracle_checks);
+    }
+  }
 }
 
 // ---- The journal's rows ---------------------------------------------------
@@ -996,9 +1036,8 @@ TEST(SweepService, KillRestartChaosRecoversByteIdenticalCampaign) {
   fc.supervisor.cell_timeout_seconds = 240.0;
   fc.supervisor.jobs = 2;
   const FaultCampaignResult baseline = [&] {
-    // runFaultCampaign has no benchmark filter; build via the service's
-    // own standalone worker body to keep the baseline an independent
-    // derivation of the same cells.
+    // Built from the service's own standalone worker body, an
+    // independent derivation of the cells runFaultCampaign's filter runs.
     FaultCampaignResult r;
     for (std::size_t i = 0; i < 2; ++i) {
       FaultCampaignCell cell = runFaultCampaignCellStandalone("mcf", i, fc);

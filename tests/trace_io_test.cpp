@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "harness/experiment.h"
+#include "loop_episodes.h"
 #include "random_programs.h"
 #include "sim/baseline.h"
 #include "test_programs.h"
@@ -314,10 +315,12 @@ TEST(TraceIo, CountFieldBitFlipsAreSizeMismatches) {
 void expectSameLoopIndex(const ir::Module& m, TraceView a, TraceView b) {
   const LoopIndex ia(m, a);
   const LoopIndex ib(m, b);
-  ASSERT_EQ(ia.episodes().size(), ib.episodes().size());
-  for (std::size_t e = 0; e < ia.episodes().size(); ++e) {
-    const LoopEpisode& ea = ia.episodes()[e];
-    const LoopEpisode& eb = ib.episodes()[e];
+  const auto episodes_a = testing::loopEpisodes(a);
+  const auto episodes_b = testing::loopEpisodes(b);
+  ASSERT_EQ(episodes_a.size(), episodes_b.size());
+  for (std::size_t e = 0; e < episodes_a.size(); ++e) {
+    const testing::LoopEpisode& ea = episodes_a[e];
+    const testing::LoopEpisode& eb = episodes_b[e];
     EXPECT_EQ(ea.header_sid, eb.header_sid);
     EXPECT_EQ(ea.frame, eb.frame);
     EXPECT_EQ(ea.iter_begins, eb.iter_begins);

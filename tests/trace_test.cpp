@@ -11,6 +11,7 @@
 #include "harness/suite.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
+#include "loop_episodes.h"
 #include "random_programs.h"
 #include "test_programs.h"
 #include "trace/trace.h"
@@ -167,13 +168,13 @@ TEST(LoopIndex, LoopInsideCalleeGetsDistinctEpisodesPerCall) {
   t.m.setMainFunc(main_id);
   t.run();
 
-  const LoopIndex index(t.m, t.buf);
-  ASSERT_EQ(index.episodes().size(), 3u);
+  const auto episodes = testing::loopEpisodes(t.buf);
+  ASSERT_EQ(episodes.size(), 3u);
   std::set<FrameId> frames;
-  for (const auto& ep : index.episodes()) {
+  for (const auto& ep : episodes) {
     EXPECT_EQ(ep.iter_begins.size(), 5u);  // 4 body + exit check
     frames.insert(ep.frame);
-    EXPECT_EQ(index.loopName(ep.header_sid), "callee.inner");
+    EXPECT_EQ(loopNameOf(t.m, ep.header_sid), "callee.inner");
   }
   EXPECT_EQ(frames.size(), 3u);  // one frame per call
 }
@@ -225,11 +226,11 @@ TEST(LoopIndex, RecursiveFramesKeepLoopsSeparate) {
   t.m.setMainFunc(main_id);
   t.run();
 
-  const LoopIndex index(t.m, t.buf);
+  const auto episodes = testing::loopEpisodes(t.buf);
   // Depths 5..1 run the loop; depth 0 hits the base case.
-  EXPECT_EQ(index.episodes().size(), 5u);
+  EXPECT_EQ(episodes.size(), 5u);
   std::set<FrameId> frames;
-  for (const auto& ep : index.episodes()) frames.insert(ep.frame);
+  for (const auto& ep : episodes) frames.insert(ep.frame);
   EXPECT_EQ(frames.size(), 5u);
 }
 
@@ -258,9 +259,9 @@ TEST(LoopIndex, LoopNameFallsBackToBlockId) {
   b.ret(i);
   t.m.setMainFunc(f);
   t.run();
-  const LoopIndex index(t.m, t.buf);
-  ASSERT_EQ(index.episodes().size(), 1u);
-  EXPECT_EQ(index.loopName(index.episodes()[0].header_sid), "main.B1");
+  const auto episodes = testing::loopEpisodes(t.buf);
+  ASSERT_EQ(episodes.size(), 1u);
+  EXPECT_EQ(loopNameOf(t.m, episodes[0].header_sid), "main.B1");
 }
 
 TEST(LoopIndex, InstrCountMatchesBuffer) {
@@ -316,7 +317,7 @@ std::size_t checkForkTable(ir::Module& m) {
       return true;
     });
   }
-  inc.finish(trace.size());
+  inc.finish();
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(inc.resolved(i), isFork(i)) << "record " << i;
     if (isFork(i)) {

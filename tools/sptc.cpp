@@ -1,170 +1,16 @@
-// sptc — the SPT command-line driver.
-//
-//   sptc list
-//       List the built-in workloads.
-//   sptc run <workload-name | program.spt> [options]
-//       Run the full pipeline (profile, cost-driven compile, trace,
-//       simulate baseline vs SPT) and print the plan and results.
-//   sptc compile <workload-name | program.spt> [options]
-//       Print the SPT-transformed IR.
-//   sptc parse <program.spt>
-//       Parse, verify and re-print a textual IR program.
-//   sptc sweep [options]
-//       Run the whole SPECint-analog suite under the given machine and
-//       compiler options, fanning the independent experiments across
-//       worker threads (harness::ParallelSweep), and print the per-
-//       benchmark speedup table. Results are identical at any --jobs
-//       value.
-//   sptc perf [options]
-//       Measure the simulator's own host throughput (simulated MIPS per
-//       workload, docs/PERF.md) and the interpreter's (trace records per
-//       second into a NullSink), and write BENCH_sim_throughput.json.
-//   sptc inject [options]
-//       Run the fault-injection campaign (docs/ROBUSTNESS.md): the whole
-//       suite under seeded corruption of the speculative structures with
-//       the architectural oracle armed. Exits nonzero if any fault
-//       escaped or any architectural digest diverged.
-//   sptc serve --socket PATH [options]
-//       Run the resident sweep service (docs/ROBUSTNESS.md "Sweep
-//       service"): listen on a Unix-domain socket and multiplex sweep /
-//       campaign requests from many concurrent `sptc submit` clients over
-//       one warm worker pool with fair round-robin scheduling, bounded
-//       admission, per-request deadlines and graceful SIGTERM drain.
-//       --jobs / --cell-timeout / --retries / --rlimit-* size the pool;
-//       --journal makes the service restart-safe (docs/ROBUSTNESS.md "The
-//       durable log"): requests are recovered and finished after a crash.
-//   sptc submit <sweep|inject|status> --socket PATH [options]
-//       Submit one request to a running service and print/emit the same
-//       table and JSON the one-shot command would (byte-identical filtered
-//       JSON — proven in CI). `status` prints the service's status JSON.
-//       Exit: 0 done, 1 failed cells or transport error, 3 service busy
-//       (backpressure; retry later).
-//
-// Options for serve:
-//   --socket PATH      Unix-domain socket path to listen on (required)
-//   --max-queue N      max queued-but-undispatched cells across clients
-//                      before requests are refused with a busy/retry-after
-//                      reply (default 1024)
-//   --allow-chaos      accept request-embedded worker chaos plans (tests)
-//   --journal PATH     durable log of admissions, finished cells and
-//                      settlements, each fsync'd to PATH (admissions before
-//                      any work); on restart unsettled requests are
-//                      re-admitted and finished (ok cells replayed from
-//                      their logged rows, the rest re-run), even if the
-//                      client never returns. Its rows also feed
-//                      `sptc sweep --resume --checkpoint PATH`
-//   --crash-at SPEC    scripted self-SIGKILL for the kill/restart tests:
-//                      POINT[@AT][:BYTES] with POINT one of admit | settle
-//                      | flush | append (settle@N dies after the Nth row
-//                      record is synced; append:N dies after N bytes of a
-//                      torn journal record)
-//
-// Options for submit:
-//   --socket PATH      service socket to connect to (required)
-//   --benchmarks LIST  comma-separated workload-name filter (also accepted
-//                      by sweep/inject for one-shot runs)
-//   --deadline S       whole-request deadline in seconds; queued cells
-//                      past it settle as timeout rows (0 = none)
-//   --token STR        idempotency token: the request survives client
-//                      disconnects, and resubmitting the same token
-//                      attaches to the running (or journal-recovered)
-//                      request instead of starting a duplicate
-//   --retry-for S      keep retrying for up to S seconds of wall clock:
-//                      busy replies honor the service's retry-after,
-//                      transport failures reconnect and re-attach by
-//                      --token with deterministic backoff
-//   --client-chaos SPEC  sabotage THIS client for resilience testing:
-//                      disconnect[@N] | garbage[@N] | slow-reader[@MS]
-//
-// Options for inject:
-//   --seeds N          fault seeds per workload (default 8)
-//   --seed N           campaign base seed (default 0x5eed)
-//   --period N         injector firing period, ~1/N per eligible site
-//                      (default 32)
-//   --oracle M         digest | deep (default digest)
-//
-// Options for sweep/inject:
-//   --checkpoint PATH  append each finished cell to the durable log at PATH
-//                      as it completes (fsync'd); a PATH that cannot be
-//                      opened stops the run before any cell starts; after
-//                      a failed append the results are still printed,
-//                      then the command exits 2
-//   --resume           reuse ok cells from --checkpoint; re-run the rest
-//                      (a file in an older format is refused)
-//   --quarantine       report poisoned cells in the results instead of
-//                      aborting (arms throwing SPT_CHECK; sweep only)
-//   --max-records N    per-cell simulated-record budget (0 = unlimited)
-//   --max-cycles N     per-cell simulated-cycle budget (0 = unlimited)
-//
-// Process isolation for sweep/inject (docs/ROBUSTNESS.md):
-//   --isolate          run cells on a warm pool of `--jobs` long-lived
-//                      worker processes under the execution supervisor:
-//                      a segfault, abort, OOM, hang or corrupt reply
-//                      becomes a non-ok row while the rest of the run
-//                      completes
-//   --no-isolate       force the in-process path (the default)
-//   --cell-timeout S   per-worker wall-clock deadline in seconds
-//                      (fractional ok; SIGKILL past it; 0 = none)
-//   --retries N        extra attempts for crashed / timed-out / corrupt
-//                      workers (exponential backoff, deterministic jitter)
-//   --rlimit-as MB     worker address-space cap in MiB (kernel-enforced)
-//   --rlimit-cpu S     worker CPU-seconds cap (SIGXCPU -> timeout status)
-//   --chaos SPEC       deterministic sabotage for testing the containment
-//                      paths: comma list of CELL:ACTION[@ATTEMPTS] with
-//                      ACTION one of crash | abort | hang | garbage |
-//                      partial | exit (requires --isolate)
-//
-// Options for sweep:
-//   --trace-cache DIR  share each workload's SPT trace (an mmap-backed
-//                      container v4 file) and its fork table, baseline
-//                      result and profiles across all cells (and across
-//                      supervised worker processes) through a trace cache
-//                      rooted at DIR;
-//                      results are identical with or without the cache
-//
-// Options for sweep/perf:
-//   --jobs N           parallel experiment workers (default: SPT_JOBS env
-//                      or hardware concurrency); perf parallelizes only
-//                      the setup phase, the timed runs are serial
-//   --json PATH        also write machine-readable results JSON
-//                      (perf default: BENCH_sim_throughput.json)
-//
-// Options for perf:
-//   --reps N           timed repetitions per machine and of the
-//                      interpreter, fastest wins
-//                      (default 3)
-//
-// Options for run/compile/sweep:
-//   --scale N          workload input scale (default 1)
-//   --spec-threads L   chained speculative thread count(s), each in
-//                      1..16. sweep and submit sweep accept a comma list
-//                      ("1,2,4") that becomes a grid axis — N == 1 keeps
-//                      the "default" config tag, other values are tagged
-//                      "n<N>". run/compile/perf/inject take a single
-//                      value. N >= 2 also arms the compiler's
-//                      precomputation-slice pass (default 1)
-//   --srb N            speculation result buffer entries (default 1024)
-//   --recovery M       srx_fc | srx | squash (default srx_fc)
-//   --regcheck M       value | scoreboard (default value)
-//   --no-svp           disable software value prediction
-//   --no-unroll        disable loop unrolling preprocessing
-//   --select-all       bypass cost-driven selection
-//   --max-body N       candidate loop body-size limit (default 1000; gap
-//                      2500 when run or compiled by name)
-//   --print-ir         also dump the transformed module (run only)
-//   --verify-passes    run the IR verifier after every pipeline pass
-//
-// Options for run and compile:
-//   --remarks FILE     write the compilation remarks — the structured
-//                      per-loop decision log (docs/COMPILER.md) — as
-//                      deterministic JSON to FILE ("-" = stdout), and
-//                      print the remarks summary table. --remarks=FILE
-//                      also accepted.
-#include <algorithm>
+// sptc — the SPT command-line driver. Run `sptc` alone for its usage: the
+// subcommands and the options each one reads, printed from kSubcommands
+// and kOptions below, the one place either is defined.
+#include <charconv>
 #include <csignal>
+#include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "harness/durable_log.h"
 #include "harness/fault_campaign.h"
@@ -211,15 +57,6 @@ void installInterruptHandlers() {
   std::signal(SIGINT, onInterruptSignal);
   std::signal(SIGTERM, onInterruptSignal);
 #endif
-}
-
-int usage() {
-  std::cerr
-      << "usage: sptc "
-         "<list|run|compile|parse|sweep|perf|inject|serve|submit> "
-         "[target] [options]\n"
-         "       see the header of tools/sptc.cpp for details\n";
-  return 2;
 }
 
 std::optional<ir::Module> loadTarget(const std::string& target,
@@ -270,284 +107,415 @@ struct Options {
   std::uint64_t scale = 1;
   support::MachineConfig machine;
   compiler::CompilerOptions copts;
-  bool max_body_given = false;  // --max-body overrides a suite entry's limit
+  std::optional<double> max_body;  // wins over a suite entry's own limit
   bool print_ir = false;
-  std::string remarks_path;  // run/compile: empty = no remarks output
-  std::size_t jobs = 0;   // sweep/perf: 0 = ParallelSweep default
-  std::string json_path;  // sweep: empty = no JSON output
-  int reps = 3;           // perf: timed repetitions per machine
-  // sweep/inject hardening
+  std::string remarks_path;  // empty = no remarks output
+  std::size_t jobs = 0;      // 0 = ParallelSweep default
+  std::string json_path;     // empty = no JSON output (perf: its default)
+  int reps = 3;
   std::string checkpoint_path;
   bool resume = false;
   bool quarantine = false;
-  std::string trace_cache_dir;  // sweep: empty = no shared trace cache
-  // process isolation (sweep/inject)
+  std::string trace_cache_dir;  // empty = no shared trace cache
   harness::SupervisorOptions supervisor;
-  // inject
   std::uint64_t seeds = 8;
   std::uint64_t base_seed = 0x5eed;
   std::uint32_t period = 32;
   support::OracleMode oracle = support::OracleMode::kDigest;
-  // serve / submit
   std::string socket_path;
   std::size_t max_queue = 1024;
   bool allow_chaos = false;
-  std::vector<std::string> benchmarks;  // also filters sweep/inject grids
+  std::vector<std::string> benchmarks;  // empty = the whole suite
   double deadline_seconds = 0.0;
   support::ClientChaosPlan client_chaos;
-  std::string journal_path;  // serve: empty = no request journal
-  support::ServiceCrashPlan service_crash;  // serve: scripted self-SIGKILL
-  std::string token;         // submit: empty = no idempotency token
-  double retry_for_seconds = 0.0;  // submit: 0 = single attempt
-  // --spec-threads: grid axis for sweep/submit-sweep, single value
-  // elsewhere (applySpecThreads). Empty = flag absent.
+  std::string journal_path;  // empty = no request journal
+  support::ServiceCrashPlan service_crash;
+  std::string token;               // empty = no idempotency token
+  double retry_for_seconds = 0.0;  // 0 = single attempt
+  /// A comma list for sweep and submit sweep (a grid axis); one value
+  /// elsewhere. Empty = flag absent.
   std::vector<std::uint32_t> spec_threads;
-  bool ok = true;
+  std::string error;  // set by an option's action; ends the parse
 };
 
-/// `chaos_needs_isolate` is relaxed for serve/submit, where a --chaos plan
-/// rides the request to the service's own supervised workers.
-Options parseOptions(int argc, char** argv, int first,
-                     bool chaos_needs_isolate = true) {
-  Options o;
-  const auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "sptc: " << argv[i] << " needs a value\n";
-      o.ok = false;
-      return "0";
+/// The subcommands; submit's modes count as subcommands of their own.
+enum Sub : unsigned {
+  kList = 1u << 0,
+  kRun = 1u << 1,
+  kCompile = 1u << 2,
+  kParse = 1u << 3,
+  kSweep = 1u << 4,
+  kPerf = 1u << 5,
+  kInject = 1u << 6,
+  kServe = 1u << 7,
+  kSubmitSweep = 1u << 8,
+  kSubmitInject = 1u << 9,
+  kSubmitStatus = 1u << 10,
+};
+
+struct Subcommand {
+  const char* name;
+  Sub sub;
+  const char* operand;  // the positional argument, if any
+  const char* help;
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"list", kList, "", "list the built-in workloads"},
+    {"run", kRun, " <workload | program.spt>",
+     "profile, compile, trace and simulate baseline vs SPT"},
+    {"compile", kCompile, " <workload | program.spt>",
+     "print the SPT-transformed IR"},
+    {"parse", kParse, " <program.spt>",
+     "parse, verify and re-print a textual IR program"},
+    {"sweep", kSweep, "",
+     "run the suite grid in parallel (same rows at any --jobs)"},
+    {"perf", kPerf, "",
+     "measure simulator and interpreter host throughput"},
+    {"inject", kInject, "",
+     "fault-injection campaign with the oracle armed (docs/ROBUSTNESS.md)"},
+    {"serve", kServe, "",
+     "resident sweep service on a Unix socket (docs/ROBUSTNESS.md)"},
+    {"submit sweep", kSubmitSweep, "",
+     "a sweep run by the service: sweep's table and JSON (3 = busy)"},
+    {"submit inject", kSubmitInject, "",
+     "a campaign run by the service: inject's table and JSON"},
+    {"submit status", kSubmitStatus, "", "print the service's status JSON"},
+};
+
+// Who reads an option group.
+constexpr unsigned kSubmit = kSubmitSweep | kSubmitInject;
+constexpr unsigned kMachine = kRun | kSweep | kPerf | kInject | kSubmit;
+constexpr unsigned kCompiler = kRun | kCompile | kSweep | kPerf | kSubmitSweep;
+constexpr unsigned kGrids = kSweep | kInject | kSubmit;
+constexpr unsigned kPool = kSweep | kInject | kServe;
+constexpr unsigned kCampaign = kInject | kSubmitInject;
+constexpr unsigned kSocket = kServe | kSubmit | kSubmitStatus;
+
+struct Arg {
+  const char* name;
+  std::string value;
+};
+
+/// The checked parser every numeric option goes through: all of the value
+/// must be a number of T in [lo, hi].
+template <typename T>
+void number(Options& o, const Arg& a, T* out, std::type_identity_t<T> lo = 0,
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = a.value.data() + a.value.size();
+  const auto [ptr, ec] = std::from_chars(a.value.data(), end, v);
+  if (ec == std::errc() && ptr == end && v >= lo && v <= hi) {
+    *out = v;
+    return;
+  }
+  std::ostringstream why;
+  why << "bad " << a.name << " value '" << a.value << "' (expected a "
+      << (std::is_integral_v<T> ? "whole " : "") << "number >= " << lo;
+  if (hi != std::numeric_limits<T>::max()) why << " and <= " << hi;
+  o.error = why.str() + ")";
+}
+
+/// Parses a --chaos / --client-chaos / --crash-at plan into `out`.
+template <typename Plan>
+void plan(Options& o, const Arg& a, Plan* out) {
+  std::string error;
+  if (const std::optional<Plan> p = Plan::parse(a.value, &error)) {
+    *out = *p;
+  } else {
+    o.error = std::string("bad ") + a.name + " spec: " + error;
+  }
+}
+
+struct Option {
+  const char* name;
+  const char* value;  // the value's placeholder; null for a flag
+  unsigned readers;   // Sub bits
+  const char* help;
+  void (*apply)(Options&, const Arg&);
+};
+
+constexpr Option kOptions[] = {
+    {"--scale", "N", kRun | kCompile | kPerf | kGrids,
+     "workload input scale (default 1)",
+     [](Options& o, const Arg& a) { number(o, a, &o.scale, 1); }},
+    {"--spec-threads", "L", kRun | kCompile | kPerf | kGrids,
+     "speculative threads 1..16; sweeps take a comma list",
+     [](Options& o, const Arg& a) {
+       std::stringstream ss(a.value);
+       std::string tok;
+       while (std::getline(ss, tok, ',')) {
+         std::uint32_t n = 0;
+         number(o, {a.name, tok}, &n, 1, support::kMaxSpecThreads);
+         if (!o.error.empty()) return;
+         o.spec_threads.push_back(n);
+       }
+     }},
+    {"--srb", "N", kMachine,
+     "speculation result buffer entries (default 1024)",
+     [](Options& o, const Arg& a) {
+       number(o, a, &o.machine.speculation_result_buffer_entries);
+     }},
+    {"--recovery", "M", kMachine, "srx_fc | srx | squash (default srx_fc)",
+     [](Options& o, const Arg& a) {
+       if (a.value == "srx_fc") {
+         o.machine.recovery =
+             support::RecoveryMechanism::kSelectiveReplayFastCommit;
+       } else if (a.value == "srx") {
+         o.machine.recovery = support::RecoveryMechanism::kSelectiveReplay;
+       } else if (a.value == "squash") {
+         o.machine.recovery = support::RecoveryMechanism::kFullSquash;
+       } else {
+         o.error = "unknown recovery '" + a.value + "'";
+       }
+     }},
+    {"--regcheck", "M", kMachine, "value | scoreboard (default value)",
+     [](Options& o, const Arg& a) {
+       if (a.value == "value") {
+         o.machine.register_check = support::RegisterCheckMode::kValueBased;
+       } else if (a.value == "scoreboard") {
+         o.machine.register_check = support::RegisterCheckMode::kScoreboard;
+       } else {
+         o.error = "unknown regcheck '" + a.value + "'";
+       }
+     }},
+    {"--max-records", "N", kMachine,
+     "per-cell simulated-record budget (0 = unlimited)",
+     [](Options& o, const Arg& a) {
+       number(o, a, &o.machine.max_simulated_records);
+       o.machine.max_trace_records = o.machine.max_simulated_records;
+     }},
+    {"--max-cycles", "N", kMachine,
+     "per-cell simulated-cycle budget (0 = unlimited)",
+     [](Options& o, const Arg& a) {
+       number(o, a, &o.machine.max_simulated_cycles);
+     }},
+    {"--no-svp", nullptr, kCompiler, "disable software value prediction",
+     [](Options& o, const Arg&) { o.copts.enable_svp = false; }},
+    {"--regions", nullptr, kCompiler,
+     "enable region-based speculation (paper Section 6)",
+     [](Options& o, const Arg&) { o.copts.enable_region_speculation = true; }},
+    {"--no-unroll", nullptr, kCompiler, "disable loop unrolling",
+     [](Options& o, const Arg&) { o.copts.enable_unrolling = false; }},
+    {"--select-all", nullptr, kCompiler, "bypass cost-driven loop selection",
+     [](Options& o, const Arg&) { o.copts.cost_driven_selection = false; }},
+    {"--max-body", "N", kCompiler,
+     "loop body-size limit (default 1000; gap 2500)",
+     [](Options& o, const Arg& a) {
+       double limit = 0.0;
+       number(o, a, &limit);
+       o.max_body = limit;
+     }},
+    {"--verify-passes", nullptr, kCompiler,
+     "run the IR verifier after every compiler pass",
+     [](Options& o, const Arg&) { o.copts.verify_between_passes = true; }},
+    {"--print-ir", nullptr, kRun, "also print the transformed module",
+     [](Options& o, const Arg&) { o.print_ir = true; }},
+    {"--remarks", "FILE", kRun | kCompile,
+     "write the compilation remarks JSON to FILE (- = stdout)",
+     [](Options& o, const Arg& a) { o.remarks_path = a.value; }},
+    {"--jobs", "N", kSweep | kPerf | kInject | kServe,
+     "worker count (default: SPT_JOBS, else all cores)",
+     [](Options& o, const Arg& a) { number(o, a, &o.jobs); }},
+    {"--json", "PATH", kSweep | kPerf | kCampaign | kSubmitSweep,
+     "also write results JSON (perf: BENCH_sim_throughput.json)",
+     [](Options& o, const Arg& a) { o.json_path = a.value; }},
+    {"--reps", "N", kPerf, "timed repetitions, fastest wins (default 3)",
+     [](Options& o, const Arg& a) { number(o, a, &o.reps, 1); }},
+    {"--benchmarks", "LIST", kGrids, "comma list of suite workloads to run",
+     [](Options& o, const Arg& a) {
+       std::stringstream ss(a.value);
+       std::string name;
+       while (std::getline(ss, name, ',')) {
+         if (name.empty()) continue;
+         if (harness::suiteEntries({name}).empty()) {
+           o.error = "unknown benchmark '" + name +
+                     "' in --benchmarks (try `sptc list`)";
+           return;
+         }
+         o.benchmarks.push_back(name);
+       }
+     }},
+    {"--trace-cache", "DIR", kSweep | kServe,
+     "share traces, fork tables, results and profiles in DIR",
+     [](Options& o, const Arg& a) { o.trace_cache_dir = a.value; }},
+    {"--checkpoint", "PATH", kSweep | kInject,
+     "append each finished cell to the durable log at PATH",
+     [](Options& o, const Arg& a) { o.checkpoint_path = a.value; }},
+    {"--resume", nullptr, kSweep | kInject,
+     "reuse ok cells from --checkpoint; re-run the rest",
+     [](Options& o, const Arg&) { o.resume = true; }},
+    {"--quarantine", nullptr, kSweep,
+     "report poisoned cells as rows instead of aborting",
+     [](Options& o, const Arg&) { o.quarantine = true; }},
+    {"--isolate", nullptr, kSweep | kInject,
+     "run cells on a warm pool of supervised worker processes",
+     [](Options& o, const Arg&) { o.supervisor.isolate = true; }},
+    {"--no-isolate", nullptr, kSweep | kInject,
+     "run cells in this process (the default)",
+     [](Options& o, const Arg&) { o.supervisor.isolate = false; }},
+    {"--cell-timeout", "S", kPool,
+     "per-attempt wall-clock deadline in seconds (0 = none)",
+     [](Options& o, const Arg& a) {
+       number(o, a, &o.supervisor.cell_timeout_seconds);
+     }},
+    {"--retries", "N", kPool,
+     "extra attempts for crashed, hung or corrupt workers",
+     [](Options& o, const Arg& a) { number(o, a, &o.supervisor.retries); }},
+    {"--rlimit-as", "MB", kPool, "worker address-space cap in MiB",
+     [](Options& o, const Arg& a) {
+       std::uint64_t mib = 0;
+       number(o, a, &mib, 0, ~0ull >> 20);
+       o.supervisor.rlimit_as_bytes = mib << 20;
+     }},
+    {"--rlimit-cpu", "S", kPool, "worker CPU-seconds cap",
+     [](Options& o, const Arg& a) {
+       number(o, a, &o.supervisor.rlimit_cpu_seconds);
+     }},
+    {"--chaos", "SPEC", kSweep | kInject | kSubmit,
+     "worker sabotage CELL:ACTION[@ATTEMPTS] (tests)",
+     [](Options& o, const Arg& a) { plan(o, a, &o.supervisor.chaos); }},
+    {"--seeds", "N", kCampaign, "fault seeds per workload (default 8)",
+     [](Options& o, const Arg& a) { number(o, a, &o.seeds, 1); }},
+    {"--seed", "N", kCampaign, "campaign base seed (default 24301)",
+     [](Options& o, const Arg& a) { number(o, a, &o.base_seed); }},
+    {"--period", "N", kCampaign,
+     "injector firing period, ~1/N per site (default 32)",
+     [](Options& o, const Arg& a) { number(o, a, &o.period, 1); }},
+    {"--oracle", "M", kCampaign, "digest | deep (default digest)",
+     [](Options& o, const Arg& a) {
+       if (a.value == "digest") {
+         o.oracle = support::OracleMode::kDigest;
+       } else if (a.value == "deep") {
+         o.oracle = support::OracleMode::kDeep;
+       } else {
+         o.error = "unknown oracle mode '" + a.value +
+                   "' (expected digest | deep)";
+       }
+     }},
+    {"--socket", "PATH", kSocket, "the service's Unix-domain socket",
+     [](Options& o, const Arg& a) { o.socket_path = a.value; }},
+    {"--max-queue", "N", kServe,
+     "queued cells before a request is refused (default 1024)",
+     [](Options& o, const Arg& a) { number(o, a, &o.max_queue); }},
+    {"--allow-chaos", nullptr, kServe,
+     "accept request-embedded chaos plans (tests)",
+     [](Options& o, const Arg&) { o.allow_chaos = true; }},
+    {"--journal", "PATH", kServe,
+     "durable log that makes the service restart-safe",
+     [](Options& o, const Arg& a) { o.journal_path = a.value; }},
+    {"--crash-at", "SPEC", kServe,
+     "scripted self-SIGKILL POINT[@AT][:BYTES] (tests)",
+     [](Options& o, const Arg& a) { plan(o, a, &o.service_crash); }},
+    {"--deadline", "S", kSubmit,
+     "whole-request deadline in seconds (0 = none)",
+     [](Options& o, const Arg& a) { number(o, a, &o.deadline_seconds); }},
+    {"--token", "STR", kSubmit,
+     "idempotency token: a resubmission re-attaches",
+     [](Options& o, const Arg& a) { o.token = a.value; }},
+    {"--retry-for", "S", kSubmit,
+     "retry busy and failed submissions for up to S seconds",
+     [](Options& o, const Arg& a) { number(o, a, &o.retry_for_seconds); }},
+    {"--client-chaos", "SPEC", kSubmit,
+     "client sabotage disconnect|garbage|slow-reader[@N]",
+     [](Options& o, const Arg& a) { plan(o, a, &o.client_chaos); }},
+};
+
+/// Prints each option that a subcommand in `readers` reads, one a line
+/// with its help text.
+void printOptions(unsigned readers) {
+  bool any = false;
+  for (const Option& opt : kOptions) {
+    if ((opt.readers & readers) == 0) continue;
+    any = true;
+    const std::string head =
+        std::string(opt.name) + (opt.value ? std::string(" ") + opt.value : "");
+    std::cerr << "  " << std::left << std::setw(20) << head << " " << opt.help
+              << "\n";
+  }
+  if (!any) std::cerr << "  (none)\n";
+}
+
+/// `sptc` alone: each subcommand with the options it reads, then what
+/// each option means.
+int usage() {
+  std::cerr << "usage: sptc <subcommand> [options]\n";
+  for (const Subcommand& sub : kSubcommands) {
+    std::cerr << "\nsptc " << sub.name << sub.operand << "\n    " << sub.help
+              << "\n";
+    std::string line = "    options:";
+    for (const Option& opt : kOptions) {
+      if ((opt.readers & sub.sub) == 0) continue;
+      if (line.size() + 1 + std::strlen(opt.name) > 78) {
+        std::cerr << line << "\n";
+        line = "            ";
+      }
+      line += std::string(" ") + opt.name;
     }
-    return argv[++i];
-  };
+    if (line != "    options:") std::cerr << line << "\n";
+  }
+  std::cerr << "\noptions:\n";
+  printOptions(~0u);
+  return 2;
+}
+
+/// Fills Options from argv[first..] for `sub`. On an error prints it (and,
+/// after an option `sub` does not know or read, `sub`'s option list) and
+/// returns nothing.
+std::optional<Options> parseOptions(const Subcommand& sub, int argc,
+                                    char** argv, int first) {
+  Options o;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--scale") {
-      o.scale = std::strtoull(need_value(i), nullptr, 10);
-    } else if (arg == "--srb") {
-      o.machine.speculation_result_buffer_entries =
-          static_cast<std::uint32_t>(std::strtoul(need_value(i), nullptr, 10));
-    } else if (arg == "--recovery") {
-      const std::string v = need_value(i);
-      if (v == "srx_fc") {
-        o.machine.recovery =
-            support::RecoveryMechanism::kSelectiveReplayFastCommit;
-      } else if (v == "srx") {
-        o.machine.recovery = support::RecoveryMechanism::kSelectiveReplay;
-      } else if (v == "squash") {
-        o.machine.recovery = support::RecoveryMechanism::kFullSquash;
-      } else {
-        std::cerr << "sptc: unknown recovery '" << v << "'\n";
-        o.ok = false;
-      }
-    } else if (arg == "--regcheck") {
-      const std::string v = need_value(i);
-      if (v == "value") {
-        o.machine.register_check = support::RegisterCheckMode::kValueBased;
-      } else if (v == "scoreboard") {
-        o.machine.register_check = support::RegisterCheckMode::kScoreboard;
-      } else {
-        std::cerr << "sptc: unknown regcheck '" << v << "'\n";
-        o.ok = false;
-      }
-    } else if (arg == "--no-svp") {
-      o.copts.enable_svp = false;
-    } else if (arg == "--regions") {
-      o.copts.enable_region_speculation = true;
-    } else if (arg == "--no-unroll") {
-      o.copts.enable_unrolling = false;
-    } else if (arg == "--select-all") {
-      o.copts.cost_driven_selection = false;
-    } else if (arg == "--max-body") {
-      o.copts.max_avg_body_size =
-          std::strtod(need_value(i), nullptr);
-      o.max_body_given = true;
-    } else if (arg == "--print-ir") {
-      o.print_ir = true;
-    } else if (arg == "--verify-passes") {
-      o.copts.verify_between_passes = true;
-    } else if (arg == "--remarks") {
-      o.remarks_path = need_value(i);
-    } else if (arg.rfind("--remarks=", 0) == 0) {
-      o.remarks_path = arg.substr(std::string("--remarks=").size());
-      if (o.remarks_path.empty()) {
-        std::cerr << "sptc: --remarks= needs a file name\n";
-        o.ok = false;
-      }
-    } else if (arg == "--spec-threads") {
-      std::stringstream ss(need_value(i));
-      std::string tok;
-      bool any = false;
-      while (std::getline(ss, tok, ',')) {
-        any = true;
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-        if (tok.empty() || end == nullptr || *end != '\0' || v < 1 ||
-            v > support::kMaxSpecThreads) {
-          std::cerr << "sptc: bad --spec-threads value '" << tok
-                    << "' (expected 1.." << support::kMaxSpecThreads
-                    << ", e.g. --spec-threads 1,2,4)\n";
-          o.ok = false;
-        } else {
-          o.spec_threads.push_back(static_cast<std::uint32_t>(v));
-        }
-      }
-      if (!any) {
-        std::cerr << "sptc: --spec-threads needs at least one value "
-                     "(e.g. --spec-threads 1,2,4)\n";
-        o.ok = false;
-      }
-    } else if (arg == "--jobs") {
-      o.jobs = static_cast<std::size_t>(
-          std::strtoull(need_value(i), nullptr, 10));
-    } else if (arg == "--json") {
-      o.json_path = need_value(i);
-    } else if (arg == "--reps") {
-      o.reps = std::max(
-          1, static_cast<int>(std::strtol(need_value(i), nullptr, 10)));
-    } else if (arg == "--trace-cache") {
-      o.trace_cache_dir = need_value(i);
-    } else if (arg == "--checkpoint") {
-      o.checkpoint_path = need_value(i);
-    } else if (arg == "--resume") {
-      o.resume = true;
-    } else if (arg == "--quarantine") {
-      o.quarantine = true;
-    } else if (arg == "--isolate") {
-      o.supervisor.isolate = true;
-    } else if (arg == "--no-isolate") {
-      o.supervisor.isolate = false;
-    } else if (arg == "--cell-timeout") {
-      o.supervisor.cell_timeout_seconds =
-          std::strtod(need_value(i), nullptr);
-    } else if (arg == "--retries") {
-      o.supervisor.retries = static_cast<std::uint32_t>(
-          std::strtoul(need_value(i), nullptr, 10));
-    } else if (arg == "--rlimit-as") {
-      o.supervisor.rlimit_as_bytes =
-          std::strtoull(need_value(i), nullptr, 10) * 1024ull * 1024ull;
-    } else if (arg == "--rlimit-cpu") {
-      o.supervisor.rlimit_cpu_seconds =
-          std::strtoull(need_value(i), nullptr, 10);
-    } else if (arg == "--chaos") {
-      std::string error;
-      const auto plan = support::ChaosPlan::parse(need_value(i), &error);
-      if (!plan) {
-        std::cerr << "sptc: bad --chaos spec: " << error << "\n";
-        o.ok = false;
-      } else {
-        o.supervisor.chaos = *plan;
-      }
-    } else if (arg == "--max-records") {
-      o.machine.max_simulated_records =
-          std::strtoull(need_value(i), nullptr, 10);
-      o.machine.max_trace_records = o.machine.max_simulated_records;
-    } else if (arg == "--max-cycles") {
-      o.machine.max_simulated_cycles =
-          std::strtoull(need_value(i), nullptr, 10);
-    } else if (arg == "--seeds") {
-      o.seeds = std::strtoull(need_value(i), nullptr, 10);
-    } else if (arg == "--seed") {
-      o.base_seed = std::strtoull(need_value(i), nullptr, 10);
-    } else if (arg == "--period") {
-      o.period = static_cast<std::uint32_t>(
-          std::strtoul(need_value(i), nullptr, 10));
-    } else if (arg == "--oracle") {
-      const std::string v = need_value(i);
-      if (v == "digest") {
-        o.oracle = support::OracleMode::kDigest;
-      } else if (v == "deep") {
-        o.oracle = support::OracleMode::kDeep;
-      } else {
-        std::cerr << "sptc: unknown oracle mode '" << v
-                  << "' (expected digest | deep)\n";
-        o.ok = false;
-      }
-    } else if (arg == "--socket") {
-      o.socket_path = need_value(i);
-    } else if (arg == "--max-queue") {
-      o.max_queue = static_cast<std::size_t>(
-          std::strtoull(need_value(i), nullptr, 10));
-    } else if (arg == "--allow-chaos") {
-      o.allow_chaos = true;
-    } else if (arg == "--benchmarks") {
-      std::stringstream ss(need_value(i));
-      std::string name;
-      while (std::getline(ss, name, ',')) {
-        if (!name.empty()) o.benchmarks.push_back(name);
-      }
-    } else if (arg == "--deadline") {
-      o.deadline_seconds = std::strtod(need_value(i), nullptr);
-    } else if (arg == "--journal") {
-      o.journal_path = need_value(i);
-    } else if (arg == "--crash-at") {
-      std::string error;
-      const auto plan =
-          support::ServiceCrashPlan::parse(need_value(i), &error);
-      if (!plan) {
-        std::cerr << "sptc: bad --crash-at spec: " << error << "\n";
-        o.ok = false;
-      } else {
-        o.service_crash = *plan;
-      }
-    } else if (arg == "--token") {
-      o.token = need_value(i);
-    } else if (arg == "--retry-for") {
-      o.retry_for_seconds = std::strtod(need_value(i), nullptr);
-    } else if (arg == "--client-chaos") {
-      std::string error;
-      const auto plan = support::ClientChaosPlan::parse(need_value(i), &error);
-      if (!plan) {
-        std::cerr << "sptc: bad --client-chaos spec: " << error << "\n";
-        o.ok = false;
-      } else {
-        o.client_chaos = *plan;
-      }
-    } else {
+    const std::size_t eq = arg.find('=');  // --name=value
+    const std::string name = arg.substr(0, eq);
+    const Option* opt = nullptr;
+    for (const Option& row : kOptions) {
+      if (name == row.name) opt = &row;
+    }
+    if (opt == nullptr || (eq != std::string::npos && opt->value == nullptr)) {
       std::cerr << "sptc: unknown option '" << arg
                 << "' (see `sptc` for usage)\n";
-      o.ok = false;
+    } else if ((opt->readers & sub.sub) == 0) {
+      std::cerr << "sptc: " << sub.name << " does not read " << name << "\n";
+    } else {
+      Arg a{opt->name, {}};
+      if (eq != std::string::npos) {
+        a.value = arg.substr(eq + 1);
+      } else if (opt->value != nullptr && i + 1 < argc) {
+        a.value = argv[++i];
+      }
+      if (opt->value != nullptr && a.value.empty()) {
+        std::cerr << "sptc: " << name << " needs a value\n";
+        return std::nullopt;
+      }
+      opt->apply(o, a);
+      if (!o.error.empty()) {
+        std::cerr << "sptc: " << o.error << "\n";
+        return std::nullopt;
+      }
+      continue;
     }
+    std::cerr << "options of sptc " << sub.name << ":\n";
+    printOptions(sub.sub);
+    return std::nullopt;
   }
-  if (chaos_needs_isolate && o.supervisor.chaos.enabled() &&
+  if ((sub.sub & (kSweep | kInject)) && o.supervisor.chaos.enabled() &&
       !o.supervisor.isolate) {
     std::cerr << "sptc: --chaos requires --isolate (chaos sabotages forked "
                  "workers)\n";
-    o.ok = false;
+    return std::nullopt;
+  }
+  if (!o.spec_threads.empty() && (sub.sub & (kSweep | kSubmitSweep)) == 0) {
+    if (o.spec_threads.size() > 1) {
+      std::cerr << "sptc: " << sub.name
+                << " takes a single --spec-threads value (a comma list is a "
+                   "sweep grid axis)\n";
+      return std::nullopt;
+    }
+    o.machine.spec_threads = o.copts.spec_threads = o.spec_threads[0];
   }
   return o;
-}
-
-/// Validates a --benchmarks filter against the suite (the grid builders
-/// silently drop unknown names; the CLI must not).
-bool validateBenchmarks(const std::vector<std::string>& benchmarks) {
-  if (benchmarks.empty()) return true;
-  std::vector<std::string> names;
-  for (const auto& entry : harness::defaultSuite()) {
-    names.push_back(entry.workload.name);
-  }
-  for (const std::string& b : benchmarks) {
-    if (std::find(names.begin(), names.end(), b) == names.end()) {
-      std::cerr << "sptc: unknown benchmark '" << b
-                << "' in --benchmarks (try `sptc list`)\n";
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Applies a single-valued --spec-threads to the machine and compiler
-/// options (run/compile/perf/inject take one value; only the sweep grids
-/// accept a list).
-bool applySpecThreads(Options& o, const char* command) {
-  if (o.spec_threads.empty()) return true;
-  if (o.spec_threads.size() > 1) {
-    std::cerr << "sptc: " << command
-              << " takes a single --spec-threads value (a comma list is a "
-                 "sweep grid axis)\n";
-    return false;
-  }
-  o.machine.spec_threads = o.spec_threads[0];
-  o.copts.spec_threads = o.spec_threads[0];
-  return true;
 }
 
 /// Degrades --isolate to the in-process path (with a warning) on
@@ -593,26 +561,11 @@ int writeRemarks(const compiler::CompilationRemarks& remarks,
   return 0;
 }
 
-/// The compiler options `run` and `compile` use for `target`: a suite
-/// benchmark named by target keeps its own body-size limit (gap's 2500,
-/// as in every sweep) unless --max-body was given.
-compiler::CompilerOptions targetCompilerOptions(const std::string& target,
-                                                const Options& options) {
-  compiler::CompilerOptions copts = options.copts;
-  if (options.max_body_given) return copts;
-  for (const harness::SuiteEntry& entry : harness::defaultSuite()) {
-    if (entry.workload.name == target) {
-      copts.max_avg_body_size = entry.copts.max_avg_body_size;
-    }
-  }
-  return copts;
-}
-
 int cmdRun(const std::string& target, const Options& options) {
   auto m = loadTarget(target, options.scale);
   if (!m) return 1;
   const compiler::CompilerOptions copts =
-      targetCompilerOptions(target, options);
+      harness::cellCompilerOptions(target, options.copts, options.max_body);
   compiler::CompilationRemarks remarks;
   const bool want_remarks = !options.remarks_path.empty();
   const auto result = harness::runSptExperiment(
@@ -645,7 +598,8 @@ int cmdRun(const std::string& target, const Options& options) {
 int cmdCompile(const std::string& target, const Options& options) {
   auto m = loadTarget(target, options.scale);
   if (!m) return 1;
-  compiler::SptCompiler cc(targetCompilerOptions(target, options));
+  compiler::SptCompiler cc(
+      harness::cellCompilerOptions(target, options.copts, options.max_body));
   harness::InterpProfileRunner runner;
   compiler::CompilationRemarks remarks;
   const bool want_remarks = !options.remarks_path.empty();
@@ -724,7 +678,6 @@ int finishSweep(const std::vector<harness::SweepRow>& rows,
 
 int cmdSweep(Options options) {
   checkIsolationSupport(options);
-  if (!validateBenchmarks(options.benchmarks)) return 2;
   if (options.supervisor.isolate) {
     installInterruptHandlers();
     options.supervisor.stop = &g_interrupted;
@@ -732,7 +685,7 @@ int cmdSweep(Options options) {
   const harness::ParallelSweep sweep(options.jobs);
   const std::vector<harness::SweepCase> cases = harness::buildSuiteSweepCases(
       options.machine, options.copts, options.scale, options.benchmarks,
-      options.spec_threads);
+      options.spec_threads, options.max_body);
 
   harness::SweepOptions sweep_opts;
   sweep_opts.quarantine = options.quarantine;
@@ -837,6 +790,7 @@ int cmdInject(Options options) {
   fc.base_seed = options.base_seed;
   fc.jobs = options.jobs;
   fc.scale = options.scale;
+  fc.benchmarks = options.benchmarks;
   fc.period = options.period;
   fc.oracle = options.oracle;
   fc.machine = options.machine;
@@ -870,11 +824,6 @@ int cmdServe(const Options& options) {
     std::cerr << "sptc: serve needs --socket PATH\n";
     return 2;
   }
-  if (!options.checkpoint_path.empty()) {
-    std::cerr << "sptc: serve takes no --checkpoint; finished cells are "
-                 "logged in the --journal file\n";
-    return 2;
-  }
   if (!harness::SweepService::supported()) {
     std::cerr << "sptc: the sweep service needs fork + AF_UNIX sockets, "
                  "which this platform lacks\n";
@@ -896,12 +845,12 @@ int cmdServe(const Options& options) {
   return service.run();
 }
 
-int cmdSubmit(const std::string& mode, const Options& options) {
+int cmdSubmit(Sub mode, const Options& options) {
   if (options.socket_path.empty()) {
     std::cerr << "sptc: submit needs --socket PATH\n";
     return 2;
   }
-  if (mode == "status") {
+  if (mode == kSubmitStatus) {
     std::string error;
     const auto status =
         harness::queryServiceStatus(options.socket_path, &error);
@@ -912,37 +861,22 @@ int cmdSubmit(const std::string& mode, const Options& options) {
     std::cout << *status << "\n";
     return 0;
   }
-  if (mode != "sweep" && mode != "inject") {
-    std::cerr << "sptc: submit supports sweep | inject | status\n";
-    return 2;
-  }
-  if (!validateBenchmarks(options.benchmarks)) return 2;
 
   harness::ServiceRequest req;
-  req.kind = mode == "sweep" ? harness::ServiceRequest::Kind::kSweep
-                             : harness::ServiceRequest::Kind::kCampaign;
+  req.kind = mode == kSubmitSweep ? harness::ServiceRequest::Kind::kSweep
+                                  : harness::ServiceRequest::Kind::kCampaign;
   req.scale = options.scale;
   req.machine = options.machine;
   req.copts = options.copts;
+  req.max_body = options.max_body;
   req.benchmarks = options.benchmarks;
+  req.spec_threads = options.spec_threads;
   req.seeds = options.seeds;
   req.base_seed = options.base_seed;
   req.period = options.period;
   req.oracle = options.oracle;
   req.deadline_seconds = options.deadline_seconds;
   req.chaos = options.supervisor.chaos;
-  if (mode == "sweep") {
-    req.spec_threads = options.spec_threads;
-  } else if (!options.spec_threads.empty()) {
-    // Campaigns run the whole grid at one chain depth.
-    if (options.spec_threads.size() > 1) {
-      std::cerr << "sptc: submit inject takes a single --spec-threads "
-                   "value\n";
-      return 2;
-    }
-    req.machine.spec_threads = options.spec_threads[0];
-    req.copts.spec_threads = options.spec_threads[0];
-  }
 
   harness::SubmitOptions sopts;
   sopts.chaos = options.client_chaos;
@@ -977,7 +911,7 @@ int cmdSubmit(const std::string& mode, const Options& options) {
     std::cerr << "sptc: submit failed: " << outcome.error << "\n";
     return 1;
   }
-  if (mode == "sweep") {
+  if (mode == kSubmitSweep) {
     return finishSweep(outcome.rows, options, "suite sweep (served)");
   }
   return finishCampaign(outcome.campaign, options);
@@ -990,6 +924,7 @@ int cmdPerf(const Options& options) {
   perf.setup_jobs = options.jobs;
   perf.machine = options.machine;
   perf.copts = options.copts;
+  perf.max_body = options.max_body;
   std::vector<harness::PerfPassRow> passes;
   const auto rows = harness::runSimThroughput(perf, &passes);
   harness::printSimThroughputTable(std::cout, rows);
@@ -1009,58 +944,47 @@ int cmdPerf(const Options& options) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  if (cmd == "list") return cmdList();
-  if (cmd == "sweep") {
-    const Options options = parseOptions(argc, argv, 2);
-    if (!options.ok) return 2;
-    return cmdSweep(options);
-  }
-  if (cmd == "perf") {
-    Options options = parseOptions(argc, argv, 2);
-    if (!options.ok || !applySpecThreads(options, "perf")) return 2;
-    if (options.supervisor.isolate) {
-      std::cerr << "sptc: perf measures in process; --isolate is a "
-                   "sweep/inject option\n";
-      return 2;
-    }
-    return cmdPerf(options);
-  }
-  if (cmd == "inject") {
-    Options options = parseOptions(argc, argv, 2);
-    if (!options.ok || !applySpecThreads(options, "inject")) return 2;
-    return cmdInject(options);
-  }
-  if (cmd == "serve") {
-    const Options options =
-        parseOptions(argc, argv, 2, /*chaos_needs_isolate=*/false);
-    if (!options.ok) return 2;
-    return cmdServe(options);
-  }
-  if (cmd == "submit") {
+  std::string name = argv[1];
+  if (name == "submit") {
     if (argc < 3 || argv[2][0] == '-') {
       std::cerr << "sptc: submit needs a mode: sweep | inject | status\n";
       return usage();
     }
-    const std::string mode = argv[2];
-    const Options options =
-        parseOptions(argc, argv, 3, /*chaos_needs_isolate=*/false);
-    if (!options.ok) return 2;
-    return cmdSubmit(mode, options);
+    name.append(" ").append(argv[2]);
   }
-  if (cmd == "run" || cmd == "compile" || cmd == "parse") {
+  const Subcommand* sub = nullptr;
+  for (const Subcommand& row : kSubcommands) {
+    if (name == row.name) sub = &row;
+  }
+  if (sub == nullptr) {
+    if (name.rfind("submit ", 0) == 0) {
+      std::cerr << "sptc: submit supports sweep | inject | status\n";
+      return 2;
+    }
+    std::cerr << "sptc: unknown subcommand '" << name << "'\n";
+    return usage();
+  }
+  int first = (sub->sub & (kSubmit | kSubmitStatus)) != 0 ? 3 : 2;
+  std::string target;
+  if (*sub->operand != '\0') {
     if (argc < 3 || argv[2][0] == '-') {
-      std::cerr << "sptc: '" << cmd
+      std::cerr << "sptc: '" << name
                 << "' needs a workload name or .spt file\n";
       return usage();
     }
-    const std::string target = argv[2];
-    Options options = parseOptions(argc, argv, 3);
-    if (!options.ok || !applySpecThreads(options, cmd.c_str())) return 2;
-    if (cmd == "run") return cmdRun(target, options);
-    if (cmd == "compile") return cmdCompile(target, options);
-    return cmdParse(target);
+    target = argv[first++];
   }
-  std::cerr << "sptc: unknown subcommand '" << cmd << "'\n";
-  return usage();
+  std::optional<Options> options = parseOptions(*sub, argc, argv, first);
+  if (!options) return 2;
+  switch (sub->sub) {
+    case kList: return cmdList();
+    case kRun: return cmdRun(target, *options);
+    case kCompile: return cmdCompile(target, *options);
+    case kParse: return cmdParse(target);
+    case kSweep: return cmdSweep(*options);
+    case kPerf: return cmdPerf(*options);
+    case kInject: return cmdInject(*options);
+    case kServe: return cmdServe(*options);
+    default: return cmdSubmit(sub->sub, *options);
+  }
 }
