@@ -88,7 +88,9 @@ std::string encodeServiceRequest(const ServiceRequest& req) {
   w.u8(static_cast<std::uint8_t>(req.kind));
   w.u64(req.scale);
   encodeMachineConfig(w, req.machine);
-  encodeCompilerOptions(w, req.copts);
+  // Only a sweep's cells compile with the request's compiler fields.
+  const bool sweep = req.kind == ServiceRequest::Kind::kSweep;
+  if (sweep) encodeCompilerOptions(w, req.copts);
   w.u64(req.benchmarks.size());
   for (const std::string& b : req.benchmarks) w.str(b);
   w.u64(req.seeds);
@@ -101,8 +103,10 @@ std::string encodeServiceRequest(const ServiceRequest& req) {
   w.str(req.chaos.toSpec());
   w.u64(req.spec_threads.size());
   for (const std::uint32_t n : req.spec_threads) w.u32(n);
-  w.boolean(req.max_body.has_value());
-  w.f64(req.max_body.value_or(0.0));
+  if (sweep) {
+    w.boolean(req.max_body.has_value());
+    w.f64(req.max_body.value_or(0.0));
+  }
   return w.take();
 }
 
@@ -113,8 +117,9 @@ bool decodeServiceRequest(const std::string& payload, ServiceRequest* req) {
   if (!(r.u8(&kind) && r.u64(&out.scale))) return false;
   if (kind > 2) return false;
   out.kind = static_cast<ServiceRequest::Kind>(kind);
+  const bool sweep = out.kind == ServiceRequest::Kind::kSweep;
   if (!decodeMachineConfig(r, &out.machine)) return false;
-  if (!decodeCompilerOptions(r, &out.copts)) return false;
+  if (sweep && !decodeCompilerOptions(r, &out.copts)) return false;
   std::uint64_t nbench = 0;
   if (!r.u64(&nbench) || nbench > 4096) return false;
   out.benchmarks.resize(static_cast<std::size_t>(nbench));
@@ -135,7 +140,7 @@ bool decodeServiceRequest(const std::string& payload, ServiceRequest* req) {
   }
   bool has_max_body = false;
   double max_body = 0.0;
-  if (!(r.boolean(&has_max_body) && r.f64(&max_body))) return false;
+  if (sweep && !(r.boolean(&has_max_body) && r.f64(&max_body))) return false;
   if (has_max_body) out.max_body = max_body;
   if (oracle > 2 || !r.ok() || !r.atEnd()) return false;
   out.oracle = static_cast<support::OracleMode>(oracle);

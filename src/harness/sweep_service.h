@@ -113,6 +113,8 @@ struct ServiceRequest {
   Kind kind = Kind::kSweep;
   std::uint64_t scale = 1;
   support::MachineConfig machine;
+  /// kSweep only: encodeServiceRequest writes it and max_body for sweeps
+  /// alone, so campaign requests that differ only there are equal bytes.
   compiler::CompilerOptions copts;
   /// Workload-name filter; empty = the whole suite. Unknown names are
   /// rejected with a kError frame.

@@ -10,7 +10,7 @@
 namespace spt::profile {
 namespace {
 
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr support::wire::FrameFormat kFormat{
     {'S', 'P', 'T', 'P'}, kVersion, kVersion, 0, 0};
 
@@ -121,11 +121,8 @@ std::string encodeProfile(const TrackedProfile& profile) {
     const ValueStats& s = d.values.at(sid);
     w.put(sid);
     w.put(s.samples);
-    w.put<std::uint64_t>(s.delta_counts.size());
-    for (const auto& [delta, count] : s.delta_counts) {
-      w.put(delta);
-      w.put(count);
-    }
+    w.put(s.best_stride);
+    w.put(s.best_count);
   }
   return support::wire::encodeFrame(kFormat.magic, kVersion, 0, w.take());
 }
@@ -174,14 +171,11 @@ std::optional<TrackedProfile> decodeProfile(const std::string& bytes,
       s.tail_instrs = r.get<std::uint64_t>();
     }
   }
-  for (std::uint64_t n = r.count(20); n > 0; --n) {
+  for (std::uint64_t n = r.count(28); n > 0; --n) {
     ValueStats& s = d.values[r.get<ir::StaticId>()];
     s.samples = r.get<std::uint64_t>();
-    for (std::uint64_t m = r.count(16); m > 0; --m) {
-      const auto delta = r.get<std::int64_t>();
-      s.delta_counts.emplace_hint(s.delta_counts.end(), delta,
-                                  r.get<std::uint64_t>());
-    }
+    s.best_stride = r.get<std::int64_t>();
+    s.best_count = r.get<std::uint64_t>();
   }
   if (!r.done()) {
     if (error) *error = "malformed profile payload";

@@ -2,11 +2,13 @@
 // trace cache keeps of a baseline run's profile (harness/experiment.h), so
 // a cache hit primes the compiler without interpreting.
 //
-// The bytes are one support/wire frame (magic "SPTP", version 1, kind 0)
+// The bytes are one support/wire frame (magic "SPTP", version 2, kind 0)
 // whose FNV-1a checksum rejects truncated or bit-flipped files. The
 // payload is fixed-width integers in host byte order, like the frame
 // header, with every table in ascending key order, so equal profiles
-// encode to identical bytes.
+// encode to identical bytes. A value entry is its sid, samples, best
+// stride and that stride's count; version 1 kept each sid's whole delta
+// histogram and is refused, so a cache makes such a blob again.
 #pragma once
 
 #include <optional>
@@ -28,7 +30,7 @@ struct TrackedProfile {
 std::string encodeProfile(const TrackedProfile& profile);
 
 /// Decodes encodeProfile's bytes; nullopt with `error` set when they are
-/// not a complete, checksummed version-1 profile.
+/// not a complete, checksummed version-2 profile.
 std::optional<TrackedProfile> decodeProfile(const std::string& bytes,
                                             std::string* error = nullptr);
 

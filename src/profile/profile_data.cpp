@@ -2,28 +2,6 @@
 
 namespace spt::profile {
 
-std::int64_t ValueStats::bestStride() const {
-  std::int64_t best = 0;
-  std::uint64_t best_count = 0;
-  for (const auto& [delta, count] : delta_counts) {
-    if (count > best_count) {
-      best = delta;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
-double ValueStats::predictability() const {
-  if (samples == 0) return 0.0;
-  std::uint64_t best_count = 0;
-  for (const auto& [delta, count] : delta_counts) {
-    (void)delta;
-    if (count > best_count) best_count = count;
-  }
-  return static_cast<double>(best_count) / static_cast<double>(samples);
-}
-
 double ProfileData::branchTakenProb(ir::StaticId sid, double fallback) const {
   const auto it = branches.find(sid);
   return it == branches.end() ? fallback : it->second.takenProb(fallback);

@@ -85,12 +85,18 @@ using MemDepCounts =
 /// (for software value prediction, paper Section 4.4).
 struct ValueStats {
   std::uint64_t samples = 0;  // executions observed (after the first)
-  /// Delta histogram between consecutive executions; small in practice.
-  std::map<std::int64_t, std::uint64_t> delta_counts;
+  /// The most frequent delta between consecutive executions (the smallest
+  /// one on a tie) and how many of the samples had it.
+  std::int64_t best_stride = 0;
+  std::uint64_t best_count = 0;
 
   /// The most frequent stride and its relative frequency.
-  std::int64_t bestStride() const;
-  double predictability() const;
+  std::int64_t bestStride() const { return best_stride; }
+  double predictability() const {
+    return samples == 0 ? 0.0
+                        : static_cast<double>(best_count) /
+                              static_cast<double>(samples);
+  }
 };
 
 class ProfileData {

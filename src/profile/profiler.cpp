@@ -218,15 +218,20 @@ ProfileData Profiler::take() {
   }
   trackers_.clear();
   while (!open_.empty()) closeTopLoop();
-  for (ValueSlot& slot : value_slots_) {
+  for (const ValueSlot& slot : value_slots_) {
     if (slot.samples == 0) continue;
     ValueStats& stats = data_.values[slot.sid];
     stats.samples = slot.samples;
-    slot.deltas.forEach([&](std::uint64_t delta, std::uint64_t count) {
-      stats.delta_counts.emplace(static_cast<std::int64_t>(delta), count);
+    // The mode of the histogram; on a tie the smallest signed delta, so
+    // the result does not depend on the table's slot order.
+    slot.deltas.forEach([&](std::uint64_t bits, std::uint64_t count) {
+      const auto delta = static_cast<std::int64_t>(bits);
+      if (count > stats.best_count ||
+          (count == stats.best_count && delta < stats.best_stride)) {
+        stats.best_stride = delta;
+        stats.best_count = count;
+      }
     });
-    // Free each flat table as soon as it is converted.
-    slot.deltas = sim::FlatMap64<std::uint64_t>();
   }
   return std::move(data_);
 }

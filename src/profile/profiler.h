@@ -48,8 +48,7 @@ class Profiler final : public trace::TraceSink {
   };
 
   /// Value state of one profiled sid. The delta histogram is a flat
-  /// table keyed by the delta's bits until take() turns it into
-  /// ValueStats::delta_counts.
+  /// table keyed by the delta's bits; take() keeps only its mode.
   struct ValueSlot {
     ir::StaticId sid = ir::kInvalidStaticId;
     bool has_prev = false;

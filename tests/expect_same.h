@@ -113,7 +113,8 @@ inline void expectSameProfile(const profile::ProfileData& a,
   for (const auto& [sid, stats] : a.values) {
     ASSERT_TRUE(b.values.contains(sid)) << sid;
     EXPECT_EQ(stats.samples, b.values.at(sid).samples) << sid;
-    EXPECT_EQ(stats.delta_counts, b.values.at(sid).delta_counts) << sid;
+    EXPECT_EQ(stats.best_stride, b.values.at(sid).best_stride) << sid;
+    EXPECT_EQ(stats.best_count, b.values.at(sid).best_count) << sid;
   }
   ASSERT_EQ(a.calls.size(), b.calls.size());
   for (const auto& [sid, stats] : a.calls) {

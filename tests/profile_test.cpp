@@ -1,6 +1,11 @@
 // Unit tests for src/profile: branch, loop, dependence and value profiling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <random>
+
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "profile/profiler.h"
@@ -191,6 +196,7 @@ TEST(Profiler, ValueProfileFindsStride) {
   EXPECT_EQ(it->second.bestStride(), 2);
   EXPECT_DOUBLE_EQ(it->second.predictability(), 1.0);
   EXPECT_EQ(it->second.samples, 63u);
+  EXPECT_EQ(it->second.best_count, 63u);
 }
 
 TEST(Profiler, TotalInstrsMatchesInterpreter) {
@@ -206,11 +212,180 @@ TEST(Profiler, TotalInstrsMatchesInterpreter) {
   EXPECT_EQ(p.data.total_instrs, result.dynamic_instrs);
 }
 
-TEST(ValueStats, PredictabilityOfMixedDeltas) {
+// ------------------------------------------------------------------------
+// Value profiles keep the mode of each sid's delta histogram.
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+/// The delta between consecutive values, wrapping as the profiler's does.
+std::int64_t deltaOf(std::int64_t prev, std::int64_t next) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(next) -
+                                   static_cast<std::uint64_t>(prev));
+}
+
+/// The stats an ordered std::map histogram of `values`' deltas gives: the
+/// first delta of highest count in ascending order, i.e. the smallest one
+/// on a tie.
+ValueStats referenceStats(const std::vector<std::int64_t>& values) {
+  std::map<std::int64_t, std::uint64_t> histogram;
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    ++histogram[deltaOf(values[i - 1], values[i])];
+  }
   ValueStats stats;
-  stats.samples = 10;
-  stats.delta_counts[2] = 7;
-  stats.delta_counts[5] = 3;
+  stats.samples = values.empty() ? 0 : values.size() - 1;
+  for (const auto& [delta, count] : histogram) {
+    if (count > stats.best_count) {
+      stats.best_stride = delta;
+      stats.best_count = count;
+    }
+  }
+  return stats;
+}
+
+/// Value-profiles stream i as the results of sid i, the streams' records
+/// interleaved in a seeded order and handed over in blocks of varying
+/// size. The module only sizes the profiler's sid table: the records name
+/// no loop, call or memory access, so only value profiling reads them.
+ProfileData profileStreams(
+    const std::vector<std::vector<std::int64_t>>& streams, std::uint64_t seed) {
+  Module module("streams");
+  testing::buildArraySum(module, 4);
+  module.finalize();
+  if (module.staticInstrCount() < streams.size()) {
+    ADD_FAILURE() << "too few sids for " << streams.size() << " streams";
+    return {};
+  }
+  std::unordered_set<StaticId> sids;
+  std::vector<StaticId> owners;
+  for (StaticId sid = 0; sid < streams.size(); ++sid) {
+    sids.insert(sid);
+    owners.insert(owners.end(), streams[sid].size(), sid);
+  }
+  std::mt19937_64 rng(seed);
+  std::shuffle(owners.begin(), owners.end(), rng);
+  std::vector<std::size_t> next(streams.size(), 0);
+  std::vector<trace::Record> records;
+  for (const StaticId sid : owners) {
+    trace::Record r;
+    r.op = Opcode::kAdd;
+    r.sid = sid;
+    r.value = streams[sid][next[sid]++];
+    records.push_back(r);
+  }
+  Profiler profiler(module, sids);
+  for (std::size_t at = 0; at < records.size();) {
+    const std::size_t n = std::min<std::size_t>(records.size() - at,
+                                                1 + rng() % 97);
+    profiler.onBlock(trace::TraceView(records.data() + at, n));
+    at += n;
+  }
+  return profiler.take();
+}
+
+/// A stream starting at `start` whose deltas are `deltas`, shuffled.
+std::vector<std::int64_t> streamOf(std::int64_t start,
+                                   std::vector<std::int64_t> deltas,
+                                   std::mt19937_64& rng) {
+  std::shuffle(deltas.begin(), deltas.end(), rng);
+  std::vector<std::int64_t> values{start};
+  for (const std::int64_t d : deltas) {
+    values.push_back(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(values.back()) +
+        static_cast<std::uint64_t>(d)));  // wraps, as the deltas do
+  }
+  return values;
+}
+
+/// `n` copies of `delta`.
+std::vector<std::int64_t> times(std::size_t n, std::int64_t delta) {
+  return std::vector<std::int64_t>(n, delta);
+}
+
+std::vector<std::int64_t> concat(
+    std::initializer_list<std::vector<std::int64_t>> parts) {
+  std::vector<std::int64_t> out;
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+TEST(ValueProfile, ModeMatchesAnOrderedHistogram) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::vector<std::vector<std::int64_t>> streams;
+    // Ties: a negative and a positive delta, several positives, and the
+    // zero delta (FlatMap64's dedicated key-0 slot) against either sign.
+    streams.push_back(streamOf(5, concat({times(9, -3), times(9, 3)}), rng));
+    streams.push_back(streamOf(
+        -40, concat({times(6, 7), times(6, 2), times(6, 5), times(5, -1)}),
+        rng));
+    streams.push_back(streamOf(0, concat({times(8, 0), times(8, -1)}), rng));
+    streams.push_back(streamOf(0, concat({times(8, 0), times(8, 1)}), rng));
+    streams.push_back(streamOf(11, concat({times(12, 0), times(3, 9)}), rng));
+    // Wrapping deltas next to INT64_MIN/INT64_MAX: MAX -> MIN is +1, MIN
+    // -> MAX is -1, and a tie between them.
+    {
+      std::vector<std::int64_t> values;
+      for (int i = 0; i < 41; ++i) values.push_back(i % 2 ? kMin : kMax);
+      streams.push_back(values);
+    }
+    {
+      const std::int64_t edges[] = {kMin, kMin + 1, kMax, kMax - 1, -1, 0, 1};
+      std::vector<std::int64_t> values;
+      for (int i = 0; i < 120; ++i) values.push_back(edges[rng() % 7]);
+      streams.push_back(values);
+    }
+    streams.push_back(
+        streamOf(kMax - 2, concat({times(5, kMin), times(5, kMax)}), rng));
+    // A single execution observes no delta; a stream of none is absent.
+    streams.push_back({42});
+    streams.push_back({});
+    // Random small deltas over random values.
+    for (int i = 0; i < 6; ++i) {
+      std::vector<std::int64_t> deltas;
+      const std::size_t n = 1 + rng() % 60;
+      for (std::size_t k = 0; k < n; ++k) {
+        deltas.push_back(static_cast<std::int64_t>(rng() % 7) - 3);
+      }
+      streams.push_back(
+          streamOf(static_cast<std::int64_t>(rng()), deltas, rng));
+    }
+
+    const ProfileData data = profileStreams(streams, seed);
+    for (StaticId sid = 0; sid < streams.size(); ++sid) {
+      SCOPED_TRACE("stream " + std::to_string(sid));
+      const ValueStats want = referenceStats(streams[sid]);
+      const auto it = data.values.find(sid);
+      if (want.samples == 0) {
+        EXPECT_EQ(it, data.values.end());
+        continue;
+      }
+      ASSERT_NE(it, data.values.end());
+      EXPECT_EQ(it->second.samples, want.samples);
+      EXPECT_EQ(it->second.best_stride, want.best_stride);
+      EXPECT_EQ(it->second.best_count, want.best_count);
+    }
+    // The ties resolve to the smallest signed delta.
+    EXPECT_EQ(data.values.at(0).best_stride, -3);
+    EXPECT_EQ(data.values.at(1).best_stride, 2);
+    EXPECT_EQ(data.values.at(2).best_stride, -1);
+    EXPECT_EQ(data.values.at(3).best_stride, 0);
+    EXPECT_EQ(data.values.at(4).best_stride, 0);
+    EXPECT_EQ(data.values.at(5).best_stride, -1);
+    EXPECT_EQ(data.values.at(7).best_stride, kMin);
+  }
+}
+
+TEST(ValueStats, PredictabilityOfMixedDeltas) {
+  std::mt19937_64 rng(3);
+  const ProfileData data = profileStreams(
+      {streamOf(100, concat({times(7, 2), times(3, 5)}), rng)}, 3);
+  const ValueStats& stats = data.values.at(0);
+  EXPECT_EQ(stats.samples, 10u);
+  EXPECT_EQ(stats.best_count, 7u);
   EXPECT_EQ(stats.bestStride(), 2);
   EXPECT_DOUBLE_EQ(stats.predictability(), 0.7);
 }

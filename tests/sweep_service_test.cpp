@@ -104,7 +104,9 @@ ServiceRequest sampleRequest() {
 }
 
 TEST(ServiceRequestCodec, RoundTripsEveryField) {
-  const ServiceRequest req = sampleRequest();
+  // A sweep request carries every field, the compiler's included.
+  ServiceRequest req = sampleRequest();
+  req.kind = ServiceRequest::Kind::kSweep;
   const std::string bytes = encodeServiceRequest(req);
   ServiceRequest back;
   ASSERT_TRUE(decodeServiceRequest(bytes, &back));
@@ -131,19 +133,58 @@ TEST(ServiceRequestCodec, RoundTripsEveryField) {
   plain.max_body.reset();
   ASSERT_TRUE(decodeServiceRequest(encodeServiceRequest(plain), &back));
   EXPECT_FALSE(back.max_body.has_value());
+  EXPECT_NE(encodeServiceRequest(plain), bytes);
+
+  // A campaign's cells compile with the suite's plans, so its request
+  // carries no compiler field: two campaign requests that differ only
+  // there encode, and so journal, the same bytes.
+  const ServiceRequest campaign = sampleRequest();
+  ServiceRequest other = campaign;
+  other.copts.min_avg_body_size = 9.0;
+  other.copts.enable_svp = !other.copts.enable_svp;
+  other.max_body.reset();
+  const std::string campaign_bytes = encodeServiceRequest(campaign);
+  EXPECT_EQ(encodeServiceRequest(other), campaign_bytes);
+  EXPECT_LT(campaign_bytes.size(), bytes.size());
+  ASSERT_TRUE(decodeServiceRequest(campaign_bytes, &back));
+  EXPECT_EQ(back.kind, ServiceRequest::Kind::kCampaign);
+  EXPECT_EQ(back.scale, campaign.scale);
+  EXPECT_EQ(back.machine.fetch_width, campaign.machine.fetch_width);
+  EXPECT_EQ(back.benchmarks, campaign.benchmarks);
+  EXPECT_EQ(back.seeds, campaign.seeds);
+  EXPECT_EQ(back.base_seed, campaign.base_seed);
+  EXPECT_EQ(back.period, campaign.period);
+  EXPECT_EQ(back.oracle, campaign.oracle);
+  EXPECT_EQ(back.chaos.toSpec(), campaign.chaos.toSpec());
+  EXPECT_DOUBLE_EQ(back.copts.min_avg_body_size,
+                   compiler::CompilerOptions{}.min_avg_body_size);
+  EXPECT_FALSE(back.max_body.has_value());
+  // So does an echo request.
+  ServiceRequest echo = campaign;
+  echo.kind = ServiceRequest::Kind::kEcho;
+  ServiceRequest other_echo = other;
+  other_echo.kind = ServiceRequest::Kind::kEcho;
+  EXPECT_EQ(encodeServiceRequest(other_echo), encodeServiceRequest(echo));
 }
 
 TEST(ServiceRequestCodec, RejectsEveryTruncationAndTrailingGarbage) {
-  const std::string bytes = encodeServiceRequest(sampleRequest());
-  ServiceRequest back;
-  // Every proper prefix must fail to decode — no silent partial request.
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(decodeServiceRequest(bytes.substr(0, len), &back))
-        << "prefix of " << len << " bytes decoded";
+  for (const ServiceRequest::Kind kind :
+       {ServiceRequest::Kind::kCampaign, ServiceRequest::Kind::kSweep,
+        ServiceRequest::Kind::kEcho}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    ServiceRequest req = sampleRequest();
+    req.kind = kind;
+    const std::string bytes = encodeServiceRequest(req);
+    ServiceRequest back;
+    // Every proper prefix must fail to decode — no silent partial request.
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(decodeServiceRequest(bytes.substr(0, len), &back))
+          << "prefix of " << len << " bytes decoded";
+    }
+    // And so must trailing garbage (the decoder requires atEnd()).
+    EXPECT_FALSE(decodeServiceRequest(bytes + '\0', &back));
+    EXPECT_TRUE(decodeServiceRequest(bytes, &back));
   }
-  // And so must trailing garbage (the decoder requires atEnd()).
-  EXPECT_FALSE(decodeServiceRequest(bytes + '\0', &back));
-  EXPECT_TRUE(decodeServiceRequest(bytes, &back));
 }
 
 TEST(ServiceRequestCodec, VersionOneFramesAreRefusedAtScan) {

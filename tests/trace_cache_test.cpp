@@ -264,6 +264,13 @@ void writeBytes(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
+/// The payload of the support::wire frame `frame`.
+std::string payloadOf(const std::string& frame) {
+  return frame.substr(support::wire::kFrameHeaderBytes,
+                      frame.size() - support::wire::kFrameHeaderBytes -
+                          support::wire::kFrameTrailerBytes);
+}
+
 TEST(ProfileCodec, RoundTripsToIdenticalBytes) {
   for (const char* name : {"mcf", "gap", "micro.svp_stride"}) {
     SCOPED_TRACE(name);
@@ -310,6 +317,21 @@ TEST(ProfileCodec, RejectsDamagedBytes) {
     std::string error;
     EXPECT_FALSE(profile::decodeProfile(damaged, &error).has_value());
     EXPECT_FALSE(error.empty());
+  }
+  // Every cut and every flipped byte of a version-2 frame is refused.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_FALSE(profile::decodeProfile(bytes.substr(0, n)).has_value()) << n;
+    std::string flip = bytes;
+    flip[n] ^= 0x40;
+    EXPECT_FALSE(profile::decodeProfile(flip).has_value()) << n;
+  }
+  // So is every cut of the payload in a frame whose checksum holds: the
+  // payload's own bounds refuse it, reading nothing past its end.
+  const std::string payload = payloadOf(bytes);
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    const std::string cut =
+        support::wire::encodeFrame("SPTP", 2, 0, payload.substr(0, n));
+    EXPECT_FALSE(profile::decodeProfile(cut).has_value()) << n;
   }
 }
 
@@ -390,13 +412,6 @@ TEST(TraceCache, BlobIsProducedOnceThenServedFromMemoryAndFile) {
   EXPECT_EQ(producer_calls, 2) << "an invalid file is made again";
   EXPECT_EQ(cache.blobsProduced(), 1u);
   EXPECT_EQ(readBytes(dir + "/k.res"), "blob-bytes");
-}
-
-/// The payload of the support::wire frame `frame`.
-std::string payloadOf(const std::string& frame) {
-  return frame.substr(support::wire::kFrameHeaderBytes,
-                      frame.size() - support::wire::kFrameHeaderBytes -
-                          support::wire::kFrameTrailerBytes);
 }
 
 /// A result with every field set, maps and telemetry included.
@@ -756,6 +771,86 @@ TEST(TraceCache, OlderCacheHealsInPlace) {
   EXPECT_EQ(cache.fileReuses(), 1u) << "only the SPT trace is opened";
   EXPECT_EQ(identityOf(spt), spt_before);
   EXPECT_EQ(identityOf(leftover), leftover_before);
+  spt::testing::expectSameRun(again->baseline_run, plain.baseline_run);
+  spt::testing::expectSameRun(again->spt_run, plain.spt_run);
+  expectSameMachineResult(again->baseline, plain.baseline);
+  expectSameMachineResult(again->spt, plain.spt);
+}
+
+/// `profile` as a version-1 SPTP frame, the layout from before a value
+/// entry kept only its mode: there a value entry was the sid, its samples
+/// and its whole delta histogram. The histogram written holds the mode.
+std::string versionOneProfile(const profile::TrackedProfile& profile) {
+  // Every table but the value table, which is last, is laid out alike.
+  profile::TrackedProfile others = profile;
+  others.data.values.clear();
+  std::string payload = payloadOf(profile::encodeProfile(others));
+  payload.resize(payload.size() - sizeof(std::uint64_t));  // value count
+  const auto put = [&payload](auto v) {
+    payload.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  std::vector<ir::StaticId> sids;
+  for (const auto& entry : profile.data.values) sids.push_back(entry.first);
+  std::sort(sids.begin(), sids.end());
+  put(std::uint64_t{sids.size()});
+  for (const ir::StaticId sid : sids) {
+    const profile::ValueStats& stats = profile.data.values.at(sid);
+    put(sid);
+    put(stats.samples);
+    put(std::uint64_t{1});
+    put(stats.best_stride);
+    put(stats.best_count);
+  }
+  return support::wire::encodeFrame("SPTP", 1, 0, payload);
+}
+
+TEST(TraceCache, VersionOneProfilesAreMadeAgain) {
+  // gap keeps two profiles: its baseline's, and the one of the module
+  // unrolling makes. A cache written before profiles kept only the mode
+  // holds both as version-1 frames; a cell refuses them, makes each
+  // again in place and equals the uncached cell.
+  const SuiteEntry entry = suiteEntries({"gap"}).front();
+  compiler::CompilationRemarks plain_remarks;
+  const ExperimentResult plain = runSuiteEntry(entry, {}, 1, &plain_remarks);
+  const std::string dir = freshDir("version_one_profiles");
+  {
+    TraceCache cache(dir);
+    runSuiteEntry(entry, {}, 1, nullptr, &cache);
+  }
+  std::map<std::string, std::string> good;  // path -> version-2 bytes
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".prof") {
+      good[e.path().string()] = readBytes(e.path().string());
+    }
+  }
+  ASSERT_EQ(good.size(), 2u);
+  for (const auto& [path, bytes] : good) {
+    const std::optional<profile::TrackedProfile> current =
+        profile::decodeProfile(bytes);
+    ASSERT_TRUE(current.has_value()) << path;
+    ASSERT_FALSE(current->data.values.empty()) << path;
+    const std::string old = versionOneProfile(*current);
+    std::string error;
+    EXPECT_FALSE(profile::decodeProfile(old, &error).has_value());
+    EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+    writeBytes(path, old);
+  }
+
+  TraceCache cache(dir);
+  compiler::CompilationRemarks remarks;
+  std::optional<ExperimentResult> again;
+  EXPECT_EQ(runsOf([&] {
+              again = runSuiteEntry(entry, {}, 1, &remarks, &cache);
+            }),
+            2u)
+      << "each profile is made again by one run";
+  EXPECT_EQ(cache.blobsProduced(), 2u) << "the two profiles, nothing else";
+  EXPECT_EQ(cache.produced(), 0u) << "the SPT trace is adopted";
+  for (const auto& [path, bytes] : good) {
+    EXPECT_EQ(readBytes(path), bytes) << path;
+  }
+  EXPECT_EQ(remarksJson(remarks), remarksJson(plain_remarks));
+  EXPECT_EQ(again->plan.fingerprint(), plain.plan.fingerprint());
   spt::testing::expectSameRun(again->baseline_run, plain.baseline_run);
   spt::testing::expectSameRun(again->spt_run, plain.spt_run);
   expectSameMachineResult(again->baseline, plain.baseline);
