@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Runs the cell benchmark in alternating parent/change pairs.
 
-    tools/perfbench_pairs.py PARENT_REV [--pairs 5] [--workload W]...
-                             [--seconds 20] [--first-seed 1]
+    tools/perfbench_pairs.py PARENT_REV [--pairs 10] [--workload W]...
+                             [--first-seed 1]
     tools/perfbench_pairs.py --self-test
 
 Run from anywhere inside a checkout; the checkout is the change. The
@@ -10,8 +10,9 @@ parent commit PARENT_REV is exported with `git archive` into
 .bench_build/pairs/parent-<commit>/ (kept, with its own benchmark build,
 for the next call). For each workload (default: every workload
 BENCHMARK.json lists) and each pair i, `python3 perfbench/run.py
---workload W --seed FIRST_SEED+i --seconds S --trace 0` runs once in each
-tree, with the same seed on both sides; even pairs run the parent first,
+--workload W --seed FIRST_SEED+i --seconds RUN_SECONDS --trace 0` runs
+once in each tree, with the same seed on both sides (RUN_SECONDS is
+BENCHMARK.json's run_seconds); even pairs run the parent first,
 odd pairs the change first, so a drift of the host's speed favours
 neither. Every result line is appended to
 .bench_build/pairs/results-<parent>-<change>.jsonl.
@@ -19,8 +20,10 @@ neither. Every result line is appended to
 For each end-to-end metric in BENCHMARK.json the summary prints the
 parent's and the change's medians, the change's relative move, the
 parent's Q1-Q3, the change's wins out of N pairs (strictly better in its
-own pair), and whether the medians are further apart than the parent's
-Q1-Q3 span. It writes nothing in the checkout outside .bench_build/.
+own pair), whether the medians are further apart than the parent's
+Q1-Q3 span, and "WORSE" when the change's median is worse than the
+parent's by more than the metric's bound (a fraction of the parent's
+median). It writes nothing in the checkout outside .bench_build/.
 
 Exit status: 0 when every run passed its correctness gate, 1 when a run
 failed, 2 on a usage error.
@@ -107,7 +110,8 @@ def summarize(metrics, pairs):
     """
     n = len(pairs)
     rows = [f"{'metric':<16} {'better':<6} {'parent':>10} {'change':>10} "
-            f"{'move':>8} {'parent Q1-Q3':>21} {'wins':>6} {'gap>IQR':>7}"]
+            f"{'move':>8} {'parent Q1-Q3':>21} {'wins':>6} {'gap>IQR':>7} "
+            f"{'bound':>7}"]
     for m in metrics:
         name = m["name"]
         parent = [value(p, name) for p, _ in pairs]
@@ -122,10 +126,12 @@ def summarize(metrics, pairs):
         q1, q3 = quartiles(parent)
         move = (c_med - p_med) / p_med * 100 if p_med else 0.0
         gap = "yes" if abs(c_med - p_med) > q3 - q1 else "no"
+        worse = (c_med - p_med) if lower else (p_med - c_med)
+        bound = "WORSE" if worse > m["bound"] * abs(p_med) else "ok"
         rows.append(f"{name:<16} {m['better']:<6} {p_med:>10.4g} "
                     f"{c_med:>10.4g} {move:>+7.1f}% "
                     f"{f'{q1:.4g}-{q3:.4g}':>21} {f'{wins}/{n}':>6} "
-                    f"{gap:>7}")
+                    f"{gap:>7} {bound:>7}")
     return "\n".join(rows)
 
 
@@ -137,16 +143,16 @@ def failed(result):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_REV")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append")
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     known = [w["name"] for w in spec["workloads"]]
     workloads = args.workload or known
-    if args.pairs < 1 or args.seconds <= 0 or args.first_seed < 0:
-        fail("--pairs must be >= 1, --seconds > 0, --first-seed >= 0", 2)
+    if args.pairs < 1 or args.first_seed < 0:
+        fail("--pairs must be >= 1, --first-seed >= 0", 2)
     for w in workloads:
         if w not in known:
             fail(f"unknown workload {w!r} (BENCHMARK.json has {known})", 2)
@@ -157,7 +163,7 @@ def main(argv):
     log = WORK / f"results-{parent[:12]}-{change[:12]}.jsonl"
     print(f"parent {parent[:12]} ({parent_tree.relative_to(ROOT)}), change "
           f"{change[:12]}{' + uncommitted changes' if dirty else ''}; "
-          f"{args.pairs} pairs of {args.seconds:g} s runs; log {log}")
+          f"{args.pairs} pairs of {seconds:g} s runs; log {log}")
     ok = True
     for workload in workloads:
         pairs = []
@@ -168,7 +174,7 @@ def main(argv):
                 sides.reverse()
             got = {}
             for side, tree in sides:
-                result = run_once(tree, workload, seed, args.seconds)
+                result = run_once(tree, workload, seed, seconds)
                 with open(log, "a") as f:
                     f.write(json.dumps({"workload": workload, "seed": seed,
                                         "side": side, "result": result})
@@ -193,9 +199,9 @@ def main(argv):
 
 def self_test():
     """Checks summarize() and failed() on canned result lines."""
-    metrics = [{"name": "cell_s_p50", "better": "lower"},
-               {"name": "cells_per_s", "better": "higher"},
-               {"name": "setup_s", "better": "lower"}]
+    metrics = [{"name": "cell_s_p50", "better": "lower", "bound": 0.25},
+               {"name": "cells_per_s", "better": "higher", "bound": 0.25},
+               {"name": "setup_s", "better": "lower", "bound": 0.25}]
 
     def line(p50, rate):
         return json.loads(
@@ -216,13 +222,22 @@ def self_test():
         p50, rate = got[1].split(), got[2].split()
         # medians 0.0364 / 0.03075, parent Q1-Q3 0.0361-0.0366 (inclusive)
         want_p50 = ["cell_s_p50", "lower", "0.0364", "0.03075", "-15.5%",
-                    "0.03607-0.03657", "3/4", "yes"]
+                    "0.03607-0.03657", "3/4", "yes", "ok"]
         want_rate = ["cells_per_s", "higher", "27.25", "30", "+10.1%",
-                     "26.75-27.62", "3/4", "yes"]
+                     "26.75-27.62", "3/4", "yes", "ok"]
         if p50 != want_p50:
             problems.append(f"cell_s_p50 row {p50}, want {want_p50}")
         if rate != want_rate:
             problems.append(f"cells_per_s row {rate}, want {want_rate}")
+    # The same pairs read the other way round: cell_s_p50 +18.4% stays
+    # inside its 25% bound, and a bound of 0.1 makes it a regression.
+    swapped = [(c, p) for p, c in pairs]
+    for bound, want in [(0.25, "ok"), (0.1, "WORSE")]:
+        tight = [{**metrics[0], "bound": bound}]
+        row = summarize(tight, swapped).splitlines()[1].split()
+        if row[2:5] != ["0.03075", "0.0364", "+18.4%"] or row[-1] != want:
+            problems.append(f"swapped cell_s_p50 row {row} with bound "
+                            f"{bound}, want +18.4% and {want}")
     bad = line(0.03, 30.0)
     bad["correct"] = False
     for result, want in [(line(0.03, 30.0), False), (bad, True),
