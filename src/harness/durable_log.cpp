@@ -60,6 +60,8 @@ bool fromHex(const std::string& hex, std::string* out) {
   return true;
 }
 
+/// "deadline" is written by no current service; a journal from one that
+/// had per-request deadlines still settles its requests with it.
 bool isOutcome(const std::string& s) {
   return s == "done" || s == "cancelled" || s == "deadline";
 }

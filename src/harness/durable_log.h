@@ -13,7 +13,8 @@
 //           cell_codec payload a worker replies with (encodeRow of a
 //           SweepRow or a FaultCampaignCell)
 //   admit   service request id, idempotency token, SPTS request bytes
-//   settle  service request id and outcome (done | cancelled | deadline)
+//   settle  service request id and outcome (done | cancelled; "deadline"
+//           from services that had per-request deadlines still settles)
 //
 // `sptc sweep` / `sptc inject --checkpoint` write rows. `sptc serve
 // --journal` writes admits, rows and settles into one file: an admit is
@@ -63,7 +64,7 @@ struct LogRecord {
   // kAdmit only.
   std::string token;
   std::string request_bytes;  // encodeServiceRequest payload
-  // kSettle only: "done", "cancelled" or "deadline".
+  // kSettle only: "done" or "cancelled" ("deadline" in older journals).
   std::string outcome;
 };
 

@@ -248,22 +248,17 @@ struct PoolWorkerRequest {
 /// the worker; it exits and lets the parent's containment classify it.
 bool readPoolRequest(int fd, std::string& buf, PoolWorkerRequest* req) {
   for (;;) {
-    std::size_t frame_bytes = 0;
+    std::uint8_t kind = 0;
+    std::string payload;
     const wire::FrameScan scan =
-        wire::scanFrame(kSupervisorFrameFormat, buf, &frame_bytes, nullptr);
+        wire::takeFrame(kSupervisorFrameFormat, &buf, &kind, &payload, nullptr);
     if (scan == wire::FrameScan::kCorrupt) ::_exit(2);
     if (scan == wire::FrameScan::kFrame) {
-      std::uint8_t kind = 0;
-      std::string payload;
-      if (!wire::decodeFrame(kSupervisorFrameFormat,
-                             buf.substr(0, frame_bytes), nullptr, &kind,
-                             &payload, nullptr) ||
-          kind != kFrameKindSpecRequest ||
+      if (kind != kFrameKindSpecRequest ||
           !decodePoolSpecRequest(payload, &req->id, &req->attempt,
                                  &req->chaos, &req->spec)) {
         ::_exit(2);
       }
-      buf.erase(0, frame_bytes);
       return true;
     }
     char chunk[4096];
@@ -576,22 +571,17 @@ struct WorkerPool {
   bool drainReplies(std::size_t wi, std::vector<SettledAttempt>& out) {
     PoolWorker& w = workers[wi];
     for (;;) {
-      std::size_t frame_bytes = 0;
-      std::string why;
-      const wire::FrameScan scan =
-          wire::scanFrame(kSupervisorFrameFormat, w.buf, &frame_bytes, &why);
-      if (scan == wire::FrameScan::kNeedMore) return true;
       std::uint8_t kind = 0;
       std::string payload;
-      if (scan == wire::FrameScan::kCorrupt ||
-          !wire::decodeFrame(kSupervisorFrameFormat,
-                             w.buf.substr(0, frame_bytes), nullptr, &kind,
-                             &payload, &why)) {
+      std::string why;
+      const wire::FrameScan scan = wire::takeFrame(
+          kSupervisorFrameFormat, &w.buf, &kind, &payload, &why);
+      if (scan == wire::FrameScan::kNeedMore) return true;
+      if (scan == wire::FrameScan::kCorrupt) {
         ::kill(w.pid, SIGKILL);
         workerDied(wi, /*timed_out=*/false, why, out);
         return false;
       }
-      w.buf.erase(0, frame_bytes);
 
       PoolReplyHeader header;
       std::string inner;
@@ -943,8 +933,8 @@ std::vector<int> CellScheduler::busyReplyFds() const {
   return fds;
 }
 
-int CellScheduler::pollTimeoutMs(
-    int cap_ms, const std::vector<Clock::time_point>& also) const {
+int CellScheduler::pollTimeoutMs(int cap_ms,
+                                 std::optional<Clock::time_point> also) const {
   const Clock::time_point now = Clock::now();
   long long timeout_ms = cap_ms;
   const auto consider = [&](Clock::time_point t) {
@@ -963,7 +953,7 @@ int CellScheduler::pollTimeoutMs(
       if (idle || pc.not_before > now) consider(pc.not_before);
     }
   }
-  for (const Clock::time_point t : also) consider(t);
+  if (also) consider(*also);
   return static_cast<int>(timeout_ms);
 }
 

@@ -38,9 +38,9 @@
 //    falls due re-enters at the *front* of its lane, ahead of the lane's
 //    never-run cells, on both the batch and the service path;
 //  * cancels a lane's queued cells with one status and diagnostic, in
-//    cell order (graceful interrupt, service drain, request deadline),
-//    and, when the pool has no worker left and cannot fork one, settles
-//    every queued cell as kCrashed ("worker pool spawn failed: …").
+//    cell order (graceful interrupt, service drain), and, when the pool
+//    has no worker left and cannot fork one, settles every queued cell as
+//    kCrashed ("worker pool spawn failed: …").
 //
 // On platforms without fork() the supervisor reports
 // isolationSupported() == false and callers degrade to the existing
@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -237,9 +238,9 @@ class CellScheduler {
   void dispatch();
   std::vector<int> busyReplyFds() const;
   /// Milliseconds to the nearest watchdog deadline, backoff expiry or
-  /// `also` entry, rounded up by 1 ms and clamped to [0, cap_ms].
+  /// `also`, rounded up by 1 ms and clamped to [0, cap_ms].
   int pollTimeoutMs(int cap_ms,
-                    const std::vector<Clock::time_point>& also = {}) const;
+                    std::optional<Clock::time_point> also = std::nullopt) const;
   /// Reads finished attempts and runs the watchdog; each attempt settles
   /// or, for a retryable transport failure, waits out its backoff.
   void service();

@@ -99,7 +99,6 @@ std::string encodeServiceRequest(const ServiceRequest& req) {
   w.u8(static_cast<std::uint8_t>(req.oracle));
   w.u64(req.echo_cells);
   w.str(req.echo_payload);
-  w.f64(req.deadline_seconds);
   w.str(req.chaos.toSpec());
   w.u64(req.spec_threads.size());
   for (const std::uint32_t n : req.spec_threads) w.u32(n);
@@ -129,7 +128,7 @@ bool decodeServiceRequest(const std::string& payload, ServiceRequest* req) {
   std::string chaos_spec;
   if (!(r.u64(&out.seeds) && r.u64(&out.base_seed) && r.u32(&out.period) &&
         r.u8(&oracle) && r.u64(&out.echo_cells) && r.str(&out.echo_payload) &&
-        r.f64(&out.deadline_seconds) && r.str(&chaos_spec))) {
+        r.str(&chaos_spec))) {
     return false;
   }
   std::uint64_t nthreads = 0;
@@ -180,6 +179,7 @@ std::string encodeServiceFrame(std::uint8_t kind, const std::string& payload) {
                            kind, payload);
 }
 
+/// The {done, total} payload of kProgress, kAttached and kDone.
 std::string encodeProgressPayload(std::uint64_t done, std::uint64_t total) {
   ByteWriter w;
   w.u64(done);
@@ -193,19 +193,6 @@ bool decodeProgressPayload(const std::string& payload, std::uint64_t* done,
   return r.u64(done) && r.u64(total) && r.atEnd();
 }
 
-std::string encodeBusyPayload(double retry_after, const std::string& reason) {
-  ByteWriter w;
-  w.f64(retry_after);
-  w.str(reason);
-  return w.take();
-}
-
-bool decodeBusyPayload(const std::string& payload, double* retry_after,
-                       std::string* reason) {
-  ByteReader r(payload);
-  return r.f64(retry_after) && r.str(reason) && r.atEnd();
-}
-
 std::string encodeTextPayload(const std::string& text) {
   ByteWriter w;
   w.str(text);
@@ -215,17 +202,6 @@ std::string encodeTextPayload(const std::string& text) {
 bool decodeTextPayload(const std::string& payload, std::string* text) {
   ByteReader r(payload);
   return r.str(text) && r.atEnd();
-}
-
-std::string encodeDonePayload(std::uint64_t total) {
-  ByteWriter w;
-  w.u64(total);
-  return w.take();
-}
-
-bool decodeDonePayload(const std::string& payload, std::uint64_t* total) {
-  ByteReader r(payload);
-  return r.u64(total) && r.atEnd();
 }
 
 /// One finished cell crossing the socket: position, result-kind tag ('W'
@@ -475,8 +451,6 @@ constexpr std::size_t kMaxClientOutbufBytes = 256ull << 20;
 constexpr const char* kDrainDiagnostic =
     "interrupted: service draining on signal before dispatch; finished "
     "cells are checkpointed, resubmit for the rest";
-constexpr const char* kDeadlineDiagnostic =
-    "request deadline exceeded before dispatch; cell never ran";
 
 }  // namespace
 
@@ -500,8 +474,6 @@ struct SweepService::Impl {
     std::string request_bytes;  // normalized, pre-encoded for worker specs
     RequestGrid grid;
     std::uint64_t done = 0;
-    bool has_deadline = false;
-    Clock::time_point deadline{};
     // ---- Journal / idempotency state ----
     /// Client-supplied idempotency token ("" = none: a disconnect cancels
     /// the request).
@@ -512,8 +484,6 @@ struct SweepService::Impl {
     bool recovered = false;
     /// A settle record was written for this request.
     bool settled_logged = false;
-    /// The per-request deadline fired (journal outcome "deadline").
-    bool deadline_expired = false;
     /// kDone was fully flushed to a live client — the tokened request no
     /// longer needs retention for a future attach.
     bool delivered = false;
@@ -532,8 +502,9 @@ struct SweepService::Impl {
   std::uint64_t next_client_id = 1;
   std::map<std::uint64_t, Client> clients;
   bool draining = false;
-  bool drain_flush_armed = false;
-  Clock::time_point drain_flush_deadline{};
+  /// Set once a drain has no cell left running: the last moment slow
+  /// clients get to read their replies.
+  std::optional<Clock::time_point> drain_flush_deadline;
   DurableAppendFile journal;
   /// Next journal request id; seeded from the replay so ids stay unique
   /// across restarts of the same journal file.
@@ -645,9 +616,7 @@ struct SweepService::Impl {
       // down mid-run is cancelled; one whose work finished but whose
       // delivery flush failed is done — the rows are in the journal,
       // only the reply was lost.
-      journalSettle(c, c.done_sent
-                           ? (c.deadline_expired ? "deadline" : "done")
-                           : "cancelled");
+      journalSettle(c, c.done_sent ? "done" : "cancelled");
     }
   }
 
@@ -672,7 +641,7 @@ struct SweepService::Impl {
           // A tokenless request that finished with no one to deliver to
           // (e.g. a journal-recovered orphan): settle it at reap time,
           // or every future incarnation would pointlessly re-admit it.
-          journalSettle(c, c.deadline_expired ? "deadline" : "done");
+          journalSettle(c, "done");
         }
         if (!c.token.empty()) {
           auto tit = tokens.find(c.token);
@@ -729,7 +698,7 @@ struct SweepService::Impl {
         if (c.done_sent) {
           // Delivery is the settle point (see settleCell): only now is
           // the request beyond recovery's and a token-attach's reach.
-          journalSettle(c, c.deadline_expired ? "deadline" : "done");
+          journalSettle(c, "done");
           c.delivered = true;
         }
         disconnectClient(c);
@@ -743,9 +712,10 @@ struct SweepService::Impl {
     }
   }
 
-  void refuse(Client& c, std::uint8_t kind, const std::string& payload) {
+  /// The one refusal: a kError frame saying why, then close.
+  void refuse(Client& c, const std::string& why) {
     ++requests_refused;
-    queueFrame(c, kind, payload);
+    queueFrame(c, kServiceFrameError, encodeTextPayload(why));
     c.close_after_flush = true;
     flushClient(c);
   }
@@ -778,14 +748,6 @@ struct SweepService::Impl {
     return std::string();
   }
 
-  void armDeadline(Client& c) {
-    if (c.request.deadline_seconds <= 0) return;
-    c.has_deadline = true;
-    c.deadline = Clock::now() +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double>(c.request.deadline_seconds));
-  }
-
   /// Write-ahead admit record: durable before any cell of the request can
   /// dispatch or any reply reach the client.
   void journalAdmit(Client& c) {
@@ -811,42 +773,29 @@ struct SweepService::Impl {
   }
 
   /// Admission: validates, normalizes, and either queues every cell of
-  /// the request or answers busy/error and closes.
+  /// the request or answers kError and closes.
   void admit(Client& c, ServiceRequest req, std::string token) {
     if (draining) {
-      refuse(c, kServiceFrameError,
-             encodeTextPayload("service is draining; resubmit later"));
+      refuse(c, "service is draining; resubmit later");
       return;
     }
     const std::string why = prepareRequest(c, std::move(req));
     if (!why.empty()) {
-      refuse(c, kServiceFrameError, encodeTextPayload(why));
+      refuse(c, why);
       return;
     }
+    // Written so that no client-supplied cell count can wrap it.
     const std::size_t queued_cells = scheduler->counts().queued;
-    if (queued_cells > options.max_queue ||
-        c.grid.total > options.max_queue - queued_cells) {
-      // Backpressure with an explicit hint: roughly the time for the
-      // backlog ahead of this request to drain one pool pass.
-      const double per_cell =
-          options.supervisor.cell_timeout_seconds > 0
-              ? options.supervisor.cell_timeout_seconds
-              : 0.25;
-      const double retry_after = std::min(
-          60.0, std::max(0.25, per_cell *
-                                   static_cast<double>(queued_cells + 1) /
-                                   static_cast<double>(jobs)));
-      refuse(c, kServiceFrameBusy,
-             encodeBusyPayload(
-                 retry_after,
-                 "admission queue full (" + std::to_string(queued_cells) +
-                     " queued, max " + std::to_string(options.max_queue) +
-                     ")"));
+    if (queued_cells > kServiceMaxQueuedCells ||
+        c.grid.total > kServiceMaxQueuedCells - queued_cells) {
+      refuse(c, "admission queue full: " + std::to_string(queued_cells) +
+                    " cells queued, the request adds " +
+                    std::to_string(c.grid.total) + ", max " +
+                    std::to_string(kServiceMaxQueuedCells));
       return;
     }
     c.token = std::move(token);
     c.admitted = true;
-    armDeadline(c);
     std::vector<std::uint64_t> cells(c.grid.total);
     std::iota(cells.begin(), cells.end(), std::uint64_t{0});
     enqueueSpread(c.id, c.grid, cells);
@@ -865,9 +814,7 @@ struct SweepService::Impl {
     ServiceRequest normalized = req;
     normalized.benchmarks = resolveSuiteNames(normalized.benchmarks);
     if (encodeServiceRequest(normalized) != r.request_bytes) {
-      refuse(conn, kServiceFrameError,
-             encodeTextPayload(
-                 "idempotency token is already bound to a different request"));
+      refuse(conn, "idempotency token is already bound to a different request");
       return;
     }
     if (r.fd >= 0) {
@@ -894,7 +841,8 @@ struct SweepService::Impl {
     queueFrame(r, kServiceFrameProgress,
                encodeProgressPayload(r.done, r.grid.total));
     if (r.done_sent) {
-      queueFrame(r, kServiceFrameDone, encodeDonePayload(r.grid.total));
+      queueFrame(r, kServiceFrameDone,
+                 encodeProgressPayload(r.done, r.grid.total));
     }
     note("service: client " + std::to_string(conn.id) + " attached to request " +
          std::to_string(r.id) + " by token (" + std::to_string(r.done) + "/" +
@@ -930,7 +878,6 @@ struct SweepService::Impl {
       return;
     }
     c.admitted = true;
-    armDeadline(c);  // the deadline clock restarts at recovery
     const std::uint64_t cid = c.id;
     Client& r = clients.emplace(cid, std::move(c)).first->second;
     if (!r.token.empty()) tokens[r.token] = r.id;
@@ -973,7 +920,6 @@ struct SweepService::Impl {
     w.beginObject();
     w.key("service").beginObject();
     w.member("draining", draining);
-    w.member("max_queue", static_cast<std::uint64_t>(options.max_queue));
     w.member("jobs", static_cast<std::uint64_t>(jobs));
     w.endObject();
     const CellScheduler::PoolCounts pool = scheduler->pool();
@@ -1042,8 +988,7 @@ struct SweepService::Impl {
         ServiceRequest req;
         std::string token;
         if (!decodeServiceRequestWithToken(payload, &req, &token)) {
-          refuse(c, kServiceFrameError,
-                 encodeTextPayload("undecodable request payload"));
+          refuse(c, "undecodable request payload");
           return true;
         }
         if (!token.empty() && !draining) {
@@ -1086,25 +1031,15 @@ struct SweepService::Impl {
       }
     }
     while (c.fd >= 0) {
-      std::size_t frame_bytes = 0;
+      std::uint8_t kind = 0;
+      std::string payload;
       std::string error;
-      const wire::FrameScan scan = wire::scanFrame(
-          kServiceFrameFormat, c.inbuf, &frame_bytes, &error);
+      const wire::FrameScan scan = wire::takeFrame(
+          kServiceFrameFormat, &c.inbuf, &kind, &payload, &error);
       if (scan == wire::FrameScan::kNeedMore) break;
       if (scan == wire::FrameScan::kCorrupt) {
         note("service: client " + std::to_string(c.id) +
              " sent corrupt bytes (" + error + "); disconnecting");
-        disconnectClient(c);
-        return;
-      }
-      std::string frame = c.inbuf.substr(0, frame_bytes);
-      c.inbuf.erase(0, frame_bytes);
-      std::uint8_t kind = 0;
-      std::string payload;
-      if (!wire::decodeFrame(kServiceFrameFormat, frame, nullptr, &kind,
-                             &payload, &error)) {
-        note("service: client " + std::to_string(c.id) +
-             " sent an invalid frame (" + error + "); disconnecting");
         disconnectClient(c);
         return;
       }
@@ -1149,7 +1084,8 @@ struct SweepService::Impl {
     queueFrame(c, kServiceFrameProgress,
                encodeProgressPayload(c.done, c.grid.total));
     if (c.done == c.grid.total) {
-      queueFrame(c, kServiceFrameDone, encodeDonePayload(c.grid.total));
+      queueFrame(c, kServiceFrameDone,
+                 encodeProgressPayload(c.done, c.grid.total));
       c.done_sent = true;
       // Deliberately NOT journal-settled here: the settle record is
       // written at *delivery* (the done frame fully flushed to a client),
@@ -1159,20 +1095,6 @@ struct SweepService::Impl {
       // instead of re-running the grid as a fresh request.
     }
     flushClient(c);
-  }
-
-  void checkDeadlines() {
-    const Clock::time_point now = Clock::now();
-    for (auto& [id, c] : clients) {
-      if (!c.admitted || c.done_sent || !c.has_deadline) continue;
-      if (c.fd < 0 && !c.survivesDisconnect()) continue;
-      if (now < c.deadline) continue;
-      if (scheduler->counts(id).queued == 0) continue;
-      note("service: client " + std::to_string(id) +
-           " deadline expired; failing its queued cells");
-      c.deadline_expired = true;
-      scheduler->cancel(id, CellStatus::kTimeout, kDeadlineDiagnostic);
-    }
   }
 
   void beginDrain() {
@@ -1187,8 +1109,7 @@ struct SweepService::Impl {
     for (auto& [id, c] : clients) {
       if (c.fd < 0 || !c.admitted || c.done_sent) {
         if (c.fd >= 0 && !c.admitted) {
-          refuse(c, kServiceFrameError,
-                 encodeTextPayload("service is draining; resubmit later"));
+          refuse(c, "service is draining; resubmit later");
         }
         // An orphaned journaled request is left unsettled on purpose: the
         // journal carries it to the next incarnation, which resumes it
@@ -1291,7 +1212,6 @@ struct SweepService::Impl {
       if (!draining && options.stop && *options.stop) beginDrain();
 
       scheduler->service();
-      checkDeadlines();
       scheduler->dispatch();
 
       if (draining) {
@@ -1301,11 +1221,10 @@ struct SweepService::Impl {
           if (c.fd >= 0 && c.out_pos < c.outbuf.size()) flushed = false;
         }
         if (work_done && flushed) break;
-        if (work_done && !drain_flush_armed) {
-          drain_flush_armed = true;
+        if (work_done && !drain_flush_deadline) {
           drain_flush_deadline = Clock::now() + std::chrono::seconds(10);
         }
-        if (drain_flush_armed && Clock::now() >= drain_flush_deadline) {
+        if (drain_flush_deadline && Clock::now() >= *drain_flush_deadline) {
           note("service: drain flush grace expired; closing slow clients");
           for (auto& [id, c] : clients) {
             if (c.fd >= 0) disconnectClient(c);
@@ -1334,17 +1253,10 @@ struct SweepService::Impl {
         owner.push_back(0);
       }
 
-      std::vector<Clock::time_point> deadlines;
-      for (auto& [id, c] : clients) {
-        if (c.has_deadline && c.admitted && !c.done_sent) {
-          deadlines.push_back(c.deadline);
-        }
-      }
-      if (drain_flush_armed) deadlines.push_back(drain_flush_deadline);
-
-      const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                            static_cast<nfds_t>(fds.size()),
-                            scheduler->pollTimeoutMs(200, deadlines));
+      const int rc =
+          ::poll(fds.empty() ? nullptr : fds.data(),
+                 static_cast<nfds_t>(fds.size()),
+                 scheduler->pollTimeoutMs(200, drain_flush_deadline));
       if (rc < 0 && errno != EINTR && errno != EAGAIN) {
         note("service: poll failed: " + std::string(std::strerror(errno)));
         break;
@@ -1482,22 +1394,14 @@ bool readServiceFrames(
     }
     if (n == -1) continue;
     for (;;) {
-      std::size_t frame_bytes = 0;
+      std::uint8_t kind = 0;
+      std::string payload;
       std::string error;
-      const wire::FrameScan scan =
-          wire::scanFrame(kServiceFrameFormat, inbuf, &frame_bytes, &error);
+      const wire::FrameScan scan = wire::takeFrame(
+          kServiceFrameFormat, &inbuf, &kind, &payload, &error);
       if (scan == wire::FrameScan::kNeedMore) break;
       if (scan == wire::FrameScan::kCorrupt) {
         *transport_error = "corrupt frame from the service: " + error;
-        return false;
-      }
-      std::string frame = inbuf.substr(0, frame_bytes);
-      inbuf.erase(0, frame_bytes);
-      std::uint8_t kind = 0;
-      std::string payload;
-      if (!wire::decodeFrame(kServiceFrameFormat, frame, nullptr, &kind,
-                             &payload, &error)) {
-        *transport_error = "invalid frame from the service: " + error;
         return false;
       }
       if (!handle(kind, payload)) return true;
@@ -1596,13 +1500,6 @@ SubmitOutcome submitToService(const std::string& socket_path,
             }
             return true;
           }
-          case kServiceFrameBusy: {
-            outcome.busy = true;
-            std::string reason;
-            decodeBusyPayload(payload, &outcome.retry_after_seconds, &reason);
-            outcome.error = reason;
-            return false;
-          }
           case kServiceFrameError: {
             std::string text;
             decodeTextPayload(payload, &text);
@@ -1645,9 +1542,9 @@ SubmitOutcome submitToService(const std::string& socket_path,
             return true;
           }
           case kServiceFrameDone: {
-            std::uint64_t total = 0;
-            if (!decodeDonePayload(payload, &total) ||
-                total != results_seen) {
+            std::uint64_t done = 0, total = 0;
+            if (!decodeProgressPayload(payload, &done, &total) ||
+                done != total || total != results_seen) {
               protocol_error = true;
               perror = "done frame total does not match delivered results";
               return false;
@@ -1671,7 +1568,7 @@ SubmitOutcome submitToService(const std::string& socket_path,
     return outcome;
   }
   ::close(fd);
-  if (outcome.busy || !outcome.error.empty()) return outcome;
+  if (!outcome.error.empty()) return outcome;
   if (protocol_error) {
     outcome.error = perror;
     return outcome;
@@ -1716,23 +1613,12 @@ SubmitOutcome submitToServiceWithRetry(const std::string& socket_path,
   for (;;) {
     if (outcome.ok) return outcome;
     if (options.stop && *options.stop) return outcome;
-    double delay = 0.0;
-    std::string why;
-    if (outcome.busy) {
-      // Honor the service's own backpressure hint.
-      delay = outcome.retry_after_seconds > 0 ? outcome.retry_after_seconds
-                                              : 0.25;
-      why = "service busy";
-    } else if (outcome.transport && !options.token.empty()) {
-      delay = std::min(2.0,
-                       backoffSeconds(SupervisorOptions{}, 0, attempt + 1));
-      why = "transport failure (" + outcome.error + ")";
-    } else {
-      // Structured service errors (bad request, chaos refusal, token
-      // conflict) never resolve by retrying; tokenless transport failures
-      // cannot safely retry (a re-run could duplicate work).
-      return outcome;
-    }
+    // Structured service errors (bad request, full queue, chaos refusal,
+    // token conflict) are not retried; tokenless transport failures
+    // cannot safely retry (a re-run could duplicate work).
+    if (!outcome.transport || options.token.empty()) return outcome;
+    const double delay =
+        std::min(2.0, backoffSeconds(SupervisorOptions{}, 0, attempt + 1));
     const Clock::time_point now = Clock::now();
     const Clock::time_point wake =
         now + std::chrono::duration_cast<Clock::duration>(
@@ -1740,7 +1626,8 @@ SubmitOutcome submitToServiceWithRetry(const std::string& socket_path,
     if (wake >= give_up) return outcome;
     if (options.log) {
       std::ostringstream msg;
-      msg << "submit: " << why << "; retrying in " << delay << "s";
+      msg << "submit: transport failure (" << outcome.error
+          << "); retrying in " << delay << "s";
       options.log(msg.str());
     }
     while (Clock::now() < wake) {

@@ -8,18 +8,19 @@
 // request is one scheduler lane (keyed by its client id), so queueing,
 // dispatch, retry, cancellation and the empty-pool rule are the batch
 // path's code. The service keeps only what is its own: clients and
-// sockets, admission, tokens and attach, the journal, crash points,
-// per-request deadlines, and result frames. The wire protocol, "SPTS" v2, reuses the SPTW frame discipline —
-// length-prefixed, versioned, FNV-1a-checksummed frames (support/wire.h)
-// — with a request/progress/result/done/error/status vocabulary:
+// sockets, admission, tokens and attach, the journal, crash points, and
+// result frames. The wire protocol, "SPTS" v3, reuses the SPTW frame
+// discipline — length-prefixed, versioned, FNV-1a-checksummed frames
+// (support/wire.h) — with a request/progress/result/done/error/status
+// vocabulary:
 //
 //   client -> service   kRequest        one sweep/campaign/echo request
 //                       kStatusRequest  service introspection
 //   service -> client   kProgress       {done, total} after each cell
-//                       kBusy           admission refused; retry_after hint
 //                       kResult         one finished cell (full row bytes)
-//                       kDone           request complete
-//                       kError          request rejected (bad spec, ...)
+//                       kDone           request complete: {done, total}
+//                       kError          request refused (bad spec, full
+//                                       queue, draining, ...)
 //                       kStatus         JSON status document
 //                       kAttached       token matched an existing
 //                                       request; settled results replayed
@@ -32,12 +33,8 @@
 //    arrived later; a retry whose backoff passed re-enters at the front
 //    of its lane, as on the batch path;
 //  * **bounded admission**: a request whose cells would push the total
-//    queued work over `max_queue` is refused with a kBusy frame carrying
-//    a retry_after hint — the service never buffers unboundedly;
-//  * **per-request deadlines** layered on the per-cell watchdog: when a
-//    request's deadline passes, its still-queued cells settle as timeout
-//    rows immediately; cells already on workers run on under the cell
-//    watchdog and still deliver;
+//    queued work over kServiceMaxQueuedCells is refused with a kError
+//    frame that names the queue — the service never buffers unboundedly;
 //  * **graceful degradation**: a dying pooled worker fails only its
 //    in-flight cell (the pool respawns a replacement; if no worker is
 //    left and none can be forked, queued cells settle as crashed
@@ -80,22 +77,21 @@ namespace spt::harness {
 
 /// Every SPTS frame, either way, is at this one version; a frame at any
 /// other version is refused as soon as its header scans.
-inline constexpr std::uint32_t kServiceFrameVersion = 2;
+inline constexpr std::uint32_t kServiceFrameVersion = 3;
 
 inline constexpr std::uint8_t kServiceFrameRequest = 0;
 inline constexpr std::uint8_t kServiceFrameProgress = 1;
-inline constexpr std::uint8_t kServiceFrameBusy = 2;
-inline constexpr std::uint8_t kServiceFrameResult = 3;
-inline constexpr std::uint8_t kServiceFrameDone = 4;
-inline constexpr std::uint8_t kServiceFrameError = 5;
-inline constexpr std::uint8_t kServiceFrameStatusRequest = 6;
-inline constexpr std::uint8_t kServiceFrameStatus = 7;
+inline constexpr std::uint8_t kServiceFrameResult = 2;
+inline constexpr std::uint8_t kServiceFrameDone = 3;
+inline constexpr std::uint8_t kServiceFrameError = 4;
+inline constexpr std::uint8_t kServiceFrameStatusRequest = 5;
+inline constexpr std::uint8_t kServiceFrameStatus = 6;
 /// Service -> client: the request's idempotency token matched a
 /// live or journal-recovered request; every already-settled result is
 /// replayed on this connection, then the stream continues live.
-inline constexpr std::uint8_t kServiceFrameAttached = 8;
+inline constexpr std::uint8_t kServiceFrameAttached = 7;
 
-/// SPTS frames on support::wire: magic "SPTS", one version, kinds 0-8.
+/// SPTS frames on support::wire: magic "SPTS", one version, kinds 0-7.
 inline constexpr support::wire::FrameFormat kServiceFrameFormat{
     {'S', 'P', 'T', 'S'}, kServiceFrameVersion, kServiceFrameVersion,
     kServiceFrameRequest, kServiceFrameAttached};
@@ -134,9 +130,6 @@ struct ServiceRequest {
   // Echo knobs (kEcho only).
   std::uint64_t echo_cells = 0;
   std::string echo_payload;
-  /// Whole-request wall-clock deadline in seconds (0 = none), measured
-  /// from admission.
-  double deadline_seconds = 0.0;
   /// Worker sabotage for this request's cells, keyed by request-local
   /// cell index. Refused unless the service runs with `allow_chaos`.
   support::ChaosPlan chaos;
@@ -158,15 +151,16 @@ bool decodeServiceRequestWithToken(const std::string& payload,
 
 // ---- The service ----------------------------------------------------------
 
+/// Admission bound: queued-but-undispatched cells across all clients. A
+/// request that would push the queue past it is refused with kError.
+inline constexpr std::size_t kServiceMaxQueuedCells = 1024;
+
 struct SweepServiceOptions {
   std::string socket_path;
   /// Worker-pool knobs: jobs, cell timeout, retries, rlimits. `isolate` /
   /// `pool` are implied. The embedded chaos plan is ignored — chaos
   /// arrives per request.
   SupervisorOptions supervisor;
-  /// Admission bound: maximum queued-but-undispatched cells across all
-  /// clients. A request that would exceed it gets a kBusy reply.
-  std::size_t max_queue = 1024;
   /// Accept request-embedded chaos plans (tests / CI soak only).
   bool allow_chaos = false;
   /// Unread: finished cells are logged as row records in the journal.
@@ -181,7 +175,7 @@ struct SweepServiceOptions {
   /// durable admit record (idempotency token, full request bytes) before
   /// any of its cells dispatch; every settled cell appends its row record
   /// (the cell_codec payload the client receives) before the result is
-  /// sent; and a settle record (done/cancelled/deadline) follows when the
+  /// sent; and a settle record (done/cancelled) follows when the
   /// results are *delivered* — the done frame fully flushed to a client —
   /// not merely computed, so a crash between completion and delivery
   /// still recovers (the cells replay from their rows; nothing re-runs).
@@ -239,10 +233,9 @@ struct SubmitOptions {
   /// already-settled results instead of re-running any cell.
   std::string token;
   /// submitToServiceWithRetry only: keep retrying for this many seconds.
-  /// kBusy replies honor the service's retry_after hint; transport
-  /// failures (refused connect, mid-stream disconnect) reconnect and
-  /// re-attach by token after a deterministic seeded backoff. 0 disables
-  /// retries.
+  /// Transport failures (refused connect, mid-stream disconnect)
+  /// reconnect and re-attach by token after a deterministic seeded
+  /// backoff. 0 disables retries.
   double retry_for_seconds = 0.0;
   /// Abort flag for the retry loop's sleeps (SIGINT handler).
   const volatile std::sig_atomic_t* stop = nullptr;
@@ -255,10 +248,7 @@ struct SubmitOptions {
 struct SubmitOutcome {
   /// True when the request ran to kDone and every cell arrived.
   bool ok = false;
-  /// Admission refused; `retry_after_seconds` holds the service's hint.
-  bool busy = false;
-  double retry_after_seconds = 0.0;
-  std::string error;  // transport/protocol/service error when !ok && !busy
+  std::string error;  // transport/protocol/service error when !ok
   /// The failure was transport-level (connect refused, send failure,
   /// stream cut before kDone) rather than a structured service reply —
   /// the class of failure a tokened client retries.
@@ -280,9 +270,8 @@ SubmitOutcome submitToService(const std::string& socket_path,
                               const ServiceRequest& request,
                               const SubmitOptions& options = {});
 
-/// submitToService wrapped in the `--retry-for` loop: retries kBusy
-/// refusals after the service's retry_after hint and — when
-/// `options.token` is non-empty — transport failures after a
+/// submitToService wrapped in the `--retry-for` loop: when
+/// `options.token` is non-empty, retries transport failures after a
 /// deterministic seeded backoff (Supervisor::backoffSeconds, capped at
 /// 2 s per attempt), until the request succeeds, a structured service
 /// error arrives, or `options.retry_for_seconds` of wall clock elapse.

@@ -148,6 +148,20 @@ bool decodeFrame(const FrameFormat& format, const std::string& frame,
   return true;
 }
 
+FrameScan takeFrame(const FrameFormat& format, std::string* buf,
+                    std::uint8_t* kind, std::string* payload,
+                    std::string* error) {
+  std::size_t frame_bytes = 0;
+  const FrameScan scan = scanFrame(format, *buf, &frame_bytes, error);
+  if (scan != FrameScan::kFrame) return scan;
+  if (!decodeFrame(format, buf->substr(0, frame_bytes), nullptr, kind,
+                   payload, error)) {
+    return FrameScan::kCorrupt;
+  }
+  buf->erase(0, frame_bytes);
+  return FrameScan::kFrame;
+}
+
 #if SPT_WIRE_POSIX
 
 struct ScopedIgnoreSigpipe::Saved {

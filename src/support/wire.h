@@ -61,6 +61,14 @@ bool decodeFrame(const FrameFormat& format, const std::string& frame,
                  std::uint32_t* version, std::uint8_t* kind,
                  std::string* payload, std::string* error);
 
+/// Takes one frame off the front of a stream buffer: scans `*buf`, and
+/// when a complete frame is there decodes it and erases it from `*buf`.
+/// kNeedMore and kCorrupt leave `*buf` as it was; kCorrupt sets `error`
+/// (bad header, length or checksum).
+FrameScan takeFrame(const FrameFormat& format, std::string* buf,
+                    std::uint8_t* kind, std::string* payload,
+                    std::string* error);
+
 // ---- Unix-domain sockets and pipes (POSIX only) ---------------------------
 
 /// SIG_IGN for SIGPIPE for the guard's lifetime: a write to a pipe or

@@ -12,7 +12,7 @@ sock="$work/spt.sock"
 "$sptc" sweep --isolate --jobs 4 --cell-timeout 240 \
   --benchmarks mcf,gzip --json base.json
 "$sptc" serve --socket "$sock" --jobs 4 --cell-timeout 240 \
-  --retries 1 --allow-chaos --max-queue 256 &
+  --retries 1 --allow-chaos &
 serve_pid=$!
 await_service "$sock" "$serve_pid"
 "$sptc" submit sweep --socket "$sock" \

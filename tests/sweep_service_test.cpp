@@ -1,7 +1,7 @@
 // Tests for the resident sweep service (`sptc serve`): the SPTS request
 // codec, echo/sweep/campaign round-trips through a live service process,
-// admission control (backpressure, validation, chaos opt-in), per-request
-// deadlines, client-side sabotage containment, graceful drain, and the
+// admission control (the queue bound, validation, chaos opt-in),
+// client-side sabotage containment, graceful drain, and the
 // byte-determinism contract against the one-shot pooled paths.
 //
 // Every service test forks a real service child (`_exit(service.run())`)
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -97,7 +98,6 @@ ServiceRequest sampleRequest() {
   req.oracle = support::OracleMode::kDeep;
   req.echo_cells = 12;
   req.echo_payload = "ping\tpong\n";
-  req.deadline_seconds = 2.5;
   req.chaos = *support::ChaosPlan::parse("2:crash@1,5:hang");
   req.max_body = 500.0;
   return req;
@@ -124,7 +124,6 @@ TEST(ServiceRequestCodec, RoundTripsEveryField) {
   EXPECT_EQ(back.oracle, req.oracle);
   EXPECT_EQ(back.echo_cells, req.echo_cells);
   EXPECT_EQ(back.echo_payload, req.echo_payload);
-  EXPECT_DOUBLE_EQ(back.deadline_seconds, req.deadline_seconds);
   EXPECT_EQ(back.chaos.toSpec(), req.chaos.toSpec());
   EXPECT_EQ(back.max_body, req.max_body);
 
@@ -190,16 +189,22 @@ TEST(ServiceRequestCodec, RejectsEveryTruncationAndTrailingGarbage) {
 TEST(ServiceRequestCodec, VersionOneFramesAreRefusedAtScan) {
   namespace wire = support::wire;
   // SPTS has one version. A version-1 request frame (the tokenless
-  // framing older clients sent) is refused as soon as its header scans.
-  const std::string v1 =
-      wire::encodeFrame(kServiceFrameFormat.magic, 1, kServiceFrameRequest,
-                        encodeServiceRequest(sampleRequest()));
+  // framing older clients sent) and a version-2 one (requests that carried
+  // a deadline, kinds that included busy) are refused as soon as their
+  // header scans.
   std::size_t frame_bytes = 0;
   std::string error;
-  EXPECT_EQ(wire::scanFrame(kServiceFrameFormat, v1, &frame_bytes, &error),
-            wire::FrameScan::kCorrupt);
-  EXPECT_NE(error.find("unsupported frame version 1"), std::string::npos)
-      << error;
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    const std::string old = wire::encodeFrame(
+        kServiceFrameFormat.magic, old_version, kServiceFrameRequest,
+        encodeServiceRequest(sampleRequest()));
+    EXPECT_EQ(wire::scanFrame(kServiceFrameFormat, old, &frame_bytes, &error),
+              wire::FrameScan::kCorrupt);
+    EXPECT_NE(error.find("unsupported frame version " +
+                         std::to_string(old_version)),
+              std::string::npos)
+        << error;
+  }
   // A tokenless request is the current version's payload with an empty
   // token.
   const std::string current = wire::encodeFrame(
@@ -284,12 +289,24 @@ ServiceHandle startServiceAt(SweepServiceOptions opts,
     ::_exit(rc);
   }
   h.pid = pid;
-  // Wait (up to ~10 s) for the service to answer on the socket.
-  for (int i = 0; i < 200; ++i) {
-    if (queryServiceStatus(h.socket_path)) return h;
+  // Wait until the service answers on the socket, for up to 60 s; a child
+  // that exits first fails at once.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!queryServiceStatus(h.socket_path)) {
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      ADD_FAILURE() << "service exited during start-up on " << h.socket_path;
+      h.pid = -1;
+      return h;
+    }
+    if (std::chrono::steady_clock::now() > give_up) {
+      ADD_FAILURE() << "service did not come up on " << h.socket_path
+                    << " within 60 s";
+      return h;
+    }
     ::usleep(50 * 1000);
   }
-  ADD_FAILURE() << "service did not come up on " << h.socket_path;
   return h;
 }
 
@@ -326,7 +343,6 @@ TEST(SweepService, EchoRoundTripsInOrderAndDrainsCleanly) {
   sopts.on_progress = [&](std::uint64_t, std::uint64_t) { ++progress_calls; };
   const SubmitOutcome out = submitToService(h.socket_path, req, sopts);
   EXPECT_TRUE(out.ok) << out.error;
-  EXPECT_FALSE(out.busy);
   ASSERT_EQ(out.echoes.size(), 8u);
   for (std::size_t i = 0; i < out.echoes.size(); ++i) {
     EXPECT_EQ(out.echoes[i], "ping:" + std::to_string(i));
@@ -351,19 +367,19 @@ TEST(SweepService, EchoRoundTripsInOrderAndDrainsCleanly) {
 
 TEST(SweepService, AdmissionRefusalsAreStructuredAndNonFatal) {
   if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
-  SweepServiceOptions opts;
-  opts.max_queue = 4;  // tiny bound so one request overflows it
-  const ServiceHandle h = startService(std::move(opts), "admit");
+  const ServiceHandle h = startService({}, "admit");
   ASSERT_GT(h.pid, 0);
 
-  // Over-quota request: kBusy with a positive retry_after hint.
+  // A request larger than the queue bound: kError naming the queue.
   ServiceRequest big;
   big.kind = ServiceRequest::Kind::kEcho;
-  big.echo_cells = 50;
-  const SubmitOutcome busy = submitToService(h.socket_path, big);
-  EXPECT_FALSE(busy.ok);
-  EXPECT_TRUE(busy.busy) << busy.error;
-  EXPECT_GT(busy.retry_after_seconds, 0.0);
+  big.echo_cells = 1025;
+  static_assert(kServiceMaxQueuedCells == 1024);
+  const SubmitOutcome full = submitToService(h.socket_path, big);
+  EXPECT_FALSE(full.ok);
+  EXPECT_FALSE(full.transport);
+  EXPECT_NE(full.error.find("admission queue full"), std::string::npos)
+      << full.error;
 
   // Unknown benchmark: kError naming the problem.
   ServiceRequest bad;
@@ -371,7 +387,6 @@ TEST(SweepService, AdmissionRefusalsAreStructuredAndNonFatal) {
   bad.benchmarks = {"no-such-workload"};
   const SubmitOutcome rejected = submitToService(h.socket_path, bad);
   EXPECT_FALSE(rejected.ok);
-  EXPECT_FALSE(rejected.busy);
   EXPECT_NE(rejected.error.find("unknown benchmark"), std::string::npos)
       << rejected.error;
 
@@ -382,7 +397,6 @@ TEST(SweepService, AdmissionRefusalsAreStructuredAndNonFatal) {
   sab.chaos = *support::ChaosPlan::parse("0:crash");
   const SubmitOutcome refused = submitToService(h.socket_path, sab);
   EXPECT_FALSE(refused.ok);
-  EXPECT_FALSE(refused.busy);
   EXPECT_NE(refused.error.find("chaos"), std::string::npos) << refused.error;
 
   // The service survived all three refusals and still does real work.
@@ -421,7 +435,6 @@ TEST(SweepService, AdmissionRefusesCellCountsThatWrap) {
   campaign.seeds = (1ull << 63) + 1;
   const SubmitOutcome wrapped = submitToService(h.socket_path, campaign);
   EXPECT_FALSE(wrapped.ok);
-  EXPECT_FALSE(wrapped.busy);
   EXPECT_NE(wrapped.error.find("too many cells"), std::string::npos)
       << wrapped.error;
 
@@ -444,7 +457,8 @@ TEST(SweepService, AdmissionRefusesCellCountsThatWrap) {
   echo.echo_cells = ~std::uint64_t{0};
   const SubmitOutcome huge = submitToService(h.socket_path, echo);
   EXPECT_FALSE(huge.ok);
-  EXPECT_TRUE(huge.busy) << huge.error;
+  EXPECT_NE(huge.error.find("admission queue full"), std::string::npos)
+      << huge.error;
 
   int status = 0;
   ASSERT_EQ(::waitpid(client, &status, 0), client);
@@ -489,45 +503,6 @@ TEST(SweepService, WorkerChaosFailsOnlyItsCellAndRetriesRecover) {
   EXPECT_EQ(out2.echoes[0], "error:crashed");
   EXPECT_EQ(out2.echoes[1], "y:1");
   EXPECT_EQ(out2.echoes[2], "y:2");
-
-  EXPECT_EQ(stopService(h), 0);
-}
-
-// ---- Per-request deadlines ------------------------------------------------
-
-TEST(SweepService, DeadlineSettlesQueuedCellsAsTimeout) {
-  if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
-  SweepServiceOptions opts;
-  opts.supervisor.jobs = 1;  // force a deep queue
-  const ServiceHandle h = startService(std::move(opts), "deadline");
-  ASSERT_GT(h.pid, 0);
-
-  // One worker round trip per echo cell takes tens of microseconds, so 64
-  // cells could occasionally drain inside 1 ms; 512 cannot.
-  constexpr std::size_t kCells = 512;
-  ServiceRequest req;
-  req.kind = ServiceRequest::Kind::kEcho;
-  req.echo_cells = kCells;
-  req.echo_payload = "late";
-  req.deadline_seconds = 0.001;  // expires before the queue can drain
-  const SubmitOutcome out = submitToService(h.socket_path, req);
-  // The request still completes — every cell settles and kDone arrives —
-  // but cells that never reached a worker report the deadline as timeout.
-  EXPECT_TRUE(out.ok) << out.error;
-  ASSERT_EQ(out.echoes.size(), kCells);
-  std::size_t timed_out = 0;
-  for (const std::string& e : out.echoes) {
-    if (e == "error:timeout") ++timed_out;
-  }
-  EXPECT_GT(timed_out, 0u);
-
-  // The service is immediately reusable afterwards.
-  ServiceRequest again;
-  again.kind = ServiceRequest::Kind::kEcho;
-  again.echo_cells = 2;
-  again.echo_payload = "ontime";
-  const SubmitOutcome out2 = submitToService(h.socket_path, again);
-  EXPECT_TRUE(out2.ok) << out2.error;
 
   EXPECT_EQ(stopService(h), 0);
 }
@@ -824,6 +799,43 @@ TEST(SweepService, OlderJournalFormatIsRefused) {
   EXPECT_NE(log.find(kDurableLogFormat), std::string::npos) << log;
   EXPECT_EQ(readWholeFile(jl), old);
   EXPECT_NE(::access(sock.c_str(), F_OK), 0);  // socket removed again
+}
+
+// An admit record that an older service journaled no longer decodes: its
+// request bytes still carry the per-request deadline field. Recovery
+// settles it as cancelled instead of running it, and the service starts.
+TEST(SweepService, OlderAdmitRecordSettlesAsCancelled) {
+  if (!SweepService::supported()) GTEST_SKIP() << "no AF_UNIX/fork here";
+  ServiceRequest req;
+  req.kind = ServiceRequest::Kind::kEcho;
+  req.echo_cells = 2;
+  req.echo_payload = "older-layout";
+  std::string bytes = encodeServiceRequest(req);
+  // That layout had an f64 deadline right after the echo payload.
+  const std::size_t at = bytes.find(req.echo_payload);
+  ASSERT_NE(at, std::string::npos);
+  bytes.insert(at + req.echo_payload.size(), std::string(8, '\0'));
+  ServiceRequest back;
+  ASSERT_FALSE(decodeServiceRequest(bytes, &back));
+
+  const std::string jl = ::testing::TempDir() + "/spts_older_admit.txt";
+  {
+    LogRecord admit;
+    admit.kind = LogRecord::Kind::kAdmit;
+    admit.id = 1;
+    admit.request_bytes = bytes;
+    std::ofstream out(jl, std::ios::trunc);
+    out << formatLogRecord(admit) << '\n';
+  }
+  ASSERT_EQ(readDurableLog(jl).unsettled.size(), 1u);
+  SweepServiceOptions opts;
+  opts.journal_path = jl;
+  const ServiceHandle h = startService(std::move(opts), "older_admit");
+  ASSERT_GT(h.pid, 0);
+  EXPECT_EQ(stopService(h), 0);
+  const LogReplay replay = readDurableLog(jl);
+  EXPECT_TRUE(replay.unsettled.empty());
+  EXPECT_EQ(replay.requests_settled, 1u);
 }
 
 // ---- Drain under load -----------------------------------------------------

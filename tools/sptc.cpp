@@ -123,10 +123,8 @@ struct Options {
   std::uint32_t period = 32;
   support::OracleMode oracle = support::OracleMode::kDigest;
   std::string socket_path;
-  std::size_t max_queue = 1024;
   bool allow_chaos = false;
   std::vector<std::string> benchmarks;  // empty = the whole suite
-  double deadline_seconds = 0.0;
   support::ClientChaosPlan client_chaos;
   std::string journal_path;  // empty = no request journal
   support::ServiceCrashPlan service_crash;
@@ -177,7 +175,7 @@ constexpr Subcommand kSubcommands[] = {
     {"serve", kServe, "",
      "resident sweep service on a Unix socket (docs/ROBUSTNESS.md)"},
     {"submit sweep", kSubmitSweep, "",
-     "a sweep run by the service: sweep's table and JSON (3 = busy)"},
+     "a sweep run by the service: sweep's table and JSON"},
     {"submit inject", kSubmitInject, "",
      "a campaign run by the service: inject's table and JSON"},
     {"submit status", kSubmitStatus, "", "print the service's status JSON"},
@@ -395,9 +393,6 @@ constexpr Option kOptions[] = {
      }},
     {"--socket", "PATH", kSocket, "the service's Unix-domain socket",
      [](Options& o, const Arg& a) { o.socket_path = a.value; }},
-    {"--max-queue", "N", kServe,
-     "queued cells before a request is refused (default 1024)",
-     [](Options& o, const Arg& a) { number(o, a, &o.max_queue); }},
     {"--allow-chaos", nullptr, kServe,
      "accept request-embedded chaos plans (tests)",
      [](Options& o, const Arg&) { o.allow_chaos = true; }},
@@ -407,14 +402,11 @@ constexpr Option kOptions[] = {
     {"--crash-at", "SPEC", kServe,
      "scripted self-SIGKILL POINT[@AT][:BYTES] (tests)",
      [](Options& o, const Arg& a) { plan(o, a, &o.service_crash); }},
-    {"--deadline", "S", kSubmit,
-     "whole-request deadline in seconds (0 = none)",
-     [](Options& o, const Arg& a) { number(o, a, &o.deadline_seconds); }},
     {"--token", "STR", kSubmit,
      "idempotency token: a resubmission re-attaches",
      [](Options& o, const Arg& a) { o.token = a.value; }},
     {"--retry-for", "S", kSubmit,
-     "retry busy and failed submissions for up to S seconds",
+     "retry a tokened submission's lost connection for up to S s",
      [](Options& o, const Arg& a) { number(o, a, &o.retry_for_seconds); }},
     {"--client-chaos", "SPEC", kSubmit,
      "client sabotage disconnect|garbage|slow-reader[@N]",
@@ -834,7 +826,6 @@ int cmdServe(const Options& options) {
   so.socket_path = options.socket_path;
   so.supervisor = options.supervisor;
   so.supervisor.jobs = options.jobs;  // --jobs sizes the worker pool
-  so.max_queue = options.max_queue;
   so.allow_chaos = options.allow_chaos;
   so.journal_path = options.journal_path;
   so.crash = options.service_crash;
@@ -875,7 +866,6 @@ int cmdSubmit(Sub mode, const Options& options) {
   req.base_seed = options.base_seed;
   req.period = options.period;
   req.oracle = options.oracle;
-  req.deadline_seconds = options.deadline_seconds;
   req.chaos = options.supervisor.chaos;
 
   harness::SubmitOptions sopts;
@@ -901,11 +891,6 @@ int cmdSubmit(Sub mode, const Options& options) {
     }
     std::cerr << "\n";
     return kInterruptedExit;
-  }
-  if (outcome.busy) {
-    std::cerr << "sptc: service busy (" << outcome.error << "); retry after "
-              << support::fixed(outcome.retry_after_seconds, 2) << "s\n";
-    return 3;
   }
   if (!outcome.ok) {
     std::cerr << "sptc: submit failed: " << outcome.error << "\n";
